@@ -22,6 +22,8 @@ ci:
 	go build ./...
 	go vet ./...
 	go test -race -short ./...
+	go -C benchmark test -race -short ./...
+	go test -count=20 ./internal/telemetry/ ./internal/stm/
 
 # Bounded iterations so the full matrix stays minutes, not hours.
 bench:
@@ -33,7 +35,7 @@ bench:
 # internal/bench and the frame-clock cells in internal/core.
 BASELINE_BENCH = 'BenchmarkSetOps/(list|rbtree|skiplist)|BenchmarkListParallel$$|BenchmarkReadOnlyCommitted|BenchmarkRBTreeParallel/M16$$|BenchmarkVacationParallel/M16$$|BenchmarkWriteHeavyParallel$$|BenchmarkCommittedWrite$$'
 LAZY_BENCH = 'BenchmarkLazyCommittedRead$$|BenchmarkLazyCommittedWrite$$|BenchmarkLazyListParallel$$'
-CORE_BENCH = 'BenchmarkFrameClockCommitParallel$$|BenchmarkDynamicManagerList/M16$$'
+CORE_BENCH = 'BenchmarkFrameClockCommitParallel$$|BenchmarkDynamicManagerList/M16$$|BenchmarkManagerUncontendedCommit$$'
 DURABLE_BENCH = 'BenchmarkDurableCommit$$'
 TRACE_BENCH = 'BenchmarkTraceOverhead/(off|sampled64)$$|BenchmarkTraceRecorderUnsampled$$'
 BTREE_BENCH = 'BenchmarkTxBTreeLookup$$|BenchmarkTxBTreeParallel/M(8|16)$$'
@@ -47,6 +49,7 @@ bench-check:
 	go test -run xxx -bench $(DURABLE_BENCH) -benchmem -benchtime 1s -count 5 ./internal/harness/ | tee -a /tmp/bench_new.txt
 	go test -run xxx -bench $(KV_BENCH) -benchmem -benchtime 1s -count 5 ./internal/kv/ | tee -a /tmp/bench_new.txt
 	go run ./cmd/benchcmp -threshold 0.10 bench_baseline.txt /tmp/bench_new.txt
+	grep 'BenchmarkManagerUncontendedCommit' /tmp/bench_new.txt | awk '{ if ($$NF != "allocs/op" || $$(NF-1) != 0) exit 1 }'
 	grep 'BenchmarkTraceRecorderUnsampled' /tmp/bench_new.txt | awk '{ if ($$NF != "allocs/op" || $$(NF-1) != 0) exit 1 }'
 	grep 'BenchmarkLazyCommittedRead' /tmp/bench_new.txt | awk '{ if ($$NF != "allocs/op" || $$(NF-1) != 0) exit 1 }'
 	grep 'BenchmarkLazyCommittedWrite' /tmp/bench_new.txt | awk '{ if ($$NF != "allocs/op" || $$(NF-1) != 0) exit 1 }'

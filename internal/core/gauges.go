@@ -30,6 +30,17 @@ func (m *Manager) estimateStats() (mean, max float64) {
 	return sum / float64(len(m.threads)), max
 }
 
+// threadsOutside counts the threads currently outside the window schedule.
+func (m *Manager) threadsOutside() int {
+	n := 0
+	for _, st := range m.threads {
+		if !st.inWindow.Load() {
+			n++
+		}
+	}
+	return n
+}
+
 var _ telemetry.GaugeSource = (*Manager)(nil)
 
 // TelemetryGauges implements telemetry.GaugeSource: the live view of the
@@ -59,8 +70,14 @@ func (m *Manager) TelemetryGauges() []telemetry.Gauge {
 				_, max := m.estimateStats()
 				return float64(alpha(max, m.cfg.M, m.cfg.N))
 			}),
-		telemetry.NewGauge("wincm_window_commits", "transactions committed under this window manager",
-			func() float64 { return float64(m.commits.Load()) }),
+		telemetry.NewGauge("wincm_window_commits", "transactions committed under this window manager, inside the window or outside it",
+			func() float64 { return float64(m.sum(cellCommits)) }),
+		telemetry.NewGauge("wincm_window_threads_outside", "threads currently outside the window schedule (no conflict since their last clean segment)",
+			func() float64 { return float64(m.threadsOutside()) }),
+		telemetry.NewGauge("wincm_window_entries_total", "times a thread entered the window schedule on a conflict or abort of its own",
+			func() float64 { return float64(m.sum(cellEntries)) }),
+		telemetry.NewGauge("wincm_window_clean_exits_total", "segments that ended without a conflict and took their thread back outside",
+			func() float64 { return float64(m.sum(cellCleanExits)) }),
 		telemetry.NewGauge("wincm_window_bad_events", "transactions that missed their assigned frame",
 			func() float64 { return float64(m.bads.Load()) }),
 		telemetry.NewGauge("wincm_window_fallback_commits", "commits made holding the serialized-fallback token",

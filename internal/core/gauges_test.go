@@ -35,6 +35,8 @@ func TestTelemetryGaugesQuiescent(t *testing.T) {
 		"wincm_window_registered_pending", "wincm_window_frame_dur_ns",
 		"wincm_window_tau_ns", "wincm_window_c_mean", "wincm_window_c_max",
 		"wincm_window_alpha_max", "wincm_window_commits",
+		"wincm_window_threads_outside", "wincm_window_entries_total",
+		"wincm_window_clean_exits_total",
 		"wincm_window_bad_events", "wincm_window_fallback_commits",
 		"wincm_window_priority_collisions",
 		"wincm_frameclock_cas_retries_total",
@@ -52,6 +54,13 @@ func TestTelemetryGaugesQuiescent(t *testing.T) {
 	if gs["wincm_window_commits"].Value() != 0 {
 		t.Error("idle manager reports commits")
 	}
+	// Every thread starts outside the window and none has entered yet.
+	if got := gs["wincm_window_threads_outside"].Value(); got != 4 {
+		t.Errorf("threads outside = %v, want 4", got)
+	}
+	if gs["wincm_window_entries_total"].Value() != 0 || gs["wincm_window_clean_exits_total"].Value() != 0 {
+		t.Error("idle manager reports window entries or exits")
+	}
 	// Estimates start at 1, so mean and max are 1 and alpha ≥ 1.
 	if gs["wincm_window_c_mean"].Value() != 1 || gs["wincm_window_c_max"].Value() != 1 {
 		t.Errorf("initial estimates: mean=%v max=%v",
@@ -63,7 +72,9 @@ func TestTelemetryGaugesQuiescent(t *testing.T) {
 }
 
 // TestTelemetryGaugesLive scrapes every gauge concurrently with a
-// contended run (race-safety) and checks the counters moved.
+// contended run (race-safety) and checks the counters moved. Each thread's
+// first transaction aborts itself once, so every thread enters the window
+// whatever the scheduler does and the schedule-side gauges are live.
 func TestTelemetryGaugesLive(t *testing.T) {
 	const threads, perThread = 8, 150
 	cfg := core.DefaultConfig(core.AdaptiveImprovedDynamic, threads)
@@ -95,8 +106,13 @@ func TestTelemetryGaugesLive(t *testing.T) {
 		wg.Add(1)
 		go func(th *stm.Thread) {
 			defer wg.Done()
+			entered := false
 			for j := 0; j < perThread; j++ {
 				th.Atomic(func(tx *stm.Tx) {
+					if !entered {
+						entered = true
+						tx.Abort() // noticed by the Read below: one abort, one entry
+					}
 					stm.Write(tx, ctr, stm.Read(tx, ctr)+1)
 				})
 			}
@@ -111,6 +127,15 @@ func TestTelemetryGaugesLive(t *testing.T) {
 	}
 	if got := gs["wincm_window_commits"].Value(); got != threads*perThread {
 		t.Errorf("commit gauge = %v, want %d", got, threads*perThread)
+	}
+	// The conflicts took threads into the window, and a thread is back
+	// outside only through a clean exit.
+	entries, exits := gs["wincm_window_entries_total"].Value(), gs["wincm_window_clean_exits_total"].Value()
+	if entries < threads {
+		t.Errorf("entries = %v, want >= %d (every thread aborted once)", entries, threads)
+	}
+	if inside := threads - gs["wincm_window_threads_outside"].Value(); inside != entries-exits {
+		t.Errorf("threads inside = %v, entries - clean exits = %v", inside, entries-exits)
 	}
 	// Every transaction fought over one counter: estimates must have grown
 	// past their initial 1 and collisions/frames must be non-negative.

@@ -26,13 +26,29 @@ func auxFrame(aux uint64) int64 { return int64(aux >> p2Bits) }
 func auxP2(aux uint64) uint64   { return aux & (1<<p2Bits - 1) }
 
 // threadState is the per-thread window bookkeeping. Only the owning thread
-// touches it (Begin/Committed/Aborted run on the transaction's thread), so
-// no synchronization is needed.
+// writes it (Begin/Committed/Aborted/Resolve run on the transaction's
+// thread), so the plain fields need no synchronization; the atomics are
+// single-writer cells (owner stores, gauges load from any goroutine).
+//
+// A thread is either outside the window schedule — the initial state — or
+// inside it. Outside, its transactions carry frame 0 (π⁽¹⁾ high) with a
+// fresh π⁽²⁾ and its commits touch nothing another thread reads or writes:
+// no frame registration, no shared τ̂, no shared counter. It enters on its
+// own first Resolve or Aborted (enter) and leaves again when a segment ends
+// without either (leave). See DESIGN.md §2.
 type threadState struct {
 	rng *rng.Rand
 	est estimator
 
-	inWindow  bool  // a window segment is in progress
+	inWindow   atomic.Bool // inside the window schedule (false: outside)
+	conflicted bool        // the current segment saw a Resolve or Aborted of this thread
+
+	// tau is the thread-local τ̂ an outside thread folds its attempt times
+	// into, seeded from the shared estimate when the thread goes outside;
+	// tauN counts the samples folded since, the weight enter merges it with.
+	tau  int64
+	tauN int
+
 	startSeq  int   // Seq of the segment's first transaction
 	remaining int   // transactions left in the segment (≤ N)
 	baseFrame int64 // clock frame when the segment started
@@ -52,6 +68,35 @@ type threadState struct {
 	// the contention estimate from any goroutine; only the owner thread
 	// stores it (publishC), at every point the estimate can change.
 	cPub atomic.Uint64
+
+	// cells are the thread's single-writer counters, summed by the gauges.
+	cells [numCells]atomic.Int64
+
+	// The states are allocated one by one; the pad rounds the struct up to
+	// whole cache lines so two threads' hot fields never share one.
+	_ [48]byte
+}
+
+// cell names one of a thread's single-writer counters.
+type cell int
+
+const (
+	cellCommits    cell = iota // transactions committed, inside the window or outside
+	cellEntries                // entries into the window schedule
+	cellCleanExits             // segments that ended clean and took the thread back outside
+	numCells
+)
+
+// bump adds one to the thread's counter c: load+store, no read-modify-write.
+func (st *threadState) bump(c cell) { st.cells[c].Store(st.cells[c].Load() + 1) }
+
+// sum adds counter c up across the threads.
+func (m *Manager) sum(c cell) int64 {
+	var n int64
+	for _, st := range m.threads {
+		n += st.cells[c].Load()
+	}
+	return n
 }
 
 // publishC republishes the thread's contention estimate for gauge readers.
@@ -68,7 +113,6 @@ type Manager struct {
 	clock      *frameClock
 	threads    []*threadState
 	tauNs      atomic.Int64 // EWMA of committed-attempt durations
-	commits    atomic.Int64
 	bads       atomic.Int64 // total bad events (transactions missing frames)
 	fallbacks  atomic.Int64 // commits made while holding the fallback token
 	collisions atomic.Int64 // Resolve calls whose priority vectors tied
@@ -105,6 +149,7 @@ func NewManager(cfg Config) *Manager {
 		m.threads[i] = &threadState{
 			rng: master.Split(),
 			est: newEstimator(cfg.Estimator, float64(cfg.InitialC)),
+			tau: int64(tauGuess),
 		}
 		m.threads[i].publishC()
 	}
@@ -173,38 +218,90 @@ func (m *Manager) frameDur() time.Duration {
 }
 
 // Begin implements stm.ContentionManager. On a transaction's first attempt
-// it advances the thread's window schedule (possibly opening a new window
-// segment) and assigns the frame and initial priority vector.
+// an inside thread advances its window schedule (possibly opening a new
+// segment) and assigns the frame and initial priority vector; an outside
+// thread stores frame 0 with a fresh π⁽²⁾ — what a thread with C_i = 1 and
+// q = 0 would be given, high priority from the start — and nothing else.
 func (m *Manager) Begin(tx *stm.Tx) {
 	st := m.threads[tx.D.ThreadID]
 	if tx.D.Attempts == 1 {
-		m.scheduleNext(st, tx.D)
+		if st.inWindow.Load() {
+			m.scheduleNext(st, tx.D)
+		} else {
+			tx.D.Aux.Store(packAux(0, m.drawP2(st)))
+		}
 	}
 	if m.cfg.HoldUntilFrame {
 		m.holdUntilFrame(tx)
 	}
 }
 
-// scheduleNext assigns the next transaction of thread state st to a frame.
+// scheduleNext assigns the next transaction of thread state st to a frame
+// with a fresh π⁽²⁾.
 func (m *Manager) scheduleNext(st *threadState, d *stm.Desc) {
-	if !st.inWindow || st.remaining == 0 {
+	m.assign(st, d, m.drawP2(st))
+}
+
+// assign gives d the next position of st's segment, opening a new segment
+// first when the last one is used up, and publishes (frame, p2) in d.Aux.
+func (m *Manager) assign(st *threadState, d *stm.Desc, p2 uint64) {
+	if st.remaining == 0 {
 		m.openSegment(st, d.Seq, m.cfg.N)
 	}
 	j := int64(d.Seq - st.startSeq)
 	st.assigned = st.baseFrame + st.q + j
 	st.remaining--
-	d.Aux.Store(packAux(st.assigned, m.drawP2(st)))
+	d.Aux.Store(packAux(st.assigned, p2))
+}
+
+// enter takes an outside thread into the window schedule on its first
+// conflict. The thread-local τ̂ is merged into the shared one with the
+// weight its tauN samples would have carried had each been applied there
+// directly, 1 − (7/8)^tauN; a segment of N opens under the current estimate;
+// and the running transaction d takes position 0 of it, keeping the π⁽²⁾ it
+// already holds — so enemies that compared against d before see the same
+// second component after.
+func (m *Manager) enter(st *threadState, d *stm.Desc) {
+	if st.tauN > 0 {
+		m.blendTau(st.tau, 1-math.Pow(1-tauWeight, float64(st.tauN)))
+	}
+	st.inWindow.Store(true)
+	st.bump(cellEntries)
+	m.assign(st, d, auxP2(d.Aux.Load()))
+}
+
+// leave takes the thread back outside after a segment that saw no conflict
+// of its own, dropping whatever the segment still has registered and
+// seeding the local τ̂ from the shared one.
+func (m *Manager) leave(st *threadState) {
+	m.dropRegistrations(st)
+	st.tau, st.tauN = m.tauNs.Load(), 0
+	st.inWindow.Store(false)
+	st.bump(cellCleanExits)
+}
+
+// tauWeight is the weight of one attempt duration in the τ̂ average.
+const tauWeight = 1.0 / 8
+
+// blendTau moves the shared τ̂ the fraction w of the way to sample and
+// recalibrates the frame size. The read-modify-write is a CAS loop: threads
+// commit concurrently, and a plain Load-then-Store would drop every sample
+// that raced with another commit's update.
+func (m *Manager) blendTau(sample int64, w float64) {
+	for {
+		old := m.tauNs.Load()
+		if m.tauNs.CompareAndSwap(old, old+int64(w*float64(sample-old))) {
+			break
+		}
+	}
+	m.clock.setDur(m.frameDur())
 }
 
 // openSegment starts a fresh window segment of n transactions at seq:
 // draws the random delay from the current estimate and registers the
 // schedule with the frame clock.
 func (m *Manager) openSegment(st *threadState, seq, n int) {
-	// Drop any leftover registrations from an abandoned segment.
-	for f := st.regNext; f < st.regEnd; f++ {
-		m.clock.unregister(f)
-	}
-	st.inWindow = true
+	m.dropRegistrations(st) // leftovers of an abandoned segment
 	st.startSeq = seq
 	st.remaining = n
 	st.baseFrame = m.clock.Current()
@@ -218,6 +315,14 @@ func (m *Manager) openSegment(st *threadState, seq, n int) {
 	for f := st.regNext; f < st.regEnd; f++ {
 		m.clock.register(f)
 	}
+}
+
+// dropRegistrations unregisters the not-yet-retired frames of st's segment.
+func (m *Manager) dropRegistrations(st *threadState) {
+	for f := st.regNext; f < st.regEnd; f++ {
+		m.clock.unregister(f)
+	}
+	st.regNext = st.regEnd
 }
 
 // drawP2 draws a RandomizedRounds priority uniformly from [1, M].
@@ -240,25 +345,36 @@ func (m *Manager) holdUntilFrame(tx *stm.Tx) {
 	}
 }
 
-// Committed implements stm.ContentionManager: recalibrate τ̂, retire the
-// transaction from its frame, detect bad events, and let the estimator and
-// window bookkeeping advance.
+// Committed implements stm.ContentionManager. Inside the window: recalibrate
+// τ̂, retire the transaction from its frame, detect bad events, and let the
+// estimator and window bookkeeping advance. Outside it: fold the attempt
+// time into the thread-local τ̂ and count the commit in the thread's own
+// cell — no shared word is written.
 func (m *Manager) Committed(tx *stm.Tx) {
 	st := m.threads[tx.D.ThreadID]
 	d := tx.D
+	attempt := d.AttemptEnd - d.AttemptStart
+	st.bump(cellCommits)
+	st.est.sample(false)
 
-	// τ̂ ← 7/8·τ̂ + 1/8·attempt duration, then recalibrate the frame size.
-	// The read-modify-write is a CAS loop: threads commit concurrently, and
-	// a plain Load-then-Store would drop every sample that raced with
-	// another commit's update.
-	if attempt := stm.Now() - d.AttemptStart; attempt > 0 {
-		for {
-			old := m.tauNs.Load()
-			if m.tauNs.CompareAndSwap(old, old-old/8+attempt/8) {
-				break
-			}
+	if !st.inWindow.Load() {
+		if attempt > 0 {
+			st.tau += int64(tauWeight * float64(attempt-st.tau))
+			st.tauN++
 		}
-		m.clock.setDur(m.frameDur())
+		if tx.HoldsFallback() {
+			m.fallbacks.Add(1) // a watchdog grant to a transaction that never conflicted
+		}
+		if m.clock.onAdvance != nil {
+			// Frame consumers (WAL group commit, flight recorder) are
+			// driven by whoever looks at the clock; keep their cadence.
+			m.clock.Current()
+		}
+		return
+	}
+
+	if attempt > 0 {
+		m.blendTau(attempt, tauWeight)
 	}
 
 	cur := m.clock.Current()
@@ -268,8 +384,6 @@ func (m *Manager) Committed(tx *stm.Tx) {
 		st.regNext = st.assigned + 1
 	}
 
-	m.commits.Add(1)
-	st.est.sample(false)
 	if tx.HoldsFallback() {
 		// A serialized-fallback commit still retires its frame (above) so
 		// the clock and registration bookkeeping stay exact, but a missed
@@ -288,17 +402,32 @@ func (m *Manager) Committed(tx *stm.Tx) {
 		}
 	}
 	if st.remaining == 0 {
-		st.inWindow = false
 		st.est.onWindowEnd(st.badEvents > 0)
 		st.badEvents = 0
+		if !st.conflicted {
+			m.leave(st) // clean segment: nothing here needs a schedule
+		}
+		st.conflicted = false // a conflicted one chains into the next at Begin
 	}
 	st.publishC()
 }
 
-// Aborted implements stm.ContentionManager: redraw π⁽²⁾ (unless the
-// ablation disables it) and feed the contention sample to the estimator.
+// conflict records that st's thread met a conflict (a Resolve of its own or
+// an abort), entering the window schedule with the running transaction d if
+// the thread was outside.
+func (m *Manager) conflict(st *threadState, d *stm.Desc) {
+	if !st.inWindow.Load() {
+		m.enter(st, d)
+	}
+	st.conflicted = true
+}
+
+// Aborted implements stm.ContentionManager: enter the window if this is the
+// thread's first conflict, redraw π⁽²⁾ (unless the ablation disables it) and
+// feed the contention sample to the estimator.
 func (m *Manager) Aborted(tx *stm.Tx) {
 	st := m.threads[tx.D.ThreadID]
+	m.conflict(st, tx.D)
 	st.est.sample(true)
 	if !m.cfg.NoRedraw {
 		aux := tx.D.Aux.Load()
@@ -316,7 +445,13 @@ func (m *Manager) Opened(*stm.Tx) {}
 // makes progress. The loser is granted LoserPatience short waiting rounds
 // (re-resolving with fresh priorities each time, so a frame switch or a
 // π⁽²⁾ redraw can still flip the outcome) before aborting itself.
+//
+// Resolve runs on tx's thread, and a thread's first Resolve is where it
+// enters the window: by the time priorities are compared tx has a
+// registered frame. An enemy still outside carries frame 0 and reads as
+// π⁽¹⁾ high, which is what its own entry would make it at q = 0.
 func (m *Manager) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
+	m.conflict(m.threads[tx.D.ThreadID], tx.D)
 	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
 		return dec, wait
 	}

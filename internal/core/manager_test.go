@@ -64,6 +64,10 @@ func TestAdaptiveEstimateGrowsUnderContention(t *testing.T) {
 	cfg.FrameScale = 0.05 // tiny frames force bad events quickly
 	mgr := core.NewManager(cfg)
 	rt := stm.New(m, mgr)
+	// Bad events are a property of scheduled transactions, and a thread is
+	// scheduled only once it has conflicted: yield at every open so the
+	// increments interleave and every thread enters the window.
+	rt.SetYieldEvery(1)
 	ctr := stm.NewTVar(0)
 	var wg sync.WaitGroup
 	for i := 0; i < m; i++ {

@@ -130,15 +130,25 @@ func TestPrioOrdering(t *testing.T) {
 	}
 }
 
-// TestAbortedRedrawsP2 and honors NoRedraw.
+// TestAbortedRedrawsP2 and honors NoRedraw. The transaction enters the
+// window first (its first abort does that), so the frame the redraw must
+// leave alone is a registered one, not the outside frame 0.
 func TestAbortedRedrawsP2(t *testing.T) {
 	cfg := DefaultConfig(Online, 1<<14) // wide π2 range
 	m := NewManager(cfg)
 	rt := stm.New(1, m)
 	var captured *stm.Tx
 	rt.Thread(0).Atomic(func(tx *stm.Tx) { captured = tx })
+	m.clock.jump(7) // so a scheduled frame is told apart from frame 0
+	m.Aborted(captured)
+	if !m.threads[0].inWindow.Load() {
+		t.Fatal("first abort did not enter the window")
+	}
 	before := auxP2(captured.D.Aux.Load())
 	frame := auxFrame(captured.D.Aux.Load())
+	if frame != m.threads[0].assigned || frame < 7 {
+		t.Fatalf("entered at frame %d, assigned %d, clock at 7", frame, m.threads[0].assigned)
+	}
 	changed := false
 	for i := 0; i < 16 && !changed; i++ {
 		m.Aborted(captured)
@@ -156,7 +166,12 @@ func TestAbortedRedrawsP2(t *testing.T) {
 	m2 := NewManager(cfg2)
 	rt2 := stm.New(1, m2)
 	rt2.Thread(0).Atomic(func(tx *stm.Tx) { captured = tx })
+	p2 := auxP2(captured.D.Aux.Load())
+	m2.Aborted(captured) // enters, keeping π2
 	aux := captured.D.Aux.Load()
+	if auxP2(aux) != p2 {
+		t.Error("NoRedraw: entering the window changed π2")
+	}
 	m2.Aborted(captured)
 	if captured.D.Aux.Load() != aux {
 		t.Error("NoRedraw still redrew π2")
@@ -184,7 +199,8 @@ func TestResolveTotalOrder(t *testing.T) {
 
 // TestBadEventTriggersRestart: a committed transaction whose frame has
 // passed must double the Adaptive estimate and restart the remaining
-// schedule.
+// schedule. Bad events are a property of scheduled transactions, so the
+// thread enters the window first, on an abort of its own.
 func TestBadEventTriggersRestart(t *testing.T) {
 	cfg := DefaultConfig(Adaptive, 1)
 	cfg.N = 6
@@ -192,14 +208,9 @@ func TestBadEventTriggersRestart(t *testing.T) {
 	rt := stm.New(1, m)
 	th := rt.Thread(0)
 
-	// First transaction: force the clock far ahead of the assigned frame
-	// by jumping it manually, then commit.
-	var seen *stm.Tx
-	th.Atomic(func(tx *stm.Tx) {
-		seen = tx
-		m.clock.jump(10)
-	})
-	_ = seen
+	// The first attempt aborts itself, which enters the window; the second
+	// forces the clock far ahead of the assigned frame, then commits.
+	th.Atomic(abortOnce(t, func(*stm.Tx) { m.clock.jump(10) }))
 	if m.BadEvents() != 1 {
 		t.Fatalf("bad events = %d, want 1", m.BadEvents())
 	}
@@ -209,5 +220,8 @@ func TestBadEventTriggersRestart(t *testing.T) {
 	// The restart re-registered the remaining 5 transactions.
 	if got := m.threads[0].remaining; got != 5 {
 		t.Fatalf("remaining = %d, want 5", got)
+	}
+	if st := m.threads[0]; st.regEnd-st.regNext != 5 {
+		t.Fatalf("restart registered [%d,%d), want 5 frames", st.regNext, st.regEnd)
 	}
 }

@@ -518,3 +518,31 @@ func TestLazyBackendStore(t *testing.T) {
 		t.Fatalf("lazy MGet = %v", vals)
 	}
 }
+
+// TestPointOpsLeaveNothingScheduled: single-key operations that conflict
+// with nobody never enter their shard's window schedule, so after 10k of
+// them no shard's frame clock holds a registration.
+func TestPointOpsLeaveNothingScheduled(t *testing.T) {
+	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Seed: 11})
+	se := st.NewSession()
+	for i := int64(0); i < 5000; i++ {
+		se.Set(i, i)
+		if v, ok := se.Get(i); !ok || v != i {
+			t.Fatalf("Get(%d) = %d,%v", i, v, ok)
+		}
+	}
+	for _, sh := range st.shards {
+		if sh.wm == nil {
+			t.Fatalf("shard %d runs no window manager; the default changed", sh.idx)
+		}
+		if cur, total := sh.occupancy(); cur != 0 || total != 0 {
+			t.Errorf("shard %d: occupancy() = (%d, %d), want (0, 0)", sh.idx, cur, total)
+		}
+		if bad := sh.wm.BadEvents(); bad != 0 {
+			t.Errorf("shard %d: %d bad events without a conflict", sh.idx, bad)
+		}
+	}
+	if stats := st.Stats(); stats.Commits != 10000 || stats.Aborts != 0 {
+		t.Errorf("commits = %d, aborts = %d, want 10000, 0", stats.Commits, stats.Aborts)
+	}
+}

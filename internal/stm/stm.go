@@ -119,7 +119,9 @@ type Desc struct {
 	// Window managers derive the position inside the current window from it.
 	// Owner-thread-only.
 	Seq int
-	// ID is unique across the runtime and used as a final tie-breaker.
+	// ID is unique across the runtime and used as a final tie-breaker. It is
+	// Seq·M + ThreadID + 1: computed from thread-local values, so issuing one
+	// writes no shared word, and strictly increasing along each thread.
 	ID atomic.Uint64
 	// Birth is the time of the transaction's first attempt (ns since the
 	// package epoch). It is the static timestamp of Greedy and Priority.
@@ -127,6 +129,11 @@ type Desc struct {
 	// AttemptStart is the start time of the current attempt.
 	// Owner-thread-only.
 	AttemptStart int64
+	// AttemptEnd is the end time of the attempt that just finished, set
+	// before the manager's Committed or Aborted callback runs so managers
+	// that track attempt durations need no clock read of their own.
+	// Owner-thread-only.
+	AttemptEnd int64
 	// Attempts counts attempts so far, including the current one.
 	// Owner-thread-only.
 	Attempts int
@@ -352,7 +359,6 @@ func (tx *Tx) abortWord(word uint64) bool {
 type Runtime struct {
 	cm         ContentionManager
 	threads    []*Thread
-	nextID     atomic.Uint64
 	yieldEvery atomic.Int64
 	invisible  bool
 
@@ -565,7 +571,7 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 	// enemy-visible identity fields (ID, Birth) are atomics; the CM
 	// scratch words are reset to what a fresh descriptor held.
 	d.Seq = t.seq
-	d.ID.Store(rt.nextID.Add(1))
+	d.ID.Store(uint64(t.seq)*uint64(len(rt.threads)) + uint64(t.id) + 1)
 	d.Birth.Store(birth)
 	d.Attempts = 0
 	d.Karma.Store(0)
@@ -592,6 +598,7 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		}
 		committed := runAttempt(tx, fn)
 		end := now()
+		d.AttemptEnd = end
 		if committed {
 			cm.Committed(tx)
 			t.commits.Add(1)

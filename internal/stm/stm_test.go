@@ -227,6 +227,44 @@ func TestSnapshotConsistency(t *testing.T) {
 	}
 }
 
+// TestDescIDsUniqueAndIncreasing: transaction IDs are computed from
+// thread-local values (no shared counter), and must still be what every
+// tie-break and label assumes — unique across the runtime's threads,
+// non-zero, and strictly increasing along each thread.
+func TestDescIDsUniqueAndIncreasing(t *testing.T) {
+	const m, per = 3, 200
+	rt := runtimeWith(t, "aggressive", m)
+	ids := make([][]uint64, m)
+	var wg sync.WaitGroup
+	for i := 0; i < m; i++ {
+		wg.Add(1)
+		go func(i int, th *stm.Thread) {
+			defer wg.Done()
+			for j := 0; j < per; j++ {
+				var id uint64
+				th.Atomic(func(tx *stm.Tx) { id = tx.D.ID.Load() })
+				ids[i] = append(ids[i], id)
+			}
+		}(i, rt.Thread(i))
+	}
+	wg.Wait()
+	seen := make(map[uint64]bool, m*per)
+	for i, list := range ids {
+		for j, id := range list {
+			if id == 0 {
+				t.Fatalf("thread %d issued ID 0", i)
+			}
+			if j > 0 && id <= list[j-1] {
+				t.Fatalf("thread %d: ID %d after %d", i, id, list[j-1])
+			}
+			if seen[id] {
+				t.Fatalf("ID %d issued twice", id)
+			}
+			seen[id] = true
+		}
+	}
+}
+
 func TestTxInfoCountsAborts(t *testing.T) {
 	rt := runtimeWith(t, "aggressive", 1)
 	v := stm.NewTVar(0)

@@ -277,22 +277,30 @@ func Read[T any](tx *Tx, v *TVar[T]) T {
 		tx.checkAlive()
 		loc := v.load()
 		w := loc.owner
-		if w == nil {
-			return loc.oldVal
-		}
 		if w == tx {
 			return loc.newVal
 		}
-		word, ok := ownerView(loc)
-		if !ok {
-			tx.casRetries++
-			continue
+		var val T
+		if w == nil {
+			val = loc.oldVal
+		} else {
+			word, ok := ownerView(loc)
+			if !ok {
+				tx.casRetries++
+				continue
+			}
+			if StatusOf(word) == Active {
+				tx.resolve(w, word, ReadWrite, &attempt)
+				continue
+			}
+			val, _ = settledView(loc, StatusOf(word))
 		}
-		if StatusOf(word) == Active {
-			tx.resolve(w, word, ReadWrite, &attempt)
-			continue
-		}
-		val, _ := settledView(loc, StatusOf(word))
+		// Still alive after the load: a writer of anything tx has read must
+		// abort tx before it commits, so no such commit precedes this point
+		// and val belongs to the same snapshot as tx's earlier reads. Without
+		// the re-check an attempt aborted between the check above and the
+		// load would hand its callback a value from after that commit.
+		tx.checkAlive()
 		return val
 	}
 }

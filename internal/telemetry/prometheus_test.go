@@ -25,6 +25,9 @@ func TestWritePrometheusGolden(t *testing.T) {
 	r.NewCounter("wincm_aborts_total", "aborted attempts", 2) // stays zero
 	r.RegisterGauge(telemetry.NewGauge("wincm_window_frame", "current frame index", func() float64 { return 3 }))
 	r.RegisterGauge(telemetry.NewGauge("wincm_window_c_mean", "mean contention estimate", func() float64 { return 2.5 }))
+	r.RegisterGauge(telemetry.NewGauge("wincm_window_threads_outside", "threads outside the window schedule", func() float64 { return 2 }))
+	r.RegisterGauge(telemetry.NewGauge("wincm_window_entries_total", "entries into the window schedule", func() float64 { return 7 }))
+	r.RegisterGauge(telemetry.NewGauge("wincm_window_clean_exits_total", "clean segments that left the schedule", func() float64 { return 5 }))
 	h := r.NewHistogram("wincm_response_ns", "transaction response time", 2)
 	h.Observe(0, 0)
 	h.Observe(0, 1)

@@ -79,14 +79,21 @@ func TestRecorderConflictAccounting(t *testing.T) {
 	rec := NewRecorder(threads, 1, 1<<16)
 	col := NewCollector(rec, 0)
 	rt := stm.New(threads, abortEnemyCM{}, stm.WithProbe(rec))
+	// Yield at every open so the read-modify-writes interleave and conflict
+	// on any core count; without it the run often finishes conflict-free and
+	// the test skips instead of checking anything.
+	rt.SetYieldEvery(1)
 	shared := stm.NewTVar(0)
 
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
+	ready.Add(threads)
 	for ti := 0; ti < threads; ti++ {
 		wg.Add(1)
 		go func(ti int) {
 			defer wg.Done()
 			th := rt.Thread(ti)
+			ready.Done()
+			ready.Wait() // nobody starts until everybody runs
 			for i := 0; i < iters; i++ {
 				th.Atomic(func(tx *stm.Tx) { stm.Write(tx, shared, stm.Read(tx, shared)+1) })
 			}
@@ -171,14 +178,18 @@ func TestRecorderWaitEvents(t *testing.T) {
 	rec := NewRecorder(threads, 1, 1<<16)
 	col := NewCollector(rec, 0)
 	rt := stm.New(threads, waitCM{}, stm.WithProbe(rec))
+	rt.SetYieldEvery(1) // interleave the two threads so they overlap on any core count
 	shared := stm.NewTVar(0)
 
-	var wg sync.WaitGroup
+	var wg, ready sync.WaitGroup
+	ready.Add(threads)
 	for ti := 0; ti < threads; ti++ {
 		wg.Add(1)
 		go func(ti int) {
 			defer wg.Done()
 			th := rt.Thread(ti)
+			ready.Done()
+			ready.Wait() // nobody starts until everybody runs
 			for i := 0; i < 200; i++ {
 				th.Atomic(func(tx *stm.Tx) { stm.Write(tx, shared, stm.Read(tx, shared)+1) })
 			}
