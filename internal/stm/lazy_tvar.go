@@ -213,13 +213,8 @@ func (e *lazyEntry[T]) acquire(tx *Tx) uint64 {
 		}
 		if loc.owner != nil {
 			// Folded a dead enemy: loc and the quiescent prev it displaced
-			// are both ours to retire. Read prev BEFORE retiring loc —
-			// retire reuses the field as its list link.
-			prev := loc.prev
-			pool.retire(tx, loc)
-			if prev != nil {
-				pool.retire(tx, prev)
-			}
+			// are both ours to retire.
+			pool.retireFolded(tx, loc)
 		}
 		e.loc = next
 		tx.acquires++
@@ -253,11 +248,7 @@ func (e *lazyEntry[T]) writeBack(tx *Tx, wv uint64) {
 	next.version = wv
 	next.prev = nil
 	if v.loc.CompareAndSwap(loc, next) {
-		prev := loc.prev
-		pool.retire(tx, loc)
-		if prev != nil {
-			pool.retire(tx, prev)
-		}
+		pool.retireFolded(tx, loc)
 		return
 	}
 	pool.put(next)

@@ -9,10 +9,17 @@ import (
 // Per-thread locator recycling (ISSUE 5). Every acquiring Write used to
 // allocate a locator and every committed release allocated the folded
 // quiescent one, so write-heavy workloads were GC-bound. Instead,
-// displaced locators are retired (epoch.go) into per-thread intrusive
-// lists — linked through their dead prev field — and recycled through a
-// per-thread free list once grace passes. The committed write path
-// (acquire → commit → release) then allocates nothing in steady state.
+// displaced locators are retired (epoch.go) into per-thread batches and
+// recycled through a per-thread free list once grace passes. The committed
+// write path (acquire → commit → release) then allocates nothing in steady
+// state.
+//
+// A retired locator is not written until grace has passed: a thread that
+// loaded it from the variable before the displacing CAS may still be
+// reading any of its fields (an aborted owner's release reads prev of a
+// locator an enemy has already folded), so the batches hold pointers in
+// arrays of their own and only the free list — past grace, or never
+// published — links through the dead prev field.
 //
 // All state in a locatorPool is owner-thread-only: retires are performed
 // by the thread whose CAS displaced the locator, gets by the thread
@@ -55,7 +62,7 @@ const (
 	// is stalled (typically heavy oversubscription: descheduled attempts
 	// hold old pins for whole scheduler quanta), and while it lasts,
 	// batching buys nothing — locators would only be dropped to the GC
-	// after paying list links, counters, and ring churn. Bypassed retires
+	// after paying batch slots, counters, and ring churn. Bypassed retires
 	// cost one branch and leave the locator to the GC directly, exactly
 	// the pre-pool behavior; when the countdown drains, batching resumes
 	// and the pool recovers if grace does.
@@ -67,11 +74,10 @@ const (
 	poisonVersion = 1<<63 - 1
 )
 
-// sealedBatch is one retire batch awaiting grace: an intrusive list of n
-// locators (linked through prev) unlinked no later than epoch tag.
+// sealedBatch is one full retire batch awaiting grace: locators unlinked
+// no later than epoch tag.
 type sealedBatch[T any] struct {
-	head *locator[T]
-	n    int
+	locs [retireBatchSize]*locator[T]
 	tag  uint64
 }
 
@@ -79,13 +85,14 @@ type sealedBatch[T any] struct {
 type locatorPool[T any] struct {
 	th *Thread
 
-	// free is the ready-to-reuse list (intrusive via prev).
+	// free is the ready-to-reuse list, linked through prev: everything on
+	// it is past grace or was never published.
 	free    *locator[T]
 	freeLen int
 
 	// cur is the open retire batch; it seals into the ring at
 	// retireBatchSize.
-	cur    *locator[T]
+	cur    [retireBatchSize]*locator[T]
 	curLen int
 
 	// sealed is a ring of batches awaiting grace: head is the oldest,
@@ -142,8 +149,8 @@ func (p *locatorPool[T]) put(l *locator[T]) {
 }
 
 // retire adds a displaced locator to the open batch. The caller must be
-// the thread whose CAS unlinked l from its variable, and must not touch l
-// afterwards — its prev field becomes the batch link immediately.
+// the thread whose CAS unlinked l from its variable. l itself is left
+// untouched: stale holders may read it until grace passes.
 func (p *locatorPool[T]) retire(tx *Tx, l *locator[T]) {
 	if p == nil { // pooling disabled: the GC reclaims l
 		return
@@ -152,43 +159,54 @@ func (p *locatorPool[T]) retire(tx *Tx, l *locator[T]) {
 		p.bypass--
 		return
 	}
-	l.prev = p.cur
-	p.cur = l
+	p.cur[p.curLen] = l
 	p.curLen++
 	p.th.retiredLocs.Add(1)
-	if p.curLen >= retireBatchSize {
+	if p.curLen == retireBatchSize {
 		p.seal(tx)
 	}
 }
 
-// seal closes the open batch: tag it with the current epoch, push it onto
-// the ring (dropping the oldest batch to the GC if the ring is full), tick
-// the epoch so younger pins unblock the batch, and opportunistically
+// retireFolded retires an owned locator a CAS displaced together with the
+// quiescent locator its acquisition had displaced in turn, if any: once the
+// owner's write is folded, nothing can reinstate that one either.
+func (p *locatorPool[T]) retireFolded(tx *Tx, l *locator[T]) {
+	p.retire(tx, l)
+	if l.prev != nil {
+		p.retire(tx, l.prev)
+	}
+}
+
+// seal closes the full open batch: tag it with the current epoch, push it
+// onto the ring (dropping the oldest batch to the GC if the ring is full),
+// tick the epoch so younger pins unblock the batch, and opportunistically
 // reclaim whatever is already past grace.
 func (p *locatorPool[T]) seal(tx *Tx) {
-	if p.curLen == 0 {
-		return
-	}
 	if p.nSealed == maxSealedBatches {
 		// Grace has stalled (a pinned thread is asleep in a wait or a
 		// chaos stall). Drop the oldest batch to the GC: safe — dropping
 		// only forgoes recycling — and it bounds pool memory.
-		drop := &p.sealed[p.head]
-		p.th.retiredLocs.Add(-int64(drop.n))
-		drop.head = nil
-		p.head = (p.head + 1) % maxSealedBatches
-		p.nSealed--
+		p.popSealed()
 		p.bypass = graceStallBypass
 	}
 	p.sealed[(p.head+p.nSealed)%maxSealedBatches] = sealedBatch[T]{
-		head: p.cur, n: p.curLen, tag: poolEpoch.v.Load(),
+		locs: p.cur, tag: poolEpoch.v.Load(),
 	}
 	p.nSealed++
-	p.cur, p.curLen = nil, 0
+	p.curLen = 0
 	if tryAdvanceEpoch() {
 		tx.epochAdvances++
 	}
 	p.reclaim()
+}
+
+// popSealed removes the oldest sealed batch from the ring, clearing the
+// slot so the ring holds no reference to what was in it.
+func (p *locatorPool[T]) popSealed() {
+	p.sealed[p.head] = sealedBatch[T]{}
+	p.head = (p.head + 1) % maxSealedBatches
+	p.nSealed--
+	p.th.retiredLocs.Add(-retireBatchSize)
 }
 
 // reclaim moves sealed batches that passed their grace period onto the
@@ -207,10 +225,7 @@ func (p *locatorPool[T]) reclaim() {
 		if p.freeLen >= maxFreeLocators {
 			// Hoarding: this thread displaces more than it allocates.
 			// Forget the batch instead of growing the free list.
-			p.th.retiredLocs.Add(-int64(b.n))
-			b.head = nil
-			p.head = (p.head + 1) % maxSealedBatches
-			p.nSealed--
+			p.popSealed()
 			continue
 		}
 		if !gracePassed(p.th.rt, b.tag) {
@@ -218,8 +233,7 @@ func (p *locatorPool[T]) reclaim() {
 			return
 		}
 		var zero T
-		for l := b.head; l != nil; {
-			next := l.prev
+		for _, l := range b.locs {
 			// Poison: no correct accessor can reach l anymore, so make
 			// stale data impossible to mistake for real data, and drop
 			// references held in T values so recycling never extends
@@ -229,24 +243,16 @@ func (p *locatorPool[T]) reclaim() {
 			l.version = poisonVersion
 			l.prev = p.free
 			p.free = l
-			l = next
 		}
-		p.freeLen += b.n
-		p.th.retiredLocs.Add(-int64(b.n))
-		b.head = nil
-		p.head = (p.head + 1) % maxSealedBatches
-		p.nSealed--
+		p.freeLen += retireBatchSize
+		p.popSealed()
 	}
 }
 
 // pending reports how many retired locators await reclamation (open batch
 // plus sealed ring). Test hook.
 func (p *locatorPool[T]) pending() int {
-	n := p.curLen
-	for i := 0; i < p.nSealed; i++ {
-		n += p.sealed[(p.head+i)%maxSealedBatches].n
-	}
-	return n
+	return p.curLen + p.nSealed*retireBatchSize
 }
 
 // Type registry: each locator element type gets a small positive id, and

@@ -224,14 +224,12 @@ func (v *TVar[T]) release(tx *Tx) {
 		}
 		if v.loc.CompareAndSwap(loc, next) {
 			// The CAS unlinked loc; on commit it also orphaned loc.prev
-			// (the quiescent locator our acquisition displaced). Read prev
-			// BEFORE retiring loc — retire reuses the field as its list
-			// link. On abort, prev (if any) was just reinstated: live, not
-			// retired.
-			prev := loc.prev
-			pool.retire(tx, loc)
-			if committed && prev != nil {
-				pool.retire(tx, prev)
+			// (the quiescent locator our acquisition displaced). On abort,
+			// prev (if any) was just reinstated: live, not retired.
+			if committed {
+				pool.retireFolded(tx, loc)
+			} else {
+				pool.retire(tx, loc)
 			}
 			return
 		}
@@ -381,13 +379,8 @@ func Write[T any](tx *Tx, v *TVar[T], val T) {
 			// Our CAS folded a terminated enemy's locator: loc is now
 			// unreachable, and so is the quiescent prev it displaced (the
 			// enemy's release, had it won, would have reinstated or folded
-			// it — losing the CAS hands both to us). Read prev BEFORE
-			// retiring loc; retire reuses the field as its list link.
-			prev := loc.prev
-			pool.retire(tx, loc)
-			if prev != nil {
-				pool.retire(tx, prev)
-			}
+			// it — losing the CAS hands both to us).
+			pool.retireFolded(tx, loc)
 		}
 		tx.writes = append(tx.writes, v)
 		tx.acquires++
@@ -494,13 +487,8 @@ func ModifyArg[T, A any](tx *Tx, v *TVar[T], arg A, f func(T, A) T) {
 			continue
 		}
 		if loc.owner != nil {
-			// Same fold-retire rule as Write: read prev before retiring
-			// loc (retire reuses the field), then retire both.
-			prev := loc.prev
-			pool.retire(tx, loc)
-			if prev != nil {
-				pool.retire(tx, prev)
-			}
+			// Same fold-retire rule as Write.
+			pool.retireFolded(tx, loc)
 		}
 		tx.writes = append(tx.writes, v)
 		tx.acquires++

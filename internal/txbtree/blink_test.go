@@ -1,0 +1,361 @@
+package txbtree
+
+import (
+	"slices"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"wincm/internal/cm"
+	"wincm/internal/rng"
+	"wincm/internal/stm"
+)
+
+// Tests of the node access protocol; they live inside the package because
+// they latch nodes and look at levels from outside any transaction.
+
+func newTestRT(t testing.TB, m int, opts ...stm.Option) *stm.Runtime {
+	t.Helper()
+	mgr, err := cm.New("polka", m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stm.New(m, mgr, opts...)
+}
+
+func bothBackends(t *testing.T, fn func(t *testing.T, opts ...stm.Option)) {
+	t.Run("eager", func(t *testing.T) { fn(t) })
+	t.Run("lazy", func(t *testing.T) { fn(t, stm.WithLazyBackend()) })
+}
+
+// fill inserts keys (value = 10·key), batch per transaction.
+func fill(th *stm.Thread, tr *Tree[int], keys []int, batch int) {
+	for len(keys) > 0 {
+		n := min(batch, len(keys))
+		th.Atomic(func(tx *stm.Tx) {
+			for _, k := range keys[:n] {
+				tr.Insert(tx, k, 10*k)
+			}
+		})
+		keys = keys[n:]
+	}
+}
+
+// innerNodes returns every inner node of a quiescent tree.
+func innerNodes(tr *Tree[int]) []*node[int] {
+	var out []*node[int]
+	var walk func(nd *node[int])
+	walk = func(nd *node[int]) {
+		if nd.level == 0 {
+			return
+		}
+		out = append(out, nd)
+		r := nd.route.Load()
+		for i := 0; i <= r.n; i++ {
+			walk(r.kids[i])
+		}
+	}
+	walk(tr.root.Load())
+	return out
+}
+
+// within fails the test if fn has not returned after a generous bound: the
+// tests below turn "took a latch it must not take" into a hang.
+func within(t *testing.T, what string, fn func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() { defer close(done); fn() }()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("%s did not finish", what)
+	}
+}
+
+// TestDescentTakesNoInnerLatch: with every inner node's mutex held from
+// outside, reads, scans and writes that split nothing must still complete
+// — a descent neither read- nor write-latches an inner node, and a write
+// that stays inside its leaf never visits one.
+func TestDescentTakesNoInnerLatch(t *testing.T) {
+	bothBackends(t, func(t *testing.T, opts ...stm.Option) {
+		th := newTestRT(t, 1, opts...).Thread(0)
+		tr := New[int]()
+		const n = 6000
+		keys := make([]int, n)
+		for i := range keys {
+			keys[i] = 2 * i // ascending: leaves stay half full, odd keys are free
+		}
+		fill(th, tr, keys, 8)
+		if lvl := tr.root.Load().level; lvl < 2 {
+			t.Fatalf("root level %d, want a tree of at least 3 levels", lvl)
+		}
+		inner := innerNodes(tr)
+		for _, nd := range inner {
+			nd.mu.Lock()
+		}
+		within(t, "Get/Insert/Scan under held inner latches", func() {
+			for _, k := range []int{0, 2 * 17, n, 2*n - 200} { // not the rightmost leaf: it may be full
+				th.Atomic(func(tx *stm.Tx) {
+					if v, ok := tr.Get(tx, k); !ok || v != 10*k {
+						t.Errorf("Get(%d) = %d,%v", k, v, ok)
+					}
+					if tr.Insert(tx, k, 10*k) {
+						t.Errorf("Insert(%d) reported absent", k)
+					}
+					if !tr.Insert(tx, k+1, 10*(k+1)) {
+						t.Errorf("Insert(%d) reported present", k+1)
+					}
+				})
+			}
+			th.Atomic(func(tx *stm.Tx) {
+				got := 0
+				tr.Scan(tx, 1000, 1400, func(k, v int) bool { got++; return true })
+				if got != 200 {
+					t.Errorf("Scan[1000,1400) saw %d keys, want 200", got)
+				}
+			})
+		})
+		for _, nd := range inner {
+			nd.mu.Unlock()
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.Len(); got != n+4 {
+			t.Fatalf("Len = %d, want %d", got, n+4)
+		}
+	})
+}
+
+// TestReadersThroughSplitStorm: readers Get a fixed set of present keys
+// while writers push ascending and random keys through leaf splits, inner
+// splits and two root growths. Every read must hit with the right value
+// whatever stale body or half-propagated split the descent crossed.
+func TestReadersThroughSplitStorm(t *testing.T) {
+	bothBackends(t, func(t *testing.T, opts ...stm.Option) {
+		const (
+			readers  = 2
+			perWrite = 6000
+			keySpace = 1 << 16
+		)
+		rt := newTestRT(t, readers+2, opts...)
+		tr := New[int]()
+		fixed := make([]int, 16)
+		for i := range fixed {
+			fixed[i] = i * keySpace / len(fixed)
+		}
+		fill(rt.Thread(0), tr, fixed, 1)
+		startLevel := tr.root.Load().level
+
+		var stop atomic.Bool
+		var wg, rwg, reading sync.WaitGroup
+		for id := 0; id < readers; id++ {
+			rwg.Add(1)
+			reading.Add(1)
+			go func(id int) {
+				defer rwg.Done()
+				th := rt.Thread(2 + id)
+				for i := id; !stop.Load(); i++ {
+					k := fixed[i%len(fixed)]
+					th.Atomic(func(tx *stm.Tx) {
+						if v, ok := tr.Get(tx, k); !ok || v != 10*k {
+							t.Errorf("reader %d: Get(%d) = %d,%v want %d,true", id, k, v, ok, 10*k)
+						}
+					})
+					if i == id {
+						reading.Done()
+					}
+				}
+			}(id)
+		}
+		reading.Wait() // the storm starts with every reader already in its loop
+		wg.Add(2)
+		go func() { // ascending: every split is at the right edge
+			defer wg.Done()
+			th := rt.Thread(0)
+			for k := 1; k <= perWrite; k++ {
+				th.Atomic(func(tx *stm.Tx) { tr.Insert(tx, k, 10*k) })
+			}
+		}()
+		go func() { // random: splits land everywhere, fixed keys included
+			defer wg.Done()
+			th := rt.Thread(1)
+			r := rng.New(7)
+			for i := 0; i < perWrite; i++ {
+				k := r.Intn(keySpace)
+				th.Atomic(func(tx *stm.Tx) { tr.Insert(tx, k, 10*k) })
+			}
+		}()
+		wg.Wait()
+		stop.Store(true)
+		rwg.Wait()
+
+		if grew := tr.root.Load().level - startLevel; grew < 2 {
+			t.Errorf("root grew %d times, want at least 2", grew)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		if keys := tr.Keys(); !slices.IsSorted(keys) {
+			t.Fatal("Keys() not sorted")
+		}
+	})
+}
+
+// TestStaleApplyHint: a transaction buffers a write of k, then other
+// transactions split k's leaf twice so that k lives two siblings to the
+// right of the leaf the write remembers. Its commit must find k there by
+// right links alone: the value lands once, in k's current home, and since
+// k's own binding never changed nothing is counted as a semantic conflict.
+func TestStaleApplyHint(t *testing.T) {
+	bothBackends(t, func(t *testing.T, opts ...stm.Option) {
+		rt := newTestRT(t, 2, opts...)
+		tr := New[int]()
+		keys := make([]int, maxKeys)
+		for i := range keys {
+			keys[i] = 100 * i
+		}
+		fill(rt.Thread(0), tr, keys, 1)
+		const k = 100 * (maxKeys - 1)
+		hint := tr.root.Load() // the single, full leaf
+		if hint.level != 0 || hint.n != maxKeys {
+			t.Fatalf("setup: root level %d with %d keys", hint.level, hint.n)
+		}
+
+		paused, resume := make(chan struct{}), make(chan struct{})
+		var info stm.TxInfo
+		var wg sync.WaitGroup
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			first := true
+			info = rt.Thread(0).Atomic(func(tx *stm.Tx) {
+				tr.Insert(tx, k, -1)
+				if first {
+					first = false
+					close(paused)
+					<-resume
+				}
+			})
+		}()
+		<-paused
+		// 3001… sort just below k: the first insert splits the full leaf
+		// (k moves one sibling right), the next sixteen fill that sibling
+		// and split it again with k in the upper half.
+		for i := 1; i <= maxKeys/2+2; i++ {
+			rt.Thread(1).Atomic(func(tx *stm.Tx) { tr.Insert(tx, k-100+i, 0) })
+		}
+		home := hint.right.right
+		if _, ok := home.search(k); !ok {
+			t.Fatalf("setup: key %d is not two siblings right of its hint", k)
+		}
+		close(resume)
+		wg.Wait()
+
+		if a := info.Aborts(); a != 0 {
+			t.Errorf("writer aborted %d times; only its leaf changed, not its key", a)
+		}
+		if sem, _, avoided := tr.Stats(); sem != 0 || avoided == 0 {
+			t.Errorf("semantic conflicts = %d (want 0), false conflicts avoided = %d (want > 0)", sem, avoided)
+		}
+		if i, ok := home.search(k); !ok || home.vals[i] != -1 {
+			t.Errorf("value did not land in key %d's current home", k)
+		}
+		all := tr.Keys()
+		if !slices.IsSorted(all) || len(slices.Compact(slices.Clone(all))) != len(all) {
+			t.Errorf("Keys() unsorted or duplicated: %v", all)
+		}
+		if want := maxKeys + maxKeys/2 + 2; len(all) != want {
+			t.Errorf("Len = %d, want %d", len(all), want)
+		}
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+	})
+}
+
+// TestSiblingSplitsBeforeRootGrows pins the one window in which a split
+// finds no parent level at all: the root has split, its splitter has not
+// yet installed the new root, and meanwhile the root's new sibling fills
+// up and splits too. That second splitter must wait for the tree to grow
+// rather than descend from a root that is still at its own level.
+func TestSiblingSplitsBeforeRootGrows(t *testing.T) {
+	rt := newTestRT(t, 2)
+	tr := New[int]()
+	keys := make([]int, maxKeys)
+	for i := range keys {
+		keys[i] = 100 * i
+	}
+	fill(rt.Thread(0), tr, keys, 1)
+
+	// The root leaf splits, and its splitter stops short of the parent.
+	const mid = maxKeys / 2
+	left := tr.root.Load()
+	left.mu.Lock()
+	sep, sib := left.split(-1, 0)
+
+	// Fill the sibling until it splits; that splitter now needs a parent.
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		for i := 1; i <= mid+1; i++ {
+			rt.Thread(1).Atomic(func(tx *stm.Tx) { tr.Insert(tx, sep+i, 0) })
+		}
+	}()
+	for {
+		sib.mu.RLock()
+		split := sib.right != nil
+		sib.mu.RUnlock()
+		if split {
+			break
+		}
+		time.Sleep(time.Millisecond)
+	}
+	time.Sleep(10 * time.Millisecond) // let it reach growRoot and find no parent level
+
+	// The root's splitter resumes.
+	rt.Thread(0).Atomic(func(tx *stm.Tx) {
+		st := tr.enter(tx)
+		st.path = st.path[:0]
+		tr.insertParent(st, left, sep, sib)
+	})
+	within(t, "the sibling's split", wg.Wait)
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := tr.Len(), maxKeys+1+mid+1; got != want {
+		t.Fatalf("Len = %d, want %d", got, want)
+	}
+	if lvl := tr.root.Load().level; lvl != 1 {
+		t.Fatalf("root level %d, want 1", lvl)
+	}
+}
+
+// TestWritePathAllocations: a commit allocates one lock-table entry per
+// written key and nothing else — no sort closure, no boxed slice, no node
+// unless a leaf splits.
+func TestWritePathAllocations(t *testing.T) {
+	th := newTestRT(t, 1).Thread(0)
+	tr := New[int]()
+	keys := make([]int, 1000)
+	for i := range keys {
+		keys[i] = i
+	}
+	fill(th, tr, keys, 8)
+	one := func(tx *stm.Tx) { tr.Insert(tx, 500, 1) }
+	many := func(tx *stm.Tx) {
+		for k := 16; k > 0; k-- { // descending, so Validate has to sort
+			tr.Insert(tx, 37*k, 1)
+		}
+	}
+	th.Atomic(one)
+	th.Atomic(many)
+	if got := testing.AllocsPerRun(200, func() { th.Atomic(one) }); got != 1 {
+		t.Errorf("single-key upsert: %v allocs, want 1 (its lock entry)", got)
+	}
+	if got := testing.AllocsPerRun(200, func() { th.Atomic(many) }); got != 16 {
+		t.Errorf("16-key upsert: %v allocs, want 16 (one lock entry per key)", got)
+	}
+}

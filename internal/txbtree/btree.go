@@ -6,10 +6,33 @@
 // half of a node into a fresh right sibling, and a traversal that lands on
 // a node whose fence excludes its key simply chases right links. Keys only
 // ever move rightward and nodes are never freed or merged, so a traversal
-// holding no locks across hops can never be stranded — the invariant the
-// whole design leans on. Node access uses plain per-node RWMutex latches
-// held for the duration of one node visit only; none of this state lives
-// in TVars and none of it ever enters an STM conflict set.
+// holding nothing across hops can never be stranded — the invariant the
+// whole design leans on. None of this state lives in TVars and none of it
+// ever enters an STM conflict set.
+//
+// Node access protocol:
+//
+//   - Inner nodes are read without any latch. An inner node's routing state
+//     (keys, children, fence, right link) is an immutable body published
+//     through one atomic pointer; a reader loads the body, routes through
+//     it and stores nothing. Only insertParent and growRoot write: under
+//     the node's mutex they copy the body, modify the copy and publish it.
+//     At an inner split the new sibling's body is published before the
+//     donor's new body, which is the first thing that links to the sibling,
+//     so whoever can reach a node can load its body.
+//   - What a reader may observe is a stale body: one that lacks a
+//     separator, or still covers keys since moved to a right sibling. It
+//     routes to a node that covered the key when the body was published;
+//     the fence check at the next level moves right from there. That is the
+//     argument that lets any B-link descent drop the parent before it looks
+//     at the child — it does not care whether the parent was ever latched.
+//   - Leaves keep an RWMutex held for one node visit: values are a generic
+//     V, so an optimistic leaf read would be a data race. Only a leaf's
+//     write latch holder changes it; ver is atomic so validation fast paths
+//     can poll it without the latch.
+//   - The same argument covers a remembered leaf (a read entry's, or a
+//     buffered write's apply hint): the key lived there once, so its home
+//     is that leaf or one to its right, however many splits intervened.
 //
 // Transactions interact with the tree through a semantic read/write set
 // instead (txn.go): reads log (key, leaf, leaf-version, slot-version,
@@ -25,6 +48,8 @@ package txbtree
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"sync"
 	"sync/atomic"
 )
@@ -34,62 +59,117 @@ import (
 // this width beats a branchy binary search.
 const maxKeys = 32
 
-// node is one B-link node. A node is created as either a leaf (level 0,
-// vals/slotV populated) or an inner node (level > 0, kids populated) and
-// never changes role. All fields except ver are guarded by mu; ver is
-// atomic so validation fast paths can poll it without the latch.
-type node[V any] struct {
-	mu sync.RWMutex
-	// ver counts mutations of this node's key set and payload. It is
-	// bumped under the write latch on every change (including the
-	// donor's shrink at a split) and seeded from the donor at a split,
-	// so the version a key's home leaf carries is monotone along the
-	// key's rightward movement chain — the property slot validation
-	// depends on.
-	ver atomic.Uint64
-	// level is 0 for leaves and parent level = child level + 1. It is
-	// immutable; root growth uses it to re-find a split node's parent
-	// when the descent stack has gone stale.
-	level int
+// span is what a leaf and an inner body share: the sorted keys, the upper
+// fence and the B-link sibling. The node covers keys < hi when hasHi is
+// set; the rightmost node of a level has no fence. right covers [hi, …).
+// The fence sits before the keys so that the fence check and the start of
+// the key scan, which every visit makes, share a cache line.
+type span[V any] struct {
 	n     int
-	keys  [maxKeys]int
-	// hi is the node's upper fence: the node covers keys < hi when hasHi
-	// is set; the rightmost node of a level has no fence. right is the
-	// B-link sibling covering [hi, …).
 	hasHi bool
 	hi    int
 	right *node[V]
+	keys  [maxKeys]int
+}
+
+// search returns the index of key and true, or the insertion point and
+// false.
+func (s *span[V]) search(key int) (int, bool) {
+	for i := 0; i < s.n; i++ {
+		if s.keys[i] >= key {
+			return i, s.keys[i] == key
+		}
+	}
+	return s.n, false
+}
+
+// past reports whether key lies beyond the fence, i.e. in a right sibling.
+func (s *span[V]) past(key int) bool { return s.hasHi && key >= s.hi }
+
+// routing is an inner node's body, immutable once published: kids[i]
+// covers keys < keys[i], kids[n] the rest of the node's range.
+type routing[V any] struct {
+	span[V]
+	kids [maxKeys + 1]*node[V]
+}
+
+// childFor returns the child covering key; the caller has chased right
+// links, so key is inside the fence.
+func (r *routing[V]) childFor(key int) *node[V] {
+	for i := 0; i < r.n; i++ {
+		if key < r.keys[i] {
+			return r.kids[i]
+		}
+	}
+	return r.kids[r.n]
+}
+
+// put inserts separator sep at index i with kid as its right child. Only
+// ever called on a body not yet published.
+func (r *routing[V]) put(i, sep int, kid *node[V]) {
+	copy(r.keys[i+1:r.n+1], r.keys[i:r.n])
+	copy(r.kids[i+2:r.n+2], r.kids[i+1:r.n+1])
+	r.keys[i], r.kids[i+1] = sep, kid
+	r.n++
+}
+
+// node is one B-link node. A node is created as either a leaf (level 0)
+// or an inner node (level > 0) and never changes role. An inner node uses
+// only level, route and — among writers — mu; a leaf uses everything but
+// route, with every field except ver and level guarded by mu.
+type node[V any] struct {
+	mu sync.RWMutex
+	// ver counts mutations of a leaf's key set and payload. It is bumped
+	// under the write latch on every change (including the donor's shrink
+	// at a split) and seeded from the donor at a split, so the version a
+	// key's home leaf carries is monotone along the key's rightward
+	// movement chain — the property slot validation depends on.
+	ver atomic.Uint64
+	// level is 0 for leaves and parent level = child level + 1. It is
+	// immutable; descents stop by it.
+	level int
+	// route is an inner node's current body; nil on leaves.
+	route atomic.Pointer[routing[V]]
+	span[V]
 	// Leaf payload: vals[i] and slotV[i] ride with keys[i]. slotV is the
 	// node ver at the slot's last mutation — a comparable proxy for "this
 	// key's binding is unchanged" that survives the slot moving to a
 	// sibling at a split.
 	vals  [maxKeys]V
 	slotV [maxKeys]uint64
-	// Inner payload: kids[i] covers keys < keys[i]; kids[n] covers the
-	// rest of the node's range.
-	kids [maxKeys + 1]*node[V]
 }
 
-// search returns the index of key and true, or the insertion point and
-// false. Caller holds the latch (either mode).
-func (nd *node[V]) search(key int) (int, bool) {
-	for i := 0; i < nd.n; i++ {
-		if nd.keys[i] >= key {
-			return i, nd.keys[i] == key
-		}
-	}
-	return nd.n, false
+// newInner returns an inner node at level whose first body is r.
+func newInner[V any](level int, r *routing[V]) *node[V] {
+	nd := &node[V]{level: level}
+	nd.route.Store(r)
+	return nd
 }
 
-// childFor returns the child covering key. Caller holds the latch and has
-// already chased right links, so key < hi here.
-func (nd *node[V]) childFor(key int) *node[V] {
-	for i := 0; i < nd.n; i++ {
-		if key < nd.keys[i] {
-			return nd.kids[i]
-		}
+// put inserts (key, val) at slot i of a leaf and stamps the slot with the
+// leaf's next version. Caller holds the write latch (or the leaf is not
+// yet reachable).
+func (nd *node[V]) put(i, key int, val V) {
+	copy(nd.keys[i+1:nd.n+1], nd.keys[i:nd.n])
+	copy(nd.vals[i+1:nd.n+1], nd.vals[i:nd.n])
+	copy(nd.slotV[i+1:nd.n+1], nd.slotV[i:nd.n])
+	nd.keys[i], nd.vals[i] = key, val
+	nd.n++
+	nd.slotV[i] = nd.ver.Add(1)
+}
+
+// rlatch read-latches the leaf covering key, starting from a leaf that
+// covered it once and moving right past every split since (keys only move
+// right). At most one latch is held at a time.
+func (nd *node[V]) rlatch(key int) *node[V] {
+	nd.mu.RLock()
+	for nd.past(key) {
+		r := nd.right
+		nd.mu.RUnlock()
+		nd = r
+		nd.mu.RLock()
 	}
-	return nd.kids[nd.n]
+	return nd
 }
 
 // Tree is a transactional B+ tree mapping int keys to V values. All
@@ -130,27 +210,31 @@ func (t *Tree[V]) Stats() (semanticConflicts, structuralOps, falseConflictsAvoid
 	return t.statSem.Load(), t.statSmo.Load(), t.statFalse.Load()
 }
 
-// leafFor descends to the leaf covering key and returns it read-latched.
-// The descent holds at most one latch at a time: nodes are never freed,
-// so dropping a parent before latching the child is safe, and the fence
-// check re-routes right whenever a split moved the key past the node.
-func (t *Tree[V]) leafFor(key int) *node[V] {
+// descend walks from the root to a node at level that covers key or has a
+// right sibling that does, and returns it. It takes no latch and stores to
+// no node: each inner node is read through its published body, and a fence
+// miss chases the body's right link. If path is non-nil every inner node
+// passed through is appended to it, root first. The root must be at level
+// or above.
+func (t *Tree[V]) descend(key, level int, path *[]*node[V]) *node[V] {
 	nd := t.root.Load()
-	for {
-		nd.mu.RLock()
-		for nd.hasHi && key >= nd.hi {
-			r := nd.right
-			nd.mu.RUnlock()
-			nd = r
-			nd.mu.RLock()
+	for nd.level > level {
+		r := nd.route.Load()
+		for r.past(key) {
+			nd = r.right
+			r = nd.route.Load()
 		}
-		if nd.level == 0 {
-			return nd
+		if path != nil {
+			*path = append(*path, nd)
 		}
-		next := nd.childFor(key)
-		nd.mu.RUnlock()
-		nd = next
+		nd = r.childFor(key)
 	}
+	return nd
+}
+
+// leafFor returns the leaf covering key, read-latched.
+func (t *Tree[V]) leafFor(key int) *node[V] {
+	return t.descend(key, 0, nil).rlatch(key)
 }
 
 // lookup reads key's current binding: the leaf it belongs to, that leaf's
@@ -168,18 +252,11 @@ func (t *Tree[V]) lookup(key int) (leaf *node[V], leafVer uint64, val V, slotVer
 
 // recheck re-establishes a read entry's validity after its fast-path leaf
 // version moved: re-locate the key from the logged leaf via right links
-// (keys only move right) and compare presence and slot version. On
-// success the entry is promoted to the key's current home so subsequent
-// fast paths hit again. Returns false if the key's binding truly changed.
+// and compare presence and slot version. On success the entry is promoted
+// to the key's current home so subsequent fast paths hit again. Returns
+// false if the key's binding truly changed.
 func (e *readEnt[V]) recheck() bool {
-	nd := e.leaf
-	nd.mu.RLock()
-	for nd.hasHi && e.key >= nd.hi {
-		r := nd.right
-		nd.mu.RUnlock()
-		nd = r
-		nd.mu.RLock()
-	}
+	nd := e.leaf.rlatch(e.key)
 	i, ok := nd.search(e.key)
 	same := ok == e.present && (!ok || nd.slotV[i] == e.slotVer)
 	if same {
@@ -194,36 +271,13 @@ func (e *readEnt[V]) recheck() bool {
 // delete-in-place, update-in-place, insert, or insert-with-split. It runs
 // after the owning attempt's commit point, while the attempt still holds
 // the key's lock-table entry, so no concurrent committer races it on the
-// same key. Structural work it triggers is counted but conflicts with
-// nobody.
-func (t *Tree[V]) applyOp(st *txState[V], key int, val V, del bool) {
-	// Descend once, remembering the inner path for a potential split's
-	// parent insertion. The stack may go stale under concurrent splits;
-	// insertParent compensates with right moves (and, for a vanished
-	// root, a level-bounded re-descent).
-	st.path = st.path[:0]
-	nd := t.root.Load()
-	for {
-		nd.mu.RLock()
-		for nd.hasHi && key >= nd.hi {
-			r := nd.right
-			nd.mu.RUnlock()
-			nd = r
-			nd.mu.RLock()
-		}
-		if nd.level == 0 {
-			nd.mu.RUnlock()
-			break
-		}
-		st.path = append(st.path, nd)
-		next := nd.childFor(key)
-		nd.mu.RUnlock()
-		nd = next
-	}
-	// Re-latch the leaf in write mode; a split may have moved the key
-	// right between the latch modes.
+// same key. It starts at the leaf the write's own read found and moves
+// right, as recheck does; there is no descent unless the leaf splits.
+// Structural work it triggers is counted but conflicts with nobody.
+func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V]) {
+	nd, key := w.leaf, w.key
 	nd.mu.Lock()
-	for nd.hasHi && key >= nd.hi {
+	for nd.past(key) {
 		r := nd.right
 		nd.mu.Unlock()
 		nd = r
@@ -231,7 +285,7 @@ func (t *Tree[V]) applyOp(st *txState[V], key int, val V, del bool) {
 	}
 	i, ok := nd.search(key)
 	switch {
-	case del:
+	case w.del:
 		if ok {
 			copy(nd.keys[i:], nd.keys[i+1:nd.n])
 			copy(nd.vals[i:], nd.vals[i+1:nd.n])
@@ -243,29 +297,38 @@ func (t *Tree[V]) applyOp(st *txState[V], key int, val V, del bool) {
 		}
 		nd.mu.Unlock()
 	case ok:
-		nd.vals[i] = val
+		nd.vals[i] = w.val
 		nd.slotV[i] = nd.ver.Add(1)
 		nd.mu.Unlock()
 	case nd.n < maxKeys:
-		copy(nd.keys[i+1:nd.n+1], nd.keys[i:nd.n])
-		copy(nd.vals[i+1:nd.n+1], nd.vals[i:nd.n])
-		copy(nd.slotV[i+1:nd.n+1], nd.slotV[i:nd.n])
-		nd.keys[i], nd.vals[i] = key, val
-		nd.n++
-		nd.slotV[i] = nd.ver.Add(1)
+		nd.put(i, key, w.val)
 		nd.mu.Unlock()
 	default:
-		t.splitLeaf(st, nd, key, val)
+		t.splitLeaf(st, nd, key, w.val)
 	}
 }
 
-// splitLeaf splits the full, write-latched leaf nd and inserts (key, val)
-// into the appropriate half. The sibling is fully built and linked before
-// the latch drops, so no traversal can observe a half-split leaf; the
-// separator then propagates up via insertParent.
+// splitLeaf splits the full, write-latched leaf nd around the insertion of
+// (key, val) and propagates the separator upward. This is the one descent
+// on the write path: the parents of the separator's leaf, for insertParent
+// to pop. The path may be stale by the time it is used; insertParent
+// compensates with right moves.
 func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V) {
+	sep, sibling := nd.split(key, val)
+	st.countSMO()
+	st.path = st.path[:0]
+	t.descend(sep, 0, &st.path)
+	t.insertParent(st, nd, sep, sibling)
+}
+
+// split splits the full, write-latched leaf nd, inserts (key, val) into the
+// appropriate half and drops the latch, returning the separator and the new
+// right sibling. The sibling is fully built and linked before the latch
+// drops, so no traversal can observe a half-split leaf; the separator still
+// has to reach the parent (insertParent).
+func (nd *node[V]) split(key int, val V) (sep int, s *node[V]) {
 	mid := maxKeys / 2
-	s := &node[V]{level: 0}
+	s = &node[V]{level: 0}
 	s.n = copy(s.keys[:], nd.keys[mid:nd.n])
 	copy(s.vals[:], nd.vals[mid:nd.n])
 	copy(s.slotV[:], nd.slotV[mid:nd.n])
@@ -274,7 +337,7 @@ func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V) {
 	// issued for a moved key stays below every version the sibling will
 	// issue, keeping slot versions monotone per key.
 	s.ver.Store(nd.ver.Load())
-	sep := nd.keys[mid]
+	sep = nd.keys[mid]
 	var zero V
 	for i := mid; i < nd.n; i++ {
 		nd.vals[i] = zero
@@ -283,30 +346,22 @@ func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V) {
 	nd.hasHi, nd.hi, nd.right = true, sep, s
 	// Insert the pending key while the donor is still latched — the
 	// sibling is unreachable until the latch drops, so it needs no latch.
-	target := nd
+	// Both halves changed, so both versions move.
+	target, other := nd, s
 	if key >= sep {
-		target = s
+		target, other = s, nd
 	}
 	i, _ := target.search(key)
-	copy(target.keys[i+1:target.n+1], target.keys[i:target.n])
-	copy(target.vals[i+1:target.n+1], target.vals[i:target.n])
-	copy(target.slotV[i+1:target.n+1], target.slotV[i:target.n])
-	target.keys[i], target.vals[i] = key, val
-	target.n++
-	target.slotV[i] = target.ver.Add(1)
-	if target == nd {
-		s.ver.Add(1)
-	} else {
-		nd.ver.Add(1)
-	}
+	target.put(i, key, val)
+	other.ver.Add(1)
 	nd.mu.Unlock()
-	st.countSMO()
-	t.insertParent(st, nd, sep, s)
+	return sep, s
 }
 
 // insertParent links a freshly split-off sibling into the split node's
 // parent, splitting upward as needed. left is the node that split; sep is
-// the promoted separator (the sibling's minimum key bound).
+// the promoted separator (the sibling's minimum key bound). Each parent is
+// changed by publishing a modified copy of its body under its mutex.
 func (t *Tree[V]) insertParent(st *txState[V], left *node[V], sep int, sibling *node[V]) {
 	for {
 		var p *node[V]
@@ -317,97 +372,82 @@ func (t *Tree[V]) insertParent(st *txState[V], left *node[V], sep int, sibling *
 			return
 		}
 		p.mu.Lock()
-		for p.hasHi && sep >= p.hi {
-			r := p.right
+		r := p.route.Load()
+		for r.past(sep) {
+			next := r.right
 			p.mu.Unlock()
-			p = r
+			p = next
 			p.mu.Lock()
+			r = p.route.Load()
 		}
-		i, _ := p.search(sep)
-		if p.n < maxKeys {
-			copy(p.keys[i+1:p.n+1], p.keys[i:p.n])
-			copy(p.kids[i+2:p.n+2], p.kids[i+1:p.n+1])
-			p.keys[i], p.kids[i+1] = sep, sibling
-			p.n++
-			p.ver.Add(1)
+		i, _ := r.search(sep)
+		if r.n < maxKeys {
+			nr := *r
+			nr.put(i, sep, sibling)
+			p.route.Store(&nr)
 			p.mu.Unlock()
 			return
 		}
 		// Inner split: promote the middle key; p keeps [0,mid), the new
 		// sibling takes (mid, n), and the pending (sep, child) lands in
-		// whichever side covers it before the latch drops.
+		// whichever side covers it.
 		mid := maxKeys / 2
-		psep := p.keys[mid]
-		s := &node[V]{level: p.level}
-		s.n = copy(s.keys[:], p.keys[mid+1:p.n])
-		copy(s.kids[:], p.kids[mid+1:p.n+1])
-		s.hasHi, s.hi, s.right = p.hasHi, p.hi, p.right
-		s.ver.Store(p.ver.Load())
-		p.n = mid
-		p.hasHi, p.hi, p.right = true, psep, s
-		target := p
+		psep := r.keys[mid]
+		keep, moved := new(routing[V]), new(routing[V])
+		keep.n = copy(keep.keys[:], r.keys[:mid])
+		copy(keep.kids[:], r.kids[:mid+1])
+		moved.n = copy(moved.keys[:], r.keys[mid+1:r.n])
+		copy(moved.kids[:], r.kids[mid+1:r.n+1])
+		moved.hasHi, moved.hi, moved.right = r.hasHi, r.hi, r.right
+		target := keep
 		if sep >= psep {
-			target = s
+			target = moved
 		}
 		i, _ = target.search(sep)
-		copy(target.keys[i+1:target.n+1], target.keys[i:target.n])
-		copy(target.kids[i+2:target.n+2], target.kids[i+1:target.n+1])
-		target.keys[i], target.kids[i+1] = sep, sibling
-		target.n++
-		p.ver.Add(1)
-		s.ver.Add(1)
+		target.put(i, sep, sibling)
+		// Publish order: the sibling's body first, then the donor body
+		// whose right link makes the sibling reachable.
+		s := newInner(p.level, moved)
+		keep.hasHi, keep.hi, keep.right = true, psep, s
+		p.route.Store(keep)
 		p.mu.Unlock()
 		st.countSMO()
 		left, sep, sibling = p, psep, s
 	}
 }
 
-// growRoot handles the stack-exhausted case of insertParent: left was the
-// root when the descent began. If it still is, a new root adopts the pair
-// and the split is complete (returns nil). Otherwise another thread grew
-// the tree first; re-descend from the current root to left's parent level
-// and return that node as the insertion parent.
+// growRoot handles the stack-exhausted case of insertParent: no node above
+// left was on the descent's path. If left is still the root, a new root
+// adopts the pair and the split is complete (returns nil). Otherwise the
+// tree has grown, or is about to; descend from the current root to left's
+// parent level and return that node as the insertion parent.
 func (t *Tree[V]) growRoot(st *txState[V], left *node[V], sep int, sibling *node[V]) *node[V] {
-	t.smoMu.Lock()
-	if t.root.Load() == left {
-		nr := &node[V]{level: left.level + 1, n: 1}
-		nr.keys[0] = sep
-		nr.kids[0], nr.kids[1] = left, sibling
-		t.root.Store(nr)
-		t.smoMu.Unlock()
-		st.countSMO()
-		return nil
-	}
-	t.smoMu.Unlock()
-	nd := t.root.Load()
 	for {
-		nd.mu.RLock()
-		for nd.hasHi && sep >= nd.hi {
-			r := nd.right
-			nd.mu.RUnlock()
-			nd = r
-			nd.mu.RLock()
+		t.smoMu.Lock()
+		root := t.root.Load()
+		if root == left {
+			r := &routing[V]{}
+			r.n, r.keys[0] = 1, sep
+			r.kids[0], r.kids[1] = left, sibling
+			t.root.Store(newInner(left.level+1, r))
+			t.smoMu.Unlock()
+			st.countSMO()
+			return nil
 		}
-		if nd.level == left.level+1 {
-			nd.mu.RUnlock()
-			return nd
+		t.smoMu.Unlock()
+		if root.level > left.level {
+			return t.descend(sep, left.level+1, nil)
 		}
-		next := nd.childFor(sep)
-		nd.mu.RUnlock()
-		nd = next
+		// left is a right sibling of a root that has split but not yet
+		// grown the tree: its splitter is between dropping the root's
+		// latch and the branch above. Let it run.
+		runtime.Gosched()
 	}
 }
 
 // leftmostLeaf returns the first leaf of the tree (quiescent helper).
 func (t *Tree[V]) leftmostLeaf() *node[V] {
-	nd := t.root.Load()
-	for nd.level > 0 {
-		nd.mu.RLock()
-		next := nd.kids[0]
-		nd.mu.RUnlock()
-		nd = next
-	}
-	return nd
+	return t.descend(math.MinInt, 0, nil)
 }
 
 // Keys returns a sorted snapshot of the key set, read non-transactionally;
@@ -451,22 +491,29 @@ func (t *Tree[V]) checkNode(nd *node[V], level int, lo *int, hasLo bool) error {
 	if nd.level != level {
 		return fmt.Errorf("txbtree: node at level %d recorded level %d", level, nd.level)
 	}
-	for i := 0; i < nd.n; i++ {
-		if i > 0 && nd.keys[i-1] >= nd.keys[i] {
-			return fmt.Errorf("txbtree: unsorted keys at level %d: %d !< %d", level, nd.keys[i-1], nd.keys[i])
+	sp, r := &nd.span, nd.route.Load()
+	if level > 0 {
+		if r == nil {
+			return fmt.Errorf("txbtree: inner node at level %d has no body", level)
 		}
-		if hasLo && nd.keys[i] < *lo {
-			return fmt.Errorf("txbtree: key %d below low bound %d at level %d", nd.keys[i], *lo, level)
+		sp = &r.span
+	}
+	for i := 0; i < sp.n; i++ {
+		if i > 0 && sp.keys[i-1] >= sp.keys[i] {
+			return fmt.Errorf("txbtree: unsorted keys at level %d: %d !< %d", level, sp.keys[i-1], sp.keys[i])
 		}
-		if nd.hasHi && nd.keys[i] >= nd.hi {
-			return fmt.Errorf("txbtree: key %d at/above fence %d at level %d", nd.keys[i], nd.hi, level)
+		if hasLo && sp.keys[i] < *lo {
+			return fmt.Errorf("txbtree: key %d below low bound %d at level %d", sp.keys[i], *lo, level)
+		}
+		if sp.past(sp.keys[i]) {
+			return fmt.Errorf("txbtree: key %d at/above fence %d at level %d", sp.keys[i], sp.hi, level)
 		}
 	}
 	if level == 0 {
 		return nil
 	}
-	for i := 0; i <= nd.n; i++ {
-		child := nd.kids[i]
+	for i := 0; i <= r.n; i++ {
+		child := r.kids[i]
 		if child == nil {
 			return fmt.Errorf("txbtree: nil child %d at level %d", i, level)
 		}
@@ -475,7 +522,7 @@ func (t *Tree[V]) checkNode(nd *node[V], level int, lo *int, hasLo bool) error {
 		}
 		clo, chasLo := lo, hasLo
 		if i > 0 {
-			k := nd.keys[i-1]
+			k := r.keys[i-1]
 			clo, chasLo = &k, true
 		}
 		if err := t.checkNode(child, level-1, clo, chasLo); err != nil {

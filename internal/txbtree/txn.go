@@ -1,7 +1,8 @@
 package txbtree
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"wincm/internal/stm"
 )
@@ -18,16 +19,23 @@ type readEnt[V any] struct {
 	slotVer uint64
 	present bool
 	isRange bool
+	// locked marks the read a write logged for its own key: the attempt
+	// write-locks that key before it validates this entry.
+	locked bool
 }
 
 // writeEnt is one buffered write: an upsert of (key, val) or a delete of
 // key. The write set holds at most one entry per key (later operations
-// overwrite earlier ones).
+// overwrite earlier ones). leaf is the key's home when the write's own read
+// ran, which is where applyOp starts; Scan's merge buffer leaves it nil.
 type writeEnt[V any] struct {
-	key int
-	val V
-	del bool
+	key  int
+	val  V
+	del  bool
+	leaf *node[V]
 }
+
+func (a writeEnt[V]) byKey(b writeEnt[V]) int { return cmp.Compare(a.key, b.key) }
 
 // txState is one thread's per-attempt transaction state against one
 // tree: the semantic read and write sets, the lock entries acquired at
@@ -124,16 +132,24 @@ func (st *txState[V]) bufGet(key int) (val V, del, found bool) {
 	return
 }
 
-// bufPut records an upsert or delete of key, overwriting any earlier
-// buffered operation on the same key.
-func (st *txState[V]) bufPut(key int, val V, del bool) {
+// write buffers an upsert or delete of key, overwriting any earlier
+// buffered operation on it, and reports whether the key was present before.
+// The first write of a key reads it (the logged read is what makes the
+// reported presence part of the commit's validation) and keeps the leaf
+// that read found as the apply hint.
+func (st *txState[V]) write(tx *stm.Tx, key int, val V, del bool) (present bool) {
 	for i := range st.writes {
-		if st.writes[i].key == key {
-			st.writes[i].val, st.writes[i].del = val, del
-			return
+		if w := &st.writes[i]; w.key == key {
+			present = !w.del
+			w.val, w.del = val, del
+			return present
 		}
 	}
-	st.writes = append(st.writes, writeEnt[V]{key: key, val: val, del: del})
+	_, present = st.read(tx, key)
+	e := &st.reads[len(st.reads)-1]
+	e.locked = true
+	st.writes = append(st.writes, writeEnt[V]{key: key, val: val, del: del, leaf: e.leaf})
+	return present
 }
 
 // countSMO tallies one structural modification (split or root growth)
@@ -178,29 +194,13 @@ func (t *Tree[V]) Contains(tx *stm.Tx, key int) bool {
 // absent. The write is buffered — the physical tree is untouched until
 // the attempt commits.
 func (t *Tree[V]) Insert(tx *stm.Tx, key int, val V) bool {
-	st := t.enter(tx)
-	var present bool
-	if _, del, ok := st.bufGet(key); ok {
-		present = !del
-	} else {
-		_, present = st.read(tx, key)
-	}
-	st.bufPut(key, val, false)
-	return !present
+	return !t.enter(tx).write(tx, key, val, false)
 }
 
 // Delete removes key inside tx, reporting whether it was present.
 func (t *Tree[V]) Delete(tx *stm.Tx, key int) bool {
-	st := t.enter(tx)
-	var present bool
-	if _, del, ok := st.bufGet(key); ok {
-		present = !del
-	} else {
-		_, present = st.read(tx, key)
-	}
 	var zero V
-	st.bufPut(key, zero, true)
-	return present
+	return t.enter(tx).write(tx, key, zero, true)
 }
 
 // Scan calls fn for each (key, value) with lo ≤ key < hi, in ascending
@@ -254,7 +254,7 @@ func (t *Tree[V]) Scan(tx *stm.Tx, lo, hi int, fn func(key int, val V) bool) {
 			st.scratch = append(st.scratch, *w)
 		}
 	}
-	sort.Slice(st.scratch, func(i, j int) bool { return st.scratch[i].key < st.scratch[j].key })
+	slices.SortFunc(st.scratch, writeEnt[V].byKey)
 	for i := range st.scratch {
 		if st.scratch[i].del {
 			continue
@@ -274,7 +274,7 @@ func (t *Tree[V]) Scan(tx *stm.Tx, lo, hi int, fn func(key int, val V) bool) {
 func (st *txState[V]) Validate(tx *stm.Tx) bool {
 	t := st.tree
 	if len(st.writes) > 1 {
-		sort.Slice(st.writes, func(i, j int) bool { return st.writes[i].key < st.writes[j].key })
+		slices.SortFunc(st.writes, writeEnt[V].byKey)
 	}
 	for i := range st.writes {
 		e, n := t.locks.acquire(tx, st.writes[i].key)
@@ -298,9 +298,14 @@ func (st *txState[V]) Validate(tx *stm.Tx) bool {
 			}
 			continue
 		}
-		if n := t.locks.probe(tx, e.key, stm.ReadWrite); n > 0 {
-			tx.AddSemanticConflicts(n)
-			t.statSem.Add(uint64(n))
+		// A locked entry's key is one we hold the lock on: acquire drained
+		// every foreign holder under the bucket mutex before it published
+		// our entry, and none can publish past it, so a probe finds nothing.
+		if !e.locked {
+			if n := t.locks.probe(tx, e.key, stm.ReadWrite); n > 0 {
+				tx.AddSemanticConflicts(n)
+				t.statSem.Add(uint64(n))
+			}
 		}
 		if e.leaf.ver.Load() == e.leafVer {
 			continue
@@ -325,8 +330,7 @@ func (st *txState[V]) Finalize(tx *stm.Tx, committed bool) {
 	t := st.tree
 	if committed {
 		for i := range st.writes {
-			w := &st.writes[i]
-			t.applyOp(st, w.key, w.val, w.del)
+			t.applyOp(st, &st.writes[i])
 		}
 	}
 	for _, e := range st.acquired {
