@@ -244,28 +244,29 @@ func BenchmarkAblationLoserPatience(b *testing.B) {
 }
 
 // BenchmarkAblationReadVisibility — DESIGN.md §5.6: visible reads (the
-// paper's setting) vs invisible version-validated reads, same manager.
+// eager engine, the paper's setting) vs invisible version-validated reads
+// (the lazy engine), same manager.
 func BenchmarkAblationReadVisibility(b *testing.B) {
-	for _, invisible := range []bool{false, true} {
+	for _, backend := range []string{stm.BackendEager, stm.BackendLazy} {
 		name := "visible"
-		if invisible {
-			name = "invisible"
+		if backend == stm.BackendLazy {
+			name = "lazy"
 		}
 		b.Run(name, func(b *testing.B) {
 			w, err := harness.NewWorkload("list", figMix, 1)
 			if err != nil {
 				b.Fatal(err)
 			}
-			cfg := harness.Config{Manager: "online-dynamic", Threads: benchThreads, WindowN: 10, Invisible: invisible, Seed: 1}
+			cfg := harness.Config{Manager: "online-dynamic", Threads: benchThreads, WindowN: 10, Seed: 1}
 			mgr, err := cfg.NewManager()
 			if err != nil {
 				b.Fatal(err)
 			}
-			var opts []stm.Option
-			if invisible {
-				opts = append(opts, stm.WithInvisibleReads())
+			opt, err := stm.BackendOption(backend)
+			if err != nil {
+				b.Fatal(err)
 			}
-			rt := stm.New(benchThreads, mgr, opts...)
+			rt := stm.New(benchThreads, mgr, opt)
 			rt.SetYieldEvery(8)
 			w.Setup(rt.Thread(0))
 			var aborts atomic.Int64

@@ -56,18 +56,17 @@ import (
 
 func main() {
 	var (
-		fig       = flag.String("fig", "all", "figure to reproduce: 2, 3, 4, 5, ext or all")
-		benches   = flag.String("bench", "", "comma-separated benchmarks (default all: list,rbtree,skiplist,vacation)")
-		threads   = flag.String("threads", "", "comma-separated thread counts (default 1,2,4,8,16,32)")
-		dur       = flag.Duration("dur", 300*time.Millisecond, "duration of each timed run")
-		reps      = flag.Int("reps", 2, "repetitions per cell")
-		total     = flag.Int("total", 20000, "transactions for the fig-5 fixed-work runs")
-		fig5M     = flag.Int("fig5-threads", 32, "thread count for fig 5")
-		windowN   = flag.Int("window-n", 50, "window size N for window-based managers")
-		seed      = flag.Uint64("seed", 1, "master seed")
-		paper     = flag.Bool("paper", false, "use the paper's full regime (10s runs × 6 reps)")
-		invisible = flag.Bool("invisible", false, "use invisible (version-validated) reads instead of the paper's visible reads (eager engine only)")
-		backend   = flag.String("backend", "", "STM engine: eager (the paper's DSTM-style runtime, default) or lazy (TL2-style commit-time validation)")
+		fig     = flag.String("fig", "all", "figure to reproduce: 2, 3, 4, 5, ext or all")
+		benches = flag.String("bench", "", "comma-separated benchmarks (default all: list,rbtree,skiplist,vacation)")
+		threads = flag.String("threads", "", "comma-separated thread counts (default 1,2,4,8,16,32)")
+		dur     = flag.Duration("dur", 300*time.Millisecond, "duration of each timed run")
+		reps    = flag.Int("reps", 2, "repetitions per cell")
+		total   = flag.Int("total", 20000, "transactions for the fig-5 fixed-work runs")
+		fig5M   = flag.Int("fig5-threads", 32, "thread count for fig 5")
+		windowN = flag.Int("window-n", 50, "window size N for window-based managers")
+		seed    = flag.Uint64("seed", 1, "master seed")
+		paper   = flag.Bool("paper", false, "use the paper's full regime (10s runs × 6 reps)")
+		backend = flag.String("backend", "", "STM engine: eager (the paper's DSTM-style runtime, default) or lazy (TL2-style commit-time validation)")
 
 		chaosOn    = flag.Bool("chaos", false, "inject deterministic faults (stalls, spurious aborts, delays, decision perturbation) and arm the serialized-fallback budgets")
 		chaosSeed  = flag.Uint64("chaos-seed", 0, "seed for the fault schedules (0 = derive from -seed); the same seed replays the same schedule")
@@ -106,7 +105,7 @@ func main() {
 			}
 		}
 	}
-	if err := validateBackend(*backend, *invisible); err != nil {
+	if err := validateBackend(*backend); err != nil {
 		fatalf("%v", err)
 	}
 	requireMode("-durable", *durable, "wal-dir", "wal-sync-every", "snapshot-every")
@@ -120,7 +119,7 @@ func main() {
 	// benchmark pair (rbtree vs btree) and uses -btree-threads for M, so
 	// flags that would silently be overridden fail fast instead.
 	if *fig == "btree" {
-		for _, n := range []string{"backend", "invisible", "bench", "threads"} {
+		for _, n := range []string{"backend", "bench", "threads"} {
 			if set[n] {
 				fatalf("-%s has no effect with -fig btree (the btree figure sweeps both engines over the rbtree/btree pair; use -btree-threads for M)", n)
 			}
@@ -164,7 +163,6 @@ func main() {
 		TotalTxs:    *total,
 		Fig5Threads: *fig5M,
 		WindowN:     *windowN,
-		Invisible:   *invisible,
 		Backend:     *backend,
 		Seed:        *seed,
 		Chaos:       *chaosOn,
@@ -327,19 +325,14 @@ func traceRun(opts harness.Options, manager string, out *os.File) {
 }
 
 // validateBackend fails the engine selection fast, before any cell runs:
-// unknown names and the meaningless lazy+invisible combination (the lazy
-// backend's reads are always invisible, so the flag would silently
-// promise an ablation it cannot deliver) are caught at flag time rather
-// than deep inside the first sweep.
-func validateBackend(backend string, invisible bool) error {
+// unknown names are caught at flag time rather than deep inside the first
+// sweep.
+func validateBackend(backend string) error {
 	if backend == "" {
 		return nil
 	}
 	if _, err := stm.BackendOption(backend); err != nil {
 		return fmt.Errorf("-backend: %v (want %s)", err, strings.Join(stm.Backends(), " or "))
-	}
-	if backend == stm.BackendLazy && invisible {
-		return fmt.Errorf("-invisible is an eager-engine knob; the %s backend's reads are always invisible", backend)
 	}
 	return nil
 }

@@ -8,32 +8,19 @@ import (
 )
 
 // TestValidateBackend covers the fail-fast engine selection: every
-// registered backend is accepted, unknown names and the lazy+invisible
-// combination are rejected with messages that name the offending flag.
+// registered backend is accepted, unknown names are rejected with a
+// message that names the input.
 func TestValidateBackend(t *testing.T) {
 	for _, name := range append([]string{""}, stm.Backends()...) {
-		if err := validateBackend(name, false); err != nil {
-			t.Errorf("validateBackend(%q, false) = %v, want nil", name, err)
+		if err := validateBackend(name); err != nil {
+			t.Errorf("validateBackend(%q) = %v, want nil", name, err)
 		}
 	}
-	// -invisible is fine with the default and explicit eager engines.
-	for _, name := range []string{"", stm.BackendEager} {
-		if err := validateBackend(name, true); err != nil {
-			t.Errorf("validateBackend(%q, true) = %v, want nil", name, err)
-		}
-	}
-	err := validateBackend("htm", false)
+	err := validateBackend("htm")
 	if err == nil {
 		t.Fatal("unknown backend accepted")
 	}
 	if !strings.Contains(err.Error(), "htm") {
 		t.Errorf("unknown-backend error does not name the input: %v", err)
-	}
-	err = validateBackend(stm.BackendLazy, true)
-	if err == nil {
-		t.Fatal("lazy+invisible accepted")
-	}
-	if !strings.Contains(err.Error(), "-invisible") {
-		t.Errorf("lazy+invisible error does not name the flag: %v", err)
 	}
 }

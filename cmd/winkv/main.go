@@ -11,6 +11,9 @@
 // With -metrics the per-shard commit/abort/occupancy gauges are served
 // on /metrics in Prometheus text format. On SIGINT/SIGTERM the server
 // drains and prints final per-shard statistics.
+//
+// Serving mode is volatile; internal/wal is not wired into winkv, so a
+// restart starts from an empty store.
 package main
 
 import (

@@ -78,8 +78,7 @@ func runListParallel(b *testing.B, yieldEvery int) {
 // BenchmarkListParallel is the ISSUE 3 headline benchmark: 16 goroutines,
 // natural scheduling. It measures the runtime's conflict-detection and
 // bookkeeping overhead under concurrency — the axis the lock-free refactor
-// targets. The checked-in CI baseline (bench_baseline.txt) tracks this
-// cell; the refactor's 2× target is measured here.
+// targets; the refactor's 2× target is measured here.
 func BenchmarkListParallel(b *testing.B) { runListParallel(b, 0) }
 
 // BenchmarkListParallelInterleaved is the same workload with the runtime's

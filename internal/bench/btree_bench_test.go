@@ -11,13 +11,13 @@ import (
 // B-link tree benchmark cells (ISSUE 9): the semantic-conflict tree's
 // two headline numbers — an allocation-free steady-state lookup and the
 // parallel update throughput that key-granularity conflict detection is
-// supposed to buy over the tvar-granularity rbtree. The M8/M16 variants
-// are gated in CI via bench_baseline.txt alongside RBTreeParallel.
+// supposed to buy over the tvar-granularity rbtree.
 
 // BenchmarkTxBTreeLookup measures the uncontended transactional lookup:
 // traverse to the leaf, log one key read, validate one leaf version at
 // commit. Run with -benchmem; with the read/write-set scratch warm this
-// path must report 0 allocs/op (the tentpole criterion; CI asserts it).
+// path must report 0 allocs/op (the tentpole criterion; txbtree's
+// TestLookupZeroAlloc asserts it).
 func BenchmarkTxBTreeLookup(b *testing.B) {
 	rt := newRT(b, 1)
 	th := rt.Thread(0)

@@ -10,11 +10,12 @@ import (
 	"wincm/internal/stm"
 )
 
-// Lazy-backend counterparts of the tracked hot-path cells
-// (bench_baseline.txt / make bench-check): the TL2-style engine must hold
-// the same allocation discipline as the eager runtime — zero on the
-// committed read and write paths — and its parallel throughput is tracked
-// so commit-time validation cost regressions surface in CI.
+// Lazy-backend counterparts of the eager hot-path cells: the TL2-style
+// engine must hold the same allocation discipline as the eager runtime —
+// zero on the committed read and write paths, asserted by the stm
+// package's TestReadOnlyCommittedZeroAlloc/lazy and
+// TestLazyWriteSetRecycled — and the parallel cell shows what commit-time
+// validation costs.
 
 func newLazyRT(t testing.TB, m int) *stm.Runtime {
 	t.Helper()
@@ -46,7 +47,7 @@ func BenchmarkLazyCommittedRead(b *testing.B) {
 // BenchmarkLazyCommittedWrite measures the uncontended committed write
 // path on the lazy engine: buffer four writes, then acquire → tick →
 // validate → write back at commit. With the entry and locator pools warm
-// this path must report 0 allocs/op (CI asserts it).
+// this path must report 0 allocs/op.
 func BenchmarkLazyCommittedWrite(b *testing.B) {
 	rt := newLazyRT(b, 1)
 	th := rt.Thread(0)

@@ -54,7 +54,7 @@ func runTraceList(b *testing.B, probe stm.Probe) {
 // recorder fully off (the shipped default: no probe installed, the hot
 // path pays nothing) against 1-in-64 sampling with a live collector
 // draining the rings — the two cells the recorder's overhead budget is
-// enforced on in bench_baseline.txt.
+// stated on.
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		runTraceList(b, nil)
@@ -90,8 +90,8 @@ func BenchmarkTraceOverhead(b *testing.B) {
 // cost: sampling 1-in-2^30 leaves every transaction after the first
 // unsampled, so each attempt pays one counter increment and nothing per
 // open. Run with -benchmem; allocs/op must be 0 — the recorder records
-// into preallocated rings and never allocates on the hot path (CI asserts
-// this cell stays allocation-free).
+// into preallocated rings and never allocates on the hot path (txtrace's
+// TestRecorderUnsampledZeroAlloc asserts it).
 func BenchmarkTraceRecorderUnsampled(b *testing.B) {
 	rec := txtrace.NewRecorder(1, 1<<30, 0)
 	mgr, err := cm.New("polka", 1)

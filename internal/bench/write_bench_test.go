@@ -14,8 +14,7 @@ import (
 // Write-heavy benchmark cells (ISSUE 5): the paper's update-dominated
 // workloads — RBTree fixups and Vacation reservations — are where the
 // write path's per-operation locator allocation used to dominate. These
-// cells track the pooled (epoch-reclaimed) write path; the M16 variants
-// are gated in CI via bench_baseline.txt.
+// cells track the pooled (epoch-reclaimed) write path.
 
 // runSetParallel drives the named set from `threads` goroutines at the
 // paper's 100%-update mix, natural scheduling. One op is one committed
@@ -134,7 +133,8 @@ func BenchmarkWriteHeavyParallel(b *testing.B) {
 // BenchmarkCommittedWrite measures the committed write path with no
 // contention: acquire → commit → release on four variables per
 // transaction. Run with -benchmem; with the locator pool warm this path
-// must report 0 allocs/op (the ISSUE 5 criterion; CI asserts it).
+// must report 0 allocs/op (the ISSUE 5 criterion; stm's
+// TestCommittedWriteZeroAlloc asserts it).
 func BenchmarkCommittedWrite(b *testing.B) {
 	rt := newRT(b, 1)
 	th := rt.Thread(0)

@@ -42,8 +42,8 @@ func BenchmarkFrameClockCommit(b *testing.B) {
 // how the manager reads the clock once per segment rather than between
 // every register/commit pair; that keeps the cell measuring the shared
 // bookkeeping instead of the fixed-cost monotonic clock read (~36ns on
-// the reference machine, identical for any bookkeeping design). Tracked
-// in bench_baseline.txt; the lock-free ring's 2× target is measured here.
+// the reference machine, identical for any bookkeeping design). The
+// lock-free ring's 2× target is measured here.
 func BenchmarkFrameClockCommitParallel(b *testing.B) {
 	const workers = 16
 	c := newFrameClock(true, time.Hour, 50)
@@ -102,8 +102,7 @@ func benchmarkDynamicManagerList(b *testing.B, threads int) {
 }
 
 // BenchmarkDynamicManagerList is the end-to-end cell for the dynamic frame
-// clock (M=16 is the baseline-gated configuration; M=4/8 feed the
-// EXPERIMENTS.md scaling table).
+// clock (M=4/8/16 feed the EXPERIMENTS.md scaling table).
 func BenchmarkDynamicManagerList(b *testing.B) {
 	for _, m := range []int{4, 8, 16} {
 		b.Run(fmt.Sprintf("M%d", m), func(b *testing.B) { benchmarkDynamicManagerList(b, m) })
@@ -114,7 +113,8 @@ func BenchmarkDynamicManagerList(b *testing.B) {
 // costs a transaction that conflicts with nobody: empty transactions on one
 // thread of an M = 2 runtime, Begin and Committed being all there is. The
 // thread stays outside the window throughout, so this is the floor every
-// unconflicted commit of a kv shard pays. Must stay at 0 allocs/op.
+// unconflicted commit of a kv shard pays. Must stay at 0 allocs/op
+// (TestUnconflictedCommitZeroAlloc asserts it).
 func BenchmarkManagerUncontendedCommit(b *testing.B) {
 	m := New(AdaptiveImprovedDynamic, 2)
 	th := stm.New(2, m).Thread(0)

@@ -50,6 +50,21 @@ func TestThreadStateWholeCacheLines(t *testing.T) {
 	}
 }
 
+// TestUnconflictedCommitZeroAlloc: the floor every unconflicted commit of a
+// kv shard pays — Begin and Committed on a thread that stays outside the
+// window — allocates nothing.
+func TestUnconflictedCommitZeroAlloc(t *testing.T) {
+	m := New(AdaptiveImprovedDynamic, 2)
+	th := stm.New(2, m).Thread(0)
+	empty := func(*stm.Tx) {}
+	if n := testing.AllocsPerRun(1000, func() { th.Atomic(empty) }); n != 0 {
+		t.Errorf("unconflicted commit allocates %.1f per run, want 0", n)
+	}
+	if m.threads[0].inWindow.Load() {
+		t.Error("an unconflicted thread entered the window")
+	}
+}
+
 // TestConflictFreeCommitsTouchNothingShared: 10k commits that conflict
 // with nobody, on the default manager with M = 2, never register a frame,
 // never look at the clock and never write τ̂ or a shared counter — and the

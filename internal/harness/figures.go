@@ -50,9 +50,6 @@ type Options struct {
 	WindowN int
 	// KeyRange is the set benchmarks' key universe. Default 256.
 	KeyRange int
-	// Invisible switches the STM to invisible reads for every cell
-	// (ablation; the paper's setting is visible reads). Eager only.
-	Invisible bool
 	// Backend selects the STM engine for every cell ("" or
 	// stm.BackendEager for the paper's eager runtime, stm.BackendLazy
 	// for TL2-style commit-time validation).
@@ -166,7 +163,6 @@ func (o Options) config(manager string, threads int, seed uint64) Config {
 		Manager:     manager,
 		Threads:     threads,
 		WindowN:     o.WindowN,
-		Invisible:   o.Invisible,
 		Backend:     o.Backend,
 		Seed:        seed,
 		Chaos:       o.chaosConfig(threads),

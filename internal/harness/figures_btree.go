@@ -25,12 +25,6 @@ func BTreeFig(o Options) ([]Table, error) {
 	for _, backend := range []string{stm.BackendEager, stm.BackendLazy} {
 		ob := o
 		ob.Backend = backend
-		// The lazy engine's reads are always invisible; carrying the
-		// eager-only ablation knob over would make the runtime reject
-		// the combination.
-		if backend == stm.BackendLazy {
-			ob.Invisible = false
-		}
 		t := Table{Title: fmt.Sprintf("Semantic conflict detection: rbtree (TVar nodes) vs btree (key-level) — backend=%s (commits/s)", backend)}
 		t.Columns = append(t.Columns, "manager")
 		for _, m := range threads {

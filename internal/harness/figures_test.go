@@ -83,31 +83,13 @@ func TestInterleaveResolution(t *testing.T) {
 
 func TestStmOptions(t *testing.T) {
 	if opts, inj, err := (Config{}).stmOptions(); len(opts) != 0 || inj != nil || err != nil {
-		t.Error("visible default produced options, an injector, or an error")
-	}
-	opts, inj, err := (Config{Invisible: true}).stmOptions()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(opts) != 1 {
-		t.Fatal("invisible option missing")
-	}
-	if inj != nil {
-		t.Error("injector built without a chaos config")
-	}
-	mgr, err := cm.New("polka", 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rt := stm.New(1, mgr, opts...)
-	if !rt.InvisibleReads() {
-		t.Error("option did not enable invisible reads")
+		t.Error("default produced options, an injector, or an error")
 	}
 }
 
 // TestStmOptionsBackend covers the engine-selection plumbing: the lazy
-// backend builds a lazy runtime, unknown names and the meaningless
-// lazy+invisible combination are rejected before any runtime exists.
+// backend builds a lazy runtime, unknown names are rejected before any
+// runtime exists.
 func TestStmOptionsBackend(t *testing.T) {
 	opts, _, err := (Config{Backend: stm.BackendLazy}).stmOptions()
 	if err != nil {
@@ -125,9 +107,6 @@ func TestStmOptionsBackend(t *testing.T) {
 	}
 	if _, _, err := (Config{Backend: "htm"}).stmOptions(); err == nil {
 		t.Error("unknown backend accepted")
-	}
-	if _, _, err := (Config{Backend: stm.BackendLazy, Invisible: true}).stmOptions(); err == nil {
-		t.Error("lazy+invisible accepted")
 	}
 }
 

@@ -47,13 +47,10 @@ type Config struct {
 	// WindowN is N for window-based managers (transactions per window);
 	// ignored for the classic managers. 0 means the paper default of 50.
 	WindowN int
-	// Invisible switches the STM to invisible (version-validated) reads;
-	// the paper's experiments use visible reads (the default). Eager
-	// engine only — the lazy backend's reads are always invisible.
-	Invisible bool
 	// Backend selects the STM engine: stm.BackendEager (default, also
-	// selected by the empty string) or stm.BackendLazy for TL2-style
-	// commit-time validation. Run rejects unknown names.
+	// selected by the empty string; visible reads, the paper's setting)
+	// or stm.BackendLazy for TL2-style invisible reads with commit-time
+	// validation. Run rejects unknown names.
 	Backend string
 	// Interleave makes every k-th transactional open yield the processor
 	// so transactions overlap at fine grain even when GOMAXPROCS is
@@ -132,13 +129,7 @@ func (c Config) stmOptions() ([]stm.Option, *chaos.Injector, error) {
 		if err != nil {
 			return nil, nil, err
 		}
-		if c.Backend == stm.BackendLazy && c.Invisible {
-			return nil, nil, fmt.Errorf("backend %q already reads invisibly; Invisible is an eager-engine knob", c.Backend)
-		}
 		opts = append(opts, opt)
-	}
-	if c.Invisible {
-		opts = append(opts, stm.WithInvisibleReads())
 	}
 	if c.MaxAttempts > 0 || c.TxDeadline > 0 {
 		opts = append(opts, stm.WithFallback(c.MaxAttempts, c.TxDeadline))

@@ -45,20 +45,3 @@ func TestKmeansRunCount(t *testing.T) {
 		t.Errorf("commits = %d", res.Commits)
 	}
 }
-
-// TestInvisibleHarnessRun: the harness drives invisible-read runtimes end
-// to end (ablation path).
-func TestInvisibleHarnessRun(t *testing.T) {
-	w, err := harness.NewWorkload("rbtree", bench.Mix{UpdatePct: 100, KeyRange: 64}, 7)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfg := harness.Config{Manager: "polka", Threads: 4, Invisible: true, Seed: 7}
-	res, err := harness.RunTimed(cfg, w, 40*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Commits == 0 {
-		t.Error("no commits under invisible reads")
-	}
-}

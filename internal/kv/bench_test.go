@@ -19,10 +19,10 @@ func benchStore(b *testing.B) *Store {
 
 // BenchmarkKVLocalOp measures the in-process request path — session,
 // thread claim, STM transaction, tree operation, stats — without the
-// wire. The get path is the zero-alloc CI assert; the set path carries
-// the tree's one deliberate 32 B lock-entry allocation per written key
-// (see txbtree: the lock entry must survive the writer, so it is never
-// pooled).
+// wire. The get path allocates nothing (TestLocalGetZeroAlloc); the set
+// path carries the tree's one deliberate 32 B lock-entry allocation per
+// written key (see txbtree: the lock entry must survive the writer, so it
+// is never pooled).
 func BenchmarkKVLocalOp(b *testing.B) {
 	b.Run("get", func(b *testing.B) {
 		st := benchStore(b)

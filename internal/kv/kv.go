@@ -22,8 +22,8 @@
 //     pipelined protocol over TCP with pooled, reused read/write buffers
 //     and batched responses.
 //
-// Durability is deliberately not wired in yet: serving the durable tree
-// rides the WAL follow-up tracked in ROADMAP item 2's notes.
+// Serving mode is volatile; internal/wal is not wired into winkv, so a
+// Store's contents do not survive its process.
 package kv
 
 import (

@@ -20,6 +20,28 @@ func testStore(t *testing.T, o Options) *Store {
 	return st
 }
 
+// TestLocalGetZeroAlloc: the in-process single-shard read path — session,
+// thread claim, STM transaction, tree lookup, stats — allocates nothing.
+func TestLocalGetZeroAlloc(t *testing.T) {
+	se := testStore(t, Options{Shards: 4, ShardThreads: 2, Seed: 1}).NewSession()
+	for k := int64(0); k < 1024; k++ {
+		se.Set(k, k)
+	}
+	k := int64(0)
+	get := func() {
+		k = (k + 7) & 1023
+		if v, ok := se.Get(k); !ok || v != k {
+			t.Errorf("Get(%d) = %d, %v", k, v, ok)
+		}
+	}
+	for i := 0; i < 200; i++ { // past the per-thread scratch ramp
+		get()
+	}
+	if n := testing.AllocsPerRun(200, get); n != 0 {
+		t.Errorf("local GET allocates %.1f per run, want 0", n)
+	}
+}
+
 // TestOptionsValidate is the fail-fast table: every configuration that
 // would silently do nothing (or cannot work) must be rejected before a
 // shard is built.

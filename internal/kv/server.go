@@ -101,9 +101,14 @@ func (s *Server) handle(conn net.Conn) {
 	for {
 		line, err := r.ReadSlice('\n')
 		if err != nil {
+			// Replies to complete commands may still be batched behind
+			// a partial next line; the client is owed them whatever
+			// ended the read.
 			if err == bufio.ErrBufferFull {
 				wbuf = appendError(wbuf, errLineLen.Error())
-				conn.Write(wbuf)
+			}
+			if len(wbuf) > 0 {
+				conn.Write(wbuf) // best effort: the connection closes either way
 			}
 			return
 		}

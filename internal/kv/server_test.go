@@ -1,10 +1,12 @@
 package kv
 
 import (
+	"io"
 	"net"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"wincm/internal/telemetry"
 )
@@ -95,6 +97,43 @@ func TestServerErrors(t *testing.T) {
 	}
 }
 
+// TestServerFlushesRepliesBeforeClosing: replies to complete commands are
+// batched while more request bytes are buffered, so when the read then
+// fails — the peer half-closes after an unterminated line, or the line
+// outgrows the read buffer — the handler must flush them before it returns.
+func TestServerFlushesRepliesBeforeClosing(t *testing.T) {
+	for _, tc := range []struct{ name, tail, want string }{
+		{"unterminated tail", "GET 1", "+OK\r\n"},
+		// Exactly one read buffer of tail: the server has consumed every
+		// byte when it gives up, so its close cannot reset the connection
+		// under the reply.
+		{"oversized line", strings.Repeat("x", connBufSize), "+OK\r\n-ERR " + errLineLen.Error() + "\r\n"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			_, srv := startServer(t, Options{Shards: 2, ShardThreads: 1})
+			conn, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			if _, err := conn.Write([]byte("SET 1 100\n" + tc.tail)); err != nil {
+				t.Fatal(err)
+			}
+			if err := conn.(*net.TCPConn).CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if string(got) != tc.want {
+				t.Errorf("got %q, want %q", got, tc.want)
+			}
+		})
+	}
+}
+
 // TestServerPipelined queues a deep batch before reading anything: the
 // server must batch replies and answer in order.
 func TestServerPipelined(t *testing.T) {
@@ -124,6 +163,48 @@ func TestServerPipelined(t *testing.T) {
 		if err := c.ReadReply(&rep); err != nil || rep.Kind != ReplyInt || rep.Int != int64(i*2) {
 			t.Fatalf("GET reply %d = %d (kind %d, err %v), want %d", i, rep.Int, rep.Kind, err, i*2)
 		}
+	}
+}
+
+// TestPipelinedRoundTripZeroAlloc: a depth-64 GET pipeline over loopback
+// TCP — request encode, server parse, transaction, reply encode, batched
+// flush, reply decode — allocates nothing on either side once the buffers
+// are warm (AllocsPerRun counts every goroutine's mallocs, the server's
+// handler included).
+func TestPipelinedRoundTripZeroAlloc(t *testing.T) {
+	_, srv := startServer(t, Options{Shards: 4, ShardThreads: 2, Seed: 1})
+	c, err := Dial(srv.Addr().String())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	for k := int64(0); k < 1024; k++ {
+		if err := c.Set(k, k); err != nil {
+			t.Fatal(err)
+		}
+	}
+	const depth = 64
+	var rep Reply
+	base := int64(0)
+	batch := func() {
+		for j := int64(0); j < depth; j++ {
+			c.QueueGet((base + j) & 1023)
+		}
+		if err := c.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		for j := int64(0); j < depth; j++ {
+			if err := c.ReadReply(&rep); err != nil || rep.Kind != ReplyInt || rep.Int != (base+j)&1023 {
+				t.Fatalf("GET %d = %d (kind %d, err %v)", (base+j)&1023, rep.Int, rep.Kind, err)
+			}
+		}
+		base += depth
+	}
+	for i := 0; i < 16; i++ { // touch every key once: buffers and scratch warm
+		batch()
+	}
+	if n := testing.AllocsPerRun(50, batch); n != 0 {
+		t.Errorf("pipelined GET batch of %d allocates %.1f per run, want 0", depth, n)
 	}
 }
 

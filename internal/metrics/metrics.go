@@ -18,8 +18,9 @@
 //   - CommitDur is the span of the successful attempt only, again
 //     including any CM waits taken during it.
 //   - Duration − Wasted − CommitDur is the inter-attempt overhead: restart
-//     backoff a manager pays in Begin (cm.Backoff), the invisible-read
-//     retry backoff, and time queued for the serialized-fallback token.
+//     backoff a manager pays in Begin (cm.Backoff), the runtime's
+//     randomized retry backoff (every lazy-engine retry; eager retries
+//     past the eighth), and time queued for the serialized-fallback token.
 //     No TxInfo field names it; it is recoverable by subtraction.
 //
 // Thread.Busy is defined as the total time the thread dedicated to its

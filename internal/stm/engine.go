@@ -88,7 +88,7 @@ func (rt *Runtime) Engine() Engine { return rt.engine }
 func (rt *Runtime) Backend() string { return rt.engine.Name() }
 
 // eagerEngine is the original DSTM-style protocol: eager write
-// acquisition, open-time conflict detection, visible or invisible reads,
+// acquisition, open-time conflict detection, visible reads,
 // clone-based deferred update with a single status-word CAS as the commit
 // point. The implementation lives in stm.go/tvar.go (commitEager,
 // cleanupEager and the default branches of Read/Write/Modify); this type

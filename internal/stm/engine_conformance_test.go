@@ -333,7 +333,7 @@ func conformWatchdog(t *testing.T, backend string) {
 // TestLazyKillCycleLiveness is the lazy-engine analogue of
 // TestVisibleKillCycleLiveness: symmetric transactions whose conflicts
 // surface as commit-time lock conflicts and validation self-aborts must
-// not livelock. The retry backoff (the invisible-style randomized pause)
+// not livelock. The retry backoff (the randomized pause after every abort)
 // plus CM mediation at lock acquisition must always let someone through.
 func TestLazyKillCycleLiveness(t *testing.T) {
 	shapes := []struct {

@@ -15,7 +15,7 @@ import "sync/atomic"
 //     attempt (beginAttempt stores epoch<<1|1 into the thread's padded
 //     slot; the end-of-attempt cleanup clears the pin bit). All locator
 //     dereferences of the transactional hot path — Read, Write, Modify,
-//     release, invisible validation — happen inside an attempt, so a pin
+//     release, read-set validation — happen inside an attempt, so a pin
 //     covers every pointer the attempt may hold.
 //   - Non-transactional accessors (TVar.Peek, TVar.Set) have no runtime
 //     thread; they claim a slot in a package-global external pin array for

@@ -53,13 +53,6 @@ func ExampleModify() {
 	// Output: 100
 }
 
-// ExampleWithInvisibleReads selects the alternative read strategy.
-func ExampleWithInvisibleReads() {
-	rt := stm.New(2, cm.NewPolka(), stm.WithInvisibleReads())
-	fmt.Println(rt.InvisibleReads())
-	// Output: true
-}
-
 // ExampleTxInfo shows the per-transaction statistics Atomic returns.
 func ExampleTxInfo() {
 	rt := stm.New(1, cm.NewPolka())

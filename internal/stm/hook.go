@@ -43,8 +43,8 @@ type Intent struct {
 // thread; both must be fast — they sit on the commit path of every
 // staging transaction.
 type CommitHook interface {
-	// PreCommit runs after the attempt's body (and, with invisible reads,
-	// after validation) and immediately before the commit status CAS. It
+	// PreCommit runs after the attempt's body (and, on the lazy engine,
+	// after read-set validation) and immediately before the commit status CAS. It
 	// reserves the attempt's slot in the durable order and returns an
 	// opaque token identifying the reservation. A returned error is
 	// recorded in the committing transaction's TxInfo.HookErr; the

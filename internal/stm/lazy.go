@@ -28,8 +28,7 @@ package stm
 // Tx.resolve path as the eager engine (ReadWrite at reads, WriteWrite at
 // acquisition), so all managers, the fallback token, the watchdog and the
 // probe perturbations work unchanged. Validation failures self-abort
-// without CM mediation, exactly like the eager invisible-read mode, and
-// get the same randomized retry backoff.
+// without CM mediation and get a randomized retry backoff (abortBackoff).
 //
 // Version-clock sharding: a single global CAS word would be a new
 // hot-word bottleneck on the commit path (every writing commit ticks it).
@@ -122,9 +121,8 @@ type lazyEngine struct {
 }
 
 // WithLazyBackend selects the TL2-style lazy commit-time-validation
-// engine instead of the default eager one. It is incompatible with
-// WithInvisibleReads — the lazy engine's reads are always invisible, so
-// the knob is meaningless and New rejects the combination.
+// engine instead of the default eager one: invisible reads, where the
+// eager engine's are visible.
 func WithLazyBackend() Option {
 	return func(rt *Runtime) {
 		e := &lazyEngine{}
@@ -298,7 +296,7 @@ func (tx *Tx) extendSnapshot(e *lazyEngine, ver uint64) bool {
 
 // lazyValidate implements the commit-time and extension-time read check
 // for the lazy engine: the recorded version must still be the variable's
-// settled version. Unlike the eager validate it never trusts a
+// settled version. It never trusts a
 // Committed-but-unfolded foreign owner (the fold version wv is not
 // derivable from the locator) — it waits the few stores until the fold
 // lands. A variable locked by an active foreign committer fails

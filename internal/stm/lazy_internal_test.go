@@ -144,14 +144,3 @@ func TestBackendOptionRejectsUnknown(t *testing.T) {
 		t.Error("BackendOption(htm) succeeded, want error")
 	}
 }
-
-// TestLazyRejectsInvisibleReads: the meaningless combination must fail
-// loudly at construction.
-func TestLazyRejectsInvisibleReads(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("New(lazy+invisible) did not panic")
-		}
-	}()
-	New(1, karmaTied{}, WithLazyBackend(), WithInvisibleReads())
-}

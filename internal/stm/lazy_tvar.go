@@ -118,6 +118,12 @@ func settledLazy[T any](tx *Tx, v *TVar[T], attempt *int) (val T, ver uint64) {
 	}
 }
 
+// vread records one invisible read for later validation.
+type vread struct {
+	c   container
+	ver uint64
+}
+
 // logRead appends one read to the attempt's log. Consecutive re-reads of
 // the same variable dedupe for free; non-adjacent re-reads log again,
 // which is harmless for validation (same version either way) and keeps

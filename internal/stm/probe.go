@@ -33,11 +33,11 @@ type Probe interface {
 	// now remote-abort the attempt to make progress.
 	OnAcquire(tx *Tx)
 	// OnCommit runs at the attempt's commit point, before the status CAS.
-	// On the eager engine that is the start of commit (before invisible
-	// read validation); on the lazy engine it is after write-set
-	// acquisition and commit-time validation, so the attempt's validation
-	// tallies are complete when probes fold them. An attempt whose
-	// commit-time validation fails fires OnAbort without OnCommit.
+	// On the eager engine that is the start of commit; on the lazy engine
+	// it is after write-set acquisition and commit-time validation, so the
+	// attempt's validation tallies are complete when probes fold them. An
+	// attempt whose commit-time validation fails fires OnAbort without
+	// OnCommit.
 	OnCommit(tx *Tx)
 	// OnAbort runs after an attempt aborted and released its objects.
 	OnAbort(tx *Tx)

@@ -7,8 +7,8 @@ package stm
 // treats the structure as one more validation source at commit:
 //
 //   - Validate runs at the commit point, before the status CAS, on both
-//     engines: after the eager engine's invisible-read validation would
-//     run, and after the lazy engine's read-set validation (so a semantic
+//     engines: first thing in the eager engine's commit, and after the
+//     lazy engine's read-set validation (so a semantic
 //     failure never wastes a clock tick it didn't need). It is where the
 //     structure acquires its key-level write locks and checks its logged
 //     reads; structure-vs-structure conflicts discovered here route back
@@ -53,8 +53,7 @@ func (tx *Tx) AddSemantic(s SemanticOps) {
 }
 
 // semValidate runs every registered semantic validation. A false return
-// leaves the caller responsible for normalizing the status word, matching
-// validateReads.
+// leaves the caller responsible for normalizing the status word.
 func (tx *Tx) semValidate() bool {
 	for _, s := range tx.semOps {
 		if !s.Validate(tx) {

@@ -360,7 +360,6 @@ type Runtime struct {
 	cm         ContentionManager
 	threads    []*Thread
 	yieldEvery atomic.Int64
-	invisible  bool
 
 	// engine is the installed transactional protocol (engine.go); lazy
 	// is the same value pre-asserted when the lazy backend is installed,
@@ -390,8 +389,11 @@ type Runtime struct {
 	txDeadline  time.Duration
 }
 
+// Option configures a Runtime.
+type Option func(*Runtime)
+
 // New creates a runtime with m threads sharing the contention manager cm.
-// Options select non-default strategies (see WithInvisibleReads).
+// Options select non-default strategies (see WithLazyBackend).
 func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	if m <= 0 {
 		panic("stm: runtime needs at least one thread")
@@ -405,9 +407,6 @@ func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	}
 	if rt.engine == nil {
 		rt.engine = eagerEngine{}
-	}
-	if rt.lazy != nil && rt.invisible {
-		panic("stm: WithInvisibleReads is an eager-engine knob; the lazy backend's reads are always invisible")
 	}
 	if rt.probe != nil && !probeNoOpenHooks(rt.probe) {
 		rt.openProbe = rt.probe
@@ -433,9 +432,6 @@ func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	rt.locPooling.Store(m <= runtime.GOMAXPROCS(0))
 	return rt
 }
-
-// InvisibleReads reports whether the runtime uses invisible reads.
-func (rt *Runtime) InvisibleReads() bool { return rt.invisible }
 
 // Threads returns the number of threads.
 func (rt *Runtime) Threads() int { return len(rt.threads) }
@@ -504,7 +500,7 @@ type Thread struct {
 	// Runtime.Commits; the watchdog sums these to detect lack of
 	// progress).
 	commits atomic.Int64
-	// boState is the xorshift state of the invisible-read retry backoff.
+	// boState is the xorshift state of the retry backoff (abortBackoff).
 	boState uint64
 	// retiredLocs counts this thread's retired-but-unreclaimed locators
 	// across all its typed pools (shard of Runtime.RetiredLocators).
@@ -627,21 +623,20 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		if p := rt.probe; p != nil {
 			p.OnAbort(tx)
 		}
-		// Symmetric retry cycles need external jitter to break. Invisible
-		// readers conflict only at validation time, where both sides
-		// self-abort with no contention-manager mediation, so they get a
-		// randomized, attempt-scaled pause from the second attempt on —
-		// and so does the lazy engine, whose validation failures are
-		// equally unmediated self-aborts. Visible-mode transactions used
-		// to be desynchronized for free by the write path's allocations
-		// (and the GC pauses they caused); with the locator pool (pool.go)
+		// Symmetric retry cycles need external jitter to break. The lazy
+		// engine's invisible readers conflict only at validation time,
+		// where both sides self-abort with no contention-manager
+		// mediation, so they get a randomized, attempt-scaled pause from
+		// the second attempt on. Visible-mode transactions used to be
+		// desynchronized for free by the write path's allocations (and
+		// the GC pauses they caused); with the locator pool (pool.go)
 		// the committed path allocates nothing, and priority-tied
 		// transactions really do abort each other in lockstep
 		// indefinitely. The same randomized pause breaks that cycle, gated
 		// behind an attempt budget so ordinary conflict handling never
 		// pays it.
 		if rt.fallback.Load() != d {
-			if rt.invisible || rt.lazy != nil {
+			if rt.lazy != nil {
 				t.abortBackoff(d.Attempts)
 			} else if d.Attempts > visibleBackoffAfter {
 				t.abortBackoff(d.Attempts - visibleBackoffAfter)
@@ -705,10 +700,9 @@ func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 }
 
 // commitEager atomically makes the attempt's writes take effect (the
-// eager engine's commit; see lazy.go for the lazy one). With invisible
-// reads the read set is validated first; writes are eagerly owned, so a
-// successful validation followed by the status CAS is a correct
-// serialization point (see invisible.go).
+// eager engine's commit; see lazy.go for the lazy one). Reads are visible
+// and writes eagerly owned, so every conflict was resolved at open time
+// and the status CAS alone is the serialization point.
 //
 // A commit hook with staged intents brackets the CAS: PreCommit reserves
 // the attempt's durable-order slot before the CAS, PostCommit reports the
@@ -726,10 +720,6 @@ func (tx *Tx) commitEager() bool {
 	}
 	if p := tx.rt.probe; p != nil {
 		p.OnCommit(tx)
-	}
-	if tx.rt.invisible && !tx.validateReads(true) {
-		tx.abortWord(w)
-		return false
 	}
 	var token any
 	h := tx.rt.commitHook
@@ -771,7 +761,6 @@ func (tx *Tx) cleanupEager() {
 		c.release(tx)
 	}
 	tx.writes = tx.writes[:0]
-	tx.vreads = tx.vreads[:0]
 	// The attempt holds no locator references past this point; drop the
 	// reclamation pin so retired locators can recycle (epoch.go).
 	// tx.poolOn is the value cached at beginAttempt, so the pair always

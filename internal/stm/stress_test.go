@@ -9,26 +9,21 @@ import (
 )
 
 // TestStressMixedFootprints runs transactions of wildly different sizes
-// (1–32 variables) against each other under both read strategies and
+// (1–32 variables) against each other under both read strategies (the
+// eager engine's visible reads, the lazy engine's invisible ones) and
 // checks a global conservation invariant: every transaction moves value
 // between variables without creating or destroying any.
 func TestStressMixedFootprints(t *testing.T) {
-	for _, invisible := range []bool{false, true} {
-		invisible := invisible
-		name := "visible"
-		if invisible {
-			name = "invisible"
-		}
+	for name, opts := range map[string][]stm.Option{
+		"visible": nil,
+		"lazy":    {stm.WithLazyBackend()},
+	} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			const m, vars, perThread, initial = 6, 64, 150, 100
 			mgr, err := cm.New("polka", m)
 			if err != nil {
 				t.Fatal(err)
-			}
-			var opts []stm.Option
-			if invisible {
-				opts = append(opts, stm.WithInvisibleReads())
 			}
 			rt := stm.New(m, mgr, opts...)
 			rt.SetYieldEvery(4)

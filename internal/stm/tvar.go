@@ -10,10 +10,9 @@ import (
 // and read-set validation use; it keeps Tx free of type parameters.
 type container interface {
 	release(tx *Tx)
-	validate(tx *Tx, ver uint64, strict bool) bool
-	// lazyValidate is the lazy engine's read check (lazy.go): unlike
-	// validate it never derives a version from an unfolded committed
-	// owner, because the lazy fold version (wv) is not loc.version+1.
+	// lazyValidate is the lazy engine's read check (lazy.go). It never
+	// derives a version from an unfolded committed owner, because the
+	// lazy fold version (wv) is not loc.version+1.
 	lazyValidate(tx *Tx, ver uint64) bool
 }
 
@@ -254,9 +253,6 @@ func Read[T any](tx *Tx, v *TVar[T]) T {
 	if tx.rt.lazy != nil {
 		return readLazy(tx, v)
 	}
-	if tx.rt.invisible {
-		return readInvisible(tx, v)
-	}
 	tx.maybeYield()
 	if p := tx.rt.openProbe; p != nil {
 		tx.openVar = v.token()
@@ -429,10 +425,6 @@ func ModifyArg[T, A any](tx *Tx, v *TVar[T], arg A, f func(T, A) T) {
 		// the value f consumed, only the read-set check does, so a
 		// buffered read-modify-write is Read + Write, not a blind write.
 		writeLazy(tx, v, f(readLazy(tx, v), arg))
-		return
-	}
-	if tx.rt.invisible {
-		Write(tx, v, f(readInvisible(tx, v), arg))
 		return
 	}
 	tx.maybeYield()

@@ -62,10 +62,11 @@ type Probe struct {
 }
 
 // probeScratch is per-thread bookkeeping for attempt-end folding: which
-// attempt OnCommit already recorded, so an invisible-read validation
-// failure (OnCommit then OnAbort on the same attempt) is not counted
-// twice, plus the baselines the cumulative semantic tallies are folded
-// against. Owner-thread-only plain fields; nothing else reads them.
+// attempt OnCommit already recorded, so an attempt aborted remotely
+// between OnCommit and the status CAS (OnCommit then OnAbort on the same
+// attempt) is not counted twice, plus the baselines the cumulative
+// semantic tallies are folded against. Owner-thread-only plain fields;
+// nothing else reads them.
 type probeScratch struct {
 	lastID      uint64
 	lastAttempt int
@@ -168,7 +169,7 @@ func (p *Probe) OnCommit(tx *stm.Tx) {
 }
 
 // OnAbort implements stm.Probe. Attempts that reached the commit point
-// before aborting (invisible-read validation failure) were already folded
+// before aborting (a remote abort beat the status CAS) were already folded
 // by OnCommit.
 func (p *Probe) OnAbort(tx *stm.Tx) {
 	shard := tx.D.ThreadID

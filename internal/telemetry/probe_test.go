@@ -179,51 +179,64 @@ func TestProbeLazyMode(t *testing.T) {
 	}
 }
 
-// TestProbeInvisibleMode exercises the commit-then-abort dedup path:
-// with invisible reads a validation failure fires OnCommit and OnAbort on
-// the same attempt, and opens must still be folded exactly once per
-// attempt. Only an attempt that reached its commit point is known to have
-// made both of its opens — one aborted between its Read and its Write made
-// one — so the floor is 2 per commit call, not 2 per attempt.
-func TestProbeInvisibleMode(t *testing.T) {
-	r := telemetry.NewRegistry()
-	p := telemetry.NewProbe(r, 4)
-	tx := telemetry.NewTxStats(r, 4)
-	rt := stm.New(4, aggressiveCM{}, stm.WithProbe(p), stm.WithInvisibleReads())
-	rt.SetYieldEvery(2)
-	v := stm.NewTVar(0)
-	const threads, per = 4, 100
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(id int, th *stm.Thread) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				info := th.Atomic(func(x *stm.Tx) {
+// commitAborter aborts the attempt from inside OnCommit for the first
+// `doomed` attempts of every transaction — what a remote abort landing
+// between OnCommit and the status CAS looks like, made deterministic.
+type commitAborter struct{ doomed int }
+
+func (commitAborter) OnBegin(*stm.Tx)   {}
+func (commitAborter) OnOpen(*stm.Tx)    {}
+func (commitAborter) OnAcquire(*stm.Tx) {}
+func (commitAborter) OnAbort(*stm.Tx)   {}
+func (c commitAborter) OnCommit(tx *stm.Tx) {
+	if tx.D.Attempts <= c.doomed {
+		tx.Abort()
+	}
+}
+func (commitAborter) PerturbResolve(_, _ *stm.Tx, _ stm.Kind, _ int, dec stm.Decision, wait time.Duration) (stm.Decision, time.Duration) {
+	return dec, wait
+}
+
+// TestProbeCommitThenAbortFoldedOnce exercises the commit-then-abort
+// dedup path: an attempt aborted after its OnCommit fired gets OnAbort
+// too, and must still be folded exactly once. One thread, so every count
+// is exact: each transaction makes doomed+1 attempts of two opens each.
+func TestProbeCommitThenAbortFoldedOnce(t *testing.T) {
+	for _, backend := range stm.Backends() {
+		t.Run(backend, func(t *testing.T) {
+			const txs, doomed = 50, 2
+			r := telemetry.NewRegistry()
+			p := telemetry.NewProbe(r, 1)
+			opt, err := stm.BackendOption(backend)
+			if err != nil {
+				t.Fatal(err)
+			}
+			chain := stm.CombineProbes(commitAborter{doomed: doomed}, p)
+			rt := stm.New(1, aggressiveCM{}, stm.WithProbe(chain), opt)
+			v := stm.NewTVar(0)
+			for i := 0; i < txs; i++ {
+				info := rt.Thread(0).Atomic(func(x *stm.Tx) {
 					stm.Write(x, v, stm.Read(x, v)+1)
 				})
-				tx.RecordTx(id, info)
+				if info.Attempts != doomed+1 {
+					t.Fatalf("attempts = %d, want %d", info.Attempts, doomed+1)
+				}
 			}
-		}(i, rt.Thread(i))
-	}
-	wg.Wait()
-	if got := v.Peek(); got != threads*per {
-		t.Fatalf("counter = %d", got)
-	}
-	s := r.Snapshot()
-	attempts := s.Histograms["wincm_tx_attempts"].Sum
-	opens, commitCalls := s.Counters["wincm_opens_total"], s.Counters["wincm_commit_calls_total"]
-	if commitCalls < threads*per {
-		t.Errorf("commit calls = %d, want >= %d", commitCalls, threads*per)
-	}
-	// Exactly-once folding, from both sides: every attempt that reached
-	// OnCommit made 2 opens, and no attempt makes more than 2, so folding an
-	// attempt twice (OnCommit and OnAbort both) would push past the ceiling.
-	if opens < 2*commitCalls {
-		t.Errorf("opens = %d, want >= %d (2 per commit call)", opens, 2*commitCalls)
-	}
-	if opens > 2*attempts {
-		t.Errorf("opens = %d, want <= %d (2 per attempt): an attempt was folded twice", opens, 2*attempts)
+			if got := v.Peek(); got != txs {
+				t.Fatalf("counter = %d, want %d", got, txs)
+			}
+			s := r.Snapshot()
+			want := map[string]int64{
+				"wincm_commit_calls_total": txs * (doomed + 1),
+				"wincm_abort_events_total": txs * doomed,
+				"wincm_opens_total":        2 * txs * (doomed + 1),
+			}
+			for name, n := range want {
+				if s.Counters[name] != n {
+					t.Errorf("%s = %d, want %d", name, s.Counters[name], n)
+				}
+			}
+		})
 	}
 }
 

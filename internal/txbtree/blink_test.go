@@ -333,6 +333,36 @@ func TestSiblingSplitsBeforeRootGrows(t *testing.T) {
 	}
 }
 
+// TestLookupZeroAlloc: with the per-thread read-set scratch warm, a
+// transactional lookup — descend, log one key read, validate one leaf
+// version at commit — allocates nothing.
+func TestLookupZeroAlloc(t *testing.T) {
+	th := newTestRT(t, 1).Thread(0)
+	tr := New[int]()
+	const keys = 1024
+	all := make([]int, keys)
+	for i := range all {
+		all[i] = i
+	}
+	fill(th, tr, all, 8)
+	i := 0
+	get := func(tx *stm.Tx) {
+		if v, ok := tr.Get(tx, i); !ok || v != 10*i {
+			t.Errorf("Get(%d) = %d, %v", i, v, ok)
+		}
+	}
+	lookup := func() {
+		i = (i*7919 + 13) % keys
+		th.Atomic(get)
+	}
+	for n := 0; n < 200; n++ { // past the scratch ramp
+		lookup()
+	}
+	if got := testing.AllocsPerRun(200, lookup); got != 0 {
+		t.Errorf("transactional lookup: %v allocs, want 0", got)
+	}
+}
+
 // TestWritePathAllocations: a commit allocates one lock-table entry per
 // written key and nothing else — no sort closure, no boxed slice, no node
 // unless a leaf splits.

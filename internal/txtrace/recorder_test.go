@@ -53,6 +53,27 @@ func TestRecorderSamplingSticky(t *testing.T) {
 	}
 }
 
+// TestRecorderUnsampledZeroAlloc: an armed recorder sampling 1-in-2^30
+// leaves every transaction after the first unsampled; those pay one counter
+// increment per attempt and must allocate nothing.
+func TestRecorderUnsampledZeroAlloc(t *testing.T) {
+	rec := NewRecorder(1, 1<<30, 0)
+	th := stm.New(1, abortEnemyCM{}, stm.WithProbe(rec)).Thread(0)
+	vs := make([]*stm.TVar[int], 16)
+	for i := range vs {
+		vs[i] = stm.NewTVar(i)
+	}
+	readAll := func(tx *stm.Tx) {
+		for _, v := range vs {
+			stm.Read(tx, v)
+		}
+	}
+	th.Atomic(readAll) // the one sampled transaction
+	if n := testing.AllocsPerRun(100, func() { th.Atomic(readAll) }); n != 0 {
+		t.Errorf("unsampled transaction under an armed recorder allocates %.1f per run, want 0", n)
+	}
+}
+
 func TestRecorderSampleOneRecordsEverything(t *testing.T) {
 	rec := NewRecorder(1, 1, 0)
 	col := NewCollector(rec, 0)
