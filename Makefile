@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench figures chaos theory walcrash trace-smoke kv-smoke loc ci
+.PHONY: all build vet test race bench figures chaos theory walcrash trace-smoke kv-smoke telemetry-smoke loc ci
 
 all: build vet test
 
@@ -69,6 +69,21 @@ trace-smoke:
 	go run ./cmd/winbench -durable -trace -dur 300ms -trace-out /tmp/wincm-trace-durable.json > /tmp/wincm-durable.out
 	go run ./cmd/tracecheck /tmp/wincm-trace-durable.json
 	grep -q 'wal-seals' /tmp/wincm-durable.out
+
+# Telemetry smoke: a live -fig telemetry run serves Prometheus text with the
+# commit counter, the response histogram and the window gauges, and pprof.
+telemetry-smoke:
+	go build -o /tmp/winbench-smoke ./cmd/winbench
+	/tmp/winbench-smoke -fig telemetry -telemetry-addr 127.0.0.1:9180 \
+		-telemetry-interval 250ms -dur 2s & \
+	BENCH=$$!; sleep 1; \
+	curl -fsS http://127.0.0.1:9180/metrics > /tmp/telemetry_metrics.out || { kill $$BENCH; exit 1; }; \
+	status=0; \
+	grep -q '^wincm_commits_total ' /tmp/telemetry_metrics.out || status=1; \
+	grep -q '^wincm_response_ns_bucket{' /tmp/telemetry_metrics.out || status=1; \
+	grep -q '^wincm_window_' /tmp/telemetry_metrics.out || status=1; \
+	curl -fsS http://127.0.0.1:9180/debug/pprof/ > /dev/null || status=1; \
+	wait $$BENCH || status=1; exit $$status
 
 theory:
 	go run ./cmd/wintheory

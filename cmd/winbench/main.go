@@ -54,9 +54,39 @@ import (
 	"wincm/internal/txtrace"
 )
 
+// figures is the one table of table-printing -fig values, in help order;
+// the first figuresInAll of them run under -fig all. trace is driven apart
+// (traceRun): it prints a timeline, not tables.
+var figures = []struct {
+	name   string
+	driver func(harness.Options) ([]harness.Table, error)
+}{
+	{"2", harness.Fig2},
+	{"3", harness.Fig3},
+	{"4", harness.Fig4},
+	{"5", harness.Fig5},
+	{"ext", harness.Extended},
+	{"chaos", harness.ChaosSweep},
+	{"telemetry", harness.TelemetryFig},
+	{"durable", harness.DurabilityFig},
+	{"btree", harness.BTreeFig},
+}
+
+const figuresInAll = 5
+
+// figureNames lists every value -fig accepts, for the help text and the
+// unknown-figure error.
+func figureNames() string {
+	var b strings.Builder
+	for _, f := range figures {
+		b.WriteString(f.name + ", ")
+	}
+	return b.String() + "trace or all"
+}
+
 func main() {
 	var (
-		fig     = flag.String("fig", "all", "figure to reproduce: 2, 3, 4, 5, ext or all")
+		fig     = flag.String("fig", "all", "figure to reproduce: "+figureNames())
 		benches = flag.String("bench", "", "comma-separated benchmarks (default all: list,rbtree,skiplist,vacation)")
 		threads = flag.String("threads", "", "comma-separated thread counts (default 1,2,4,8,16,32)")
 		dur     = flag.Duration("dur", 300*time.Millisecond, "duration of each timed run")
@@ -223,42 +253,25 @@ func main() {
 		return
 	}
 
-	drivers := map[string]func(harness.Options) ([]harness.Table, error){
-		"2":         harness.Fig2,
-		"3":         harness.Fig3,
-		"4":         harness.Fig4,
-		"5":         harness.Fig5,
-		"ext":       harness.Extended,
-		"chaos":     harness.ChaosSweep,
-		"telemetry": harness.TelemetryFig,
-		"durable":   harness.DurabilityFig,
-		"btree":     harness.BTreeFig,
-	}
-	order := []string{"2", "3", "4", "5", "ext"}
-
-	run := func(name string) {
-		driver, ok := drivers[name]
-		if !ok {
-			fatalf("unknown figure %q (want 2, 3, 4, 5, ext, chaos, telemetry, durable, btree or all)", name)
+	ran := false
+	for i, f := range figures {
+		if f.name != *fig && !(*fig == "all" && i < figuresInAll) {
+			continue
 		}
-		tables, err := driver(opts)
+		ran = true
+		tables, err := f.driver(opts)
 		if err != nil {
-			fatalf("fig %s: %v", name, err)
+			fatalf("fig %s: %v", f.name, err)
 		}
-		for i := range tables {
-			if err := tables[i].Render(os.Stdout); err != nil {
+		for t := range tables {
+			if err := tables[t].Render(os.Stdout); err != nil {
 				fatalf("render: %v", err)
 			}
 		}
 	}
-
-	if *fig == "all" {
-		for _, name := range order {
-			run(name)
-		}
-		return
+	if !ran {
+		fatalf("unknown figure %q (want %s)", *fig, figureNames())
 	}
-	run(*fig)
 }
 
 // traceRun executes one short flight-recorded run (first benchmark, last

@@ -24,3 +24,24 @@ func TestValidateBackend(t *testing.T) {
 		t.Errorf("unknown-backend error does not name the input: %v", err)
 	}
 }
+
+// TestFigureNamesCoverTheDriverTable: the -fig help text and the
+// unknown-figure error are one string, derived from the driver table, so it
+// names every table driver plus the two values main handles itself.
+func TestFigureNamesCoverTheDriverTable(t *testing.T) {
+	got := strings.Split(strings.Replace(figureNames(), " or ", ", ", 1), ", ")
+	want := []string{"2", "3", "4", "5", "ext", "chaos", "telemetry", "durable", "btree", "trace", "all"}
+	if strings.Join(got, " ") != strings.Join(want, " ") {
+		t.Errorf("figureNames() lists %q, want %q", got, want)
+	}
+	seen := map[string]bool{"trace": true, "all": true}
+	for _, f := range figures {
+		if f.driver == nil || seen[f.name] {
+			t.Errorf("figure %q: nil driver or duplicate name", f.name)
+		}
+		seen[f.name] = true
+	}
+	if figures[figuresInAll-1].name != "ext" {
+		t.Errorf("-fig all ends at %q, want the paper's figures and ext", figures[figuresInAll-1].name)
+	}
+}

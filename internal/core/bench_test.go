@@ -20,33 +20,34 @@ func BenchmarkFrameClockCurrent(b *testing.B) {
 	}
 }
 
-// BenchmarkFrameClockCommit measures the dynamic-mode commit bookkeeping,
-// paired register/commit at the clock's live horizon — the shape a real
-// window schedule produces (the pre-ISSUE-4 version registered b.N
-// distinct frames up front, a horizon no windowed schedule can reach).
+// BenchmarkFrameClockCommit measures the dynamic-mode commit bookkeeping:
+// one thread opening a four-frame segment at the clock's live horizon and
+// retiring it front to back, the shape a real window schedule produces.
+// One op is one retired frame.
 func BenchmarkFrameClockCommit(b *testing.B) {
-	c := newFrameClock(true, time.Hour, 50)
+	c := newFrameClock(true, time.Hour, 1)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		f := c.Current() + int64(i&3)
-		c.register(f)
-		c.commitAt(f)
+		if i&3 == 0 {
+			c.open(0, c.Current(), 4)
+		}
+		c.retire(0)
 	}
 }
 
-// BenchmarkFrameClockCommitParallel hammers one dynamic clock's
-// register/commit bookkeeping from 16 goroutines — the contention shape
-// every committing thread of a -Dynamic manager puts on the clock. Each
-// worker refreshes its frame base from Current() every 8 ops, mirroring
+// BenchmarkFrameClockCommitParallel hammers one dynamic clock's open/retire
+// bookkeeping from 16 goroutines — the contention shape every committing
+// thread of a -Dynamic manager puts on the clock. Each worker opens an
+// eight-frame segment at Current() and retires it front to back, mirroring
 // how the manager reads the clock once per segment rather than between
-// every register/commit pair; that keeps the cell measuring the shared
-// bookkeeping instead of the fixed-cost monotonic clock read (~36ns on
-// the reference machine, identical for any bookkeeping design). The
-// lock-free ring's 2× target is measured here.
+// every commit; that keeps the cell measuring the shared bookkeeping
+// instead of the fixed-cost monotonic clock read (~36ns on the reference
+// machine, identical for any bookkeeping design). One op is one retired
+// frame.
 func BenchmarkFrameClockCommitParallel(b *testing.B) {
 	const workers = 16
-	c := newFrameClock(true, time.Hour, 50)
+	c := newFrameClock(true, time.Hour, workers)
 	b.ReportAllocs()
 	b.ResetTimer()
 	var wg sync.WaitGroup
@@ -56,18 +57,15 @@ func BenchmarkFrameClockCommitParallel(b *testing.B) {
 			quota++
 		}
 		wg.Add(1)
-		go func(quota int) {
+		go func(w, quota int) {
 			defer wg.Done()
-			base := c.Current()
 			for i := 0; i < quota; i++ {
 				if i&7 == 0 {
-					base = c.Current()
+					c.open(w, c.Current(), 8)
 				}
-				f := base + int64(i&3)
-				c.register(f)
-				c.commitAt(f)
+				c.retire(w)
 			}
-		}(quota)
+		}(w, quota)
 	}
 	wg.Wait()
 }

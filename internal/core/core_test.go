@@ -198,23 +198,22 @@ func TestFrameClockMinDuration(t *testing.T) {
 }
 
 func TestFrameClockDynamicContraction(t *testing.T) {
-	c := newFrameClock(true, time.Hour, 50) // time can never advance it
-	c.register(0)
-	c.register(1)
-	c.register(3) // frame 2 intentionally empty
+	c := newFrameClock(true, time.Hour, 2) // time can never advance it
+	c.open(0, 0, 2)
+	c.open(1, 3, 1) // frame 2 intentionally empty
 	if f := c.Current(); f != 0 {
 		t.Fatalf("frame = %d, want 0", f)
 	}
-	c.commitAt(0)
+	c.retire(0)
 	if f := c.Current(); f != 1 {
 		t.Fatalf("after draining frame 0: %d, want 1", f)
 	}
-	c.commitAt(1)
+	c.retire(0)
 	// Contraction must skip the empty frame 2 straight to 3.
 	if f := c.Current(); f != 3 {
 		t.Fatalf("after draining frame 1: %d, want 3 (skip empty)", f)
 	}
-	c.commitAt(3)
+	c.retire(1)
 	// Nothing registered ahead: the clock idles at the last frame + 1 step.
 	if f := c.Current(); f > 4 {
 		t.Fatalf("clock ran ahead to %d", f)
@@ -222,8 +221,8 @@ func TestFrameClockDynamicContraction(t *testing.T) {
 }
 
 func TestFrameClockDynamicExpansionCap(t *testing.T) {
-	c := newFrameClock(true, time.Millisecond, 50)
-	c.register(0)
+	c := newFrameClock(true, time.Millisecond, 1)
+	c.open(0, 0, 1)
 	// Never commit: the frame must still end after expandFactor durations.
 	deadline := time.Now().Add(200 * time.Millisecond)
 	for c.Current() == 0 {
@@ -235,20 +234,20 @@ func TestFrameClockDynamicExpansionCap(t *testing.T) {
 }
 
 func TestFrameClockUnregister(t *testing.T) {
-	c := newFrameClock(true, time.Hour, 50)
-	c.register(0)
-	c.register(0)
-	c.unregister(0)
+	c := newFrameClock(true, time.Hour, 3)
+	c.open(0, 0, 1)
+	c.open(1, 0, 1)
+	c.drop(0)
 	if f := c.Current(); f != 0 {
 		t.Fatalf("frame = %d, want 0 (one registration left)", f)
 	}
-	c.unregister(0)
+	c.drop(1)
 	if f := c.Current(); f != 1 {
 		// Draining the current frame steps once; maxReg stops the skip.
 		t.Fatalf("frame = %d, want 1", f)
 	}
-	c.register(5)
-	c.commitAt(5) // not the current frame: bookkeeping only
+	c.open(2, 5, 1)
+	c.retire(2) // not the current frame: bookkeeping only
 	if f := c.Current(); f != 1 {
 		t.Fatalf("frame = %d, want 1", f)
 	}

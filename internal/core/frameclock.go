@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -16,57 +15,37 @@ const expandFactor = 2
 // before the first commit provides a τ̂ sample.
 const minFrameDur = time.Microsecond
 
-// Ring slot layout: one atomic word per slot packs the frame the slot
-// currently counts for (the tag) and its not-yet-committed registration
-// count. A slot whose count is zero is free and can be re-tagged by any
-// frame that hashes to it; a slot whose count is non-zero belongs to its
-// tagged frame until that frame drains, and other frames hashing there
-// take the overflow slow path instead.
+// Range word layout: one atomic word per thread packs the first frame of
+// the thread's not-yet-retired registrations and how many consecutive
+// frames follow it, so a reader never sees a range that mixes two segments.
 const (
-	slotCountBits = 24
-	slotCountMask = 1<<slotCountBits - 1
-	slotTagMax    = 1<<(64-slotCountBits) - 1
+	rangeCountBits = 24
+	rangeCountMax  = 1<<rangeCountBits - 1
+	rangeFrameMax  = 1<<(64-rangeCountBits) - 1
 )
 
-func packSlot(frame, count int64) uint64 {
-	return uint64(frame)<<slotCountBits | uint64(count)
+func packRange(first, n int64) uint64 {
+	return uint64(first)<<rangeCountBits | uint64(n)
 }
 
-func unpackSlot(w uint64) (frame, count int64) {
-	return int64(w >> slotCountBits), int64(w & slotCountMask)
+func unpackRange(w uint64) (first, n int64) {
+	return int64(w >> rangeCountBits), int64(w & rangeCountMax)
 }
 
-// clockSlot is one cache-line-padded pending counter of the ring, so two
-// adjacent frames hammered by different committers never share a line.
-type clockSlot struct {
+// rangeCell is one thread's cache-line-padded range word. Only the owning
+// thread stores it; advancers and gauges load it from any goroutine.
+type rangeCell struct {
 	w atomic.Uint64
 	_ [56]byte
 }
 
-// ringSlots sizes the pending ring from the window length N. A thread's
-// segment occupies frames [base, base+q+N) with q < α ≤ N, so the live
-// horizon ahead of the current frame is at most 2N; behind it, frames stay
-// pending only while a straggling transaction has missed its frame. 4N
-// plus fixed slack covers both with room to spare, and anything that still
-// collides lands in the guarded overflow path rather than corrupting a
-// counter.
-func ringSlots(n int) int {
-	want := 4*n + 64
-	size := 64
-	for size < want {
-		size *= 2
-	}
-	return size
-}
-
 // frameClockStats counts the clock's slow and contended events. They are
-// written on the advance/overflow paths only — never on the per-call fast
-// path — and surface as wincm_frameclock_*_total telemetry gauges.
+// written on the advance path only — never on the per-call fast path — and
+// surface as wincm_frameclock_*_total telemetry gauges.
 type frameClockStats struct {
-	casRetries    atomic.Int64 // failed CASes on the state word or a ring slot
-	ringOverflows atomic.Int64 // registrations diverted to the overflow map
-	contractions  atomic.Int64 // drain-driven frame advances (dynamic mode)
-	expansions    atomic.Int64 // time-driven frame advances (dynamic mode)
+	casRetries   atomic.Int64 // failed CASes on the state word
+	contractions atomic.Int64 // drain-driven frame advances (dynamic mode)
+	expansions   atomic.Int64 // time-driven frame advances (dynamic mode)
 }
 
 // frameClock is the shared frame counter of a window manager.
@@ -74,26 +53,26 @@ type frameClockStats struct {
 // Static mode: the current frame advances purely with time, every frame
 // duration (Θ(ln MN) transaction-lengths, auto-calibrated).
 //
-// Dynamic mode: threads register the frames of their scheduled transactions
-// (pending counts). The current frame advances as soon as its pending count
-// drops to zero — contraction — skipping over registered-empty frames, and
-// is forced forward after expandFactor durations — bounded expansion.
+// Dynamic mode: each thread publishes the consecutive frames its scheduled
+// transactions still occupy. The current frame advances as soon as no range
+// covers it — contraction — skipping over frames nobody occupies, and is
+// forced forward after expandFactor durations — bounded expansion.
 //
 // The clock is lock-free. The current frame and an "advancing" bit share
 // one packed state word (cur<<1 | busy): readers take one atomic load, and
 // an advance is a CAS that sets the bit, a short private computation, and
 // a single store that publishes the new frame and releases the bit at
 // once. At most one caller ever performs an advance; every other caller
-// reads the freshly published frame instead of queuing. Pending counts
-// live in a power-of-two ring of cache-line-padded atomic counters indexed
-// by frame & (ringSize-1), each slot tagged with the frame it counts for;
-// a registration whose slot is held by another still-pending frame takes a
-// guarded mutex+map overflow path, counted in telemetry, so aliasing can
-// never corrupt a count. Frame starts (started, ns) ride outside the
-// packed word — 64-bit timestamps do not fit next to the frame index —
-// which is safe because started is written only while the busy bit is
-// held and read only for deadline checks, where a stale value at worst
-// sends a caller into an advance attempt that loses its CAS and returns.
+// reads the freshly published frame instead of queuing. The schedule is
+// stored once, as one single-writer range word per thread: opening a
+// segment and retiring a frame are one store each, and how many
+// transactions a frame still waits for is an O(M) scan of those words,
+// paid only by the advancer, by a thread whose retired frame is the current
+// one, and by gauges. Frame starts (started, ns) ride outside the packed
+// word — 64-bit timestamps do not fit next to the frame index — which is
+// safe because started is written only while the busy bit is held and read
+// only for deadline checks, where a stale value at worst sends a caller
+// into an advance attempt that loses its CAS and returns.
 type frameClock struct {
 	dynamic bool
 	epoch   time.Time
@@ -109,36 +88,23 @@ type frameClock struct {
 	dur     atomic.Int64  // frame duration, ns
 	state   atomic.Uint64 // packed: current frame <<1 | advancing bit
 	started atomic.Int64  // ns when the current frame started (advancer-owned)
-	advReq  atomic.Uint32 // parked drain-advance request (helping flag)
+	advReq  atomic.Int64  // parked drain request: drained frame + 1, 0 for none
 
-	maxReg       atomic.Int64 // highest frame with a registration ever
-	totalPending atomic.Int64 // not-yet-committed registrations, all frames
-	ring         []clockSlot
-	ringMask     uint64
-
-	// Overflow slow path: frames whose ring slot is occupied by another
-	// pending frame are counted here. ofPending is the gate that keeps the
-	// fast paths from ever touching ofMu while the map is empty.
-	ofMu      sync.Mutex
-	ofMap     map[int64]int64
-	ofPending atomic.Int64
+	maxReg atomic.Int64 // highest frame with a registration ever
+	ranges []rangeCell  // per-thread registered frames (dynamic mode)
 
 	stats frameClockStats
 }
 
-// newFrameClock builds a clock. n is the manager's window length N, which
-// bounds the schedule horizon and hence sizes the pending ring; static
-// clocks track no registrations and allocate no ring.
-func newFrameClock(dynamic bool, dur time.Duration, n int) *frameClock {
+// newFrameClock builds a clock for m threads; static clocks track no
+// registrations and allocate no range words.
+func newFrameClock(dynamic bool, dur time.Duration, m int) *frameClock {
 	c := &frameClock{
 		dynamic: dynamic,
 		epoch:   time.Now(),
 	}
 	if dynamic {
-		size := ringSlots(n)
-		c.ring = make([]clockSlot, size)
-		c.ringMask = uint64(size - 1)
-		c.ofMap = make(map[int64]int64)
+		c.ranges = make([]rangeCell, m)
 	}
 	c.setDur(dur)
 	return c
@@ -179,25 +145,42 @@ func (c *frameClock) cur() int64 { return int64(c.state.Load() >> 1) }
 // frame immediately.
 func (c *frameClock) Current() int64 {
 	if c.now() >= c.started.Load()+c.effDur() {
-		c.advance(false)
+		c.advance()
 	}
 	return c.cur()
 }
 
-// advance moves the clock forward; it is the only mutator of the state
-// word. drain=false is the time-driven path and is best-effort — if the
-// advancing bit is already held, the holder is doing the work and the
-// caller just reads the result. drain=true is a contraction request (the
-// caller drained the current frame's pending count) and must not be lost:
-// it is parked in advReq before the bit is tried, and whoever holds the
-// bit re-checks advReq after releasing it, so exactly one of the two
-// performs the advance (the Dekker-style store/load pairs below are
-// seq-cst, which rules out both sides missing each other).
-func (c *frameClock) advance(drain bool) {
+// contract asks for the contraction of frame f, which the caller saw with
+// no range left on it. The request must not be lost: it is parked in advReq
+// before the advancing bit is tried, and whoever holds the bit re-checks
+// advReq after releasing it, so one of the two serves it (the Dekker-style
+// store/load pairs are seq-cst, which rules out both sides missing each
+// other). It names its frame because two threads retiring a frame's last
+// two registrations can both see it empty: whichever request is served
+// second finds the clock past f and is ignored. For the same reason a
+// request only ever raises advReq — a late one for a frame already left
+// must not overwrite the request for the frame that followed it.
+func (c *frameClock) contract(f int64) {
+	raise(&c.advReq, f+1)
+	c.advance()
+}
+
+// raise lifts a to at least v.
+func raise(a *atomic.Int64, v int64) {
 	for {
-		if drain {
-			c.advReq.Store(1)
+		old := a.Load()
+		if v <= old || a.CompareAndSwap(old, v) {
+			return
 		}
+	}
+}
+
+// advance moves the clock forward; it is the only mutator of the state
+// word. It is best-effort for the caller — if the advancing bit is already
+// held, the holder is doing the work and the caller just reads the result —
+// but serves every drain request parked before its last look at advReq.
+func (c *frameClock) advance() {
+	for {
 		s := c.state.Load()
 		if s&1 != 0 {
 			return // an advance is in flight; any drain request is parked
@@ -206,19 +189,16 @@ func (c *frameClock) advance(drain bool) {
 			c.stats.casRetries.Add(1)
 			continue
 		}
-		// The Swap must run unconditionally (no short-circuit): it consumes
-		// our own parked request along with any a concurrent drainer left.
-		parked := c.advReq.Swap(0) != 0
-		drained := drain || parked
-		next := c.advanceHeld(int64(s>>1), drained)
+		cur := int64(s >> 1)
+		drained := c.advReq.Swap(0)-1 == cur
+		next := c.advanceHeld(cur, drained)
 		c.state.Store(uint64(next) << 1) // publish + release in one store
-		if h := c.onAdvance; h != nil && next != int64(s>>1) {
+		if h := c.onAdvance; h != nil && next != cur {
 			h(next)
 		}
 		if c.advReq.Load() == 0 {
 			return
 		}
-		drain = false // the parked request is latched; loop to serve it
 	}
 }
 
@@ -263,159 +243,102 @@ func (c *frameClock) advanceHeld(cur int64, drained bool) int64 {
 	return next
 }
 
-// skipEmpty returns the first frame in [from, maxReg] with pending
-// registrations, or maxReg if none (never beyond the last registered
-// frame). The overflow map is consulted under its mutex only while it
-// actually holds registrations.
+// skipEmpty returns the first frame in [from, maxReg] some range covers,
+// or maxReg if none (never beyond the last registered frame).
 func (c *frameClock) skipEmpty(from int64) int64 {
-	max := c.maxReg.Load()
-	cur := from
-	if c.ofPending.Load() > 0 {
-		c.ofMu.Lock()
-		for cur < max && c.ringPending(cur)+c.ofMap[cur] == 0 {
-			cur++
+	to := c.maxReg.Load()
+	if to <= from {
+		return from
+	}
+	for i := range c.ranges {
+		if first, n := unpackRange(c.ranges[i].w.Load()); n > 0 && first < to && first+n > from {
+			to = max(first, from)
 		}
-		c.ofMu.Unlock()
-		return cur
 	}
-	for cur < max && c.ringPending(cur) == 0 {
-		cur++
-	}
-	return cur
+	return to
 }
 
-// ringPending reads frame f's pending count from its ring slot (zero when
-// the slot is tagged for a different frame).
-func (c *frameClock) ringPending(f int64) int64 {
-	tag, cnt := unpackSlot(c.ring[uint64(f)&c.ringMask].w.Load())
-	if tag != f {
-		return 0
-	}
-	return cnt
-}
-
-// pendingAt reads frame f's total pending count: ring slot plus, only
-// while any exist, overflow registrations.
+// pendingAt counts the ranges that cover frame f.
 func (c *frameClock) pendingAt(f int64) int64 {
-	n := c.ringPending(f)
-	if c.ofPending.Load() > 0 {
-		c.ofMu.Lock()
-		n += c.ofMap[f]
-		c.ofMu.Unlock()
+	var p int64
+	for i := range c.ranges {
+		if first, n := unpackRange(c.ranges[i].w.Load()); f >= first && f < first+n {
+			p++
+		}
 	}
-	return n
+	return p
 }
 
-// register adds one scheduled transaction to frame f (dynamic bookkeeping;
-// a no-op in static mode to keep the hot path lock-free). The fast path is
-// one CAS on f's ring slot; a slot held by another pending frame, a count
-// at saturation, or a tag past the packable range diverts to the overflow
-// map.
-func (c *frameClock) register(f int64) {
+// open publishes [first, first+n) as thread i's range, one store; the
+// caller has dropped what the previous segment left (dynamic bookkeeping; a
+// no-op in static mode). A range the packed word cannot hold is left
+// unpublished: that thread's frames then end by time alone, which bounded
+// expansion guarantees anyway.
+func (c *frameClock) open(i int, first, n int64) {
+	if !c.dynamic || first < 0 || n > rangeCountMax || first+n > rangeFrameMax {
+		return
+	}
+	// Range before skip bound: an advancer between the two idles at the old
+	// bound; the other order would let it skip past frames about to appear.
+	c.ranges[i].w.Store(packRange(first, n))
+	raise(&c.maxReg, first+n-1)
+}
+
+// retire removes the first frame of thread i's range — its transaction
+// committed — and requests the contraction itself if that emptied the
+// current frame. The store comes before the scan, both seq-cst, so of two
+// threads retiring a frame's last two registrations at once at least one
+// sees it empty.
+func (c *frameClock) retire(i int) {
 	if !c.dynamic {
 		return
 	}
-	if f >= 0 && f <= slotTagMax {
-		slot := &c.ring[uint64(f)&c.ringMask]
-		for {
-			w := slot.w.Load()
-			tag, cnt := unpackSlot(w)
-			if (tag != f && cnt != 0) || cnt >= slotCountMask {
-				break // slot busy with a live foreign frame: overflow
-			}
-			if slot.w.CompareAndSwap(w, packSlot(f, cnt+1)) {
-				c.registered(f)
-				return
-			}
-			c.stats.casRetries.Add(1)
-		}
+	cell := &c.ranges[i].w
+	f, n := unpackRange(cell.Load())
+	if n == 0 {
+		return
 	}
-	c.stats.ringOverflows.Add(1)
-	c.ofMu.Lock()
-	c.ofMap[f]++
-	c.ofMu.Unlock()
-	c.ofPending.Add(1)
-	c.registered(f)
-}
-
-// registered folds one new registration of frame f into the aggregate
-// counters occupancy() reads and the skip bound.
-func (c *frameClock) registered(f int64) {
-	c.totalPending.Add(1)
-	for {
-		m := c.maxReg.Load()
-		if f <= m || c.maxReg.CompareAndSwap(m, f) {
-			return
-		}
+	cell.Store(packRange(f+1, n-1))
+	if f == c.cur() && c.pendingAt(f) == 0 {
+		c.contract(f)
 	}
 }
 
-// unregister removes a scheduled transaction from frame f without running
-// it (adaptive re-randomization moves schedules around). It may trigger a
-// contraction if f is the current frame.
-func (c *frameClock) unregister(f int64) { c.dec(f) }
-
-// commitAt records that a transaction assigned to frame f committed,
-// contracting the current frame if that was the last one.
-func (c *frameClock) commitAt(f int64) { c.dec(f) }
-
-// dec removes one pending registration of frame f — ring slot first, then
-// the overflow map (registrations of one frame can be split between the
-// two; draining ring-first keeps the split balanced). The committer whose
-// decrement empties the current frame requests the contraction advance
-// itself.
-func (c *frameClock) dec(f int64) {
+// drop empties thread i's range without running its transactions (adaptive
+// re-randomization moves schedules around; a clean segment leaves). The
+// current frame may be one of those emptied, and so may the frame the clock
+// then contracts to — with nothing pending ahead it idles at maxReg — so the
+// clock is stepped once per frame the drop emptied under it, as retiring
+// them one by one would.
+func (c *frameClock) drop(i int) {
 	if !c.dynamic {
 		return
 	}
-	slot := &c.ring[uint64(f)&c.ringMask]
-	for {
-		w := slot.w.Load()
-		tag, cnt := unpackSlot(w)
-		if tag != f || cnt == 0 {
-			c.decOverflow(f)
-			return
-		}
-		if slot.w.CompareAndSwap(w, packSlot(f, cnt-1)) {
-			c.totalPending.Add(-1)
-			if cnt == 1 && f == c.cur() {
-				c.advance(true)
-			}
-			return
-		}
-		c.stats.casRetries.Add(1)
+	cell := &c.ranges[i].w
+	first, n := unpackRange(cell.Load())
+	if n == 0 {
+		return
 	}
-}
-
-// decOverflow is dec's slow path for a frame counted in the overflow map.
-func (c *frameClock) decOverflow(f int64) {
-	drained := false
-	c.ofMu.Lock()
-	if n := c.ofMap[f]; n > 0 {
-		if n == 1 {
-			delete(c.ofMap, f)
-			drained = true
-		} else {
-			c.ofMap[f] = n - 1
+	cell.Store(packRange(first+n, 0))
+	for f := c.cur(); f >= first && f < first+n && c.pendingAt(f) == 0; {
+		c.contract(f)
+		g := c.cur()
+		if g == f {
+			return // an advance in flight holds the request, or f was taken again
 		}
-		c.ofPending.Add(-1)
-		c.totalPending.Add(-1)
-	}
-	c.ofMu.Unlock()
-	if drained && f == c.cur() {
-		c.advance(true)
+		f = g
 	}
 }
 
 // occupancy reports the dynamic clock's live scheduling state: how many
 // not-yet-committed transactions are registered in the current frame and
 // across all frames. Static clocks track no registrations and report
-// zeros. Two atomic loads on the common path (three while the overflow map
-// is in use); safe from any goroutine — telemetry gauges sample it mid-run
-// without stalling committers.
+// zeros. Two passes over the range words; safe from any goroutine —
+// telemetry gauges sample it mid-run without stalling committers.
 func (c *frameClock) occupancy() (curPending, totalPending int64) {
-	if !c.dynamic {
-		return 0, 0
+	for i := range c.ranges {
+		_, n := unpackRange(c.ranges[i].w.Load())
+		totalPending += n
 	}
-	return c.pendingAt(c.cur()), c.totalPending.Load()
+	return c.pendingAt(c.cur()), totalPending
 }

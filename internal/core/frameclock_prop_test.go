@@ -24,7 +24,8 @@ func (c *frameClock) jump(n int64) {
 
 // refFrameClock is the pre-ISSUE-4 mutex-era clock, kept verbatim (minus
 // the mutex — the property test drives it single-threaded) as the
-// executable specification the lock-free ring clock must agree with.
+// executable specification the lock-free clock must agree with. It counts
+// registrations frame by frame; the clock under test stores ranges.
 type refFrameClock struct {
 	dynamic bool
 	nowFn   func() int64
@@ -117,26 +118,27 @@ func (c *refFrameClock) occupancy() (curPending, totalPending int64) {
 	return curPending, totalPending
 }
 
-// TestFrameClockMatchesReferenceModel drives the ring clock and the
+// TestFrameClockMatchesReferenceModel drives the range clock and the
 // mutex-era reference model in lockstep over randomized schedules on a
-// deterministic fake clock: register/commit/unregister/time-jump/
-// recalibrate sequences must leave both with the same current frame and
-// occupancy after every step. Frames span several ring lengths, so the
-// overflow fallback is part of the checked behaviour, and commits retire
-// both in-order prefixes (the manager's pattern) and random outstanding
-// registrations (adaptive restarts).
+// deterministic fake clock: four threads open, retire and drop ranges
+// (the reference registers and decrements the same frames one by one)
+// between time jumps and recalibrations, and both must show the same current
+// frame and occupancy after every step. Ranges overlap, fall behind the
+// clock, and are dropped across the current frame, including the drop that
+// leaves nothing pending and the clock idling one past maxReg.
 func TestFrameClockMatchesReferenceModel(t *testing.T) {
-	for seed := uint64(1); seed <= 20; seed++ {
+	const threads = 4
+	droppedUnderClock, idledPastMaxReg := 0, 0
+	for seed := uint64(1); seed <= 40; seed++ {
 		r := rng.New(seed)
 		var fake int64
 		now := func() int64 { return fake }
 
-		c := newFrameClock(true, 100*time.Microsecond, 4)
+		c := newFrameClock(true, 100*time.Microsecond, threads)
 		c.nowFn = now
 		ref := newRefFrameClock(true, 100*time.Microsecond, now)
 
-		span := int64(len(c.ring)) * 2 // collide: exercise the overflow path
-		var outstanding []int64
+		var first, n [threads]int64 // the model of each thread's range
 		check := func(step int, op string) {
 			t.Helper()
 			if g, w := c.cur(), ref.cur; g != w {
@@ -149,6 +151,19 @@ func TestFrameClockMatchesReferenceModel(t *testing.T) {
 					seed, step, op, gc, gt, wc, wt)
 			}
 		}
+		drop := func(i int) {
+			if n[i] > 0 && first[i] <= ref.cur && ref.cur < first[i]+n[i] {
+				droppedUnderClock++
+			}
+			c.drop(i)
+			for f := first[i]; f < first[i]+n[i]; f++ {
+				ref.dec(f)
+			}
+			n[i] = 0
+			if _, total := ref.occupancy(); total == 0 && ref.cur == ref.maxReg+1 {
+				idledPastMaxReg++
+			}
+		}
 
 		for step := 0; step < 3000; step++ {
 			// Keep both models' time catch-up aligned before mutating: the
@@ -158,29 +173,25 @@ func TestFrameClockMatchesReferenceModel(t *testing.T) {
 			if a, b := c.Current(), ref.Current(); a != b {
 				t.Fatalf("seed %d step %d: Current() = %d, reference = %d", seed, step, a, b)
 			}
+			i := r.Intn(threads)
 			switch op := r.Intn(10); {
-			case op < 4: // register a frame near or far from cur
-				f := ref.cur + int64(r.Intn(int(span)))
-				c.register(f)
-				ref.register(f)
-				outstanding = append(outstanding, f)
-				check(step, "register")
-			case op < 7 && len(outstanding) > 0: // commit an outstanding registration
-				i := r.Intn(len(outstanding))
-				f := outstanding[i]
-				outstanding[i] = outstanding[len(outstanding)-1]
-				outstanding = outstanding[:len(outstanding)-1]
-				c.commitAt(f)
-				ref.dec(f)
-				check(step, "commit")
-			case op < 8 && len(outstanding) > 0: // unregister (adaptive restart)
-				i := r.Intn(len(outstanding))
-				f := outstanding[i]
-				outstanding[i] = outstanding[len(outstanding)-1]
-				outstanding = outstanding[:len(outstanding)-1]
-				c.unregister(f)
-				ref.dec(f)
-				check(step, "unregister")
+			case op < 3: // a new segment at or ahead of the current frame
+				drop(i)
+				check(step, "drop before open")
+				first[i], n[i] = ref.cur+int64(r.Intn(12)), int64(1+r.Intn(8))
+				c.open(i, first[i], n[i])
+				for f := first[i]; f < first[i]+n[i]; f++ {
+					ref.register(f)
+				}
+				check(step, "open")
+			case op < 7 && n[i] > 0: // commit: the range's first frame retires
+				c.retire(i)
+				ref.dec(first[i])
+				first[i], n[i] = first[i]+1, n[i]-1
+				check(step, "retire")
+			case op < 8: // leave, or abandon the segment
+				drop(i)
+				check(step, "drop")
 			case op < 9: // time passes (possibly several frames' worth)
 				fake += int64(r.Intn(500)) * int64(time.Microsecond)
 				check(step, "time")
@@ -190,67 +201,84 @@ func TestFrameClockMatchesReferenceModel(t *testing.T) {
 				ref.setDur(d)
 				check(step, "setDur")
 			}
+			if gf, gn := unpackRange(c.ranges[i].w.Load()); gn != n[i] || (gn > 0 && gf != first[i]) {
+				t.Fatalf("seed %d step %d: thread %d holds [%d,+%d), model [%d,+%d)", seed, step, i, gf, gn, first[i], n[i])
+			}
 		}
-		if c.stats.ringOverflows.Load() == 0 {
-			t.Errorf("seed %d: schedule never exercised the ring-overflow fallback", seed)
-		}
+	}
+	if droppedUnderClock == 0 || idledPastMaxReg == 0 {
+		t.Errorf("schedules dropped %d ranges across the current frame and idled past maxReg %d times; want both exercised",
+			droppedUnderClock, idledPastMaxReg)
 	}
 }
 
-// TestFrameClockRingOverflow pins the fallback behaviour down
-// deterministically: two pending frames one ring length apart share a
-// slot; the second must divert to the overflow map (counted in stats),
-// occupancy must see both, and draining must still contract past them.
-func TestFrameClockRingOverflow(t *testing.T) {
-	c := newFrameClock(true, time.Hour, 4)
-	ringLen := int64(len(c.ring))
+// TestFrameClockDropStepsPerEmptiedFrame pins the drop rule down
+// deterministically: dropping the only range, which covers the current
+// frame, walks the clock off its end (one past maxReg) as retiring its
+// frames one by one would, and past another thread's frames no further
+// than the first one still pending.
+func TestFrameClockDropStepsPerEmptiedFrame(t *testing.T) {
+	c := newFrameClock(true, time.Hour, 2)
+	c.open(0, 0, 5)
+	c.drop(0)
+	if got := c.cur(); got != 5 {
+		t.Fatalf("after dropping [0,5) alone: cur = %d, want 5", got)
+	}
+	c.open(0, 5, 5)
+	c.open(1, 7, 1)
+	c.drop(0)
+	if got := c.cur(); got != 7 {
+		t.Fatalf("after dropping [5,10) under a range on 7: cur = %d, want 7", got)
+	}
+	if cur, total := c.occupancy(); cur != 1 || total != 1 {
+		t.Fatalf("occupancy = (%d,%d), want (1,1)", cur, total)
+	}
+}
 
-	c.register(0)
-	c.register(ringLen) // same slot, frame 0 still pending → overflow
-	if got := c.stats.ringOverflows.Load(); got != 1 {
-		t.Fatalf("ring overflows = %d, want 1", got)
-	}
-	if got := c.ofPending.Load(); got != 1 {
-		t.Fatalf("overflow pending = %d, want 1", got)
-	}
+// TestFrameClockUnpackableRange: a segment whose frames or length do not
+// fit the range word registers nothing — occupancy stays exact for
+// everyone else, retiring it is a no-op, and its frames end by time.
+func TestFrameClockUnpackableRange(t *testing.T) {
+	var fake int64
+	c := newFrameClock(true, time.Millisecond, 2)
+	c.nowFn = func() int64 { return fake }
+	c.jump(rangeFrameMax - 3)
+	base := c.cur()
+
+	c.open(0, base, 5)            // runs past the last packable frame
+	c.open(0, 0, rangeCountMax+1) // too long
+	c.open(1, base, 2)            // fits
 	if cur, total := c.occupancy(); cur != 1 || total != 2 {
-		t.Fatalf("occupancy = (%d,%d), want (1,2)", cur, total)
+		t.Fatalf("occupancy = (%d,%d), want (1,2): only the packable range counts", cur, total)
 	}
-	if got := c.pendingAt(ringLen); got != 1 {
-		t.Fatalf("pendingAt(overflowed frame) = %d, want 1", got)
+	c.retire(0)
+	c.drop(0)
+	if got := c.ranges[0].w.Load(); got != 0 {
+		t.Fatalf("unpackable segment wrote its range word (%#x)", got)
 	}
-
-	// Draining frame 0 contracts; the overflowed far frame bounds the skip.
-	c.commitAt(0)
-	if got := c.Current(); got != ringLen {
-		t.Fatalf("after draining frame 0: cur = %d, want %d (skip to overflowed frame)", got, ringLen)
+	c.retire(1) // the current frame's only registration: contraction
+	if got := c.Current(); got != base+1 {
+		t.Fatalf("cur = %d, want %d", got, base+1)
 	}
-	c.commitAt(ringLen)
-	if _, total := c.occupancy(); total != 0 {
-		t.Fatalf("pending = %d after draining everything", total)
+	c.retire(1)
+	if cur, total := c.occupancy(); cur != 0 || total != 0 {
+		t.Fatalf("occupancy = (%d,%d) after retiring everything", cur, total)
 	}
-	if got := c.ofPending.Load(); got != 0 {
-		t.Fatalf("overflow pending = %d after drain", got)
+	fake += 10 * int64(time.Millisecond)
+	if got := c.Current(); got <= base+2 {
+		t.Fatalf("cur = %d: time no longer advances the clock", got)
 	}
-
-	// A freed slot is recycled: the far frame can now take the ring path.
-	c.register(ringLen + 1)
-	if got := c.stats.ringOverflows.Load(); got != 1 {
-		t.Fatalf("freed slot not recycled: overflows = %d, want still 1", got)
-	}
-	c.commitAt(ringLen + 1)
 }
 
-// TestFrameClockHotPathAllocationFree: register, commitAt (including the
+// TestFrameClockHotPathAllocationFree: open, retire (including the
 // contraction advance it triggers) and Current must not allocate.
 func TestFrameClockHotPathAllocationFree(t *testing.T) {
 	c := newFrameClock(true, time.Hour, 50)
 	if n := testing.AllocsPerRun(1000, func() {
-		f := c.Current()
-		c.register(f)
-		c.commitAt(f) // drains the current frame → contraction advance
+		c.open(0, c.Current(), 1)
+		c.retire(0) // drains the current frame → contraction advance
 	}); n != 0 {
-		t.Errorf("register/commitAt/Current cycle allocates %v times per op", n)
+		t.Errorf("open/retire/Current cycle allocates %v times per op", n)
 	}
 	s := newFrameClock(false, time.Microsecond, 50)
 	if n := testing.AllocsPerRun(1000, func() {

@@ -1,17 +1,19 @@
 package core
 
 import (
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
 
 // TestFrameClockConcurrentAccess hammers one dynamic clock from many
-// goroutines mixing registration, commits and reads; the clock must never
-// go backwards and must end with empty pending state.
+// goroutines mixing opens, retires and reads; the clock must never go
+// backwards and must end with empty pending state.
 func TestFrameClockConcurrentAccess(t *testing.T) {
-	c := newFrameClock(true, 200*time.Microsecond, 8)
 	const workers, perWorker = 8, 300
+	c := newFrameClock(true, 200*time.Microsecond, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -25,28 +27,25 @@ func TestFrameClockConcurrentAccess(t *testing.T) {
 					return
 				}
 				last = f
-				target := f + int64(i%3)
-				c.register(target)
-				c.commitAt(target)
+				c.open(w, f+int64(i%3), 1)
+				c.retire(w)
 			}
 		}(w)
 	}
 	wg.Wait()
 	if _, total := c.occupancy(); total != 0 {
-		t.Errorf("pending = %d after balanced register/commit", total)
+		t.Errorf("pending = %d after balanced open/retire", total)
 	}
 }
 
 // TestFrameClockContractionExpansionRace is the ISSUE 4 stress cell: 32
-// goroutines drive contraction (register+drain at the current frame),
-// expansion (a tiny frame duration forces time-driven advances), overflow
-// registrations (far frames that collide in the ring), and unregistration
-// concurrently. Run under -race. The clock must stay monotonic, drain to
-// zero pending, and keep the overflow bookkeeping balanced.
+// goroutines drive contraction (open+drain at the current frame), expansion
+// (a tiny frame duration forces time-driven advances), multi-frame segments
+// retired in order, and drops (adaptive re-randomization) concurrently. Run
+// under -race. The clock must stay monotonic and drain to zero pending.
 func TestFrameClockContractionExpansionRace(t *testing.T) {
-	c := newFrameClock(true, 50*time.Microsecond, 4) // small ring: collisions likely
 	const workers, perWorker = 32, 200
-	span := int64(len(c.ring)) // one ring length: same slot, different frame
+	c := newFrameClock(true, 50*time.Microsecond, workers)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
@@ -62,33 +61,63 @@ func TestFrameClockContractionExpansionRace(t *testing.T) {
 				last = f
 				switch i % 4 {
 				case 0: // drain the current frame: contraction
-					c.register(f)
-					c.commitAt(f)
+					c.open(w, f, 1)
+					c.retire(w)
 				case 1: // near-future frame
-					c.register(f + int64(w%5))
-					c.commitAt(f + int64(w%5))
-				case 2: // two live frames one ring length apart share a
-					// slot: the second register must take the overflow path
-					c.register(f)
-					c.register(f + span)
-					c.commitAt(f + span)
-					c.commitAt(f)
-				default: // adaptive re-randomization: register then move away
-					c.register(f + 1)
-					c.unregister(f + 1)
+					c.open(w, f+int64(w%5), 1)
+					c.retire(w)
+				case 2: // a segment retired front to back
+					c.open(w, f, 3)
+					c.retire(w)
+					c.retire(w)
+					c.retire(w)
+				default: // adaptive re-randomization: open, then move away
+					c.open(w, f, 4)
+					c.retire(w)
+					c.drop(w)
 				}
 			}
 		}(w)
 	}
 	wg.Wait()
 	if _, total := c.occupancy(); total != 0 {
-		t.Errorf("pending = %d after balanced register/retire", total)
+		t.Errorf("pending = %d after balanced open/retire", total)
 	}
-	if of := c.ofPending.Load(); of != 0 {
-		t.Errorf("overflow pending = %d after drain", of)
-	}
-	if c.stats.ringOverflows.Load() == 0 {
-		t.Error("far registrations never exercised the overflow path")
+}
+
+// TestFrameClockConcurrentLastRetirers: two threads hold the current
+// frame's last two registrations and retire them at the same instant. Each
+// stores its range and then scans, so at least one sees the frame empty —
+// and both may. A drain request names its frame, so whichever is served
+// second finds the clock past it: every drained frame is contracted exactly
+// once, although the frame contracted to is empty as well (nothing else is
+// registered, and time is frozen).
+func TestFrameClockConcurrentLastRetirers(t *testing.T) {
+	const rounds = 2000
+	c := newFrameClock(true, time.Hour, 2)
+	var arrived atomic.Int64
+	var wg sync.WaitGroup
+	for f := int64(0); f < rounds; f++ {
+		c.open(0, f, 1)
+		c.open(1, f, 1)
+		arrived.Store(0)
+		for w := 0; w < 2; w++ {
+			wg.Add(1)
+			go func(w int) {
+				defer wg.Done()
+				for arrived.Add(1); arrived.Load() < 2; {
+					runtime.Gosched()
+				}
+				c.retire(w)
+			}(w)
+		}
+		wg.Wait()
+		if got := c.cur(); got != f+1 {
+			t.Fatalf("round %d: cur = %d, want %d", f, got, f+1)
+		}
+		if got := c.stats.contractions.Load(); got != f+1 {
+			t.Fatalf("round %d: %d contractions counted, want %d", f, got, f+1)
+		}
 	}
 }
 
@@ -103,8 +132,8 @@ func TestFrameClockMonotonicUnderContraction(t *testing.T) {
 			t.Fatalf("regressed: %d after %d", f, last)
 		}
 		last = f
-		c.register(f)
-		c.commitAt(f) // drain current frame → contraction
+		c.open(0, f, 1)
+		c.retire(0) // drain current frame → contraction
 	}
 }
 

@@ -31,9 +31,8 @@ func TestFrameHookFiresOnAdvance(t *testing.T) {
 		}
 	}
 	for i := 0; i < 50; i++ {
-		f := c.Current()
-		c.register(f)
-		c.commitAt(f) // drained frame: the next Current advances
+		c.open(0, c.Current(), 1)
+		c.retire(0) // drained frame: the next Current advances
 		time.Sleep(200 * time.Microsecond)
 	}
 	last := c.Current()
@@ -50,7 +49,8 @@ func TestFrameHookFiresOnAdvance(t *testing.T) {
 // the publish. The WAL's Advance tolerates both, so here we just assert
 // race-cleanliness and that no hook call reports a never-published frame.
 func TestFrameHookConcurrentAdvances(t *testing.T) {
-	c := newFrameClock(true, 50*time.Microsecond, 4)
+	const workers = 8
+	c := newFrameClock(true, 50*time.Microsecond, workers)
 	var calls atomic.Int64
 	c.onAdvance = func(frame int64) {
 		calls.Add(1)
@@ -58,18 +58,16 @@ func TestFrameHookConcurrentAdvances(t *testing.T) {
 			t.Errorf("hook called with frame %d", frame)
 		}
 	}
-	const workers = 8
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 200; i++ {
-				f := c.Current()
-				c.register(f)
-				c.commitAt(f)
+				c.open(w, c.Current(), 1)
+				c.retire(w)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 	if calls.Load() == 0 {
@@ -83,7 +81,7 @@ func TestFrameHookConcurrentAdvances(t *testing.T) {
 func TestAddFrameHookComposes(t *testing.T) {
 	m := NewManager(Config{M: 2, N: 10})
 	var order []string
-	m.SetFrameHook(func(int64) { order = append(order, "wal") })
+	m.AddFrameHook(func(int64) { order = append(order, "wal") })
 	m.AddFrameHook(func(int64) { order = append(order, "trace") })
 	m.clock.onAdvance(1)
 	if len(order) != 2 || order[0] != "wal" || order[1] != "trace" {
@@ -92,7 +90,9 @@ func TestAddFrameHookComposes(t *testing.T) {
 }
 
 // TestAddFrameHookOnEmptySlot: with nothing installed, AddFrameHook
-// behaves exactly like SetFrameHook (no nil-call wrapper).
+// installs fn itself (no nil-call wrapper), and the hook is wired through
+// the public Manager surface the harness uses: the manager's own clock
+// fires it on a time-driven advance.
 func TestAddFrameHookOnEmptySlot(t *testing.T) {
 	m := NewManager(Config{M: 2, N: 10})
 	var frames []int64
@@ -100,6 +100,18 @@ func TestAddFrameHookOnEmptySlot(t *testing.T) {
 	m.clock.onAdvance(7)
 	if len(frames) != 1 || frames[0] != 7 {
 		t.Fatalf("frames = %v, want [7]", frames)
+	}
+
+	m = NewManager(Config{M: 1, N: 4, Dynamic: true})
+	var fired atomic.Int64
+	m.AddFrameHook(func(int64) { fired.Add(1) })
+	deadline := time.Now().Add(5 * time.Second)
+	for fired.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("manager frame hook never fired")
+		}
+		m.CurrentFrame() // time-driven advances happen on reads
+		time.Sleep(100 * time.Microsecond)
 	}
 }
 
@@ -114,21 +126,5 @@ func TestAddFrameHookChains(t *testing.T) {
 	m.clock.onAdvance(1)
 	if len(order) != 3 || order[0] != "a" || order[1] != "b" || order[2] != "c" {
 		t.Fatalf("hook order = %v, want [a b c]", order)
-	}
-}
-
-// TestManagerSetFrameHook wires the hook through the public Manager
-// surface the harness uses.
-func TestManagerSetFrameHook(t *testing.T) {
-	m := NewManager(Config{M: 1, N: 4, Dynamic: true})
-	var fired atomic.Int64
-	m.SetFrameHook(func(int64) { fired.Add(1) })
-	deadline := time.Now().Add(5 * time.Second)
-	for fired.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("manager frame hook never fired")
-		}
-		m.CurrentFrame() // time-driven advances happen on reads
-		time.Sleep(100 * time.Microsecond)
 	}
 }

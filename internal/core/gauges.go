@@ -47,8 +47,8 @@ var _ telemetry.GaugeSource = (*Manager)(nil)
 // window machinery the paper's analysis reasons about — the frame clock,
 // frame occupancy (dynamic mode), the calibrated frame/τ̂ durations, the
 // per-thread contention estimates and the window size α they induce, bad
-// events, and priority collisions. All values are read from atomics or
-// under the frame clock's own mutex, so scraping mid-run is race-free.
+// events, and priority collisions. All values are read from atomics, so
+// scraping mid-run is race-free.
 func (m *Manager) TelemetryGauges() []telemetry.Gauge {
 	return []telemetry.Gauge{
 		telemetry.NewGauge("wincm_window_frame", "current frame index of the window manager's clock",
@@ -84,10 +84,8 @@ func (m *Manager) TelemetryGauges() []telemetry.Gauge {
 			func() float64 { return float64(m.fallbacks.Load()) }),
 		telemetry.NewGauge("wincm_window_priority_collisions", "conflicts whose priority vectors tied (ID tie-break decided)",
 			func() float64 { return float64(m.collisions.Load()) }),
-		telemetry.NewGauge("wincm_frameclock_cas_retries_total", "frame-clock CAS retries (state word and ring slots)",
+		telemetry.NewGauge("wincm_frameclock_cas_retries_total", "frame-clock CAS retries on the state word",
 			func() float64 { return float64(m.clock.stats.casRetries.Load()) }),
-		telemetry.NewGauge("wincm_frameclock_ring_overflows_total", "frame registrations diverted to the clock's overflow map",
-			func() float64 { return float64(m.clock.stats.ringOverflows.Load()) }),
 		telemetry.NewGauge("wincm_frameclock_contractions_total", "drain-driven frame advances (dynamic contraction)",
 			func() float64 { return float64(m.clock.stats.contractions.Load()) }),
 		telemetry.NewGauge("wincm_frameclock_expansions_total", "time-driven frame advances (dynamic expansion)",

@@ -37,6 +37,7 @@ func auxP2(aux uint64) uint64   { return aux & (1<<p2Bits - 1) }
 // own first Resolve or Aborted (enter) and leaves again when a segment ends
 // without either (leave). See DESIGN.md §2.
 type threadState struct {
+	id  int // index of the thread's range word in the frame clock
 	rng *rng.Rand
 	est estimator
 
@@ -56,14 +57,6 @@ type threadState struct {
 	assigned  int64 // absolute assigned frame of the current transaction
 	badEvents int   // diagnostics: bad events seen by this thread
 
-	// The segment's clock registrations are the consecutive frames
-	// [regNext, regEnd): openSegment registers [base+q, base+q+n) and
-	// commits retire frames in order (the j-th transaction is assigned
-	// base+q+j), so the not-yet-retired remainder is always a suffix of
-	// the range. Two ints replace the per-thread frame slice (and its
-	// linear dropRegistered scan) the mutex-era clock needed.
-	regNext, regEnd int64
-
 	// cPub mirrors est.value() as float bits so telemetry gauges can read
 	// the contention estimate from any goroutine; only the owner thread
 	// stores it (publishC), at every point the estimate can change.
@@ -74,7 +67,7 @@ type threadState struct {
 
 	// The states are allocated one by one; the pad rounds the struct up to
 	// whole cache lines so two threads' hot fields never share one.
-	_ [48]byte
+	_ [56]byte
 }
 
 // cell names one of a thread's single-writer counters.
@@ -133,7 +126,7 @@ func NewManager(cfg Config) *Manager {
 	}
 	m := &Manager{
 		cfg:   cfg,
-		clock: newFrameClock(cfg.Dynamic, tauGuess, cfg.N), // recalibrated below
+		clock: newFrameClock(cfg.Dynamic, tauGuess, cfg.M), // recalibrated below
 	}
 	switch {
 	case cfg.LoserPatience > 0:
@@ -147,6 +140,7 @@ func NewManager(cfg Config) *Manager {
 	m.threads = make([]*threadState, cfg.M)
 	for i := range m.threads {
 		m.threads[i] = &threadState{
+			id:  i,
 			rng: master.Split(),
 			est: newEstimator(cfg.Estimator, float64(cfg.InitialC)),
 			tau: int64(tauGuess),
@@ -172,22 +166,16 @@ func (m *Manager) Occupancy() (curPending, totalPending int64) {
 	return m.clock.occupancy()
 }
 
-// SetFrameHook installs fn to be called with the new frame index after
-// every frame-clock advance. The durability layer (wincm/internal/wal)
-// uses it as the group-commit barrier: commits buffered during a frame are
-// sealed into one batch when the frame ends. Install before the runtime
-// executes transactions (plain field, no synchronization). fn runs on
-// whichever thread performed the advance, outside all clock state — it
-// must be fast and non-blocking, and may be called concurrently and out
-// of frame order when two advances race.
-func (m *Manager) SetFrameHook(fn func(frame int64)) { m.clock.onAdvance = fn }
-
-// AddFrameHook installs fn like SetFrameHook, composing with (running
-// after) any hook already installed instead of replacing it. It is how
-// independent frame consumers — the WAL's group-commit barrier and the
-// flight recorder's frame events — share the single hook slot. Same
-// contract as SetFrameHook: install before the runtime executes
-// transactions; every hook must be fast and non-blocking.
+// AddFrameHook installs fn to be called with the new frame index after
+// every frame-clock advance, after any hook already installed. The
+// durability layer (wincm/internal/wal) uses it as the group-commit
+// barrier — commits buffered during a frame are sealed into one batch when
+// the frame ends — and shares the single hook slot with the flight
+// recorder's frame events. Install before the runtime executes transactions
+// (plain field, no synchronization). fn runs on whichever thread performed
+// the advance, outside all clock state — it must be fast and non-blocking,
+// and may be called concurrently and out of frame order when two advances
+// race.
 func (m *Manager) AddFrameHook(fn func(frame int64)) {
 	if prev := m.clock.onAdvance; prev != nil {
 		m.clock.onAdvance = func(frame int64) {
@@ -274,7 +262,7 @@ func (m *Manager) enter(st *threadState, d *stm.Desc) {
 // of its own, dropping whatever the segment still has registered and
 // seeding the local τ̂ from the shared one.
 func (m *Manager) leave(st *threadState) {
-	m.dropRegistrations(st)
+	m.clock.drop(st.id)
 	st.tau, st.tauN = m.tauNs.Load(), 0
 	st.inWindow.Store(false)
 	st.bump(cellCleanExits)
@@ -299,9 +287,10 @@ func (m *Manager) blendTau(sample int64, w float64) {
 
 // openSegment starts a fresh window segment of n transactions at seq:
 // draws the random delay from the current estimate and registers the
-// schedule with the frame clock.
+// schedule — the consecutive frames [base+q, base+q+n), which commits
+// retire in order — with the frame clock.
 func (m *Manager) openSegment(st *threadState, seq, n int) {
-	m.dropRegistrations(st) // leftovers of an abandoned segment
+	m.clock.drop(st.id) // leftovers of an abandoned segment
 	st.startSeq = seq
 	st.remaining = n
 	st.baseFrame = m.clock.Current()
@@ -310,19 +299,7 @@ func (m *Manager) openSegment(st *threadState, seq, n int) {
 	} else {
 		st.q = int64(st.rng.Intn(int(alpha(st.est.value(), m.cfg.M, m.cfg.N))))
 	}
-	st.regNext = st.baseFrame + st.q
-	st.regEnd = st.regNext + int64(n)
-	for f := st.regNext; f < st.regEnd; f++ {
-		m.clock.register(f)
-	}
-}
-
-// dropRegistrations unregisters the not-yet-retired frames of st's segment.
-func (m *Manager) dropRegistrations(st *threadState) {
-	for f := st.regNext; f < st.regEnd; f++ {
-		m.clock.unregister(f)
-	}
-	st.regNext = st.regEnd
+	m.clock.open(st.id, st.baseFrame+st.q, int64(n))
 }
 
 // drawP2 draws a RandomizedRounds priority uniformly from [1, M].
@@ -379,10 +356,7 @@ func (m *Manager) Committed(tx *stm.Tx) {
 
 	cur := m.clock.Current()
 	bad := cur > st.assigned
-	m.clock.commitAt(st.assigned)
-	if st.assigned >= st.regNext && st.assigned < st.regEnd {
-		st.regNext = st.assigned + 1
-	}
+	m.clock.retire(st.id)
 
 	if tx.HoldsFallback() {
 		// A serialized-fallback commit still retires its frame (above) so

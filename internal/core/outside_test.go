@@ -97,17 +97,19 @@ func TestConflictFreeCommitsTouchNothingShared(t *testing.T) {
 		t.Errorf("BadEvents() = %d, want 0", got)
 	}
 	c := m.clock
-	if r, o := c.stats.casRetries.Load(), c.stats.ringOverflows.Load(); r != 0 || o != 0 {
-		t.Errorf("clock casRetries = %d, ringOverflows = %d, want 0, 0", r, o)
+	if r := c.stats.casRetries.Load(); r != 0 {
+		t.Errorf("clock casRetries = %d, want 0", r)
 	}
-	// No registration ever: the skip bound never moved and every ring slot
-	// still holds its zero word. No clock read either: nothing advanced it.
+	// No registration ever: the skip bound never moved and every thread's
+	// range word still holds its zero value (a range opened and since
+	// retired or dropped leaves its end frame behind). No clock read either:
+	// nothing advanced it.
 	if got := c.maxReg.Load(); got != 0 {
 		t.Errorf("a frame was registered (maxReg = %d)", got)
 	}
-	for i := range c.ring {
-		if w := c.ring[i].w.Load(); w != 0 {
-			t.Fatalf("ring slot %d was written (%#x)", i, w)
+	for i := range c.ranges {
+		if w := c.ranges[i].w.Load(); w != 0 {
+			t.Fatalf("thread %d's range word was written (%#x)", i, w)
 		}
 	}
 	if got := c.cur(); got != 0 {
@@ -174,7 +176,7 @@ func TestFirstResolveEntersBeforeComparing(t *testing.T) {
 	if auxFrame(aux) != sa.assigned || sa.assigned != sa.baseFrame+sa.q || sa.baseFrame < 5 {
 		t.Errorf("frame %d, assigned %d, base %d, q %d", auxFrame(aux), sa.assigned, sa.baseFrame, sa.q)
 	}
-	if got := m.clock.ringPending(sa.assigned); got != 1 {
+	if got := m.clock.pendingAt(sa.assigned); got != 1 {
 		t.Errorf("assigned frame holds %d registrations, want 1", got)
 	}
 	if _, total := m.Occupancy(); total != int64(cfg.N) {

@@ -64,25 +64,20 @@ func TestOpenSegmentReRegisters(t *testing.T) {
 	m := NewManager(cfg)
 	st := m.threads[0]
 	m.openSegment(st, 0, 5)
-	if got := st.regEnd - st.regNext; got != 5 {
-		t.Fatalf("registered %d frames, want 5", got)
+	if _, total := m.clock.occupancy(); total != 5 {
+		t.Fatalf("registered %d frames, want 5", total)
 	}
-	first := [2]int64{st.regNext, st.regEnd}
 	m.openSegment(st, 2, 3) // adaptive restart with 3 remaining
-	if got := st.regEnd - st.regNext; got != 3 {
-		t.Fatalf("after restart: registered %d frames, want 3", got)
-	}
 	// The clock must hold exactly the new frames: draining them advances
 	// past everything (no stale pending from the first registration).
 	if _, total := m.clock.occupancy(); total != 3 {
-		t.Fatalf("clock holds %d pending registrations, want 3 (first=%v now=[%d,%d))",
-			total, first, st.regNext, st.regEnd)
+		t.Fatalf("after restart: clock holds %d pending registrations, want 3", total)
 	}
 }
 
 // TestCommittedAdvancesRegRange: commits retire the registration range as
-// a prefix — regNext tracks the next unretired frame, so an adaptive
-// restart unregisters exactly the not-yet-committed suffix.
+// a prefix — the range word's first frame is the next unretired one, so an
+// adaptive restart drops exactly the not-yet-committed suffix.
 func TestCommittedAdvancesRegRange(t *testing.T) {
 	cfg := DefaultConfig(OnlineDynamic, 1)
 	cfg.N = 4
@@ -90,15 +85,11 @@ func TestCommittedAdvancesRegRange(t *testing.T) {
 	m := NewManager(cfg)
 	st := m.threads[0]
 	m.openSegment(st, 0, 4)
-	base := st.regNext
+	base := st.baseFrame
 	for j := int64(0); j < 4; j++ {
-		st.assigned = base + j
-		m.clock.commitAt(st.assigned)
-		if st.assigned >= st.regNext && st.assigned < st.regEnd {
-			st.regNext = st.assigned + 1
-		}
-		if st.regNext != base+j+1 {
-			t.Fatalf("after commit %d: regNext = %d, want %d", j, st.regNext, base+j+1)
+		m.clock.retire(st.id)
+		if next, n := unpackRange(m.clock.ranges[st.id].w.Load()); next != base+j+1 || n != 3-j {
+			t.Fatalf("after commit %d: range = [%d,+%d), want [%d,+%d)", j, next, n, base+j+1, 3-j)
 		}
 	}
 	if _, total := m.clock.occupancy(); total != 0 {
@@ -217,11 +208,11 @@ func TestBadEventTriggersRestart(t *testing.T) {
 	if got := m.EstimateC(0); got != 2 {
 		t.Fatalf("estimate = %v, want 2 (doubled)", got)
 	}
-	// The restart re-registered the remaining 5 transactions.
+	// The restart rescheduled the remaining 5 transactions.
 	if got := m.threads[0].remaining; got != 5 {
 		t.Fatalf("remaining = %d, want 5", got)
 	}
-	if st := m.threads[0]; st.regEnd-st.regNext != 5 {
-		t.Fatalf("restart registered [%d,%d), want 5 frames", st.regNext, st.regEnd)
+	if st := m.threads[0]; st.startSeq != 1 || st.baseFrame < 10 {
+		t.Fatalf("restart opened at seq %d, base frame %d; want seq 1 at the jumped clock", st.startSeq, st.baseFrame)
 	}
 }

@@ -267,12 +267,13 @@ func (o Options) cell(benchmark, manager string, threads int, f func(Result) flo
 	return stats.Summarize(vals), nil
 }
 
-// sweep builds one throughput-style table per benchmark: rows = managers,
-// columns = thread counts, cells = mean of f over Reps runs.
-func (o Options) sweep(title, unit string, managers []string, f func(Result) float64) ([]Table, error) {
+// sweep builds one table per benchmark, titled by title with the benchmark's
+// name filled in: rows = managers, columns = thread counts, cells = mean of
+// f over Reps runs, printed with verb.
+func (o Options) sweep(title, verb string, managers []string, f func(Result) float64) ([]Table, error) {
 	var tables []Table
 	for _, b := range o.Benchmarks {
-		t := Table{Title: fmt.Sprintf("%s — %s (%s)", title, b, unit)}
+		t := Table{Title: fmt.Sprintf(title, b)}
 		t.Columns = append(t.Columns, "manager")
 		for _, m := range o.Threads {
 			t.Columns = append(t.Columns, fmt.Sprintf("M=%d", m))
@@ -284,7 +285,7 @@ func (o Options) sweep(title, unit string, managers []string, f func(Result) flo
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, fmt.Sprintf("%.0f", s.Mean))
+				row = append(row, fmt.Sprintf(verb, s.Mean))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -297,7 +298,7 @@ func (o Options) sweep(title, unit string, managers []string, f func(Result) flo
 // on each benchmark across the thread sweep.
 func Fig2(o Options) ([]Table, error) {
 	o = o.withDefaults()
-	return o.sweep("Fig 2: window-variant throughput", "commits/s",
+	return o.sweep("Fig 2: window-variant throughput — %s (commits/s)", "%.0f",
 		WindowVariantNames(), func(r Result) float64 { return r.Throughput() })
 }
 
@@ -305,34 +306,15 @@ func Fig2(o Options) ([]Table, error) {
 // Priority (throughput).
 func Fig3(o Options) ([]Table, error) {
 	o = o.withDefaults()
-	return o.sweep("Fig 3: window vs classic managers, throughput", "commits/s",
+	return o.sweep("Fig 3: window vs classic managers, throughput — %s (commits/s)", "%.0f",
 		ComparisonManagerNames(), func(r Result) float64 { return r.Throughput() })
 }
 
 // Fig4 reproduces Figure 4: aborts per commit for the Fig. 3 manager set.
 func Fig4(o Options) ([]Table, error) {
 	o = o.withDefaults()
-	var tables []Table
-	for _, b := range o.Benchmarks {
-		t := Table{Title: fmt.Sprintf("Fig 4: aborts per commit — %s", b)}
-		t.Columns = append(t.Columns, "manager")
-		for _, m := range o.Threads {
-			t.Columns = append(t.Columns, fmt.Sprintf("M=%d", m))
-		}
-		for _, mgr := range ComparisonManagerNames() {
-			row := []string{mgr}
-			for _, m := range o.Threads {
-				s, err := o.cell(b, mgr, m, func(r Result) float64 { return r.AbortsPerCommit() })
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.3f", s.Mean))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
+	return o.sweep("Fig 4: aborts per commit — %s", "%.3f",
+		ComparisonManagerNames(), func(r Result) float64 { return r.AbortsPerCommit() })
 }
 
 // fig5Levels maps the paper's contention levels to update percentages.

@@ -216,7 +216,7 @@ func WalCrash(o WalCrashOptions) (WalCrashReport, error) {
 		// outright; the harness's standard interleave yield keeps it live.
 		rt.SetYieldEvery(cfg.interleave())
 		if wm, ok := mgr.(*core.Manager); ok {
-			wm.SetFrameHook(log.Advance)
+			wm.AddFrameHook(log.Advance)
 		}
 
 		snapshotMidRound := mode != crashMidSnapshot && r.Bool(o.SnapshotProb)

@@ -299,17 +299,60 @@ func Read[T any](tx *Tx, v *TVar[T]) T {
 	}
 }
 
-// Write opens v for writing inside tx and installs val as the tentative
-// value. Acquisition is eager and lock-free: ownership is taken with one
-// CAS on the variable's locator word (any terminated previous owner is
-// folded into the same CAS), then all visible readers are resolved before
-// the open returns — so every write-write and write-read conflict is
-// arbitrated by the contention manager before user code proceeds.
+// Write opens v for writing inside tx (see acquire) and installs val as the
+// tentative value.
 func Write[T any](tx *Tx, v *TVar[T], val T) {
 	if tx.rt.lazy != nil {
 		writeLazy(tx, v, val)
 		return
 	}
+	loc, _ := acquire(tx, v)
+	loc.newVal = val
+}
+
+// Modify reads v and writes f(current) back as a single open-for-write:
+// one ownership acquisition instead of a Read (reader registration, reader
+// resolution) followed by a Write (acquisition, second probe dispatch).
+// f runs once per call, but the attempt around it may be retried, so it
+// must be pure. The function value is passed through ModifyArg as its
+// argument, which keeps the call allocation-free: both func values are
+// static, so neither closes over anything.
+func Modify[T any](tx *Tx, v *TVar[T], f func(T) T) {
+	ModifyArg(tx, v, f, applyFn[T])
+}
+
+// applyFn adapts Modify's unary function to ModifyArg's shape.
+func applyFn[T any](cur T, f func(T) T) T { return f(cur) }
+
+// ModifyArg is Modify with an explicit argument threaded through to f, so
+// callers can use a static top-level function instead of a closure — a
+// closure capturing loop state allocates on every call; a static func
+// value never does. The read is subsumed by the acquisition: the CAS that
+// installs ownership settles the value f consumes as the variable's current
+// one, and ownership from that point blocks every conflicting writer, so the
+// read-compute-write is atomic without touching the reader table. Like
+// Modify's, f runs once per call and must be pure.
+func ModifyArg[T, A any](tx *Tx, v *TVar[T], arg A, f func(T, A) T) {
+	if tx.rt.lazy != nil {
+		// The read must be logged: commit acquisition does not validate
+		// the value f consumed, only the read-set check does, so a
+		// buffered read-modify-write is Read + Write, not a blind write.
+		writeLazy(tx, v, f(readLazy(tx, v), arg))
+		return
+	}
+	loc, cur := acquire(tx, v)
+	loc.newVal = f(*cur, arg)
+}
+
+// acquire opens v for writing inside tx and returns the locator tx owns it
+// through, with cur pointing at the value tx sees in v. Acquisition is eager
+// and lock-free: ownership is taken with one CAS on the variable's locator
+// word (any terminated previous owner is folded into the same CAS), then all
+// visible readers are resolved before the open returns — so every write-write
+// and write-read conflict is arbitrated by the contention manager before user
+// code proceeds. The caller sets newVal after the publish CAS, as the locator
+// comment allows; the attempt's epoch pin keeps the locator from recycling.
+func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 	tx.maybeYield()
 	if p := tx.rt.openProbe; p != nil {
 		tx.openVar = v.token()
@@ -322,11 +365,8 @@ func Write[T any](tx *Tx, v *TVar[T], val T) {
 		loc := v.load()
 		if w := loc.owner; w != nil {
 			if w == tx {
-				// Re-write of an owned variable: in-place, no allocation.
-				// Only the owner mutates newVal and only while Active;
-				// enemies read it strictly after observing Committed.
-				loc.newVal = val
-				return
+				// Re-open of an owned variable: in-place, no allocation.
+				return loc, &loc.newVal
 			}
 			word, ok := ownerView(loc)
 			if !ok {
@@ -348,10 +388,9 @@ func Write[T any](tx *Tx, v *TVar[T], val T) {
 		if next == nil {
 			next = new(locator[T])
 		}
-		// Recycled locators arrive poisoned: every field is (re)assigned
-		// here, on both branches, before the publish CAS.
+		// Recycled locators arrive poisoned: every field but newVal (the
+		// caller's) is (re)assigned here, on both branches, before the CAS.
 		next.owner, next.serial = tx, tx.serial()
-		next.newVal = val
 		if loc.owner == nil {
 			next.oldVal, next.version = loc.oldVal, loc.version
 			next.prev = loc
@@ -393,106 +432,7 @@ func Write[T any](tx *Tx, v *TVar[T], val T) {
 			p.OnAcquire(tx)
 		}
 		tx.rt.cm.Opened(tx)
-		return
-	}
-}
-
-// Modify reads v and writes f(current) back as a single open-for-write:
-// one ownership acquisition instead of a Read (reader registration, reader
-// resolution) followed by a Write (acquisition, second probe dispatch).
-// f may run more than once — once per acquisition retry — so it must be
-// pure. The function value is passed through ModifyArg as its argument,
-// which keeps the call allocation-free: both func values are static, so
-// neither closes over anything.
-func Modify[T any](tx *Tx, v *TVar[T], f func(T) T) {
-	ModifyArg(tx, v, f, applyFn[T])
-}
-
-// applyFn adapts Modify's unary function to ModifyArg's shape.
-func applyFn[T any](cur T, f func(T) T) T { return f(cur) }
-
-// ModifyArg is Modify with an explicit argument threaded through to f, so
-// callers can use a static top-level function instead of a closure — a
-// closure capturing loop state allocates on every call; a static func
-// value never does. The read is subsumed by the acquisition: the CAS that
-// installs ownership validates that the settled value f consumed is still
-// the variable's current value, and ownership from that point blocks every
-// conflicting writer, so the read-compute-write is atomic without touching
-// the reader table. f may run once per acquisition retry; it must be pure.
-func ModifyArg[T, A any](tx *Tx, v *TVar[T], arg A, f func(T, A) T) {
-	if tx.rt.lazy != nil {
-		// The read must be logged: commit acquisition does not validate
-		// the value f consumed, only the read-set check does, so a
-		// buffered read-modify-write is Read + Write, not a blind write.
-		writeLazy(tx, v, f(readLazy(tx, v), arg))
-		return
-	}
-	tx.maybeYield()
-	if p := tx.rt.openProbe; p != nil {
-		tx.openVar = v.token()
-		p.OnOpen(tx)
-	}
-	pool := poolOf[T](tx, v)
-	attempt := 0
-	for {
-		tx.checkAlive()
-		loc := v.load()
-		if w := loc.owner; w != nil {
-			if w == tx {
-				// Already owned: pure in-place update, like Write.
-				loc.newVal = f(loc.newVal, arg)
-				return
-			}
-			word, ok := ownerView(loc)
-			if !ok {
-				tx.casRetries++
-				continue
-			}
-			if StatusOf(word) == Active {
-				tx.resolve(w, word, WriteWrite, &attempt)
-				continue
-			}
-		}
-		v.readers.resolveWriters(tx, &attempt)
-		next := pool.get(tx)
-		if next == nil {
-			next = new(locator[T])
-		}
-		next.owner, next.serial = tx, tx.serial()
-		if loc.owner == nil {
-			next.oldVal, next.version = loc.oldVal, loc.version
-			next.prev = loc
-		} else {
-			word, ok := ownerView(loc)
-			if !ok {
-				pool.put(next)
-				tx.casRetries++
-				continue
-			}
-			next.oldVal, next.version = settledView(loc, StatusOf(word))
-			next.prev = nil
-		}
-		next.newVal = f(next.oldVal, arg)
-		if !v.loc.CompareAndSwap(loc, next) {
-			pool.put(next)
-			tx.casRetries++
-			continue
-		}
-		if loc.owner != nil {
-			// Same fold-retire rule as Write.
-			pool.retireFolded(tx, loc)
-		}
-		tx.writes = append(tx.writes, v)
-		tx.acquires++
-		v.readers.resolveWriters(tx, &attempt)
-		if tx.Status() != Active {
-			panic(retrySignal{})
-		}
-		if p := tx.rt.openProbe; p != nil {
-			p.OnAcquire(tx)
-		}
-		tx.rt.cm.Opened(tx)
-		return
+		return next, &next.oldVal
 	}
 }
 

@@ -2,7 +2,7 @@
 // write-ahead log whose unit of persistence is the paper's frame. The
 // window framework quantizes execution into frames; every transaction that
 // commits within a frame is buffered into one batch, and the batch is
-// sealed when the frame-clock advances (core.Manager.SetFrameHook) and
+// sealed when the frame-clock advances (core.Manager.AddFrameHook) and
 // flushed with a single fsync — group commit with the frame as the natural
 // barrier, so the fsync rate is bound to the frame rate, not the commit
 // rate.
@@ -148,7 +148,7 @@ type batch struct {
 
 // Log is the write-ahead log. One Log serves one runtime; install it with
 // stm.WithCommitHook(log) and, for window managers,
-// core.Manager.SetFrameHook(log.Advance).
+// core.Manager.AddFrameHook(log.Advance).
 type Log struct {
 	opt Options
 	fs  FS
@@ -283,7 +283,7 @@ func (l *Log) PostCommit(_ *stm.Tx, token any, committed bool) error {
 }
 
 // Advance is the group-commit barrier: the frame clock calls it (via
-// core.Manager.SetFrameHook) when a frame ends, sealing the open batch.
+// core.Manager.AddFrameHook) when a frame ends, sealing the open batch.
 // The frame index is informational — batches carry their own contiguous
 // sequence, so racing or out-of-order advances at worst seal an empty
 // batch, which is a no-op.
