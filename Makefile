@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench figures chaos theory walcrash trace-smoke kv-smoke telemetry-smoke loc ci
+.PHONY: all build vet test race bench figures figures-smoke chaos theory walcrash trace-smoke kv-smoke telemetry-smoke loc ci
 
 all: build vet test
 
@@ -17,9 +17,14 @@ race:
 	go test -race -short ./...
 
 # What the GitHub workflow's test job runs (.github/workflows/ci.yml).
-ci: build vet race
+ci: build vet race figures-smoke
 	go -C benchmark test -race -short ./...
 	go test -count=20 ./internal/telemetry/ ./internal/stm/
+
+# The -fig all grid path end to end, outside unit tests: one benchmark, two
+# thread counts, 50 ms cells (16 timed cells + Fig. 5's fixed-work ones).
+figures-smoke:
+	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 -fig5-threads 4 > /dev/null
 
 # Every Benchmark* cell, for reading while you work. Bounded iterations so
 # the full matrix stays minutes, not hours. Nothing gates on these numbers:
@@ -28,9 +33,18 @@ ci: build vet race
 bench:
 	go test -bench=. -benchmem -benchtime=300x ./...
 
-# Reproduce the paper's figures (CI-scale; add -paper for the full regime).
+# Regenerate every output EXPERIMENTS.md quotes into the git-ignored
+# $(RESULTS)/: Figures 2-5 and the extended metrics off one grid (each
+# distinct cell run once), the kmeans extension, and the theory bounds.
+# CI-scale by default; `make figures FIGFLAGS=-paper` is the full regime.
+RESULTS ?= results
+FIGFLAGS ?=
 figures:
-	go run ./cmd/winbench -fig all
+	mkdir -p $(RESULTS)
+	go run ./cmd/winbench -fig all $(FIGFLAGS) > $(RESULTS)/figures.txt
+	go run ./cmd/winbench -fig 3 -bench kmeans -threads 1,8,32 $(FIGFLAGS) > $(RESULTS)/kmeans.txt
+	go run ./cmd/wintheory -m 32 -n 16 -reps 5 > $(RESULTS)/theory.txt
+	go run ./cmd/wintheory -ratio -m 32 -n 16 -reps 5 > $(RESULTS)/ratio.txt
 
 # Robustness matrix: every manager under deterministic fault injection.
 chaos:
@@ -89,5 +103,6 @@ theory:
 	go run ./cmd/wintheory
 	go run ./cmd/wintheory -ratio
 
+# The size ROADMAP tracks: non-test Go lines outside benchmark/.
 loc:
-	@find . -name '*.go' | xargs wc -l | tail -1
+	@find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './.bench_build/*' | xargs cat | wc -l

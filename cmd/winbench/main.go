@@ -5,7 +5,7 @@
 //	winbench -fig 4            aborts per commit (Fig. 4)
 //	winbench -fig 5            time to commit 20000 transactions (Fig. 5)
 //	winbench -fig ext          Section-IV extension metrics
-//	winbench -fig all          everything above
+//	winbench -fig all          everything above, each distinct cell run once
 //	winbench -fig trace        ASCII execution timeline of one traced run
 //	winbench -fig chaos        robustness matrix under fault injection
 //	winbench -fig telemetry    interval time series + histogram quantiles
@@ -54,9 +54,8 @@ import (
 	"wincm/internal/txtrace"
 )
 
-// figures is the one table of table-printing -fig values, in help order;
-// the first figuresInAll of them run under -fig all. trace is driven apart
-// (traceRun): it prints a timeline, not tables.
+// figures is the one table of table-printing -fig values, in help order.
+// trace is driven apart (traceRun): it prints a timeline, not tables.
 var figures = []struct {
 	name   string
 	driver func(harness.Options) ([]harness.Table, error)
@@ -66,13 +65,12 @@ var figures = []struct {
 	{"4", harness.Fig4},
 	{"5", harness.Fig5},
 	{"ext", harness.Extended},
+	{"all", harness.All},
 	{"chaos", harness.ChaosSweep},
 	{"telemetry", harness.TelemetryFig},
 	{"durable", harness.DurabilityFig},
 	{"btree", harness.BTreeFig},
 }
-
-const figuresInAll = 5
 
 // figureNames lists every value -fig accepts, for the help text and the
 // unknown-figure error.
@@ -81,7 +79,51 @@ func figureNames() string {
 	for _, f := range figures {
 		b.WriteString(f.name + ", ")
 	}
-	return b.String() + "trace or all"
+	return strings.TrimSuffix(b.String(), ", ") + " or trace"
+}
+
+// modes is what the mode-selecting flags resolved to.
+type modes struct {
+	fig                   string
+	durable, chaos, trace bool
+}
+
+// flagConflict reports the first explicitly set flag (set holds their
+// names) that would silently do nothing in the modes m selects: every flag
+// below configures a mode another flag enables.
+func flagConflict(set map[string]bool, m modes) (err error) {
+	requireMode := func(mode string, on bool, names ...string) {
+		for _, n := range names {
+			if err == nil && set[n] && !on {
+				err = fmt.Errorf("-%s has no effect without %s", n, mode)
+			}
+		}
+	}
+	requireMode("-durable", m.durable, "wal-dir", "wal-sync-every", "snapshot-every")
+	requireMode("-chaos", m.chaos, "chaos-seed", "stall-prob", "max-attempts", "tx-deadline")
+	requireMode("-fig telemetry", m.fig == "telemetry", "telemetry-interval", "telemetry-jsonl", "telemetry-csv", "telemetry-manager")
+	requireMode("-fig btree", m.fig == "btree", "btree-threads")
+	requireMode("-trace (or -fig trace)", m.trace || m.fig == "trace", "trace-sample", "trace-out")
+	requireMode("-fig trace", m.fig == "trace", "trace-manager")
+	// Figure 5 sweeps contention levels at one thread count, -fig5-threads.
+	requireMode("a figure that sweeps M (-fig 5 runs at -fig5-threads)", m.fig != "5", "threads")
+	if err != nil {
+		return err
+	}
+	if m.durable && set["fig"] {
+		return fmt.Errorf("-durable runs a standalone durable workload; it cannot be combined with -fig %s", m.fig)
+	}
+	// -fig btree fixes its own axes: it sweeps both engines, pins the
+	// benchmark pair (rbtree vs btree) and uses -btree-threads for M, so
+	// flags that would silently be overridden fail fast instead.
+	if m.fig == "btree" {
+		for _, n := range []string{"backend", "bench", "threads"} {
+			if set[n] {
+				return fmt.Errorf("-%s has no effect with -fig btree (the btree figure sweeps both engines over the rbtree/btree pair; use -btree-threads for M)", n)
+			}
+		}
+	}
+	return nil
 }
 
 func main() {
@@ -124,45 +166,21 @@ func main() {
 	)
 	flag.Parse()
 
-	// Fail fast on flag combinations that silently do nothing: every flag
-	// below configures a mode another flag enables.
+	// Fail fast on flag combinations that silently do nothing.
 	set := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	requireMode := func(mode string, on bool, names ...string) {
-		for _, n := range names {
-			if set[n] && !on {
-				fatalf("-%s has no effect without %s", n, mode)
-			}
-		}
-	}
 	if err := validateBackend(*backend); err != nil {
 		fatalf("%v", err)
-	}
-	requireMode("-durable", *durable, "wal-dir", "wal-sync-every", "snapshot-every")
-	requireMode("-chaos", *chaosOn, "chaos-seed", "stall-prob", "max-attempts", "tx-deadline")
-	requireMode("-fig telemetry", *fig == "telemetry", "telemetry-interval", "telemetry-jsonl", "telemetry-csv", "telemetry-manager")
-	requireMode("-fig btree", *fig == "btree", "btree-threads")
-	if *durable && set["fig"] {
-		fatalf("-durable runs a standalone durable workload; it cannot be combined with -fig %s", *fig)
-	}
-	// -fig btree fixes its own axes: it sweeps both engines, pins the
-	// benchmark pair (rbtree vs btree) and uses -btree-threads for M, so
-	// flags that would silently be overridden fail fast instead.
-	if *fig == "btree" {
-		for _, n := range []string{"backend", "bench", "threads"} {
-			if set[n] {
-				fatalf("-%s has no effect with -fig btree (the btree figure sweeps both engines over the rbtree/btree pair; use -btree-threads for M)", n)
-			}
-		}
 	}
 	// Bare -trace is shorthand for the trace driver; with an explicit mode
 	// it layers the recorder onto that mode instead.
 	if *traceOn && !set["fig"] && !*durable {
 		*fig = "trace"
 	}
+	if err := flagConflict(set, modes{fig: *fig, durable: *durable, chaos: *chaosOn, trace: *traceOn}); err != nil {
+		fatalf("%v", err)
+	}
 	tracing := *traceOn || *fig == "trace"
-	requireMode("-trace (or -fig trace)", tracing, "trace-sample", "trace-out")
-	requireMode("-fig trace", *fig == "trace", "trace-manager")
 	if *traceSample < 1 {
 		fatalf("-trace-sample must be >= 1 (got %d)", *traceSample)
 	}
@@ -225,24 +243,8 @@ func main() {
 	if *benches != "" {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}
-	if *threads != "" {
-		for _, t := range strings.Split(*threads, ",") {
-			m, err := strconv.Atoi(strings.TrimSpace(t))
-			if err != nil || m < 1 {
-				fatalf("bad -threads entry %q", t)
-			}
-			opts.Threads = append(opts.Threads, m)
-		}
-	}
-	if *btreeThreads != "" {
-		for _, t := range strings.Split(*btreeThreads, ",") {
-			m, err := strconv.Atoi(strings.TrimSpace(t))
-			if err != nil || m < 1 {
-				fatalf("bad -btree-threads entry %q", t)
-			}
-			opts.BTreeThreads = append(opts.BTreeThreads, m)
-		}
-	}
+	opts.Threads = threadList("threads", *threads)
+	opts.BTreeThreads = threadList("btree-threads", *btreeThreads)
 
 	if *durable {
 		durableRun(opts, *walDir, *walSyncEvery, *snapEvery, traceFile)
@@ -253,12 +255,10 @@ func main() {
 		return
 	}
 
-	ran := false
-	for i, f := range figures {
-		if f.name != *fig && !(*fig == "all" && i < figuresInAll) {
+	for _, f := range figures {
+		if f.name != *fig {
 			continue
 		}
-		ran = true
 		tables, err := f.driver(opts)
 		if err != nil {
 			fatalf("fig %s: %v", f.name, err)
@@ -268,10 +268,9 @@ func main() {
 				fatalf("render: %v", err)
 			}
 		}
+		return
 	}
-	if !ran {
-		fatalf("unknown figure %q (want %s)", *fig, figureNames())
-	}
+	fatalf("unknown figure %q (want %s)", *fig, figureNames())
 }
 
 // traceRun executes one short flight-recorded run (first benchmark, last
@@ -335,6 +334,22 @@ func traceRun(opts harness.Options, manager string, out *os.File) {
 		}
 		fmt.Printf("\nchrome trace written to %s (open in ui.perfetto.dev)\n", out.Name())
 	}
+}
+
+// threadList parses a comma-separated thread-count flag; empty means unset.
+func threadList(name, csv string) []int {
+	if csv == "" {
+		return nil
+	}
+	var ms []int
+	for _, t := range strings.Split(csv, ",") {
+		m, err := strconv.Atoi(strings.TrimSpace(t))
+		if err != nil || m < 1 {
+			fatalf("bad -%s entry %q", name, t)
+		}
+		ms = append(ms, m)
+	}
+	return ms
 }
 
 // validateBackend fails the engine selection fast, before any cell runs:

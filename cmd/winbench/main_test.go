@@ -27,21 +27,60 @@ func TestValidateBackend(t *testing.T) {
 
 // TestFigureNamesCoverTheDriverTable: the -fig help text and the
 // unknown-figure error are one string, derived from the driver table, so it
-// names every table driver plus the two values main handles itself.
+// names every table driver plus the one value main handles itself.
 func TestFigureNamesCoverTheDriverTable(t *testing.T) {
 	got := strings.Split(strings.Replace(figureNames(), " or ", ", ", 1), ", ")
-	want := []string{"2", "3", "4", "5", "ext", "chaos", "telemetry", "durable", "btree", "trace", "all"}
+	want := []string{"2", "3", "4", "5", "ext", "all", "chaos", "telemetry", "durable", "btree", "trace"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("figureNames() lists %q, want %q", got, want)
 	}
-	seen := map[string]bool{"trace": true, "all": true}
+	seen := map[string]bool{"trace": true}
 	for _, f := range figures {
 		if f.driver == nil || seen[f.name] {
 			t.Errorf("figure %q: nil driver or duplicate name", f.name)
 		}
 		seen[f.name] = true
 	}
-	if figures[figuresInAll-1].name != "ext" {
-		t.Errorf("-fig all ends at %q, want the paper's figures and ext", figures[figuresInAll-1].name)
+}
+
+// TestFlagConflict: a flag that configures a mode no other flag enabled is
+// rejected before anything runs; a flag the selected figure honours is not.
+func TestFlagConflict(t *testing.T) {
+	flags := func(names ...string) map[string]bool {
+		set := map[string]bool{}
+		for _, n := range names {
+			set[n] = true
+		}
+		return set
+	}
+	for _, c := range []struct {
+		name string
+		set  map[string]bool
+		m    modes
+		want string // substring of the error; "" = accepted
+	}{
+		{"defaults", flags(), modes{fig: "all"}, ""},
+		{"wal flag without -durable", flags("wal-dir"), modes{fig: "all"}, "-wal-dir has no effect without -durable"},
+		{"chaos knob without -chaos", flags("fig", "stall-prob"), modes{fig: "2"}, "-stall-prob has no effect without -chaos"},
+		{"chaos knob with -chaos", flags("fig", "stall-prob"), modes{fig: "2", chaos: true}, ""},
+		{"trace-out with bare -trace", flags("trace-out"), modes{fig: "trace", trace: true}, ""},
+		{"-durable with -fig", flags("fig"), modes{fig: "3", durable: true}, "cannot be combined with -fig 3"},
+		{"btree pins its axes", flags("fig", "bench"), modes{fig: "btree"}, "-bench has no effect with -fig btree"},
+		// Figure 5 runs at -fig5-threads; -threads used to be dropped silently.
+		{"-fig 5 -threads", flags("fig", "threads"), modes{fig: "5"}, "-threads has no effect"},
+		{"-fig 5 -fig5-threads", flags("fig", "fig5-threads"), modes{fig: "5"}, ""},
+		// The chaos matrix sweeps every -threads entry and ext averages over
+		// -reps (harness: TestChaosSweepRendersMatrix, TestExtendedAveragesOverReps).
+		{"-fig chaos -threads 2,4", flags("fig", "threads"), modes{fig: "chaos"}, ""},
+		{"-fig ext -reps", flags("fig", "reps"), modes{fig: "ext"}, ""},
+		{"-fig all -threads", flags("fig", "threads"), modes{fig: "all"}, ""},
+	} {
+		err := flagConflict(c.set, c.m)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%s: rejected: %v", c.name, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%s: err = %v, want one containing %q", c.name, err, c.want)
+		}
 	}
 }

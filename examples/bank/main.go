@@ -19,9 +19,9 @@ import (
 
 	"wincm/internal/cm"
 	_ "wincm/internal/core" // registers the window-based managers
-	"wincm/internal/metrics"
 	"wincm/internal/rng"
 	"wincm/internal/stm"
+	"wincm/internal/telemetry"
 )
 
 func main() {
@@ -55,10 +55,10 @@ func main() {
 	}
 }
 
-func run(manager string, threads, accounts, initial int, dur time.Duration) (metrics.Summary, error) {
+func run(manager string, threads, accounts, initial int, dur time.Duration) (telemetry.Summary, error) {
 	mgr, err := cm.New(manager, threads)
 	if err != nil {
-		return metrics.Summary{}, err
+		return telemetry.Summary{}, err
 	}
 	rt := stm.New(threads, mgr)
 	rt.SetYieldEvery(8) // interleave transactions even on few cores
@@ -68,28 +68,30 @@ func run(manager string, threads, accounts, initial int, dur time.Duration) (met
 		vars[i] = stm.NewTVar(initial)
 	}
 
-	per := make([]*metrics.Thread, threads)
+	// Every thread records its commits into its own shard of one TxStats;
+	// the summary is read off the registry's snapshot at the end.
+	reg := telemetry.NewRegistry()
+	stats := telemetry.NewTxStats(reg, threads)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < threads; i++ {
-		per[i] = &metrics.Thread{}
 		wg.Add(1)
-		go func(id int, th *stm.Thread, mt *metrics.Thread) {
+		go func(id int, th *stm.Thread) {
 			defer wg.Done()
 			r := rng.New(uint64(id) + 42)
 			for !stop.Load() {
 				from := r.Intn(accounts)
 				to := (from + 1 + r.Intn(accounts-1)) % accounts
 				amt := r.Intn(20)
-				mt.Record(th.Atomic(func(tx *stm.Tx) {
+				stats.RecordTx(id, th.Atomic(func(tx *stm.Tx) {
 					f := stm.Read(tx, vars[from])
 					t := stm.Read(tx, vars[to])
 					stm.Write(tx, vars[from], f-amt)
 					stm.Write(tx, vars[to], t+amt)
 				}))
 			}
-		}(i, rt.Thread(i), per[i])
+		}(i, rt.Thread(i))
 	}
 	time.Sleep(dur)
 	stop.Store(true)
@@ -100,7 +102,7 @@ func run(manager string, threads, accounts, initial int, dur time.Duration) (met
 		total += v.Peek()
 	}
 	if want := accounts * initial; total != want {
-		return metrics.Summary{}, fmt.Errorf("%s lost money: total %d, want %d", manager, total, want)
+		return telemetry.Summary{}, fmt.Errorf("%s lost money: total %d, want %d", manager, total, want)
 	}
-	return metrics.Aggregate(per, time.Since(start)), nil
+	return reg.Snapshot().Summary(threads, time.Since(start)), nil
 }

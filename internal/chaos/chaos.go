@@ -106,7 +106,12 @@ type Injector struct {
 	perturbs atomic.Int64
 }
 
-var _ stm.Probe = (*Injector)(nil)
+// The open hooks are optional in the probe contract; a signature drift here
+// would silently drop them, so both halves are asserted.
+var (
+	_ stm.Probe     = (*Injector)(nil)
+	_ stm.OpenProbe = (*Injector)(nil)
+)
 
 // New builds an injector for cfg. Threads must match the runtime the
 // injector is installed on (faults are keyed by Desc.ThreadID).
@@ -195,7 +200,7 @@ func (in *Injector) Reset() {
 // nothing to damage).
 func (in *Injector) OnBegin(*stm.Tx) {}
 
-// OnOpen implements stm.Probe: delays, stalls and spurious aborts at the
+// OnOpen implements stm.OpenProbe: delays, stalls and spurious aborts at the
 // start of an open.
 func (in *Injector) OnOpen(tx *stm.Tx) {
 	if tx.HoldsFallback() || !in.enter() {
@@ -224,7 +229,7 @@ func (in *Injector) OnOpen(tx *stm.Tx) {
 	}
 }
 
-// OnAcquire implements stm.Probe: stalls right after an ownership
+// OnAcquire implements stm.OpenProbe: stalls right after an ownership
 // acquisition, the worst moment for everyone else.
 func (in *Injector) OnAcquire(tx *stm.Tx) {
 	if tx.HoldsFallback() || !in.enter() {

@@ -7,9 +7,9 @@ import (
 	"wincm/internal/cm"
 )
 
-// chaosSweepThreads is the thread count of the robustness matrix: the
-// acceptance bar is that every manager degrades gracefully at M=8 under
-// stall injection, so that is what the sweep runs.
+// chaosSweepThreads is the thread count of the robustness matrix when
+// Options.Threads is empty: the acceptance bar is that every manager
+// degrades gracefully at M=8 under stall injection.
 const chaosSweepThreads = 8
 
 // chaosBenchmarks are the set benchmarks the robustness matrix covers
@@ -26,7 +26,8 @@ func ChaosManagerNames() []string {
 }
 
 // ChaosSweep runs the robustness matrix: every registered contention
-// manager × each set benchmark, at 8 threads, under deterministic fault
+// manager × each set benchmark × each of Options.Threads (default 8
+// alone), one run per cell on Options.Seed, under deterministic fault
 // injection (stalls holding acquired objects, spurious aborts, delays,
 // CM-decision perturbation) with the serialized-fallback budgets armed.
 //
@@ -41,52 +42,42 @@ func ChaosSweep(o Options) ([]Table, error) {
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = chaosBenchmarks()
 	}
+	if len(o.Threads) == 0 {
+		o.Threads = []int{chaosSweepThreads}
+	}
 	o = o.withDefaults()
 	o.Chaos = true
-	threads := chaosSweepThreads
-	if len(o.Threads) == 1 && o.Threads[0] > 0 {
-		threads = o.Threads[0]
-	}
-	managers := ChaosManagerNames()
 
 	var tables []Table
 	for _, b := range o.Benchmarks {
-		t := Table{
-			Title: fmt.Sprintf("Chaos: fault injection — %s (M=%d, seed=%d)",
-				b, threads, o.chaosConfig(threads).Seed),
-			Columns: []string{"manager", "commits/s", "aborts/commit",
-				"stalls", "spurious", "delays", "perturbs",
-				"fallbacks", "maxAttempts", "wdTrips"},
-		}
-		for _, mgr := range managers {
-			res, err := o.chaosCell(b, mgr, threads)
-			if err != nil {
-				return nil, fmt.Errorf("chaos cell %s/%s: %w", b, mgr, err)
+		for _, threads := range o.Threads {
+			t := Table{
+				Title: fmt.Sprintf("Chaos: fault injection — %s (M=%d, seed=%d)",
+					b, threads, o.chaosConfig(threads).Seed),
+				Columns: []string{"manager", "commits/s", "aborts/commit",
+					"stalls", "spurious", "delays", "perturbs",
+					"fallbacks", "maxAttempts", "wdTrips"},
 			}
-			t.Rows = append(t.Rows, []string{
-				mgr,
-				fmt.Sprintf("%.0f", res.Throughput()),
-				fmt.Sprintf("%.2f", res.AbortsPerCommit()),
-				fmt.Sprintf("%d", res.Stalls),
-				fmt.Sprintf("%d", res.SpuriousAborts),
-				fmt.Sprintf("%d", res.Delays),
-				fmt.Sprintf("%d", res.Perturbs),
-				fmt.Sprintf("%d", res.FallbackEntries),
-				fmt.Sprintf("%d", res.MaxAttempts),
-				fmt.Sprintf("%d", res.WatchdogTrips),
-			})
+			for _, mgr := range ChaosManagerNames() {
+				res, err := o.timed(b, o.Config(mgr, threads, o.Seed))
+				if err != nil {
+					return nil, fmt.Errorf("chaos cell %s/%s: %w", b, mgr, err)
+				}
+				t.Rows = append(t.Rows, []string{
+					mgr,
+					fmt.Sprintf("%.0f", res.Throughput()),
+					fmt.Sprintf("%.2f", res.AbortsPerCommit()),
+					fmt.Sprintf("%d", res.Stalls),
+					fmt.Sprintf("%d", res.SpuriousAborts),
+					fmt.Sprintf("%d", res.Delays),
+					fmt.Sprintf("%d", res.Perturbs),
+					fmt.Sprintf("%d", res.FallbackEntries),
+					fmt.Sprintf("%d", res.MaxAttempts),
+					fmt.Sprintf("%d", res.WatchdogTrips),
+				})
+			}
+			tables = append(tables, t)
 		}
-		tables = append(tables, t)
 	}
 	return tables, nil
-}
-
-// chaosCell runs one manager × benchmark cell of the robustness matrix.
-func (o Options) chaosCell(benchmark, manager string, threads int) (Result, error) {
-	w, err := NewWorkload(benchmark, o.throughputMix(), o.Seed)
-	if err != nil {
-		return Result{}, err
-	}
-	cfg := o.config(manager, threads, o.Seed)
-	return RunTimed(cfg, w, o.Duration)
 }

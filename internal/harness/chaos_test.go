@@ -30,7 +30,7 @@ func TestChaosGracefulDegradation(t *testing.T) {
 			b, mgr := b, mgr
 			t.Run(b+"/"+mgr, func(t *testing.T) {
 				t.Parallel()
-				res, err := o.chaosCell(b, mgr, chaosSweepThreads)
+				res, err := o.timed(b, o.Config(mgr, chaosSweepThreads, o.Seed))
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -46,19 +46,20 @@ func TestChaosGracefulDegradation(t *testing.T) {
 }
 
 // TestChaosSweepRendersMatrix runs the sweep end-to-end on a reduced
-// matrix and checks the table shape: one table per benchmark, one row per
-// registered manager.
+// matrix and checks the table shape: one table per benchmark and thread
+// count (every -threads entry is honoured, not only a lone one), one row
+// per registered manager.
 func TestChaosSweepRendersMatrix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full-matrix sweep is not short")
 	}
-	o := Options{Duration: 20 * time.Millisecond, Seed: 3, Benchmarks: []string{"list"}}
+	o := Options{Duration: 20 * time.Millisecond, Seed: 3, Benchmarks: []string{"list"}, Threads: []int{2, 4}}
 	tables, err := ChaosSweep(o)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(tables) != 1 {
-		t.Fatalf("got %d tables, want 1", len(tables))
+	if len(tables) != 2 || !strings.Contains(tables[0].Title, "M=2") || !strings.Contains(tables[1].Title, "M=4") {
+		t.Fatalf("got %d tables, want one for M=2 and one for M=4", len(tables))
 	}
 	if want := len(ChaosManagerNames()); len(tables[0].Rows) != want {
 		t.Errorf("got %d rows, want %d (one per registered manager)", len(tables[0].Rows), want)
@@ -85,7 +86,7 @@ func TestChaosSeedReproducibility(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		cfg := o.config("polka", 1, o.Seed)
+		cfg := o.Config("polka", 1, o.Seed)
 		// A wall-clock watchdog rescue would hand out the fallback token at
 		// a nondeterministic point and change which probe events draw from
 		// the rng streams; park it so the schedule is a pure function of
@@ -120,7 +121,7 @@ func TestChaosOffLeavesCountersZero(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := RunCount(o.config("polka", 2, o.Seed), w, 200)
+	res, err := RunCount(o.Config("polka", 2, o.Seed), w, 200)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -33,7 +33,9 @@ func ComparisonManagerNames() []string {
 // Options parameterize the figure drivers. The zero value is filled with
 // CI-friendly defaults; PaperScale restores the paper's regime.
 type Options struct {
-	// Threads is the M sweep (Figs. 2–4). Default {1, 2, 4, 8, 16, 32}.
+	// Threads is the M sweep (Figs. 2–4). Default {1, 2, 4, 8, 16, 32};
+	// ChaosSweep defaults to {8}, and DurabilityFig, which like the
+	// single-run figures takes the last entry, to {4}.
 	Threads []int
 	// Duration is each timed cell's run length. Default 300ms
 	// (paper: 10 s).
@@ -87,11 +89,6 @@ type Options struct {
 	TelemetryJSONL, TelemetryCSV string
 	// BTreeThreads is the BTreeFig M sweep (default {1, 4, 8, 16}).
 	BTreeThreads []int
-	// DurableThreads is the DurabilityFig worker count (default 4).
-	DurableThreads int
-	// DurableSyncs is the DurabilityFig fsync-batching sweep
-	// (default {1, 4, 16}).
-	DurableSyncs []int
 	// Trace, when non-nil, arms the transaction flight recorder on every
 	// experiment cell. With a Hub attached too, each cell's collector is
 	// installed live, so /trace/snapshot and /trace/dump follow the sweep
@@ -145,19 +142,14 @@ func (o Options) chaosBudgets() (maxAttempts int, deadline time.Duration) {
 	return maxAttempts, deadline
 }
 
-// Config builds one experiment cell's Config from the sweep options — the
-// exported form for drivers outside this package (winbench's single-run
-// modes) so they inherit the same chaos/telemetry/trace wiring the figure
-// sweeps get.
+// Config builds one experiment cell's Config from the sweep options,
+// carrying the chaos settings so every figure can be reproduced under fault
+// load. With a Hub attached, every cell gets a fresh telemetry registry and
+// installs it as the one live scrapes read. Drivers outside this package
+// (winbench's single-run modes) build their cells through it too, so they
+// inherit the same chaos/telemetry/trace wiring the figure sweeps get.
 func (o Options) Config(manager string, threads int, seed uint64) Config {
-	return o.withDefaults().config(manager, threads, seed)
-}
-
-// config builds one experiment cell's Config, carrying the chaos settings
-// so every figure can be reproduced under fault load. With a Hub attached,
-// every cell gets a fresh telemetry registry and installs it as the one
-// live scrapes read.
-func (o Options) config(manager string, threads int, seed uint64) Config {
+	o = o.withDefaults()
 	maxAttempts, deadline := o.chaosBudgets()
 	cfg := Config{
 		Manager:     manager,
@@ -247,45 +239,101 @@ func (t *Table) Render(w io.Writer) error {
 	return err
 }
 
-// cell runs one timed experiment cell Reps times and returns the summary
-// of the metric extracted by f.
-func (o Options) cell(benchmark, manager string, threads int, f func(Result) float64) (stats.Summary, error) {
-	vals := make([]float64, 0, o.Reps)
+// reps runs one experiment cell Reps times on the sweep's seed schedule —
+// every figure's repetitions draw the same seeds — and returns each
+// repetition's Result.
+func (o Options) reps(cell func(seed uint64) (Result, error)) ([]Result, error) {
+	out := make([]Result, 0, o.Reps)
 	for rep := 0; rep < o.Reps; rep++ {
-		seed := o.Seed + uint64(rep)*1_000_003
-		w, err := NewWorkload(benchmark, o.throughputMix(), seed)
+		res, err := cell(o.Seed + uint64(rep)*1_000_003)
 		if err != nil {
-			return stats.Summary{}, err
+			return nil, err
 		}
-		cfg := o.config(manager, threads, seed)
-		res, err := RunTimed(cfg, w, o.Duration)
-		if err != nil {
-			return stats.Summary{}, err
-		}
-		vals = append(vals, f(res))
+		out = append(out, res)
 	}
-	return stats.Summarize(vals), nil
+	return out, nil
+}
+
+// timed builds the named benchmark under the throughput mix, seeded like
+// cfg, and runs one timed cell of it.
+func (o Options) timed(benchmark string, cfg Config) (Result, error) {
+	w, err := NewWorkload(benchmark, o.throughputMix(), cfg.Seed)
+	if err != nil {
+		return Result{}, err
+	}
+	return RunTimed(cfg, w, o.Duration)
+}
+
+// mean averages f over a cell's repetitions.
+func mean(rs []Result, f func(Result) float64) float64 {
+	vals := make([]float64, len(rs))
+	for i, r := range rs {
+		vals[i] = f(r)
+	}
+	return stats.Mean(vals)
+}
+
+// grid is the timed (benchmark, manager, M) cells of one Options, each run
+// Reps times the first time a figure asks for it and remembered after:
+// Figures 2, 3 and 4 and the extended metrics are renderings of the same
+// runs, the way the paper reads throughput and aborts per commit off one
+// set of executions.
+type grid struct {
+	o     Options
+	run   func(benchmark, manager string, threads int, seed uint64) (Result, error)
+	cells map[gridKey][]Result
+}
+
+type gridKey struct {
+	benchmark, manager string
+	threads            int
+}
+
+// newGrid returns an empty grid over o with its defaults filled in.
+func newGrid(o Options) *grid {
+	o = o.withDefaults()
+	g := &grid{o: o, cells: make(map[gridKey][]Result)}
+	g.run = func(benchmark, manager string, threads int, seed uint64) (Result, error) {
+		return o.timed(benchmark, o.Config(manager, threads, seed))
+	}
+	return g
+}
+
+// cell returns the Reps results of one grid cell, running them on first use.
+func (g *grid) cell(benchmark, manager string, threads int) ([]Result, error) {
+	k := gridKey{benchmark, manager, threads}
+	if rs, ok := g.cells[k]; ok {
+		return rs, nil
+	}
+	rs, err := g.o.reps(func(seed uint64) (Result, error) {
+		return g.run(benchmark, manager, threads, seed)
+	})
+	if err != nil {
+		return nil, err
+	}
+	g.cells[k] = rs
+	return rs, nil
 }
 
 // sweep builds one table per benchmark, titled by title with the benchmark's
 // name filled in: rows = managers, columns = thread counts, cells = mean of
 // f over Reps runs, printed with verb.
-func (o Options) sweep(title, verb string, managers []string, f func(Result) float64) ([]Table, error) {
+func (g *grid) sweep(title, verb string, managers []string, f func(Result) float64) ([]Table, error) {
 	var tables []Table
-	for _, b := range o.Benchmarks {
+	for _, b := range g.o.Benchmarks {
 		t := Table{Title: fmt.Sprintf(title, b)}
 		t.Columns = append(t.Columns, "manager")
-		for _, m := range o.Threads {
+		for _, m := range g.o.Threads {
 			t.Columns = append(t.Columns, fmt.Sprintf("M=%d", m))
 		}
 		for _, mgr := range managers {
 			row := []string{mgr}
-			for _, m := range o.Threads {
-				s, err := o.cell(b, mgr, m, f)
+			for _, m := range g.o.Threads {
+				rs, err := g.cell(b, mgr, m)
 				if err != nil {
 					return nil, err
 				}
-				row = append(row, fmt.Sprintf(verb, s.Mean))
+				row = append(row, fmt.Sprintf(verb, mean(rs, f)))
 			}
 			t.Rows = append(t.Rows, row)
 		}
@@ -294,27 +342,86 @@ func (o Options) sweep(title, verb string, managers []string, f func(Result) flo
 	return tables, nil
 }
 
-// Fig2 reproduces Figure 2: throughput of the five window-based variants
-// on each benchmark across the thread sweep.
-func Fig2(o Options) ([]Table, error) {
-	o = o.withDefaults()
-	return o.sweep("Fig 2: window-variant throughput — %s (commits/s)", "%.0f",
-		WindowVariantNames(), func(r Result) float64 { return r.Throughput() })
+func (g *grid) fig2() ([]Table, error) {
+	return g.sweep("Fig 2: window-variant throughput — %s (commits/s)", "%.0f",
+		WindowVariantNames(), Result.Throughput)
 }
 
-// Fig3 reproduces Figure 3: best window variants vs Polka, Greedy and
-// Priority (throughput).
-func Fig3(o Options) ([]Table, error) {
-	o = o.withDefaults()
-	return o.sweep("Fig 3: window vs classic managers, throughput — %s (commits/s)", "%.0f",
-		ComparisonManagerNames(), func(r Result) float64 { return r.Throughput() })
+func (g *grid) fig3() ([]Table, error) {
+	return g.sweep("Fig 3: window vs classic managers, throughput — %s (commits/s)", "%.0f",
+		ComparisonManagerNames(), Result.Throughput)
 }
 
-// Fig4 reproduces Figure 4: aborts per commit for the Fig. 3 manager set.
-func Fig4(o Options) ([]Table, error) {
-	o = o.withDefaults()
-	return o.sweep("Fig 4: aborts per commit — %s", "%.3f",
-		ComparisonManagerNames(), func(r Result) float64 { return r.AbortsPerCommit() })
+func (g *grid) fig4() ([]Table, error) {
+	return g.sweep("Fig 4: aborts per commit — %s", "%.3f",
+		ComparisonManagerNames(), Result.AbortsPerCommit)
+}
+
+// extended reads the Section-IV metrics off the grid's largest-M column.
+func (g *grid) extended() ([]Table, error) {
+	m := g.o.Threads[len(g.o.Threads)-1]
+	var tables []Table
+	for _, b := range g.o.Benchmarks {
+		t := Table{
+			Title:   fmt.Sprintf("Extended metrics — %s, M=%d", b, m),
+			Columns: []string{"manager", "wasted-work", "repeat-aborts/commit", "mean-commit-µs", "mean-response-µs"},
+		}
+		for _, mgr := range ComparisonManagerNames() {
+			rs, err := g.cell(b, mgr, m)
+			if err != nil {
+				return nil, err
+			}
+			t.Rows = append(t.Rows, []string{
+				mgr,
+				fmt.Sprintf("%.3f", mean(rs, Result.WastedWork)),
+				fmt.Sprintf("%.3f", mean(rs, func(r Result) float64 {
+					if r.Commits == 0 {
+						return 0
+					}
+					return float64(r.RepeatAborts) / float64(r.Commits)
+				})),
+				fmt.Sprintf("%.1f", mean(rs, func(r Result) float64 { return float64(r.MeanCommitDur().Nanoseconds()) / 1e3 })),
+				fmt.Sprintf("%.1f", mean(rs, func(r Result) float64 { return float64(r.MeanResponse().Nanoseconds()) / 1e3 })),
+			})
+		}
+		tables = append(tables, t)
+	}
+	return tables, nil
+}
+
+// fig5 runs Figure 5's fixed-work cells. They are counted, not timed, and
+// sweep contention levels instead of M, so they are not grid cells.
+func (g *grid) fig5() ([]Table, error) {
+	o := g.o
+	var tables []Table
+	for _, b := range o.Benchmarks {
+		t := Table{Title: fmt.Sprintf("Fig 5: time to commit %d txs, M=%d — %s (seconds)", o.TotalTxs, o.Fig5Threads, b)}
+		t.Columns = []string{"manager"}
+		for _, lvl := range fig5Levels {
+			t.Columns = append(t.Columns, lvl.name)
+		}
+		for _, mgr := range ComparisonManagerNames() {
+			row := []string{mgr}
+			for _, lvl := range fig5Levels {
+				mix := lvl.mix
+				mix.KeyRange = o.KeyRange
+				rs, err := o.reps(func(seed uint64) (Result, error) {
+					w, err := NewWorkload(b, mix, seed)
+					if err != nil {
+						return Result{}, err
+					}
+					return RunCount(o.Config(mgr, o.Fig5Threads, seed), w, o.TotalTxs)
+				})
+				if err != nil {
+					return nil, err
+				}
+				row = append(row, fmt.Sprintf("%.3f", mean(rs, func(r Result) float64 { return r.Wall.Seconds() })))
+			}
+			t.Rows = append(t.Rows, row)
+		}
+		tables = append(tables, t)
+	}
+	return tables, nil
 }
 
 // fig5Levels maps the paper's contention levels to update percentages.
@@ -327,81 +434,42 @@ var fig5Levels = []struct {
 	{"high(100%)", bench.Mix{UpdatePct: 100}},
 }
 
-// Fig5 reproduces Figure 5: total time to commit TotalTxs transactions
-// with Fig5Threads threads under low/medium/high contention.
-func Fig5(o Options) ([]Table, error) {
-	o = o.withDefaults()
+// all renders Figures 2–5 and the extended metrics off the one grid, in
+// that order; cells two of them share are run once.
+func (g *grid) all() ([]Table, error) {
 	var tables []Table
-	for _, b := range o.Benchmarks {
-		t := Table{Title: fmt.Sprintf("Fig 5: time to commit %d txs, M=%d — %s (seconds)", o.TotalTxs, o.Fig5Threads, b)}
-		t.Columns = []string{"manager"}
-		for _, lvl := range fig5Levels {
-			t.Columns = append(t.Columns, lvl.name)
+	for _, view := range []func() ([]Table, error){g.fig2, g.fig3, g.fig4, g.fig5, g.extended} {
+		ts, err := view()
+		if err != nil {
+			return nil, err
 		}
-		for _, mgr := range ComparisonManagerNames() {
-			row := []string{mgr}
-			for _, lvl := range fig5Levels {
-				vals := make([]float64, 0, o.Reps)
-				for rep := 0; rep < o.Reps; rep++ {
-					seed := o.Seed + uint64(rep)*1_000_003
-					mix := lvl.mix
-					mix.KeyRange = o.KeyRange
-					w, err := NewWorkload(b, mix, seed)
-					if err != nil {
-						return nil, err
-					}
-					cfg := o.config(mgr, o.Fig5Threads, seed)
-					res, err := RunCount(cfg, w, o.TotalTxs)
-					if err != nil {
-						return nil, err
-					}
-					vals = append(vals, res.Wall.Seconds())
-				}
-				row = append(row, fmt.Sprintf("%.3f", stats.Mean(vals)))
-			}
-			t.Rows = append(t.Rows, row)
-		}
-		tables = append(tables, t)
+		tables = append(tables, ts...)
 	}
 	return tables, nil
 }
 
+// Fig2 reproduces Figure 2: throughput of the five window-based variants
+// on each benchmark across the thread sweep.
+func Fig2(o Options) ([]Table, error) { return newGrid(o).fig2() }
+
+// Fig3 reproduces Figure 3: best window variants vs Polka, Greedy and
+// Priority (throughput).
+func Fig3(o Options) ([]Table, error) { return newGrid(o).fig3() }
+
+// Fig4 reproduces Figure 4: aborts per commit for the Fig. 3 manager set.
+func Fig4(o Options) ([]Table, error) { return newGrid(o).fig4() }
+
+// Fig5 reproduces Figure 5: total time to commit TotalTxs transactions
+// with Fig5Threads threads under low/medium/high contention.
+func Fig5(o Options) ([]Table, error) { return newGrid(o).fig5() }
+
 // Extended reports the Section-IV future-work metrics (wasted work,
 // repeat aborts per commit, mean committed duration, mean response time)
-// at the largest configured thread count.
-func Extended(o Options) ([]Table, error) {
-	o = o.withDefaults()
-	m := o.Threads[len(o.Threads)-1]
-	var tables []Table
-	for _, b := range o.Benchmarks {
-		t := Table{
-			Title:   fmt.Sprintf("Extended metrics — %s, M=%d", b, m),
-			Columns: []string{"manager", "wasted-work", "repeat-aborts/commit", "mean-commit-µs", "mean-response-µs"},
-		}
-		for _, mgr := range ComparisonManagerNames() {
-			seed := o.Seed
-			w, err := NewWorkload(b, o.throughputMix(), seed)
-			if err != nil {
-				return nil, err
-			}
-			cfg := o.config(mgr, m, seed)
-			res, err := RunTimed(cfg, w, o.Duration)
-			if err != nil {
-				return nil, err
-			}
-			repeat := 0.0
-			if res.Commits > 0 {
-				repeat = float64(res.RepeatAborts) / float64(res.Commits)
-			}
-			t.Rows = append(t.Rows, []string{
-				mgr,
-				fmt.Sprintf("%.3f", res.WastedWork()),
-				fmt.Sprintf("%.3f", repeat),
-				fmt.Sprintf("%.1f", float64(res.MeanCommitDur().Nanoseconds())/1e3),
-				fmt.Sprintf("%.1f", float64(res.MeanResponse().Nanoseconds())/1e3),
-			})
-		}
-		tables = append(tables, t)
-	}
-	return tables, nil
-}
+// at the largest configured thread count, averaged over Reps.
+func Extended(o Options) ([]Table, error) { return newGrid(o).extended() }
+
+// All reproduces Figures 2–5 and the extended metrics in that order. The
+// figures share one grid, so each distinct (benchmark, manager, M, rep) is
+// run once: the union of the window variants and the comparison managers,
+// not once per figure.
+func All(o Options) ([]Table, error) { return newGrid(o).all() }

@@ -25,6 +25,7 @@ func BTreeFig(o Options) ([]Table, error) {
 	for _, backend := range []string{stm.BackendEager, stm.BackendLazy} {
 		ob := o
 		ob.Backend = backend
+		g := newGrid(ob)
 		t := Table{Title: fmt.Sprintf("Semantic conflict detection: rbtree (TVar nodes) vs btree (key-level) — backend=%s (commits/s)", backend)}
 		t.Columns = append(t.Columns, "manager")
 		for _, m := range threads {
@@ -33,15 +34,13 @@ func BTreeFig(o Options) ([]Table, error) {
 		for _, mgr := range ChaosManagerNames() {
 			row := []string{mgr}
 			for _, m := range threads {
-				rb, err := ob.cell("rbtree", mgr, m, func(r Result) float64 { return r.Throughput() })
-				if err != nil {
-					return nil, err
+				for _, b := range []string{"rbtree", "btree"} {
+					rs, err := g.cell(b, mgr, m)
+					if err != nil {
+						return nil, err
+					}
+					row = append(row, fmt.Sprintf("%.0f", mean(rs, Result.Throughput)))
 				}
-				bt, err := ob.cell("btree", mgr, m, func(r Result) float64 { return r.Throughput() })
-				if err != nil {
-					return nil, err
-				}
-				row = append(row, fmt.Sprintf("%.0f", rb.Mean), fmt.Sprintf("%.0f", bt.Mean))
 			}
 			t.Rows = append(t.Rows, row)
 		}

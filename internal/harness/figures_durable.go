@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"wincm/internal/chaos"
-	"wincm/internal/stats"
 )
 
 // DurabilityFig measures what crash safety costs: the durable workload's
@@ -15,15 +14,12 @@ import (
 // serialization, batch sealing, fsync count — from physical device
 // variance, and stay comparable across CI machines.
 func DurabilityFig(o Options) ([]Table, error) {
+	if len(o.Threads) == 0 {
+		o.Threads = []int{4}
+	}
 	o = o.withDefaults()
-	threads := o.DurableThreads
-	if threads <= 0 {
-		threads = 4
-	}
-	syncs := o.DurableSyncs
-	if len(syncs) == 0 {
-		syncs = []int{1, 4, 16}
-	}
+	threads := o.Threads[len(o.Threads)-1]
+	syncs := []int{1, 4, 16}
 
 	t := Table{Title: fmt.Sprintf("Durability: WAL off vs group-commit fsync batching — durablemap, M=%d (commits/s)", threads)}
 	t.Columns = append(t.Columns, "manager", "wal-off")
@@ -36,19 +32,13 @@ func DurabilityFig(o Options) ([]Table, error) {
 	for _, mgr := range ComparisonManagerNames() {
 		row := []string{mgr}
 		frow := []string{mgr}
-		off, _, err := o.durableCell(mgr, threads, nil)
-		if err != nil {
-			return nil, err
-		}
-		row = append(row, fmt.Sprintf("%.0f", off.Mean))
-		frow = append(frow, "0")
-		for _, s := range syncs {
-			on, fsyncs, err := o.durableCell(mgr, threads, &DurableConfig{SyncEvery: s})
+		for _, syncEvery := range append([]int{0}, syncs...) { // 0 = logging off
+			rs, err := o.durableCell(mgr, threads, syncEvery)
 			if err != nil {
 				return nil, err
 			}
-			row = append(row, fmt.Sprintf("%.0f", on.Mean))
-			frow = append(frow, fmt.Sprintf("%.0f", fsyncs.Mean))
+			row = append(row, fmt.Sprintf("%.0f", mean(rs, Result.Throughput)))
+			frow = append(frow, fmt.Sprintf("%.0f", mean(rs, func(r Result) float64 { return float64(r.Wal.Fsyncs) })))
 		}
 		t.Rows = append(t.Rows, row)
 		ft.Rows = append(ft.Rows, frow)
@@ -56,28 +46,15 @@ func DurabilityFig(o Options) ([]Table, error) {
 	return []Table{t, ft}, nil
 }
 
-// durableCell runs the durable workload Reps times under one WAL setting
-// (nil = logging off) and summarizes throughput and fsync counts. Every
-// rep gets its own fresh disk: the cell measures steady-state logging
-// cost, not recovery.
-func (o Options) durableCell(manager string, threads int, dc *DurableConfig) (tput, fsyncs stats.Summary, err error) {
-	tputs := make([]float64, 0, o.Reps)
-	syncs := make([]float64, 0, o.Reps)
-	for rep := 0; rep < o.Reps; rep++ {
-		seed := o.Seed + uint64(rep)*1_000_003
-		cfg := o.config(manager, threads, seed)
-		if dc != nil {
-			cell := *dc
-			cell.FS = chaos.NewDisk(seed)
-			cfg.Durable = &cell
+// durableCell runs the durable workload Reps times with the WAL fsyncing
+// every syncEvery sealed batches (0 = logging off). Every rep gets its own
+// fresh disk: the cell measures steady-state logging cost, not recovery.
+func (o Options) durableCell(manager string, threads, syncEvery int) ([]Result, error) {
+	return o.reps(func(seed uint64) (Result, error) {
+		cfg := o.Config(manager, threads, seed)
+		if syncEvery > 0 {
+			cfg.Durable = &DurableConfig{SyncEvery: syncEvery, FS: chaos.NewDisk(seed)}
 		}
-		w := NewDurableMap(threads, o.KeyRange)
-		res, err := RunTimed(cfg, w, o.Duration)
-		if err != nil {
-			return tput, fsyncs, err
-		}
-		tputs = append(tputs, res.Throughput())
-		syncs = append(syncs, float64(res.Wal.Fsyncs))
-	}
-	return stats.Summarize(tputs), stats.Summarize(syncs), nil
+		return RunTimed(cfg, NewDurableMap(threads, o.KeyRange), o.Duration)
+	})
 }

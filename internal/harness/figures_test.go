@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -119,5 +120,114 @@ func TestFig5LevelsMatchPaper(t *testing.T) {
 		if lvl.mix.UpdatePct != want[i] {
 			t.Errorf("level %d = %d%%, want %d%%", i, lvl.mix.UpdatePct, want[i])
 		}
+	}
+}
+
+// countingGrid returns a grid over o whose cells are canned results, and the
+// log of every (benchmark, manager, M, seed) it was asked to run.
+func countingGrid(o Options) (*grid, *[]string) {
+	g := newGrid(o)
+	var log []string
+	g.run = func(benchmark, manager string, threads int, seed uint64) (Result, error) {
+		log = append(log, fmt.Sprintf("%s/%s/M=%d/seed=%d", benchmark, manager, threads, seed))
+		return Result{}, nil
+	}
+	return g, &log
+}
+
+// TestAllRunsEachCellOnce: -fig all at the default options renders Figures
+// 2, 3, 4 and the extended metrics off one grid, so every distinct
+// (benchmark, manager, M, rep) timed cell is built exactly once — 384 of
+// them, the union of the two manager lists, where running each figure's own
+// sweep was 3 × 240 + 20 = 740. Figure 5's fixed-work cells are counted
+// runs outside the grid; they are shrunk here, not faked.
+func TestAllRunsEachCellOnce(t *testing.T) {
+	g, log := countingGrid(Options{TotalTxs: 8, Fig5Threads: 2})
+	tables, err := g.all()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := 5 * len(BenchmarkNames()); len(tables) != want {
+		t.Errorf("%d tables, want %d (five figures × four benchmarks)", len(tables), want)
+	}
+	seen := map[string]int{}
+	for _, cell := range *log {
+		seen[cell]++
+	}
+	for cell, n := range seen {
+		if n != 1 {
+			t.Errorf("cell %s built %d times", cell, n)
+		}
+	}
+	const benchmarks, managers, threads, reps = 4, 8, 6, 2
+	if want := benchmarks * managers * threads * reps; len(seen) != want {
+		t.Errorf("%d distinct timed cells, want %d", len(seen), want)
+	}
+}
+
+// TestFiguresAloneRunOnlyTheirCells: Fig 3 and Fig 4 read the same cells, so
+// either alone runs the comparison managers' sweep and nothing else, and
+// the second costs nothing once the first has run; both still produce one
+// table per benchmark with the comparison managers as rows.
+func TestFiguresAloneRunOnlyTheirCells(t *testing.T) {
+	o := Options{Benchmarks: []string{"list", "rbtree"}, Threads: []int{2, 4}, Reps: 3}
+	g, log := countingGrid(o)
+	fig3, err := g.fig3()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := len(o.Benchmarks) * len(ComparisonManagerNames()) * len(o.Threads) * o.Reps
+	if len(*log) != want {
+		t.Errorf("Fig 3 alone ran %d cells, want %d", len(*log), want)
+	}
+	fig4, err := g.fig4()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(*log) != want {
+		t.Errorf("Fig 4 after Fig 3 ran %d more cells, want none", len(*log)-want)
+	}
+	for _, tables := range [][]Table{fig3, fig4} {
+		if len(tables) != len(o.Benchmarks) {
+			t.Fatalf("%d tables, want one per benchmark", len(tables))
+		}
+		for _, tbl := range tables {
+			if len(tbl.Rows) != len(ComparisonManagerNames()) || len(tbl.Columns) != 1+len(o.Threads) {
+				t.Errorf("%q: %d rows × %d columns", tbl.Title, len(tbl.Rows), len(tbl.Columns))
+			}
+		}
+	}
+}
+
+// TestExtendedAveragesOverReps: the extended metrics used to run one rep
+// whatever -reps said; they now read the grid's largest-M cells, all Reps of
+// them, on the same seeds as every other figure.
+func TestExtendedAveragesOverReps(t *testing.T) {
+	g, log := countingGrid(Options{Benchmarks: []string{"list"}, Threads: []int{2, 4}, Reps: 5, Seed: 9})
+	if _, err := g.extended(); err != nil {
+		t.Fatal(err)
+	}
+	if want := len(ComparisonManagerNames()) * 5; len(*log) != want {
+		t.Fatalf("extended ran %d cells, want %d (five reps per manager)", len(*log), want)
+	}
+	for rep, cell := range (*log)[:5] {
+		if want := fmt.Sprintf("list/online-dynamic/M=4/seed=%d", 9+rep*1_000_003); cell != want {
+			t.Errorf("rep %d ran %s, want %s", rep, cell, want)
+		}
+	}
+}
+
+// TestChaosSweepDefaultThreads: with no thread list the robustness matrix
+// runs at M=8 alone, not the figure sweeps' six thread counts.
+func TestChaosSweepDefaultThreads(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-matrix sweep is not short")
+	}
+	tables, err := ChaosSweep(Options{Duration: 10 * time.Millisecond, Benchmarks: []string{"list"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 1 || !strings.Contains(tables[0].Title, "M=8") {
+		t.Fatalf("default sweep rendered %d tables (first %q), want one at M=8", len(tables), tables[0].Title)
 	}
 }

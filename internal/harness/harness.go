@@ -8,14 +8,13 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"wincm/internal/chaos"
-	"wincm/internal/cm"
 	"wincm/internal/core"
-	"wincm/internal/metrics"
 	"wincm/internal/stm"
 	"wincm/internal/telemetry"
 	"wincm/internal/txtrace"
@@ -79,11 +78,13 @@ type Config struct {
 	// transaction counters and histograms, the hot-path probe, the
 	// manager's introspection gauges (for telemetry.GaugeSource
 	// managers), and — when chaos or a watchdog is active — their fault
-	// and trip counters. nil disables telemetry entirely (zero hot-path
-	// cost beyond the existing probe nil check).
+	// and trip counters. With nil the run registers the same instruments
+	// on a private registry (Result.Summary is read from it either way)
+	// but installs no probe: the hot path pays the existing probe nil
+	// check and nothing else.
 	Telemetry *telemetry.Registry
-	// TelemetryInterval starts an interval sampler on the Telemetry
-	// registry, producing Result.Series (0 = no sampling).
+	// TelemetryInterval starts an interval sampler on the run's registry,
+	// producing Result.Series (0 = no sampling).
 	TelemetryInterval time.Duration
 	// Durable, when non-nil, opens a write-ahead log on the configured
 	// filesystem, installs it as the runtime's commit hook, and — for
@@ -145,25 +146,21 @@ func (c Config) stmOptions() ([]stm.Option, *chaos.Injector, error) {
 	return opts, inj, nil
 }
 
-// NewManager builds the configured contention manager, routing window
-// variants through core so WindowN is honored.
+// NewManager builds the configured contention manager (core.NewNamed:
+// WindowN reaches window variants, classic managers ignore it).
 func (c Config) NewManager() (stm.ContentionManager, error) {
-	if v, err := core.ParseVariant(c.Manager); err == nil {
-		cfg := core.DefaultConfig(v, c.Threads)
-		if c.WindowN > 0 {
-			cfg.N = c.WindowN
-		}
-		cfg.Seed = c.Seed + 1
-		return core.NewManager(cfg), nil
-	}
-	return cm.New(c.Manager, c.Threads)
+	mgr, _, err := core.NewNamed(c.Manager, c.Threads, c.WindowN, c.Seed+1)
+	return mgr, err
 }
 
 // Result is the outcome of one run.
 type Result struct {
-	metrics.Summary
+	// Summary is the view of the run's final telemetry snapshot: the
+	// transaction counters every worker recorded into, plus the chaos and
+	// watchdog counters when either was active.
+	telemetry.Summary
 	// Series is the interval time series sampled during the run, present
-	// when Config.Telemetry and Config.TelemetryInterval were set.
+	// when Config.TelemetryInterval was set.
 	Series []telemetry.Point
 	// Durable is true when the run wrote a write-ahead log; Wal holds its
 	// final counters and Recovery what (if anything) was recovered at open.
@@ -177,11 +174,12 @@ type Result struct {
 }
 
 // instruments bundles one run's observability plumbing: the fault
-// injector, the progress watchdog, the telemetry transaction stats the
-// worker loops record into, and the interval sampler.
+// injector, the progress watchdog, the registry and transaction stats the
+// worker loop records into, and the interval sampler.
 type instruments struct {
 	inj       *chaos.Injector
 	wd        *stm.Watchdog
+	reg       *telemetry.Registry
 	tx        *telemetry.TxStats
 	sampler   *telemetry.Sampler
 	log       *wal.Log
@@ -192,39 +190,35 @@ type instruments struct {
 	traceStop func() // stops the trace poller (nil when tracing is off)
 }
 
-// record folds one committed transaction into the telemetry layer (the
-// per-thread metrics.Thread is recorded by the caller).
-func (ins *instruments) record(id int, info stm.TxInfo) {
-	if ins.tx != nil {
-		ins.tx.RecordTx(id, info)
-	}
-}
-
 // instrument builds the runtime plus the run's instruments: fault
 // injector and telemetry probe share the runtime's single probe slot
 // (injector first, so telemetry observes the schedule that actually
-// executes), manager/chaos/watchdog gauges land in the telemetry
-// registry, and the interval sampler starts last so its first point sees
-// every instrument registered.
+// executes), transaction stats and manager/chaos/watchdog gauges land in
+// the run's registry, and the interval sampler starts last so its first
+// point sees every instrument registered. Every run has a registry —
+// Result.Summary is read from it — and registers the same instruments on
+// it; only the hot-path probe, which costs something while the run
+// executes, waits for a caller who brought a registry to watch.
 func (c Config) instrument(mgr stm.ContentionManager, w Workload) (*stm.Runtime, *instruments, error) {
 	opts, inj, err := c.stmOptions()
 	if err != nil {
 		return nil, nil, err
 	}
-	ins := &instruments{inj: inj}
+	reg := c.Telemetry
+	if reg == nil {
+		reg = telemetry.NewRegistry()
+	}
+	ins := &instruments{inj: inj, reg: reg, tx: telemetry.NewTxStats(reg, c.Threads)}
 	var probe stm.Probe
 	if inj != nil {
 		probe = inj
+		registerChaosGauges(reg, inj)
 	}
-	if reg := c.Telemetry; reg != nil {
-		ins.tx = telemetry.NewTxStats(reg, c.Threads)
+	if c.Telemetry != nil {
 		probe = stm.CombineProbes(probe, telemetry.NewProbe(reg, c.Threads))
-		if gs, ok := mgr.(telemetry.GaugeSource); ok {
-			reg.RegisterGauges(gs)
-		}
-		if inj != nil {
-			registerChaosGauges(reg, inj)
-		}
+	}
+	if gs, ok := mgr.(telemetry.GaugeSource); ok {
+		reg.RegisterGauges(gs)
 	}
 	var rec *txtrace.Recorder
 	if tc := c.Trace; tc != nil {
@@ -252,15 +246,11 @@ func (c Config) instrument(mgr stm.ContentionManager, w Workload) (*stm.Runtime,
 		wopt := wal.Options{FS: fs, SyncEvery: dc.SyncEvery, SegmentBytes: dc.SegmentBytes}
 		// Latency histograms and the flight recorder's WAL track share
 		// the log's observer seam.
-		var histObs wal.Observer
-		if reg := c.Telemetry; reg != nil {
-			histObs = newWalHistObserver(reg)
-		}
 		var recObs wal.Observer
 		if rec != nil {
 			recObs = rec
 		}
-		wopt.Observer = combineWalObservers(histObs, recObs)
+		wopt.Observer = combineWalObservers(newWalHistObserver(reg), recObs)
 		// A durable workload recovers prior state; anything else may only
 		// run against a fresh directory (nil callbacks make wal.Open fail
 		// if state exists, rather than silently dropping it).
@@ -282,9 +272,7 @@ func (c Config) instrument(mgr stm.ContentionManager, w Workload) (*stm.Runtime,
 		if wm, ok := mgr.(*core.Manager); ok {
 			wm.AddFrameHook(log.Advance)
 		}
-		if reg := c.Telemetry; reg != nil {
-			registerWalGauges(reg, log)
-		}
+		registerWalGauges(reg, log)
 		if dc.SnapshotEvery > 0 && durable {
 			ins.snapCh = make(chan struct{})
 			ins.snapWG.Add(1)
@@ -311,28 +299,25 @@ func (c Config) instrument(mgr stm.ContentionManager, w Workload) (*stm.Runtime,
 	rt := stm.New(c.Threads, mgr, opts...)
 	rt.SetYieldEvery(c.interleave())
 	if c.watched() {
-		ins.wd = rt.StartWatchdog(c.WatchdogInterval)
+		wd := rt.StartWatchdog(c.WatchdogInterval)
+		ins.wd = wd
+		reg.RegisterGauge(telemetry.NewGauge("wincm_watchdog_trips",
+			"no-progress intervals observed by the watchdog",
+			func() float64 { return float64(wd.Trips()) }))
 	}
-	if reg := c.Telemetry; reg != nil {
-		reg.RegisterGauge(telemetry.NewGauge("wincm_fallback_held",
-			"1 while a transaction holds the serialized-fallback token",
-			func() float64 {
-				if rt.FallbackHolder() != nil {
-					return 1
-				}
-				return 0
-			}))
-		reg.RegisterGauge(telemetry.NewGauge("wincm_locator_retired",
-			"locators retired and awaiting a grace period before reuse",
-			func() float64 { return float64(rt.RetiredLocators()) }))
-		if wd := ins.wd; wd != nil {
-			reg.RegisterGauge(telemetry.NewGauge("wincm_watchdog_trips",
-				"no-progress intervals observed by the watchdog",
-				func() float64 { return float64(wd.Trips()) }))
-		}
-		if c.TelemetryInterval > 0 {
-			ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval, 0)
-		}
+	reg.RegisterGauge(telemetry.NewGauge("wincm_fallback_held",
+		"1 while a transaction holds the serialized-fallback token",
+		func() float64 {
+			if rt.FallbackHolder() != nil {
+				return 1
+			}
+			return 0
+		}))
+	reg.RegisterGauge(telemetry.NewGauge("wincm_locator_retired",
+		"locators retired and awaiting a grace period before reuse",
+		func() float64 { return float64(rt.RetiredLocators()) }))
+	if c.TelemetryInterval > 0 {
+		ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval, 0)
 	}
 	return rt, ins, nil
 }
@@ -370,18 +355,17 @@ func registerChaosGauges(reg *telemetry.Registry, inj *chaos.Injector) {
 }
 
 // finish stops the instrumentation, proves quiescence (no transaction
-// permanently stuck), runs the workload's invariant check, and folds the
-// robustness counters into the summary. The sampler stops first so its
-// final point still sees the watchdog and injector live.
-func (c Config) finish(res *Result, ins *instruments, w Workload) error {
+// permanently stuck), reads the summary off the final snapshot and runs the
+// workload's invariant check. The sampler stops first so its final point
+// still sees the watchdog and injector live; the snapshot is taken after
+// both have stopped, so their gauges read final values.
+func (c Config) finish(res *Result, ins *instruments, w Workload, wall time.Duration) error {
 	if ins.sampler != nil {
 		ins.sampler.Stop()
 		res.Series = ins.sampler.Points()
 	}
-	s := &res.Summary
 	if wd := ins.wd; wd != nil {
 		wd.Stop()
-		s.WatchdogTrips = wd.Trips()
 		if !wd.Quiescent() {
 			return fmt.Errorf("harness: %s under %s not quiescent after join: a transaction is permanently stuck", w.Name(), c.Manager)
 		}
@@ -390,12 +374,8 @@ func (c Config) finish(res *Result, ins *instruments, w Workload) error {
 		// Drain in-flight injected faults before reading the counters so a
 		// back-to-back run can't inherit a stall still sleeping here.
 		inj.Shutdown()
-		st := inj.Stats()
-		s.Stalls = st.Stalls
-		s.SpuriousAborts = st.SpuriousAborts
-		s.Delays = st.Delays
-		s.Perturbs = st.Perturbs
 	}
+	res.Summary = ins.reg.Snapshot().Summary(c.Threads, wall)
 	if log := ins.log; log != nil {
 		if ins.snapCh != nil {
 			close(ins.snapCh)
@@ -421,8 +401,27 @@ func (c Config) finish(res *Result, ins *instruments, w Workload) error {
 }
 
 // RunTimed executes w from cfg.Threads threads for roughly d and returns
-// the aggregated metrics. The workload is set up fresh by the caller.
+// the run's metrics. The workload is set up fresh by the caller.
 func RunTimed(cfg Config, w Workload, d time.Duration) (Result, error) {
+	return run(cfg, w, d, math.MaxInt)
+}
+
+// RunCount executes total transactions split evenly across cfg.Threads
+// threads and returns the run's metrics; Result.Wall is the total time
+// needed to commit them all (Fig. 5's measurement).
+func RunCount(cfg Config, w Workload, total int) (Result, error) {
+	res, err := run(cfg, w, -1, total)
+	if err == nil && res.Commits != int64(total) {
+		err = fmt.Errorf("harness: committed %d of %d transactions", res.Commits, total)
+	}
+	return res, err
+}
+
+// run is the one worker loop behind RunTimed and RunCount. Every thread
+// runs transactions, recording each into the run's TxStats, until its
+// share of total is done or the deadline d has passed (negative = no
+// deadline) — whichever comes first.
+func run(cfg Config, w Workload, d time.Duration, total int) (Result, error) {
 	mgr, err := cfg.NewManager()
 	if err != nil {
 		return Result{}, err
@@ -433,81 +432,33 @@ func RunTimed(cfg Config, w Workload, d time.Duration) (Result, error) {
 	}
 	w.Setup(rt.Thread(0))
 
-	per := make([]*metrics.Thread, cfg.Threads)
 	var stop atomic.Bool
 	var wg sync.WaitGroup
 	start := time.Now()
 	for i := 0; i < cfg.Threads; i++ {
-		per[i] = &metrics.Thread{}
-		wg.Add(1)
-		go func(id int, th *stm.Thread, mt *metrics.Thread) {
-			defer wg.Done()
-			run := w.NewRunner(id, cfg.Seed+uint64(id)*7919)
-			for !stop.Load() {
-				info := run(th)
-				mt.Record(info)
-				ins.record(id, info)
-			}
-		}(i, rt.Thread(i), per[i])
-	}
-	time.Sleep(d)
-	stop.Store(true)
-	wg.Wait()
-	wall := time.Since(start)
-
-	res := Result{Summary: metrics.Aggregate(per, wall)}
-	if err := cfg.finish(&res, ins, w); err != nil {
-		return Result{}, err
-	}
-	return res, nil
-}
-
-// RunCount executes total transactions split evenly across cfg.Threads
-// threads and returns the aggregated metrics; Result.Wall is the total
-// time needed to commit them all (Fig. 5's measurement).
-func RunCount(cfg Config, w Workload, total int) (Result, error) {
-	mgr, err := cfg.NewManager()
-	if err != nil {
-		return Result{}, err
-	}
-	rt, ins, err := cfg.instrument(mgr, w)
-	if err != nil {
-		return Result{}, err
-	}
-	w.Setup(rt.Thread(0))
-
-	per := make([]*metrics.Thread, cfg.Threads)
-	var wg sync.WaitGroup
-	quota := func(id int) int {
-		q := total / cfg.Threads
-		if id < total%cfg.Threads {
-			q++
+		quota := total / cfg.Threads
+		if i < total%cfg.Threads {
+			quota++
 		}
-		return q
-	}
-	start := time.Now()
-	for i := 0; i < cfg.Threads; i++ {
-		per[i] = &metrics.Thread{}
 		wg.Add(1)
-		go func(id int, th *stm.Thread, mt *metrics.Thread) {
+		go func(id int, th *stm.Thread) {
 			defer wg.Done()
-			run := w.NewRunner(id, cfg.Seed+uint64(id)*7919)
-			for n := quota(id); n > 0; n-- {
-				info := run(th)
-				mt.Record(info)
-				ins.record(id, info)
+			tx := w.NewRunner(id, cfg.Seed+uint64(id)*7919)
+			for n := 0; n < quota && !stop.Load(); n++ {
+				ins.tx.RecordTx(id, tx(th))
 			}
-		}(i, rt.Thread(i), per[i])
+		}(i, rt.Thread(i))
+	}
+	if d >= 0 {
+		time.Sleep(d)
+		stop.Store(true)
 	}
 	wg.Wait()
 	wall := time.Since(start)
 
-	res := Result{Summary: metrics.Aggregate(per, wall)}
-	if err := cfg.finish(&res, ins, w); err != nil {
+	var res Result
+	if err := cfg.finish(&res, ins, w, wall); err != nil {
 		return Result{}, err
-	}
-	if res.Commits != int64(total) {
-		return res, fmt.Errorf("harness: committed %d of %d transactions", res.Commits, total)
 	}
 	return res, nil
 }

@@ -157,3 +157,30 @@ func TestWindowVariantAndComparisonNames(t *testing.T) {
 		t.Errorf("comparison set %v missing classic managers", cmp)
 	}
 }
+
+// TestRunCountQuotas: the fixed-work stop rule splits total across the
+// threads with the remainder on the first ones, commits exactly total, and
+// a total the threads cannot have committed is an error, not a result.
+func TestRunCountQuotas(t *testing.T) {
+	cfg := harness.Config{Manager: "polka", Threads: 3, Seed: 1}
+	for _, total := range []int{7, 2, 0} {
+		w, err := harness.NewWorkload("list", bench.Mix{UpdatePct: 100, KeyRange: 64}, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := harness.RunCount(cfg, w, total)
+		if err != nil || res.Commits != int64(total) {
+			t.Errorf("RunCount(%d): %d commits, err %v", total, res.Commits, err)
+		}
+		if res.Threads != 3 || res.MaxAttempts < 1 && total > 0 {
+			t.Errorf("RunCount(%d): summary %+v", total, res.Summary)
+		}
+	}
+	w, err := harness.NewWorkload("list", bench.Mix{UpdatePct: 100, KeyRange: 64}, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err := harness.RunCount(cfg, w, -1); err == nil {
+		t.Errorf("RunCount(-1) reported success with %d commits", res.Commits)
+	}
+}

@@ -6,7 +6,6 @@ import (
 	"os"
 	"time"
 
-	"wincm/internal/metrics"
 	"wincm/internal/telemetry"
 )
 
@@ -42,16 +41,12 @@ func TelemetryFig(o Options) ([]Table, error) {
 		}
 	}
 
-	w, err := NewWorkload(benchmark, o.throughputMix(), o.Seed)
-	if err != nil {
-		return nil, err
-	}
-	cfg := o.config(manager, threads, o.Seed)
+	cfg := o.Config(manager, threads, o.Seed)
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
 	cfg.TelemetryInterval = interval
-	res, err := RunTimed(cfg, w, o.Duration)
+	res, err := o.timed(benchmark, cfg)
 	if err != nil {
 		return nil, err
 	}
@@ -129,9 +124,8 @@ func seriesTable(pts []telemetry.Point, benchmark, manager string, threads int) 
 	return t
 }
 
-// quantileTable renders the final histogram quantiles plus the live
-// summary derived from the same snapshot (metrics as a telemetry
-// consumer).
+// quantileTable renders the final histogram quantiles plus the summary
+// view of the same snapshot.
 func quantileTable(snap telemetry.Snapshot, benchmark, manager string, threads int) Table {
 	t := Table{
 		Title:   fmt.Sprintf("Telemetry: final histograms — %s under %s, M=%d", benchmark, manager, threads),
@@ -152,7 +146,7 @@ func quantileTable(snap telemetry.Snapshot, benchmark, manager string, threads i
 			fmt.Sprintf("%d", h.Quantile(0.99)),
 		})
 	}
-	s := metrics.FromSnapshot(snap, threads, 0)
+	s := snap.Summary(threads, 0)
 	t.Rows = append(t.Rows, []string{
 		"(aborts/commit from snapshot)", fmt.Sprintf("%d", s.Commits),
 		fmt.Sprintf("%.3f", s.AbortsPerCommit()), "-", "-",

@@ -31,7 +31,6 @@ import (
 	"strings"
 	"time"
 
-	"wincm/internal/cm"
 	"wincm/internal/core"
 	"wincm/internal/stm"
 )
@@ -115,12 +114,6 @@ func (o Options) withDefaults() Options {
 	return o
 }
 
-// isWindowManager reports whether name parses as a window variant.
-func isWindowManager(name string) bool {
-	_, err := core.ParseVariant(name)
-	return err == nil
-}
-
 // Validate reports the first configuration error, before any shard is
 // built — the same fail-fast contract the harness Config has: a flag (or
 // field) that would silently do nothing is an error, not a no-op.
@@ -132,13 +125,12 @@ func (o Options) Validate() error {
 	if o.ShardThreads < 0 || d.ShardThreads < 1 {
 		return fmt.Errorf("kv: ShardThreads must be >= 1 (got %d)", o.ShardThreads)
 	}
-	if !isWindowManager(d.Manager) {
-		if _, err := cm.New(d.Manager, d.ShardThreads); err != nil {
-			return fmt.Errorf("kv: %v", err)
-		}
-		if o.WindowN != 0 {
-			return fmt.Errorf("kv: WindowN has no effect with the classic manager %q (window size is a window-manager knob)", d.Manager)
-		}
+	_, wm, err := core.NewNamed(d.Manager, d.ShardThreads, 0, 0)
+	if err != nil {
+		return fmt.Errorf("kv: %v", err)
+	}
+	if wm == nil && o.WindowN != 0 {
+		return fmt.Errorf("kv: WindowN has no effect with the classic manager %q (window size is a window-manager knob)", d.Manager)
 	}
 	if o.WindowN < 0 {
 		return fmt.Errorf("kv: WindowN must be >= 0 (got %d)", o.WindowN)

@@ -4,7 +4,6 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"wincm/internal/cm"
 	"wincm/internal/core"
 	"wincm/internal/stm"
 	"wincm/internal/txbtree"
@@ -48,24 +47,11 @@ type shard struct {
 
 // newShard builds shard idx from the resolved options.
 func newShard(idx int, o Options) (*shard, error) {
-	var mgr stm.ContentionManager
-	var wm *core.Manager
-	if v, err := core.ParseVariant(o.Manager); err == nil {
-		cfg := core.DefaultConfig(v, o.ShardThreads)
-		if o.WindowN > 0 {
-			cfg.N = o.WindowN
-		}
-		// Distinct per-shard seeds keep the managers' random delays and
-		// priorities decorrelated across shards.
-		cfg.Seed = o.Seed + uint64(idx)*0x9e3779b9 + 1
-		wm = core.NewManager(cfg)
-		mgr = wm
-	} else {
-		m, err := cm.New(o.Manager, o.ShardThreads)
-		if err != nil {
-			return nil, err
-		}
-		mgr = m
+	// Distinct per-shard seeds keep the managers' random delays and
+	// priorities decorrelated across shards.
+	mgr, wm, err := core.NewNamed(o.Manager, o.ShardThreads, o.WindowN, o.Seed+uint64(idx)*0x9e3779b9+1)
+	if err != nil {
+		return nil, err
 	}
 	var opts []stm.Option
 	if o.Backend != "" {

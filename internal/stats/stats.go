@@ -1,13 +1,9 @@
 // Package stats provides the small set of descriptive statistics the
-// experiment harness needs: means, standard deviations, confidence
-// intervals, and simple linear fits used by the theory-bound experiments.
+// experiment drivers need: means, and the simple linear fits used by the
+// theory-bound experiments.
 package stats
 
-import (
-	"fmt"
-	"math"
-	"sort"
-)
+import "math"
 
 // Mean returns the arithmetic mean of xs, or 0 for an empty slice.
 func Mean(xs []float64) float64 {
@@ -19,96 +15,6 @@ func Mean(xs []float64) float64 {
 		sum += x
 	}
 	return sum / float64(len(xs))
-}
-
-// Stddev returns the sample standard deviation (n-1 denominator) of xs.
-// It returns 0 when len(xs) < 2.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	var ss float64
-	for _, x := range xs {
-		d := x - m
-		ss += d * d
-	}
-	return math.Sqrt(ss / float64(len(xs)-1))
-}
-
-// Min returns the minimum of xs, or +Inf for an empty slice.
-func Min(xs []float64) float64 {
-	min := math.Inf(1)
-	for _, x := range xs {
-		if x < min {
-			min = x
-		}
-	}
-	return min
-}
-
-// Max returns the maximum of xs, or -Inf for an empty slice.
-func Max(xs []float64) float64 {
-	max := math.Inf(-1)
-	for _, x := range xs {
-		if x > max {
-			max = x
-		}
-	}
-	return max
-}
-
-// Median returns the median of xs, or 0 for an empty slice.
-// xs is not modified.
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	cp := append([]float64(nil), xs...)
-	sort.Float64s(cp)
-	n := len(cp)
-	if n%2 == 1 {
-		return cp[n/2]
-	}
-	return (cp[n/2-1] + cp[n/2]) / 2
-}
-
-// CI95 returns the half-width of a 95% confidence interval for the mean of
-// xs using the normal approximation (1.96 · s/√n). For the handful of
-// repetitions the harness performs this is the same approximation the paper
-// implicitly uses by reporting averages of 6 runs.
-func CI95(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	return 1.96 * Stddev(xs) / math.Sqrt(float64(len(xs)))
-}
-
-// Summary bundles the descriptive statistics of one measured series.
-type Summary struct {
-	N      int
-	Mean   float64
-	Stddev float64
-	Min    float64
-	Max    float64
-	CI95   float64
-}
-
-// Summarize computes a Summary of xs.
-func Summarize(xs []float64) Summary {
-	return Summary{
-		N:      len(xs),
-		Mean:   Mean(xs),
-		Stddev: Stddev(xs),
-		Min:    Min(xs),
-		Max:    Max(xs),
-		CI95:   CI95(xs),
-	}
-}
-
-// String renders the summary as "mean ± ci95 [min, max]".
-func (s Summary) String() string {
-	return fmt.Sprintf("%.4g ± %.2g [%.4g, %.4g]", s.Mean, s.CI95, s.Min, s.Max)
 }
 
 // LinearFit returns slope a and intercept b of the least-squares line

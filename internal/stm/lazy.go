@@ -1,9 +1,9 @@
 package stm
 
-// The lazy backend: a TL2-style commit-time-validation engine behind the
-// Engine seam (engine.go). Where the eager engine detects every conflict
-// at open time, the lazy engine runs attempts against a version-clock
-// snapshot and defers all write-side work to commit:
+// The lazy backend: a TL2-style commit-time-validation engine (engine.go
+// says what the two engines share). Where the eager engine detects every
+// conflict at open time, the lazy engine runs attempts against a
+// version-clock snapshot and defers all write-side work to commit:
 //
 //   - Reads are invisible and optimistic: each read logs (variable,
 //     committed version) into the attempt's read set and is consistent as
@@ -115,7 +115,8 @@ func (c *versionClock) advanceTo(v uint64) {
 	}
 }
 
-// lazyEngine implements Engine with the TL2-style protocol above.
+// lazyEngine is the TL2-style protocol above: its version clock plus the
+// begin/commit/cleanup steps the attempt loop runs when Runtime.lazy is set.
 type lazyEngine struct {
 	clock versionClock
 }
@@ -125,14 +126,9 @@ type lazyEngine struct {
 // eager engine's are visible.
 func WithLazyBackend() Option {
 	return func(rt *Runtime) {
-		e := &lazyEngine{}
-		rt.lazy = e
-		rt.engine = e
+		rt.lazy = &lazyEngine{}
 	}
 }
-
-func (e *lazyEngine) Name() string              { return BackendLazy }
-func (e *lazyEngine) CommitTimeConflicts() bool { return true }
 
 // begin samples the attempt's read timestamp and clears the lazy tallies.
 func (e *lazyEngine) begin(tx *Tx) {

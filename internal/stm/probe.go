@@ -7,6 +7,9 @@ import "time"
 // aborts, mid-flight stalls and contention-manager-decision perturbations
 // without the STM knowing anything about fault policies.
 //
+// A probe that wants a call at every transactional open implements OpenProbe
+// as well; one that does not pays nothing per open.
+//
 // All hooks except PerturbResolve run on the transaction's own thread, after
 // every variable lock has been released, so a probe may sleep for arbitrary
 // (finite) spans — that is exactly how stalls are simulated. A probe may
@@ -22,16 +25,8 @@ import "time"
 type Probe interface {
 	// OnBegin runs at the start of every attempt, right after the
 	// contention manager's Begin hook and before the first open. Trace
-	// recorders use it to stamp the attempt's start; it is never skipped
-	// (unlike OnOpen/OnAcquire there is only one call per attempt).
+	// recorders use it to stamp the attempt's start.
 	OnBegin(tx *Tx)
-	// OnOpen runs at the start of every transactional open (read or
-	// write), before any conflict is resolved.
-	OnOpen(tx *Tx)
-	// OnAcquire runs right after the attempt newly acquired ownership of a
-	// variable — the most damaging moment to stall, because enemies must
-	// now remote-abort the attempt to make progress.
-	OnAcquire(tx *Tx)
 	// OnCommit runs at the attempt's commit point, before the status CAS.
 	// On the eager engine that is the start of commit; on the lazy engine
 	// it is after write-set acquisition and commit-time validation, so the
@@ -46,28 +41,32 @@ type Probe interface {
 	PerturbResolve(tx, enemy *Tx, kind Kind, attempt int, dec Decision, wait time.Duration) (Decision, time.Duration)
 }
 
-// OpenHookFree is an optional interface a Probe may implement to declare
-// that its OnOpen and OnAcquire hooks are no-ops. The runtime then skips
-// the per-open dispatch entirely, which matters on long traversals: a list
-// transaction performs one open per node, so even a no-op interface call
-// per open is a measurable tax. A pure telemetry recorder that folds its
-// open tallies in at attempt end (see wincm/internal/telemetry) declares
-// this; a chaos injector that stalls inside opens must not.
-type OpenHookFree interface {
-	// NoOpenHooks reports that OnOpen and OnAcquire may be skipped.
-	NoOpenHooks() bool
-}
-
-// probeNoOpenHooks reports whether p has declared its open hooks skippable.
-func probeNoOpenHooks(p Probe) bool {
-	f, ok := p.(OpenHookFree)
-	return ok && f.NoOpenHooks()
+// OpenProbe is the optional per-open half of the probe contract: a Probe
+// that also implements it is called at every transactional open. It is
+// separate because it is the expensive half — a list transaction performs
+// one open per node, so even a no-op interface call per open is a
+// measurable tax. A chaos injector that stalls inside opens implements it;
+// a pure telemetry recorder that folds its open tallies in at attempt end
+// (see wincm/internal/telemetry) does not, and the runtime then skips the
+// per-open dispatch entirely.
+type OpenProbe interface {
+	// OnOpen runs at the start of every transactional open (read or
+	// write), before any conflict is resolved.
+	OnOpen(tx *Tx)
+	// OnAcquire runs right after the attempt newly acquired ownership of a
+	// variable — the most damaging moment to stall, because enemies must
+	// now remote-abort the attempt to make progress.
+	OnAcquire(tx *Tx)
 }
 
 // WithProbe installs a fault-injection probe on the runtime. The hot paths
-// pay one nil check when no probe is installed.
+// pay one nil check when no probe is installed, and opens pay no more than
+// that unless the probe is an OpenProbe.
 func WithProbe(p Probe) Option {
-	return func(rt *Runtime) { rt.probe = p }
+	return func(rt *Runtime) {
+		rt.probe = p
+		rt.openProbe, _ = p.(OpenProbe)
+	}
 }
 
 // Probe returns the installed probe, or nil.
@@ -81,11 +80,24 @@ type probeChain struct {
 	first, second Probe
 }
 
+// openChain is a probeChain at least one half of which is an OpenProbe;
+// the embedded OpenProbe is that half, or an openPair of both.
+type openChain struct {
+	probeChain
+	OpenProbe
+}
+
+// openPair forwards the open hooks to two OpenProbes in order.
+type openPair struct {
+	first, second OpenProbe
+}
+
 // CombineProbes returns a probe that invokes a then b at every hook.
 // PerturbResolve threads the decision through both, a first — so if a is a
 // chaos injector and b a telemetry recorder, b sees a's perturbed
 // decision. A nil argument is skipped; two nils yield nil, preserving the
-// hot path's no-probe fast path.
+// hot path's no-probe fast path. The open hooks go only to the halves that
+// implement OpenProbe, and the result is an OpenProbe only if one does.
 func CombineProbes(a, b Probe) Probe {
 	switch {
 	case a == nil:
@@ -93,13 +105,18 @@ func CombineProbes(a, b Probe) Probe {
 	case b == nil:
 		return a
 	}
-	return probeChain{first: a, second: b}
-}
-
-// NoOpenHooks implements OpenHookFree: a chain is open-hook-free only if
-// both halves are.
-func (p probeChain) NoOpenHooks() bool {
-	return probeNoOpenHooks(p.first) && probeNoOpenHooks(p.second)
+	chain := probeChain{first: a, second: b}
+	ao, aok := a.(OpenProbe)
+	bo, bok := b.(OpenProbe)
+	switch {
+	case aok && bok:
+		return openChain{chain, openPair{ao, bo}}
+	case aok:
+		return openChain{chain, ao}
+	case bok:
+		return openChain{chain, bo}
+	}
+	return chain
 }
 
 // OnBegin implements Probe.
@@ -108,14 +125,14 @@ func (p probeChain) OnBegin(tx *Tx) {
 	p.second.OnBegin(tx)
 }
 
-// OnOpen implements Probe.
-func (p probeChain) OnOpen(tx *Tx) {
+// OnOpen implements OpenProbe.
+func (p openPair) OnOpen(tx *Tx) {
 	p.first.OnOpen(tx)
 	p.second.OnOpen(tx)
 }
 
-// OnAcquire implements Probe.
-func (p probeChain) OnAcquire(tx *Tx) {
+// OnAcquire implements OpenProbe.
+func (p openPair) OnAcquire(tx *Tx) {
 	p.first.OnAcquire(tx)
 	p.second.OnAcquire(tx)
 }

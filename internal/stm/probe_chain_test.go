@@ -5,19 +5,18 @@ import (
 	"time"
 )
 
-// recProbe records hook invocations and optionally rewrites decisions.
-type recProbe struct {
+// quietProbe records hook invocations and optionally rewrites decisions; it
+// has no open hooks.
+type quietProbe struct {
 	log     *[]string
 	name    string
 	rewrite func(Decision, time.Duration) (Decision, time.Duration)
 }
 
-func (p *recProbe) OnBegin(*Tx)   { *p.log = append(*p.log, p.name+".begin") }
-func (p *recProbe) OnOpen(*Tx)    { *p.log = append(*p.log, p.name+".open") }
-func (p *recProbe) OnAcquire(*Tx) { *p.log = append(*p.log, p.name+".acquire") }
-func (p *recProbe) OnCommit(*Tx)  { *p.log = append(*p.log, p.name+".commit") }
-func (p *recProbe) OnAbort(*Tx)   { *p.log = append(*p.log, p.name+".abort") }
-func (p *recProbe) PerturbResolve(_, _ *Tx, _ Kind, _ int, dec Decision, wait time.Duration) (Decision, time.Duration) {
+func (p *quietProbe) OnBegin(*Tx)  { *p.log = append(*p.log, p.name+".begin") }
+func (p *quietProbe) OnCommit(*Tx) { *p.log = append(*p.log, p.name+".commit") }
+func (p *quietProbe) OnAbort(*Tx)  { *p.log = append(*p.log, p.name+".abort") }
+func (p *quietProbe) PerturbResolve(_, _ *Tx, _ Kind, _ int, dec Decision, wait time.Duration) (Decision, time.Duration) {
 	*p.log = append(*p.log, p.name+".resolve")
 	if p.rewrite != nil {
 		return p.rewrite(dec, wait)
@@ -25,12 +24,22 @@ func (p *recProbe) PerturbResolve(_, _ *Tx, _ Kind, _ int, dec Decision, wait ti
 	return dec, wait
 }
 
+// recProbe is a quietProbe that also wants the per-open calls.
+type recProbe struct{ quietProbe }
+
+func newRecProbe(log *[]string, name string) *recProbe {
+	return &recProbe{quietProbe{log: log, name: name}}
+}
+
+func (p *recProbe) OnOpen(*Tx)    { *p.log = append(*p.log, p.name+".open") }
+func (p *recProbe) OnAcquire(*Tx) { *p.log = append(*p.log, p.name+".acquire") }
+
 func TestCombineProbesNilFastPath(t *testing.T) {
 	if CombineProbes(nil, nil) != nil {
 		t.Error("nil+nil should stay nil (preserves the no-probe fast path)")
 	}
 	var log []string
-	p := &recProbe{log: &log, name: "a"}
+	p := newRecProbe(&log, "a")
 	if got := CombineProbes(p, nil); got != Probe(p) {
 		t.Error("a+nil should be a itself")
 	}
@@ -46,33 +55,29 @@ func (aggressiveTestCM) Resolve(_, _ *Tx, _ Kind, _ int) (Decision, time.Duratio
 	return AbortEnemy, 0
 }
 
-// quietProbe is a probe that declares its open hooks skippable.
-type quietProbe struct{ recProbe }
-
-func (p *quietProbe) NoOpenHooks() bool { return true }
+// isOpenProbe reports whether the runtime would dispatch p's open hooks.
+func isOpenProbe(p Probe) bool {
+	_, ok := p.(OpenProbe)
+	return ok
+}
 
 func TestOpenHookFree(t *testing.T) {
 	var log []string
-	loud := &recProbe{log: &log, name: "loud"}
-	quiet := &quietProbe{recProbe{log: &log, name: "quiet"}}
+	loud := newRecProbe(&log, "loud")
+	quiet := &quietProbe{log: &log, name: "quiet"}
 
-	// A probe without the opt-out keeps per-open dispatch.
+	// A probe with open hooks keeps per-open dispatch.
 	rt := New(1, aggressiveTestCM{}, WithProbe(loud))
 	if rt.openProbe == nil {
-		t.Error("probe without NoOpenHooks must keep open dispatch")
+		t.Error("an OpenProbe must keep open dispatch")
 	}
-	// A probe with the opt-out removes it; commit hooks still fire.
+	// A probe without them removes it; commit hooks still fire.
 	rt = New(1, aggressiveTestCM{}, WithProbe(quiet))
 	if rt.openProbe != nil {
-		t.Error("NoOpenHooks probe must clear openProbe")
+		t.Error("a probe without open hooks must leave openProbe nil")
 	}
 	v := NewTVar(0)
 	rt.Thread(0).Atomic(func(tx *Tx) { Write(tx, v, Read(tx, v)+1) })
-	for _, ev := range log {
-		if ev == "quiet.open" || ev == "quiet.acquire" {
-			t.Fatalf("open hook dispatched despite opt-out: %v", log)
-		}
-	}
 	saw := false
 	for _, ev := range log {
 		if ev == "quiet.commit" {
@@ -83,31 +88,52 @@ func TestOpenHookFree(t *testing.T) {
 		t.Fatalf("commit hook must still fire: %v", log)
 	}
 
-	// A chain is open-hook-free only if both halves are.
-	if probeNoOpenHooks(CombineProbes(loud, quiet)) {
-		t.Error("loud+quiet chain must keep open hooks")
-	}
-	if !probeNoOpenHooks(CombineProbes(quiet, quiet)) {
+	// A chain is open-hook-free only if both halves are, and forwards the
+	// open hooks only to the halves that have them.
+	if isOpenProbe(CombineProbes(quiet, quiet)) {
 		t.Error("quiet+quiet chain should be open-hook-free")
+	}
+	for _, c := range []struct {
+		name string
+		p    Probe
+		want []string
+	}{
+		{"loud+quiet", CombineProbes(loud, quiet), []string{"loud.open", "loud.acquire"}},
+		{"quiet+loud", CombineProbes(quiet, loud), []string{"loud.open", "loud.acquire"}},
+		{"(quiet+loud)+quiet", CombineProbes(CombineProbes(quiet, loud), quiet), []string{"loud.open", "loud.acquire"}},
+	} {
+		op, ok := c.p.(OpenProbe)
+		if !ok {
+			t.Errorf("%s chain must keep open hooks", c.name)
+			continue
+		}
+		log = log[:0]
+		op.OnOpen(nil)
+		op.OnAcquire(nil)
+		if len(log) != len(c.want) || log[0] != c.want[0] || log[1] != c.want[1] {
+			t.Errorf("%s forwarded open hooks as %v, want %v", c.name, log, c.want)
+		}
 	}
 }
 
 func TestCombineProbesOrderAndThreading(t *testing.T) {
 	var log []string
-	injector := &recProbe{log: &log, name: "inj", rewrite: func(Decision, time.Duration) (Decision, time.Duration) {
+	injector := newRecProbe(&log, "inj")
+	injector.rewrite = func(Decision, time.Duration) (Decision, time.Duration) {
 		return Wait, 7 * time.Microsecond // perturb whatever the CM said
-	}}
+	}
 	var sawDec Decision
 	var sawWait time.Duration
-	recorder := &recProbe{log: &log, name: "rec", rewrite: func(dec Decision, wait time.Duration) (Decision, time.Duration) {
+	recorder := newRecProbe(&log, "rec")
+	recorder.rewrite = func(dec Decision, wait time.Duration) (Decision, time.Duration) {
 		sawDec, sawWait = dec, wait
 		return dec, wait
-	}}
+	}
 	p := CombineProbes(injector, recorder)
 
 	tx := &Tx{D: &Desc{}}
-	p.OnOpen(tx)
-	p.OnAcquire(tx)
+	p.(OpenProbe).OnOpen(tx)
+	p.(OpenProbe).OnAcquire(tx)
 	p.OnCommit(tx)
 	p.OnAbort(tx)
 	dec, wait := p.PerturbResolve(tx, tx, WriteWrite, 1, AbortEnemy, 0)

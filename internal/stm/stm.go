@@ -32,8 +32,8 @@
 // re-running the callback until it commits (the standard Go idiom for
 // non-local exits inside a package; the panic never escapes Atomic).
 //
-// The eager protocol above is one of two engines behind the Engine seam
-// (engine.go): WithLazyBackend selects a TL2-style lazy engine instead —
+// The eager protocol above is one of two engines (engine.go):
+// WithLazyBackend selects a TL2-style lazy engine instead —
 // invisible version-clock reads, buffered writes, commit-time lock
 // acquisition and validation (lazy.go). The attempt loop, contention
 // managers, probes, commit hooks, fallback token and watchdog are
@@ -322,7 +322,9 @@ func (tx *Tx) beginAttempt() {
 	if tx.poolOn {
 		tx.pin()
 	}
-	tx.rt.engine.begin(tx)
+	if e := tx.rt.lazy; e != nil {
+		e.begin(tx)
+	}
 }
 
 // Abort aborts tx's current attempt if it is still active. It is safe to
@@ -361,12 +363,10 @@ type Runtime struct {
 	threads    []*Thread
 	yieldEvery atomic.Int64
 
-	// engine is the installed transactional protocol (engine.go); lazy
-	// is the same value pre-asserted when the lazy backend is installed,
-	// so the per-operation dispatch in Read/Write/Modify is one nil
-	// check instead of an interface assertion.
-	engine Engine
-	lazy   *lazyEngine
+	// lazy is the lazy engine's state when that backend is installed and
+	// nil on the eager engine: the one discriminant every engine-specific
+	// step branches on (engine.go).
+	lazy *lazyEngine
 
 	// epochSlots holds one padded reclamation pin slot per thread
 	// (epoch.go), the same shape as the reader spill table.
@@ -378,9 +378,9 @@ type Runtime struct {
 	probe Probe
 	// commitHook is the optional durability hook (see hook.go).
 	commitHook CommitHook
-	// openProbe is probe unless it declared NoOpenHooks, in which case it
-	// is nil and the per-open dispatch in Read/Write vanishes.
-	openProbe Probe
+	// openProbe is probe when it implements OpenProbe; otherwise it is nil
+	// and the per-open dispatch in Read/Write vanishes.
+	openProbe OpenProbe
 	// fallback holds the serialized-fallback token (see fallback.go).
 	fallback atomic.Pointer[Desc]
 	// maxAttempts and txDeadline are the fallback budgets new transactions
@@ -404,12 +404,6 @@ func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	rt := &Runtime{cm: cm}
 	for _, opt := range opts {
 		opt(rt)
-	}
-	if rt.engine == nil {
-		rt.engine = eagerEngine{}
-	}
-	if rt.probe != nil && !probeNoOpenHooks(rt.probe) {
-		rt.openProbe = rt.probe
 	}
 	rt.threads = make([]*Thread, m)
 	rt.epochSlots = make([]paddedUint64, m)
@@ -617,7 +611,11 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		// by our own AbortSelf decision. Normalize, release everything we
 		// hold, notify the manager, and go around again.
 		tx.abortWord(tx.status.Load())
-		rt.engine.cleanup(tx)
+		if e := rt.lazy; e != nil {
+			e.cleanup(tx)
+		} else {
+			tx.cleanupEager()
+		}
 		info.Wasted += time.Duration(end - d.AttemptStart)
 		cm.Aborted(tx)
 		if p := rt.probe; p != nil {
@@ -683,8 +681,8 @@ func (t *Thread) abortBackoff(attempts int) {
 	}
 }
 
-// runAttempt executes fn once and tries to commit through the installed
-// engine, converting the internal retry panic into a false return.
+// runAttempt executes fn once and tries to commit on the runtime's engine,
+// converting the internal retry panic into a false return.
 func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -696,7 +694,10 @@ func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 		}
 	}()
 	fn(tx)
-	return tx.rt.engine.commit(tx)
+	if e := tx.rt.lazy; e != nil {
+		return e.commit(tx)
+	}
+	return tx.commitEager()
 }
 
 // commitEager atomically makes the attempt's writes take effect (the

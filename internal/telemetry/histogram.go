@@ -15,19 +15,21 @@ import (
 // saturating — wider than any quantity the STM produces.
 const NumBuckets = 40
 
-// histShard is one writer's private histogram state. sum rides in front
-// of the bucket array; the whole struct is several cache lines, so two
-// shards never share a line. The observation count is not stored — it is
-// the sum of the buckets, computed at snapshot time.
+// histShard is one writer's private histogram state. sum and max ride in
+// front of the bucket array; the whole struct is several cache lines, so
+// two shards never share a line. The observation count is not stored — it
+// is the sum of the buckets, computed at snapshot time.
 type histShard struct {
 	sum    atomic.Int64
+	max    atomic.Int64
 	bucket [NumBuckets]atomic.Int64
 }
 
 // Histogram is a sharded, log₂-bucketed histogram of int64 observations
 // (durations in nanoseconds, attempt counts, wait spans). One Observe is
-// two load+store pairs on the writer's own shard — shards are
-// single-writer, like Counter's — and merging happens at read time.
+// two load+store pairs on the writer's own shard, plus a third when the
+// value is a new maximum — shards are single-writer, like Counter's — and
+// merging happens at read time.
 type Histogram struct {
 	name  string
 	help  string
@@ -73,6 +75,9 @@ func BucketUpper(i int) int64 {
 func (h *Histogram) Observe(shard int, v int64) {
 	s := &h.shard[uint32(shard)&h.mask]
 	s.sum.Store(s.sum.Load() + v)
+	if v > s.max.Load() {
+		s.max.Store(v)
+	}
 	b := &s.bucket[bucketFor(v)]
 	b.Store(b.Load() + 1)
 }
@@ -81,6 +86,9 @@ func (h *Histogram) Observe(shard int, v int64) {
 type HistogramSnapshot struct {
 	// Count is the number of observations; Sum their total.
 	Count, Sum int64
+	// Max is the largest observation, exact (each shard keeps its own
+	// single-writer maximum); 0 with no positive observation.
+	Max int64
 	// Buckets are per-bucket (non-cumulative) observation counts.
 	Buckets [NumBuckets]int64
 }
@@ -123,6 +131,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	for i := range h.shard {
 		s := &h.shard[i]
 		out.Sum += s.sum.Load()
+		if m := s.max.Load(); m > out.Max {
+			out.Max = m
+		}
 		for b := range s.bucket {
 			out.Buckets[b] += s.bucket[b].Load()
 		}

@@ -87,6 +87,10 @@ func TestHistogramMeanAndQuantile(t *testing.T) {
 	if got := s.Mean(); got != 1.9 {
 		t.Errorf("Mean = %v", got)
 	}
+	// Max is the exact largest observation, not its bucket's bound (15).
+	if s.Max != 10 || zero.Max != 0 {
+		t.Errorf("Max = %d (empty %d), want 10 (0)", s.Max, zero.Max)
+	}
 	if got := s.Quantile(0.5); got != 1 {
 		t.Errorf("p50 = %d, want 1", got)
 	}
@@ -114,16 +118,20 @@ func TestHistogramConcurrentMerge(t *testing.T) {
 		go func(shard int) {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				h.Observe(shard, int64(j%100))
+				h.Observe(shard, int64(j%100+shard))
 			}
 		}(i)
 	}
 	wg.Wait()
 	s := h.Snapshot()
+	// Each shard keeps its own maximum; the merge takes the largest.
+	if s.Max != 99+writers-1 {
+		t.Errorf("Max = %d, want %d", s.Max, 99+writers-1)
+	}
 	if s.Count != writers*per {
 		t.Errorf("Count = %d, want %d", s.Count, writers*per)
 	}
-	wantSum := int64(writers) * int64(per/100) * (99 * 100 / 2)
+	wantSum := int64(writers)*int64(per/100)*(99*100/2) + int64(per)*(writers*(writers-1)/2)
 	if s.Sum != wantSum {
 		t.Errorf("Sum = %d, want %d", s.Sum, wantSum)
 	}

@@ -11,12 +11,12 @@ import (
 // PerturbResolve's vantage point after any chaos perturbation, the final
 // contention-manager decision mix and the backoff-wait histogram.
 //
-// Per-open hooks are deliberate no-ops: opens and acquires are tallied by
-// the runtime on the attempt itself (stm.Tx.OpenCalls, AcquireCount) and
-// folded in once per attempt end, so a long traversal pays nothing per
-// open beyond the runtime's own no-op dispatch. Every recording hook is a
-// handful of single-writer sharded updates — no locks, no allocation, no
-// locked bus cycles.
+// It deliberately does not implement stm.OpenProbe: opens and acquires are
+// tallied by the runtime on the attempt itself (stm.Tx.OpenCalls,
+// AcquireCount) and folded in once per attempt end, so a long traversal
+// pays nothing per open. Every recording hook is a handful of
+// single-writer sharded updates — no locks, no allocation, no locked bus
+// cycles.
 //
 // Chain it behind a chaos injector with stm.CombineProbes so the recorded
 // decisions are the ones the runtime actually executes.
@@ -146,18 +146,8 @@ func (p *Probe) foldAttempt(shard int, tx *stm.Tx) {
 	s.lastSem, s.lastSmo, s.lastFalse = tx.SemanticConflicts(), tx.StructuralOps(), tx.FalseConflictsAvoided()
 }
 
-// NoOpenHooks implements stm.OpenHookFree: the runtime skips this probe's
-// per-open dispatch entirely, so long traversals pay nothing per open.
-func (p *Probe) NoOpenHooks() bool { return true }
-
 // OnBegin implements stm.Probe (no-op; attempts fold in at attempt end).
 func (p *Probe) OnBegin(*stm.Tx) {}
-
-// OnOpen implements stm.Probe (no-op; opens fold in at attempt end).
-func (p *Probe) OnOpen(*stm.Tx) {}
-
-// OnAcquire implements stm.Probe (no-op; acquires fold in at attempt end).
-func (p *Probe) OnAcquire(*stm.Tx) {}
 
 // OnCommit implements stm.Probe.
 func (p *Probe) OnCommit(tx *stm.Tx) {

@@ -19,9 +19,11 @@ func TestProbeHooks(t *testing.T) {
 	r := telemetry.NewRegistry()
 	p := telemetry.NewProbe(r, 2)
 	tx, enemy := fakeTx(0, 1, 1), fakeTx(1, 2, 1)
-	// Per-open hooks are no-ops (opens fold in at attempt end).
-	p.OnOpen(tx)
-	p.OnAcquire(tx)
+	// No per-open hooks: opens fold in at attempt end, and the runtime must
+	// not dispatch to this probe per open.
+	if _, ok := stm.Probe(p).(stm.OpenProbe); ok {
+		t.Error("telemetry.Probe implements stm.OpenProbe; long traversals would pay per open")
+	}
 	p.OnCommit(tx)
 	p.OnAbort(tx)               // same attempt as OnCommit: no double fold
 	p.OnAbort(fakeTx(0, 1, 2))  // next attempt of the same transaction
@@ -184,10 +186,8 @@ func TestProbeLazyMode(t *testing.T) {
 // between OnCommit and the status CAS looks like, made deterministic.
 type commitAborter struct{ doomed int }
 
-func (commitAborter) OnBegin(*stm.Tx)   {}
-func (commitAborter) OnOpen(*stm.Tx)    {}
-func (commitAborter) OnAcquire(*stm.Tx) {}
-func (commitAborter) OnAbort(*stm.Tx)   {}
+func (commitAborter) OnBegin(*stm.Tx) {}
+func (commitAborter) OnAbort(*stm.Tx) {}
 func (c commitAborter) OnCommit(tx *stm.Tx) {
 	if tx.D.Attempts <= c.doomed {
 		tx.Abort()

@@ -7,7 +7,7 @@
 // The paper's argument rests on measured scheduler behaviour — throughput,
 // aborts per commit, wasted work, and how the window managers' frame and
 // priority machinery reacts to contention. End-of-run aggregates
-// (wincm/internal/metrics) answer *that* a manager wins; the telemetry
+// (Snapshot.Summary) answer *that* a manager wins; the rest of the telemetry
 // layer answers *why*, by exposing the same quantities time-resolved and
 // live while a run is in flight.
 //

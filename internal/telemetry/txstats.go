@@ -1,21 +1,66 @@
 package telemetry
 
-import "wincm/internal/stm"
+import (
+	"time"
 
-// TxStats is the standard instrument set for one STM run: the commit-path
+	"wincm/internal/stm"
+)
+
+// Names of the transaction instruments: NewTxStats registers them and
+// Snapshot.Summary reads them back, so the two cannot drift apart.
+const (
+	nameCommits      = "wincm_commits_total"
+	nameAborts       = "wincm_aborts_total"
+	nameRepeatAborts = "wincm_repeat_aborts_total"
+	nameFallbacks    = "wincm_fallback_commits_total"
+	nameWastedNs     = "wincm_wasted_ns_total"
+	nameResponse     = "wincm_response_ns"
+	nameCommitDur    = "wincm_commit_duration_ns"
+	nameAttempts     = "wincm_tx_attempts"
+)
+
+// TxStats is the one recorder of committed transactions: the commit-path
 // counters the paper's figures aggregate, plus the latency and attempt
-// histograms that only telemetry exposes. Each worker thread records into
-// its own shard (its thread ID), so recording never contends.
+// histograms. Each worker thread records into its own shard (its thread
+// ID), so recording never contends. A run's end-of-run numbers are a
+// Summary of the registry's final Snapshot; a scrape mid-run reads the
+// same instruments.
+//
+// # Time accounting
+//
+// All durations derive from stm.TxInfo, whose fields partition a logical
+// transaction's lifetime as follows:
+//
+//   - Duration is the response time: the transaction's first attempt start
+//     (Desc.Birth) to its commit. It contains everything below.
+//   - Wasted is the sum over aborted attempts of (attempt end − attempt
+//     start). Contention-manager waits taken *during* an aborted attempt —
+//     including the waits of its final, losing conflict — fall inside the
+//     attempt's span and are therefore part of Wasted.
+//   - CommitDur is the span of the successful attempt only, again
+//     including any CM waits taken during it.
+//   - Duration − Wasted − CommitDur is the inter-attempt overhead: restart
+//     backoff a manager pays in Begin (cm.Backoff), the runtime's
+//     randomized retry backoff (every lazy-engine retry; eager retries
+//     past the eighth), and time queued for the serialized-fallback token.
+//     No TxInfo field names it; it is recoverable by subtraction.
+//
+// Busy, the total time threads dedicated to their transactions, is exactly
+// the sum of Duration — the Response histogram's sum — inter-attempt
+// overhead included; summing only Wasted + CommitDur would understate Busy
+// and overstate WastedWork under backoff-heavy managers.
 type TxStats struct {
 	// Commits counts committed transactions; Aborts aborted attempts.
 	Commits, Aborts *Counter
-	// RepeatAborts counts aborts beyond a transaction's first.
+	// RepeatAborts counts aborts beyond a transaction's first — the
+	// transaction conflicted again after retrying (our countable proxy
+	// for the paper's "repeat conflicts").
 	RepeatAborts *Counter
 	// Fallbacks counts commits made holding the serialized-fallback token.
 	Fallbacks *Counter
-	// WastedNs and BusyNs accumulate wasted and total per-transaction time
-	// (see wincm/internal/metrics for the exact accounting).
-	WastedNs, BusyNs *Counter
+	// WastedNs accumulates the time spent in aborted attempts (see Time
+	// accounting above).
+	WastedNs *Counter
 	// Response is the response-time histogram (first attempt → commit), ns.
 	Response *Histogram
 	// CommitDur is the successful-attempt duration histogram, ns.
@@ -28,15 +73,14 @@ type TxStats struct {
 // the given worker count.
 func NewTxStats(r *Registry, shards int) *TxStats {
 	return &TxStats{
-		Commits:      r.NewCounter("wincm_commits_total", "committed transactions", shards),
-		Aborts:       r.NewCounter("wincm_aborts_total", "aborted attempts", shards),
-		RepeatAborts: r.NewCounter("wincm_repeat_aborts_total", "aborts beyond a transaction's first", shards),
-		Fallbacks:    r.NewCounter("wincm_fallback_commits_total", "commits holding the serialized-fallback token", shards),
-		WastedNs:     r.NewCounter("wincm_wasted_ns_total", "time spent in aborted attempts", shards),
-		BusyNs:       r.NewCounter("wincm_busy_ns_total", "total per-transaction time, first attempt to commit", shards),
-		Response:     r.NewHistogram("wincm_response_ns", "transaction response time (first attempt to commit)", shards),
-		CommitDur:    r.NewHistogram("wincm_commit_duration_ns", "duration of successful attempts", shards),
-		Attempts:     r.NewHistogram("wincm_tx_attempts", "attempts needed per committed transaction", shards),
+		Commits:      r.NewCounter(nameCommits, "committed transactions", shards),
+		Aborts:       r.NewCounter(nameAborts, "aborted attempts", shards),
+		RepeatAborts: r.NewCounter(nameRepeatAborts, "aborts beyond a transaction's first", shards),
+		Fallbacks:    r.NewCounter(nameFallbacks, "commits holding the serialized-fallback token", shards),
+		WastedNs:     r.NewCounter(nameWastedNs, "time spent in aborted attempts", shards),
+		Response:     r.NewHistogram(nameResponse, "transaction response time (first attempt to commit)", shards),
+		CommitDur:    r.NewHistogram(nameCommitDur, "duration of successful attempts", shards),
+		Attempts:     r.NewHistogram(nameAttempts, "attempts needed per committed transaction", shards),
 	}
 }
 
@@ -54,8 +98,102 @@ func (s *TxStats) RecordTx(shard int, info stm.TxInfo) {
 		s.Fallbacks.Inc(shard)
 	}
 	s.WastedNs.Add(shard, int64(info.Wasted))
-	s.BusyNs.Add(shard, int64(info.Duration))
 	s.Response.Observe(shard, int64(info.Duration))
 	s.CommitDur.Observe(shard, int64(info.CommitDur))
 	s.Attempts.Observe(shard, int64(info.Attempts))
+}
+
+// Summary is the transactional statistics the paper reports for one run:
+// throughput (committed transactions per second), aborts per commit,
+// execution time, and the Section-IV extension metrics — wasted work,
+// repeat conflicts, average committed-transaction duration and average
+// response time. It is a view of a Snapshot holding a TxStats set.
+type Summary struct {
+	// Threads is the number of worker threads of the run.
+	Threads int
+	// Wall is the wall-clock duration the snapshot was taken at.
+	Wall time.Duration
+	// Commits, Aborts and RepeatAborts are the TxStats counters.
+	Commits, Aborts, RepeatAborts int64
+	// Wasted is the total time spent in attempts that aborted; Busy the
+	// total time dedicated to transactions (the sum of response times).
+	Wasted, Busy time.Duration
+	// FallbackEntries counts transactions that committed holding the
+	// serialized-fallback token (they exhausted their retry or deadline
+	// budget, or were rescued by the watchdog); MaxAttempts is the largest
+	// attempt count any single transaction needed — the tail the fallback
+	// budgets are meant to bound.
+	FallbackEntries int64
+	MaxAttempts     int
+	// Robustness counters, read from the chaos and watchdog gauges when the
+	// run registered them (zero otherwise): faults injected by the chaos
+	// layer and watchdog no-progress trips.
+	Stalls, SpuriousAborts, Delays, Perturbs int64
+	WatchdogTrips                            int64
+	commitDurSum                             time.Duration
+}
+
+// Summary reads the TxStats instruments — and the chaos and watchdog
+// gauges, where registered — out of a snapshot taken wall into a run of
+// the given thread count. Every field is exact: the histogram shards keep
+// their own sums and maxima.
+func (snap Snapshot) Summary(threads int, wall time.Duration) Summary {
+	return Summary{
+		Threads:         threads,
+		Wall:            wall,
+		Commits:         snap.Counters[nameCommits],
+		Aborts:          snap.Counters[nameAborts],
+		RepeatAborts:    snap.Counters[nameRepeatAborts],
+		FallbackEntries: snap.Counters[nameFallbacks],
+		Wasted:          time.Duration(snap.Counters[nameWastedNs]),
+		Busy:            time.Duration(snap.Histograms[nameResponse].Sum),
+		MaxAttempts:     int(snap.Histograms[nameAttempts].Max),
+		Stalls:          int64(snap.Gauges["wincm_chaos_stalls"]),
+		SpuriousAborts:  int64(snap.Gauges["wincm_chaos_spurious_aborts"]),
+		Delays:          int64(snap.Gauges["wincm_chaos_delays"]),
+		Perturbs:        int64(snap.Gauges["wincm_chaos_perturbs"]),
+		WatchdogTrips:   int64(snap.Gauges["wincm_watchdog_trips"]),
+		commitDurSum:    time.Duration(snap.Histograms[nameCommitDur].Sum),
+	}
+}
+
+// Throughput returns committed transactions per second.
+func (s Summary) Throughput() float64 {
+	if s.Wall <= 0 {
+		return 0
+	}
+	return float64(s.Commits) / s.Wall.Seconds()
+}
+
+// AbortsPerCommit returns the aborts/commit ratio (Fig. 4's metric).
+func (s Summary) AbortsPerCommit() float64 {
+	if s.Commits == 0 {
+		return 0
+	}
+	return float64(s.Aborts) / float64(s.Commits)
+}
+
+// WastedWork returns the fraction of execution time spent in attempts
+// that aborted (Section IV's wasted-work metric).
+func (s Summary) WastedWork() float64 {
+	if s.Busy <= 0 {
+		return 0
+	}
+	return float64(s.Wasted) / float64(s.Busy)
+}
+
+// MeanResponse returns the average response time per transaction.
+func (s Summary) MeanResponse() time.Duration {
+	if s.Commits == 0 {
+		return 0
+	}
+	return s.Busy / time.Duration(s.Commits)
+}
+
+// MeanCommitDur returns the average duration of committed attempts.
+func (s Summary) MeanCommitDur() time.Duration {
+	if s.Commits == 0 {
+		return 0
+	}
+	return s.commitDurSum / time.Duration(s.Commits)
 }

@@ -1,0 +1,208 @@
+package telemetry_test
+
+import (
+	"fmt"
+	"testing"
+	"time"
+
+	"wincm/internal/stm"
+	"wincm/internal/telemetry"
+)
+
+func info(attempts int, wasted, dur, commitDur time.Duration) stm.TxInfo {
+	return stm.TxInfo{Attempts: attempts, Wasted: wasted, Duration: dur, CommitDur: commitDur}
+}
+
+// summarize records each shard's transactions into a fresh TxStats and
+// returns the summary view of the registry's snapshot.
+func summarize(wall time.Duration, shards ...[]stm.TxInfo) telemetry.Summary {
+	reg := telemetry.NewRegistry()
+	tx := telemetry.NewTxStats(reg, len(shards))
+	for shard, infos := range shards {
+		for _, in := range infos {
+			tx.RecordTx(shard, in)
+		}
+	}
+	return reg.Snapshot().Summary(len(shards), wall)
+}
+
+// refThread is the per-thread accumulator the harness recorded into before
+// TxStats became the only recorder (internal/metrics.Thread, verbatim); the
+// snapshot view is checked against it field for field.
+type refThread struct {
+	commits, aborts, repeatAborts, fallbackEntries int64
+	wasted, busy, respSum, commitDurSum            time.Duration
+	maxAttempts                                    int
+}
+
+func (t *refThread) record(info stm.TxInfo) {
+	t.commits++
+	t.aborts += int64(info.Aborts())
+	if a := info.Aborts(); a > 1 {
+		t.repeatAborts += int64(a - 1)
+	}
+	t.wasted += info.Wasted
+	t.busy += info.Duration
+	t.respSum += info.Duration
+	t.commitDurSum += info.CommitDur
+	if info.Fallback {
+		t.fallbackEntries++
+	}
+	if info.Attempts > t.maxAttempts {
+		t.maxAttempts = info.Attempts
+	}
+}
+
+// TestSummaryEqualsPerThreadAggregate: a fixed TxInfo sequence over three
+// shards reads back from the snapshot exactly as the per-thread aggregate
+// computed it — counters, times, fallback entries, the exact worst attempt
+// count (17 sits in the [16,31] bucket; the bucket bound would say 31) and
+// both means — and the chaos counters stay zero with no gauges registered.
+func TestSummaryEqualsPerThreadAggregate(t *testing.T) {
+	fb := func(in stm.TxInfo) stm.TxInfo { in.Fallback = true; return in }
+	shards := [][]stm.TxInfo{
+		{
+			fb(info(4, 3*time.Millisecond, 5*time.Millisecond, time.Millisecond)),
+			info(2, time.Millisecond, 3*time.Millisecond, time.Millisecond),
+		},
+		{
+			fb(info(17, 40*time.Millisecond, 45*time.Millisecond, 2*time.Millisecond)),
+		},
+		{
+			info(1, 0, 700*time.Microsecond, 700*time.Microsecond),
+			info(9, 6*time.Millisecond, 8*time.Millisecond+3, time.Millisecond),
+			info(3, 0, time.Millisecond, time.Millisecond),
+		},
+	}
+	var want refThread // Aggregate summed the threads and took the worst MaxAttempts
+	for _, infos := range shards {
+		for _, in := range infos {
+			want.record(in)
+		}
+	}
+	s := summarize(2*time.Second, shards...)
+
+	if s.Threads != 3 || s.Wall != 2*time.Second {
+		t.Errorf("shape = %d threads over %v", s.Threads, s.Wall)
+	}
+	if s.Commits != want.commits || s.Aborts != want.aborts || s.RepeatAborts != want.repeatAborts {
+		t.Errorf("counters = %d/%d/%d, want %d/%d/%d", s.Commits, s.Aborts, s.RepeatAborts,
+			want.commits, want.aborts, want.repeatAborts)
+	}
+	if s.Wasted != want.wasted || s.Busy != want.busy {
+		t.Errorf("times: Wasted=%v Busy=%v, want %v %v", s.Wasted, s.Busy, want.wasted, want.busy)
+	}
+	if s.FallbackEntries != want.fallbackEntries || s.FallbackEntries != 2 {
+		t.Errorf("FallbackEntries = %d, want %d", s.FallbackEntries, want.fallbackEntries)
+	}
+	if s.MaxAttempts != want.maxAttempts || s.MaxAttempts != 17 {
+		t.Errorf("MaxAttempts = %d, want the exact maximum %d", s.MaxAttempts, want.maxAttempts)
+	}
+	if got, want := s.MeanResponse(), want.respSum/time.Duration(want.commits); got != want {
+		t.Errorf("MeanResponse = %v, want %v", got, want)
+	}
+	if got, want := s.MeanCommitDur(), want.commitDurSum/time.Duration(want.commits); got != want {
+		t.Errorf("MeanCommitDur = %v, want %v", got, want)
+	}
+	if s.Stalls != 0 || s.SpuriousAborts != 0 || s.Delays != 0 || s.Perturbs != 0 || s.WatchdogTrips != 0 {
+		t.Errorf("chaos counters should be zero with no gauges registered: %+v", s)
+	}
+}
+
+func TestRecordCountsAbortsAndRepeats(t *testing.T) {
+	s := summarize(time.Second, []stm.TxInfo{
+		info(1, 0, time.Millisecond, time.Millisecond),
+		info(2, time.Millisecond, 3*time.Millisecond, time.Millisecond),
+		info(4, 5*time.Millisecond, 8*time.Millisecond, time.Millisecond),
+	})
+	if s.Commits != 3 {
+		t.Errorf("Commits = %d", s.Commits)
+	}
+	if s.Aborts != 0+1+3 {
+		t.Errorf("Aborts = %d", s.Aborts)
+	}
+	// Repeats: only the 4-attempt transaction retried more than once
+	// (3 aborts ⇒ 2 repeats).
+	if s.RepeatAborts != 2 {
+		t.Errorf("RepeatAborts = %d", s.RepeatAborts)
+	}
+	if s.Wasted != 6*time.Millisecond {
+		t.Errorf("Wasted = %v", s.Wasted)
+	}
+	// Busy is the sum of response times (Duration), which includes the
+	// inter-attempt overhead on top of Wasted + CommitDur.
+	if s.Busy != (1+3+8)*time.Millisecond {
+		t.Errorf("Busy = %v", s.Busy)
+	}
+}
+
+func TestAggregateAndDerivedMetrics(t *testing.T) {
+	s := summarize(2*time.Second,
+		[]stm.TxInfo{info(2, 2*time.Millisecond, 4*time.Millisecond, 2*time.Millisecond)},
+		[]stm.TxInfo{
+			info(1, 0, 2*time.Millisecond, 2*time.Millisecond),
+			info(1, 0, 2*time.Millisecond, 2*time.Millisecond),
+		})
+	if s.Threads != 2 || s.Commits != 3 || s.Aborts != 1 {
+		t.Errorf("summary = %+v", s)
+	}
+	if got := s.Throughput(); got != 1.5 {
+		t.Errorf("Throughput = %v", got)
+	}
+	if got := s.AbortsPerCommit(); got != 1.0/3 {
+		t.Errorf("AbortsPerCommit = %v", got)
+	}
+	// Wasted 2ms of busy (= sum of Durations) 4+2+2=8ms.
+	if got := s.WastedWork(); got != 0.25 {
+		t.Errorf("WastedWork = %v", got)
+	}
+	if got := s.MeanResponse(); got != (4+2+2)*time.Millisecond/3 {
+		t.Errorf("MeanResponse = %v", got)
+	}
+	if got := s.MeanCommitDur(); got != 2*time.Millisecond {
+		t.Errorf("MeanCommitDur = %v", got)
+	}
+}
+
+// TestSummaryReadsRobustnessGauges: the chaos and watchdog gauges, when a
+// run registered them, fill the summary's robustness counters.
+func TestSummaryReadsRobustnessGauges(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	tx := telemetry.NewTxStats(reg, 2)
+	reg.RegisterGauge(telemetry.NewGauge("wincm_chaos_stalls", "", func() float64 { return 3 }))
+	reg.RegisterGauge(telemetry.NewGauge("wincm_watchdog_trips", "", func() float64 { return 1 }))
+	tx.RecordTx(0, info(1, 0, 2*time.Millisecond, 2*time.Millisecond))
+	tx.RecordTx(1, info(5, 3*time.Millisecond, 6*time.Millisecond, time.Millisecond))
+
+	s := reg.Snapshot().Summary(2, time.Second)
+	if s.Stalls != 3 || s.WatchdogTrips != 1 || s.Delays != 0 {
+		t.Errorf("robustness: Stalls=%d WatchdogTrips=%d Delays=%d", s.Stalls, s.WatchdogTrips, s.Delays)
+	}
+	// 5 attempts land in the [4,7] bucket; the view reports 5, not 7.
+	if s.MaxAttempts != 5 {
+		t.Errorf("MaxAttempts = %d, want 5", s.MaxAttempts)
+	}
+}
+
+func TestZeroValueSummaries(t *testing.T) {
+	for _, s := range []telemetry.Summary{{}, telemetry.NewRegistry().Snapshot().Summary(0, 0)} {
+		if s.Throughput() != 0 || s.AbortsPerCommit() != 0 || s.WastedWork() != 0 {
+			t.Error("zero summary produced nonzero ratios")
+		}
+		if s.MeanResponse() != 0 || s.MeanCommitDur() != 0 {
+			t.Error("zero summary produced nonzero durations")
+		}
+	}
+}
+
+// ExampleTxStats records two worker threads' transactions and reads the
+// run-level metrics off the snapshot.
+func ExampleTxStats() {
+	reg := telemetry.NewRegistry()
+	tx := telemetry.NewTxStats(reg, 2)
+	tx.RecordTx(0, stm.TxInfo{Attempts: 1, Duration: time.Millisecond, CommitDur: time.Millisecond})
+	tx.RecordTx(1, stm.TxInfo{Attempts: 3, Wasted: 2 * time.Millisecond, Duration: 4 * time.Millisecond, CommitDur: time.Millisecond})
+	s := reg.Snapshot().Summary(2, time.Second)
+	fmt.Printf("%.0f commits/s, %.1f aborts/commit\n", s.Throughput(), s.AbortsPerCommit())
+	// Output: 2 commits/s, 1.0 aborts/commit
+}
