@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench figures figures-smoke chaos theory walcrash trace-smoke kv-smoke telemetry-smoke loc ci
+.PHONY: all build vet test race bench figures figures-smoke chaos theory trace-smoke kv-smoke telemetry-smoke loc ci
 
 all: build vet test
 
@@ -20,6 +20,8 @@ race:
 ci: build vet race figures-smoke
 	go -C benchmark test -race -short ./...
 	go test -count=20 ./internal/telemetry/ ./internal/stm/
+	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/kv/
+	go test -run '^$$' -fuzz FuzzReadReply -fuzztime 10s ./internal/kv/
 
 # The -fig all grid path end to end, outside unit tests: one benchmark, two
 # thread counts, 50 ms cells (16 timed cells + Fig. 5's fixed-work ones).
@@ -50,17 +52,10 @@ figures:
 chaos:
 	go run ./cmd/winbench -fig chaos
 
-# Crash-recovery gate: >= 100 randomized crash points across fault modes,
-# then the same campaign under batched group commit and on the lazy
-# backend (commit-time write-back); all must recover.
-walcrash:
-	go run ./cmd/walcrash -seeds 8 -rounds 13 -threads 4
-	go run ./cmd/walcrash -seeds 2 -rounds 13 -manager polka -sync-every 4
-	go run ./cmd/walcrash -seeds 2 -rounds 13 -backend lazy
-
 # KV service smoke: winkv serves Zipfian winload traffic (including
-# cross-shard transactions), /metrics scrapes, commits flow, and the
-# watchdog never trips.
+# cross-shard transactions), /metrics scrapes, commits flow, the watchdog
+# never trips, and once winload has left every shard's thread pool is full
+# again (wincm_kv_pool_idle = -threads: no STM thread leaked).
 kv-smoke:
 	go build -o /tmp/winkv-smoke ./cmd/winkv
 	go build -o /tmp/winload-smoke ./cmd/winload
@@ -73,16 +68,13 @@ kv-smoke:
 	grep -q 'wincm_kv_shard_commits{shard="3"}' /tmp/kv_metrics.out || status=1; \
 	awk '/^wincm_kv_shard_commits/ { s += $$2 } END { exit (s > 0 ? 0 : 1) }' /tmp/kv_metrics.out || status=1; \
 	grep -q '^wincm_kv_watchdog_trips_total 0$$' /tmp/kv_metrics.out || status=1; \
+	awk '/^wincm_kv_pool_idle\{/ { n++; if ($$2 != 2) bad = 1 } END { exit (n == 4 && !bad ? 0 : 1) }' /tmp/kv_metrics.out || status=1; \
 	kill -INT $$KV; wait $$KV; exit $$status
 
-# Flight-recorder smoke: a traced run must emit a Perfetto-loadable trace,
-# and a durable traced run must interleave WAL activity on it.
+# Flight-recorder smoke: a traced run must emit a Perfetto-loadable trace.
 trace-smoke:
 	go run ./cmd/winbench -fig trace -dur 300ms -trace-out /tmp/wincm-trace.json
 	go run ./cmd/tracecheck /tmp/wincm-trace.json
-	go run ./cmd/winbench -durable -trace -dur 300ms -trace-out /tmp/wincm-trace-durable.json > /tmp/wincm-durable.out
-	go run ./cmd/tracecheck /tmp/wincm-trace-durable.json
-	grep -q 'wal-seals' /tmp/wincm-durable.out
 
 # Telemetry smoke: a live -fig telemetry run serves Prometheus text with the
 # commit counter, the response histogram and the window gauges, and pprof.

@@ -1,27 +1,67 @@
 package main
 
 import (
+	"io"
 	"strings"
 	"testing"
+	"time"
 
 	"wincm/internal/stm"
 )
+
+// TestParseArgsFailsFast: a value winbench would have replaced with a
+// default, a stray argument and a removed flag or figure are each rejected
+// before any cell runs, with a message naming the flag; a valid command line
+// comes back as the options it spells.
+func TestParseArgsFailsFast(t *testing.T) {
+	for _, c := range []struct {
+		args string
+		want string // substring of the error; "" = accepted
+	}{
+		{"-reps 0", "-reps"},
+		{"-dur -1s", "-dur"},
+		{"-fig 5 -total 0", "-total"},
+		{"-fig5-threads 0", "-fig5-threads"},
+		{"-window-n -5", "-window-n"},
+		{"-fig 3 -bench list -threads 2 extra", "unexpected arguments: [extra]"},
+		{"-bench nosuch", "nosuch"},
+		{"-fig telemetry -telemetry-manager nosuch", "nosuch"},
+		{"-threads 2,0", "-threads"},
+		{"-durable", "-durable"},
+		{"-fig durable", `unknown figure "durable"`},
+		{"-fig 3 -bench list,kmeans -threads 2,4 -dur 50ms -reps 1 -backend lazy", ""},
+	} {
+		inv, err := parseArgs(strings.Fields(c.args), io.Discard)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%q: rejected: %v", c.args, err)
+		case c.want != "" && (err == nil || !strings.Contains(err.Error(), c.want)):
+			t.Errorf("%q: err = %v, want one containing %q", c.args, err, c.want)
+		case c.want == "":
+			o := inv.opts
+			if inv.fig != "3" || o.Reps != 1 || o.Duration != 50*time.Millisecond || o.Backend != "lazy" ||
+				strings.Join(o.Benchmarks, ",") != "list,kmeans" || len(o.Threads) != 2 || o.Threads[1] != 4 {
+				t.Errorf("%q parsed as fig %q, %+v", c.args, inv.fig, o)
+			}
+		}
+	}
+}
 
 // TestValidateBackend covers the fail-fast engine selection: every
 // registered backend is accepted, unknown names are rejected with a
 // message that names the input.
 func TestValidateBackend(t *testing.T) {
 	for _, name := range append([]string{""}, stm.Backends()...) {
-		if err := validateBackend(name); err != nil {
-			t.Errorf("validateBackend(%q) = %v, want nil", name, err)
+		if _, err := parseArgs([]string{"-backend", name}, io.Discard); err != nil {
+			t.Errorf("-backend %q rejected: %v", name, err)
 		}
 	}
-	err := validateBackend("htm")
+	_, err := parseArgs([]string{"-backend", "htm"}, io.Discard)
 	if err == nil {
 		t.Fatal("unknown backend accepted")
 	}
-	if !strings.Contains(err.Error(), "htm") {
-		t.Errorf("unknown-backend error does not name the input: %v", err)
+	if !strings.Contains(err.Error(), "htm") || !strings.Contains(err.Error(), "-backend") {
+		t.Errorf("unknown-backend error does not name the flag and the input: %v", err)
 	}
 }
 
@@ -30,7 +70,7 @@ func TestValidateBackend(t *testing.T) {
 // names every table driver plus the one value main handles itself.
 func TestFigureNamesCoverTheDriverTable(t *testing.T) {
 	got := strings.Split(strings.Replace(figureNames(), " or ", ", ", 1), ", ")
-	want := []string{"2", "3", "4", "5", "ext", "all", "chaos", "telemetry", "durable", "btree", "trace"}
+	want := []string{"2", "3", "4", "5", "ext", "all", "chaos", "telemetry", "btree", "trace"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("figureNames() lists %q, want %q", got, want)
 	}
@@ -60,11 +100,9 @@ func TestFlagConflict(t *testing.T) {
 		want string // substring of the error; "" = accepted
 	}{
 		{"defaults", flags(), modes{fig: "all"}, ""},
-		{"wal flag without -durable", flags("wal-dir"), modes{fig: "all"}, "-wal-dir has no effect without -durable"},
 		{"chaos knob without -chaos", flags("fig", "stall-prob"), modes{fig: "2"}, "-stall-prob has no effect without -chaos"},
 		{"chaos knob with -chaos", flags("fig", "stall-prob"), modes{fig: "2", chaos: true}, ""},
 		{"trace-out with bare -trace", flags("trace-out"), modes{fig: "trace", trace: true}, ""},
-		{"-durable with -fig", flags("fig"), modes{fig: "3", durable: true}, "cannot be combined with -fig 3"},
 		{"btree pins its axes", flags("fig", "bench"), modes{fig: "btree"}, "-bench has no effect with -fig btree"},
 		// Figure 5 runs at -fig5-threads; -threads used to be dropped silently.
 		{"-fig 5 -threads", flags("fig", "threads"), modes{fig: "5"}, "-threads has no effect"},

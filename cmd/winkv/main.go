@@ -12,8 +12,7 @@
 // on /metrics in Prometheus text format. On SIGINT/SIGTERM the server
 // drains and prints final per-shard statistics.
 //
-// Serving mode is volatile; internal/wal is not wired into winkv, so a
-// restart starts from an empty store.
+// Serving mode is volatile: a restart starts from an empty store.
 package main
 
 import (

@@ -79,7 +79,7 @@ type frameClock struct {
 	nowFn   func() int64 // test hook; nil → monotonic ns since epoch
 	// onAdvance, when set, is called with the new frame index after every
 	// published advance, outside the advancing bit (never under a lock).
-	// The durability layer uses it as the group-commit barrier. Installed
+	// The flight recorder's frame track is its consumer. Installed
 	// before the clock runs (plain field), must be fast and non-blocking,
 	// and may be invoked concurrently and out of frame order when two
 	// advances race — consumers must tolerate both.

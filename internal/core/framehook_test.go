@@ -10,7 +10,7 @@ import (
 // TestFrameHookFiresOnAdvance: every clock advance that changes the
 // current frame invokes the hook with the new frame; the hook sees each
 // published frame at most once per advance and never a frame ahead of the
-// clock's current value at call time... the WAL relies only on "called
+// clock's current value at call time... consumers rely only on "called
 // after the new frame is published", which is asserted here.
 func TestFrameHookFiresOnAdvance(t *testing.T) {
 	c := newFrameClock(true, 100*time.Microsecond, 8)
@@ -46,7 +46,7 @@ func TestFrameHookFiresOnAdvance(t *testing.T) {
 
 // TestFrameHookConcurrentAdvances: racing advances may invoke the hook
 // concurrently and out of order; the contract is only that it fires after
-// the publish. The WAL's Advance tolerates both, so here we just assert
+// the publish. Consumers must tolerate both, so here we just assert
 // race-cleanliness and that no hook call reports a never-published frame.
 func TestFrameHookConcurrentAdvances(t *testing.T) {
 	const workers = 8
@@ -76,16 +76,15 @@ func TestFrameHookConcurrentAdvances(t *testing.T) {
 }
 
 // TestAddFrameHookComposes: AddFrameHook must preserve an already
-// installed hook (the WAL's group-commit barrier) and run the new one
-// after it — the sharing contract the flight recorder depends on.
+// installed hook and run the new one after it.
 func TestAddFrameHookComposes(t *testing.T) {
 	m := NewManager(Config{M: 2, N: 10})
 	var order []string
-	m.AddFrameHook(func(int64) { order = append(order, "wal") })
-	m.AddFrameHook(func(int64) { order = append(order, "trace") })
+	m.AddFrameHook(func(int64) { order = append(order, "first") })
+	m.AddFrameHook(func(int64) { order = append(order, "second") })
 	m.clock.onAdvance(1)
-	if len(order) != 2 || order[0] != "wal" || order[1] != "trace" {
-		t.Fatalf("hook order = %v, want [wal trace]", order)
+	if len(order) != 2 || order[0] != "first" || order[1] != "second" {
+		t.Fatalf("hook order = %v, want [first second]", order)
 	}
 }
 

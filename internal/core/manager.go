@@ -167,15 +167,12 @@ func (m *Manager) Occupancy() (curPending, totalPending int64) {
 }
 
 // AddFrameHook installs fn to be called with the new frame index after
-// every frame-clock advance, after any hook already installed. The
-// durability layer (wincm/internal/wal) uses it as the group-commit
-// barrier — commits buffered during a frame are sealed into one batch when
-// the frame ends — and shares the single hook slot with the flight
-// recorder's frame events. Install before the runtime executes transactions
-// (plain field, no synchronization). fn runs on whichever thread performed
-// the advance, outside all clock state — it must be fast and non-blocking,
-// and may be called concurrently and out of frame order when two advances
-// race.
+// every frame-clock advance, after any hook already installed; the flight
+// recorder's frame track (txtrace.Recorder.FrameAdvanced) is fed this way.
+// Install before the runtime executes transactions (plain field, no
+// synchronization). fn runs on whichever thread performed the advance,
+// outside all clock state — it must be fast and non-blocking, and may be
+// called concurrently and out of frame order when two advances race.
 func (m *Manager) AddFrameHook(fn func(frame int64)) {
 	if prev := m.clock.onAdvance; prev != nil {
 		m.clock.onAdvance = func(frame int64) {
@@ -343,8 +340,8 @@ func (m *Manager) Committed(tx *stm.Tx) {
 			m.fallbacks.Add(1) // a watchdog grant to a transaction that never conflicted
 		}
 		if m.clock.onAdvance != nil {
-			// Frame consumers (WAL group commit, flight recorder) are
-			// driven by whoever looks at the clock; keep their cadence.
+			// Frame consumers (the flight recorder) are driven by
+			// whoever looks at the clock; keep their cadence.
 			m.clock.Current()
 		}
 		return

@@ -45,7 +45,10 @@ func ChaosSweep(o Options) ([]Table, error) {
 	if len(o.Threads) == 0 {
 		o.Threads = []int{chaosSweepThreads}
 	}
-	o = o.withDefaults()
+	o, err := o.resolve()
+	if err != nil {
+		return nil, err
+	}
 	o.Chaos = true
 
 	var tables []Table

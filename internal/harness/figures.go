@@ -11,6 +11,7 @@ import (
 	"wincm/internal/chaos"
 	"wincm/internal/core"
 	"wincm/internal/stats"
+	"wincm/internal/stm"
 	"wincm/internal/telemetry"
 )
 
@@ -34,8 +35,7 @@ func ComparisonManagerNames() []string {
 // CI-friendly defaults; PaperScale restores the paper's regime.
 type Options struct {
 	// Threads is the M sweep (Figs. 2–4). Default {1, 2, 4, 8, 16, 32};
-	// ChaosSweep defaults to {8}, and DurabilityFig, which like the
-	// single-run figures takes the last entry, to {4}.
+	// ChaosSweep defaults to {8}.
 	Threads []int
 	// Duration is each timed cell's run length. Default 300ms
 	// (paper: 10 s).
@@ -177,35 +177,93 @@ func (o Options) Config(manager string, threads int, seed uint64) Config {
 	return cfg
 }
 
+// withDefaults fills every field left at its zero value. A negative value
+// is not "unset": it stays, and Validate reports it.
 func (o Options) withDefaults() Options {
 	if len(o.Threads) == 0 {
 		o.Threads = []int{1, 2, 4, 8, 16, 32}
 	}
-	if o.Duration <= 0 {
+	if o.Duration == 0 {
 		o.Duration = 300 * time.Millisecond
 	}
-	if o.Reps <= 0 {
+	if o.Reps == 0 {
 		o.Reps = 2
 	}
 	if len(o.Benchmarks) == 0 {
 		o.Benchmarks = BenchmarkNames()
 	}
-	if o.TotalTxs <= 0 {
+	if o.TotalTxs == 0 {
 		o.TotalTxs = 20000
 	}
-	if o.Fig5Threads <= 0 {
+	if o.Fig5Threads == 0 {
 		o.Fig5Threads = 32
 	}
-	if o.WindowN <= 0 {
+	if o.WindowN == 0 {
 		o.WindowN = 50
 	}
-	if o.KeyRange <= 0 {
+	if o.KeyRange == 0 {
 		o.KeyRange = 256
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
 	return o
+}
+
+// Validate reports the first setting no cell can run with, naming the field
+// and the winbench flag that sets it. It judges the options as they stand
+// and fills nothing in: the figure drivers call it on defaulted options
+// (resolve), so a zero field there means "default"; winbench calls it on
+// what its flags hold, every one of which has a positive default, so an
+// explicit -reps 0 is an error instead of a silent 2.
+func (o Options) Validate() error {
+	if o.Duration <= 0 {
+		return fmt.Errorf("harness: Duration (-dur) must be positive (got %v)", o.Duration)
+	}
+	for _, c := range []struct {
+		name   string
+		v, min int
+	}{
+		{"Reps (-reps)", o.Reps, 1},
+		{"TotalTxs (-total)", o.TotalTxs, 1},
+		{"Fig5Threads (-fig5-threads)", o.Fig5Threads, 1},
+		{"WindowN (-window-n)", o.WindowN, 0},
+		{"KeyRange", o.KeyRange, 0},
+	} {
+		if c.v < c.min {
+			return fmt.Errorf("harness: %s must be >= %d (got %d)", c.name, c.min, c.v)
+		}
+	}
+	for _, l := range []struct {
+		name string
+		ms   []int
+	}{{"Threads (-threads)", o.Threads}, {"BTreeThreads (-btree-threads)", o.BTreeThreads}} {
+		for _, m := range l.ms {
+			if m < 1 {
+				return fmt.Errorf("harness: %s entries must be >= 1 (got %d)", l.name, m)
+			}
+		}
+	}
+	if _, err := stm.BackendOption(o.Backend); err != nil {
+		return fmt.Errorf("harness: Backend (-backend): %v", err)
+	}
+	for _, b := range o.Benchmarks {
+		if _, err := NewWorkload(b, o.throughputMix(), o.Seed); err != nil {
+			return fmt.Errorf("harness: Benchmarks (-bench): %v", err)
+		}
+	}
+	if o.TelemetryManager != "" {
+		if _, _, err := core.NewNamed(o.TelemetryManager, 1, 0, 0); err != nil {
+			return fmt.Errorf("harness: TelemetryManager (-telemetry-manager): %v", err)
+		}
+	}
+	return nil
+}
+
+// resolve is how every figure driver starts: defaults filled, then checked.
+func (o Options) resolve() (Options, error) {
+	o = o.withDefaults()
+	return o, o.Validate()
 }
 
 // throughputMix is the Figs. 2–4 workload: randomly selected insertions
@@ -448,28 +506,38 @@ func (g *grid) all() ([]Table, error) {
 	return tables, nil
 }
 
+// view is the drivers' shared entry: o resolved, then one rendering of its
+// grid.
+func view(o Options, render func(*grid) ([]Table, error)) ([]Table, error) {
+	o, err := o.resolve()
+	if err != nil {
+		return nil, err
+	}
+	return render(newGrid(o))
+}
+
 // Fig2 reproduces Figure 2: throughput of the five window-based variants
 // on each benchmark across the thread sweep.
-func Fig2(o Options) ([]Table, error) { return newGrid(o).fig2() }
+func Fig2(o Options) ([]Table, error) { return view(o, (*grid).fig2) }
 
 // Fig3 reproduces Figure 3: best window variants vs Polka, Greedy and
 // Priority (throughput).
-func Fig3(o Options) ([]Table, error) { return newGrid(o).fig3() }
+func Fig3(o Options) ([]Table, error) { return view(o, (*grid).fig3) }
 
 // Fig4 reproduces Figure 4: aborts per commit for the Fig. 3 manager set.
-func Fig4(o Options) ([]Table, error) { return newGrid(o).fig4() }
+func Fig4(o Options) ([]Table, error) { return view(o, (*grid).fig4) }
 
 // Fig5 reproduces Figure 5: total time to commit TotalTxs transactions
 // with Fig5Threads threads under low/medium/high contention.
-func Fig5(o Options) ([]Table, error) { return newGrid(o).fig5() }
+func Fig5(o Options) ([]Table, error) { return view(o, (*grid).fig5) }
 
 // Extended reports the Section-IV future-work metrics (wasted work,
 // repeat aborts per commit, mean committed duration, mean response time)
 // at the largest configured thread count, averaged over Reps.
-func Extended(o Options) ([]Table, error) { return newGrid(o).extended() }
+func Extended(o Options) ([]Table, error) { return view(o, (*grid).extended) }
 
 // All reproduces Figures 2–5 and the extended metrics in that order. The
 // figures share one grid, so each distinct (benchmark, manager, M, rep) is
 // run once: the union of the window variants and the comparison managers,
 // not once per figure.
-func All(o Options) ([]Table, error) { return newGrid(o).all() }
+func All(o Options) ([]Table, error) { return view(o, (*grid).all) }

@@ -16,7 +16,10 @@ import (
 // btree column pulling ahead as M grows is the semantic layer paying for
 // itself.
 func BTreeFig(o Options) ([]Table, error) {
-	o = o.withDefaults()
+	o, err := o.resolve()
+	if err != nil {
+		return nil, err
+	}
 	threads := o.BTreeThreads
 	if len(threads) == 0 {
 		threads = []int{1, 4, 8, 16}

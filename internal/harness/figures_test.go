@@ -44,6 +44,43 @@ func TestOptionsRespectsOverrides(t *testing.T) {
 	}
 }
 
+// TestDriversValidateAfterDefaults: for a driver's caller a zero field means
+// "default" and resolves clean; a negative or unknown one is an error that
+// names the field, returned before any cell runs. Validate on its own fills
+// nothing in, which is what lets winbench reject an explicit -reps 0.
+func TestDriversValidateAfterDefaults(t *testing.T) {
+	if _, err := (Options{}).resolve(); err != nil {
+		t.Errorf("zero Options do not resolve: %v", err)
+	}
+	if err := (Options{}).Validate(); err == nil || !strings.Contains(err.Error(), "Duration") {
+		t.Errorf("Validate filled defaults in: err = %v, want the zero Duration reported", err)
+	}
+	for _, c := range []struct {
+		o    Options
+		want string
+	}{
+		{Options{Duration: -time.Second}, "Duration"},
+		{Options{Reps: -1}, "Reps"},
+		{Options{TotalTxs: -1}, "TotalTxs"},
+		{Options{Fig5Threads: -1}, "Fig5Threads"},
+		{Options{WindowN: -5}, "WindowN"},
+		{Options{KeyRange: -1}, "KeyRange"},
+		{Options{Threads: []int{2, 0}}, "Threads"},
+		{Options{BTreeThreads: []int{-1}}, "BTreeThreads"},
+		{Options{Backend: "htm"}, "htm"},
+		{Options{Benchmarks: []string{"list", "nosuch"}}, "nosuch"},
+		{Options{TelemetryManager: "nosuch"}, "nosuch"},
+	} {
+		for name, driver := range map[string]func(Options) ([]Table, error){
+			"Fig2": Fig2, "ChaosSweep": ChaosSweep, "TelemetryFig": TelemetryFig, "BTreeFig": BTreeFig,
+		} {
+			if _, err := driver(c.o); err == nil || !strings.Contains(err.Error(), c.want) {
+				t.Errorf("%s(%+v): err = %v, want one naming %q", name, c.o, err, c.want)
+			}
+		}
+	}
+}
+
 func TestThroughputMixMatchesPaper(t *testing.T) {
 	// Figs. 2–4: random insertions and deletions with equal probability.
 	mix := Options{}.withDefaults().throughputMix()

@@ -7,7 +7,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 	"math"
 	"sync"
 	"sync/atomic"
@@ -18,7 +17,6 @@ import (
 	"wincm/internal/stm"
 	"wincm/internal/telemetry"
 	"wincm/internal/txtrace"
-	"wincm/internal/wal"
 )
 
 // Runner executes one transaction on th and returns its commit statistics.
@@ -86,12 +84,6 @@ type Config struct {
 	// TelemetryInterval starts an interval sampler on the run's registry,
 	// producing Result.Series (0 = no sampling).
 	TelemetryInterval time.Duration
-	// Durable, when non-nil, opens a write-ahead log on the configured
-	// filesystem, installs it as the runtime's commit hook, and — for
-	// window managers — seals its group-commit batches on frame-clock
-	// advances. If the log holds prior state, the workload must implement
-	// DurableWorkload so it can be recovered into.
-	Durable *DurableConfig
 	// Trace, when non-nil, arms the transaction flight recorder for this
 	// run; Result.Trace then holds the collector with the retained event
 	// window. nil keeps tracing fully off (the hot path pays nothing).
@@ -162,11 +154,6 @@ type Result struct {
 	// Series is the interval time series sampled during the run, present
 	// when Config.TelemetryInterval was set.
 	Series []telemetry.Point
-	// Durable is true when the run wrote a write-ahead log; Wal holds its
-	// final counters and Recovery what (if anything) was recovered at open.
-	Durable  bool
-	Wal      wal.Stats
-	Recovery wal.RecoveryInfo
 	// Trace is the flight-recorder collector holding the run's retained
 	// event window, present when Config.Trace was set. The rings are
 	// fully drained by the time the run returns.
@@ -182,10 +169,6 @@ type instruments struct {
 	reg       *telemetry.Registry
 	tx        *telemetry.TxStats
 	sampler   *telemetry.Sampler
-	log       *wal.Log
-	rinfo     wal.RecoveryInfo
-	snapCh    chan struct{} // closed to stop the snapshot ticker
-	snapWG    sync.WaitGroup
 	collector *txtrace.Collector
 	traceStop func() // stops the trace poller (nil when tracing is off)
 }
@@ -199,7 +182,7 @@ type instruments struct {
 // Result.Summary is read from it — and registers the same instruments on
 // it; only the hot-path probe, which costs something while the run
 // executes, waits for a caller who brought a registry to watch.
-func (c Config) instrument(mgr stm.ContentionManager, w Workload) (*stm.Runtime, *instruments, error) {
+func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instruments, error) {
 	opts, inj, err := c.stmOptions()
 	if err != nil {
 		return nil, nil, err
@@ -220,11 +203,10 @@ func (c Config) instrument(mgr stm.ContentionManager, w Workload) (*stm.Runtime,
 	if gs, ok := mgr.(telemetry.GaugeSource); ok {
 		reg.RegisterGauges(gs)
 	}
-	var rec *txtrace.Recorder
 	if tc := c.Trace; tc != nil {
 		// The recorder chains last so it observes the schedule the runtime
 		// actually executes — including chaos-perturbed decisions.
-		rec = txtrace.NewRecorder(c.Threads, tc.Sample, tc.RingCap)
+		rec := txtrace.NewRecorder(c.Threads, tc.Sample, tc.RingCap)
 		probe = stm.CombineProbes(probe, rec)
 		ins.collector = txtrace.NewCollector(rec, tc.Keep)
 		if wm, ok := mgr.(*core.Manager); ok {
@@ -237,64 +219,6 @@ func (c Config) instrument(mgr stm.ContentionManager, w Workload) (*stm.Runtime,
 	}
 	if probe != nil {
 		opts = append(opts, stm.WithProbe(probe))
-	}
-	if dc := c.Durable; dc != nil {
-		fs, err := dc.fs()
-		if err != nil {
-			return nil, nil, err
-		}
-		wopt := wal.Options{FS: fs, SyncEvery: dc.SyncEvery, SegmentBytes: dc.SegmentBytes}
-		// Latency histograms and the flight recorder's WAL track share
-		// the log's observer seam.
-		var recObs wal.Observer
-		if rec != nil {
-			recObs = rec
-		}
-		wopt.Observer = combineWalObservers(newWalHistObserver(reg), recObs)
-		// A durable workload recovers prior state; anything else may only
-		// run against a fresh directory (nil callbacks make wal.Open fail
-		// if state exists, rather than silently dropping it).
-		var restore func(io.Reader) error
-		var apply func(wal.CommitRecord) error
-		dw, durable := w.(DurableWorkload)
-		if durable {
-			restore, apply = dw.Restore, dw.Apply
-		}
-		log, rinfo, err := wal.Open(wopt, restore, apply)
-		if err != nil {
-			return nil, nil, fmt.Errorf("harness: opening wal: %w", err)
-		}
-		ins.log, ins.rinfo = log, rinfo
-		opts = append(opts, stm.WithCommitHook(log))
-		// Window managers seal batches on frame advances (group commit at
-		// the frame boundary); classic managers rely on the log's linger
-		// timer.
-		if wm, ok := mgr.(*core.Manager); ok {
-			wm.AddFrameHook(log.Advance)
-		}
-		registerWalGauges(reg, log)
-		if dc.SnapshotEvery > 0 && durable {
-			ins.snapCh = make(chan struct{})
-			ins.snapWG.Add(1)
-			go func() {
-				defer ins.snapWG.Done()
-				tick := time.NewTicker(dc.SnapshotEvery)
-				defer tick.Stop()
-				for {
-					select {
-					case <-ins.snapCh:
-						return
-					case <-tick.C:
-						resume := dw.Quiesce()
-						err := log.Snapshot(dw)
-						resume()
-						if err != nil {
-							return // log.Err() carries the failure
-						}
-					}
-				}
-			}()
-		}
 	}
 	rt := stm.New(c.Threads, mgr, opts...)
 	rt.SetYieldEvery(c.interleave())
@@ -320,25 +244,6 @@ func (c Config) instrument(mgr stm.ContentionManager, w Workload) (*stm.Runtime,
 		ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval, 0)
 	}
 	return rt, ins, nil
-}
-
-// registerWalGauges exposes the write-ahead log's counters.
-func registerWalGauges(reg *telemetry.Registry, log *wal.Log) {
-	reg.RegisterGauge(telemetry.NewGauge("wincm_wal_appends_total",
-		"commit records appended to the write-ahead log",
-		func() float64 { return float64(log.Stats().Appends) }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_wal_fsyncs_total",
-		"segment fsyncs issued by the write-ahead log",
-		func() float64 { return float64(log.Stats().Fsyncs) }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_wal_bytes_total",
-		"bytes written to write-ahead-log segments",
-		func() float64 { return float64(log.Stats().Bytes) }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_wal_recoveries_total",
-		"crash recoveries performed at log open",
-		func() float64 { return float64(log.Stats().Recoveries) }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_wal_torn_tails_total",
-		"torn tails discarded during recovery",
-		func() float64 { return float64(log.Stats().TornTails) }))
 }
 
 // registerChaosGauges exposes the fault injector's live counters so one
@@ -376,18 +281,6 @@ func (c Config) finish(res *Result, ins *instruments, w Workload, wall time.Dura
 		inj.Shutdown()
 	}
 	res.Summary = ins.reg.Snapshot().Summary(c.Threads, wall)
-	if log := ins.log; log != nil {
-		if ins.snapCh != nil {
-			close(ins.snapCh)
-			ins.snapWG.Wait()
-		}
-		if err := log.Close(); err != nil {
-			return fmt.Errorf("harness: closing wal: %w", err)
-		}
-		res.Durable = true
-		res.Wal = log.Stats()
-		res.Recovery = ins.rinfo
-	}
 	if ins.traceStop != nil {
 		// Stops the poller and performs the final drain, so the collector
 		// holds every published event once the run returns.
@@ -426,7 +319,7 @@ func run(cfg Config, w Workload, d time.Duration, total int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rt, ins, err := cfg.instrument(mgr, w)
+	rt, ins, err := cfg.instrument(mgr)
 	if err != nil {
 		return Result{}, err
 	}

@@ -26,7 +26,10 @@ const telemetrySeriesPoints = 16
 // the final latency-histogram quantiles. With Options.Hub attached the
 // run is simultaneously scrapeable over HTTP while it executes.
 func TelemetryFig(o Options) ([]Table, error) {
-	o = o.withDefaults()
+	o, err := o.resolve()
+	if err != nil {
+		return nil, err
+	}
 	benchmark := o.Benchmarks[0]
 	manager := o.TelemetryManager
 	if manager == "" {

@@ -5,14 +5,13 @@ import (
 
 	"wincm/internal/telemetry"
 	"wincm/internal/txtrace"
-	"wincm/internal/wal"
 )
 
 // TraceConfig arms the transaction flight recorder (wincm/internal/txtrace)
 // for a run: the recorder joins the runtime's probe chain last (so it
 // records the schedule that actually executes, chaos perturbations
-// included), frame advances and WAL activity land on its auxiliary track,
-// and a background poller drains the rings for the run's Collector.
+// included), frame advances land on its auxiliary track, and a background
+// poller drains the rings for the run's Collector.
 type TraceConfig struct {
 	// Sample records one logical transaction in Sample (<= 1 records
 	// every transaction). The paper-style debugging runs use 1; overhead
@@ -35,76 +34,6 @@ type TraceConfig struct {
 // defaultTracePoll is the collector poll cadence when TraceConfig.PollEvery
 // is zero.
 const defaultTracePoll = 25 * time.Millisecond
-
-// walHistObserver feeds the WAL's write-path notifications into telemetry
-// histograms: fsync latency and group-commit batch size, the two
-// distributions PR 6's counters could not show (a stalling disk is
-// invisible in an fsync *count*).
-type walHistObserver struct {
-	fsync *telemetry.Histogram // wincm_wal_fsync_ns
-	batch *telemetry.Histogram // wincm_wal_batch_txs
-}
-
-// newWalHistObserver registers the WAL latency histograms on reg. The
-// issue tracker named the latency series wincm_wal_fsync_seconds; it ships
-// as wincm_wal_fsync_ns because the repository's histograms are integer
-// log2-nanosecond buckets (like wincm_cm_wait_ns) and a "seconds" series
-// holding nanosecond integers would lie about its unit.
-func newWalHistObserver(reg *telemetry.Registry) *walHistObserver {
-	return &walHistObserver{
-		fsync: reg.NewHistogram("wincm_wal_fsync_ns",
-			"write-ahead-log fsync latency (ns)", 1),
-		batch: reg.NewHistogram("wincm_wal_batch_txs",
-			"transactions per sealed group-commit batch", 1),
-	}
-}
-
-// BatchSealed implements wal.Observer. Callbacks run under the log's
-// writer lock, so shard 0 has one writer at a time (the single-writer
-// histogram contract needs mutual exclusion, which the lock provides).
-func (o *walHistObserver) BatchSealed(_ int64, txs int) {
-	o.batch.Observe(0, int64(txs))
-}
-
-// FsyncDone implements wal.Observer.
-func (o *walHistObserver) FsyncDone(d time.Duration, _ int) {
-	o.fsync.Observe(0, d.Nanoseconds())
-}
-
-// walObservers fans one wal.Observer stream out to several (telemetry
-// histograms and the flight recorder share the seam).
-type walObservers []wal.Observer
-
-// combineWalObservers drops nils and unwraps the singleton case.
-func combineWalObservers(obs ...wal.Observer) wal.Observer {
-	var out walObservers
-	for _, o := range obs {
-		if o != nil {
-			out = append(out, o)
-		}
-	}
-	switch len(out) {
-	case 0:
-		return nil
-	case 1:
-		return out[0]
-	}
-	return out
-}
-
-// BatchSealed implements wal.Observer.
-func (m walObservers) BatchSealed(seq int64, txs int) {
-	for _, o := range m {
-		o.BatchSealed(seq, txs)
-	}
-}
-
-// FsyncDone implements wal.Observer.
-func (m walObservers) FsyncDone(d time.Duration, recs int) {
-	for _, o := range m {
-		o.FsyncDone(d, recs)
-	}
-}
 
 // startTracePoller drains the collector at the configured cadence until
 // the returned stop function is called (which performs a final drain).

@@ -3,12 +3,10 @@ package harness_test
 import (
 	"bytes"
 	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
 	"wincm/internal/bench"
-	"wincm/internal/chaos"
 	"wincm/internal/harness"
 	"wincm/internal/telemetry"
 	"wincm/internal/txtrace"
@@ -78,51 +76,6 @@ func TestTraceOffLeavesResultNil(t *testing.T) {
 	}
 	if res.Trace != nil {
 		t.Error("Result.Trace set without Config.Trace")
-	}
-}
-
-// TestDurableRunFeedsTraceAndHistograms: a durable traced run records WAL
-// seal/fsync events on the recorder's aux track and fills the WAL latency
-// histograms in the telemetry registry.
-func TestDurableRunFeedsTraceAndHistograms(t *testing.T) {
-	w := harness.NewDurableMap(2, 64)
-	reg := telemetry.NewRegistry()
-	cfg := harness.Config{
-		Manager: "adaptive-improved-dynamic", Threads: 2, WindowN: 10, Seed: 1,
-		Telemetry: reg,
-		Durable:   &harness.DurableConfig{FS: chaos.NewDisk(1), SyncEvery: 1},
-		Trace:     &harness.TraceConfig{Sample: 1, PollEvery: 2 * time.Millisecond},
-	}
-	res, err := harness.RunTimed(cfg, w, 60*time.Millisecond)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Trace == nil {
-		t.Fatal("no trace collector on a traced durable run")
-	}
-	counts := res.Trace.Counts()
-	if counts[txtrace.EvWalSeal] == 0 || counts[txtrace.EvWalFsync] == 0 {
-		t.Errorf("trace counts = %v, want wal-seal and wal-fsync events", counts)
-	}
-	// Every sealed batch the WAL counted appears on the trace, up to
-	// counted ring drops: exact when nothing dropped, never in excess.
-	seals := int64(counts[txtrace.EvWalSeal])
-	if seals > res.Wal.Batches {
-		t.Errorf("wal-seal events %d exceed wal batches %d", seals, res.Wal.Batches)
-	}
-	if res.Trace.Dropped() == 0 && seals != res.Wal.Batches {
-		t.Errorf("drop-free trace has %d wal-seal events, wal sealed %d batches", seals, res.Wal.Batches)
-	}
-
-	var buf bytes.Buffer
-	if err := reg.WritePrometheus(&buf); err != nil {
-		t.Fatal(err)
-	}
-	metrics := buf.String()
-	for _, name := range []string{"wincm_wal_fsync_ns", "wincm_wal_batch_txs"} {
-		if !strings.Contains(metrics, name) {
-			t.Errorf("registry missing %s:\n%s", name, metrics)
-		}
 	}
 }
 

@@ -138,6 +138,11 @@ func (c *Client) Flush() error {
 
 var errProto = errors.New("kv: malformed reply")
 
+// maxReplyElems is the longest array a server sends: a SCAN over a full
+// MaxScanSpan, key and value per hit. A longer header is a protocol error,
+// so a hostile *<n> cannot size the client's scratch.
+const maxReplyElems = 2 * MaxScanSpan
+
 // readLine returns the next reply line without its \r\n.
 func (c *Client) readLine() ([]byte, error) {
 	line, err := c.r.ReadSlice('\n')
@@ -188,7 +193,7 @@ func (c *Client) ReadReply(rep *Reply) error {
 		return nil
 	case '*':
 		n64, ok := parseInt64(line[1:])
-		if !ok || n64 < 0 {
+		if !ok || n64 < 0 || n64 > maxReplyElems {
 			return errProto
 		}
 		n := int(n64)

@@ -22,8 +22,7 @@
 //     pipelined protocol over TCP with pooled, reused read/write buffers
 //     and batched responses.
 //
-// Serving mode is volatile; internal/wal is not wired into winkv, so a
-// Store's contents do not survive its process.
+// Serving mode is volatile: a Store's contents do not survive its process.
 package kv
 
 import (

@@ -134,6 +134,77 @@ func TestServerFlushesRepliesBeforeClosing(t *testing.T) {
 	}
 }
 
+// TestAbandonedPipelineLeaksNothing: a client that goes away mid-pipeline —
+// a half-written MSET line behind complete commands, cross-shard ones
+// included — costs the store nothing: the complete commands ran, the cut one
+// did not, and once the handler has returned every shard's thread pool is
+// full and every cross-shard lock is free.
+func TestAbandonedPipelineLeaksNothing(t *testing.T) {
+	const pipeline = "SET 1 100\nMSET 2 20 3 30 4 40\nMGET 1 2 3\nSCAN 0 10 10\nGET 1\nMSET 5 50 6"
+	for _, tc := range []struct {
+		name string
+		// leave ends the connection and returns once the handler has too.
+		leave func(t *testing.T, conn *net.TCPConn, srv *Server)
+	}{
+		// The write side closes; reading to EOF waits for the handler to
+		// run every complete command and close its end.
+		{"half close", func(t *testing.T, conn *net.TCPConn, srv *Server) {
+			if err := conn.CloseWrite(); err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(conn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := "+OK\r\n+OK\r\n*3\r\n:100\r\n:20\r\n:30\r\n*8\r\n"; !strings.HasPrefix(string(got), want) || !strings.HasSuffix(string(got), ":40\r\n:100\r\n") {
+				t.Errorf("replies = %q, want %q ... :40 :100", got, want)
+			}
+		}},
+		// Both sides close with the replies unread, so the handler's flush
+		// hits a dead peer; Server.Close waits for it to return.
+		{"full close", func(t *testing.T, conn *net.TCPConn, srv *Server) {
+			conn.Close()
+			srv.Close()
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			st, srv := startServer(t, Options{Shards: 4, ShardThreads: 2})
+			conn, err := net.Dial("tcp", srv.Addr().String())
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer conn.Close()
+			conn.SetDeadline(time.Now().Add(5 * time.Second))
+			// A round trip first, so the handler is known to be serving
+			// this connection when the pipeline lands.
+			pong := make([]byte, len("+PONG\r\n"))
+			if _, err := conn.Write([]byte("PING\n")); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := io.ReadFull(conn, pong); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := conn.Write([]byte(pipeline)); err != nil {
+				t.Fatal(err)
+			}
+			tc.leave(t, conn.(*net.TCPConn), srv)
+			for i, sh := range st.shards {
+				if idle := len(sh.pool); idle != cap(sh.pool) {
+					t.Errorf("shard %d: %d of %d threads back in the pool", i, idle, cap(sh.pool))
+				}
+				if !sh.xmu.TryLock() {
+					t.Errorf("shard %d: cross-shard lock still held", i)
+					continue
+				}
+				sh.xmu.Unlock()
+			}
+			if _, ok := st.NewSession().Get(5); ok {
+				t.Error("the half-written MSET was executed")
+			}
+		})
+	}
+}
+
 // TestServerPipelined queues a deep batch before reading anything: the
 // server must batch replies and answer in order.
 func TestServerPipelined(t *testing.T) {
@@ -284,6 +355,8 @@ func TestStoreGauges(t *testing.T) {
 		`wincm_kv_shard_commits{shard="1"}`,
 		`wincm_kv_shard_aborts{shard="0"}`,
 		`wincm_kv_shard_occupancy{shard="1"}`,
+		`wincm_kv_pool_idle{shard="0"} 1`,
+		`wincm_kv_pool_idle{shard="1"} 1`,
 		"wincm_kv_watchdog_trips_total 0",
 	} {
 		if !strings.Contains(out, want) {

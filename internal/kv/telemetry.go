@@ -13,6 +13,9 @@ import (
 //	wincm_kv_shard_aborts{shard="i"}      aborted attempts
 //	wincm_kv_shard_occupancy{shard="i"}   frame-clock pending registrations
 //	                                      (window managers; 0 otherwise)
+//	wincm_kv_pool_idle{shard="i"}         STM threads not claimed by any
+//	                                      session (= ShardThreads at rest;
+//	                                      lower at rest is a leaked thread)
 //	wincm_kv_shards                       shard count N
 //	wincm_kv_watchdog_trips_total         summed no-progress intervals
 //
@@ -31,6 +34,9 @@ func RegisterStoreGauges(r *telemetry.Registry, st *Store) {
 		r.RegisterGauge(telemetry.NewLabeledGauge("wincm_kv_shard_occupancy", labels,
 			"current frame-clock pending registrations on this shard (window managers only)",
 			func() float64 { cur, _ := sh.occupancy(); return float64(cur) }))
+		r.RegisterGauge(telemetry.NewLabeledGauge("wincm_kv_pool_idle", labels,
+			"STM threads of this shard not claimed by any session",
+			func() float64 { return float64(len(sh.pool)) }))
 	}
 	r.RegisterGauge(telemetry.NewGauge("wincm_kv_shards",
 		"number of independent shards", func() float64 { return float64(st.Shards()) }))

@@ -12,8 +12,7 @@ import "fmt"
 // both: the attempt loop with its fallback token and watchdog, the
 // contention managers (both engines route every conflict through
 // Tx.resolve, so a manager sees the same Resolve stream whenever the engine
-// discovers the conflict), the probe hooks and the two-phase commit hook
-// (PreCommit always precedes the status CAS).
+// discovers the conflict) and the probe hooks.
 
 // Backend registry names (see Backends and BackendOption).
 const (

@@ -70,6 +70,46 @@ func TestFallbackBreaksStarvation(t *testing.T) {
 	}
 }
 
+// TestFallbackReleasedOnCommit is the deterministic exit path: a
+// transaction that burns its attempt budget takes the token, commits while
+// holding it, and leaves it free — a wedged token would serialize the
+// runtime forever behind a dead descriptor.
+func TestFallbackReleasedOnCommit(t *testing.T) {
+	rt := stm.New(2, starver{}, stm.WithFallback(2, 0))
+	v := stm.NewTVar(0)
+
+	// Burn the attempt budget so the next attempt takes the token.
+	attempts := 0
+	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
+		stm.Write(tx, v, 1)
+		attempts++
+		if attempts <= 2 {
+			tx.Abort()
+			stm.Read(tx, v) // dead-attempt check unwinds into a retry
+		}
+	})
+	if !info.Fallback {
+		t.Fatalf("transaction never took the fallback token (attempts=%d)", attempts)
+	}
+	if holder := rt.FallbackHolder(); holder != nil {
+		t.Fatalf("fallback token still held by %p after commit", holder)
+	}
+
+	// Liveness: another thread's transaction must commit promptly.
+	done := make(chan struct{})
+	go func() {
+		rt.Thread(1).Atomic(func(tx *stm.Tx) {
+			stm.Write(tx, v, 2)
+		})
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("runtime wedged behind a stale fallback token")
+	}
+}
+
 // TestFallbackDeadlineBudget: the deadline budget alone (no attempt cap)
 // also arms the escape hatch.
 func TestFallbackDeadlineBudget(t *testing.T) {

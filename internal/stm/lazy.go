@@ -138,8 +138,8 @@ func (e *lazyEngine) begin(tx *Tx) {
 }
 
 // commit runs the TL2 commit protocol: acquire the write set, tick the
-// clock, validate the read set, bracket the status CAS with the commit
-// hook, then write back at wv. Read-only attempts skip straight to the
+// clock, validate the read set, CAS the status word, then write back at
+// wv. Read-only attempts skip straight to the
 // CAS — their reads were kept consistent incrementally (readLazy), so no
 // commit-time validation and no clock tick are needed.
 func (e *lazyEngine) commit(tx *Tx) bool {
@@ -203,32 +203,14 @@ func (e *lazyEngine) commit(tx *Tx) bool {
 	if p := tx.rt.probe; p != nil {
 		p.OnCommit(tx)
 	}
-	var token any
-	h := tx.rt.commitHook
-	hooked := h != nil && len(tx.intents) > 0
-	if hooked {
-		var err error
-		if token, err = h.PreCommit(tx); err != nil {
-			tx.hookErr = err
-		}
-	}
-	ok := StatusOf(w) == Active &&
-		tx.status.CompareAndSwap(w, w&^uint64(statusMask)|uint64(Committed))
-	if hooked {
-		if err := h.PostCommit(tx, token, ok); err != nil && tx.hookErr == nil {
-			tx.hookErr = err
-		}
-	}
-	if !ok {
+	if StatusOf(w) != Active ||
+		!tx.status.CompareAndSwap(w, w&^uint64(statusMask)|uint64(Committed)) {
 		return false
 	}
 	// Write-back: fold every acquired locator to a quiescent one carrying
 	// wv. Until a variable's fold lands, readers that observe the
 	// Committed status spin (settledLazy) — the window is a few stores
-	// long. The WAL ordering guarantee survives lazy write-back: a
-	// dependent transaction can only read this attempt's values after the
-	// fold, which is after the status CAS, which is after PreCommit
-	// reserved this attempt's durable-order slot.
+	// long.
 	for i := range tx.wbuf {
 		tx.wbuf[i].ent.writeBack(tx, wv)
 	}

@@ -36,7 +36,7 @@
 // WithLazyBackend selects a TL2-style lazy engine instead —
 // invisible version-clock reads, buffered writes, commit-time lock
 // acquisition and validation (lazy.go). The attempt loop, contention
-// managers, probes, commit hooks, fallback token and watchdog are
+// managers, probes, fallback token and watchdog are
 // engine-independent and run unchanged over both.
 package stm
 
@@ -209,12 +209,6 @@ type Tx struct {
 	clockRetries  int
 	valExtensions int
 	commitValNs   int64
-	// intents and stageBuf hold the durable write-set entries staged via
-	// Stage (hook.go); hookErr is the commit hook's error for this attempt.
-	// All owner-thread-only, reset per attempt.
-	intents  []Intent
-	stageBuf []byte
-	hookErr  error
 	// semOps are the semantic conflict sources registered with this
 	// attempt (semantic.go); the tallies below are cumulative over the
 	// thread's lifetime (Finalize runs after the attempt-end telemetry
@@ -313,7 +307,6 @@ func (tx *Tx) beginAttempt() {
 	tx.casRetries, tx.readerSpills = 0, 0
 	tx.poolHits, tx.poolMisses = 0, 0
 	tx.locPoolHits, tx.locPoolMisses, tx.epochAdvances = 0, 0, 0
-	tx.intents, tx.stageBuf, tx.hookErr = tx.intents[:0], tx.stageBuf[:0], nil
 	tx.poolOn = tx.rt.locPooling.Load()
 	// Announce the attempt in the reclamation epoch before its first
 	// locator load (epoch.go); cleanup clears the pin. Without pooling
@@ -376,8 +369,6 @@ type Runtime struct {
 
 	// probe is the optional fault-injection layer (see probe.go).
 	probe Probe
-	// commitHook is the optional durability hook (see hook.go).
-	commitHook CommitHook
 	// openProbe is probe when it implements OpenProbe; otherwise it is nil
 	// and the per-open dispatch in Read/Write vanishes.
 	openProbe OpenProbe
@@ -536,11 +527,6 @@ type TxInfo struct {
 	// token when it committed (it exhausted its budgets or was rescued by
 	// the watchdog).
 	Fallback bool
-	// HookErr is the commit hook's error for the committing attempt, if
-	// any (hook.go). The transaction committed in memory regardless; a
-	// durability layer reports append/flush failures here so harnesses can
-	// distinguish "committed" from "committed durably".
-	HookErr error
 }
 
 // Aborts returns the number of aborted attempts.
@@ -592,12 +578,8 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		if committed {
 			cm.Committed(tx)
 			t.commits.Add(1)
-			info.HookErr = tx.hookErr
 			// Release the fallback token if this transaction held it —
-			// whether acquired below or granted by the watchdog. This is
-			// unconditional on the commit hook's outcome: a failing
-			// durability layer surfaces through HookErr, never by wedging
-			// the fallback token (liveness over durability reporting).
+			// whether acquired below or granted by the watchdog.
 			if rt.fallback.Load() == d {
 				info.Fallback = true
 				rt.releaseFallback(d)
@@ -704,11 +686,6 @@ func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 // eager engine's commit; see lazy.go for the lazy one). Reads are visible
 // and writes eagerly owned, so every conflict was resolved at open time
 // and the status CAS alone is the serialization point.
-//
-// A commit hook with staged intents brackets the CAS: PreCommit reserves
-// the attempt's durable-order slot before the CAS, PostCommit reports the
-// CAS outcome right after (see hook.go for why the order matters). Hook
-// errors are recorded in hookErr and never affect the in-memory outcome.
 func (tx *Tx) commitEager() bool {
 	w := tx.status.Load()
 	// Semantic validation runs before the OnCommit probe, like the lazy
@@ -722,23 +699,8 @@ func (tx *Tx) commitEager() bool {
 	if p := tx.rt.probe; p != nil {
 		p.OnCommit(tx)
 	}
-	var token any
-	h := tx.rt.commitHook
-	hooked := h != nil && len(tx.intents) > 0
-	if hooked {
-		var err error
-		if token, err = h.PreCommit(tx); err != nil {
-			tx.hookErr = err
-		}
-	}
-	ok := StatusOf(w) == Active &&
-		tx.status.CompareAndSwap(w, w&^uint64(statusMask)|uint64(Committed))
-	if hooked {
-		if err := h.PostCommit(tx, token, ok); err != nil && tx.hookErr == nil {
-			tx.hookErr = err
-		}
-	}
-	if !ok {
+	if StatusOf(w) != Active ||
+		!tx.status.CompareAndSwap(w, w&^uint64(statusMask)|uint64(Committed)) {
 		return false
 	}
 	tx.cleanupEager()

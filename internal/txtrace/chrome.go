@@ -8,11 +8,11 @@ import (
 )
 
 // Chrome trace-event JSON ("JSON Object Format"), the format Perfetto and
-// chrome://tracing load. One process, one track per STM thread plus two
-// synthetic tracks for frame and WAL activity; each attempt renders as a
+// chrome://tracing load. One process, one track per STM thread plus a
+// synthetic track for the frame clock; each attempt renders as a
 // complete ("X") span named by its outcome, each conflict as an instant
 // plus a flow arrow ("s" → "f") from the attacker's span to the enemy's
-// track, frame advances and WAL seals/fsyncs as instants. Timestamps are
+// track, frame advances as instants. Timestamps are
 // microseconds as the format requires; sub-µs precision survives as
 // fractional values.
 
@@ -38,12 +38,9 @@ type chromeTrace struct {
 	DisplayTimeUnit string        `json:"displayTimeUnit"`
 }
 
-// Synthetic track IDs for events with no transaction subject. Real thread
-// tracks are 0..M-1; these sit far above them.
-const (
-	frameTID = 1000
-	walTID   = 1001
-)
+// frameTID is the synthetic track for frame advances, which have no
+// transaction subject. Real thread tracks are 0..M-1; it sits far above them.
+const frameTID = 1000
 
 func usec(ns int64) float64 { return float64(ns) / 1e3 }
 
@@ -80,7 +77,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		emit(chromeEvent{Name: "thread_name", Phase: "M", PID: 1, TID: t, Args: map[string]any{"name": fmt.Sprintf("T%02d", t)}})
 	}
 	emit(chromeEvent{Name: "thread_name", Phase: "M", PID: 1, TID: frameTID, Args: map[string]any{"name": "frame clock"}})
-	emit(chromeEvent{Name: "thread_name", Phase: "M", PID: 1, TID: walTID, Args: map[string]any{"name": "wal"}})
 
 	// First pass: pair attempt begins with their outcomes. An EvCommit
 	// followed by an EvAbort on the same attempt means commit-time
@@ -131,7 +127,7 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 			end, outcome = lastTS, "open"
 		}
 		emit(chromeEvent{
-			Name: fmt.Sprintf("tx %d.%d/%d %s", k.thread, k.seq, k.attempt, outcome),
+			Name:  fmt.Sprintf("tx %d.%d/%d %s", k.thread, k.seq, k.attempt, outcome),
 			Phase: "X", Cat: "tx",
 			TS: usec(s.begin), Dur: usec(end - s.begin),
 			PID: 1, TID: int(k.thread),
@@ -181,19 +177,6 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 				Name: fmt.Sprintf("frame %d", e.A), Phase: "i", Cat: "frame",
 				TS: usec(e.TS), PID: 1, TID: frameTID, Scope: "t",
 				Args: map[string]any{"frame": e.A},
-			})
-		case EvWalSeal:
-			emit(chromeEvent{
-				Name: "wal-seal", Phase: "i", Cat: "wal",
-				TS: usec(e.TS), PID: 1, TID: walTID, Scope: "t",
-				Args: map[string]any{"batch": e.A, "txs": e.B},
-			})
-		case EvWalFsync:
-			emit(chromeEvent{
-				Name: "wal-fsync", Phase: "X", Cat: "wal",
-				TS: usec(e.TS - int64(e.A)), Dur: usec(int64(e.A)),
-				PID: 1, TID: walTID,
-				Args: map[string]any{"records": e.B},
 			})
 		}
 	}

@@ -14,7 +14,7 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // goldenCollector builds a fully deterministic trace: two threads, a
 // conflict with a flow arrow, a wait span, a commit-then-abort attempt, an
-// attempt left open at the window edge, and frame/WAL activity.
+// attempt left open at the window edge, and a frame advance.
 func goldenCollector() *Collector {
 	rec := NewRecorder(2, 1, 64)
 	col := NewCollector(rec, 0)
@@ -42,10 +42,8 @@ func goldenCollector() *Collector {
 	// T1, tx 1: still in flight at the window edge.
 	pushThread(rec, 1, Event{TS: 4000, A: 6, Seq: 1, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvBegin})
 
-	// Frame and WAL tracks.
+	// Frame track.
 	rec.aux.Push(Event{TS: 1300, A: 2, Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvFrame})
-	rec.aux.Push(Event{TS: 1800, A: 1, B: 3, Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvWalSeal})
-	rec.aux.Push(Event{TS: 2600, A: 300, B: 3, Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvWalFsync})
 	return col
 }
 
@@ -103,9 +101,9 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 			outcomes[e.Args["outcome"].(string)]++
 		}
 	}
-	// 5 metadata records: process, T00, T01, frame clock, wal.
-	if byPhase["M"] != 5 {
-		t.Errorf("metadata events = %d, want 5", byPhase["M"])
+	// 4 metadata records: process, T00, T01, frame clock.
+	if byPhase["M"] != 4 {
+		t.Errorf("metadata events = %d, want 4", byPhase["M"])
 	}
 	// 5 attempts: T0 has 2, T1 has 3 (two attempts of tx 0 + the open one).
 	if got := outcomes["commit"] + outcomes["abort"] + outcomes["open"]; got != 5 {
@@ -136,20 +134,15 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if sID != fID || sID == 0 {
 		t.Errorf("flow arrow ids diverge: s=%d f=%d", sID, fID)
 	}
-	// Instants: conflict + frame + wal-seal, all thread-scoped.
-	if byPhase["i"] != 3 {
-		t.Errorf("instant events = %d, want 3", byPhase["i"])
+	// Instants: conflict + frame, both thread-scoped.
+	if byPhase["i"] != 2 {
+		t.Errorf("instant events = %d, want 2", byPhase["i"])
 	}
-	// Spans beyond the attempts: cm-wait and wal-fsync.
-	if byPhase["X"] != 5+2 {
-		t.Errorf("X spans = %d, want 5 attempts + wait + fsync", byPhase["X"])
+	// One span beyond the attempts: cm-wait.
+	if byPhase["X"] != 5+1 {
+		t.Errorf("X spans = %d, want 5 attempts + wait", byPhase["X"])
 	}
 	for _, e := range trace.TraceEvents {
-		if e.Name == "wal-fsync" {
-			if e.TS != usec(2600-300) || e.Dur != usec(300) {
-				t.Errorf("fsync span at %v dur %v, want end-anchored at completion", e.TS, e.Dur)
-			}
-		}
 		if e.Name == "cm-wait" {
 			if e.TS != usec(1550) || e.Dur != usec(200) {
 				t.Errorf("wait span at %v dur %v, want start-anchored at wait entry", e.TS, e.Dur)

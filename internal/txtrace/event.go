@@ -20,11 +20,10 @@
 //     Chrome trace-event JSON for Perfetto, and the repository's
 //     established CSV format.
 //
-// The recorder plugs into the runtime as an stm.Probe, into the window
-// manager's frame clock via core.(*Manager).AddFrameHook, and into the
-// durability layer as a wal.Observer, so one trace interleaves attempt
-// lifecycles, frame advances and WAL seal/fsync activity on a single
-// monotonic clock (stm.Now).
+// The recorder plugs into the runtime as an stm.Probe and into the window
+// manager's frame clock via core.(*Manager).AddFrameHook, so one trace
+// interleaves attempt lifecycles and frame advances on a single monotonic
+// clock (stm.Now).
 package txtrace
 
 import (
@@ -61,12 +60,6 @@ const (
 	EvWait
 	// EvFrame marks a window-manager frame advance. A = new frame number.
 	EvFrame
-	// EvWalSeal marks a WAL batch seal. A = batch sequence, B = transactions
-	// in the batch.
-	EvWalSeal
-	// EvWalFsync marks a completed WAL fsync. A = duration ns, B = records
-	// made durable by it.
-	EvWalFsync
 )
 
 // String returns the event kind's name (also the CSV spelling).
@@ -88,10 +81,6 @@ func (k Kind) String() string {
 		return "wait"
 	case EvFrame:
 		return "frame"
-	case EvWalSeal:
-		return "wal-seal"
-	case EvWalFsync:
-		return "wal-fsync"
 	default:
 		return "invalid"
 	}
@@ -109,9 +98,9 @@ type Event struct {
 	A, B uint64
 	// Seq is the logical transaction's 0-based index in its thread's
 	// stream; Attempt is the attempt number within it (from 1). Both are
-	// -1 for events without a transaction subject (frame and WAL events).
+	// -1 for events without a transaction subject (frame events).
 	Seq, Attempt int32
-	// Thread is the subject thread (-1 for frame and WAL events); Enemy is
+	// Thread is the subject thread (-1 for frame events); Enemy is
 	// the conflicting thread for conflict/wait events, else -1.
 	Thread, Enemy int16
 	// Kind is what happened; Verdict is stm.Decision+1 for conflicts.

@@ -19,7 +19,7 @@ import (
 //
 // The header and the begin/commit/abort/conflict rows are byte-compatible
 // with the pre-recorder format; the recorder's additional kinds (open,
-// acquire, wait, frame, wal-seal, wal-fsync) append under the same
+// acquire, wait, frame) append under the same
 // columns, with enemy -1 where no enemy exists. The decision column is
 // filled only for conflict rows, as before.
 func WriteCSV(w io.Writer, events []Event) error {
@@ -44,8 +44,8 @@ func (c *Collector) WriteCSV(w io.Writer) error { return WriteCSV(w, c.Events())
 
 // Timeline renders an ASCII chart: one row per thread, one column per
 // time bucket; each cell shows what dominated the bucket — commits (*),
-// aborts (x), conflicts (~) or nothing (space). Frame and WAL events
-// (thread -1) are skipped.
+// aborts (x), conflicts (~) or nothing (space). Frame events (thread -1)
+// are skipped.
 func Timeline(w io.Writer, events []Event, buckets int) error {
 	var minAt, maxAt int64 = -1, 0
 	maxThread := -1

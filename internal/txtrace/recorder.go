@@ -12,9 +12,9 @@ import (
 // hundreds of milliseconds of sampled events between collector polls.
 const DefaultRingCap = 1 << 14
 
-// auxCap bounds the shared frame/WAL event ring. Frame advances and WAL
-// seals happen at frame cadence (thousands per second at most), so a small
-// ring outlasts any polling interval.
+// auxCap bounds the frame event ring. Frame advances happen at frame
+// cadence (thousands per second at most), so a small ring outlasts any
+// polling interval.
 const auxCap = 1 << 12
 
 // threadState is one thread's hot recording state. The ring is shared
@@ -33,14 +33,14 @@ type threadState struct {
 }
 
 // Recorder is the hot side of the flight recorder. It implements
-// stm.Probe (attempt lifecycle, opens, conflicts), provides FrameAdvanced
-// for core.(*Manager).AddFrameHook, and implements the wal.Observer
-// surface (BatchSealed, FsyncDone). One Recorder serves one stm.Runtime.
+// stm.Probe (attempt lifecycle, opens, conflicts) and provides
+// FrameAdvanced for core.(*Manager).AddFrameHook. One Recorder serves one
+// stm.Runtime.
 //
-// All transaction-side events go through per-thread SPSC rings; the
-// frame/WAL events arrive on arbitrary goroutines (the frame's advancing
-// thread, the WAL's syncer) at frame cadence, so they share one small
-// mutex-guarded ring — off the transactional hot path by construction.
+// All transaction-side events go through per-thread SPSC rings; frame
+// events arrive on whichever thread advanced the frame, at frame cadence,
+// so they share one small mutex-guarded ring — off the transactional hot
+// path by construction.
 type Recorder struct {
 	sample  uint64
 	threads []threadState
@@ -181,36 +181,16 @@ func (r *Recorder) PerturbResolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int,
 	return dec, wait
 }
 
-// pushAux records a non-transactional event on the shared ring.
-func (r *Recorder) pushAux(e Event) {
+// FrameAdvanced records a window-manager frame advance on the shared
+// ring; install it with core.(*Manager).AddFrameHook.
+func (r *Recorder) FrameAdvanced(frame int64) {
+	e := Event{
+		TS: stm.Now(), A: uint64(frame),
+		Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvFrame,
+	}
 	r.auxMu.Lock()
 	r.aux.Push(e)
 	r.auxMu.Unlock()
-}
-
-// FrameAdvanced records a window-manager frame advance; install it with
-// core.(*Manager).AddFrameHook.
-func (r *Recorder) FrameAdvanced(frame int64) {
-	r.pushAux(Event{
-		TS: stm.Now(), A: uint64(frame),
-		Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvFrame,
-	})
-}
-
-// BatchSealed implements wal.Observer: one group-commit batch was sealed.
-func (r *Recorder) BatchSealed(seq int64, txs int) {
-	r.pushAux(Event{
-		TS: stm.Now(), A: uint64(seq), B: uint64(txs),
-		Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvWalSeal,
-	})
-}
-
-// FsyncDone implements wal.Observer: one fsync completed.
-func (r *Recorder) FsyncDone(d time.Duration, recs int) {
-	r.pushAux(Event{
-		TS: stm.Now(), A: uint64(d), B: uint64(recs),
-		Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvWalFsync,
-	})
 }
 
 // Dropped reports the total events rejected across every ring because a

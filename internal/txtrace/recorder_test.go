@@ -243,12 +243,10 @@ func TestRecorderAuxEvents(t *testing.T) {
 	col := NewCollector(rec, 0)
 
 	rec.FrameAdvanced(7)
-	rec.BatchSealed(42, 9)
-	rec.FsyncDone(1500*time.Nanosecond, 9)
 
 	evs := col.Events()
-	if len(evs) != 3 {
-		t.Fatalf("got %d aux events, want 3", len(evs))
+	if len(evs) != 1 {
+		t.Fatalf("got %d aux events, want 1", len(evs))
 	}
 	for _, e := range evs {
 		if e.Thread != -1 || e.Seq != -1 || e.Attempt != -1 {
@@ -257,11 +255,5 @@ func TestRecorderAuxEvents(t *testing.T) {
 	}
 	if evs[0].Kind != EvFrame || evs[0].A != 7 {
 		t.Errorf("frame event = %+v", evs[0])
-	}
-	if evs[1].Kind != EvWalSeal || evs[1].A != 42 || evs[1].B != 9 {
-		t.Errorf("seal event = %+v", evs[1])
-	}
-	if evs[2].Kind != EvWalFsync || evs[2].A != 1500 || evs[2].B != 9 {
-		t.Errorf("fsync event = %+v", evs[2])
 	}
 }

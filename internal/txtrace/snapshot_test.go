@@ -13,7 +13,7 @@ func TestSnapshotSummarizesWindow(t *testing.T) {
 	if snap.Sample != 1 {
 		t.Errorf("Sample = %d, want 1", snap.Sample)
 	}
-	if snap.Events["begin"] != 5 || snap.Events["conflict"] != 1 || snap.Events["wal-fsync"] != 1 {
+	if snap.Events["begin"] != 5 || snap.Events["conflict"] != 1 || snap.Events["frame"] != 1 {
 		t.Errorf("event tallies = %v", snap.Events)
 	}
 	if snap.Verdicts["abort-enemy"] != 1 {
@@ -66,8 +66,8 @@ func TestCSVAndTimelineSmoke(t *testing.T) {
 	if !bytes.HasPrefix(buf.Bytes(), []byte("at_ns,thread,seq,attempt,kind,enemy,decision\n")) {
 		t.Errorf("CSV header missing: %q", buf.String()[:60])
 	}
-	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 16+1 {
-		t.Errorf("CSV rows = %d, want 16 events + header", lines-1)
+	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 14+1 {
+		t.Errorf("CSV rows = %d, want 14 events + header", lines-1)
 	}
 	buf.Reset()
 	if err := col.Timeline(&buf, 40); err != nil {
