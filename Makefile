@@ -23,10 +23,13 @@ ci: build vet race figures-smoke
 	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/kv/
 	go test -run '^$$' -fuzz FuzzReadReply -fuzztime 10s ./internal/kv/
 
-# The -fig all grid path end to end, outside unit tests: one benchmark, two
-# thread counts, 50 ms cells (16 timed cells + Fig. 5's fixed-work ones).
+# The figure drivers end to end, outside unit tests. -fig all: one
+# benchmark, two thread counts, 50 ms cells (16 timed cells + Fig. 5's
+# fixed-work ones). -fig btree: every registered manager on the rbtree/btree
+# pair at two thread counts (72 cells).
 figures-smoke:
 	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 -fig5-threads 4 > /dev/null
+	go run ./cmd/winbench -fig btree -btree-threads 2,4 -dur 50ms -reps 1 > /dev/null
 
 # Every Benchmark* cell, for reading while you work. Bounded iterations so
 # the full matrix stays minutes, not hours. Nothing gates on these numbers:

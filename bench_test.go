@@ -243,57 +243,12 @@ func BenchmarkAblationLoserPatience(b *testing.B) {
 	}
 }
 
-// BenchmarkAblationReadVisibility — DESIGN.md §5.6: visible reads (the
-// eager engine, the paper's setting) vs invisible version-validated reads
-// (the lazy engine), same manager.
+// BenchmarkAblationReadVisibility — DESIGN.md §5.6: the visible-read cell
+// (the paper's setting, and the runtime's only read strategy).
 func BenchmarkAblationReadVisibility(b *testing.B) {
-	for _, backend := range []string{stm.BackendEager, stm.BackendLazy} {
-		name := "visible"
-		if backend == stm.BackendLazy {
-			name = "lazy"
-		}
-		b.Run(name, func(b *testing.B) {
-			w, err := harness.NewWorkload("list", figMix, 1)
-			if err != nil {
-				b.Fatal(err)
-			}
-			cfg := harness.Config{Manager: "online-dynamic", Threads: benchThreads, WindowN: 10, Seed: 1}
-			mgr, err := cfg.NewManager()
-			if err != nil {
-				b.Fatal(err)
-			}
-			opt, err := stm.BackendOption(backend)
-			if err != nil {
-				b.Fatal(err)
-			}
-			rt := stm.New(benchThreads, mgr, opt)
-			rt.SetYieldEvery(8)
-			w.Setup(rt.Thread(0))
-			var aborts atomic.Int64
-			b.ResetTimer()
-			var wg sync.WaitGroup
-			for i := 0; i < benchThreads; i++ {
-				quota := b.N / benchThreads
-				if i < b.N%benchThreads {
-					quota++
-				}
-				wg.Add(1)
-				go func(id, quota int, th *stm.Thread) {
-					defer wg.Done()
-					run := w.NewRunner(id, uint64(id)*7919+1)
-					for n := 0; n < quota; n++ {
-						aborts.Add(int64(run(th).Aborts()))
-					}
-				}(i, quota, rt.Thread(i))
-			}
-			wg.Wait()
-			b.StopTimer()
-			b.ReportMetric(float64(aborts.Load())/float64(b.N), "aborts/commit")
-			if err := w.Verify(); err != nil {
-				b.Fatal(err)
-			}
-		})
-	}
+	b.Run("visible", func(b *testing.B) {
+		runNamed(b, "online-dynamic", "list", figMix, benchThreads)
+	})
 }
 
 // BenchmarkAblationHold — low-priority transactions running immediately

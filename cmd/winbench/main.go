@@ -15,11 +15,6 @@
 // without -chaos, -trace-out without -fig trace, ...) fail fast, as do
 // values no cell can run with (-reps 0, -dur -1s) and stray arguments.
 //
-// -backend selects the STM engine every cell runs on: eager (the paper's
-// DSTM-style conflict-on-open runtime, the default) or lazy (TL2-style
-// invisible reads with commit-time validation and buffered write-back).
-// All managers, figures, chaos and tracing work on both.
-//
 // Defaults are CI-friendly; -paper restores the published regime
 // (10-second runs averaged over 6 repetitions, threads up to 32).
 // -chaos layers deterministic fault injection (stalls, spurious aborts,
@@ -117,13 +112,13 @@ func flagConflict(set map[string]bool, m modes) (err error) {
 	if err != nil {
 		return err
 	}
-	// -fig btree fixes its own axes: it sweeps both engines, pins the
-	// benchmark pair (rbtree vs btree) and uses -btree-threads for M, so
-	// flags that would silently be overridden fail fast instead.
+	// -fig btree fixes its own axes: it pins the benchmark pair (rbtree vs
+	// btree) and uses -btree-threads for M, so flags that would silently be
+	// overridden fail fast instead.
 	if m.fig == "btree" {
-		for _, n := range []string{"backend", "bench", "threads"} {
+		for _, n := range []string{"bench", "threads"} {
 			if set[n] {
-				return fmt.Errorf("-%s has no effect with -fig btree (the btree figure sweeps both engines over the rbtree/btree pair; use -btree-threads for M)", n)
+				return fmt.Errorf("-%s has no effect with -fig btree (the btree figure runs the rbtree/btree pair; use -btree-threads for M)", n)
 			}
 		}
 	}
@@ -160,7 +155,6 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		windowN = fs.Int("window-n", 50, "window size N for window-based managers")
 		seed    = fs.Uint64("seed", 1, "master seed")
 		paper   = fs.Bool("paper", false, "use the paper's full regime (10s runs × 6 reps)")
-		backend = fs.String("backend", "", "STM engine: eager (the paper's DSTM-style runtime, default) or lazy (TL2-style commit-time validation)")
 
 		chaosOn    = fs.Bool("chaos", false, "inject deterministic faults (stalls, spurious aborts, delays, decision perturbation) and arm the serialized-fallback budgets")
 		chaosSeed  = fs.Uint64("chaos-seed", 0, "seed for the fault schedules (0 = derive from -seed); the same seed replays the same schedule")
@@ -217,7 +211,6 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		TotalTxs:    *total,
 		Fig5Threads: *fig5M,
 		WindowN:     *windowN,
-		Backend:     *backend,
 		Seed:        *seed,
 		Chaos:       *chaosOn,
 		ChaosSeed:   *chaosSeed,

@@ -5,8 +5,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"wincm/internal/stm"
 )
 
 // TestParseArgsFailsFast: a value winbench would have replaced with a
@@ -27,9 +25,12 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-bench nosuch", "nosuch"},
 		{"-fig telemetry -telemetry-manager nosuch", "nosuch"},
 		{"-threads 2,0", "-threads"},
+		{"-chaos -stall-prob 7", "-stall-prob"},
+		{"-chaos -stall-prob -0.5", "-stall-prob"},
 		{"-durable", "-durable"},
 		{"-fig durable", `unknown figure "durable"`},
-		{"-fig 3 -bench list,kmeans -threads 2,4 -dur 50ms -reps 1 -backend lazy", ""},
+		{"-backend lazy", "-backend"},
+		{"-fig 3 -bench list,kmeans -threads 2,4 -dur 50ms -reps 1 -chaos -stall-prob 0.5", ""},
 	} {
 		inv, err := parseArgs(strings.Fields(c.args), io.Discard)
 		switch {
@@ -39,29 +40,11 @@ func TestParseArgsFailsFast(t *testing.T) {
 			t.Errorf("%q: err = %v, want one containing %q", c.args, err, c.want)
 		case c.want == "":
 			o := inv.opts
-			if inv.fig != "3" || o.Reps != 1 || o.Duration != 50*time.Millisecond || o.Backend != "lazy" ||
+			if inv.fig != "3" || o.Reps != 1 || o.Duration != 50*time.Millisecond || o.StallProb != 0.5 ||
 				strings.Join(o.Benchmarks, ",") != "list,kmeans" || len(o.Threads) != 2 || o.Threads[1] != 4 {
 				t.Errorf("%q parsed as fig %q, %+v", c.args, inv.fig, o)
 			}
 		}
-	}
-}
-
-// TestValidateBackend covers the fail-fast engine selection: every
-// registered backend is accepted, unknown names are rejected with a
-// message that names the input.
-func TestValidateBackend(t *testing.T) {
-	for _, name := range append([]string{""}, stm.Backends()...) {
-		if _, err := parseArgs([]string{"-backend", name}, io.Discard); err != nil {
-			t.Errorf("-backend %q rejected: %v", name, err)
-		}
-	}
-	_, err := parseArgs([]string{"-backend", "htm"}, io.Discard)
-	if err == nil {
-		t.Fatal("unknown backend accepted")
-	}
-	if !strings.Contains(err.Error(), "htm") || !strings.Contains(err.Error(), "-backend") {
-		t.Errorf("unknown-backend error does not name the flag and the input: %v", err)
 	}
 }
 

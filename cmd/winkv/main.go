@@ -25,7 +25,6 @@ import (
 	"time"
 
 	"wincm/internal/kv"
-	"wincm/internal/stm"
 	"wincm/internal/telemetry"
 )
 
@@ -37,13 +36,21 @@ func fatalf(format string, args ...any) {
 // validateServe is the flag-parse fail-fast layer: positional arguments
 // and an empty address are command-line errors, and the store options
 // are checked here — before any socket is opened — with kv.Options'
-// own validation (NewStore re-checks as the last layer).
+// own validation (NewStore re-checks as the last layer). o holds what the
+// flags hold, and -shards and -threads have positive defaults, so a zero
+// there was typed, not left unset: an error, not kv.Options' "default".
 func validateServe(addr string, args []string, o kv.Options) error {
 	if len(args) != 0 {
 		return fmt.Errorf("unexpected arguments: %v", args)
 	}
 	if addr == "" {
 		return fmt.Errorf("-addr must not be empty")
+	}
+	if o.Shards < 1 {
+		return fmt.Errorf("Shards (-shards) must be >= 1 (got %d)", o.Shards)
+	}
+	if o.ShardThreads < 1 {
+		return fmt.Errorf("ShardThreads (-threads) must be >= 1 (got %d)", o.ShardThreads)
 	}
 	return o.Validate()
 }
@@ -55,7 +62,6 @@ func main() {
 		threads = flag.Int("threads", 2, "STM threads per shard (max in-flight transactions per shard)")
 		manager = flag.String("manager", kv.DefaultManager, "contention manager per shard (window variant or classic)")
 		windowN = flag.Int("window-n", 0, "window size N for window-based managers (0 = paper default)")
-		backend = flag.String("backend", "", "STM engine per shard: eager (default) or lazy")
 		maxAtt  = flag.Int("max-attempts", 0, "retry budget before the serialized fallback (0 = default 64; negative disables)")
 		deadln  = flag.Duration("tx-deadline", 0, "wall-clock budget before the serialized fallback (0 = default 250ms; negative disables)")
 		interlv = flag.Int("interleave", 0, "yield every k-th transactional open (0 = default 8; negative disables)")
@@ -70,7 +76,6 @@ func main() {
 		ShardThreads: *threads,
 		Manager:      *manager,
 		WindowN:      *windowN,
-		Backend:      *backend,
 		MaxAttempts:  *maxAtt,
 		TxDeadline:   *deadln,
 		Interleave:   *interlv,
@@ -107,12 +112,9 @@ func main() {
 	}
 	srv := kv.Serve(st, ln)
 	if !*quiet {
-		eng := *backend
-		if eng == "" {
-			eng = stm.BackendEager
-		}
-		fmt.Printf("winkv: serving on %s — %d shards × %d threads, manager=%s backend=%s\n",
-			srv.Addr(), *shards, *threads, *manager, eng)
+		o := st.Options()
+		fmt.Printf("winkv: serving on %s — %d shards × %d threads, manager=%s\n",
+			srv.Addr(), o.Shards, o.ShardThreads, o.Manager)
 	}
 
 	sig := make(chan os.Signal, 1)

@@ -11,6 +11,8 @@ import (
 // arguments, an empty address, and every invalid store option must be
 // rejected before a socket is opened, with messages naming the input.
 func TestValidateServe(t *testing.T) {
+	// validateServe sees what the flags hold, so every row spells out
+	// -shards and -threads (4 and 2 when not given).
 	cases := []struct {
 		name    string
 		addr    string
@@ -18,18 +20,19 @@ func TestValidateServe(t *testing.T) {
 		o       kv.Options
 		wantErr string // substring; empty = accept
 	}{
-		{"defaults", "127.0.0.1:0", nil, kv.Options{}, ""},
+		{"defaults", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2}, ""},
 		{"window manager with size", "127.0.0.1:0", nil,
-			kv.Options{Manager: "adaptive", WindowN: 32}, ""},
-		{"classic manager", "127.0.0.1:0", nil, kv.Options{Manager: "timestamp"}, ""},
-		{"positional args", "127.0.0.1:0", []string{"junk"}, kv.Options{}, "unexpected arguments"},
-		{"empty addr", "", nil, kv.Options{}, "-addr"},
-		{"bad shards", "127.0.0.1:0", nil, kv.Options{Shards: -4}, "Shards"},
-		{"bad threads", "127.0.0.1:0", nil, kv.Options{ShardThreads: -1}, "ShardThreads"},
-		{"unknown manager", "127.0.0.1:0", nil, kv.Options{Manager: "bogus"}, "bogus"},
+			kv.Options{Shards: 4, ShardThreads: 2, Manager: "adaptive", WindowN: 32}, ""},
+		{"classic manager", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2, Manager: "timestamp"}, ""},
+		{"positional args", "127.0.0.1:0", []string{"junk"}, kv.Options{Shards: 4, ShardThreads: 2}, "unexpected arguments"},
+		{"empty addr", "", nil, kv.Options{Shards: 4, ShardThreads: 2}, "-addr"},
+		{"bad shards", "127.0.0.1:0", nil, kv.Options{Shards: -4, ShardThreads: 2}, "Shards"},
+		{"bad threads", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: -1}, "ShardThreads"},
+		{"zero shards", "127.0.0.1:0", nil, kv.Options{Shards: 0, ShardThreads: 2}, "-shards"},
+		{"zero threads", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 0}, "-threads"},
+		{"unknown manager", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2, Manager: "bogus"}, "bogus"},
 		{"window size on classic", "127.0.0.1:0", nil,
-			kv.Options{Manager: "karma", WindowN: 10}, "WindowN"},
-		{"unknown backend", "127.0.0.1:0", nil, kv.Options{Backend: "htm"}, "htm"},
+			kv.Options{Shards: 4, ShardThreads: 2, Manager: "karma", WindowN: 10}, "WindowN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

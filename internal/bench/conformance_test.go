@@ -65,33 +65,30 @@ func (a btAdapter) rangeKeys(tx *stm.Tx, lo, hi int, out *[]int) {
 }
 func (a btAdapter) keys() []int { return a.t.Keys() }
 
-func confRT(t testing.TB, m int, opts ...stm.Option) *stm.Runtime {
+func confRT(t testing.TB, m int) *stm.Runtime {
 	t.Helper()
 	mgr, err := cm.New("polka", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stm.New(m, mgr, opts...)
-}
-
-func confBackends(t *testing.T, fn func(t *testing.T, opts ...stm.Option)) {
-	t.Run("eager", func(t *testing.T) { fn(t) })
-	t.Run("lazy", func(t *testing.T) { fn(t, stm.WithLazyBackend()) })
+	return stm.New(m, mgr)
 }
 
 // TestOrderedMapConformance drives each transactional ordered map through
 // a randomized single-thread operation stream — insert, delete, lookup,
 // range — and checks every result against a plain map+sort reference
-// model, on both engines.
+// model.
 func TestOrderedMapConformance(t *testing.T) {
-	confBackends(t, func(t *testing.T, opts ...stm.Option) {
+	// The lone "eager" level is the protocol's name, kept from when a second
+	// engine ran here too, so test names are stable.
+	t.Run("eager", func(t *testing.T) {
 		maps := []omap{
 			rbAdapter{t: txmap.New[int]()},
 			btAdapter{t: txbtree.New[int]()},
 		}
 		for _, m := range maps {
 			t.Run(m.name(), func(t *testing.T) {
-				rt := confRT(t, 1, opts...)
+				rt := confRT(t, 1)
 				th := rt.Thread(0)
 				ref := map[int]int{}
 				r := rng.New(0xC04F04)
@@ -178,13 +175,13 @@ func TestOrderedMapConformance(t *testing.T) {
 // red-black tree and the key-granularity B-link tree each acting as the
 // other's reference model. Final key sets must be identical.
 func TestOrderedMapConformanceConcurrent(t *testing.T) {
-	confBackends(t, func(t *testing.T, opts ...stm.Option) {
+	t.Run("eager", func(t *testing.T) {
 		const (
 			m        = 6
 			perThr   = 500
 			keyRange = 128
 		)
-		rt := confRT(t, m, opts...)
+		rt := confRT(t, m)
 		rt.SetYieldEvery(2)
 		rb := rbAdapter{t: txmap.New[int]()}
 		bt := btAdapter{t: txbtree.New[int]()}

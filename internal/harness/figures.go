@@ -11,7 +11,6 @@ import (
 	"wincm/internal/chaos"
 	"wincm/internal/core"
 	"wincm/internal/stats"
-	"wincm/internal/stm"
 	"wincm/internal/telemetry"
 )
 
@@ -52,10 +51,6 @@ type Options struct {
 	WindowN int
 	// KeyRange is the set benchmarks' key universe. Default 256.
 	KeyRange int
-	// Backend selects the STM engine for every cell ("" or
-	// stm.BackendEager for the paper's eager runtime, stm.BackendLazy
-	// for TL2-style commit-time validation).
-	Backend string
 	// Seed makes runs reproducible.
 	Seed uint64
 	// Chaos runs every cell under deterministic fault injection and arms
@@ -155,7 +150,6 @@ func (o Options) Config(manager string, threads int, seed uint64) Config {
 		Manager:     manager,
 		Threads:     threads,
 		WindowN:     o.WindowN,
-		Backend:     o.Backend,
 		Seed:        seed,
 		Chaos:       o.chaosConfig(threads),
 		MaxAttempts: maxAttempts,
@@ -244,8 +238,8 @@ func (o Options) Validate() error {
 			}
 		}
 	}
-	if _, err := stm.BackendOption(o.Backend); err != nil {
-		return fmt.Errorf("harness: Backend (-backend): %v", err)
+	if !(o.StallProb >= 0 && o.StallProb <= 1) { // also rejects NaN
+		return fmt.Errorf("harness: StallProb (-stall-prob) must be in [0, 1] (got %v)", o.StallProb)
 	}
 	for _, b := range o.Benchmarks {
 		if _, err := NewWorkload(b, o.throughputMix(), o.Seed); err != nil {

@@ -6,9 +6,6 @@ import (
 	"strings"
 	"testing"
 	"time"
-
-	"wincm/internal/cm"
-	"wincm/internal/stm"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -67,7 +64,8 @@ func TestDriversValidateAfterDefaults(t *testing.T) {
 		{Options{KeyRange: -1}, "KeyRange"},
 		{Options{Threads: []int{2, 0}}, "Threads"},
 		{Options{BTreeThreads: []int{-1}}, "BTreeThreads"},
-		{Options{Backend: "htm"}, "htm"},
+		{Options{Chaos: true, StallProb: 7}, "StallProb"},
+		{Options{Chaos: true, StallProb: -0.5}, "StallProb"},
 		{Options{Benchmarks: []string{"list", "nosuch"}}, "nosuch"},
 		{Options{TelemetryManager: "nosuch"}, "nosuch"},
 	} {
@@ -120,31 +118,36 @@ func TestInterleaveResolution(t *testing.T) {
 }
 
 func TestStmOptions(t *testing.T) {
-	if opts, inj, err := (Config{}).stmOptions(); len(opts) != 0 || inj != nil || err != nil {
-		t.Error("default produced options, an injector, or an error")
+	if opts, inj := (Config{}).stmOptions(); len(opts) != 0 || inj != nil {
+		t.Error("default produced options or an injector")
 	}
 }
 
-// TestStmOptionsBackend covers the engine-selection plumbing: the lazy
-// backend builds a lazy runtime, unknown names are rejected before any
-// runtime exists.
-func TestStmOptionsBackend(t *testing.T) {
-	opts, _, err := (Config{Backend: stm.BackendLazy}).stmOptions()
+// TestBTreeFigRendersOneTable: the btree figure is one table — a row per
+// registered manager, an rbtree and a btree column per M.
+func TestBTreeFigRendersOneTable(t *testing.T) {
+	if testing.Short() {
+		t.Skip("every-manager sweep is not short")
+	}
+	tables, err := BTreeFig(Options{Duration: 20 * time.Millisecond, Reps: 1, BTreeThreads: []int{2, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	mgr, err := cm.New("polka", 1)
-	if err != nil {
-		t.Fatal(err)
+	if len(tables) != 1 {
+		t.Fatalf("got %d tables, want 1", len(tables))
 	}
-	if rt := stm.New(1, mgr, opts...); rt.Backend() != stm.BackendLazy {
-		t.Errorf("backend = %q, want lazy", rt.Backend())
+	tbl := tables[0]
+	if got, want := strings.Join(tbl.Columns, ","), "manager,rbtree M=2,btree M=2,rbtree M=4,btree M=4"; got != want {
+		t.Errorf("columns = %s, want %s", got, want)
 	}
-	if opts, _, err := (Config{Backend: stm.BackendEager}).stmOptions(); err != nil || len(opts) != 1 {
-		t.Errorf("explicit eager: opts=%d err=%v", len(opts), err)
+	names := ChaosManagerNames()
+	if len(tbl.Rows) != len(names) {
+		t.Fatalf("got %d rows, want %d (one per registered manager)", len(tbl.Rows), len(names))
 	}
-	if _, _, err := (Config{Backend: "htm"}).stmOptions(); err == nil {
-		t.Error("unknown backend accepted")
+	for i, row := range tbl.Rows {
+		if len(row) != len(tbl.Columns) || row[0] != names[i] {
+			t.Errorf("row %d = %v, want %s and %d cells", i, row, names[i], len(tbl.Columns)-1)
+		}
 	}
 }
 

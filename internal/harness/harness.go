@@ -44,11 +44,6 @@ type Config struct {
 	// WindowN is N for window-based managers (transactions per window);
 	// ignored for the classic managers. 0 means the paper default of 50.
 	WindowN int
-	// Backend selects the STM engine: stm.BackendEager (default, also
-	// selected by the empty string; visible reads, the paper's setting)
-	// or stm.BackendLazy for TL2-style invisible reads with commit-time
-	// validation. Run rejects unknown names.
-	Backend string
 	// Interleave makes every k-th transactional open yield the processor
 	// so transactions overlap at fine grain even when GOMAXPROCS is
 	// smaller than Threads (the paper oversubscribed 4 cores with 32
@@ -115,15 +110,8 @@ func (c Config) interleave() int {
 // stmOptions translates the Config into runtime options; the returned
 // injector is non-nil when fault injection is enabled. The probe is NOT
 // installed here — instrument combines it with the telemetry probe first.
-func (c Config) stmOptions() ([]stm.Option, *chaos.Injector, error) {
+func (c Config) stmOptions() ([]stm.Option, *chaos.Injector) {
 	var opts []stm.Option
-	if c.Backend != "" {
-		opt, err := stm.BackendOption(c.Backend)
-		if err != nil {
-			return nil, nil, err
-		}
-		opts = append(opts, opt)
-	}
 	if c.MaxAttempts > 0 || c.TxDeadline > 0 {
 		opts = append(opts, stm.WithFallback(c.MaxAttempts, c.TxDeadline))
 	}
@@ -135,7 +123,7 @@ func (c Config) stmOptions() ([]stm.Option, *chaos.Injector, error) {
 		}
 		inj = chaos.New(cfg)
 	}
-	return opts, inj, nil
+	return opts, inj
 }
 
 // NewManager builds the configured contention manager (core.NewNamed:
@@ -182,11 +170,8 @@ type instruments struct {
 // Result.Summary is read from it — and registers the same instruments on
 // it; only the hot-path probe, which costs something while the run
 // executes, waits for a caller who brought a registry to watch.
-func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instruments, error) {
-	opts, inj, err := c.stmOptions()
-	if err != nil {
-		return nil, nil, err
-	}
+func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instruments) {
+	opts, inj := c.stmOptions()
 	reg := c.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
@@ -243,7 +228,7 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 	if c.TelemetryInterval > 0 {
 		ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval, 0)
 	}
-	return rt, ins, nil
+	return rt, ins
 }
 
 // registerChaosGauges exposes the fault injector's live counters so one
@@ -319,10 +304,7 @@ func run(cfg Config, w Workload, d time.Duration, total int) (Result, error) {
 	if err != nil {
 		return Result{}, err
 	}
-	rt, ins, err := cfg.instrument(mgr)
-	if err != nil {
-		return Result{}, err
-	}
+	rt, ins := cfg.instrument(mgr)
 	w.Setup(rt.Thread(0))
 
 	var stop atomic.Bool

@@ -1,12 +1,12 @@
 // Package kv is the scale-out layer over the STM: a sharded transactional
 // key-value store where shardIndex = hash(key) % N routes every key to an
-// independent shard — its own STM runtime (eager or lazy), its own
-// transactional B-link tree, its own window manager and frame clock. The
-// shards share nothing on the hot path, so aggregate throughput multiplies
-// the already-optimized per-runtime throughput instead of fighting the
-// same cache lines, and — under contention — partitioning the conflict
-// domain is itself the win: a key that is hot on one shard aborts nobody
-// on the other N−1.
+// independent shard — its own STM runtime, its own transactional B-link
+// tree, its own window manager and frame clock. The shards share nothing
+// on the hot path, so aggregate throughput multiplies the
+// already-optimized per-runtime throughput instead of fighting the same
+// cache lines, and — under contention — partitioning the conflict domain
+// is itself the win: a key that is hot on one shard aborts nobody on the
+// other N−1.
 //
 // Three layers stack on the Store:
 //
@@ -27,11 +27,9 @@ package kv
 
 import (
 	"fmt"
-	"strings"
 	"time"
 
 	"wincm/internal/core"
-	"wincm/internal/stm"
 )
 
 // DefaultManager is the contention manager shards run when Options.Manager
@@ -55,9 +53,6 @@ type Options struct {
 	// the paper default of 50. Setting it with a classic manager is a
 	// configuration error (it would silently do nothing).
 	WindowN int
-	// Backend selects the STM engine per shard: stm.BackendEager
-	// (default, also the empty string) or stm.BackendLazy.
-	Backend string
 	// MaxAttempts and TxDeadline arm the per-shard serialized-fallback
 	// budgets (stm.WithFallback) and the progress watchdog. Zero selects
 	// the service defaults (64 attempts, 250 ms); negative disables that
@@ -133,11 +128,6 @@ func (o Options) Validate() error {
 	}
 	if o.WindowN < 0 {
 		return fmt.Errorf("kv: WindowN must be >= 0 (got %d)", o.WindowN)
-	}
-	if d.Backend != "" {
-		if _, err := stm.BackendOption(d.Backend); err != nil {
-			return fmt.Errorf("kv: %v (want %s)", err, strings.Join(stm.Backends(), " or "))
-		}
 	}
 	return nil
 }

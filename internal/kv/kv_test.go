@@ -54,14 +54,11 @@ func TestOptionsValidate(t *testing.T) {
 		{"zero value (all defaults)", Options{}, true},
 		{"explicit window manager", Options{Manager: "online-dynamic", WindowN: 25}, true},
 		{"classic manager", Options{Manager: "karma"}, true},
-		{"lazy backend", Options{Backend: "lazy"}, true},
-		{"eager backend", Options{Backend: "eager"}, true},
 		{"negative shards", Options{Shards: -1}, false},
 		{"negative threads", Options{ShardThreads: -2}, false},
 		{"unknown manager", Options{Manager: "nope"}, false},
 		{"WindowN with classic manager", Options{Manager: "karma", WindowN: 10}, false},
 		{"negative WindowN", Options{WindowN: -5}, false},
-		{"unknown backend", Options{Backend: "speculative"}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -512,32 +509,6 @@ func TestSingleShardContention(t *testing.T) {
 	}
 	if stats.WatchdogTrips != 0 {
 		t.Fatalf("watchdog tripped %d times", stats.WatchdogTrips)
-	}
-}
-
-// TestLazyBackendStore runs the model smoke over the lazy engine too —
-// the kv layer must be engine-agnostic.
-func TestLazyBackendStore(t *testing.T) {
-	st := testStore(t, Options{Shards: 2, ShardThreads: 2, Backend: "lazy"})
-	se := st.NewSession()
-	for k := int64(0); k < 200; k++ {
-		se.Set(k, k+1000)
-	}
-	for k := int64(0); k < 200; k++ {
-		if v, ok := se.Get(k); !ok || v != k+1000 {
-			t.Fatalf("lazy Get(%d) = %d,%v", k, v, ok)
-		}
-	}
-	if err := se.MSet([]int64{5, 105}, []int64{-5, -105}); err != nil {
-		t.Fatal(err)
-	}
-	vals := make([]int64, 2)
-	present := make([]bool, 2)
-	if err := se.MGet([]int64{5, 105}, vals, present); err != nil {
-		t.Fatal(err)
-	}
-	if vals[0] != -5 || vals[1] != -105 {
-		t.Fatalf("lazy MGet = %v", vals)
 	}
 }
 

@@ -54,13 +54,6 @@ func newShard(idx int, o Options) (*shard, error) {
 		return nil, err
 	}
 	var opts []stm.Option
-	if o.Backend != "" {
-		opt, err := stm.BackendOption(o.Backend)
-		if err != nil {
-			return nil, err
-		}
-		opts = append(opts, opt)
-	}
 	watched := o.MaxAttempts > 0 || o.TxDeadline > 0
 	if watched {
 		opts = append(opts, stm.WithFallback(o.MaxAttempts, o.TxDeadline))

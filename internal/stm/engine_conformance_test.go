@@ -9,28 +9,15 @@ import (
 	"wincm/internal/stm"
 )
 
-// Cross-backend conformance suite: every semantics case below must hold
-// identically on the eager and the lazy engine. The cases are written
-// against the public API only, so they define what "an stm backend"
-// means for the layers above the Engine seam.
-
-func backendRuntime(t testing.TB, backend, manager string, m int, opts ...stm.Option) *stm.Runtime {
-	t.Helper()
-	mgr, err := cm.New(manager, m)
-	if err != nil {
-		t.Fatalf("cm.New(%q): %v", manager, err)
-	}
-	opt, err := stm.BackendOption(backend)
-	if err != nil {
-		t.Fatalf("BackendOption(%q): %v", backend, err)
-	}
-	return stm.New(m, mgr, append([]stm.Option{opt}, opts...)...)
-}
+// Conformance suite: the semantics the layers above the engine rely on.
+// The cases are written against the public API only. They run under an
+// "eager" subtest — the protocol's name, kept from when the suite also ran
+// over a second engine, so the case names are stable.
 
 func TestEngineConformance(t *testing.T) {
 	cases := []struct {
 		name string
-		run  func(t *testing.T, backend string)
+		run  func(t *testing.T)
 	}{
 		{"ReadOwnWrite", conformReadOwnWrite},
 		{"ModifySingleOpen", conformModify},
@@ -43,19 +30,17 @@ func TestEngineConformance(t *testing.T) {
 		{"FallbackToken", conformFallback},
 		{"WatchdogQuiescent", conformWatchdog},
 	}
-	for _, backend := range stm.Backends() {
-		t.Run(backend, func(t *testing.T) {
-			for _, c := range cases {
-				t.Run(c.name, func(t *testing.T) { c.run(t, backend) })
-			}
-		})
-	}
+	t.Run("eager", func(t *testing.T) {
+		for _, c := range cases {
+			t.Run(c.name, c.run)
+		}
+	})
 }
 
-// conformReadOwnWrite: a transaction observes its own buffered/tentative
-// writes, including write-after-write and read-after-write chains.
-func conformReadOwnWrite(t *testing.T, backend string) {
-	rt := backendRuntime(t, backend, "aggressive", 1)
+// conformReadOwnWrite: a transaction observes its own tentative writes,
+// including write-after-write and read-after-write chains.
+func conformReadOwnWrite(t *testing.T) {
+	rt := runtimeWith(t, "aggressive", 1)
 	v := stm.NewTVar(1)
 	u := stm.NewTVar("a")
 	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
@@ -83,10 +68,10 @@ func conformReadOwnWrite(t *testing.T, backend string) {
 	}
 }
 
-// conformModify: Modify/ModifyArg reads the current value (buffered or
+// conformModify: Modify/ModifyArg reads the current value (tentative or
 // committed) and writes through; lost updates are impossible.
-func conformModify(t *testing.T, backend string) {
-	rt := backendRuntime(t, backend, "aggressive", 1)
+func conformModify(t *testing.T) {
+	rt := runtimeWith(t, "aggressive", 1)
 	v := stm.NewTVar(10)
 	rt.Thread(0).Atomic(func(tx *stm.Tx) {
 		stm.Modify(tx, v, func(x int) int { return x + 1 })
@@ -102,8 +87,8 @@ func conformModify(t *testing.T, backend string) {
 
 // conformAbortRollsBack: an aborted attempt leaves no trace, and the
 // retry sees the committed state.
-func conformAbortRollsBack(t *testing.T, backend string) {
-	rt := backendRuntime(t, backend, "aggressive", 1)
+func conformAbortRollsBack(t *testing.T) {
+	rt := runtimeWith(t, "aggressive", 1)
 	v := stm.NewTVar(5)
 	tries := 0
 	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
@@ -130,8 +115,8 @@ func conformAbortRollsBack(t *testing.T, backend string) {
 // channel handshake through chaos-free plain code is impossible, so it
 // parks by doing a long transaction body) while readers hammer the
 // variable; every read must be one of the committed values.
-func conformNoDirtyReads(t *testing.T, backend string) {
-	rt := backendRuntime(t, backend, "polka", 2)
+func conformNoDirtyReads(t *testing.T) {
+	rt := runtimeWith(t, "polka", 2)
 	rt.SetYieldEvery(2)
 	v := stm.NewTVar(0)
 	done := make(chan struct{})
@@ -158,9 +143,9 @@ func conformNoDirtyReads(t *testing.T, backend string) {
 }
 
 // conformCounterParallel: no lost updates under contention.
-func conformCounterParallel(t *testing.T, backend string) {
+func conformCounterParallel(t *testing.T) {
 	const threads, perThread = 4, 300
-	rt := backendRuntime(t, backend, "karma", threads)
+	rt := runtimeWith(t, "karma", threads)
 	rt.SetYieldEvery(2)
 	rt.SetLocatorPooling(true)
 	v := stm.NewTVar(0)
@@ -186,9 +171,9 @@ func conformCounterParallel(t *testing.T, backend string) {
 // snapshots (opacity smoke test): writers keep two variables equal,
 // readers must never see them differ — even inside attempts that go on
 // to abort, since a torn snapshot would fail the in-callback check.
-func conformSnapshotConsistency(t *testing.T, backend string) {
+func conformSnapshotConsistency(t *testing.T) {
 	const threads, perThread = 4, 250
-	rt := backendRuntime(t, backend, "karma", threads)
+	rt := runtimeWith(t, "karma", threads)
 	rt.SetYieldEvery(2)
 	a, b := stm.NewTVar(0), stm.NewTVar(0)
 	var wg sync.WaitGroup
@@ -222,13 +207,12 @@ func conformSnapshotConsistency(t *testing.T, backend string) {
 }
 
 // conformPeekSet: non-transactional Set between transactions is visible
-// to subsequent transactions on every backend — including versions that
-// may have outrun the lazy engine's clock.
-func conformPeekSet(t *testing.T, backend string) {
-	rt := backendRuntime(t, backend, "aggressive", 1)
+// to subsequent transactions.
+func conformPeekSet(t *testing.T) {
+	rt := runtimeWith(t, "aggressive", 1)
 	v := stm.NewTVar(0)
 	for i := 1; i <= 5; i++ {
-		v.Set(i * 10) // each Set bumps the version with no clock tick
+		v.Set(i * 10)
 	}
 	var seen int
 	rt.Thread(0).Atomic(func(tx *stm.Tx) {
@@ -246,12 +230,11 @@ func conformPeekSet(t *testing.T, backend string) {
 }
 
 // conformAllManagers: all registered contention managers commit work
-// unmodified over the backend (the acceptance criterion of the engine
-// refactor). Two threads conflict on one variable per manager.
-func conformAllManagers(t *testing.T, backend string) {
+// unmodified. Two threads conflict on one variable per manager.
+func conformAllManagers(t *testing.T) {
 	for _, name := range cm.Names() {
 		const threads, perThread = 2, 40
-		rt := backendRuntime(t, backend, name, threads)
+		rt := runtimeWith(t, name, threads)
 		rt.SetYieldEvery(2)
 		v := stm.NewTVar(0)
 		var wg sync.WaitGroup
@@ -268,15 +251,15 @@ func conformAllManagers(t *testing.T, backend string) {
 		}
 		wg.Wait()
 		if got := v.Peek(); got != threads*perThread {
-			t.Errorf("manager %q over %s: counter %d, want %d", name, backend, got, threads*perThread)
+			t.Errorf("manager %q: counter %d, want %d", name, got, threads*perThread)
 		}
 	}
 }
 
 // conformFallback: the serialized-fallback token is acquired after the
-// attempt budget and released on commit, on both engines.
-func conformFallback(t *testing.T, backend string) {
-	rt := backendRuntime(t, backend, "greedy", 2, stm.WithFallback(2, 0))
+// attempt budget and released on commit.
+func conformFallback(t *testing.T) {
+	rt := runtimeWith(t, "greedy", 2, stm.WithFallback(2, 0))
 	v := stm.NewTVar(0)
 	attempts := 0
 	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
@@ -299,9 +282,9 @@ func conformFallback(t *testing.T, backend string) {
 }
 
 // conformWatchdog: the watchdog can start, observe a quiescent runtime
-// and stop over either engine.
-func conformWatchdog(t *testing.T, backend string) {
-	rt := backendRuntime(t, backend, "karma", 2)
+// and stop.
+func conformWatchdog(t *testing.T) {
+	rt := runtimeWith(t, "karma", 2)
 	wd := rt.StartWatchdog(5 * time.Millisecond)
 	defer wd.Stop()
 	v := stm.NewTVar(0)
@@ -327,71 +310,5 @@ func conformWatchdog(t *testing.T, backend string) {
 	}
 	if got := v.Peek(); got != 200 {
 		t.Fatalf("counter %d, want 200", got)
-	}
-}
-
-// TestLazyKillCycleLiveness is the lazy-engine analogue of
-// TestVisibleKillCycleLiveness: symmetric transactions whose conflicts
-// surface as commit-time lock conflicts and validation self-aborts must
-// not livelock. The retry backoff (the randomized pause after every abort)
-// plus CM mediation at lock acquisition must always let someone through.
-func TestLazyKillCycleLiveness(t *testing.T) {
-	shapes := []struct {
-		name    string
-		manager string
-		threads int
-	}{
-		{"karma-2", "karma", 2},
-		{"timestamp-4", "timestamp", 4},
-		{"polka-4", "polka", 4},
-	}
-	for _, s := range shapes {
-		t.Run(s.name, func(t *testing.T) {
-			rt := backendRuntime(t, stm.BackendLazy, s.manager, s.threads)
-			rt.SetYieldEvery(1)
-			vs := make([]*stm.TVar[int], 4)
-			for i := range vs {
-				vs[i] = stm.NewTVar(0)
-			}
-			const perThread = 150
-			done := make(chan struct{})
-			go func() {
-				defer close(done)
-				var wg sync.WaitGroup
-				for i := 0; i < s.threads; i++ {
-					wg.Add(1)
-					go func(th *stm.Thread, dir int) {
-						defer wg.Done()
-						for j := 0; j < perThread; j++ {
-							th.Atomic(func(tx *stm.Tx) {
-								// Opposite traversal orders maximize
-								// symmetric read/write overlap.
-								if dir == 0 {
-									for _, v := range vs {
-										stm.Write(tx, v, stm.Read(tx, v)+1)
-									}
-								} else {
-									for k := len(vs) - 1; k >= 0; k-- {
-										stm.Write(tx, vs[k], stm.Read(tx, vs[k])+1)
-									}
-								}
-							})
-						}
-					}(rt.Thread(i), i%2)
-				}
-				wg.Wait()
-			}()
-			select {
-			case <-done:
-			case <-time.After(30 * time.Second):
-				t.Fatalf("lazy kill-cycle livelock: %s never finished", s.name)
-			}
-			want := s.threads * perThread
-			for i, v := range vs {
-				if got := v.Peek(); got != want {
-					t.Errorf("vs[%d] = %d, want %d", i, got, want)
-				}
-			}
-		})
 	}
 }

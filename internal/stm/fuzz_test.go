@@ -14,21 +14,16 @@ import (
 // maintained under the invariant "all equal", then write the incremented
 // value to all of them. Any non-serializable execution breaks the
 // all-equal invariant permanently, and any lost update shows up in the
-// final counter value. The mode dimension covers both engines: eager
-// (visible reads) and lazy (invisible reads).
+// final counter value.
 func TestQuickSerializableHistories(t *testing.T) {
-	f := func(seed uint64, threadsRaw, varsRaw, modeRaw uint8) bool {
+	f := func(seed uint64, threadsRaw, varsRaw uint8) bool {
 		threads := 2 + int(threadsRaw)%4
 		vars := 1 + int(varsRaw)%5
 		mgr, err := cm.New("karma", threads)
 		if err != nil {
 			return false
 		}
-		var opts []stm.Option
-		if modeRaw%2 == 1 {
-			opts = append(opts, stm.WithLazyBackend())
-		}
-		rt := stm.New(threads, mgr, opts...)
+		rt := stm.New(threads, mgr)
 		rt.SetYieldEvery(2)
 		// Force recycling on: these runs are oversubscribed on small
 		// machines, and the histories must stay serializable with locators

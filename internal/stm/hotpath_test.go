@@ -101,36 +101,28 @@ func TestHotTVarStress(t *testing.T) {
 }
 
 // TestReadOnlyCommittedZeroAlloc is the ISSUE 3 allocation criterion as a
-// test: a committed read-only transaction allocates nothing on either
-// engine — no reader registration storage, no read-log growth once the
-// recycled slice is warm, no descriptor churn.
+// test: a committed read-only transaction allocates nothing — no reader
+// registration storage, no descriptor churn.
 func TestReadOnlyCommittedZeroAlloc(t *testing.T) {
-	for _, backend := range stm.Backends() {
-		t.Run(backend, func(t *testing.T) {
-			opt, err := stm.BackendOption(backend)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("eager", func(t *testing.T) {
+		th := stm.New(1, cm.NewPolka()).Thread(0)
+		vs := make([]*stm.TVar[int], 16)
+		for i := range vs {
+			vs[i] = stm.NewTVar(i)
+		}
+		readAll := func(tx *stm.Tx) {
+			sum := 0
+			for _, v := range vs {
+				sum += stm.Read(tx, v)
 			}
-			th := stm.New(1, cm.NewPolka(), opt).Thread(0)
-			vs := make([]*stm.TVar[int], 16)
-			for i := range vs {
-				vs[i] = stm.NewTVar(i)
+			if sum != 120 {
+				t.Errorf("sum = %d", sum)
 			}
-			readAll := func(tx *stm.Tx) {
-				sum := 0
-				for _, v := range vs {
-					sum += stm.Read(tx, v)
-				}
-				if sum != 120 {
-					t.Errorf("sum = %d", sum)
-				}
-			}
-			// Warm up once: first touches may install locators and size
-			// the lazy read log.
-			th.Atomic(readAll)
-			if allocs := testing.AllocsPerRun(100, func() { th.Atomic(readAll) }); allocs != 0 {
-				t.Errorf("committed read-only transaction allocates %.1f per run, want 0", allocs)
-			}
-		})
-	}
+		}
+		// Warm up once: first touches may install locators.
+		th.Atomic(readAll)
+		if allocs := testing.AllocsPerRun(100, func() { th.Atomic(readAll) }); allocs != 0 {
+			t.Errorf("committed read-only transaction allocates %.1f per run, want 0", allocs)
+		}
+	})
 }

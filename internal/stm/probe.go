@@ -27,12 +27,10 @@ type Probe interface {
 	// contention manager's Begin hook and before the first open. Trace
 	// recorders use it to stamp the attempt's start.
 	OnBegin(tx *Tx)
-	// OnCommit runs at the attempt's commit point, before the status CAS.
-	// On the eager engine that is the start of commit; on the lazy engine
-	// it is after write-set acquisition and commit-time validation, so the
-	// attempt's validation tallies are complete when probes fold them. An
-	// attempt whose commit-time validation fails fires OnAbort without
-	// OnCommit.
+	// OnCommit runs at the attempt's commit point, before the status CAS
+	// and after semantic validation, so the attempt's validation tallies
+	// are complete when probes fold them. An attempt whose commit-time
+	// validation fails fires OnAbort without OnCommit.
 	OnCommit(tx *Tx)
 	// OnAbort runs after an attempt aborted and released its objects.
 	OnAbort(tx *Tx)

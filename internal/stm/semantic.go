@@ -6,12 +6,10 @@ package stm
 // registers a SemanticOps with the attempt it runs under. The engine then
 // treats the structure as one more validation source at commit:
 //
-//   - Validate runs at the commit point, before the status CAS, on both
-//     engines: first thing in the eager engine's commit, and after the
-//     lazy engine's read-set validation (so a semantic
-//     failure never wastes a clock tick it didn't need). It is where the
-//     structure acquires its key-level write locks and checks its logged
-//     reads; structure-vs-structure conflicts discovered here route back
+//   - Validate runs at the commit point, first thing in commit and before
+//     the status CAS. It is where the structure acquires its key-level
+//     write locks and checks its logged reads; structure-vs-structure
+//     conflicts discovered here route back
 //     through the installed contention manager via ResolveConflict, so
 //     every manager — including the window managers — arbitrates key-level
 //     conflicts exactly as it arbitrates TVar ownership conflicts.
@@ -23,8 +21,8 @@ package stm
 //     releases whatever Validate had acquired.
 //
 // Validate may unwind the attempt with the package's internal retry panic
-// (through ResolveConflict's AbortSelf decision or RetryNow); both engines
-// call it inside runAttempt, whose recover converts the unwind into an
+// (through ResolveConflict's AbortSelf decision or RetryNow); commit
+// calls it inside runAttempt, whose recover converts the unwind into an
 // aborted attempt, and cleanup — hence Finalize — still runs from the
 // attempt loop's abort path.
 type SemanticOps interface {

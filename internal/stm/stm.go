@@ -31,13 +31,6 @@
 // it unwinds the callback with a private panic that Atomic recovers,
 // re-running the callback until it commits (the standard Go idiom for
 // non-local exits inside a package; the panic never escapes Atomic).
-//
-// The eager protocol above is one of two engines (engine.go):
-// WithLazyBackend selects a TL2-style lazy engine instead —
-// invisible version-clock reads, buffered writes, commit-time lock
-// acquisition and validation (lazy.go). The attempt loop, contention
-// managers, probes, fallback token and watchdog are
-// engine-independent and run unchanged over both.
 package stm
 
 import (
@@ -198,17 +191,6 @@ type Tx struct {
 	// no-probe hot path never touches it. Owner-thread-only.
 	openVar uint64
 	writes  []container
-	vreads  []vread
-	// Lazy-engine attempt state (lazy.go); untouched on the eager engine.
-	// rv is the attempt's read timestamp (clock snapshot), wbuf the
-	// buffered write set; the tallies feed attempt-end telemetry folding
-	// like the eager ones above. All owner-thread-only.
-	rv            uint64
-	wbuf          []lazyWrite
-	acqAttempt    int // commit-lock resolve escalation; on Tx so no stack pointer escapes through lazyEnt
-	clockRetries  int
-	valExtensions int
-	commitValNs   int64
 	// semOps are the semantic conflict sources registered with this
 	// attempt (semantic.go); the tallies below are cumulative over the
 	// thread's lifetime (Finalize runs after the attempt-end telemetry
@@ -257,22 +239,6 @@ func (tx *Tx) LocatorPoolMisses() int { return tx.locPoolMisses }
 // survives cleanup.
 func (tx *Tx) EpochAdvances() int { return tx.epochAdvances }
 
-// ClockCASRetries reports how many version-clock tick CASes this attempt
-// had to repeat (lazy engine; always 0 on the eager engine).
-// Owner-thread-only; survives cleanup for attempt-end telemetry folding.
-func (tx *Tx) ClockCASRetries() int { return tx.clockRetries }
-
-// ValidationExtensions reports how many snapshot extensions this attempt
-// performed (lazy engine; always 0 on the eager engine).
-// Owner-thread-only; survives cleanup.
-func (tx *Tx) ValidationExtensions() int { return tx.valExtensions }
-
-// CommitValidationNs reports the time this attempt spent in commit-time
-// read-set validation, in nanoseconds (lazy engine; always 0 on the
-// eager engine and for read-only attempts). Owner-thread-only; survives
-// cleanup.
-func (tx *Tx) CommitValidationNs() int64 { return tx.commitValNs }
-
 // OpenedVar returns an opaque identity token for the variable the current
 // open operation targets — the TVar a conflict discovered during this open
 // is over. It is populated only while a probe with live open hooks is
@@ -315,9 +281,6 @@ func (tx *Tx) beginAttempt() {
 	if tx.poolOn {
 		tx.pin()
 	}
-	if e := tx.rt.lazy; e != nil {
-		e.begin(tx)
-	}
 }
 
 // Abort aborts tx's current attempt if it is still active. It is safe to
@@ -356,11 +319,6 @@ type Runtime struct {
 	threads    []*Thread
 	yieldEvery atomic.Int64
 
-	// lazy is the lazy engine's state when that backend is installed and
-	// nil on the eager engine: the one discriminant every engine-specific
-	// step branches on (engine.go).
-	lazy *lazyEngine
-
 	// epochSlots holds one padded reclamation pin slot per thread
 	// (epoch.go), the same shape as the reader spill table.
 	epochSlots []paddedUint64
@@ -384,7 +342,7 @@ type Runtime struct {
 type Option func(*Runtime)
 
 // New creates a runtime with m threads sharing the contention manager cm.
-// Options select non-default strategies (see WithLazyBackend).
+// Options select non-default strategies (see WithFallback, WithProbe).
 func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	if m <= 0 {
 		panic("stm: runtime needs at least one thread")
@@ -493,9 +451,6 @@ type Thread struct {
 	// pools holds the thread's typed locator recyclers, indexed by the
 	// global locator type id (pool.go). Owner-thread-only.
 	pools []any
-	// entPools holds the thread's typed lazy write-entry recyclers,
-	// indexed by the same type ids (lazy_tvar.go). Owner-thread-only.
-	entPools []any
 
 	// desc and tx are the reusable descriptor and attempt (see Desc and
 	// Tx for the reuse rules).
@@ -593,34 +548,22 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		// by our own AbortSelf decision. Normalize, release everything we
 		// hold, notify the manager, and go around again.
 		tx.abortWord(tx.status.Load())
-		if e := rt.lazy; e != nil {
-			e.cleanup(tx)
-		} else {
-			tx.cleanupEager()
-		}
+		tx.cleanup()
 		info.Wasted += time.Duration(end - d.AttemptStart)
 		cm.Aborted(tx)
 		if p := rt.probe; p != nil {
 			p.OnAbort(tx)
 		}
-		// Symmetric retry cycles need external jitter to break. The lazy
-		// engine's invisible readers conflict only at validation time,
-		// where both sides self-abort with no contention-manager
-		// mediation, so they get a randomized, attempt-scaled pause from
-		// the second attempt on. Visible-mode transactions used to be
-		// desynchronized for free by the write path's allocations (and
-		// the GC pauses they caused); with the locator pool (pool.go)
-		// the committed path allocates nothing, and priority-tied
-		// transactions really do abort each other in lockstep
-		// indefinitely. The same randomized pause breaks that cycle, gated
-		// behind an attempt budget so ordinary conflict handling never
-		// pays it.
-		if rt.fallback.Load() != d {
-			if rt.lazy != nil {
-				t.abortBackoff(d.Attempts)
-			} else if d.Attempts > visibleBackoffAfter {
-				t.abortBackoff(d.Attempts - visibleBackoffAfter)
-			}
+		// Symmetric retry cycles need external jitter to break.
+		// Transactions used to be desynchronized for free by the write
+		// path's allocations (and the GC pauses they caused); with the
+		// locator pool (pool.go) the committed path allocates nothing, and
+		// priority-tied transactions really do abort each other in lockstep
+		// indefinitely. A randomized, attempt-scaled pause breaks that
+		// cycle, gated behind an attempt budget so ordinary conflict
+		// handling never pays it.
+		if rt.fallback.Load() != d && d.Attempts > visibleBackoffAfter {
+			t.abortBackoff(d.Attempts - visibleBackoffAfter)
 		}
 		// Starvation escape hatch: once the budgets are exhausted, take
 		// the serialized-fallback token so the next attempt wins every
@@ -632,10 +575,10 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 	}
 }
 
-// visibleBackoffAfter is how many consecutive aborts a visible-mode
-// transaction burns before abortBackoff engages. Most conflicts resolve
-// within a handful of attempts even under heavy contention; a transaction
-// past this budget is in a kill cycle, not a queue.
+// visibleBackoffAfter is how many consecutive aborts a transaction burns
+// before abortBackoff engages. Most conflicts resolve within a handful of
+// attempts even under heavy contention; a transaction past this budget is
+// in a kill cycle, not a queue.
 const visibleBackoffAfter = 8
 
 // abortBackoff sleeps for a random span in [0, 1µs << min(attempts-1,
@@ -663,8 +606,8 @@ func (t *Thread) abortBackoff(attempts int) {
 	}
 }
 
-// runAttempt executes fn once and tries to commit on the runtime's engine,
-// converting the internal retry panic into a false return.
+// runAttempt executes fn once and tries to commit, converting the internal
+// retry panic into a false return.
 func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -676,22 +619,17 @@ func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 		}
 	}()
 	fn(tx)
-	if e := tx.rt.lazy; e != nil {
-		return e.commit(tx)
-	}
-	return tx.commitEager()
+	return tx.commit()
 }
 
-// commitEager atomically makes the attempt's writes take effect (the
-// eager engine's commit; see lazy.go for the lazy one). Reads are visible
-// and writes eagerly owned, so every conflict was resolved at open time
-// and the status CAS alone is the serialization point.
-func (tx *Tx) commitEager() bool {
+// commit atomically makes the attempt's writes take effect. Reads are
+// visible and writes eagerly owned, so every conflict was resolved at open
+// time and the status CAS alone is the serialization point.
+func (tx *Tx) commit() bool {
 	w := tx.status.Load()
-	// Semantic validation runs before the OnCommit probe, like the lazy
-	// engine's read-set validation: a failure fires OnAbort only, which
-	// folds the attempt's tallies — including the key-level conflicts the
-	// validation just counted — exactly once.
+	// Semantic validation runs before the OnCommit probe: a failure fires
+	// OnAbort only, which folds the attempt's tallies — including the
+	// key-level conflicts the validation just counted — exactly once.
 	if len(tx.semOps) > 0 && !tx.semValidate() {
 		tx.abortWord(w)
 		return false
@@ -703,18 +641,18 @@ func (tx *Tx) commitEager() bool {
 		!tx.status.CompareAndSwap(w, w&^uint64(statusMask)|uint64(Committed)) {
 		return false
 	}
-	tx.cleanupEager()
+	tx.cleanup()
 	return true
 }
 
-// cleanupEager releases ownerships after the attempt has terminated
+// cleanup releases ownerships after the attempt has terminated
 // (either way). With the recycled Tx, folding every owned locator before
 // beginAttempt advances the serial is a hard correctness requirement, not
 // an optimization: an unfolded locator would keep naming this Tx while the
 // pointer starts standing for a different attempt. Visible-read stamps
 // need no cleanup — they die automatically when the serial advances
 // (readerset.go).
-func (tx *Tx) cleanupEager() {
+func (tx *Tx) cleanup() {
 	// Semantic structures finalize first: a committed attempt applies its
 	// buffered key-level writes (and only then drops its key locks), so
 	// by the time the TVar ownerships fold below, the structure is

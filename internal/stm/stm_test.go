@@ -10,13 +10,13 @@ import (
 	"wincm/internal/stm"
 )
 
-func runtimeWith(t testing.TB, name string, m int) *stm.Runtime {
+func runtimeWith(t testing.TB, name string, m int, opts ...stm.Option) *stm.Runtime {
 	t.Helper()
 	mgr, err := cm.New(name, m)
 	if err != nil {
 		t.Fatalf("cm.New(%q): %v", name, err)
 	}
-	return stm.New(m, mgr)
+	return stm.New(m, mgr, opts...)
 }
 
 func TestSingleThreadReadWrite(t *testing.T) {

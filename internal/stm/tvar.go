@@ -7,13 +7,9 @@ import (
 )
 
 // container is the type-erased view of a *TVar[T] that attempt cleanup
-// and read-set validation use; it keeps Tx free of type parameters.
+// uses; it keeps Tx free of type parameters.
 type container interface {
 	release(tx *Tx)
-	// lazyValidate is the lazy engine's read check (lazy.go). It never
-	// derives a version from an unfolded committed owner, because the
-	// lazy fold version (wv) is not loc.version+1.
-	lazyValidate(tx *Tx, ver uint64) bool
 }
 
 // locator is the word-based ownership record of a TVar: the DSTM locator
@@ -250,9 +246,6 @@ func (v *TVar[T]) release(tx *Tx) {
 // value is always loaded after the registration is visible, so a writer
 // acquiring concurrently either sees our slot or we see its ownership.
 func Read[T any](tx *Tx, v *TVar[T]) T {
-	if tx.rt.lazy != nil {
-		return readLazy(tx, v)
-	}
 	tx.maybeYield()
 	if p := tx.rt.openProbe; p != nil {
 		tx.openVar = v.token()
@@ -302,10 +295,6 @@ func Read[T any](tx *Tx, v *TVar[T]) T {
 // Write opens v for writing inside tx (see acquire) and installs val as the
 // tentative value.
 func Write[T any](tx *Tx, v *TVar[T], val T) {
-	if tx.rt.lazy != nil {
-		writeLazy(tx, v, val)
-		return
-	}
 	loc, _ := acquire(tx, v)
 	loc.newVal = val
 }
@@ -333,13 +322,6 @@ func applyFn[T any](cur T, f func(T) T) T { return f(cur) }
 // read-compute-write is atomic without touching the reader table. Like
 // Modify's, f runs once per call and must be pure.
 func ModifyArg[T, A any](tx *Tx, v *TVar[T], arg A, f func(T, A) T) {
-	if tx.rt.lazy != nil {
-		// The read must be logged: commit acquisition does not validate
-		// the value f consumed, only the read-set check does, so a
-		// buffered read-modify-write is Read + Write, not a blind write.
-		writeLazy(tx, v, f(readLazy(tx, v), arg))
-		return
-	}
 	loc, cur := acquire(tx, v)
 	loc.newVal = f(*cur, arg)
 }

@@ -42,12 +42,6 @@ type Probe struct {
 	// often sealing a retire batch advanced the reclamation epoch. Folded
 	// in at attempt end like the rest.
 	LocatorPoolHits, LocatorPoolMisses, EpochAdvances *Counter
-	// Lazy-engine instruments (ISSUE 8): version-clock shard CAS retries,
-	// snapshot extensions performed by reads past the attempt's timestamp,
-	// and the commit-time read-set validation span. All zero on the eager
-	// engine; folded in at attempt end.
-	ClockCASRetries, ValidationExtensions *Counter
-	CommitValidationNs                    *Histogram
 	// Semantic-structure instruments (ISSUE 9): key-level conflicts routed
 	// through the contention manager or failed semantic validations,
 	// structural modifications (splits, root growth) executed off every
@@ -82,24 +76,21 @@ var _ stm.Probe = (*Probe)(nil)
 func NewProbe(r *Registry, shards int) *Probe {
 	n := ceilPow2(shards)
 	return &Probe{
-		Opens:                r.NewCounter("wincm_opens_total", "transactional opens (reads and writes)", shards),
-		Acquires:             r.NewCounter("wincm_acquires_total", "new write ownerships", shards),
-		CommitCalls:          r.NewCounter("wincm_commit_calls_total", "commit-point entries", shards),
-		AbortEvents:          r.NewCounter("wincm_abort_events_total", "aborted attempts (probe events)", shards),
-		ResolveAbortEnemy:    r.NewCounter("wincm_resolve_abort_enemy_total", "conflicts resolved by aborting the enemy", shards),
-		ResolveAbortSelf:     r.NewCounter("wincm_resolve_abort_self_total", "conflicts resolved by self-abort", shards),
-		ResolveWait:          r.NewCounter("wincm_resolve_wait_total", "conflicts resolved by waiting", shards),
-		WaitNs:               r.NewHistogram("wincm_cm_wait_ns", "contention-manager backoff wait spans", shards),
-		CASRetries:           r.NewCounter("wincm_cas_retries_total", "ownership-record CAS retries", shards),
-		ReaderSpills:         r.NewCounter("wincm_reader_spills_total", "visible reads registered in spill-table slots", shards),
-		SpillPoolHits:        r.NewCounter("wincm_spill_pool_hits_total", "spill tables served from the pool", shards),
-		SpillPoolMisses:      r.NewCounter("wincm_spill_pool_misses_total", "spill tables freshly allocated", shards),
-		LocatorPoolHits:      r.NewCounter("wincm_locator_pool_hits_total", "write-path locators served from the per-thread pool", shards),
-		LocatorPoolMisses:    r.NewCounter("wincm_locator_pool_misses_total", "write-path locators freshly allocated", shards),
-		EpochAdvances:        r.NewCounter("wincm_epoch_advances_total", "reclamation epoch advances performed by batch seals", shards),
-		ClockCASRetries:      r.NewCounter("wincm_clock_cas_retries_total", "lazy version-clock shard CAS retries", shards),
-		ValidationExtensions: r.NewCounter("wincm_validation_extensions_total", "lazy snapshot extensions (reads past the attempt timestamp)", shards),
-		CommitValidationNs:   r.NewHistogram("wincm_commit_validation_ns", "lazy commit-time read-set validation spans", shards),
+		Opens:             r.NewCounter("wincm_opens_total", "transactional opens (reads and writes)", shards),
+		Acquires:          r.NewCounter("wincm_acquires_total", "new write ownerships", shards),
+		CommitCalls:       r.NewCounter("wincm_commit_calls_total", "commit-point entries", shards),
+		AbortEvents:       r.NewCounter("wincm_abort_events_total", "aborted attempts (probe events)", shards),
+		ResolveAbortEnemy: r.NewCounter("wincm_resolve_abort_enemy_total", "conflicts resolved by aborting the enemy", shards),
+		ResolveAbortSelf:  r.NewCounter("wincm_resolve_abort_self_total", "conflicts resolved by self-abort", shards),
+		ResolveWait:       r.NewCounter("wincm_resolve_wait_total", "conflicts resolved by waiting", shards),
+		WaitNs:            r.NewHistogram("wincm_cm_wait_ns", "contention-manager backoff wait spans", shards),
+		CASRetries:        r.NewCounter("wincm_cas_retries_total", "ownership-record CAS retries", shards),
+		ReaderSpills:      r.NewCounter("wincm_reader_spills_total", "visible reads registered in spill-table slots", shards),
+		SpillPoolHits:     r.NewCounter("wincm_spill_pool_hits_total", "spill tables served from the pool", shards),
+		SpillPoolMisses:   r.NewCounter("wincm_spill_pool_misses_total", "spill tables freshly allocated", shards),
+		LocatorPoolHits:   r.NewCounter("wincm_locator_pool_hits_total", "write-path locators served from the per-thread pool", shards),
+		LocatorPoolMisses: r.NewCounter("wincm_locator_pool_misses_total", "write-path locators freshly allocated", shards),
+		EpochAdvances:     r.NewCounter("wincm_epoch_advances_total", "reclamation epoch advances performed by batch seals", shards),
 
 		BTreeSemanticConflicts:     r.NewCounter("wincm_btree_semantic_conflicts_total", "key-level semantic conflicts (CM resolutions and failed semantic validations)", shards),
 		BTreeStructuralOps:         r.NewCounter("wincm_btree_structural_ops_total", "structural modifications (splits, root growth) executed off every conflict set", shards),
@@ -121,14 +112,6 @@ func (p *Probe) foldAttempt(shard int, tx *stm.Tx) {
 	p.LocatorPoolHits.Add(shard, int64(tx.LocatorPoolHits()))
 	p.LocatorPoolMisses.Add(shard, int64(tx.LocatorPoolMisses()))
 	p.EpochAdvances.Add(shard, int64(tx.EpochAdvances()))
-	p.ClockCASRetries.Add(shard, int64(tx.ClockCASRetries()))
-	p.ValidationExtensions.Add(shard, int64(tx.ValidationExtensions()))
-	// Only lazy attempts that reached commit-time validation observe a
-	// span; eager attempts (and read-only lazy ones) stay out of the
-	// histogram rather than flooding bucket zero.
-	if ns := tx.CommitValidationNs(); ns > 0 {
-		p.CommitValidationNs.Observe(shard, ns)
-	}
 	// Semantic tallies are thread-lifetime cumulative (see the field
 	// comment); fold the delta since this scratch slot's baseline. When
 	// shards < threads, a slot is shared and a delta can come out negative

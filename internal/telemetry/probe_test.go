@@ -121,63 +121,10 @@ func TestProbeOnLiveRuntime(t *testing.T) {
 		"wincm_locator_pool_hits_total",
 		"wincm_locator_pool_misses_total",
 		"wincm_epoch_advances_total",
-		"wincm_clock_cas_retries_total",
-		"wincm_validation_extensions_total",
 	} {
 		if _, ok := s.Counters[name]; !ok {
 			t.Errorf("hot-path counter %s not registered", name)
 		}
-	}
-	// The eager engine never touches the lazy instruments.
-	if got := s.Counters["wincm_clock_cas_retries_total"]; got != 0 {
-		t.Errorf("eager run recorded %d clock CAS retries", got)
-	}
-	if h := s.Histograms["wincm_commit_validation_ns"]; h.Count != 0 {
-		t.Errorf("eager run recorded %d commit-validation spans", h.Count)
-	}
-}
-
-// TestProbeLazyMode runs the probe over the lazy engine: commit-time
-// validation spans land in the histogram (once per attempt that carried
-// reads to the commit point), and Set-outrun reads surface as snapshot
-// extensions.
-func TestProbeLazyMode(t *testing.T) {
-	r := telemetry.NewRegistry()
-	p := telemetry.NewProbe(r, 4)
-	rt := stm.New(4, aggressiveCM{}, stm.WithProbe(p), stm.WithLazyBackend())
-	rt.SetYieldEvery(2)
-	v := stm.NewTVar(0)
-	const threads, per = 4, 100
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(th *stm.Thread) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				th.Atomic(func(x *stm.Tx) {
-					stm.Write(x, v, stm.Read(x, v)+1)
-				})
-			}
-		}(rt.Thread(i))
-	}
-	wg.Wait()
-	if got := v.Peek(); got != threads*per {
-		t.Fatalf("counter = %d", got)
-	}
-	s := r.Snapshot()
-	// Every committed attempt read v before writing it, so it validated at
-	// the commit point and observed a span.
-	h := s.Histograms["wincm_commit_validation_ns"]
-	if h.Count < threads*per {
-		t.Errorf("commit-validation spans = %d, want >= %d", h.Count, threads*per)
-	}
-	if h.Sum <= 0 {
-		t.Errorf("commit-validation span sum = %d, want > 0", h.Sum)
-	}
-	// A read that lands past the attempt's snapshot extends it; with four
-	// threads hammering one variable, extensions are effectively certain.
-	if s.Counters["wincm_validation_extensions_total"] == 0 {
-		t.Error("contended lazy run performed no snapshot extensions")
 	}
 }
 
@@ -202,42 +149,36 @@ func (commitAborter) PerturbResolve(_, _ *stm.Tx, _ stm.Kind, _ int, dec stm.Dec
 // too, and must still be folded exactly once. One thread, so every count
 // is exact: each transaction makes doomed+1 attempts of two opens each.
 func TestProbeCommitThenAbortFoldedOnce(t *testing.T) {
-	for _, backend := range stm.Backends() {
-		t.Run(backend, func(t *testing.T) {
-			const txs, doomed = 50, 2
-			r := telemetry.NewRegistry()
-			p := telemetry.NewProbe(r, 1)
-			opt, err := stm.BackendOption(backend)
-			if err != nil {
-				t.Fatal(err)
+	t.Run("eager", func(t *testing.T) {
+		const txs, doomed = 50, 2
+		r := telemetry.NewRegistry()
+		p := telemetry.NewProbe(r, 1)
+		chain := stm.CombineProbes(commitAborter{doomed: doomed}, p)
+		rt := stm.New(1, aggressiveCM{}, stm.WithProbe(chain))
+		v := stm.NewTVar(0)
+		for i := 0; i < txs; i++ {
+			info := rt.Thread(0).Atomic(func(x *stm.Tx) {
+				stm.Write(x, v, stm.Read(x, v)+1)
+			})
+			if info.Attempts != doomed+1 {
+				t.Fatalf("attempts = %d, want %d", info.Attempts, doomed+1)
 			}
-			chain := stm.CombineProbes(commitAborter{doomed: doomed}, p)
-			rt := stm.New(1, aggressiveCM{}, stm.WithProbe(chain), opt)
-			v := stm.NewTVar(0)
-			for i := 0; i < txs; i++ {
-				info := rt.Thread(0).Atomic(func(x *stm.Tx) {
-					stm.Write(x, v, stm.Read(x, v)+1)
-				})
-				if info.Attempts != doomed+1 {
-					t.Fatalf("attempts = %d, want %d", info.Attempts, doomed+1)
-				}
+		}
+		if got := v.Peek(); got != txs {
+			t.Fatalf("counter = %d, want %d", got, txs)
+		}
+		s := r.Snapshot()
+		want := map[string]int64{
+			"wincm_commit_calls_total": txs * (doomed + 1),
+			"wincm_abort_events_total": txs * doomed,
+			"wincm_opens_total":        2 * txs * (doomed + 1),
+		}
+		for name, n := range want {
+			if s.Counters[name] != n {
+				t.Errorf("%s = %d, want %d", name, s.Counters[name], n)
 			}
-			if got := v.Peek(); got != txs {
-				t.Fatalf("counter = %d, want %d", got, txs)
-			}
-			s := r.Snapshot()
-			want := map[string]int64{
-				"wincm_commit_calls_total": txs * (doomed + 1),
-				"wincm_abort_events_total": txs * doomed,
-				"wincm_opens_total":        2 * txs * (doomed + 1),
-			}
-			for name, n := range want {
-				if s.Counters[name] != n {
-					t.Errorf("%s = %d, want %d", name, s.Counters[name], n)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // aggressiveCM always aborts the enemy — the simplest correct manager.

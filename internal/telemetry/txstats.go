@@ -41,8 +41,8 @@ const (
 //     including any CM waits taken during it.
 //   - Duration − Wasted − CommitDur is the inter-attempt overhead: restart
 //     backoff a manager pays in Begin (cm.Backoff), the runtime's
-//     randomized retry backoff (every lazy-engine retry; eager retries
-//     past the eighth), and time queued for the serialized-fallback token.
+//     randomized retry backoff (retries past the eighth), and time queued
+//     for the serialized-fallback token.
 //     No TxInfo field names it; it is recoverable by subtraction.
 //
 // Busy, the total time threads dedicated to their transactions, is exactly

@@ -15,18 +15,13 @@ import (
 // Tests of the node access protocol; they live inside the package because
 // they latch nodes and look at levels from outside any transaction.
 
-func newTestRT(t testing.TB, m int, opts ...stm.Option) *stm.Runtime {
+func newTestRT(t testing.TB, m int) *stm.Runtime {
 	t.Helper()
 	mgr, err := cm.New("polka", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stm.New(m, mgr, opts...)
-}
-
-func bothBackends(t *testing.T, fn func(t *testing.T, opts ...stm.Option)) {
-	t.Run("eager", func(t *testing.T) { fn(t) })
-	t.Run("lazy", func(t *testing.T) { fn(t, stm.WithLazyBackend()) })
+	return stm.New(m, mgr)
 }
 
 // fill inserts keys (value = 10·key), batch per transaction.
@@ -78,8 +73,10 @@ func within(t *testing.T, what string, fn func()) {
 // — a descent neither read- nor write-latches an inner node, and a write
 // that stays inside its leaf never visits one.
 func TestDescentTakesNoInnerLatch(t *testing.T) {
-	bothBackends(t, func(t *testing.T, opts ...stm.Option) {
-		th := newTestRT(t, 1, opts...).Thread(0)
+	// The lone "eager" level is the protocol's name, kept from when a second
+	// engine ran here too, so test names are stable.
+	t.Run("eager", func(t *testing.T) {
+		th := newTestRT(t, 1).Thread(0)
 		tr := New[int]()
 		const n = 6000
 		keys := make([]int, n)
@@ -133,13 +130,13 @@ func TestDescentTakesNoInnerLatch(t *testing.T) {
 // splits and two root growths. Every read must hit with the right value
 // whatever stale body or half-propagated split the descent crossed.
 func TestReadersThroughSplitStorm(t *testing.T) {
-	bothBackends(t, func(t *testing.T, opts ...stm.Option) {
+	t.Run("eager", func(t *testing.T) {
 		const (
 			readers  = 2
 			perWrite = 6000
 			keySpace = 1 << 16
 		)
-		rt := newTestRT(t, readers+2, opts...)
+		rt := newTestRT(t, readers+2)
 		tr := New[int]()
 		fixed := make([]int, 16)
 		for i := range fixed {
@@ -209,8 +206,8 @@ func TestReadersThroughSplitStorm(t *testing.T) {
 // right links alone: the value lands once, in k's current home, and since
 // k's own binding never changed nothing is counted as a semantic conflict.
 func TestStaleApplyHint(t *testing.T) {
-	bothBackends(t, func(t *testing.T, opts ...stm.Option) {
-		rt := newTestRT(t, 2, opts...)
+	t.Run("eager", func(t *testing.T) {
+		rt := newTestRT(t, 2)
 		tr := New[int]()
 		keys := make([]int, maxKeys)
 		for i := range keys {

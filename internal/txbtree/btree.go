@@ -40,8 +40,8 @@
 // validation re-checks the reads — per-leaf version fast path, key-level
 // re-locate slow path — while key-level write locks (lock.go) are held.
 // Conflicts discovered there route through the installed contention
-// manager exactly like TVar ownership conflicts, so all managers and both
-// engines run unchanged. Structural modifications — leaf and inner splits,
+// manager exactly like TVar ownership conflicts, so all managers run
+// unchanged. Structural modifications — leaf and inner splits,
 // root growth — happen while applying the buffered writes after the commit
 // point; they are non-transactional side effects that abort nobody.
 package txbtree

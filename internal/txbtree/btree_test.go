@@ -11,24 +11,20 @@ import (
 	"wincm/internal/txbtree"
 )
 
-func newRT(t testing.TB, m int, opts ...stm.Option) *stm.Runtime {
+func newRT(t testing.TB, m int) *stm.Runtime {
 	t.Helper()
 	mgr, err := cm.New("polka", m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return stm.New(m, mgr, opts...)
-}
-
-// backends runs fn once per engine.
-func backends(t *testing.T, fn func(t *testing.T, opts ...stm.Option)) {
-	t.Run("eager", func(t *testing.T) { fn(t) })
-	t.Run("lazy", func(t *testing.T) { fn(t, stm.WithLazyBackend()) })
+	return stm.New(m, mgr)
 }
 
 func TestBasicOps(t *testing.T) {
-	backends(t, func(t *testing.T, opts ...stm.Option) {
-		rt := newRT(t, 1, opts...)
+	// The lone "eager" level is the protocol's name, kept from when a second
+	// engine ran here too, so test names are stable.
+	t.Run("eager", func(t *testing.T) {
+		rt := newRT(t, 1)
 		th := rt.Thread(0)
 		tr := txbtree.New[int]()
 		const n = 2000
@@ -116,12 +112,12 @@ func TestBasicOps(t *testing.T) {
 // sets, so not a single transaction may abort, and the tree's counters
 // must show the work happened (structural ops > 0, semantic conflicts 0).
 func TestSplitsAbortNothing(t *testing.T) {
-	backends(t, func(t *testing.T, opts ...stm.Option) {
+	t.Run("eager", func(t *testing.T) {
 		const (
 			m      = 8
 			perThr = 3000
 		)
-		rt := newRT(t, m, opts...)
+		rt := newRT(t, m)
 		tr := txbtree.New[int]()
 		var wg sync.WaitGroup
 		aborts := make([]int, m)
@@ -165,14 +161,14 @@ func TestSplitsAbortNothing(t *testing.T) {
 
 // TestCounterSerializes drives every thread through read-modify-write
 // transactions on one hot key; key-level validation must serialize them
-// so no increment is lost, on both engines.
+// so no increment is lost.
 func TestCounterSerializes(t *testing.T) {
-	backends(t, func(t *testing.T, opts ...stm.Option) {
+	t.Run("eager", func(t *testing.T) {
 		const (
 			m      = 8
 			perThr = 400
 		)
-		rt := newRT(t, m, opts...)
+		rt := newRT(t, m)
 		rt.SetYieldEvery(1) // force fine-grained interleaving on small hosts
 		tr := txbtree.New[int]()
 		var wg sync.WaitGroup
@@ -206,14 +202,14 @@ func TestCounterSerializes(t *testing.T) {
 // that misses an in-flight insert (a phantom) or sees half a toggle
 // breaks the pairing.
 func TestScanPairInvariant(t *testing.T) {
-	backends(t, func(t *testing.T, opts ...stm.Option) {
+	t.Run("eager", func(t *testing.T) {
 		const (
 			writers = 4
 			readers = 3
 			pairs   = 64
 			rounds  = 300
 		)
-		rt := newRT(t, writers+readers, opts...)
+		rt := newRT(t, writers+readers)
 		rt.SetYieldEvery(1)
 		tr := txbtree.New[int]()
 		var wg sync.WaitGroup

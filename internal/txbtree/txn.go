@@ -267,8 +267,7 @@ func (t *Tree[V]) Scan(tx *stm.Tx, lo, hi int, fn func(key int, val V) bool) {
 
 // Validate implements stm.SemanticOps: acquire the key-level write locks
 // in sorted key order, then check every logged read while the locks pin
-// the write set — the same lock-then-validate order the lazy engine uses
-// for TVars, and sound for the same reason: once validation passes, no
+// the write set — lock-then-validate, as in TL2: once validation passes, no
 // conflicting commit can slip between it and the status CAS without
 // either hitting our locks or bumping a leaf version we checked.
 func (st *txState[V]) Validate(tx *stm.Tx) bool {
