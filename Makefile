@@ -17,11 +17,16 @@ race:
 	go test -race -short ./...
 
 # What the GitHub workflow's test job runs (.github/workflows/ci.yml).
+# quickstart panics if money is not conserved; the two wintheory runs are
+# each mode at one small point.
 ci: build vet race figures-smoke
 	go -C benchmark test -race -short ./...
 	go test -count=20 ./internal/telemetry/ ./internal/stm/
 	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/kv/
 	go test -run '^$$' -fuzz FuzzReadReply -fuzztime 10s ./internal/kv/
+	go run ./examples/quickstart > /dev/null
+	go run ./cmd/wintheory -m 8 -n 4 -reps 1 -c 2,8 > /dev/null
+	go run ./cmd/wintheory -ratio -m 8 -n 4 -reps 1 -s 2,8 > /dev/null
 
 # The figure drivers end to end, outside unit tests. -fig all: one
 # benchmark, two thread counts, 50 ms cells (16 timed cells + Fig. 5's

@@ -23,6 +23,7 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-window-n -5", "-window-n"},
 		{"-fig 3 -bench list -threads 2 extra", "unexpected arguments: [extra]"},
 		{"-bench nosuch", "nosuch"},
+		{"-bench hashset", "hashset"},
 		{"-fig telemetry -telemetry-manager nosuch", "nosuch"},
 		{"-threads 2,0", "-threads"},
 		{"-chaos -stall-prob 7", "-stall-prob"},

@@ -29,7 +29,7 @@ type Set interface {
 }
 
 // NewSet builds the named set benchmark. Valid names are "list",
-// "rbtree", "skiplist", "hashset" and "btree".
+// "rbtree", "skiplist" and "btree".
 func NewSet(name string) (Set, error) {
 	switch name {
 	case "list":
@@ -38,8 +38,6 @@ func NewSet(name string) (Set, error) {
 		return NewRBTree(), nil
 	case "skiplist":
 		return NewSkipList(), nil
-	case "hashset":
-		return NewHashSet(), nil
 	case "btree":
 		return NewBTree(), nil
 	default:
@@ -48,9 +46,8 @@ func NewSet(name string) (Set, error) {
 }
 
 // SetNames lists the set benchmarks in presentation order: the paper's
-// three, the IntSetHash-style hash set, and the semantically-validated
-// B-link tree.
-func SetNames() []string { return []string{"list", "rbtree", "skiplist", "hashset", "btree"} }
+// three and the semantically-validated B-link tree.
+func SetNames() []string { return []string{"list", "rbtree", "skiplist", "btree"} }
 
 // Populate inserts size distinct random keys from [0, keyRange) using
 // thread th, bringing the structure to the experiments' steady-state

@@ -18,19 +18,13 @@ func BenchmarkNames() []string {
 	return []string{"list", "rbtree", "skiplist", "vacation"}
 }
 
-// NewWorkload builds the named workload: one of the three set benchmarks
-// (driven by mix), "vacation" (driven by the scenario for mix's
-// contention level: ≤20% updates → low, ≤60% → medium, else high), or the
-// "kmeans" extension (mix's update percentage shrinks the cluster count,
-// concentrating the hot spots).
+// NewWorkload builds the named workload: "vacation" (driven by the
+// scenario for mix's contention level: ≤20% updates → low, ≤60% → medium,
+// else high), the "kmeans" extension (mix's update percentage shrinks the
+// cluster count, concentrating the hot spots), or any of bench.SetNames
+// (driven by mix).
 func NewWorkload(name string, mix bench.Mix, seed uint64) (Workload, error) {
 	switch name {
-	case "list", "rbtree", "skiplist", "hashset", "btree":
-		s, err := bench.NewSet(name)
-		if err != nil {
-			return nil, err
-		}
-		return &setWorkload{set: s, mix: mix, seed: seed}, nil
 	case "kmeans":
 		k := 16
 		if mix.UpdatePct > 60 {
@@ -56,7 +50,11 @@ func NewWorkload(name string, mix bench.Mix, seed uint64) (Workload, error) {
 		cfg.Seed = seed
 		return &vacationWorkload{db: vacation.New(cfg)}, nil
 	default:
-		return nil, fmt.Errorf("harness: unknown benchmark %q", name)
+		s, err := bench.NewSet(name)
+		if err != nil {
+			return nil, err
+		}
+		return &setWorkload{set: s, mix: mix, seed: seed}, nil
 	}
 }
 

@@ -1,8 +1,6 @@
 // Package kmeans implements a STAMP-style kmeans clustering benchmark over
-// the STM — the first of the additional STAMP workloads the paper's
-// conclusion defers to future work ("we also plan to continue our
-// evaluation in other complex benchmarks from the STAMP suite (such as
-// kmeans, bayes, genome, ...)").
+// the STM — the first of the STAMP benchmarks the paper's conclusion names
+// as future work.
 //
 // Structure follows STAMP kmeans: a shared set of K cluster accumulators;
 // each transaction assigns one point to its nearest center (reading all K

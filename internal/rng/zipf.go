@@ -55,12 +55,6 @@ func zeta(n uint64, theta float64) float64 {
 	return sum
 }
 
-// N returns the key-space size.
-func (z *Zipf) N() uint64 { return z.n }
-
-// Theta returns the skew exponent.
-func (z *Zipf) Theta() float64 { return z.theta }
-
 // Next draws the next key in [0, n), most popular first: key 0 is the
 // hottest, key 1 the second hottest, and so on. Callers that want the
 // hot set spread across the key space (and hence across hash shards)

@@ -120,6 +120,9 @@ func Run(p Params) (Result, error) {
 	if p.C < 0 {
 		return Result{}, fmt.Errorf("sim: negative C")
 	}
+	if !(p.ColBias >= 0 && p.ColBias <= 1) { // also rejects NaN
+		return Result{}, fmt.Errorf("sim: ColBias must be in [0, 1] (got %v)", p.ColBias)
+	}
 	r := rng.New(p.Seed)
 	if p.Resources > 0 {
 		kw, kr := p.WritesPerTx, p.ReadsPerTx

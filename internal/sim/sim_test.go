@@ -1,6 +1,7 @@
 package sim_test
 
 import (
+	"math"
 	"testing"
 
 	"wincm/internal/conflictgraph"
@@ -26,6 +27,11 @@ func TestParamValidation(t *testing.T) {
 	}
 	if _, err := sim.Run(sim.Params{M: 2, N: 2, C: -1}); err == nil {
 		t.Error("negative C accepted")
+	}
+	for _, b := range []float64{-0.1, 1.5, math.NaN()} {
+		if _, err := sim.Run(sim.Params{M: 2, N: 2, C: 1, ColBias: b}); err == nil {
+			t.Errorf("ColBias %v accepted", b)
+		}
 	}
 }
 
