@@ -97,40 +97,20 @@ type Config struct {
 	// InitialC is the per-thread contention estimate C_i the Online
 	// variants assume known; adaptive variants start from 1 regardless.
 	InitialC int
-	// FrameScale multiplies the auto-calibrated frame duration
-	// scale·τ̂·ln(MN). 1.0 reproduces the paper's Θ(ln MN)-step frames.
-	FrameScale float64
 	// Dynamic enables frame contraction/expansion.
 	Dynamic bool
 	// Estimator selects how C_i evolves.
 	Estimator EstimatorKind
 	// Seed makes the random delays and priorities reproducible.
 	Seed uint64
-	// ZeroDelay forces q_i = 0 (ablation: disables the random shift).
-	ZeroDelay bool
-	// NoRedraw keeps π⁽²⁾ fixed per transaction instead of redrawing after
-	// every abort (ablation).
-	NoRedraw bool
-	// HoldUntilFrame delays each transaction's first attempt until its
-	// assigned frame starts instead of running it in low priority
-	// (ablation; the algorithm as published starts immediately).
-	HoldUntilFrame bool
-	// LoserPatience is the number of short waiting rounds a conflict
-	// loser is granted before aborting itself. The published algorithm
-	// aborts the loser immediately (patience 0); a small patience keeps
-	// the loser's read set — and thus its traversal work — alive across
-	// the winner's commit, the same effect DSTM2's revalidating retries
-	// have. Negative disables waiting entirely; 0 selects the default.
-	LoserPatience int
 }
 
-// defaultLoserPatience is the waiting-round grant used when
-// Config.LoserPatience is 0 (see the field comment). Calibrated on the
-// List benchmark: below ~8 rounds the loser's restarts re-execute whole
-// traversals and wasted work dominates; 12 rounds (≈ 8 ms of exponential
-// grace) brings aborts per commit into the regime the paper reports while
-// the priority vector still decides every conflict.
-const defaultLoserPatience = 12
+// loserPatience is the number of short waiting rounds a conflict loser is
+// granted before aborting itself. The published algorithm aborts the loser
+// immediately; a small patience keeps the loser's read set — and thus its
+// traversal work — alive across the winner's commit, the same effect
+// DSTM2's revalidating retries have. DESIGN.md §1.6 has the measurement.
+const loserPatience = 12
 
 // EstimatorKind selects the contention-estimate policy.
 type EstimatorKind int
@@ -151,11 +131,10 @@ const (
 // other thread at a time).
 func DefaultConfig(v Variant, m int) Config {
 	c := Config{
-		M:          m,
-		N:          50,
-		InitialC:   m,
-		FrameScale: 1.0,
-		Seed:       1,
+		M:        m,
+		N:        50,
+		InitialC: m,
+		Seed:     1,
 	}
 	switch v {
 	case Online:

@@ -266,7 +266,7 @@ func TestNewManagerValidation(t *testing.T) {
 
 func TestManagerDefaultsFilledIn(t *testing.T) {
 	m := NewManager(Config{M: 2, N: 4})
-	if m.Config().FrameScale != 1 || m.Config().InitialC != 1 {
+	if m.Config().InitialC != 1 {
 		t.Errorf("defaults not applied: %+v", m.Config())
 	}
 }

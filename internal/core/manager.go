@@ -102,7 +102,6 @@ func (st *threadState) publishC() {
 // which member of the family it behaves as.
 type Manager struct {
 	cfg        Config
-	patience   int
 	clock      *frameClock
 	threads    []*threadState
 	tauNs      atomic.Int64 // EWMA of committed-attempt durations
@@ -118,21 +117,12 @@ func NewManager(cfg Config) *Manager {
 	if cfg.M <= 0 || cfg.N <= 0 {
 		panic("core: Config needs M ≥ 1 and N ≥ 1")
 	}
-	if cfg.FrameScale <= 0 {
-		cfg.FrameScale = 1
-	}
 	if cfg.InitialC <= 0 {
 		cfg.InitialC = 1
 	}
 	m := &Manager{
 		cfg:   cfg,
 		clock: newFrameClock(cfg.Dynamic, tauGuess, cfg.M), // recalibrated below
-	}
-	switch {
-	case cfg.LoserPatience > 0:
-		m.patience = cfg.LoserPatience
-	case cfg.LoserPatience == 0:
-		m.patience = defaultLoserPatience
 	}
 	m.tauNs.Store(int64(tauGuess))
 	m.clock.setDur(m.frameDur())
@@ -195,11 +185,11 @@ func (m *Manager) BadEvents() int64 { return m.bads.Load() }
 // exempt from bad-event accounting (see Committed).
 func (m *Manager) FallbackCommits() int64 { return m.fallbacks.Load() }
 
-// frameDur derives the frame duration Φ = scale·τ̂·ln(MN) from the current
+// frameDur derives the frame duration Φ = τ̂·ln(MN) from the current
 // transaction-duration estimate.
 func (m *Manager) frameDur() time.Duration {
 	tau := float64(m.tauNs.Load())
-	return time.Duration(m.cfg.FrameScale * tau * lnMN(m.cfg.M, m.cfg.N))
+	return time.Duration(tau * lnMN(m.cfg.M, m.cfg.N))
 }
 
 // Begin implements stm.ContentionManager. On a transaction's first attempt
@@ -208,16 +198,14 @@ func (m *Manager) frameDur() time.Duration {
 // thread stores frame 0 with a fresh π⁽²⁾ — what a thread with C_i = 1 and
 // q = 0 would be given, high priority from the start — and nothing else.
 func (m *Manager) Begin(tx *stm.Tx) {
-	st := m.threads[tx.D.ThreadID]
-	if tx.D.Attempts == 1 {
-		if st.inWindow.Load() {
-			m.scheduleNext(st, tx.D)
-		} else {
-			tx.D.Aux.Store(packAux(0, m.drawP2(st)))
-		}
+	if tx.D.Attempts != 1 {
+		return
 	}
-	if m.cfg.HoldUntilFrame {
-		m.holdUntilFrame(tx)
+	st := m.threads[tx.D.ThreadID]
+	if st.inWindow.Load() {
+		m.scheduleNext(st, tx.D)
+	} else {
+		tx.D.Aux.Store(packAux(0, m.drawP2(st)))
 	}
 }
 
@@ -291,11 +279,7 @@ func (m *Manager) openSegment(st *threadState, seq, n int) {
 	st.startSeq = seq
 	st.remaining = n
 	st.baseFrame = m.clock.Current()
-	if m.cfg.ZeroDelay {
-		st.q = 0
-	} else {
-		st.q = int64(st.rng.Intn(int(alpha(st.est.value(), m.cfg.M, m.cfg.N))))
-	}
+	st.q = int64(st.rng.Intn(int(alpha(st.est.value(), m.cfg.M, m.cfg.N))))
 	m.clock.open(st.id, st.baseFrame+st.q, int64(n))
 }
 
@@ -306,17 +290,6 @@ func (m *Manager) drawP2(st *threadState) uint64 {
 		n = 1<<p2Bits - 1
 	}
 	return uint64(1 + st.rng.Intn(n))
-}
-
-// holdUntilFrame blocks (cooperatively) until the transaction's assigned
-// frame has started. Ablation only; the published algorithm does not hold.
-func (m *Manager) holdUntilFrame(tx *stm.Tx) {
-	for m.clock.Current() < auxFrame(tx.D.Aux.Load()) {
-		if tx.Status() != stm.Active {
-			return
-		}
-		time.Sleep(time.Duration(m.clock.dur.Load()) / 8)
-	}
 }
 
 // Committed implements stm.ContentionManager. Inside the window: recalibrate
@@ -394,16 +367,14 @@ func (m *Manager) conflict(st *threadState, d *stm.Desc) {
 }
 
 // Aborted implements stm.ContentionManager: enter the window if this is the
-// thread's first conflict, redraw π⁽²⁾ (unless the ablation disables it) and
-// feed the contention sample to the estimator.
+// thread's first conflict, redraw π⁽²⁾ and feed the contention sample to the
+// estimator.
 func (m *Manager) Aborted(tx *stm.Tx) {
 	st := m.threads[tx.D.ThreadID]
 	m.conflict(st, tx.D)
 	st.est.sample(true)
-	if !m.cfg.NoRedraw {
-		aux := tx.D.Aux.Load()
-		tx.D.Aux.Store(packAux(auxFrame(aux), m.drawP2(st)))
-	}
+	aux := tx.D.Aux.Load()
+	tx.D.Aux.Store(packAux(auxFrame(aux), m.drawP2(st)))
 }
 
 // Opened implements stm.ContentionManager (window managers do not use
@@ -413,7 +384,7 @@ func (m *Manager) Opened(*stm.Tx) {}
 // Resolve implements stm.ContentionManager: compare the two priority
 // vectors (π⁽¹⁾, π⁽²⁾) lexicographically; lower order wins and aborts the
 // other. A final ID comparison makes the order total so some side always
-// makes progress. The loser is granted LoserPatience short waiting rounds
+// makes progress. The loser is granted loserPatience short waiting rounds
 // (re-resolving with fresh priorities each time, so a frame switch or a
 // π⁽²⁾ redraw can still flip the outcome) before aborting itself.
 //
@@ -438,7 +409,7 @@ func (m *Manager) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.De
 	if mine < theirs || (mine == theirs && tx.D.ID.Load() < enemy.D.ID.Load()) {
 		return stm.AbortEnemy, 0
 	}
-	if attempt <= m.patience {
+	if attempt <= loserPatience {
 		// Exponentially growing grace spans, like Polite's backoff,
 		// capped at ~4ms so patience stays responsive.
 		exp := attempt - 1

@@ -61,7 +61,6 @@ func TestAdaptiveEstimateGrowsUnderContention(t *testing.T) {
 	const m = 8
 	cfg := core.DefaultConfig(core.Adaptive, m)
 	cfg.N = 5
-	cfg.FrameScale = 0.05 // tiny frames force bad events quickly
 	mgr := core.NewManager(cfg)
 	rt := stm.New(m, mgr)
 	// Bad events are a property of scheduled transactions, and a thread is
@@ -93,58 +92,6 @@ func TestAdaptiveEstimateGrowsUnderContention(t *testing.T) {
 	}
 	if !grew {
 		t.Errorf("bad events occurred (%d) but no estimate grew", mgr.BadEvents())
-	}
-}
-
-// TestZeroDelayAblation: with ZeroDelay the schedule still works.
-func TestZeroDelayAblation(t *testing.T) {
-	const m = 4
-	cfg := core.DefaultConfig(core.OnlineDynamic, m)
-	cfg.ZeroDelay = true
-	cfg.N = 8
-	rt := stm.New(m, core.NewManager(cfg))
-	ctr := stm.NewTVar(0)
-	var wg sync.WaitGroup
-	for i := 0; i < m; i++ {
-		wg.Add(1)
-		go func(th *stm.Thread) {
-			defer wg.Done()
-			for j := 0; j < 100; j++ {
-				th.Atomic(func(tx *stm.Tx) {
-					stm.Write(tx, ctr, stm.Read(tx, ctr)+1)
-				})
-			}
-		}(rt.Thread(i))
-	}
-	wg.Wait()
-	if got := ctr.Peek(); got != m*100 {
-		t.Errorf("counter = %d, want %d", got, m*100)
-	}
-}
-
-// TestHoldUntilFrameAblation: the hold variant must still complete.
-func TestHoldUntilFrameAblation(t *testing.T) {
-	const m = 2
-	cfg := core.DefaultConfig(core.OnlineDynamic, m)
-	cfg.HoldUntilFrame = true
-	cfg.N = 4
-	rt := stm.New(m, core.NewManager(cfg))
-	ctr := stm.NewTVar(0)
-	var wg sync.WaitGroup
-	for i := 0; i < m; i++ {
-		wg.Add(1)
-		go func(th *stm.Thread) {
-			defer wg.Done()
-			for j := 0; j < 20; j++ {
-				th.Atomic(func(tx *stm.Tx) {
-					stm.Write(tx, ctr, stm.Read(tx, ctr)+1)
-				})
-			}
-		}(rt.Thread(i))
-	}
-	wg.Wait()
-	if got := ctr.Peek(); got != m*20 {
-		t.Errorf("counter = %d, want %d", got, m*20)
 	}
 }
 

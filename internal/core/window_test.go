@@ -12,7 +12,9 @@ import (
 func TestScheduleNextWalksWindow(t *testing.T) {
 	cfg := DefaultConfig(Online, 2)
 	cfg.N = 4
-	cfg.ZeroDelay = true
+	if a := alpha(float64(cfg.InitialC), cfg.M, cfg.N); a != 1 {
+		t.Fatalf("α = %d, want 1 (so q = 0)", a)
+	}
 	m := NewManager(cfg)
 	st := m.threads[0]
 	d := &stm.Desc{ThreadID: 0}
@@ -29,7 +31,7 @@ func TestScheduleNextWalksWindow(t *testing.T) {
 			t.Fatalf("seq %d: π2 = %d out of [1,2]", seq, p2)
 		}
 	}
-	// Within each window of 4, frames are consecutive (ZeroDelay ⇒ q=0).
+	// Within each window of 4, frames are consecutive (α = 1 ⇒ q = 0).
 	for w := 0; w < 2; w++ {
 		base := frames[w*4]
 		for j := 0; j < 4; j++ {
@@ -81,7 +83,9 @@ func TestOpenSegmentReRegisters(t *testing.T) {
 func TestCommittedAdvancesRegRange(t *testing.T) {
 	cfg := DefaultConfig(OnlineDynamic, 1)
 	cfg.N = 4
-	cfg.ZeroDelay = true
+	if a := alpha(float64(cfg.InitialC), cfg.M, cfg.N); a != 1 {
+		t.Fatalf("α = %d, want 1 (so q = 0)", a)
+	}
 	m := NewManager(cfg)
 	st := m.threads[0]
 	m.openSegment(st, 0, 4)
@@ -121,9 +125,10 @@ func TestPrioOrdering(t *testing.T) {
 	}
 }
 
-// TestAbortedRedrawsP2 and honors NoRedraw. The transaction enters the
-// window first (its first abort does that), so the frame the redraw must
-// leave alone is a registered one, not the outside frame 0.
+// TestAbortedRedrawsP2, while entering through Resolve keeps π2. The
+// transaction enters the window first (its first abort does that), so the
+// frame the redraw must leave alone is a registered one, not the outside
+// frame 0.
 func TestAbortedRedrawsP2(t *testing.T) {
 	cfg := DefaultConfig(Online, 1<<14) // wide π2 range
 	m := NewManager(cfg)
@@ -152,20 +157,26 @@ func TestAbortedRedrawsP2(t *testing.T) {
 		t.Error("redraw disturbed the assigned frame")
 	}
 
-	cfg2 := DefaultConfig(Online, 4)
-	cfg2.NoRedraw = true
-	m2 := NewManager(cfg2)
-	rt2 := stm.New(1, m2)
+	// enter's contract: the running transaction keeps the π2 it holds, so
+	// enemies that compared against it before see the same second component.
+	// The wide π2 range makes a redraw that lands on the old value unlikely.
+	m2 := NewManager(DefaultConfig(Online, 1<<14))
+	rt2 := stm.New(2, m2)
+	var enemy *stm.Tx
 	rt2.Thread(0).Atomic(func(tx *stm.Tx) { captured = tx })
+	rt2.Thread(1).Atomic(func(tx *stm.Tx) { enemy = tx })
+	m2.clock.jump(7)
 	p2 := auxP2(captured.D.Aux.Load())
-	m2.Aborted(captured) // enters, keeping π2
+	m2.Resolve(captured, enemy, stm.WriteWrite, 1)
+	if !m2.threads[0].inWindow.Load() {
+		t.Fatal("first Resolve did not enter the window")
+	}
 	aux := captured.D.Aux.Load()
 	if auxP2(aux) != p2 {
-		t.Error("NoRedraw: entering the window changed π2")
+		t.Errorf("entering through Resolve changed π2 from %d to %d", p2, auxP2(aux))
 	}
-	m2.Aborted(captured)
-	if captured.D.Aux.Load() != aux {
-		t.Error("NoRedraw still redrew π2")
+	if auxFrame(aux) != m2.threads[0].assigned || auxFrame(aux) < 7 {
+		t.Errorf("entered at frame %d, assigned %d, clock at 7", auxFrame(aux), m2.threads[0].assigned)
 	}
 }
 
@@ -178,8 +189,8 @@ func TestResolveTotalOrder(t *testing.T) {
 	var a, b *stm.Tx
 	rt.Thread(0).Atomic(func(tx *stm.Tx) { a = tx })
 	rt.Thread(1).Atomic(func(tx *stm.Tx) { b = tx })
-	da, _ := m.Resolve(a, b, stm.WriteWrite, m.patience+1)
-	db, _ := m.Resolve(b, a, stm.WriteWrite, m.patience+1)
+	da, _ := m.Resolve(a, b, stm.WriteWrite, loserPatience+1)
+	db, _ := m.Resolve(b, a, stm.WriteWrite, loserPatience+1)
 	if da == stm.AbortEnemy && db == stm.AbortEnemy {
 		t.Error("both sides abort each other")
 	}

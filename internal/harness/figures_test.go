@@ -105,18 +105,6 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-func TestInterleaveResolution(t *testing.T) {
-	if got := (Config{}).interleave(); got != defaultInterleave {
-		t.Errorf("default = %d", got)
-	}
-	if got := (Config{Interleave: -1}).interleave(); got != 0 {
-		t.Errorf("disabled = %d", got)
-	}
-	if got := (Config{Interleave: 3}).interleave(); got != 3 {
-		t.Errorf("explicit = %d", got)
-	}
-}
-
 func TestStmOptions(t *testing.T) {
 	if opts, inj := (Config{}).stmOptions(); len(opts) != 0 || inj != nil {
 		t.Error("default produced options or an injector")

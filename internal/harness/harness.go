@@ -44,12 +44,6 @@ type Config struct {
 	// WindowN is N for window-based managers (transactions per window);
 	// ignored for the classic managers. 0 means the paper default of 50.
 	WindowN int
-	// Interleave makes every k-th transactional open yield the processor
-	// so transactions overlap at fine grain even when GOMAXPROCS is
-	// smaller than Threads (the paper oversubscribed 4 cores with 32
-	// threads; a single-core machine needs this to exhibit contention at
-	// all). 0 selects the default of 8; negative disables.
-	Interleave int
 	// Seed drives all workload randomness.
 	Seed uint64
 	// Chaos, when non-nil, installs a deterministic fault injector with
@@ -91,21 +85,11 @@ func (c Config) watched() bool {
 	return c.Chaos != nil || c.MaxAttempts > 0 || c.TxDeadline > 0
 }
 
-// defaultInterleave is the opens-per-yield grain used when
-// Config.Interleave is 0.
-const defaultInterleave = 8
-
-// interleave resolves the Interleave setting.
-func (c Config) interleave() int {
-	switch {
-	case c.Interleave < 0:
-		return 0
-	case c.Interleave == 0:
-		return defaultInterleave
-	default:
-		return c.Interleave
-	}
-}
+// interleave makes every k-th transactional open yield the processor so
+// transactions overlap at fine grain even when GOMAXPROCS is smaller than
+// Threads (the paper oversubscribed 4 cores with 32 threads; a single-core
+// machine needs this to exhibit contention at all).
+const interleave = 8
 
 // stmOptions translates the Config into runtime options; the returned
 // injector is non-nil when fault injection is enabled. The probe is NOT
@@ -206,7 +190,7 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 		opts = append(opts, stm.WithProbe(probe))
 	}
 	rt := stm.New(c.Threads, mgr, opts...)
-	rt.SetYieldEvery(c.interleave())
+	rt.SetYieldEvery(interleave)
 	if c.watched() {
 		wd := rt.StartWatchdog(c.WatchdogInterval)
 		ins.wd = wd

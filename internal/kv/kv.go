@@ -76,7 +76,8 @@ const (
 	DefaultTxDeadline  = 250 * time.Millisecond
 )
 
-// defaultInterleave mirrors the harness grain (harness.Config.Interleave).
+// defaultInterleave mirrors the grain every figure cell runs at (harness's
+// interleave constant).
 const defaultInterleave = 8
 
 // withDefaults resolves every zero field.
