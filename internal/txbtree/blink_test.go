@@ -1,6 +1,7 @@
 package txbtree
 
 import (
+	"math"
 	"slices"
 	"sync"
 	"sync/atomic"
@@ -81,9 +82,12 @@ func TestDescentTakesNoInnerLatch(t *testing.T) {
 		const n = 6000
 		keys := make([]int, n)
 		for i := range keys {
-			keys[i] = 2 * i // ascending: leaves stay half full, odd keys are free
+			// Descending, one key per transaction: every insert lands at
+			// slot 0, which never continues a sequential run, so every split
+			// cuts at the middle, leaves stay half full and odd keys are free.
+			keys[i] = 2 * (n - 1 - i)
 		}
-		fill(th, tr, keys, 8)
+		fill(th, tr, keys, 1)
 		if lvl := tr.root.Load().level; lvl < 2 {
 			t.Fatalf("root level %d, want a tree of at least 3 levels", lvl)
 		}
@@ -92,7 +96,7 @@ func TestDescentTakesNoInnerLatch(t *testing.T) {
 			nd.mu.Lock()
 		}
 		within(t, "Get/Insert/Scan under held inner latches", func() {
-			for _, k := range []int{0, 2 * 17, n, 2*n - 200} { // not the rightmost leaf: it may be full
+			for _, k := range []int{2 * maxKeys, n, 2*n - 200, 2*n - 2} { // not the leftmost leaf: it may be full
 				th.Atomic(func(tx *stm.Tx) {
 					if v, ok := tr.Get(tx, k); !ok || v != 10*k {
 						t.Errorf("Get(%d) = %d,%v", k, v, ok)
@@ -201,10 +205,11 @@ func TestReadersThroughSplitStorm(t *testing.T) {
 }
 
 // TestStaleApplyHint: a transaction buffers a write of k, then other
-// transactions split k's leaf twice so that k lives two siblings to the
-// right of the leaf the write remembers. Its commit must find k there by
-// right links alone: the value lands once, in k's current home, and since
-// k's own binding never changed nothing is counted as a semantic conflict.
+// transactions split k's leaf again and again so that k lives at least two
+// siblings to the right of the leaf the write remembers. Its commit must
+// find k there by right links alone: the value lands once, in k's current
+// home, and since k's own binding never changed nothing is counted as a
+// semantic conflict.
 func TestStaleApplyHint(t *testing.T) {
 	t.Run("eager", func(t *testing.T) {
 		rt := newTestRT(t, 2)
@@ -238,14 +243,17 @@ func TestStaleApplyHint(t *testing.T) {
 		}()
 		<-paused
 		// 3001… sort just below k: the first insert splits the full leaf
-		// (k moves one sibling right), the next sixteen fill that sibling
-		// and split it again with k in the upper half.
+		// (k moves one sibling right), the next ones fill that sibling and
+		// split it again, each split moving k further right.
 		for i := 1; i <= maxKeys/2+2; i++ {
 			rt.Thread(1).Atomic(func(tx *stm.Tx) { tr.Insert(tx, k-100+i, 0) })
 		}
-		home := hint.right.right
-		if _, ok := home.search(k); !ok {
-			t.Fatalf("setup: key %d is not two siblings right of its hint", k)
+		home, hops := hint, 0
+		for home.past(k) {
+			home, hops = home.right, hops+1
+		}
+		if _, ok := home.search(k); !ok || hops < 2 {
+			t.Fatalf("setup: key %d is %d siblings right of its hint, want at least 2", k, hops)
 		}
 		close(resume)
 		wg.Wait()
@@ -302,9 +310,9 @@ func TestSiblingSplitsBeforeRootGrows(t *testing.T) {
 		}
 	}()
 	for {
-		sib.mu.RLock()
+		sib.mu.Lock()
 		split := sib.right != nil
-		sib.mu.RUnlock()
+		sib.mu.Unlock()
 		if split {
 			break
 		}
@@ -327,6 +335,78 @@ func TestSiblingSplitsBeforeRootGrows(t *testing.T) {
 	}
 	if lvl := tr.root.Load().level; lvl != 1 {
 		t.Fatalf("root level %d, want 1", lvl)
+	}
+}
+
+// fillAt returns the mean fill of a quiescent tree's nodes at level: keys ÷
+// (nodes × maxKeys).
+func fillAt(tr *Tree[int], level int) float64 {
+	keys, nodes := 0, 0
+	for nd := tr.descend(math.MinInt, level, nil); nd != nil; nodes++ {
+		sp := &nd.span
+		if level > 0 {
+			sp = &nd.route.Load().span
+		}
+		keys += sp.n
+		nd = sp.right
+	}
+	return float64(keys) / float64(nodes*maxKeys)
+}
+
+// TestSplitPacksSequentialRuns: a leaf split cuts where a sequential run
+// inserts, so ascending runs leave full leaves, also when a run starts
+// beside another stream's keys (trapped) or shares the tree with a second
+// run (concurrent, the preload's shape); any other insert order still
+// splits at the middle. Inner nodes always split at the middle.
+func TestSplitPacksSequentialRuns(t *testing.T) {
+	const n = 256 * maxKeys
+	asc := func(lo, hi int) []int {
+		keys := make([]int, 0, hi-lo)
+		for k := lo; k < hi; k++ {
+			keys = append(keys, k)
+		}
+		return keys
+	}
+	a, b := asc(0, n/2), asc(n/2, n)
+	desc := asc(0, n)
+	slices.Reverse(desc)
+	random, r := asc(0, n), rng.New(3)
+	for i := len(random) - 1; i > 0; i-- {
+		j := r.Intn(i + 1)
+		random[i], random[j] = random[j], random[i]
+	}
+	for _, tc := range []struct {
+		name    string
+		streams [][]int // inserted one key per transaction, one goroutine each
+		lo, hi  float64 // the band leaf fill must lie in
+	}{
+		{"ascending", [][]int{asc(0, n)}, 1, 1},
+		{"trapped", [][]int{slices.Concat(b[:10], a, b[10:])}, 1, 1},
+		{"random", [][]int{random}, 0.6, 0.8},
+		{"descending", [][]int{desc}, 0.45, 0.55},
+		{"concurrent", [][]int{a, b}, 0.95, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newTestRT(t, len(tc.streams))
+			tr := New[int]()
+			var wg sync.WaitGroup
+			for id, keys := range tc.streams {
+				wg.Add(1)
+				go func() { defer wg.Done(); fill(rt.Thread(id), tr, keys, 1) }()
+			}
+			wg.Wait()
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+			if got := tr.Len(); got != n {
+				t.Fatalf("Len = %d, want %d", got, n)
+			}
+			leaf, parent := fillAt(tr, 0), fillAt(tr, 1)
+			t.Logf("leaf fill %.3f, parent fill %.3f", leaf, parent)
+			if leaf < tc.lo || leaf > tc.hi {
+				t.Errorf("leaf fill %.3f, want within [%.2f, %.2f]", leaf, tc.lo, tc.hi)
+			}
+		})
 	}
 }
 

@@ -3,7 +3,7 @@
 //
 // The physical structure is a B-link tree (Lehman–Yao): every node carries
 // a right-sibling pointer and an upper fence key, splits move the upper
-// half of a node into a fresh right sibling, and a traversal that lands on
+// part of a node into a fresh right sibling, and a traversal that lands on
 // a node whose fence excludes its key simply chases right links. Keys only
 // ever move rightward and nodes are never freed or merged, so a traversal
 // holding nothing across hops can never be stranded — the invariant the
@@ -26,10 +26,12 @@
 //     the fence check at the next level moves right from there. That is the
 //     argument that lets any B-link descent drop the parent before it looks
 //     at the child — it does not care whether the parent was ever latched.
-//   - Leaves keep an RWMutex held for one node visit: values are a generic
-//     V, so an optimistic leaf read would be a data race. Only a leaf's
-//     write latch holder changes it; ver is atomic so validation fast paths
-//     can poll it without the latch.
+//   - Leaves keep a Mutex held for one node visit: values are a generic V,
+//     so an optimistic leaf read would be a data race. Not an RWMutex: its
+//     readers park at once behind a pending writer where a Mutex spins
+//     first, which on a packed hot leaf cost kv-hot-write 31% of its
+//     throughput. Only the latch holder changes a leaf; ver is atomic so
+//     validation fast paths can poll it without the latch.
 //   - The same argument covers a remembered leaf (a read entry's, or a
 //     buffered write's apply hint): the key lived there once, so its home
 //     is that leaf or one to its right, however many splits intervened.
@@ -118,9 +120,9 @@ func (r *routing[V]) put(i, sep int, kid *node[V]) {
 // only level, route and — among writers — mu; a leaf uses everything but
 // route, with every field except ver and level guarded by mu.
 type node[V any] struct {
-	mu sync.RWMutex
+	mu sync.Mutex
 	// ver counts mutations of a leaf's key set and payload. It is bumped
-	// under the write latch on every change (including the donor's shrink
+	// under the latch on every change (including the donor's shrink
 	// at a split) and seeded from the donor at a split, so the version a
 	// key's home leaf carries is monotone along the key's rightward
 	// movement chain — the property slot validation depends on.
@@ -147,8 +149,8 @@ func newInner[V any](level int, r *routing[V]) *node[V] {
 }
 
 // put inserts (key, val) at slot i of a leaf and stamps the slot with the
-// leaf's next version. Caller holds the write latch (or the leaf is not
-// yet reachable).
+// leaf's next version. Caller holds the latch (or the leaf is not yet
+// reachable).
 func (nd *node[V]) put(i, key int, val V) {
 	copy(nd.keys[i+1:nd.n+1], nd.keys[i:nd.n])
 	copy(nd.vals[i+1:nd.n+1], nd.vals[i:nd.n])
@@ -158,16 +160,16 @@ func (nd *node[V]) put(i, key int, val V) {
 	nd.slotV[i] = nd.ver.Add(1)
 }
 
-// rlatch read-latches the leaf covering key, starting from a leaf that
-// covered it once and moving right past every split since (keys only move
-// right). At most one latch is held at a time.
-func (nd *node[V]) rlatch(key int) *node[V] {
-	nd.mu.RLock()
+// latch latches the leaf covering key, starting from a leaf that covered
+// it once and moving right past every split since (keys only move right).
+// At most one latch is held at a time.
+func (nd *node[V]) latch(key int) *node[V] {
+	nd.mu.Lock()
 	for nd.past(key) {
 		r := nd.right
-		nd.mu.RUnlock()
+		nd.mu.Unlock()
 		nd = r
-		nd.mu.RLock()
+		nd.mu.Lock()
 	}
 	return nd
 }
@@ -232,9 +234,9 @@ func (t *Tree[V]) descend(key, level int, path *[]*node[V]) *node[V] {
 	return nd
 }
 
-// leafFor returns the leaf covering key, read-latched.
+// leafFor returns the leaf covering key, latched.
 func (t *Tree[V]) leafFor(key int) *node[V] {
-	return t.descend(key, 0, nil).rlatch(key)
+	return t.descend(key, 0, nil).latch(key)
 }
 
 // lookup reads key's current binding: the leaf it belongs to, that leaf's
@@ -246,7 +248,7 @@ func (t *Tree[V]) lookup(key int) (leaf *node[V], leafVer uint64, val V, slotVer
 	if i, ok := leaf.search(key); ok {
 		val, slotVer, present = leaf.vals[i], leaf.slotV[i], true
 	}
-	leaf.mu.RUnlock()
+	leaf.mu.Unlock()
 	return
 }
 
@@ -256,14 +258,14 @@ func (t *Tree[V]) lookup(key int) (leaf *node[V], leafVer uint64, val V, slotVer
 // to the key's current home so subsequent fast paths hit again. Returns
 // false if the key's binding truly changed.
 func (e *readEnt[V]) recheck() bool {
-	nd := e.leaf.rlatch(e.key)
+	nd := e.leaf.latch(e.key)
 	i, ok := nd.search(e.key)
 	same := ok == e.present && (!ok || nd.slotV[i] == e.slotVer)
 	if same {
 		e.leaf = nd
 		e.leafVer = nd.ver.Load()
 	}
-	nd.mu.RUnlock()
+	nd.mu.Unlock()
 	return same
 }
 
@@ -275,14 +277,8 @@ func (e *readEnt[V]) recheck() bool {
 // right, as recheck does; there is no descent unless the leaf splits.
 // Structural work it triggers is counted but conflicts with nobody.
 func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V]) {
-	nd, key := w.leaf, w.key
-	nd.mu.Lock()
-	for nd.past(key) {
-		r := nd.right
-		nd.mu.Unlock()
-		nd = r
-		nd.mu.Lock()
-	}
+	key := w.key
+	nd := w.leaf.latch(key)
 	i, ok := nd.search(key)
 	switch {
 	case w.del:
@@ -308,7 +304,7 @@ func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V]) {
 	}
 }
 
-// splitLeaf splits the full, write-latched leaf nd around the insertion of
+// splitLeaf splits the full, latched leaf nd around the insertion of
 // (key, val) and propagates the separator upward. This is the one descent
 // on the write path: the parents of the separator's leaf, for insertParent
 // to pop. The path may be stale by the time it is used; insertParent
@@ -321,28 +317,39 @@ func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V) {
 	t.insertParent(st, nd, sep, sibling)
 }
 
-// split splits the full, write-latched leaf nd, inserts (key, val) into the
-// appropriate half and drops the latch, returning the separator and the new
+// split splits the full, latched leaf nd, inserts (key, val) into the
+// appropriate side and drops the latch, returning the separator and the new
 // right sibling. The sibling is fully built and linked before the latch
 // drops, so no traversal can observe a half-split leaf; the separator still
 // has to reach the parent (insertParent).
+//
+// The cut is at the middle unless the key continues a sequential run — the
+// leaf's last write was the slot just left of the key — and then at the
+// key: the run keeps appending to a full leaf, and keys of another stream
+// that it passed by move out of its way once instead of at every split.
 func (nd *node[V]) split(key int, val V) (sep int, s *node[V]) {
-	mid := maxKeys / 2
+	cut := maxKeys / 2
+	if i, _ := nd.search(key); i > 0 && nd.slotV[i-1] == nd.ver.Load() {
+		cut = i
+	}
 	s = &node[V]{level: 0}
-	s.n = copy(s.keys[:], nd.keys[mid:nd.n])
-	copy(s.vals[:], nd.vals[mid:nd.n])
-	copy(s.slotV[:], nd.slotV[mid:nd.n])
+	s.n = copy(s.keys[:], nd.keys[cut:nd.n])
+	copy(s.vals[:], nd.vals[cut:nd.n])
+	copy(s.slotV[:], nd.slotV[cut:nd.n])
 	s.hasHi, s.hi, s.right = nd.hasHi, nd.hi, nd.right
 	// Seed the sibling's version from the donor: any slot version already
 	// issued for a moved key stays below every version the sibling will
 	// issue, keeping slot versions monotone per key.
 	s.ver.Store(nd.ver.Load())
-	sep = nd.keys[mid]
+	sep = key // a cut past the last slot leaves the sibling only the key
+	if cut < nd.n {
+		sep = nd.keys[cut]
+	}
 	var zero V
-	for i := mid; i < nd.n; i++ {
+	for i := cut; i < nd.n; i++ {
 		nd.vals[i] = zero
 	}
-	nd.n = mid
+	nd.n = cut
 	nd.hasHi, nd.hi, nd.right = true, sep, s
 	// Insert the pending key while the donor is still latched — the
 	// sibling is unreachable until the latch drops, so it needs no latch.
@@ -455,10 +462,10 @@ func (t *Tree[V]) leftmostLeaf() *node[V] {
 func (t *Tree[V]) Keys() []int {
 	var out []int
 	for nd := t.leftmostLeaf(); nd != nil; {
-		nd.mu.RLock()
+		nd.mu.Lock()
 		out = append(out, nd.keys[:nd.n]...)
 		next := nd.right
-		nd.mu.RUnlock()
+		nd.mu.Unlock()
 		nd = next
 	}
 	return out
@@ -468,10 +475,10 @@ func (t *Tree[V]) Keys() []int {
 func (t *Tree[V]) Len() int {
 	n := 0
 	for nd := t.leftmostLeaf(); nd != nil; {
-		nd.mu.RLock()
+		nd.mu.Lock()
 		n += nd.n
 		next := nd.right
-		nd.mu.RUnlock()
+		nd.mu.Unlock()
 		nd = next
 	}
 	return n

@@ -227,13 +227,13 @@ func (t *Tree[V]) Scan(tx *stm.Tx, lo, hi int, fn func(key int, val V) bool) {
 			lo: lo, hi: hi, leaf: nd, leafVer: ndVer, isRange: true,
 		})
 		if !nd.hasHi || nd.hi >= hi {
-			nd.mu.RUnlock()
+			nd.mu.Unlock()
 			break
 		}
 		next := nd.right
-		nd.mu.RUnlock()
+		nd.mu.Unlock()
 		nd = next
-		nd.mu.RLock()
+		nd.mu.Lock()
 	}
 	// Overlay the private write set: upserts add or replace, deletes
 	// drop, then emit in key order.
