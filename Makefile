@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench figures figures-smoke chaos theory trace-smoke kv-smoke telemetry-smoke loc ci
+.PHONY: all build vet test race bench figures figures-smoke chaos theory kv-smoke telemetry-smoke loc ci
 
 all: build vet test
 
@@ -31,10 +31,13 @@ ci: build vet race figures-smoke
 # The figure drivers end to end, outside unit tests. -fig all: one
 # benchmark, two thread counts, 50 ms cells (16 timed cells + Fig. 5's
 # fixed-work ones). -fig btree: every registered manager on the rbtree/btree
-# pair at two thread counts (72 cells).
+# pair at two thread counts (72 cells). -fig trace: one flight-recorded run
+# and its timeline (the Chrome trace export is held to what Perfetto loads
+# by TestRunWithTraceRecorder).
 figures-smoke:
 	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 -fig5-threads 4 > /dev/null
 	go run ./cmd/winbench -fig btree -btree-threads 2,4 -dur 50ms -reps 1 > /dev/null
+	go run ./cmd/winbench -fig trace -dur 100ms > /dev/null
 
 # Every Benchmark* cell, for reading while you work. Bounded iterations so
 # the full matrix stays minutes, not hours. Nothing gates on these numbers:
@@ -79,17 +82,11 @@ kv-smoke:
 	awk '/^wincm_kv_pool_idle\{/ { n++; if ($$2 != 2) bad = 1 } END { exit (n == 4 && !bad ? 0 : 1) }' /tmp/kv_metrics.out || status=1; \
 	kill -INT $$KV; wait $$KV; exit $$status
 
-# Flight-recorder smoke: a traced run must emit a Perfetto-loadable trace.
-trace-smoke:
-	go run ./cmd/winbench -fig trace -dur 300ms -trace-out /tmp/wincm-trace.json
-	go run ./cmd/tracecheck /tmp/wincm-trace.json
-
 # Telemetry smoke: a live -fig telemetry run serves Prometheus text with the
 # commit counter, the response histogram and the window gauges, and pprof.
 telemetry-smoke:
 	go build -o /tmp/winbench-smoke ./cmd/winbench
-	/tmp/winbench-smoke -fig telemetry -telemetry-addr 127.0.0.1:9180 \
-		-telemetry-interval 250ms -dur 2s & \
+	/tmp/winbench-smoke -fig telemetry -telemetry-addr 127.0.0.1:9180 -dur 2s & \
 	BENCH=$$!; sleep 1; \
 	curl -fsS http://127.0.0.1:9180/metrics > /tmp/telemetry_metrics.out || { kill $$BENCH; exit 1; }; \
 	status=0; \

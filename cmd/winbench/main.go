@@ -22,10 +22,10 @@
 // runs the dedicated every-manager robustness sweep.
 //
 // -telemetry-addr starts the live observability endpoint and turns every
-// run into an inspectable service: Prometheus text on /metrics, expvar
-// JSON on /debug/vars, and the full net/http/pprof surface (CPU, heap,
-// block, mutex profiles) on /debug/pprof/. Each experiment cell installs
-// a fresh registry, so a scrape always reads the cell in flight.
+// run into an inspectable service: Prometheus text on /metrics and the full
+// net/http/pprof surface (CPU, heap, block, mutex profiles) on
+// /debug/pprof/. Each experiment cell installs a fresh registry, so a
+// scrape always reads the cell in flight.
 package main
 
 import (
@@ -39,6 +39,7 @@ import (
 	"time"
 
 	"wincm/internal/bench"
+	"wincm/internal/core"
 	"wincm/internal/harness"
 	"wincm/internal/telemetry"
 	"wincm/internal/txtrace"
@@ -103,7 +104,7 @@ func flagConflict(set map[string]bool, m modes) (err error) {
 		}
 	}
 	requireMode("-chaos", m.chaos, "chaos-seed", "stall-prob", "max-attempts", "tx-deadline")
-	requireMode("-fig telemetry", m.fig == "telemetry", "telemetry-interval", "telemetry-jsonl", "telemetry-csv", "telemetry-manager")
+	requireMode("-fig telemetry", m.fig == "telemetry", "telemetry-manager")
 	requireMode("-fig btree", m.fig == "btree", "btree-threads")
 	requireMode("-trace (or -fig trace)", m.trace || m.fig == "trace", "trace-sample", "trace-out")
 	requireMode("-fig trace", m.fig == "trace", "trace-manager")
@@ -162,11 +163,8 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		maxAtt     = fs.Int("max-attempts", 0, "retry budget before a transaction takes the serialized fallback (0 = chaos default of 64; negative disables)")
 		txDeadline = fs.Duration("tx-deadline", 0, "wall-clock budget before a transaction takes the serialized fallback (0 = chaos default of 250ms; negative disables)")
 
-		telAddr     = fs.String("telemetry-addr", "", "serve live telemetry on this address: Prometheus /metrics, expvar /debug/vars, net/http/pprof /debug/pprof/ (empty = off)")
-		telInterval = fs.Duration("telemetry-interval", 0, "sampling period of the -fig telemetry time series (0 = duration/16)")
-		telManager  = fs.String("telemetry-manager", "", "contention manager the -fig telemetry run watches (default adaptive-improved-dynamic)")
-		telJSONL    = fs.String("telemetry-jsonl", "", "write the -fig telemetry interval series to this file as JSONL")
-		telCSV      = fs.String("telemetry-csv", "", "write the -fig telemetry interval series to this file as CSV")
+		telAddr    = fs.String("telemetry-addr", "", "serve live telemetry on this address: Prometheus /metrics, net/http/pprof /debug/pprof/ (empty = off)")
+		telManager = fs.String("telemetry-manager", "", "contention manager the -fig telemetry run watches (default adaptive-improved-dynamic)")
 
 		traceOn     = fs.Bool("trace", false, "arm the transaction flight recorder on every run (alone, with no -fig, runs the -fig trace driver)")
 		traceSample = fs.Int("trace-sample", 1, "record one logical transaction in N (1 = every transaction)")
@@ -204,6 +202,9 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 	if *traceOut != "" && *fig != "trace" {
 		return invocation{}, fmt.Errorf("-trace-out needs -fig trace; with figure sweeps use -telemetry-addr and GET /trace/dump")
 	}
+	if _, _, err := core.NewNamed(*traceMgr, 1, 0, 0); err != nil {
+		return invocation{}, fmt.Errorf("-trace-manager: %v", err)
+	}
 
 	opts := harness.Options{
 		Duration:    *dur,
@@ -218,10 +219,7 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		MaxAttempts: *maxAtt,
 		TxDeadline:  *txDeadline,
 
-		TelemetryInterval: *telInterval,
-		TelemetryManager:  *telManager,
-		TelemetryJSONL:    *telJSONL,
-		TelemetryCSV:      *telCSV,
+		TelemetryManager: *telManager,
 	}
 	if *traceOn || *fig == "trace" {
 		opts.Trace = &harness.TraceConfig{Sample: *traceSample}
@@ -263,7 +261,7 @@ func main() {
 		}
 		defer srv.Close()
 		opts.Hub = hub
-		fmt.Fprintf(os.Stderr, "winbench: telemetry on http://%s (/metrics, /debug/vars, /debug/pprof/)\n", bound)
+		fmt.Fprintf(os.Stderr, "winbench: telemetry on http://%s (/metrics, /debug/pprof/)\n", bound)
 	}
 	if inv.driver == nil {
 		var traceFile *os.File

@@ -25,6 +25,10 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-bench nosuch", "nosuch"},
 		{"-bench hashset", "hashset"},
 		{"-fig telemetry -telemetry-manager nosuch", "nosuch"},
+		{"-fig trace -trace-manager nosuch -trace-out t.json", "-trace-manager"},
+		{"-fig telemetry -telemetry-interval 250ms", "flag provided but not defined: -telemetry-interval"},
+		{"-fig telemetry -telemetry-jsonl x", "flag provided but not defined: -telemetry-jsonl"},
+		{"-fig telemetry -telemetry-csv x", "flag provided but not defined: -telemetry-csv"},
 		{"-threads 2,0", "-threads"},
 		{"-chaos -stall-prob 7", "-stall-prob"},
 		{"-chaos -stall-prob -0.5", "-stall-prob"},

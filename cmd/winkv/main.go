@@ -64,7 +64,6 @@ func main() {
 		windowN = flag.Int("window-n", 0, "window size N for window-based managers (0 = paper default)")
 		maxAtt  = flag.Int("max-attempts", 0, "retry budget before the serialized fallback (0 = default 64; negative disables)")
 		deadln  = flag.Duration("tx-deadline", 0, "wall-clock budget before the serialized fallback (0 = default 250ms; negative disables)")
-		interlv = flag.Int("interleave", 0, "yield every k-th transactional open (0 = default 8; negative disables)")
 		seed    = flag.Uint64("seed", 1, "master seed for the shards' managers")
 		metrics = flag.String("metrics", "", "serve Prometheus /metrics (+ pprof) on this address (empty = off)")
 		quiet   = flag.Bool("quiet", false, "suppress the startup and shutdown reports")
@@ -78,7 +77,6 @@ func main() {
 		WindowN:      *windowN,
 		MaxAttempts:  *maxAtt,
 		TxDeadline:   *deadln,
-		Interleave:   *interlv,
 		Seed:         *seed,
 	}
 	// Fail fast at flag-parse time: kv.Options rejects every combination

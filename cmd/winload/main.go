@@ -17,6 +17,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"sort"
 	"sync"
@@ -66,7 +67,7 @@ func (c loadConfig) validate() error {
 	if c.keys == 0 {
 		return fmt.Errorf("-keys must be >= 1")
 	}
-	if c.theta < 0 || c.theta >= 1 {
+	if !(c.theta >= 0 && c.theta < 1) { // also rejects NaN
 		return fmt.Errorf("-theta must be in [0,1) (got %g)", c.theta)
 	}
 	if c.dur <= 0 {
@@ -77,8 +78,8 @@ func (c loadConfig) validate() error {
 	}
 	var wsum float64
 	for i, w := range c.weights {
-		if w < 0 {
-			return fmt.Errorf("-%s weight must be >= 0 (got %g)", classNames[i], w)
+		if !(w >= 0 && w <= math.MaxFloat64) { // also rejects NaN and +Inf
+			return fmt.Errorf("-%s weight must be finite and >= 0 (got %g)", classNames[i], w)
 		}
 		wsum += w
 	}

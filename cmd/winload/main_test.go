@@ -43,9 +43,13 @@ func TestLoadConfigValidate(t *testing.T) {
 		{"zero keys", func(c *loadConfig) { c.keys = 0 }, "-keys"},
 		{"theta 1", func(c *loadConfig) { c.theta = 1 }, "-theta"},
 		{"theta negative", func(c *loadConfig) { c.theta = -0.1 }, "-theta"},
+		{"theta NaN", func(c *loadConfig) { c.theta = math.NaN() }, "-theta"},
 		{"zero duration", func(c *loadConfig) { c.dur = 0 }, "-dur"},
 		{"zero depth", func(c *loadConfig) { c.depth = 0 }, "-depth"},
 		{"negative weight", func(c *loadConfig) { c.weights[clSet] = -0.5 }, "-set"},
+		{"NaN weight", func(c *loadConfig) { c.weights[clMGet] = math.NaN() }, "-mget"},
+		{"infinite weight", func(c *loadConfig) { c.weights[clGet] = math.Inf(1) }, "-get"},
+		{"negative infinite weight", func(c *loadConfig) { c.weights[clScan] = math.Inf(-1) }, "-scan"},
 		{"all-zero mix", func(c *loadConfig) { c.weights = [numClasses]float64{} }, "mix"},
 		{"mkeys zero", func(c *loadConfig) { c.mkeys = 0 }, "-mkeys"},
 		{"mkeys over cap", func(c *loadConfig) { c.mkeys = kv.MaxMultiKeys + 1 }, "-mkeys"},

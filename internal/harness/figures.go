@@ -72,16 +72,10 @@ type Options struct {
 	// winbench -telemetry-addr endpoint always serves the cell currently
 	// running.
 	Hub *telemetry.Hub
-	// TelemetryInterval is the sampling period of the TelemetryFig time
-	// series (0 = derived from Duration).
-	TelemetryInterval time.Duration
 	// TelemetryManager is the manager the TelemetryFig run watches
 	// (default adaptive-improved-dynamic, the variant with the most
 	// internal machinery to observe).
 	TelemetryManager string
-	// TelemetryJSONL and TelemetryCSV, when non-empty, are files the
-	// TelemetryFig interval series is exported to.
-	TelemetryJSONL, TelemetryCSV string
 	// BTreeThreads is the BTreeFig M sweep (default {1, 4, 8, 16}).
 	BTreeThreads []int
 	// Trace, when non-nil, arms the transaction flight recorder on every

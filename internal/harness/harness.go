@@ -175,16 +175,16 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 	if tc := c.Trace; tc != nil {
 		// The recorder chains last so it observes the schedule the runtime
 		// actually executes — including chaos-perturbed decisions.
-		rec := txtrace.NewRecorder(c.Threads, tc.Sample, tc.RingCap)
+		rec := txtrace.NewRecorder(c.Threads, tc.Sample, txtrace.DefaultRingCap)
 		probe = stm.CombineProbes(probe, rec)
-		ins.collector = txtrace.NewCollector(rec, tc.Keep)
+		ins.collector = txtrace.NewCollector(rec, txtrace.DefaultKeep)
 		if wm, ok := mgr.(*core.Manager); ok {
 			wm.AddFrameHook(rec.FrameAdvanced)
 		}
 		if tc.Hub != nil {
 			tc.Hub.InstallTrace(ins.collector)
 		}
-		ins.traceStop = startTracePoller(ins.collector, tc.PollEvery)
+		ins.traceStop = startTracePoller(ins.collector)
 	}
 	if probe != nil {
 		opts = append(opts, stm.WithProbe(probe))

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
-	"os"
 	"time"
 
 	"wincm/internal/telemetry"
@@ -16,7 +14,8 @@ import (
 const defaultTelemetryManager = "adaptive-improved-dynamic"
 
 // telemetrySeriesPoints is how many interval samples the TelemetryFig
-// run aims for when no explicit interval is configured.
+// run aims for: it samples every Duration/telemetrySeriesPoints, but no
+// more often than every 5 ms.
 const telemetrySeriesPoints = 16
 
 // TelemetryFig runs one benchmark under one manager with full telemetry —
@@ -36,54 +35,20 @@ func TelemetryFig(o Options) ([]Table, error) {
 		manager = defaultTelemetryManager
 	}
 	threads := o.Threads[len(o.Threads)-1]
-	interval := o.TelemetryInterval
-	if interval <= 0 {
-		interval = o.Duration / telemetrySeriesPoints
-		if interval < 5*time.Millisecond {
-			interval = 5 * time.Millisecond
-		}
-	}
 
 	cfg := o.Config(manager, threads, o.Seed)
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
-	cfg.TelemetryInterval = interval
+	cfg.TelemetryInterval = max(o.Duration/telemetrySeriesPoints, 5*time.Millisecond)
 	res, err := o.timed(benchmark, cfg)
 	if err != nil {
 		return nil, err
 	}
-	if err := exportSeries(o, res.Series); err != nil {
-		return nil, err
-	}
-
-	tables := []Table{
+	return []Table{
 		seriesTable(res.Series, benchmark, manager, threads),
 		quantileTable(cfg.Telemetry.Snapshot(), benchmark, manager, threads),
-	}
-	return tables, nil
-}
-
-// exportSeries writes the interval series to the files Options names.
-func exportSeries(o Options, pts []telemetry.Point) error {
-	write := func(path string, fn func(io.Writer, []telemetry.Point) error) error {
-		if path == "" {
-			return nil
-		}
-		f, err := os.Create(path)
-		if err != nil {
-			return err
-		}
-		if err := fn(f, pts); err != nil {
-			f.Close()
-			return err
-		}
-		return f.Close()
-	}
-	if err := write(o.TelemetryJSONL, telemetry.WriteJSONL); err != nil {
-		return err
-	}
-	return write(o.TelemetryCSV, telemetry.WriteCSV)
+	}, nil
 }
 
 // seriesCounter reads a cumulative counter out of a point, 0 if absent.

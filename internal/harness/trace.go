@@ -17,35 +17,23 @@ type TraceConfig struct {
 	// every transaction). The paper-style debugging runs use 1; overhead
 	// measurements use 64.
 	Sample int
-	// RingCap is the per-thread ring capacity in events
-	// (0 = txtrace.DefaultRingCap).
-	RingCap int
-	// Keep bounds the collector's retained window in events
-	// (0 = txtrace.DefaultKeep).
-	Keep int
-	// PollEvery is the ring drain cadence (0 = 25ms). Rings that fill
-	// between polls drop events (counted, never blocking).
-	PollEvery time.Duration
 	// Hub, when non-nil, gets the run's collector installed as its trace
 	// source, so /trace/snapshot and /trace/dump serve this run live.
 	Hub *telemetry.Hub
 }
 
-// defaultTracePoll is the collector poll cadence when TraceConfig.PollEvery
-// is zero.
+// defaultTracePoll is the collector's ring drain cadence. Rings that fill
+// between polls drop events (counted, never blocking).
 const defaultTracePoll = 25 * time.Millisecond
 
-// startTracePoller drains the collector at the configured cadence until
-// the returned stop function is called (which performs a final drain).
-func startTracePoller(col *txtrace.Collector, every time.Duration) (stop func()) {
-	if every <= 0 {
-		every = defaultTracePoll
-	}
+// startTracePoller drains the collector every defaultTracePoll until the
+// returned stop function is called (which performs a final drain).
+func startTracePoller(col *txtrace.Collector) (stop func()) {
 	done := make(chan struct{})
 	finished := make(chan struct{})
 	go func() {
 		defer close(finished)
-		tick := time.NewTicker(every)
+		tick := time.NewTicker(defaultTracePoll)
 		defer tick.Stop()
 		for {
 			select {

@@ -59,6 +59,59 @@ func TestRunWithTraceRecorder(t *testing.T) {
 	if !json.Valid(buf.Bytes()) {
 		t.Error("snapshot JSON invalid")
 	}
+	buf.Reset()
+	if err := res.Trace.WriteChromeTrace(&buf); err != nil {
+		t.Fatal(err)
+	}
+	checkChromeTrace(t, buf.Bytes())
+}
+
+// checkChromeTrace holds a Chrome trace dump to what Perfetto needs to load
+// and draw it: valid JSON in the trace-event object format, a non-empty
+// event list, a phase and no negative time on every event, at least one
+// attempt span ("X", category tx) to draw and at least one metadata record
+// ("M") to label the tracks.
+func checkChromeTrace(t *testing.T, raw []byte) {
+	t.Helper()
+	if !json.Valid(raw) {
+		t.Fatal("chrome trace is not valid JSON")
+	}
+	var trace struct {
+		TraceEvents []struct {
+			Name  string  `json:"name"`
+			Phase string  `json:"ph"`
+			Cat   string  `json:"cat"`
+			TS    float64 `json:"ts"`
+			Dur   float64 `json:"dur"`
+		} `json:"traceEvents"`
+	}
+	if err := json.Unmarshal(raw, &trace); err != nil {
+		t.Fatalf("not trace-event format: %v", err)
+	}
+	if len(trace.TraceEvents) == 0 {
+		t.Fatal("chrome trace holds no events")
+	}
+	var spans, meta int
+	for i, e := range trace.TraceEvents {
+		if e.Phase == "" {
+			t.Errorf("event %d (%q) has no phase", i, e.Name)
+		}
+		if e.TS < 0 || e.Dur < 0 {
+			t.Errorf("event %d (%q) has negative time: ts=%v dur=%v", i, e.Name, e.TS, e.Dur)
+		}
+		switch {
+		case e.Phase == "X" && e.Cat == "tx":
+			spans++
+		case e.Phase == "M":
+			meta++
+		}
+	}
+	if spans == 0 {
+		t.Error("no attempt spans (\"X\", cat tx): nothing for Perfetto to draw")
+	}
+	if meta == 0 {
+		t.Error("no metadata records (\"M\"): tracks would be unlabeled")
+	}
 }
 
 // TestTraceOffLeavesResultNil: without Config.Trace nothing is recorded

@@ -59,11 +59,6 @@ type Options struct {
 	// budget. Both disabled also disables the watchdog.
 	MaxAttempts int
 	TxDeadline  time.Duration
-	// Interleave makes every k-th transactional open yield the processor
-	// (stm.SetYieldEvery), letting transactions overlap at fine grain
-	// when GOMAXPROCS is smaller than the total thread count. 0 selects
-	// the default of 8; negative disables.
-	Interleave int
 	// Seed derives every shard's manager seed.
 	Seed uint64
 }
@@ -75,10 +70,6 @@ const (
 	DefaultMaxAttempts = 64
 	DefaultTxDeadline  = 250 * time.Millisecond
 )
-
-// defaultInterleave mirrors the grain every figure cell runs at (harness's
-// interleave constant).
-const defaultInterleave = 8
 
 // withDefaults resolves every zero field.
 func (o Options) withDefaults() Options {
@@ -100,11 +91,6 @@ func (o Options) withDefaults() Options {
 		o.TxDeadline = DefaultTxDeadline
 	} else if o.TxDeadline < 0 {
 		o.TxDeadline = 0
-	}
-	if o.Interleave == 0 {
-		o.Interleave = defaultInterleave
-	} else if o.Interleave < 0 {
-		o.Interleave = 0
 	}
 	return o
 }

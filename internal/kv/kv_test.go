@@ -20,6 +20,15 @@ func testStore(t *testing.T, o Options) *Store {
 	return st
 }
 
+// yieldEvery sets a finer open-yield grain than the shards' default on every
+// shard's runtime, before any transaction runs, so the tests that race
+// transactions overlap them more often.
+func yieldEvery(st *Store, k int) {
+	for _, sh := range st.shards {
+		sh.rt.SetYieldEvery(k)
+	}
+}
+
 // TestLocalGetZeroAlloc: the in-process single-shard read path — session,
 // thread claim, STM transaction, tree lookup, stats — allocates nothing.
 func TestLocalGetZeroAlloc(t *testing.T) {
@@ -339,7 +348,7 @@ func TestCrossShardAtomicity(t *testing.T) {
 // serialization cycle with the real-time order. The exclusive acquire
 // makes the read span atomic against single-key writers too.
 func TestCrossShardReadStrictness(t *testing.T) {
-	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Interleave: 8, Seed: 7})
+	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Seed: 7})
 	a, b := adversarialPair(st)
 	// Readers visit shards in ascending index order, so the race only
 	// shows when the first-written key lives on the lower-indexed shard
@@ -442,7 +451,8 @@ func TestCrossShardReadStrictness(t *testing.T) {
 // the ordered acquire) with aborts routed through the contention
 // managers (the watchdog must never trip).
 func TestCrossShardLiveness(t *testing.T) {
-	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Interleave: 4, Seed: 3})
+	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Seed: 3})
+	yieldEvery(st, 4)
 	a, b := adversarialPair(st)
 	const n = 8
 	var wg sync.WaitGroup
@@ -489,7 +499,8 @@ func TestCrossShardLiveness(t *testing.T) {
 // one-shard store: conflicts must resolve through the CM (commits equal
 // the op count; no watchdog trips).
 func TestSingleShardContention(t *testing.T) {
-	st := testStore(t, Options{Shards: 1, ShardThreads: 4, Interleave: 2, Seed: 5})
+	st := testStore(t, Options{Shards: 1, ShardThreads: 4, Seed: 5})
+	yieldEvery(st, 2)
 	const goroutines, ops = 4, 500
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {

@@ -283,7 +283,8 @@ func TestPipelinedRoundTripZeroAlloc(t *testing.T) {
 // keys, including cross-shard MSETs, all finish and the store stays
 // consistent.
 func TestServerConcurrentClients(t *testing.T) {
-	st, srv := startServer(t, Options{Shards: 4, ShardThreads: 2, Interleave: 4})
+	st, srv := startServer(t, Options{Shards: 4, ShardThreads: 2})
+	yieldEvery(st, 4)
 	const clients = 6
 	var wg sync.WaitGroup
 	for id := 0; id < clients; id++ {

@@ -31,7 +31,7 @@ func NewZipf(n uint64, theta float64) *Zipf {
 	if n == 0 {
 		panic("rng: NewZipf with n == 0")
 	}
-	if theta < 0 || theta >= 1 {
+	if !(theta >= 0 && theta < 1) { // also rejects NaN
 		panic("rng: NewZipf theta must be in [0, 1)")
 	}
 	z := &Zipf{n: n, theta: theta}

@@ -1,6 +1,7 @@
 package rng_test
 
 import (
+	"math"
 	"testing"
 
 	"wincm/internal/rng"
@@ -73,6 +74,7 @@ func TestZipfPanics(t *testing.T) {
 		{"zero n", 0, 0.5},
 		{"theta 1", 10, 1},
 		{"theta negative", 10, -0.1},
+		{"theta NaN", 10, math.NaN()},
 	} {
 		func() {
 			defer func() {

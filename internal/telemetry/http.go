@@ -1,13 +1,11 @@
 package telemetry
 
 import (
-	"expvar"
 	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
-	"sync"
 	"sync/atomic"
 )
 
@@ -111,28 +109,12 @@ func (h *Hub) ServeMetrics(w http.ResponseWriter, _ *http.Request) {
 	}
 }
 
-// expvarOnce guards the process-wide expvar publication (expvar panics on
-// duplicate names, and tests may build several servers).
-var expvarOnce sync.Once
-
-// publishExpvar exposes the hub's current snapshot under the "wincm"
-// expvar, alongside Go's built-in memstats/cmdline vars on /debug/vars.
-func publishExpvar(h *Hub) {
-	expvarOnce.Do(func() {
-		expvar.Publish("wincm", expvar.Func(func() any {
-			return h.Current().Snapshot()
-		}))
-	})
-}
-
 // Handler returns the telemetry mux for h: Prometheus text on /metrics,
-// expvar JSON on /debug/vars, and the full net/http/pprof surface
-// (CPU, heap, block, mutex, goroutine profiles) on /debug/pprof/.
+// the full net/http/pprof surface (CPU, heap, block, mutex, goroutine
+// profiles) on /debug/pprof/, and the live trace window on /trace/.
 func Handler(h *Hub) http.Handler {
-	publishExpvar(h)
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", h.ServeMetrics)
-	mux.Handle("/debug/vars", expvar.Handler())
 	mux.HandleFunc("/debug/pprof/", pprof.Index)
 	mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
@@ -145,7 +127,7 @@ func Handler(h *Hub) http.Handler {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "wincm telemetry: /metrics /debug/vars /debug/pprof/ /trace/snapshot /trace/dump")
+		fmt.Fprintln(w, "wincm telemetry: /metrics /debug/pprof/ /trace/snapshot /trace/dump")
 	})
 	return mux
 }

@@ -43,11 +43,6 @@ func TestHandlerEndpoints(t *testing.T) {
 		t.Errorf("/metrics missing counter:\n%s", body)
 	}
 
-	code, body, _ = get(t, srv, "/debug/vars")
-	if code != http.StatusOK || !strings.Contains(body, `"wincm"`) {
-		t.Errorf("/debug/vars status=%d, wincm var present=%v", code, strings.Contains(body, `"wincm"`))
-	}
-
 	code, body, _ = get(t, srv, "/debug/pprof/")
 	if code != http.StatusOK || !strings.Contains(body, "goroutine") {
 		t.Errorf("/debug/pprof/ status=%d", code)

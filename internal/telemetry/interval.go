@@ -1,11 +1,6 @@
 package telemetry
 
 import (
-	"encoding/json"
-	"fmt"
-	"io"
-	"sort"
-	"strings"
 	"sync"
 	"time"
 )
@@ -15,17 +10,17 @@ import (
 // Rates (throughput, abort rate) are deltas between consecutive points.
 type Point struct {
 	// At is the sample time relative to Sampler start.
-	At time.Duration `json:"at_ns"`
+	At time.Duration
 	// Counters holds cumulative counter values by name.
-	Counters map[string]int64 `json:"counters"`
+	Counters map[string]int64
 	// Gauges holds gauge readings by name.
-	Gauges map[string]float64 `json:"gauges"`
+	Gauges map[string]float64
 }
 
 // Sampler periodically snapshots a registry's counters and gauges,
-// producing the time series the -fig telemetry mode renders and the JSONL
-// and CSV exports preserve. Points are capped; once the cap is reached the
-// sampler keeps counting dropped samples instead of growing without bound.
+// producing the time series the -fig telemetry mode renders. Points are
+// capped; once the cap is reached the sampler keeps counting dropped
+// samples instead of growing without bound.
 type Sampler struct {
 	reg      *Registry
 	interval time.Duration
@@ -121,72 +116,4 @@ func (s *Sampler) Dropped() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.dropped
-}
-
-// seriesKeys returns the sorted union of counter and gauge names across
-// the series (counters first), so exports have stable columns even if a
-// gauge appeared mid-run.
-func seriesKeys(pts []Point) (counters, gauges []string) {
-	cset, gset := map[string]bool{}, map[string]bool{}
-	for _, p := range pts {
-		for k := range p.Counters {
-			cset[k] = true
-		}
-		for k := range p.Gauges {
-			gset[k] = true
-		}
-	}
-	for k := range cset {
-		counters = append(counters, k)
-	}
-	for k := range gset {
-		gauges = append(gauges, k)
-	}
-	sort.Strings(counters)
-	sort.Strings(gauges)
-	return counters, gauges
-}
-
-// WriteJSONL writes one JSON object per point.
-func WriteJSONL(w io.Writer, pts []Point) error {
-	enc := json.NewEncoder(w)
-	for i := range pts {
-		if err := enc.Encode(&pts[i]); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV writes the series as CSV: at_ns, then one column per counter
-// (cumulative) and per gauge, names sorted. Missing values render empty.
-func WriteCSV(w io.Writer, pts []Point) error {
-	counters, gauges := seriesKeys(pts)
-	header := append([]string{"at_ns"}, counters...)
-	header = append(header, gauges...)
-	if _, err := fmt.Fprintln(w, strings.Join(header, ",")); err != nil {
-		return err
-	}
-	for _, p := range pts {
-		row := make([]string, 0, len(header))
-		row = append(row, fmt.Sprintf("%d", p.At.Nanoseconds()))
-		for _, k := range counters {
-			if v, ok := p.Counters[k]; ok {
-				row = append(row, fmt.Sprintf("%d", v))
-			} else {
-				row = append(row, "")
-			}
-		}
-		for _, k := range gauges {
-			if v, ok := p.Gauges[k]; ok {
-				row = append(row, formatFloat(v))
-			} else {
-				row = append(row, "")
-			}
-		}
-		if _, err := fmt.Fprintln(w, strings.Join(row, ",")); err != nil {
-			return err
-		}
-	}
-	return nil
 }

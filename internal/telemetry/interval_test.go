@@ -1,9 +1,6 @@
 package telemetry_test
 
 import (
-	"bytes"
-	"encoding/json"
-	"strings"
 	"testing"
 	"time"
 
@@ -56,52 +53,5 @@ func TestSamplerCap(t *testing.T) {
 	}
 	if s.Dropped() == 0 {
 		t.Error("cap exceeded but nothing dropped")
-	}
-}
-
-func seriesFixture() []telemetry.Point {
-	return []telemetry.Point{
-		{At: time.Millisecond, Counters: map[string]int64{"b_total": 1, "a_total": 2}, Gauges: map[string]float64{"g": 0.5}},
-		{At: 2 * time.Millisecond, Counters: map[string]int64{"b_total": 3}, Gauges: map[string]float64{"g": 1, "late_g": 7}},
-	}
-}
-
-func TestWriteJSONL(t *testing.T) {
-	var buf bytes.Buffer
-	if err := telemetry.WriteJSONL(&buf, seriesFixture()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 2 {
-		t.Fatalf("%d lines, want 2", len(lines))
-	}
-	var p telemetry.Point
-	if err := json.Unmarshal([]byte(lines[0]), &p); err != nil {
-		t.Fatal(err)
-	}
-	if p.At != time.Millisecond || p.Counters["a_total"] != 2 || p.Gauges["g"] != 0.5 {
-		t.Errorf("round-trip = %+v", p)
-	}
-}
-
-func TestWriteCSV(t *testing.T) {
-	var buf bytes.Buffer
-	if err := telemetry.WriteCSV(&buf, seriesFixture()); err != nil {
-		t.Fatal(err)
-	}
-	lines := strings.Split(strings.TrimSpace(buf.String()), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("%d lines, want header + 2 rows", len(lines))
-	}
-	// Stable columns: counters sorted first, then gauges sorted — including
-	// the gauge that only appeared in the second point.
-	if lines[0] != "at_ns,a_total,b_total,g,late_g" {
-		t.Errorf("header = %q", lines[0])
-	}
-	if lines[1] != "1000000,2,1,0.5," {
-		t.Errorf("row 1 = %q", lines[1])
-	}
-	if lines[2] != "2000000,,3,1,7" {
-		t.Errorf("row 2 = %q", lines[2])
 	}
 }

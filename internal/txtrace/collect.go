@@ -55,7 +55,7 @@ func (c *Collector) pollLocked() int {
 	fresh := len(c.events) - before
 	if over := len(c.events) - c.keep; over > 0 {
 		// Evict oldest. The window is kept in drain order; per-ring order
-		// is ascending TS, and sortEvents restores global order on export.
+		// is ascending TS, and Events restores global order on export.
 		c.evicted += uint64(over)
 		c.events = append(c.events[:0], c.events[over:]...)
 	}
@@ -87,14 +87,10 @@ func (c *Collector) Events() []Event {
 	out := make([]Event, len(c.events))
 	copy(out, c.events)
 	c.mu.Unlock()
-	SortByTime(out)
+	// Stable, so same-timestamp events keep drain order, which within a
+	// thread is causal order.
+	sort.SliceStable(out, func(i, j int) bool { return out[i].TS < out[j].TS })
 	return out
-}
-
-// SortByTime orders events by timestamp (stable, so same-timestamp events
-// keep drain order, which within a thread is causal order).
-func SortByTime(evs []Event) {
-	sort.SliceStable(evs, func(i, j int) bool { return evs[i].TS < evs[j].TS })
 }
 
 // ConflictEdge is one undirected thread pair's conflict tally.

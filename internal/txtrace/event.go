@@ -17,8 +17,7 @@
 //     rings into a bounded in-memory window and derives views — a
 //     thread-level conflict graph (reusing internal/conflictgraph), a
 //     hot-variable contention heatmap with per-variable abort attribution,
-//     Chrome trace-event JSON for Perfetto, and the repository's
-//     established CSV format.
+//     Chrome trace-event JSON for Perfetto, and an ASCII timeline.
 //
 // The recorder plugs into the runtime as an stm.Probe and into the window
 // manager's frame clock via core.(*Manager).AddFrameHook, so one trace
@@ -62,7 +61,7 @@ const (
 	EvFrame
 )
 
-// String returns the event kind's name (also the CSV spelling).
+// String returns the event kind's name (also its key in Snapshot.Events).
 func (k Kind) String() string {
 	switch k {
 	case EvBegin:

@@ -7,46 +7,16 @@ import (
 	"strings"
 )
 
-// This file holds the text exporters shared with package trace (which
-// reimplements its historical API on these helpers): the repository's
-// established CSV format, the thread-by-time ASCII chart, and the
-// (attacker, enemy) conflict leaderboard. All take a plain []Event so
-// both the Collector and the trace wrapper's cold buffer can feed them.
+// This file holds the collector's text views: the thread-by-time ASCII
+// chart and the (attacker, enemy) conflict leaderboard that winbench -fig
+// trace prints.
 
-// WriteCSV writes events in the repository's trace CSV format:
-//
-//	at_ns,thread,seq,attempt,kind,enemy,decision
-//
-// The header and the begin/commit/abort/conflict rows are byte-compatible
-// with the pre-recorder format; the recorder's additional kinds (open,
-// acquire, wait, frame) append under the same
-// columns, with enemy -1 where no enemy exists. The decision column is
-// filled only for conflict rows, as before.
-func WriteCSV(w io.Writer, events []Event) error {
-	if _, err := fmt.Fprintln(w, "at_ns,thread,seq,attempt,kind,enemy,decision"); err != nil {
-		return err
-	}
-	for _, e := range events {
-		dec := ""
-		if d, ok := e.Decision(); ok && e.Kind == EvConflict {
-			dec = d.String()
-		}
-		if _, err := fmt.Fprintf(w, "%d,%d,%d,%d,%s,%d,%s\n",
-			e.TS, e.Thread, e.Seq, e.Attempt, e.Kind, e.Enemy, dec); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// WriteCSV drains the collector and exports the retained window as CSV.
-func (c *Collector) WriteCSV(w io.Writer) error { return WriteCSV(w, c.Events()) }
-
-// Timeline renders an ASCII chart: one row per thread, one column per
-// time bucket; each cell shows what dominated the bucket — commits (*),
-// aborts (x), conflicts (~) or nothing (space). Frame events (thread -1)
-// are skipped.
-func Timeline(w io.Writer, events []Event, buckets int) error {
+// Timeline drains the collector and renders the retained window as an
+// ASCII chart: one row per thread, one column per time bucket; each cell
+// shows what dominated the bucket — commits (*), aborts (x), conflicts (~)
+// or nothing (space). Frame events (thread -1) are skipped.
+func (c *Collector) Timeline(w io.Writer, buckets int) error {
+	events := c.Events()
 	var minAt, maxAt int64 = -1, 0
 	maxThread := -1
 	for _, e := range events {
@@ -81,26 +51,26 @@ func Timeline(w io.Writer, events []Event, buckets int) error {
 		if b >= buckets {
 			b = buckets - 1
 		}
-		c := &grid[e.Thread][b]
+		cell := &grid[e.Thread][b]
 		switch e.Kind {
 		case EvCommit:
-			c.commits++
+			cell.commits++
 		case EvAbort:
-			c.aborts++
+			cell.aborts++
 		case EvConflict:
-			c.conflicts++
+			cell.conflicts++
 		}
 	}
 	for th := range grid {
 		var sb strings.Builder
 		fmt.Fprintf(&sb, "T%02d |", th)
-		for _, c := range grid[th] {
+		for _, cell := range grid[th] {
 			switch {
-			case c.aborts > c.commits:
+			case cell.aborts > cell.commits:
 				sb.WriteByte('x')
-			case c.commits > 0:
+			case cell.commits > 0:
 				sb.WriteByte('*')
-			case c.conflicts > 0:
+			case cell.conflicts > 0:
 				sb.WriteByte('~')
 			default:
 				sb.WriteByte(' ')
@@ -114,23 +84,19 @@ func Timeline(w io.Writer, events []Event, buckets int) error {
 	return nil
 }
 
-// Timeline drains the collector and renders the retained window.
-func (c *Collector) Timeline(w io.Writer, buckets int) error {
-	return Timeline(w, c.Events(), buckets)
-}
-
 // PairCount is one (attacker, enemy) conflict tally.
 type PairCount struct {
 	Attacker, Enemy, Conflicts int
 }
 
-// PairCounts aggregates conflict events by (attacker, enemy) thread pair,
-// most frequent first (ties broken by ascending attacker, then enemy) — a
-// quick view of who fights whom. Unlike ConflictSnapshot's edges this is
-// directed: T3 killing T5 and T5 killing T3 are different rows.
-func PairCounts(events []Event) []PairCount {
+// AbortsByPair drains the collector and aggregates its conflict events by
+// (attacker, enemy) thread pair, most frequent first (ties broken by
+// ascending attacker, then enemy) — a quick view of who fights whom. Unlike
+// ConflictSnapshot's edges this is directed: T3 killing T5 and T5 killing
+// T3 are different rows.
+func (c *Collector) AbortsByPair() []PairCount {
 	counts := map[[2]int]int{}
-	for _, e := range events {
+	for _, e := range c.Events() {
 		if e.Kind == EvConflict {
 			counts[[2]int{int(e.Thread), int(e.Enemy)}]++
 		}
@@ -150,7 +116,3 @@ func PairCounts(events []Event) []PairCount {
 	})
 	return out
 }
-
-// AbortsByPair drains the collector and aggregates its conflicts by
-// directed thread pair.
-func (c *Collector) AbortsByPair() []PairCount { return PairCounts(c.Events()) }

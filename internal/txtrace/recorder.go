@@ -7,9 +7,9 @@ import (
 	"wincm/internal/stm"
 )
 
-// DefaultRingCap is the per-thread ring capacity Wrap-style constructors
-// install: 16384 events × 40 bytes ≈ 640 KiB per active thread, enough for
-// hundreds of milliseconds of sampled events between collector polls.
+// DefaultRingCap is the per-thread ring capacity the harness installs:
+// 16384 events × 40 bytes ≈ 640 KiB per active thread, enough for hundreds
+// of milliseconds of sampled events between collector polls.
 const DefaultRingCap = 1 << 14
 
 // auxCap bounds the frame event ring. Frame advances happen at frame

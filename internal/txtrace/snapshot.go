@@ -9,7 +9,7 @@ import (
 // Snapshot is the collector's human-oriented JSON summary: what the
 // /trace/snapshot endpoint serves and what -fig trace prints from. It
 // aggregates the retained window; the raw events stay binary and are
-// exported separately (CSV, Chrome trace).
+// exported separately (Chrome trace).
 type Snapshot struct {
 	// Events tallies retained events per kind name.
 	Events map[string]int `json:"events"`

@@ -57,19 +57,9 @@ func TestWriteSnapshotJSON(t *testing.T) {
 	}
 }
 
-func TestCSVAndTimelineSmoke(t *testing.T) {
+func TestTimelineSmoke(t *testing.T) {
 	col := goldenCollector()
 	var buf bytes.Buffer
-	if err := col.WriteCSV(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.HasPrefix(buf.Bytes(), []byte("at_ns,thread,seq,attempt,kind,enemy,decision\n")) {
-		t.Errorf("CSV header missing: %q", buf.String()[:60])
-	}
-	if lines := bytes.Count(buf.Bytes(), []byte("\n")); lines != 14+1 {
-		t.Errorf("CSV rows = %d, want 14 events + header", lines-1)
-	}
-	buf.Reset()
 	if err := col.Timeline(&buf, 40); err != nil {
 		t.Fatal(err)
 	}
