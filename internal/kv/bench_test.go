@@ -19,10 +19,9 @@ func benchStore(b *testing.B) *Store {
 
 // BenchmarkKVLocalOp measures the in-process request path — session,
 // thread claim, STM transaction, tree operation, stats — without the
-// wire. The get path allocates nothing (TestLocalGetZeroAlloc); the set
-// path carries the tree's one deliberate 32 B lock-entry allocation per
-// written key (see txbtree: the lock entry must survive the writer, so it
-// is never pooled).
+// wire. Neither path allocates (TestLocalGetZeroAlloc,
+// TestLocalSetZeroAlloc): the tree's key locks are records from a
+// per-thread slab, linked into the leaf that covers the key.
 func BenchmarkKVLocalOp(b *testing.B) {
 	b.Run("get", func(b *testing.B) {
 		st := benchStore(b)

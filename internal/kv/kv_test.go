@@ -2,6 +2,8 @@ package kv
 
 import (
 	"math"
+	"runtime"
+	"runtime/metrics"
 	"sync"
 	"testing"
 	"time"
@@ -20,9 +22,9 @@ func testStore(t *testing.T, o Options) *Store {
 	return st
 }
 
-// yieldEvery sets a finer open-yield grain than the shards' default on every
-// shard's runtime, before any transaction runs, so the tests that race
-// transactions overlap them more often.
+// yieldEvery makes every k-th open yield on every shard's runtime, before
+// any transaction runs, so the tests that race transactions overlap them
+// on any core count; shards force no yield of their own.
 func yieldEvery(st *Store, k int) {
 	for _, sh := range st.shards {
 		sh.rt.SetYieldEvery(k)
@@ -48,6 +50,79 @@ func TestLocalGetZeroAlloc(t *testing.T) {
 	}
 	if n := testing.AllocsPerRun(200, get); n != 0 {
 		t.Errorf("local GET allocates %.1f per run, want 0", n)
+	}
+}
+
+// TestLocalSetZeroAlloc: the in-process single-shard write path — SET, and
+// an MSET whose keys all live on one shard — allocates nothing once the
+// session, the threads' tree scratch and their lock-record slabs are warm.
+func TestLocalSetZeroAlloc(t *testing.T) {
+	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Seed: 1})
+	se := st.NewSession()
+	for k := int64(0); k < 1024; k++ {
+		se.Set(k, k)
+	}
+	keys := make([]int64, 0, 16)
+	for k := int64(0); len(keys) < cap(keys); k++ {
+		if st.shardOf(k) == 0 {
+			keys = append(keys, k)
+		}
+	}
+	vals := make([]int64, len(keys))
+	k := int64(0)
+	set := func() {
+		k = (k + 7) & 1023
+		se.Set(k, -k)
+	}
+	mset := func() {
+		vals[0]++
+		if err := se.MSet(keys, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i := 0; i < 200; i++ { // past the per-thread scratch ramp
+		set()
+		mset()
+	}
+	if n := testing.AllocsPerRun(200, set); n != 0 {
+		t.Errorf("local SET allocates %.1f per run, want 0", n)
+	}
+	if n := testing.AllocsPerRun(200, mset); n != 0 {
+		t.Errorf("local single-shard MSET of %d keys allocates %.1f per run, want 0", len(keys), n)
+	}
+}
+
+// TestClosedStoreLeavesNothing: a thousand stores built and closed leave
+// no goroutine behind, and the live heap within 16 KB of where it started —
+// a closed store keeps nothing of itself reachable, its watchdogs included.
+func TestClosedStoreLeavesNothing(t *testing.T) {
+	cycle := func(n int) {
+		for i := 0; i < n; i++ {
+			st, err := NewStore(Options{Shards: 2, ShardThreads: 2, Seed: uint64(i)})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st.NewSession().Set(int64(i), 1)
+			st.Close()
+		}
+	}
+	liveHeap := func() int64 {
+		runtime.GC()
+		s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+		metrics.Read(s)
+		return int64(s[0].Value.Uint64())
+	}
+	cycle(10) // warm the runtime's own structures (timer heaps, size classes)
+	goroutines, heap := runtime.NumGoroutine(), liveHeap()
+	cycle(1000)
+	for deadline := time.Now().Add(time.Second); runtime.NumGoroutine() > goroutines && time.Now().Before(deadline); {
+		time.Sleep(time.Millisecond)
+	}
+	if n := runtime.NumGoroutine(); n > goroutines {
+		t.Errorf("%d goroutines after closing 1,000 stores, %d before", n, goroutines)
+	}
+	if grew := liveHeap() - heap; grew > 16<<10 {
+		t.Errorf("live heap grew %d B over 1,000 closed stores, want at most 16 KB", grew)
 	}
 }
 
@@ -349,6 +424,10 @@ func TestCrossShardAtomicity(t *testing.T) {
 // makes the read span atomic against single-key writers too.
 func TestCrossShardReadStrictness(t *testing.T) {
 	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Seed: 7})
+	// The reader must lose the processor between its two shards for the
+	// writer to overtake it; without forced yields a shared-side reader
+	// passes here on one core and on two.
+	yieldEvery(st, 8)
 	a, b := adversarialPair(st)
 	// Readers visit shards in ascending index order, so the race only
 	// shows when the first-written key lives on the lower-indexed shard

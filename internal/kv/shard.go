@@ -45,12 +45,6 @@ type shard struct {
 	stats []statSlot
 }
 
-// interleave makes every k-th transactional open yield the processor
-// (stm.SetYieldEvery), letting transactions overlap at fine grain when
-// GOMAXPROCS is smaller than the total thread count: the grain every figure
-// cell runs at (harness's interleave constant).
-const interleave = 8
-
 // newShard builds shard idx from the resolved options.
 func newShard(idx int, o Options) (*shard, error) {
 	// Distinct per-shard seeds keep the managers' random delays and
@@ -65,7 +59,6 @@ func newShard(idx int, o Options) (*shard, error) {
 		opts = append(opts, stm.WithFallback(o.MaxAttempts, o.TxDeadline))
 	}
 	rt := stm.New(o.ShardThreads, mgr, opts...)
-	rt.SetYieldEvery(interleave)
 	sh := &shard{
 		idx:   idx,
 		rt:    rt,

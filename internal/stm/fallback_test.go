@@ -1,6 +1,7 @@
 package stm_test
 
 import (
+	"sync"
 	"testing"
 	"time"
 
@@ -187,4 +188,35 @@ func TestWatchdogIdleRuntimeNoTrips(t *testing.T) {
 	if !wd.Quiescent() {
 		t.Errorf("idle runtime reported non-quiescent")
 	}
+}
+
+// TestWatchdogStopIsFinal: two racing Stops both return, and no tick runs
+// after Stop returns although the runtime is still stalled.
+func TestWatchdogStopIsFinal(t *testing.T) {
+	rt := stm.New(1, starver{})
+	wd := rt.StartWatchdog(time.Millisecond)
+	stalled, done := make(chan struct{}), make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Thread(0).Atomic(func(tx *stm.Tx) {
+			if tx.D.Attempts == 1 {
+				close(stalled)
+				time.Sleep(40 * time.Millisecond)
+			}
+		})
+	}()
+	<-stalled
+	time.Sleep(10 * time.Millisecond)
+	var wg sync.WaitGroup
+	for range 2 {
+		wg.Add(1)
+		go func() { defer wg.Done(); wd.Stop() }()
+	}
+	wg.Wait()
+	trips := wd.Trips()
+	time.Sleep(10 * time.Millisecond)
+	if got := wd.Trips(); got != trips {
+		t.Errorf("watchdog tripped %d times after Stop returned", got-trips)
+	}
+	<-done
 }

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -18,13 +19,18 @@ import (
 // have joined, Quiescent reports whether every thread has retired its
 // in-flight transaction and the fallback token is free — i.e. no
 // transaction is permanently stuck.
+//
+// The watchdog is one timer, re-armed by each tick, not a goroutine: a
+// stopped watchdog leaves nothing running and nothing to wait for.
 type Watchdog struct {
-	rt          *Runtime
-	interval    time.Duration
-	trips       atomic.Int64
+	rt       *Runtime
+	interval time.Duration
+	trips    atomic.Int64
+	// mu serializes ticks with Stop and guards the fields below.
+	mu          sync.Mutex
+	timer       *time.Timer
+	stopped     bool
 	lastCommits int64
-	stop        chan struct{}
-	done        chan struct{}
 }
 
 // defaultWatchdogInterval is used when StartWatchdog is given a
@@ -37,33 +43,22 @@ func (rt *Runtime) StartWatchdog(interval time.Duration) *Watchdog {
 	if interval <= 0 {
 		interval = defaultWatchdogInterval
 	}
-	w := &Watchdog{
-		rt:       rt,
-		interval: interval,
-		stop:     make(chan struct{}),
-		done:     make(chan struct{}),
-	}
-	go w.run()
+	w := &Watchdog{rt: rt, interval: interval}
+	w.mu.Lock() // the first tick may fire before timer is set
+	w.timer = time.AfterFunc(interval, w.tick)
+	w.mu.Unlock()
 	return w
 }
 
-// run is the monitor loop.
-func (w *Watchdog) run() {
-	defer close(w.done)
-	ticker := time.NewTicker(w.interval)
-	defer ticker.Stop()
-	for {
-		select {
-		case <-w.stop:
-			return
-		case <-ticker.C:
-			w.tick()
-		}
-	}
-}
-
-// tick performs one progress check.
+// tick performs one progress check and re-arms the timer, unless Stop got
+// there first.
 func (w *Watchdog) tick() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.stopped {
+		return
+	}
+	defer w.timer.Reset(w.interval)
 	rt := w.rt
 	rt.clearStaleFallback()
 	commits := rt.Commits()
@@ -100,14 +95,13 @@ func (w *Watchdog) oldestInflight() *Desc {
 	return oldest
 }
 
-// Stop terminates the monitor loop and waits for it to exit.
+// Stop ends monitoring: once it returns no tick runs, including one that
+// was already in progress. Stopping twice is harmless.
 func (w *Watchdog) Stop() {
-	select {
-	case <-w.stop:
-	default:
-		close(w.stop)
-	}
-	<-w.done
+	w.mu.Lock()
+	w.stopped = true
+	w.timer.Stop()
+	w.mu.Unlock()
 }
 
 // Trips returns the number of no-progress intervals observed.

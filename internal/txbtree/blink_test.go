@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wincm/internal/cm"
 	"wincm/internal/rng"
@@ -298,7 +299,7 @@ func TestSiblingSplitsBeforeRootGrows(t *testing.T) {
 	const mid = maxKeys / 2
 	left := tr.root.Load()
 	left.mu.Lock()
-	sep, sib := left.split(-1, 0)
+	sep, sib := left.split(-1, 0, nil)
 
 	// Fill the sibling until it splits; that splitter now needs a parent.
 	var wg sync.WaitGroup
@@ -440,9 +441,9 @@ func TestLookupZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestWritePathAllocations: a commit allocates one lock-table entry per
-// written key and nothing else — no sort closure, no boxed slice, no node
-// unless a leaf splits.
+// TestWritePathAllocations: with the per-thread scratch and lock-record
+// slab warm, a commit allocates nothing — no lock record, no sort closure,
+// no boxed slice, and no node unless a leaf splits.
 func TestWritePathAllocations(t *testing.T) {
 	th := newTestRT(t, 1).Thread(0)
 	tr := New[int]()
@@ -459,10 +460,226 @@ func TestWritePathAllocations(t *testing.T) {
 	}
 	th.Atomic(one)
 	th.Atomic(many)
-	if got := testing.AllocsPerRun(200, func() { th.Atomic(one) }); got != 1 {
-		t.Errorf("single-key upsert: %v allocs, want 1 (its lock entry)", got)
+	if got := testing.AllocsPerRun(200, func() { th.Atomic(one) }); got != 0 {
+		t.Errorf("single-key upsert: %v allocs, want 0", got)
 	}
-	if got := testing.AllocsPerRun(200, func() { th.Atomic(many) }); got != 16 {
-		t.Errorf("16-key upsert: %v allocs, want 16 (one lock entry per key)", got)
+	if got := testing.AllocsPerRun(200, func() { th.Atomic(many) }); got != 0 {
+		t.Errorf("16-key upsert: %v allocs, want 0", got)
+	}
+}
+
+// TestLeafKeepsSizeClass: the lock-record head word fits a leaf into the
+// size class it had without it (896 B for int64 values, the kv store's).
+func TestLeafKeepsSizeClass(t *testing.T) {
+	if got := unsafe.Sizeof(node[int64]{}); got > 896 {
+		t.Errorf("node[int64] is %d B, want at most 896", got)
+	}
+}
+
+// parkAtCommit is a SemanticOps registered after the tree's: its Validate
+// runs once the tree has linked the attempt's lock records, and parks the
+// first attempt there until resume is closed — an attempt that holds its
+// key locks for as long as a test needs.
+type parkAtCommit struct {
+	parked, resume chan struct{}
+	done           bool
+}
+
+func newPark() *parkAtCommit {
+	return &parkAtCommit{parked: make(chan struct{}), resume: make(chan struct{})}
+}
+
+func (p *parkAtCommit) Validate(*stm.Tx) bool {
+	if !p.done {
+		p.done = true
+		close(p.parked)
+		<-p.resume
+	}
+	return true
+}
+
+func (p *parkAtCommit) Finalize(*stm.Tx, bool) {}
+
+// holdLock runs a transaction on thread th that upserts (key, val) and parks
+// holding key's lock; it returns the holder's Tx once the lock is held, and
+// a function that resumes the holder and waits for its commit.
+func holdLock(th *stm.Thread, tr *Tree[int], key, val int) (holder *stm.Tx, finish func() stm.TxInfo) {
+	p := newPark()
+	var info stm.TxInfo
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		info = th.Atomic(func(tx *stm.Tx) {
+			holder = tx
+			tr.Insert(tx, key, val)
+			tx.AddSemantic(p)
+		})
+	}()
+	<-p.parked
+	return holder, func() stm.TxInfo { close(p.resume); <-done; return info }
+}
+
+// newRTWith returns an m-thread runtime under the named manager.
+func newRTWith(t *testing.T, name string, m int) *stm.Runtime {
+	t.Helper()
+	mgr, err := cm.New(name, m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return stm.New(m, mgr)
+}
+
+// waitConflict waits until the tree has routed at least one key conflict
+// through the contention manager.
+func waitConflict(t *testing.T, tr *Tree[int]) {
+	t.Helper()
+	for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+		if sem, _, _ := tr.Stats(); sem > 0 {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("no key conflict reached the contention manager")
+		}
+	}
+}
+
+// TestLockRecordFollowsSplit: a held lock record moves with its key when
+// another committer's apply splits the key's leaf — twice, so the key ends
+// at least two siblings right of the leaf its lock was taken in — and a
+// reader of the moved key still meets the holder there. The holder's apply
+// then finds the record by right links and leaves no record behind.
+func TestLockRecordFollowsSplit(t *testing.T) {
+	rt := newRTWith(t, "timid", 3) // a reader that meets the holder aborts itself until it is gone
+	tr := New[int]()
+	keys := make([]int, maxKeys)
+	for i := range keys {
+		keys[i] = 100 * i
+	}
+	fill(rt.Thread(0), tr, keys, 1)
+	const k = 100 * (maxKeys - 1)
+	hint := tr.root.Load()
+	holder, finish := holdLock(rt.Thread(0), tr, k, -1)
+
+	for i := 1; i <= maxKeys/2+2; i++ {
+		rt.Thread(1).Atomic(func(tx *stm.Tx) { tr.Insert(tx, k-100+i, 0) })
+	}
+	home, hops := hint, 0
+	for home.past(k) {
+		home, hops = home.right, hops+1
+	}
+	if hops < 2 {
+		t.Fatalf("setup: key %d is %d siblings right of its lock's leaf, want at least 2", k, hops)
+	}
+	recorded := func(nd *node[int]) (found bool) {
+		nd.mu.Lock()
+		defer nd.mu.Unlock()
+		for r := nd.locks.Load(); r != nil; r = r.next {
+			found = found || (r.key == k && r.owner == holder)
+		}
+		return found
+	}
+	if recorded(hint) || !recorded(home) {
+		t.Fatalf("the held record of key %d did not follow it: in its old leaf %v, in its home %v", k, recorded(hint), recorded(home))
+	}
+
+	got := make(chan int)
+	go func() {
+		var v int
+		rt.Thread(2).Atomic(func(tx *stm.Tx) { v, _ = tr.Get(tx, k) })
+		got <- v
+	}()
+	waitConflict(t, tr)
+	if info := finish(); info.Aborts() != 0 {
+		t.Errorf("holder aborted %d times", info.Aborts())
+	}
+	if v := <-got; v != -1 {
+		t.Errorf("reader got %d, want the holder's -1", v)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAbsentKeyLockBlocks: a pending insert of an absent key locks it in
+// the leaf that would hold it, so a concurrent insert or Get of the same key
+// blocks until the holder commits, and then sees its write.
+func TestAbsentKeyLockBlocks(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		op   func(tx *stm.Tx, tr *Tree[int]) bool // reports whether it saw the key
+	}{
+		{"Insert", func(tx *stm.Tx, tr *Tree[int]) bool { return !tr.Insert(tx, 55, 2) }},
+		{"Get", func(tx *stm.Tx, tr *Tree[int]) bool { _, ok := tr.Get(tx, 55); return ok }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := newRTWith(t, "timid", 2)
+			tr := New[int]()
+			fill(rt.Thread(0), tr, []int{10, 20, 50, 60, 90}, 5)
+			_, finish := holdLock(rt.Thread(0), tr, 55, -1)
+			saw := make(chan bool, 1)
+			go func() {
+				var ok bool
+				rt.Thread(1).Atomic(func(tx *stm.Tx) { ok = tc.op(tx, tr) })
+				saw <- ok
+			}()
+			waitConflict(t, tr)
+			select {
+			case <-saw:
+				t.Fatal("the contender finished while the holder still held key 55")
+			case <-time.After(20 * time.Millisecond):
+			}
+			finish()
+			if !<-saw {
+				t.Error("the contender did not see the holder's committed insert")
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+}
+
+// TestScanRacesInsert: a Scan that misses a pending in-range insert meets
+// the inserter's lock record at its commit-time sweep, so one of the two
+// aborts: under timid the scanner retries until the insert lands and then
+// sees it, under aggressive the inserter is aborted and the scanner commits
+// without it.
+func TestScanRacesInsert(t *testing.T) {
+	for _, tc := range []struct {
+		manager  string
+		scanSees bool
+	}{{"timid", true}, {"aggressive", false}} {
+		t.Run(tc.manager, func(t *testing.T) {
+			rt := newRTWith(t, tc.manager, 2)
+			tr := New[int]()
+			fill(rt.Thread(0), tr, []int{10, 20, 50, 60, 90}, 5)
+			_, finish := holdLock(rt.Thread(0), tr, 55, -1)
+			var sawKey bool
+			scanned := make(chan stm.TxInfo)
+			go func() {
+				scanned <- rt.Thread(1).Atomic(func(tx *stm.Tx) {
+					sawKey = false
+					tr.Scan(tx, 40, 70, func(k, _ int) bool { sawKey = sawKey || k == 55; return true })
+				})
+			}()
+			waitConflict(t, tr)
+			var scanner, inserter stm.TxInfo
+			if tc.scanSees {
+				inserter = finish()
+				scanner = <-scanned
+			} else {
+				scanner = <-scanned // the scanner won; the inserter learns at its commit
+				inserter = finish()
+			}
+			if (scanner.Aborts() > 0) == (inserter.Aborts() > 0) {
+				t.Errorf("scanner aborted %d times, inserter %d: want exactly one of them", scanner.Aborts(), inserter.Aborts())
+			}
+			if sawKey != tc.scanSees {
+				t.Errorf("scan saw key 55: %v, want %v", sawKey, tc.scanSees)
+			}
+			if err := tr.CheckInvariants(); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }

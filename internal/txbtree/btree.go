@@ -40,7 +40,8 @@
 // instead (txn.go): reads log (key, leaf, leaf-version, slot-version,
 // presence), writes buffer (key, value, delete) privately, and commit-time
 // validation re-checks the reads — per-leaf version fast path, key-level
-// re-locate slow path — while key-level write locks (lock.go) are held.
+// re-locate slow path — while key-level write locks are held: records
+// (lock.go) in the list of the leaf that covers each written key.
 // Conflicts discovered there route through the installed contention
 // manager exactly like TVar ownership conflicts, so all managers run
 // unchanged. Structural modifications — leaf and inner splits,
@@ -54,6 +55,8 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+
+	"wincm/internal/stm"
 )
 
 // maxKeys is the per-node fan-out. 32 keeps a leaf's key array on two
@@ -118,7 +121,8 @@ func (r *routing[V]) put(i, sep int, kid *node[V]) {
 // node is one B-link node. A node is created as either a leaf (level 0)
 // or an inner node (level > 0) and never changes role. An inner node uses
 // only level, route and — among writers — mu; a leaf uses everything but
-// route, with every field except ver and level guarded by mu.
+// route, with every field except ver, level and the locks head word
+// guarded by mu.
 type node[V any] struct {
 	mu sync.Mutex
 	// ver counts mutations of a leaf's key set and payload. It is bumped
@@ -127,6 +131,10 @@ type node[V any] struct {
 	// key's home leaf carries is monotone along the key's rightward
 	// movement chain — the property slot validation depends on.
 	ver atomic.Uint64
+	// locks heads the leaf's list of key lock records (lock.go). The list
+	// changes only under the latch; the head is atomic so that a validator
+	// can see without the latch that a leaf holds no records at all.
+	locks atomic.Pointer[lockRec]
 	// level is 0 for leaves and parent level = child level + 1. It is
 	// immutable; descents stop by it.
 	level int
@@ -186,7 +194,6 @@ type Tree[V any] struct {
 	// that cannot be localized to a latched node. Never held together
 	// with a node latch.
 	smoMu sync.Mutex
-	locks lockTable
 	// states holds the per-thread transaction state, grown on demand
 	// under growMu and read lock-free (state()).
 	states atomic.Pointer[[]*txState[V]]
@@ -239,26 +246,19 @@ func (t *Tree[V]) leafFor(key int) *node[V] {
 	return t.descend(key, 0, nil).latch(key)
 }
 
-// lookup reads key's current binding: the leaf it belongs to, that leaf's
-// version, and the slot's value/version/presence — everything a semantic
-// read entry records. Allocation-free.
-func (t *Tree[V]) lookup(key int) (leaf *node[V], leafVer uint64, val V, slotVer uint64, present bool) {
-	leaf = t.leafFor(key)
-	leafVer = leaf.ver.Load()
-	if i, ok := leaf.search(key); ok {
-		val, slotVer, present = leaf.vals[i], leaf.slotV[i], true
+// recheck re-establishes a point read's validity after its fast-path leaf
+// version moved: re-locate the key from the logged leaf via right links —
+// draining foreign lock records of the key first when probe is set — and
+// compare presence and slot version. On success the entry is promoted to
+// the key's current home so subsequent fast paths hit again. Returns false
+// if the key's binding truly changed.
+func (st *txState[V]) recheck(e *readEnt[V], probe bool) bool {
+	var nd *node[V]
+	if probe {
+		nd = st.home(e.leaf, e.key, stm.ReadWrite)
+	} else {
+		nd = e.leaf.latch(e.key)
 	}
-	leaf.mu.Unlock()
-	return
-}
-
-// recheck re-establishes a read entry's validity after its fast-path leaf
-// version moved: re-locate the key from the logged leaf via right links
-// and compare presence and slot version. On success the entry is promoted
-// to the key's current home so subsequent fast paths hit again. Returns
-// false if the key's binding truly changed.
-func (e *readEnt[V]) recheck() bool {
-	nd := e.leaf.latch(e.key)
 	i, ok := nd.search(e.key)
 	same := ok == e.present && (!ok || nd.slotV[i] == e.slotVer)
 	if same {
@@ -271,12 +271,17 @@ func (e *readEnt[V]) recheck() bool {
 
 // applyOp applies one committed buffered write to the physical tree:
 // delete-in-place, update-in-place, insert, or insert-with-split. It runs
-// after the owning attempt's commit point, while the attempt still holds
-// the key's lock-table entry, so no concurrent committer races it on the
-// same key. It starts at the leaf the write's own read found and moves
-// right, as recheck does; there is no descent unless the leaf splits.
-// Structural work it triggers is counted but conflicts with nobody.
-func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V]) {
+// after the owning attempt's commit point and releases the key's lock
+// record r under the same latch, so no concurrent committer races it on
+// the same key and no prober sees the key unlocked but unwritten. It starts
+// at the leaf the lock was taken in and moves right, as recheck does; there
+// is no descent unless the leaf splits. Structural work it triggers is
+// counted but conflicts with nobody.
+//
+// The record leaves only after the write has bumped the leaf's version: a
+// validator that reads the head word without the latch and finds the list
+// empty must then find the version moved.
+func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V], r *lockRec) {
 	key := w.key
 	nd := w.leaf.latch(key)
 	i, ok := nd.search(key)
@@ -291,17 +296,17 @@ func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V]) {
 			nd.vals[nd.n] = zero
 			nd.ver.Add(1)
 		}
-		nd.mu.Unlock()
 	case ok:
 		nd.vals[i] = w.val
 		nd.slotV[i] = nd.ver.Add(1)
-		nd.mu.Unlock()
 	case nd.n < maxKeys:
 		nd.put(i, key, w.val)
-		nd.mu.Unlock()
 	default:
-		t.splitLeaf(st, nd, key, w.val)
+		t.splitLeaf(st, nd, key, w.val, r)
+		return
 	}
+	nd.unlink(r)
+	nd.mu.Unlock()
 }
 
 // splitLeaf splits the full, latched leaf nd around the insertion of
@@ -309,8 +314,8 @@ func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V]) {
 // on the write path: the parents of the separator's leaf, for insertParent
 // to pop. The path may be stale by the time it is used; insertParent
 // compensates with right moves.
-func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V) {
-	sep, sibling := nd.split(key, val)
+func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V, r *lockRec) {
+	sep, sibling := nd.split(key, val, r)
 	st.countSMO()
 	st.path = st.path[:0]
 	t.descend(sep, 0, &st.path)
@@ -318,8 +323,9 @@ func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V) {
 }
 
 // split splits the full, latched leaf nd, inserts (key, val) into the
-// appropriate side and drops the latch, returning the separator and the new
-// right sibling. The sibling is fully built and linked before the latch
+// appropriate side, unlinks the key's lock record r (nil when there is
+// none) and drops the latch, returning the separator and the new right
+// sibling. The sibling is fully built and linked before the latch
 // drops, so no traversal can observe a half-split leaf; the separator still
 // has to reach the parent (insertParent).
 //
@@ -327,7 +333,7 @@ func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V) {
 // leaf's last write was the slot just left of the key — and then at the
 // key: the run keeps appending to a full leaf, and keys of another stream
 // that it passed by move out of its way once instead of at every split.
-func (nd *node[V]) split(key int, val V) (sep int, s *node[V]) {
+func (nd *node[V]) split(key int, val V, r *lockRec) (sep int, s *node[V]) {
 	cut := maxKeys / 2
 	if i, _ := nd.search(key); i > 0 && nd.slotV[i-1] == nd.ver.Load() {
 		cut = i
@@ -361,6 +367,21 @@ func (nd *node[V]) split(key int, val V) (sep int, s *node[V]) {
 	i, _ := target.search(key)
 	target.put(i, key, val)
 	other.ver.Add(1)
+	// Lock records follow their keys — those of keys ≥ sep move over — and
+	// r leaves; only now that both versions moved (see applyOp).
+	var kept *lockRec
+	for rec := nd.locks.Load(); rec != nil; {
+		next := rec.next
+		switch {
+		case rec == r:
+		case rec.key >= sep:
+			s.link(rec)
+		default:
+			rec.next, kept = kept, rec
+		}
+		rec = next
+	}
+	nd.locks.Store(kept)
 	nd.mu.Unlock()
 	return sep, s
 }
@@ -486,9 +507,10 @@ func (t *Tree[V]) Len() int {
 
 // CheckInvariants verifies the B-link structure quiescently: keys sorted
 // and in-fence at every node, child levels consistent, sibling chains
-// fence-connected, and every inner separator equal to the low bound of
-// its right child's key range. The harness calls it after verification
-// runs; it must only run while no transactions are active.
+// fence-connected, every inner separator equal to the low bound of its
+// right child's key range, and every leaf's lock-record list in-fence and
+// empty. The harness calls it after verification runs; it must only run
+// while no transactions are active.
 func (t *Tree[V]) CheckInvariants() error {
 	root := t.root.Load()
 	return t.checkNode(root, root.level, nil, false)
@@ -517,6 +539,14 @@ func (t *Tree[V]) checkNode(nd *node[V], level int, lo *int, hasLo bool) error {
 		}
 	}
 	if level == 0 {
+		for rec := nd.locks.Load(); rec != nil; rec = rec.next {
+			if (hasLo && rec.key < *lo) || nd.past(rec.key) {
+				return fmt.Errorf("txbtree: lock record of key %d outside its leaf's fence", rec.key)
+			}
+		}
+		if rec := nd.locks.Load(); rec != nil {
+			return fmt.Errorf("txbtree: lock record of key %d left in a quiescent tree", rec.key)
+		}
 		return nil
 	}
 	for i := 0; i <= r.n; i++ {

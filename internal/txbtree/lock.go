@@ -2,200 +2,128 @@ package txbtree
 
 import (
 	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"wincm/internal/stm"
 )
 
-// lockTable is the tree's key-level write-lock table. A committing
-// attempt inserts one entry per buffered write key during semantic
-// validation and unlinks them after applying (or discarding) its writes,
-// so an entry's lifetime brackets the key's commit window exactly:
-// validation-to-post-apply. Everyone else — readers at operation time,
-// validators at commit time — probes the table to discover in-flight
-// writers of a key and routes genuine conflicts through the contention
-// manager.
+// lockRec is one key-level write lock: a committing attempt's claim on key
+// for exactly its validation-to-post-apply window. A record sits in the
+// list of the leaf whose fence covers its key, whether or not the key is
+// present, and moves right with the key when that leaf splits. It is
+// linked, unlinked, moved and read only under that leaf's latch, so it is
+// plain memory that nobody reaches outside the latch, and each txState
+// reuses one slab of records across its attempts: acquiring a lock
+// allocates nothing.
 //
-// Entries are immutable after publication and never recycled: a prober
-// may still be walking an entry after its owner unlinked it, and a pooled
-// entry rewritten for a different key would teleport that prober into the
-// wrong chain. The chain links stay intact on unlink for the same reason.
-// Bucket mutation (insert, unlink) serializes on the bucket mutex;
-// probing walks the chain lock-free through the atomic links.
-//
-// Liveness of an entry is judged by its owner's live status word, not by
-// a flag: the entry captures the owner's packed (serial, status) word at
+// Liveness of a record is judged by its owner's live status word, not by a
+// flag: the record captures the owner's packed (serial, status) word at
 // acquisition, and a serial mismatch against the owner's current word
-// proves the owning attempt has terminated and finished its cleanup —
-// the entry is dead no matter where the unlink has gotten to.
-const lockBuckets = 256
-
-type lockEntry struct {
+// proves the owning attempt has terminated — the record is dead however
+// far the owner's unlink has gotten.
+type lockRec struct {
 	key   int
 	owner *stm.Tx
 	word  uint64
-	next  atomic.Pointer[lockEntry]
+	next  *lockRec
 }
 
-type lockBucket struct {
-	mu   sync.Mutex
-	head atomic.Pointer[lockEntry]
-	_    [40]byte
+// blocker is a live foreign record as seen under a latch, copied out so the
+// latch can drop before the conflict is resolved.
+type blocker struct {
+	owner *stm.Tx
+	word  uint64
+	st    stm.Status
 }
 
-type lockTable struct {
-	buckets [lockBuckets]lockBucket
-}
-
-func (lt *lockTable) bucket(key int) *lockBucket {
-	h := uint64(key) * 0x9E3779B97F4A7C15
-	return &lt.buckets[h>>(64-8)]
-}
-
-// alive classifies an entry against its owner's live status word: dead
-// (terminated and cleaned up, or aborted), active, or committed but not
-// yet applied/unlinked.
-func (e *lockEntry) alive() (st stm.Status, live bool) {
-	w := e.owner.StatusWord()
-	if stm.SerialOf(w) != stm.SerialOf(e.word) {
-		return 0, false
-	}
-	st = stm.StatusOf(w)
-	return st, st != stm.Aborted
-}
-
-// probe blocks until no foreign writer holds key: active owners are
-// resolved through the contention manager (kind is ReadWrite from a
-// reader's vantage point, WriteRead is never generated here — semantic
-// reads are invisible), committed-but-unapplied owners are drained with a
-// spin (their apply is a few latched stores away). The caller must hold
-// no latches. Returns the number of CM resolutions performed.
-func (lt *lockTable) probe(tx *stm.Tx, key int, kind stm.Kind) int {
-	b := lt.bucket(key)
-	attempt, conflicts := 0, 0
-	for {
-		var blocking *lockEntry
-		var st stm.Status
-		for e := b.head.Load(); e != nil; e = e.next.Load() {
-			if e.key != key || e.owner == tx {
-				continue
-			}
-			if s, live := e.alive(); live {
-				blocking, st = e, s
-				break
-			}
-		}
-		if blocking == nil {
-			return conflicts
-		}
-		if st == stm.Active {
-			conflicts++
-			tx.ResolveConflict(blocking.owner, blocking.word, kind, &attempt)
+// holder returns the first live record in the latched leaf nd that is not
+// tx's and whose key lies in [lo, hi] (inclusive, so a point probe of any
+// int is [key, key]).
+func (nd *node[V]) holder(tx *stm.Tx, lo, hi int) (blocker, bool) {
+	for r := nd.locks.Load(); r != nil; r = r.next {
+		if r.key < lo || r.key > hi || r.owner == tx {
 			continue
 		}
-		// Committed, apply in flight: wait it out, staying responsive to
-		// our own remote abort.
-		if tx.Status() != stm.Active {
-			tx.RetryNow()
+		w := r.owner.StatusWord()
+		if st := stm.StatusOf(w); stm.SerialOf(w) == stm.SerialOf(r.word) && st != stm.Aborted {
+			return blocker{r.owner, r.word, st}, true
 		}
-		runtime.Gosched()
+	}
+	return blocker{}, false
+}
+
+// link pushes r onto the latched leaf's list.
+func (nd *node[V]) link(r *lockRec) {
+	r.next = nd.locks.Load()
+	nd.locks.Store(r)
+}
+
+// unlink removes r from the latched leaf's list.
+func (nd *node[V]) unlink(r *lockRec) {
+	if nd.locks.Load() == r {
+		nd.locks.Store(r.next)
+		return
+	}
+	for p := nd.locks.Load(); p != nil; p = p.next {
+		if p.next == r {
+			p.next = r.next
+			return
+		}
 	}
 }
 
-// acquire publishes tx's write lock on key, resolving foreign holders
-// first exactly like probe (kind WriteWrite — both sides want to commit
-// the key). The published entry is returned for the caller's release
-// list. Callers acquire keys in sorted order.
-func (lt *lockTable) acquire(tx *stm.Tx, key int) (*lockEntry, int) {
-	b := lt.bucket(key)
-	attempt, conflicts := 0, 0
+// wait resolves one blocker the caller met under a latch it has since
+// dropped: an active owner goes to the contention manager as kind
+// (ReadWrite from a reader's vantage point — semantic reads are invisible,
+// so WriteRead never arises — WriteWrite when both sides want to commit the
+// key), a committed-but-unapplied one is drained with a spin (its apply is
+// a few latched stores away) that stays responsive to our own remote abort.
+// attempt counts the resolutions of one blocked operation.
+func (st *txState[V]) wait(b blocker, kind stm.Kind, attempt *int) {
+	if b.st == stm.Active {
+		st.semConflict()
+		st.tx.ResolveConflict(b.owner, b.word, kind, attempt)
+		return
+	}
+	if st.tx.Status() != stm.Active {
+		st.tx.RetryNow()
+	}
+	runtime.Gosched()
+}
+
+// home latches key's home leaf, starting from nd (a leaf that covered key
+// once), and returns it once no live foreign record of key sits there;
+// every holder met on the way is resolved as kind. This one latched visit
+// is a reader's probe, an acquirer's check, and the recheck of a read the
+// attempt holds no lock for.
+func (st *txState[V]) home(nd *node[V], key int, kind stm.Kind) *node[V] {
+	attempt := 0
 	for {
-		b.mu.Lock()
-		var blocking *lockEntry
-		var st stm.Status
-		for e := b.head.Load(); e != nil; e = e.next.Load() {
-			if e.key != key || e.owner == tx {
-				continue
-			}
-			if s, live := e.alive(); live {
-				blocking, st = e, s
-				break
-			}
+		nd = nd.latch(key)
+		b, held := nd.holder(st.tx, key, key)
+		if !held {
+			return nd
 		}
-		if blocking == nil {
-			e := &lockEntry{key: key, owner: tx, word: tx.StatusWord()}
-			e.next.Store(b.head.Load())
-			b.head.Store(e)
-			b.mu.Unlock()
-			return e, conflicts
-		}
-		b.mu.Unlock()
-		if st == stm.Active {
-			conflicts++
-			tx.ResolveConflict(blocking.owner, blocking.word, stm.WriteWrite, &attempt)
-			continue
-		}
-		if tx.Status() != stm.Active {
-			tx.RetryNow()
-		}
-		runtime.Gosched()
+		nd.mu.Unlock()
+		st.wait(b, kind, &attempt)
 	}
 }
 
-// release unlinks e from its bucket. The entry's links stay intact so a
-// concurrent prober parked on e can keep walking.
-func (lt *lockTable) release(e *lockEntry) {
-	b := lt.bucket(e.key)
-	b.mu.Lock()
-	if b.head.Load() == e {
-		b.head.Store(e.next.Load())
-	} else {
-		for p := b.head.Load(); p != nil; p = p.next.Load() {
-			if p.next.Load() == e {
-				p.next.Store(e.next.Load())
-				break
-			}
+// sweep drains every live foreign record of a key in [e.lo, e.hi) from a
+// range read's logged leaf: the phantom guard for range predicates. A
+// writer's pending insert of a key the scan never saw is visible only as
+// its record, which sits in the leaf that covers the key — one of the
+// logged leaves unless that leaf has split since, and then its version
+// check fails anyway. The head word is read without the latch, so a leaf
+// that holds no records costs one load.
+func (st *txState[V]) sweep(e *readEnt[V]) {
+	nd, attempt := e.leaf, 0
+	for nd.locks.Load() != nil {
+		nd.mu.Lock()
+		b, held := nd.holder(st.tx, e.lo, e.hi-1)
+		nd.mu.Unlock()
+		if !held {
+			return
 		}
-	}
-	b.mu.Unlock()
-}
-
-// sweepRange drains every foreign lock on a key in [lo, hi): the phantom
-// guard for range predicates. A writer's pending insert of a key the
-// range reader never saw is visible only here — as the writer's lock
-// entry — so the sweep runs before the per-leaf version checks and keeps
-// re-walking until a pass finds no live foreign in-range entry. Range
-// validation is rare, so the full-table walk (a few hundred atomic loads)
-// is cheap insurance. Returns the number of CM resolutions performed.
-func (lt *lockTable) sweepRange(tx *stm.Tx, lo, hi int) int {
-	attempt, conflicts := 0, 0
-	for {
-		var blocking *lockEntry
-		var st stm.Status
-	scan:
-		for i := range lt.buckets {
-			for e := lt.buckets[i].head.Load(); e != nil; e = e.next.Load() {
-				if e.key < lo || e.key >= hi || e.owner == tx {
-					continue
-				}
-				if s, live := e.alive(); live {
-					blocking, st = e, s
-					break scan
-				}
-			}
-		}
-		if blocking == nil {
-			return conflicts
-		}
-		if st == stm.Active {
-			conflicts++
-			tx.ResolveConflict(blocking.owner, blocking.word, stm.WriteWrite, &attempt)
-			continue
-		}
-		if tx.Status() != stm.Active {
-			tx.RetryNow()
-		}
-		runtime.Gosched()
+		st.wait(b, stm.WriteWrite, &attempt)
 	}
 }

@@ -27,7 +27,9 @@ type readEnt[V any] struct {
 // writeEnt is one buffered write: an upsert of (key, val) or a delete of
 // key. The write set holds at most one entry per key (later operations
 // overwrite earlier ones). leaf is the key's home when the write's own read
-// ran, which is where applyOp starts; Scan's merge buffer leaves it nil.
+// ran, which is where Validate's acquire starts; from then on it is the
+// leaf the lock record was linked in, where applyOp and release start.
+// Scan's merge buffer leaves it nil.
 type writeEnt[V any] struct {
 	key  int
 	val  V
@@ -38,8 +40,8 @@ type writeEnt[V any] struct {
 func (a writeEnt[V]) byKey(b writeEnt[V]) int { return cmp.Compare(a.key, b.key) }
 
 // txState is one thread's per-attempt transaction state against one
-// tree: the semantic read and write sets, the lock entries acquired at
-// validation, and reusable traversal scratch. It is the tree's
+// tree: the semantic read and write sets, the lock records held from
+// validation on, and reusable traversal scratch. It is the tree's
 // stm.SemanticOps implementation; enter registers it with each new
 // attempt. Owner-thread-only.
 type txState[V any] struct {
@@ -48,12 +50,16 @@ type txState[V any] struct {
 	// word is the attempt's packed status word at registration; a
 	// mismatch against the live word marks a new attempt and resets the
 	// state (attempt serials strictly advance).
-	word     uint64
-	reads    []readEnt[V]
-	writes   []writeEnt[V]
-	acquired []*lockEntry
-	path     []*node[V]
-	scratch  []writeEnt[V] // range-scan merge buffer
+	word   uint64
+	reads  []readEnt[V]
+	writes []writeEnt[V]
+	// recs is the lock-record slab: recs[i] locks writes[i] once Validate
+	// has sorted the writes, and the first held of them are linked into
+	// leaves. It only grows while nothing is linked.
+	recs    []lockRec
+	held    int
+	path    []*node[V]
+	scratch []writeEnt[V] // range-scan merge buffer
 }
 
 var _ stm.SemanticOps = (*txState[int])(nil)
@@ -71,7 +77,6 @@ func (t *Tree[V]) enter(tx *stm.Tx) *txState[V] {
 		st.tx = tx
 		st.reads = st.reads[:0]
 		st.writes = st.writes[:0]
-		st.acquired = st.acquired[:0]
 		tx.AddSemantic(st)
 	} else {
 		st.revalidate(tx)
@@ -109,17 +114,29 @@ func (st *txState[V]) revalidate(tx *stm.Tx) {
 		if e.leaf.ver.Load() == e.leafVer {
 			continue
 		}
-		if e.isRange || !e.recheck() {
-			tx.AddSemanticConflicts(1)
-			st.tree.statSem.Add(1)
+		if e.isRange || !st.recheck(e, false) {
+			st.semConflict()
 			tx.RetryNow()
 		}
 		// Leaf churned but the key's binding held — a false conflict a
 		// node-granularity structure would have aborted on. The recheck
 		// promoted the entry, so commit-time validation fast-paths.
-		tx.AddFalseConflictsAvoided(1)
-		st.tree.statFalse.Add(1)
+		st.falseAvoided()
 	}
+}
+
+// semConflict counts one CM-routed key conflict or failed semantic
+// validation into the attempt and the tree.
+func (st *txState[V]) semConflict() {
+	st.tx.AddSemanticConflicts(1)
+	st.tree.statSem.Add(1)
+}
+
+// falseAvoided counts one read whose leaf changed but whose key's binding
+// held.
+func (st *txState[V]) falseAvoided() {
+	st.tx.AddFalseConflictsAvoided(1)
+	st.tree.statFalse.Add(1)
 }
 
 // bufGet looks key up in the private write set.
@@ -137,7 +154,7 @@ func (st *txState[V]) bufGet(key int) (val V, del, found bool) {
 // The first write of a key reads it (the logged read is what makes the
 // reported presence part of the commit's validation) and keeps the leaf
 // that read found as the apply hint.
-func (st *txState[V]) write(tx *stm.Tx, key int, val V, del bool) (present bool) {
+func (st *txState[V]) write(key int, val V, del bool) (present bool) {
 	for i := range st.writes {
 		if w := &st.writes[i]; w.key == key {
 			present = !w.del
@@ -145,7 +162,7 @@ func (st *txState[V]) write(tx *stm.Tx, key int, val V, del bool) (present bool)
 			return present
 		}
 	}
-	_, present = st.read(tx, key)
+	_, present = st.read(key)
 	e := &st.reads[len(st.reads)-1]
 	e.locked = true
 	st.writes = append(st.writes, writeEnt[V]{key: key, val: val, del: del, leaf: e.leaf})
@@ -159,19 +176,19 @@ func (st *txState[V]) countSMO() {
 	st.tree.statSmo.Add(1)
 }
 
-// read performs the logged read of key: drain in-flight writers of the
-// key, read its binding, log the semantic read entry.
-func (st *txState[V]) read(tx *stm.Tx, key int) (V, bool) {
-	t := st.tree
-	if n := t.locks.probe(tx, key, stm.ReadWrite); n > 0 {
-		tx.AddSemanticConflicts(n)
-		t.statSem.Add(uint64(n))
+// read performs the logged read of key in one latched visit of its home
+// leaf: drain in-flight writers of the key there, read its binding — the
+// leaf, its version, the slot's value, version and presence — and log the
+// semantic read entry. Allocation-free once the read set is warm.
+func (st *txState[V]) read(key int) (val V, present bool) {
+	nd := st.home(st.tree.descend(key, 0, nil), key, stm.ReadWrite)
+	e := readEnt[V]{key: key, leaf: nd, leafVer: nd.ver.Load()}
+	if i, ok := nd.search(key); ok {
+		val, e.slotVer, e.present = nd.vals[i], nd.slotV[i], true
 	}
-	leaf, leafVer, val, slotVer, present := t.lookup(key)
-	st.reads = append(st.reads, readEnt[V]{
-		key: key, leaf: leaf, leafVer: leafVer, slotVer: slotVer, present: present,
-	})
-	return val, present
+	nd.mu.Unlock()
+	st.reads = append(st.reads, e)
+	return val, e.present
 }
 
 // Get returns key's value inside tx, honoring the transaction's own
@@ -181,7 +198,7 @@ func (t *Tree[V]) Get(tx *stm.Tx, key int) (V, bool) {
 	if v, del, ok := st.bufGet(key); ok {
 		return v, !del
 	}
-	return st.read(tx, key)
+	return st.read(key)
 }
 
 // Contains reports whether key is present inside tx.
@@ -194,21 +211,21 @@ func (t *Tree[V]) Contains(tx *stm.Tx, key int) bool {
 // absent. The write is buffered — the physical tree is untouched until
 // the attempt commits.
 func (t *Tree[V]) Insert(tx *stm.Tx, key int, val V) bool {
-	return !t.enter(tx).write(tx, key, val, false)
+	return !t.enter(tx).write(key, val, false)
 }
 
 // Delete removes key inside tx, reporting whether it was present.
 func (t *Tree[V]) Delete(tx *stm.Tx, key int) bool {
 	var zero V
-	return t.enter(tx).write(tx, key, zero, true)
+	return t.enter(tx).write(key, zero, true)
 }
 
 // Scan calls fn for each (key, value) with lo ≤ key < hi, in ascending
 // key order, honoring the transaction's buffered writes. It returns
 // early if fn returns false. The range predicate is protected against
 // phantoms: each visited leaf is logged with its version (strictly
-// validated at commit) and the commit-time sweep of the lock table
-// catches in-flight inserts of unseen keys.
+// validated at commit) and the commit-time sweep of those leaves' lock
+// records catches in-flight inserts of unseen keys.
 func (t *Tree[V]) Scan(tx *stm.Tx, lo, hi int, fn func(key int, val V) bool) {
 	if hi <= lo {
 		return
@@ -271,71 +288,75 @@ func (t *Tree[V]) Scan(tx *stm.Tx, lo, hi int, fn func(key int, val V) bool) {
 // conflicting commit can slip between it and the status CAS without
 // either hitting our locks or bumping a leaf version we checked.
 func (st *txState[V]) Validate(tx *stm.Tx) bool {
-	t := st.tree
 	if len(st.writes) > 1 {
 		slices.SortFunc(st.writes, writeEnt[V].byKey)
 	}
+	if len(st.recs) < len(st.writes) {
+		st.recs = make([]lockRec, len(st.writes))
+	}
 	for i := range st.writes {
-		e, n := t.locks.acquire(tx, st.writes[i].key)
-		st.acquired = append(st.acquired, e)
-		if n > 0 {
-			tx.AddSemanticConflicts(n)
-			t.statSem.Add(uint64(n))
-		}
+		// One latched visit from the leaf the write's own read found: drain
+		// foreign holders of the key, then link our record there.
+		w, r := &st.writes[i], &st.recs[i]
+		nd := st.home(w.leaf, w.key, stm.WriteWrite)
+		r.key, r.owner, r.word = w.key, tx, st.word
+		nd.link(r)
+		nd.mu.Unlock()
+		w.leaf, st.held = nd, i+1
 	}
 	for i := range st.reads {
 		e := &st.reads[i]
 		if e.isRange {
-			if n := t.locks.sweepRange(tx, e.lo, e.hi); n > 0 {
-				tx.AddSemanticConflicts(n)
-				t.statSem.Add(uint64(n))
-			}
+			st.sweep(e)
 			if e.leaf.ver.Load() != e.leafVer {
-				tx.AddSemanticConflicts(1)
-				t.statSem.Add(1)
+				st.semConflict()
 				return false
 			}
 			continue
 		}
 		// A locked entry's key is one we hold the lock on: acquire drained
-		// every foreign holder under the bucket mutex before it published
-		// our entry, and none can publish past it, so a probe finds nothing.
-		if !e.locked {
-			if n := t.locks.probe(tx, e.key, stm.ReadWrite); n > 0 {
-				tx.AddSemanticConflicts(n)
-				t.statSem.Add(uint64(n))
-			}
-		}
-		if e.leaf.ver.Load() == e.leafVer {
+		// every foreign holder under the leaf latch before it linked our
+		// record, and none can link past it, so only an unlocked read
+		// probes. It skips the latched probe when its leaf holds no records
+		// and has not changed; the head word is read first because a record
+		// leaves a leaf only after its write has bumped the version
+		// (applyOp).
+		probe := !e.locked && e.leaf.locks.Load() != nil
+		moved := e.leaf.ver.Load() != e.leafVer
+		if !probe && !moved {
 			continue
 		}
-		if !e.recheck() {
-			tx.AddSemanticConflicts(1)
-			t.statSem.Add(1)
+		if !st.recheck(e, !e.locked) {
+			st.semConflict()
 			return false
 		}
-		// The leaf changed under the read but the key's binding did not:
-		// the abort a node-granularity conflict set would have taken.
-		tx.AddFalseConflictsAvoided(1)
-		t.statFalse.Add(1)
+		if moved {
+			// The leaf changed under the read but the key's binding did
+			// not: the abort a node-granularity conflict set would have
+			// taken.
+			st.falseAvoided()
+		}
 	}
 	return true
 }
 
 // Finalize implements stm.SemanticOps: apply the buffered writes to the
 // physical tree if the attempt committed (splits and root growth happen
-// here, off every conflict set), then unlink the lock entries and reset.
+// here, off every conflict set), releasing each lock record under the
+// apply's latch; an aborted attempt releases the records it holds, each
+// from the leaf it was linked in moving right. Then reset.
 func (st *txState[V]) Finalize(tx *stm.Tx, committed bool) {
-	t := st.tree
-	if committed {
-		for i := range st.writes {
-			t.applyOp(st, &st.writes[i])
+	for i := range st.writes[:st.held] {
+		w, r := &st.writes[i], &st.recs[i]
+		if committed {
+			st.tree.applyOp(st, w, r)
+			continue
 		}
+		nd := w.leaf.latch(w.key)
+		nd.unlink(r)
+		nd.mu.Unlock()
 	}
-	for _, e := range st.acquired {
-		t.locks.release(e)
-	}
-	st.acquired = st.acquired[:0]
+	st.held = 0
 	st.reads = st.reads[:0]
 	st.writes = st.writes[:0]
 }
