@@ -18,10 +18,11 @@ race:
 
 # What the GitHub workflow's test job runs (.github/workflows/ci.yml).
 # quickstart panics if money is not conserved; the two wintheory runs are
-# each mode at one small point.
+# each mode at one small point. The -count=20 line runs its packages in
+# parallel, the load under which kv's live-heap test has to hold.
 ci: build vet race figures-smoke
 	go -C benchmark test -race -short ./...
-	go test -count=20 ./internal/telemetry/ ./internal/stm/
+	go test -count=20 ./internal/telemetry/ ./internal/stm/ ./internal/kv/
 	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 10s ./internal/kv/
 	go test -run '^$$' -fuzz FuzzReadReply -fuzztime 10s ./internal/kv/
 	go run ./examples/quickstart > /dev/null

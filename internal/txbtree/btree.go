@@ -12,6 +12,8 @@
 //
 // Node access protocol:
 //
+//   - Leaves (node) and inner nodes (inner) are distinct types, and the root
+//     is always an inner node: an empty tree is a level-1 root over one leaf.
 //   - Inner nodes are read without any latch. An inner node's routing state
 //     (keys, children, fence, right link) is an immutable body published
 //     through one atomic pointer; a reader loads the body, routes through
@@ -55,31 +57,32 @@ import (
 	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"wincm/internal/stm"
 )
 
-// maxKeys is the per-node fan-out. 32 keeps a leaf's key array on two
-// cache lines while making splits rare; lookups scan linearly, which at
-// this width beats a branchy binary search.
-const maxKeys = 32
+// maxKeys is the per-node fan-out. 34 keys are 272 B, a little over four
+// cache lines, and make an int64 leaf fill its size class (see node) while
+// keeping splits rare; lookups scan linearly, which at this width beats a
+// branchy binary search.
+const maxKeys = 34
 
-// span is what a leaf and an inner body share: the sorted keys, the upper
-// fence and the B-link sibling. The node covers keys < hi when hasHi is
-// set; the rightmost node of a level has no fence. right covers [hi, …).
-// The fence sits before the keys so that the fence check and the start of
-// the key scan, which every visit makes, share a cache line.
-type span[V any] struct {
+// span is what a leaf and an inner body share: the sorted keys and the
+// upper fence. The node covers keys < hi when hasHi is set; the rightmost
+// node of a level has no fence, and its right link is nil. The fence sits
+// before the keys so that the fence check and the start of the key scan,
+// which every visit makes, share a cache line.
+type span struct {
 	n     int
 	hasHi bool
 	hi    int
-	right *node[V]
 	keys  [maxKeys]int
 }
 
 // search returns the index of key and true, or the insertion point and
 // false.
-func (s *span[V]) search(key int) (int, bool) {
+func (s *span) search(key int) (int, bool) {
 	for i := 0; i < s.n; i++ {
 		if s.keys[i] >= key {
 			return i, s.keys[i] == key
@@ -89,40 +92,71 @@ func (s *span[V]) search(key int) (int, bool) {
 }
 
 // past reports whether key lies beyond the fence, i.e. in a right sibling.
-func (s *span[V]) past(key int) bool { return s.hasHi && key >= s.hi }
+func (s *span) past(key int) bool { return s.hasHi && key >= s.hi }
 
 // routing is an inner node's body, immutable once published: kids[i]
-// covers keys < keys[i], kids[n] the rest of the node's range.
+// covers keys < keys[i], kids[n] the rest of the node's range, and right
+// covers [hi, …). A kid is an *inner[V] above level 1 and a *node[V] at
+// level 1; it is read back only through innerKid and leafKid, each of
+// which converts to the one type its level stores. last is the slot of the
+// body's last put, which an inner split reads as a leaf split reads slotV.
 type routing[V any] struct {
-	span[V]
-	kids [maxKeys + 1]*node[V]
+	span
+	right *inner[V]
+	last  int
+	kids  [maxKeys + 1]unsafe.Pointer
 }
 
-// childFor returns the child covering key; the caller has chased right
-// links, so key is inside the fence.
-func (r *routing[V]) childFor(key int) *node[V] {
+// innerKid returns kid i of a body above level 1.
+func (r *routing[V]) innerKid(i int) *inner[V] { return (*inner[V])(r.kids[i]) }
+
+// leafKid returns kid i of a level-1 body.
+func (r *routing[V]) leafKid(i int) *node[V] { return (*node[V])(r.kids[i]) }
+
+// childFor returns the index of the kid covering key; the caller has
+// chased right links, so key is inside the fence.
+func (r *routing[V]) childFor(key int) int {
 	for i := 0; i < r.n; i++ {
 		if key < r.keys[i] {
-			return r.kids[i]
+			return i
 		}
 	}
-	return r.kids[r.n]
+	return r.n
 }
 
 // put inserts separator sep at index i with kid as its right child. Only
 // ever called on a body not yet published.
-func (r *routing[V]) put(i, sep int, kid *node[V]) {
+func (r *routing[V]) put(i, sep int, kid unsafe.Pointer) {
 	copy(r.keys[i+1:r.n+1], r.keys[i:r.n])
 	copy(r.kids[i+2:r.n+2], r.kids[i+1:r.n+1])
-	r.keys[i], r.kids[i+1] = sep, kid
+	r.keys[i], r.kids[i+1], r.last = sep, kid, i
 	r.n++
 }
 
-// node is one B-link node. A node is created as either a leaf (level 0)
-// or an inner node (level > 0) and never changes role. An inner node uses
-// only level, route and — among writers — mu; a leaf uses everything but
-// route, with every field except ver, level and the locks head word
-// guarded by mu.
+// inner is an inner node: a mutex for the writers of its body, its level
+// (1 above the leaves, parent level = child level + 1; immutable, descents
+// stop by it) and its current body. The padding gives the header a cache
+// line that no other allocation shares.
+type inner[V any] struct {
+	mu    sync.Mutex
+	level int
+	route atomic.Pointer[routing[V]]
+	_     [40]byte
+}
+
+// newInner returns an inner node at level whose first body is r.
+func newInner[V any](level int, r *routing[V]) *inner[V] {
+	p := &inner[V]{level: level}
+	p.route.Store(r)
+	return p
+}
+
+// node is a leaf. Every field except ver and the locks head word is guarded
+// by mu. The latch, the version, the lock list, the right link and the
+// fence share the first cache line and the keys start the second; for
+// int64 values that is 880 B, and with the 8 B malloc header every
+// pointerful object over 512 B carries, 888 B: the 896 B size class, which
+// one key more would leave for 1,024 B.
 type node[V any] struct {
 	mu sync.Mutex
 	// ver counts mutations of a leaf's key set and payload. It is bumped
@@ -135,25 +169,15 @@ type node[V any] struct {
 	// changes only under the latch; the head is atomic so that a validator
 	// can see without the latch that a leaf holds no records at all.
 	locks atomic.Pointer[lockRec]
-	// level is 0 for leaves and parent level = child level + 1. It is
-	// immutable; descents stop by it.
-	level int
-	// route is an inner node's current body; nil on leaves.
-	route atomic.Pointer[routing[V]]
-	span[V]
+	right *node[V]
+	_     [8]byte
+	span
 	// Leaf payload: vals[i] and slotV[i] ride with keys[i]. slotV is the
 	// node ver at the slot's last mutation — a comparable proxy for "this
 	// key's binding is unchanged" that survives the slot moving to a
 	// sibling at a split.
 	vals  [maxKeys]V
 	slotV [maxKeys]uint64
-}
-
-// newInner returns an inner node at level whose first body is r.
-func newInner[V any](level int, r *routing[V]) *node[V] {
-	nd := &node[V]{level: level}
-	nd.route.Store(r)
-	return nd
 }
 
 // put inserts (key, val) at slot i of a leaf and stamps the slot with the
@@ -189,7 +213,7 @@ func (nd *node[V]) latch(key int) *node[V] {
 // two runtimes at once is not supported (per-thread state is indexed by
 // the runtime's thread IDs).
 type Tree[V any] struct {
-	root atomic.Pointer[node[V]]
+	root atomic.Pointer[inner[V]]
 	// smoMu serializes root growth only — the one structural operation
 	// that cannot be localized to a latched node. Never held together
 	// with a node latch.
@@ -203,10 +227,12 @@ type Tree[V any] struct {
 	statSem, statSmo, statFalse atomic.Uint64
 }
 
-// New returns an empty tree.
+// New returns an empty tree: a level-1 root without keys over one leaf.
 func New[V any]() *Tree[V] {
 	t := &Tree[V]{}
-	t.root.Store(&node[V]{level: 0})
+	r := &routing[V]{}
+	r.kids[0] = unsafe.Pointer(&node[V]{})
+	t.root.Store(newInner(1, r))
 	empty := make([]*txState[V], 0)
 	t.states.Store(&empty)
 	return t
@@ -219,31 +245,35 @@ func (t *Tree[V]) Stats() (semanticConflicts, structuralOps, falseConflictsAvoid
 	return t.statSem.Load(), t.statSmo.Load(), t.statFalse.Load()
 }
 
-// descend walks from the root to a node at level that covers key or has a
-// right sibling that does, and returns it. It takes no latch and stores to
-// no node: each inner node is read through its published body, and a fence
-// miss chases the body's right link. If path is non-nil every inner node
-// passed through is appended to it, root first. The root must be at level
-// or above.
-func (t *Tree[V]) descend(key, level int, path *[]*node[V]) *node[V] {
-	nd := t.root.Load()
-	for nd.level > level {
-		r := nd.route.Load()
+// descend walks from the root to the inner node at level that covers key
+// and returns it with its body. It takes no latch and stores to no node:
+// each inner node is read through its published body, and a fence miss
+// chases the body's right link. If path is non-nil every node it passes
+// through or returns is appended to it, root first. The root must be at
+// level or above.
+func (t *Tree[V]) descend(key, level int, path *[]*inner[V]) (*inner[V], *routing[V]) {
+	p := t.root.Load()
+	for {
+		r := p.route.Load()
 		for r.past(key) {
-			nd = r.right
-			r = nd.route.Load()
+			p = r.right
+			r = p.route.Load()
 		}
 		if path != nil {
-			*path = append(*path, nd)
+			*path = append(*path, p)
 		}
-		nd = r.childFor(key)
+		if p.level == level {
+			return p, r
+		}
+		p = r.innerKid(r.childFor(key))
 	}
-	return nd
 }
 
-// leafFor returns the leaf covering key, latched.
-func (t *Tree[V]) leafFor(key int) *node[V] {
-	return t.descend(key, 0, nil).latch(key)
+// leafOf returns the leaf a descent to key ends at: the leaf covering key
+// or one to its left. path is as for descend.
+func (t *Tree[V]) leafOf(key int, path *[]*inner[V]) *node[V] {
+	_, r := t.descend(key, 1, path)
+	return r.leafKid(r.childFor(key))
 }
 
 // recheck re-establishes a point read's validity after its fast-path leaf
@@ -318,8 +348,8 @@ func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V, r *lock
 	sep, sibling := nd.split(key, val, r)
 	st.countSMO()
 	st.path = st.path[:0]
-	t.descend(sep, 0, &st.path)
-	t.insertParent(st, nd, sep, sibling)
+	t.leafOf(sep, &st.path)
+	t.insertParent(st, sep, unsafe.Pointer(sibling))
 }
 
 // split splits the full, latched leaf nd, inserts (key, val) into the
@@ -338,7 +368,7 @@ func (nd *node[V]) split(key int, val V, r *lockRec) (sep int, s *node[V]) {
 	if i, _ := nd.search(key); i > 0 && nd.slotV[i-1] == nd.ver.Load() {
 		cut = i
 	}
-	s = &node[V]{level: 0}
+	s = &node[V]{}
 	s.n = copy(s.keys[:], nd.keys[cut:nd.n])
 	copy(s.vals[:], nd.vals[cut:nd.n])
 	copy(s.slotV[:], nd.slotV[cut:nd.n])
@@ -386,19 +416,15 @@ func (nd *node[V]) split(key int, val V, r *lockRec) (sep int, s *node[V]) {
 	return sep, s
 }
 
-// insertParent links a freshly split-off sibling into the split node's
-// parent, splitting upward as needed. left is the node that split; sep is
-// the promoted separator (the sibling's minimum key bound). Each parent is
-// changed by publishing a modified copy of its body under its mutex.
-func (t *Tree[V]) insertParent(st *txState[V], left *node[V], sep int, sibling *node[V]) {
+// insertParent links kid, a freshly split-off sibling, into its parent
+// level with separator sep (kid's low bound), starting at the last node on
+// st.path and splitting upward as needed. Each parent is changed by
+// publishing a modified copy of its body under its mutex. A leaf split
+// always finds its parent on the path, since the root is an inner node.
+func (t *Tree[V]) insertParent(st *txState[V], sep int, kid unsafe.Pointer) {
+	p := st.path[len(st.path)-1]
+	st.path = st.path[:len(st.path)-1]
 	for {
-		var p *node[V]
-		if n := len(st.path); n > 0 {
-			p = st.path[n-1]
-			st.path = st.path[:n-1]
-		} else if p = t.growRoot(st, left, sep, sibling); p == nil {
-			return
-		}
 		p.mu.Lock()
 		r := p.route.Load()
 		for r.past(sep) {
@@ -411,52 +437,82 @@ func (t *Tree[V]) insertParent(st *txState[V], left *node[V], sep int, sibling *
 		i, _ := r.search(sep)
 		if r.n < maxKeys {
 			nr := *r
-			nr.put(i, sep, sibling)
+			nr.put(i, sep, kid)
 			p.route.Store(&nr)
 			p.mu.Unlock()
 			return
 		}
-		// Inner split: promote the middle key; p keeps [0,mid), the new
-		// sibling takes (mid, n), and the pending (sep, child) lands in
-		// whichever side covers it.
-		mid := maxKeys / 2
-		psep := r.keys[mid]
-		keep, moved := new(routing[V]), new(routing[V])
-		keep.n = copy(keep.keys[:], r.keys[:mid])
-		copy(keep.kids[:], r.kids[:mid+1])
-		moved.n = copy(moved.keys[:], r.keys[mid+1:r.n])
-		copy(moved.kids[:], r.kids[mid+1:r.n+1])
-		moved.hasHi, moved.hi, moved.right = r.hasHi, r.hi, r.right
+		psep, s := p.split(r, i, sep, kid)
+		st.countSMO()
+		if n := len(st.path); n > 0 {
+			p, st.path = st.path[n-1], st.path[:n-1]
+		} else if p = t.growRoot(st, p, psep, s); p == nil {
+			return
+		}
+		sep, kid = psep, unsafe.Pointer(s)
+	}
+}
+
+// split splits the full, latched inner node p, whose body is r, around the
+// insertion of separator sep with right child kid at slot i, and drops the
+// latch, returning the separator to promote and the new right sibling.
+//
+// The cut follows the leaf rule: at the middle unless the insert continues
+// a run of puts (the body's last put was the slot just left of i), and then
+// at i. The key at the cut moves up, and the pending pair lands in
+// whichever side covers it: after a cut at i that is p, so the run keeps
+// appending there and the separators beyond it move out of its way. A run
+// at the end of a full body has no key to cut at; sep itself moves up, p
+// stays full and the sibling starts with kid alone.
+func (p *inner[V]) split(r *routing[V], i, sep int, kid unsafe.Pointer) (psep int, s *inner[V]) {
+	cut := maxKeys / 2
+	if i > 0 && r.last == i-1 {
+		cut = i
+	}
+	// keep holds r's slots below the cut unchanged, so its last put is r's.
+	keep, moved := &routing[V]{last: r.last}, &routing[V]{}
+	if cut == r.n {
+		psep = sep
+		keep.n = copy(keep.keys[:], r.keys[:])
+		copy(keep.kids[:], r.kids[:])
+		moved.kids[0] = kid
+	} else {
+		psep = r.keys[cut]
+		keep.n = copy(keep.keys[:], r.keys[:cut])
+		copy(keep.kids[:], r.kids[:cut+1])
+		moved.n = copy(moved.keys[:], r.keys[cut+1:r.n])
+		copy(moved.kids[:], r.kids[cut+1:r.n+1])
 		target := keep
 		if sep >= psep {
 			target = moved
 		}
-		i, _ = target.search(sep)
-		target.put(i, sep, sibling)
-		// Publish order: the sibling's body first, then the donor body
-		// whose right link makes the sibling reachable.
-		s := newInner(p.level, moved)
-		keep.hasHi, keep.hi, keep.right = true, psep, s
-		p.route.Store(keep)
-		p.mu.Unlock()
-		st.countSMO()
-		left, sep, sibling = p, psep, s
+		j, _ := target.search(sep)
+		target.put(j, sep, kid)
 	}
+	moved.hasHi, moved.hi, moved.right = r.hasHi, r.hi, r.right
+	// Publish order: the sibling's body first, then the donor body whose
+	// right link makes the sibling reachable.
+	s = newInner(p.level, moved)
+	keep.hasHi, keep.hi, keep.right = true, psep, s
+	p.route.Store(keep)
+	p.mu.Unlock()
+	return psep, s
 }
 
-// growRoot handles the stack-exhausted case of insertParent: no node above
-// left was on the descent's path. If left is still the root, a new root
-// adopts the pair and the split is complete (returns nil). Otherwise the
-// tree has grown, or is about to; descend from the current root to left's
-// parent level and return that node as the insertion parent.
-func (t *Tree[V]) growRoot(st *txState[V], left *node[V], sep int, sibling *node[V]) *node[V] {
+// growRoot handles the path-exhausted case of insertParent: left, an inner
+// node that has just split, was the top of its descent's path. If left is
+// still the root, a new root adopts the pair and the split is complete
+// (returns nil). Otherwise the tree has grown, or is about to; descend from
+// the current root to left's parent level and return that node as the
+// insertion parent.
+func (t *Tree[V]) growRoot(st *txState[V], left *inner[V], sep int, sibling *inner[V]) *inner[V] {
 	for {
 		t.smoMu.Lock()
 		root := t.root.Load()
 		if root == left {
 			r := &routing[V]{}
-			r.n, r.keys[0] = 1, sep
-			r.kids[0], r.kids[1] = left, sibling
+			r.kids[0] = unsafe.Pointer(left)
+			r.put(0, sep, unsafe.Pointer(sibling))
 			t.root.Store(newInner(left.level+1, r))
 			t.smoMu.Unlock()
 			st.countSMO()
@@ -464,7 +520,8 @@ func (t *Tree[V]) growRoot(st *txState[V], left *node[V], sep int, sibling *node
 		}
 		t.smoMu.Unlock()
 		if root.level > left.level {
-			return t.descend(sep, left.level+1, nil)
+			p, _ := t.descend(sep, left.level+1, nil)
+			return p
 		}
 		// left is a right sibling of a root that has split but not yet
 		// grown the tree: its splitter is between dropping the root's
@@ -475,7 +532,7 @@ func (t *Tree[V]) growRoot(st *txState[V], left *node[V], sep int, sibling *node
 
 // leftmostLeaf returns the first leaf of the tree (quiescent helper).
 func (t *Tree[V]) leftmostLeaf() *node[V] {
-	return t.descend(math.MinInt, 0, nil)
+	return t.leafOf(math.MinInt, nil)
 }
 
 // Keys returns a sorted snapshot of the key set, read non-transactionally;
@@ -513,57 +570,60 @@ func (t *Tree[V]) Len() int {
 // while no transactions are active.
 func (t *Tree[V]) CheckInvariants() error {
 	root := t.root.Load()
-	return t.checkNode(root, root.level, nil, false)
+	return t.checkInner(root, root.level, math.MinInt)
 }
 
-func (t *Tree[V]) checkNode(nd *node[V], level int, lo *int, hasLo bool) error {
-	if nd.level != level {
-		return fmt.Errorf("txbtree: node at level %d recorded level %d", level, nd.level)
+// checkInner checks the subtree of p, which should be at level and hold
+// no key below lo.
+func (t *Tree[V]) checkInner(p *inner[V], level, lo int) error {
+	if p == nil || p.level != level {
+		return fmt.Errorf("txbtree: missing or misleveled child at level %d", level)
 	}
-	sp, r := &nd.span, nd.route.Load()
-	if level > 0 {
-		if r == nil {
-			return fmt.Errorf("txbtree: inner node at level %d has no body", level)
+	r := p.route.Load()
+	err := r.check(level, lo)
+	for i := 0; i <= r.n && err == nil; i++ {
+		if i > 0 {
+			lo = r.keys[i-1]
 		}
-		sp = &r.span
+		if level > 1 {
+			err = t.checkInner(r.innerKid(i), level-1, lo)
+		} else {
+			err = t.checkLeaf(r.leafKid(i), lo)
+		}
 	}
+	return err
+}
+
+func (t *Tree[V]) checkLeaf(nd *node[V], lo int) error {
+	if nd == nil {
+		return fmt.Errorf("txbtree: missing leaf")
+	}
+	if err := nd.check(0, lo); err != nil {
+		return err
+	}
+	for rec := nd.locks.Load(); rec != nil; rec = rec.next {
+		if rec.key < lo || nd.past(rec.key) {
+			return fmt.Errorf("txbtree: lock record of key %d outside its leaf's fence", rec.key)
+		}
+	}
+	if rec := nd.locks.Load(); rec != nil {
+		return fmt.Errorf("txbtree: lock record of key %d left in a quiescent tree", rec.key)
+	}
+	return nil
+}
+
+// check checks that a node's keys are sorted, not below lo and below the
+// node's fence.
+func (sp *span) check(level, lo int) error {
 	for i := 0; i < sp.n; i++ {
 		if i > 0 && sp.keys[i-1] >= sp.keys[i] {
 			return fmt.Errorf("txbtree: unsorted keys at level %d: %d !< %d", level, sp.keys[i-1], sp.keys[i])
 		}
-		if hasLo && sp.keys[i] < *lo {
-			return fmt.Errorf("txbtree: key %d below low bound %d at level %d", sp.keys[i], *lo, level)
+		if sp.keys[i] < lo {
+			return fmt.Errorf("txbtree: key %d below low bound %d at level %d", sp.keys[i], lo, level)
 		}
 		if sp.past(sp.keys[i]) {
 			return fmt.Errorf("txbtree: key %d at/above fence %d at level %d", sp.keys[i], sp.hi, level)
-		}
-	}
-	if level == 0 {
-		for rec := nd.locks.Load(); rec != nil; rec = rec.next {
-			if (hasLo && rec.key < *lo) || nd.past(rec.key) {
-				return fmt.Errorf("txbtree: lock record of key %d outside its leaf's fence", rec.key)
-			}
-		}
-		if rec := nd.locks.Load(); rec != nil {
-			return fmt.Errorf("txbtree: lock record of key %d left in a quiescent tree", rec.key)
-		}
-		return nil
-	}
-	for i := 0; i <= r.n; i++ {
-		child := r.kids[i]
-		if child == nil {
-			return fmt.Errorf("txbtree: nil child %d at level %d", i, level)
-		}
-		if child.level != level-1 {
-			return fmt.Errorf("txbtree: child level %d under level %d", child.level, level)
-		}
-		clo, chasLo := lo, hasLo
-		if i > 0 {
-			k := r.keys[i-1]
-			clo, chasLo = &k, true
-		}
-		if err := t.checkNode(child, level-1, clo, chasLo); err != nil {
-			return err
 		}
 	}
 	return nil

@@ -58,7 +58,7 @@ type txState[V any] struct {
 	// leaves. It only grows while nothing is linked.
 	recs    []lockRec
 	held    int
-	path    []*node[V]
+	path    []*inner[V]
 	scratch []writeEnt[V] // range-scan merge buffer
 }
 
@@ -181,7 +181,7 @@ func (st *txState[V]) countSMO() {
 // leaf, its version, the slot's value, version and presence — and log the
 // semantic read entry. Allocation-free once the read set is warm.
 func (st *txState[V]) read(key int) (val V, present bool) {
-	nd := st.home(st.tree.descend(key, 0, nil), key, stm.ReadWrite)
+	nd := st.home(st.tree.leafOf(key, nil), key, stm.ReadWrite)
 	e := readEnt[V]{key: key, leaf: nd, leafVer: nd.ver.Load()}
 	if i, ok := nd.search(key); ok {
 		val, e.slotVer, e.present = nd.vals[i], nd.slotV[i], true
@@ -232,7 +232,7 @@ func (t *Tree[V]) Scan(tx *stm.Tx, lo, hi int, fn func(key int, val V) bool) {
 	}
 	st := t.enter(tx)
 	st.scratch = st.scratch[:0]
-	nd := t.leafFor(lo)
+	nd := t.leafOf(lo, nil).latch(lo)
 	for {
 		ndVer := nd.ver.Load()
 		for i := 0; i < nd.n; i++ {
