@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build vet test race bench figures figures-smoke chaos theory kv-smoke telemetry-smoke loc ci
+.PHONY: all build vet test race bench figures figures-smoke theory kv-smoke telemetry-smoke loc ci
 
 all: build vet test
 
@@ -59,10 +59,6 @@ figures:
 	go run ./cmd/winbench -fig 3 -bench kmeans -threads 1,8,32 $(FIGFLAGS) > $(RESULTS)/kmeans.txt
 	go run ./cmd/wintheory -m 32 -n 16 -reps 5 > $(RESULTS)/theory.txt
 	go run ./cmd/wintheory -ratio -m 32 -n 16 -reps 5 > $(RESULTS)/ratio.txt
-
-# Robustness matrix: every manager under deterministic fault injection.
-chaos:
-	go run ./cmd/winbench -fig chaos
 
 # KV service smoke: winkv serves Zipfian winload traffic (including
 # cross-shard transactions), /metrics scrapes, commits flow, the watchdog

@@ -7,19 +7,15 @@
 //	winbench -fig ext          Section-IV extension metrics
 //	winbench -fig all          everything above, each distinct cell run once
 //	winbench -fig trace        ASCII execution timeline of one traced run
-//	winbench -fig chaos        robustness matrix under fault injection
 //	winbench -fig telemetry    interval time series + histogram quantiles
 //	winbench -fig btree        key-level (semantic) vs tvar-granularity conflict detection
 //
-// Flags that only make sense for a mode they don't enable (-chaos-seed
-// without -chaos, -trace-out without -fig trace, ...) fail fast, as do
+// Flags that only make sense for a mode they don't enable (-trace-out
+// without -fig trace, -btree-threads without -fig btree, ...) fail fast, as do
 // values no cell can run with (-reps 0, -dur -1s) and stray arguments.
 //
 // Defaults are CI-friendly; -paper restores the published regime
 // (10-second runs averaged over 6 repetitions, threads up to 32).
-// -chaos layers deterministic fault injection (stalls, spurious aborts,
-// delays, decision perturbation) onto whichever figure runs; -fig chaos
-// runs the dedicated every-manager robustness sweep.
 //
 // -telemetry-addr starts the live observability endpoint and turns every
 // run into an inspectable service: Prometheus text on /metrics and the full
@@ -60,7 +56,6 @@ var figures = []struct {
 	{"5", harness.Fig5},
 	{"ext", harness.Extended},
 	{"all", harness.All},
-	{"chaos", harness.ChaosSweep},
 	{"telemetry", harness.TelemetryFig},
 	{"btree", harness.BTreeFig},
 }
@@ -88,8 +83,8 @@ func figureDriver(name string) (driver, bool) {
 
 // modes is what the mode-selecting flags resolved to.
 type modes struct {
-	fig          string
-	chaos, trace bool
+	fig   string
+	trace bool
 }
 
 // flagConflict reports the first explicitly set flag (set holds their
@@ -103,7 +98,6 @@ func flagConflict(set map[string]bool, m modes) (err error) {
 			}
 		}
 	}
-	requireMode("-chaos", m.chaos, "chaos-seed", "stall-prob", "max-attempts", "tx-deadline")
 	requireMode("-fig telemetry", m.fig == "telemetry", "telemetry-manager")
 	requireMode("-fig btree", m.fig == "btree", "btree-threads")
 	requireMode("-trace (or -fig trace)", m.trace || m.fig == "trace", "trace-sample", "trace-out")
@@ -157,12 +151,6 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		seed    = fs.Uint64("seed", 1, "master seed")
 		paper   = fs.Bool("paper", false, "use the paper's full regime (10s runs × 6 reps)")
 
-		chaosOn    = fs.Bool("chaos", false, "inject deterministic faults (stalls, spurious aborts, delays, decision perturbation) and arm the serialized-fallback budgets")
-		chaosSeed  = fs.Uint64("chaos-seed", 0, "seed for the fault schedules (0 = derive from -seed); the same seed replays the same schedule")
-		stallProb  = fs.Float64("stall-prob", 0, "per-open probability of a mid-flight stall holding acquired objects (0 = chaos default of 1%)")
-		maxAtt     = fs.Int("max-attempts", 0, "retry budget before a transaction takes the serialized fallback (0 = chaos default of 64; negative disables)")
-		txDeadline = fs.Duration("tx-deadline", 0, "wall-clock budget before a transaction takes the serialized fallback (0 = chaos default of 250ms; negative disables)")
-
 		telAddr    = fs.String("telemetry-addr", "", "serve live telemetry on this address: Prometheus /metrics, net/http/pprof /debug/pprof/ (empty = off)")
 		telManager = fs.String("telemetry-manager", "", "contention manager the -fig telemetry run watches (default adaptive-improved-dynamic)")
 
@@ -190,7 +178,7 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 	if !ok {
 		return invocation{}, fmt.Errorf("unknown figure %q (want %s)", *fig, figureNames())
 	}
-	if err := flagConflict(set, modes{fig: *fig, chaos: *chaosOn, trace: *traceOn}); err != nil {
+	if err := flagConflict(set, modes{fig: *fig, trace: *traceOn}); err != nil {
 		return invocation{}, err
 	}
 	if *traceSample < 1 {
@@ -213,11 +201,6 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		Fig5Threads: *fig5M,
 		WindowN:     *windowN,
 		Seed:        *seed,
-		Chaos:       *chaosOn,
-		ChaosSeed:   *chaosSeed,
-		StallProb:   *stallProb,
-		MaxAttempts: *maxAtt,
-		TxDeadline:  *txDeadline,
 
 		TelemetryManager: *telManager,
 	}

@@ -30,12 +30,13 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-fig telemetry -telemetry-jsonl x", "flag provided but not defined: -telemetry-jsonl"},
 		{"-fig telemetry -telemetry-csv x", "flag provided but not defined: -telemetry-csv"},
 		{"-threads 2,0", "-threads"},
-		{"-chaos -stall-prob 7", "-stall-prob"},
-		{"-chaos -stall-prob -0.5", "-stall-prob"},
+		{"-chaos", "flag provided but not defined: -chaos"},
+		{"-stall-prob 0.5", "flag provided but not defined: -stall-prob"},
+		{"-fig chaos", `unknown figure "chaos"`},
 		{"-durable", "-durable"},
 		{"-fig durable", `unknown figure "durable"`},
 		{"-backend lazy", "-backend"},
-		{"-fig 3 -bench list,kmeans -threads 2,4 -dur 50ms -reps 1 -chaos -stall-prob 0.5", ""},
+		{"-fig 3 -bench list,kmeans -threads 2,4 -dur 50ms -reps 1", ""},
 	} {
 		inv, err := parseArgs(strings.Fields(c.args), io.Discard)
 		switch {
@@ -45,7 +46,7 @@ func TestParseArgsFailsFast(t *testing.T) {
 			t.Errorf("%q: err = %v, want one containing %q", c.args, err, c.want)
 		case c.want == "":
 			o := inv.opts
-			if inv.fig != "3" || o.Reps != 1 || o.Duration != 50*time.Millisecond || o.StallProb != 0.5 ||
+			if inv.fig != "3" || o.Reps != 1 || o.Duration != 50*time.Millisecond ||
 				strings.Join(o.Benchmarks, ",") != "list,kmeans" || len(o.Threads) != 2 || o.Threads[1] != 4 {
 				t.Errorf("%q parsed as fig %q, %+v", c.args, inv.fig, o)
 			}
@@ -58,7 +59,7 @@ func TestParseArgsFailsFast(t *testing.T) {
 // names every table driver plus the one value main handles itself.
 func TestFigureNamesCoverTheDriverTable(t *testing.T) {
 	got := strings.Split(strings.Replace(figureNames(), " or ", ", ", 1), ", ")
-	want := []string{"2", "3", "4", "5", "ext", "all", "chaos", "telemetry", "btree", "trace"}
+	want := []string{"2", "3", "4", "5", "ext", "all", "telemetry", "btree", "trace"}
 	if strings.Join(got, " ") != strings.Join(want, " ") {
 		t.Errorf("figureNames() lists %q, want %q", got, want)
 	}
@@ -88,16 +89,14 @@ func TestFlagConflict(t *testing.T) {
 		want string // substring of the error; "" = accepted
 	}{
 		{"defaults", flags(), modes{fig: "all"}, ""},
-		{"chaos knob without -chaos", flags("fig", "stall-prob"), modes{fig: "2"}, "-stall-prob has no effect without -chaos"},
-		{"chaos knob with -chaos", flags("fig", "stall-prob"), modes{fig: "2", chaos: true}, ""},
+		{"telemetry knob without -fig telemetry", flags("fig", "telemetry-manager"), modes{fig: "2"}, "-telemetry-manager has no effect without -fig telemetry"},
+		{"telemetry knob with -fig telemetry", flags("fig", "telemetry-manager"), modes{fig: "telemetry"}, ""},
 		{"trace-out with bare -trace", flags("trace-out"), modes{fig: "trace", trace: true}, ""},
 		{"btree pins its axes", flags("fig", "bench"), modes{fig: "btree"}, "-bench has no effect with -fig btree"},
 		// Figure 5 runs at -fig5-threads; -threads used to be dropped silently.
 		{"-fig 5 -threads", flags("fig", "threads"), modes{fig: "5"}, "-threads has no effect"},
 		{"-fig 5 -fig5-threads", flags("fig", "fig5-threads"), modes{fig: "5"}, ""},
-		// The chaos matrix sweeps every -threads entry and ext averages over
-		// -reps (harness: TestChaosSweepRendersMatrix, TestExtendedAveragesOverReps).
-		{"-fig chaos -threads 2,4", flags("fig", "threads"), modes{fig: "chaos"}, ""},
+		// ext averages over -reps (harness: TestExtendedAveragesOverReps).
 		{"-fig ext -reps", flags("fig", "reps"), modes{fig: "ext"}, ""},
 		{"-fig all -threads", flags("fig", "threads"), modes{fig: "all"}, ""},
 	} {

@@ -45,9 +45,6 @@ func NewPolite() *Polite { return &Polite{Rounds: 8} }
 
 // Resolve implements stm.ContentionManager.
 func (p *Polite) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	if attempt > p.Rounds {
 		return stm.AbortEnemy, 0
 	}
@@ -72,9 +69,6 @@ func NewBackoff() *Backoff { return &Backoff{} }
 
 // Resolve implements stm.ContentionManager.
 func (b *Backoff) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	return stm.AbortSelf, 0
 }
 

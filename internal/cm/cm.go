@@ -6,9 +6,9 @@
 // Scherer & Scott (PODC'05) and Guerraoui, Herlihy & Pochon (PODC'05),
 // which are the papers the evaluated DSTM2 implementations came from.
 //
-// Every Resolve consults stm.FallbackResolve before its own policy: a
-// transaction holding the runtime's serialized-fallback token wins all
-// conflicts, which is what turns the managers' statistical fairness into a
+// No manager sees a conflict that involves the runtime's serialized-fallback
+// token: the runtime decides those in the holder's favor before asking the
+// manager, which is what turns the managers' statistical fairness into a
 // hard per-transaction progress guarantee (see wincm/internal/stm,
 // fallback.go).
 package cm
@@ -74,9 +74,6 @@ type Aggressive struct{ stm.NopManager }
 
 // Resolve implements stm.ContentionManager.
 func (Aggressive) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	return stm.AbortEnemy, 0
 }
 
@@ -86,8 +83,5 @@ type Timid struct{ stm.NopManager }
 
 // Resolve implements stm.ContentionManager.
 func (Timid) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	return stm.AbortSelf, 0
 }

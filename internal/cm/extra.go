@@ -52,9 +52,6 @@ func (r *RandomizedRounds) Aborted(tx *stm.Tx) { r.draw(tx) }
 
 // Resolve implements stm.ContentionManager.
 func (r *RandomizedRounds) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	mine, theirs := tx.D.Aux.Load(), enemy.D.Aux.Load()
 	if mine < theirs || (mine == theirs && tx.D.ID.Load() < enemy.D.ID.Load()) {
 		return stm.AbortEnemy, 0
@@ -94,9 +91,6 @@ func (s *SizeMatters) Opened(tx *stm.Tx) { tx.D.Karma.Add(1) }
 
 // Resolve implements stm.ContentionManager.
 func (s *SizeMatters) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	mine, theirs := tx.D.Karma.Load(), enemy.D.Karma.Load()
 	if mine > theirs || (mine == theirs && tx.D.ID.Load() < enemy.D.ID.Load()) {
 		return stm.AbortEnemy, 0
@@ -140,9 +134,6 @@ func pressure(tx *stm.Tx) int64 {
 
 // Resolve implements stm.ContentionManager.
 func (e *Eruption) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	if pressure(tx) > pressure(enemy) || (pressure(tx) == pressure(enemy) && tx.D.ID.Load() < enemy.D.ID.Load()) {
 		return stm.AbortEnemy, 0
 	}
@@ -186,9 +177,6 @@ func (k *Kindergarten) Begin(tx *stm.Tx) {
 
 // Resolve implements stm.ContentionManager.
 func (k *Kindergarten) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	k.mu.Lock()
 	hit := k.yielded[tx.D.ID.Load()]
 	already := hit != nil && hit[enemy.D.ID.Load()]

@@ -24,9 +24,6 @@ func NewGreedy() *Greedy { return &Greedy{WaitSpan: baseWait} }
 
 // Resolve implements stm.ContentionManager.
 func (g *Greedy) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	if older(tx, enemy) || enemy.D.Waiting.Load() {
 		return stm.AbortEnemy, 0
 	}
@@ -51,9 +48,6 @@ func NewPriority() *Priority { return &Priority{WaitSpan: baseWait} }
 
 // Resolve implements stm.ContentionManager.
 func (p *Priority) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	if older(tx, enemy) {
 		return stm.AbortEnemy, 0
 	}
@@ -74,9 +68,6 @@ func NewTimestamp() *Timestamp { return &Timestamp{Rounds: 8} }
 
 // Resolve implements stm.ContentionManager.
 func (t *Timestamp) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	if older(tx, enemy) {
 		return stm.AbortEnemy, 0
 	}

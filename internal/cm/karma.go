@@ -23,9 +23,6 @@ func NewKarma() *Karma { return &Karma{WaitSpan: baseWait} }
 
 // Resolve implements stm.ContentionManager.
 func (k *Karma) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	mine := tx.D.Karma.Load() + int64(attempt-1)
 	theirs := enemy.D.Karma.Load()
 	if mine >= theirs {
@@ -58,9 +55,6 @@ func NewPolka() *Polka { return &Polka{MaxRounds: 16} }
 
 // Resolve implements stm.ContentionManager.
 func (p *Polka) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	gap := enemy.D.Karma.Load() - tx.D.Karma.Load()
 	if gap < 0 {
 		gap = 0

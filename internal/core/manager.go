@@ -391,12 +391,12 @@ func (m *Manager) Opened(*stm.Tx) {}
 // Resolve runs on tx's thread, and a thread's first Resolve is where it
 // enters the window: by the time priorities are compared tx has a
 // registered frame. An enemy still outside carries frame 0 and reads as
-// π⁽¹⁾ high, which is what its own entry would make it at q = 0.
+// π⁽¹⁾ high, which is what its own entry would make it at q = 0. A
+// conflict the serialized-fallback token decides never gets here (the
+// runtime settles it first), so it does not enter the window; Committed
+// copes with a token holder that is outside.
 func (m *Manager) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
 	m.conflict(m.threads[tx.D.ThreadID], tx.D)
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	cur := m.clock.Current()
 	mine := m.prio(cur, tx.D)
 	theirs := m.prio(cur, enemy.D)

@@ -3,12 +3,13 @@ package harness
 import (
 	"fmt"
 	"io"
+	"sort"
 	"strings"
 	"text/tabwriter"
 	"time"
 
 	"wincm/internal/bench"
-	"wincm/internal/chaos"
+	"wincm/internal/cm"
 	"wincm/internal/core"
 	"wincm/internal/stats"
 	"wincm/internal/telemetry"
@@ -24,6 +25,14 @@ func WindowVariantNames() []string {
 	return names
 }
 
+// ManagerNames lists every registered contention manager — the 13 classic
+// policies plus the 5 window-based variants — in sorted order.
+func ManagerNames() []string {
+	names := cm.Names()
+	sort.Strings(names)
+	return names
+}
+
 // ComparisonManagerNames lists Fig. 3–5's series: the two best window
 // variants against Polka, Greedy and Priority.
 func ComparisonManagerNames() []string {
@@ -33,8 +42,7 @@ func ComparisonManagerNames() []string {
 // Options parameterize the figure drivers. The zero value is filled with
 // CI-friendly defaults; PaperScale restores the paper's regime.
 type Options struct {
-	// Threads is the M sweep (Figs. 2–4). Default {1, 2, 4, 8, 16, 32};
-	// ChaosSweep defaults to {8}.
+	// Threads is the M sweep (Figs. 2–4). Default {1, 2, 4, 8, 16, 32}.
 	Threads []int
 	// Duration is each timed cell's run length. Default 300ms
 	// (paper: 10 s).
@@ -53,20 +61,6 @@ type Options struct {
 	KeyRange int
 	// Seed makes runs reproducible.
 	Seed uint64
-	// Chaos runs every cell under deterministic fault injection and arms
-	// the serialized-fallback budgets (see wincm/internal/chaos).
-	Chaos bool
-	// ChaosSeed seeds the fault schedules (0 = derive from Seed).
-	ChaosSeed uint64
-	// StallProb overrides the default stall-injection probability
-	// (0 = the chaos default of 1%).
-	StallProb float64
-	// MaxAttempts overrides the fallback attempt budget in chaos runs
-	// (0 = default 64; negative disables the budget).
-	MaxAttempts int
-	// TxDeadline overrides the fallback deadline budget in chaos runs
-	// (0 = default 250ms; negative disables the budget).
-	TxDeadline time.Duration
 	// Hub, when non-nil, receives a fresh telemetry registry for every
 	// experiment cell, so a long figure sweep is scrapeable live: the
 	// winbench -telemetry-addr endpoint always serves the cell currently
@@ -85,69 +79,18 @@ type Options struct {
 	Trace *TraceConfig
 }
 
-// defaultChaosAttempts and defaultChaosDeadline are the fallback budgets
-// armed in chaos runs when the options don't override them: generous
-// enough that the managers' own policies decide virtually all conflicts,
-// tight enough that an injected worst-case schedule drains in bounded
-// time.
-const (
-	defaultChaosAttempts = 64
-	defaultChaosDeadline = 250 * time.Millisecond
-)
-
-// chaosConfig builds the per-cell injector configuration, or nil when
-// chaos is off.
-func (o Options) chaosConfig(threads int) *chaos.Config {
-	if !o.Chaos {
-		return nil
-	}
-	cfg := chaos.DefaultConfig(threads)
-	cfg.Seed = o.ChaosSeed
-	if cfg.Seed == 0 {
-		cfg.Seed = o.Seed
-	}
-	if o.StallProb > 0 {
-		cfg.StallProb = o.StallProb
-	}
-	return &cfg
-}
-
-// chaosBudgets resolves the fallback budgets for chaos cells.
-func (o Options) chaosBudgets() (maxAttempts int, deadline time.Duration) {
-	if !o.Chaos {
-		return 0, 0
-	}
-	maxAttempts, deadline = o.MaxAttempts, o.TxDeadline
-	if maxAttempts == 0 {
-		maxAttempts = defaultChaosAttempts
-	} else if maxAttempts < 0 {
-		maxAttempts = 0
-	}
-	if deadline == 0 {
-		deadline = defaultChaosDeadline
-	} else if deadline < 0 {
-		deadline = 0
-	}
-	return maxAttempts, deadline
-}
-
-// Config builds one experiment cell's Config from the sweep options,
-// carrying the chaos settings so every figure can be reproduced under fault
-// load. With a Hub attached, every cell gets a fresh telemetry registry and
-// installs it as the one live scrapes read. Drivers outside this package
+// Config builds one experiment cell's Config from the sweep options. With
+// a Hub attached, every cell gets a fresh telemetry registry and installs
+// it as the one live scrapes read. Drivers outside this package
 // (winbench's single-run modes) build their cells through it too, so they
-// inherit the same chaos/telemetry/trace wiring the figure sweeps get.
+// inherit the same telemetry/trace wiring the figure sweeps get.
 func (o Options) Config(manager string, threads int, seed uint64) Config {
 	o = o.withDefaults()
-	maxAttempts, deadline := o.chaosBudgets()
 	cfg := Config{
-		Manager:     manager,
-		Threads:     threads,
-		WindowN:     o.WindowN,
-		Seed:        seed,
-		Chaos:       o.chaosConfig(threads),
-		MaxAttempts: maxAttempts,
-		TxDeadline:  deadline,
+		Manager: manager,
+		Threads: threads,
+		WindowN: o.WindowN,
+		Seed:    seed,
 	}
 	if o.Hub != nil {
 		cfg.Telemetry = telemetry.NewRegistry()
@@ -231,9 +174,6 @@ func (o Options) Validate() error {
 				return fmt.Errorf("harness: %s entries must be >= 1 (got %d)", l.name, m)
 			}
 		}
-	}
-	if !(o.StallProb >= 0 && o.StallProb <= 1) { // also rejects NaN
-		return fmt.Errorf("harness: StallProb (-stall-prob) must be in [0, 1] (got %v)", o.StallProb)
 	}
 	for _, b := range o.Benchmarks {
 		if _, err := NewWorkload(b, o.throughputMix(), o.Seed); err != nil {

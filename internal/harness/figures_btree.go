@@ -25,7 +25,7 @@ func BTreeFig(o Options) ([]Table, error) {
 	for _, m := range threads {
 		t.Columns = append(t.Columns, fmt.Sprintf("rbtree M=%d", m), fmt.Sprintf("btree M=%d", m))
 	}
-	for _, mgr := range ChaosManagerNames() {
+	for _, mgr := range ManagerNames() {
 		row := []string{mgr}
 		for _, m := range threads {
 			for _, b := range []string{"rbtree", "btree"} {

@@ -64,13 +64,11 @@ func TestDriversValidateAfterDefaults(t *testing.T) {
 		{Options{KeyRange: -1}, "KeyRange"},
 		{Options{Threads: []int{2, 0}}, "Threads"},
 		{Options{BTreeThreads: []int{-1}}, "BTreeThreads"},
-		{Options{Chaos: true, StallProb: 7}, "StallProb"},
-		{Options{Chaos: true, StallProb: -0.5}, "StallProb"},
 		{Options{Benchmarks: []string{"list", "nosuch"}}, "nosuch"},
 		{Options{TelemetryManager: "nosuch"}, "nosuch"},
 	} {
 		for name, driver := range map[string]func(Options) ([]Table, error){
-			"Fig2": Fig2, "ChaosSweep": ChaosSweep, "TelemetryFig": TelemetryFig, "BTreeFig": BTreeFig,
+			"Fig2": Fig2, "TelemetryFig": TelemetryFig, "BTreeFig": BTreeFig,
 		} {
 			if _, err := driver(c.o); err == nil || !strings.Contains(err.Error(), c.want) {
 				t.Errorf("%s(%+v): err = %v, want one naming %q", name, c.o, err, c.want)
@@ -105,9 +103,16 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
+// TestStmOptions: a cell with no registry and no trace builds its runtime
+// with no probe, so the hot path pays the probe nil check and nothing else.
 func TestStmOptions(t *testing.T) {
-	if opts, inj := (Config{}).stmOptions(); len(opts) != 0 || inj != nil {
-		t.Error("default produced options or an injector")
+	c := Config{Manager: "polka", Threads: 1}
+	mgr, err := c.NewManager()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rt, _ := c.instrument(mgr); rt.Probe() != nil {
+		t.Error("a plain cell installed a probe")
 	}
 }
 
@@ -128,7 +133,7 @@ func TestBTreeFigRendersOneTable(t *testing.T) {
 	if got, want := strings.Join(tbl.Columns, ","), "manager,rbtree M=2,btree M=2,rbtree M=4,btree M=4"; got != want {
 		t.Errorf("columns = %s, want %s", got, want)
 	}
-	names := ChaosManagerNames()
+	names := ManagerNames()
 	if len(tbl.Rows) != len(names) {
 		t.Fatalf("got %d rows, want %d (one per registered manager)", len(tbl.Rows), len(names))
 	}
@@ -242,20 +247,5 @@ func TestExtendedAveragesOverReps(t *testing.T) {
 		if want := fmt.Sprintf("list/online-dynamic/M=4/seed=%d", 9+rep*1_000_003); cell != want {
 			t.Errorf("rep %d ran %s, want %s", rep, cell, want)
 		}
-	}
-}
-
-// TestChaosSweepDefaultThreads: with no thread list the robustness matrix
-// runs at M=8 alone, not the figure sweeps' six thread counts.
-func TestChaosSweepDefaultThreads(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full-matrix sweep is not short")
-	}
-	tables, err := ChaosSweep(Options{Duration: 10 * time.Millisecond, Benchmarks: []string{"list"}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(tables) != 1 || !strings.Contains(tables[0].Title, "M=8") {
-		t.Fatalf("default sweep rendered %d tables (first %q), want one at M=8", len(tables), tables[0].Title)
 	}
 }

@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"wincm/internal/chaos"
 	"wincm/internal/core"
 	"wincm/internal/stm"
 	"wincm/internal/telemetry"
@@ -46,26 +45,10 @@ type Config struct {
 	WindowN int
 	// Seed drives all workload randomness.
 	Seed uint64
-	// Chaos, when non-nil, installs a deterministic fault injector with
-	// this configuration on the runtime (stalls, spurious aborts, delays,
-	// decision perturbation — see wincm/internal/chaos).
-	Chaos *chaos.Config
-	// MaxAttempts arms the STM's serialized-fallback attempt budget
-	// (0 = disabled).
-	MaxAttempts int
-	// TxDeadline arms the serialized-fallback deadline budget
-	// (0 = disabled).
-	TxDeadline time.Duration
-	// WatchdogInterval overrides the progress watchdog's sampling period
-	// (0 = the stm default). Deterministic-replay tests set this very
-	// large so wall-clock watchdog rescues can't perturb the fault
-	// schedule.
-	WatchdogInterval time.Duration
 	// Telemetry, when non-nil, receives this run's live instruments: the
 	// transaction counters and histograms, the hot-path probe, the
 	// manager's introspection gauges (for telemetry.GaugeSource
-	// managers), and — when chaos or a watchdog is active — their fault
-	// and trip counters. With nil the run registers the same instruments
+	// managers). With nil the run registers the same instruments
 	// on a private registry (Result.Summary is read from it either way)
 	// but installs no probe: the hot path pays the existing probe nil
 	// check and nothing else.
@@ -79,36 +62,11 @@ type Config struct {
 	Trace *TraceConfig
 }
 
-// watched reports whether the run needs a progress watchdog: any fault
-// injection or fallback budget implies we must prove liveness.
-func (c Config) watched() bool {
-	return c.Chaos != nil || c.MaxAttempts > 0 || c.TxDeadline > 0
-}
-
 // interleave makes every k-th transactional open yield the processor so
 // transactions overlap at fine grain even when GOMAXPROCS is smaller than
 // Threads (the paper oversubscribed 4 cores with 32 threads; a single-core
 // machine needs this to exhibit contention at all).
 const interleave = 8
-
-// stmOptions translates the Config into runtime options; the returned
-// injector is non-nil when fault injection is enabled. The probe is NOT
-// installed here — instrument combines it with the telemetry probe first.
-func (c Config) stmOptions() ([]stm.Option, *chaos.Injector) {
-	var opts []stm.Option
-	if c.MaxAttempts > 0 || c.TxDeadline > 0 {
-		opts = append(opts, stm.WithFallback(c.MaxAttempts, c.TxDeadline))
-	}
-	var inj *chaos.Injector
-	if c.Chaos != nil {
-		cfg := *c.Chaos
-		if cfg.Threads == 0 {
-			cfg.Threads = c.Threads
-		}
-		inj = chaos.New(cfg)
-	}
-	return opts, inj
-}
 
 // NewManager builds the configured contention manager (core.NewNamed:
 // WindowN reaches window variants, classic managers ignore it).
@@ -120,8 +78,7 @@ func (c Config) NewManager() (stm.ContentionManager, error) {
 // Result is the outcome of one run.
 type Result struct {
 	// Summary is the view of the run's final telemetry snapshot: the
-	// transaction counters every worker recorded into, plus the chaos and
-	// watchdog counters when either was active.
+	// transaction counters every worker recorded into.
 	telemetry.Summary
 	// Series is the interval time series sampled during the run, present
 	// when Config.TelemetryInterval was set.
@@ -132,12 +89,10 @@ type Result struct {
 	Trace *txtrace.Collector
 }
 
-// instruments bundles one run's observability plumbing: the fault
-// injector, the progress watchdog, the registry and transaction stats the
-// worker loop records into, and the interval sampler.
+// instruments bundles one run's observability plumbing: the registry and
+// transaction stats the worker loop records into, the interval sampler and
+// the flight recorder's collector.
 type instruments struct {
-	inj       *chaos.Injector
-	wd        *stm.Watchdog
 	reg       *telemetry.Registry
 	tx        *telemetry.TxStats
 	sampler   *telemetry.Sampler
@@ -145,36 +100,28 @@ type instruments struct {
 	traceStop func() // stops the trace poller (nil when tracing is off)
 }
 
-// instrument builds the runtime plus the run's instruments: fault
-// injector and telemetry probe share the runtime's single probe slot
-// (injector first, so telemetry observes the schedule that actually
-// executes), transaction stats and manager/chaos/watchdog gauges land in
-// the run's registry, and the interval sampler starts last so its first
-// point sees every instrument registered. Every run has a registry —
-// Result.Summary is read from it — and registers the same instruments on
-// it; only the hot-path probe, which costs something while the run
-// executes, waits for a caller who brought a registry to watch.
+// instrument builds the runtime plus the run's instruments: the telemetry
+// probe and the flight recorder share the runtime's single probe slot,
+// transaction stats and manager gauges land in the run's registry, and the
+// interval sampler starts last so its first point sees every instrument
+// registered. Every run has a registry — Result.Summary is read from it —
+// and registers the same instruments on it; only the hot-path probe, which
+// costs something while the run executes, waits for a caller who brought a
+// registry to watch.
 func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instruments) {
-	opts, inj := c.stmOptions()
 	reg := c.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
-	ins := &instruments{inj: inj, reg: reg, tx: telemetry.NewTxStats(reg, c.Threads)}
+	ins := &instruments{reg: reg, tx: telemetry.NewTxStats(reg, c.Threads)}
 	var probe stm.Probe
-	if inj != nil {
-		probe = inj
-		registerChaosGauges(reg, inj)
-	}
 	if c.Telemetry != nil {
-		probe = stm.CombineProbes(probe, telemetry.NewProbe(reg, c.Threads))
+		probe = telemetry.NewProbe(reg, c.Threads)
 	}
 	if gs, ok := mgr.(telemetry.GaugeSource); ok {
 		reg.RegisterGauges(gs)
 	}
 	if tc := c.Trace; tc != nil {
-		// The recorder chains last so it observes the schedule the runtime
-		// actually executes — including chaos-perturbed decisions.
 		rec := txtrace.NewRecorder(c.Threads, tc.Sample, txtrace.DefaultRingCap)
 		probe = stm.CombineProbes(probe, rec)
 		ins.collector = txtrace.NewCollector(rec, txtrace.DefaultKeep)
@@ -186,26 +133,12 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 		}
 		ins.traceStop = startTracePoller(ins.collector)
 	}
+	var opts []stm.Option
 	if probe != nil {
 		opts = append(opts, stm.WithProbe(probe))
 	}
 	rt := stm.New(c.Threads, mgr, opts...)
 	rt.SetYieldEvery(interleave)
-	if c.watched() {
-		wd := rt.StartWatchdog(c.WatchdogInterval)
-		ins.wd = wd
-		reg.RegisterGauge(telemetry.NewGauge("wincm_watchdog_trips",
-			"no-progress intervals observed by the watchdog",
-			func() float64 { return float64(wd.Trips()) }))
-	}
-	reg.RegisterGauge(telemetry.NewGauge("wincm_fallback_held",
-		"1 while a transaction holds the serialized-fallback token",
-		func() float64 {
-			if rt.FallbackHolder() != nil {
-				return 1
-			}
-			return 0
-		}))
 	reg.RegisterGauge(telemetry.NewGauge("wincm_locator_retired",
 		"locators retired and awaiting a grace period before reuse",
 		func() float64 { return float64(rt.RetiredLocators()) }))
@@ -215,39 +148,12 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 	return rt, ins
 }
 
-// registerChaosGauges exposes the fault injector's live counters so one
-// scrape covers the chaos layer and the telemetry layer together.
-func registerChaosGauges(reg *telemetry.Registry, inj *chaos.Injector) {
-	reg.RegisterGauge(telemetry.NewGauge("wincm_chaos_stalls",
-		"mid-flight stalls injected", func() float64 { return float64(inj.Stats().Stalls) }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_chaos_spurious_aborts",
-		"attempts killed spuriously", func() float64 { return float64(inj.Stats().SpuriousAborts) }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_chaos_delays",
-		"randomized delays injected", func() float64 { return float64(inj.Stats().Delays) }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_chaos_perturbs",
-		"contention-manager decisions replaced", func() float64 { return float64(inj.Stats().Perturbs) }))
-}
-
-// finish stops the instrumentation, proves quiescence (no transaction
-// permanently stuck), reads the summary off the final snapshot and runs the
-// workload's invariant check. The sampler stops first so its final point
-// still sees the watchdog and injector live; the snapshot is taken after
-// both have stopped, so their gauges read final values.
+// finish stops the instrumentation, reads the summary off the final
+// snapshot and runs the workload's invariant check.
 func (c Config) finish(res *Result, ins *instruments, w Workload, wall time.Duration) error {
 	if ins.sampler != nil {
 		ins.sampler.Stop()
 		res.Series = ins.sampler.Points()
-	}
-	if wd := ins.wd; wd != nil {
-		wd.Stop()
-		if !wd.Quiescent() {
-			return fmt.Errorf("harness: %s under %s not quiescent after join: a transaction is permanently stuck", w.Name(), c.Manager)
-		}
-	}
-	if inj := ins.inj; inj != nil {
-		// Drain in-flight injected faults before reading the counters so a
-		// back-to-back run can't inherit a stall still sleeping here.
-		inj.Shutdown()
 	}
 	res.Summary = ins.reg.Snapshot().Summary(c.Threads, wall)
 	if ins.traceStop != nil {

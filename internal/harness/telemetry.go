@@ -60,8 +60,8 @@ func seriesCounter(p telemetry.Point, name string) int64 { return p.Counters[nam
 func seriesTable(pts []telemetry.Point, benchmark, manager string, threads int) Table {
 	t := Table{
 		Title: fmt.Sprintf("Telemetry: interval series — %s under %s, M=%d", benchmark, manager, threads),
-		Columns: []string{"t_ms", "commits/s", "aborts/commit", "fallbacks",
-			"wd-trips", "frame", "frame-pending", "C-max", "alpha-max", "collisions"},
+		Columns: []string{"t_ms", "commits/s", "aborts/commit",
+			"frame", "frame-pending", "C-max", "alpha-max", "collisions"},
 	}
 	var prev telemetry.Point
 	for i, p := range pts {
@@ -79,8 +79,6 @@ func seriesTable(pts []telemetry.Point, benchmark, manager string, threads int) 
 			fmt.Sprintf("%d", p.At.Milliseconds()),
 			fmt.Sprintf("%.0f", float64(dCommits)/span),
 			fmt.Sprintf("%.2f", apc),
-			fmt.Sprintf("%d", seriesCounter(p, "wincm_fallback_commits_total")),
-			fmt.Sprintf("%.0f", p.Gauges["wincm_watchdog_trips"]),
 			fmt.Sprintf("%.0f", p.Gauges["wincm_window_frame"]),
 			fmt.Sprintf("%.0f", p.Gauges["wincm_window_frame_pending"]),
 			fmt.Sprintf("%.1f", p.Gauges["wincm_window_c_max"]),

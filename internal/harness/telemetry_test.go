@@ -79,42 +79,6 @@ func TestTelemetryFigDefaultManager(t *testing.T) {
 	}
 }
 
-// TestTelemetryWithChaos: with fault injection on, the chaos counters
-// appear in the same registry as the STM counters (one scrape covers
-// both) and the snapshot-derived summary sees them.
-func TestTelemetryWithChaos(t *testing.T) {
-	o := Options{
-		Benchmarks: []string{"list"},
-		Threads:    []int{4},
-		Duration:   60 * time.Millisecond,
-		Reps:       1,
-		Seed:       7,
-		Chaos:      true,
-	}
-	hub := telemetry.NewHub()
-	o.Hub = hub
-	if _, err := TelemetryFig(o); err != nil {
-		t.Fatal(err)
-	}
-	snap := hub.Current().Snapshot()
-	for _, g := range []string{
-		"wincm_chaos_stalls", "wincm_chaos_spurious_aborts",
-		"wincm_chaos_delays", "wincm_chaos_perturbs",
-		"wincm_watchdog_trips", "wincm_fallback_held",
-	} {
-		if _, ok := snap.Gauges[g]; !ok {
-			t.Errorf("gauge %s not registered under chaos", g)
-		}
-	}
-	if snap.Gauges["wincm_chaos_stalls"]+snap.Gauges["wincm_chaos_spurious_aborts"]+
-		snap.Gauges["wincm_chaos_delays"]+snap.Gauges["wincm_chaos_perturbs"] == 0 {
-		t.Error("chaos cell injected no faults at all")
-	}
-	if snap.Counters["wincm_commits_total"] == 0 {
-		t.Error("no commits recorded")
-	}
-}
-
 // TestRunTimedAttachesSeries: any figure run with a registry and interval
 // configured gets the sampled series on its Result.
 func TestRunTimedAttachesSeries(t *testing.T) {

@@ -8,10 +8,9 @@ import (
 )
 
 // TraceConfig arms the transaction flight recorder (wincm/internal/txtrace)
-// for a run: the recorder joins the runtime's probe chain last (so it
-// records the schedule that actually executes, chaos perturbations
-// included), frame advances land on its auxiliary track, and a background
-// poller drains the rings for the run's Collector.
+// for a run: the recorder joins the runtime's probe chain, frame advances
+// land on its auxiliary track, and a background poller drains the rings for
+// the run's Collector.
 type TraceConfig struct {
 	// Sample records one logical transaction in Sample (<= 1 records
 	// every transaction). The paper-style debugging runs use 1; overhead

@@ -34,8 +34,8 @@ import "sync/atomic"
 //
 // Pins are attempt-long on purpose: one seq-cst store per attempt start
 // and one per attempt end, instead of bracketing every locator access.
-// The price is that a stalled attempt (a contention-manager wait, a chaos
-// stall) delays reclamation; the pool bounds the damage by dropping the
+// The price is that a stalled attempt (a contention-manager wait, a
+// probe that sleeps) delays reclamation; the pool bounds the damage by dropping the
 // oldest sealed batch to the GC when its ring fills (pool.go), so memory
 // stays bounded even when grace never comes.
 //

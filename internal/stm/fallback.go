@@ -11,11 +11,13 @@ import (
 // Aggressive can livelock (the reason the paper's window managers exist).
 // The fallback token turns that into a hard guarantee: a transaction that
 // exhausts its attempt or deadline budget acquires the runtime-wide token,
-// and every contention manager resolves token conflicts in the holder's
-// favor before consulting its own policy (FallbackResolve). At most one
-// transaction holds the token, so the escape hatch serializes starving
-// transactions; the common case stays obstruction-free because the token is
-// untouched until a budget trips.
+// and the runtime decides every conflict that involves the holder in the
+// holder's favor before the contention manager is consulted
+// (fallbackResolve, called from resolve). No manager can override that, so
+// the guarantee holds for any policy. At most one transaction holds the
+// token, so the escape hatch serializes starving transactions; the common
+// case stays obstruction-free because the token is untouched until a budget
+// trips.
 //
 // The token is a pointer to the holder's Desc rather than a flag so that
 // stale grants are detectable: a Desc that is no longer in flight cannot
@@ -39,21 +41,19 @@ func WithFallback(maxAttempts int, deadline time.Duration) Option {
 }
 
 // FallbackHolder returns the descriptor currently holding the serialized
-// fallback token, or nil. Diagnostics and tests only; managers should use
-// FallbackResolve.
+// fallback token, or nil. Diagnostics and tests only.
 func (rt *Runtime) FallbackHolder() *Desc { return rt.fallback.Load() }
 
 // HoldsFallback reports whether this attempt's transaction holds the
 // serialized-fallback token.
 func (tx *Tx) HoldsFallback() bool { return tx.rt.fallback.Load() == tx.D }
 
-// FallbackResolve returns the decision the serialized-fallback token
-// imposes on a conflict, if any. Every contention manager must call it
-// first and return its result when ok is true; ok false means no token is
-// involved and the manager's own policy applies. The token holder always
-// wins: it aborts any enemy, and an attacker conflicting with the holder
-// polls until the holder is done.
-func FallbackResolve(tx, enemy *Tx) (dec Decision, wait time.Duration, ok bool) {
+// fallbackResolve returns the decision the serialized-fallback token
+// imposes on a conflict, if any; ok false means no token is involved and
+// the contention manager decides. The token holder always wins: it aborts
+// any enemy, and an attacker conflicting with the holder polls until the
+// holder is done.
+func fallbackResolve(tx, enemy *Tx) (dec Decision, wait time.Duration, ok bool) {
 	h := tx.rt.fallback.Load()
 	if h == nil {
 		return 0, 0, false

@@ -12,14 +12,11 @@ import (
 // whenever thread 0 is the attacker it aborts itself, and whenever it is
 // the enemy it is killed. Without the fallback token thread 0 can never
 // commit while others are active — the adversarial schedule Polka's
-// starvation risk amounts to. It consults FallbackResolve first, like
-// every real manager.
+// starvation risk amounts to. It never looks at the fallback token: the
+// runtime decides token conflicts before any manager is asked.
 type starver struct{ stm.NopManager }
 
 func (starver) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if dec, wait, ok := stm.FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	if tx.D.ThreadID == 0 {
 		return stm.AbortSelf, 0
 	}
@@ -68,6 +65,68 @@ func TestFallbackBreaksStarvation(t *testing.T) {
 	}
 	if got := v.Peek(); got < 1000 {
 		t.Errorf("counter = %d, want ≥ 1000 (thread 0's commit missing)", got)
+	}
+}
+
+// waiter is a contention manager that answers every conflict, from either
+// side, with a short Wait and never consults the fallback token. Two
+// transactions that each wait for the other wait forever under it.
+type waiter struct{ stm.NopManager }
+
+func (waiter) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
+	return stm.Wait, time.Microsecond
+}
+
+// TestFallbackOverridesManager: the token's precedence does not depend on
+// the manager. Thread 0 burns its attempt budget and takes the token; then
+// both threads read v and both write it, so each write meets the other's
+// visible read and the waiter manager parks both attempts on each other.
+// The runtime decides the token holder's conflicts before the manager is
+// asked, so thread 0 aborts thread 1, commits, and thread 1's retry commits
+// after it.
+func TestFallbackOverridesManager(t *testing.T) {
+	const budget = 4
+	rt := stm.New(2, waiter{}, stm.WithFallback(budget, 0))
+	v := stm.NewTVar(0)
+	read := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+	var infos [2]stm.TxInfo
+	var wg sync.WaitGroup
+	for i := range 2 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			synced := false
+			infos[i] = rt.Thread(i).Atomic(func(tx *stm.Tx) {
+				if i == 0 && !tx.HoldsFallback() {
+					tx.Abort()
+					stm.Read(tx, v) // dead-attempt check unwinds into a retry
+				}
+				x := stm.Read(tx, v)
+				if !synced {
+					// Both reads are visible before either write.
+					synced = true
+					close(read[i])
+					<-read[1-i]
+				}
+				stm.Write(tx, v, x+1)
+			})
+		}()
+	}
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatal("livelock: the token holder and its enemy waited on each other under a manager that only waits")
+	}
+	if !infos[0].Fallback || infos[0].Attempts != budget+1 {
+		t.Errorf("thread 0 committed after %d attempts, fallback %v; want %d attempts with the token", infos[0].Attempts, infos[0].Fallback, budget+1)
+	}
+	if got := v.Peek(); got != 2 {
+		t.Errorf("counter = %d, want 2", got)
+	}
+	if rt.FallbackHolder() != nil {
+		t.Errorf("fallback token still held after both commits")
 	}
 }
 

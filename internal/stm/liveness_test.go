@@ -19,9 +19,6 @@ func (karmaTied) Opened(tx *Tx)    { tx.D.Karma.Add(1) }
 func (karmaTied) Committed(tx *Tx) { tx.D.Karma.Store(0) }
 func (karmaTied) Aborted(tx *Tx)   {}
 func (karmaTied) Resolve(tx, enemy *Tx, kind Kind, attempt int) (Decision, time.Duration) {
-	if dec, wait, ok := FallbackResolve(tx, enemy); ok {
-		return dec, wait
-	}
 	if tx.D.Karma.Load()+int64(attempt-1) >= enemy.D.Karma.Load() {
 		return AbortEnemy, 0
 	}

@@ -183,8 +183,8 @@ func (p *locatorPool[T]) retireFolded(tx *Tx, l *locator[T]) {
 // reclaim whatever is already past grace.
 func (p *locatorPool[T]) seal(tx *Tx) {
 	if p.nSealed == maxSealedBatches {
-		// Grace has stalled (a pinned thread is asleep in a wait or a
-		// chaos stall). Drop the oldest batch to the GC: safe — dropping
+		// Grace has stalled (a pinned thread is asleep in a wait or in
+		// a probe). Drop the oldest batch to the GC: safe — dropping
 		// only forgoes recycling — and it bounds pool memory.
 		p.popSealed()
 		p.bypass = graceStallBypass

@@ -2,26 +2,20 @@ package stm
 
 import "time"
 
-// Probe receives callbacks from the runtime's fault-injection points. It
-// exists so a chaos layer (wincm/internal/chaos) can inject delays, spurious
-// aborts, mid-flight stalls and contention-manager-decision perturbations
-// without the STM knowing anything about fault policies.
+// Probe receives callbacks from the runtime's observation points: attempt
+// begin, commit and abort, and every conflict decision. Telemetry and trace
+// recorders implement it; the STM knows nothing about what they record.
 //
 // A probe that wants a call at every transactional open implements OpenProbe
 // as well; one that does not pays nothing per open.
 //
-// All hooks except PerturbResolve run on the transaction's own thread, after
-// every variable lock has been released, so a probe may sleep for arbitrary
-// (finite) spans — that is exactly how stalls are simulated. A probe may
-// also abort the attempt with tx.Abort(); the runtime discovers the abort at
-// its next liveness check and restarts the attempt, indistinguishable from a
-// remote abort by an enemy.
-//
-// PerturbResolve runs on the attacker's thread immediately after the
-// contention manager returned its decision and may replace it. A perturbed
-// decision must stay finite (no unbounded waits) and must not override the
-// serialized-fallback token (see FallbackResolve) or it voids the runtime's
-// progress guarantee.
+// All hooks except OnResolve run on the transaction's own thread, after
+// every variable lock has been released. A probe may sleep for (finite)
+// spans or abort the attempt with tx.Abort(); the runtime discovers the
+// abort at its next liveness check and restarts the attempt,
+// indistinguishable from a remote abort by an enemy. No hook can change a
+// conflict's outcome: the fallback token and the contention manager decide,
+// and OnResolve only sees the verdict.
 type Probe interface {
 	// OnBegin runs at the start of every attempt, right after the
 	// contention manager's Begin hook and before the first open. Trace
@@ -34,17 +28,18 @@ type Probe interface {
 	OnCommit(tx *Tx)
 	// OnAbort runs after an attempt aborted and released its objects.
 	OnAbort(tx *Tx)
-	// PerturbResolve may replace the contention manager's decision for one
-	// conflict. Implementations return dec and wait unchanged to pass.
-	PerturbResolve(tx, enemy *Tx, kind Kind, attempt int, dec Decision, wait time.Duration) (Decision, time.Duration)
+	// OnResolve runs on the attacker's thread once a conflict is decided
+	// (by the fallback token or the contention manager) and before the
+	// decision is carried out.
+	OnResolve(tx, enemy *Tx, kind Kind, dec Decision, wait time.Duration)
 }
 
 // OpenProbe is the optional per-open half of the probe contract: a Probe
 // that also implements it is called at every transactional open. It is
 // separate because it is the expensive half — a list transaction performs
 // one open per node, so even a no-op interface call per open is a
-// measurable tax. A chaos injector that stalls inside opens implements it;
-// a pure telemetry recorder that folds its open tallies in at attempt end
+// measurable tax. A trace recorder that logs opens implements it; a pure
+// telemetry recorder that folds its open tallies in at attempt end
 // (see wincm/internal/telemetry) does not, and the runtime then skips the
 // per-open dispatch entirely.
 type OpenProbe interface {
@@ -57,9 +52,9 @@ type OpenProbe interface {
 	OnAcquire(tx *Tx)
 }
 
-// WithProbe installs a fault-injection probe on the runtime. The hot paths
-// pay one nil check when no probe is installed, and opens pay no more than
-// that unless the probe is an OpenProbe.
+// WithProbe installs a probe on the runtime. The hot paths pay one nil
+// check when no probe is installed, and opens pay no more than that unless
+// the probe is an OpenProbe.
 func WithProbe(p Probe) Option {
 	return func(rt *Runtime) {
 		rt.probe = p
@@ -71,9 +66,8 @@ func WithProbe(p Probe) Option {
 func (rt *Runtime) Probe() Probe { return rt.probe }
 
 // probeChain fans probe callbacks out to two probes in order. It is how a
-// fault injector and a telemetry recorder share the runtime's single probe
-// slot: the injector runs first so the recorder observes the schedule the
-// runtime actually executes (including perturbed decisions).
+// telemetry recorder and a trace recorder share the runtime's single probe
+// slot.
 type probeChain struct {
 	first, second Probe
 }
@@ -90,10 +84,8 @@ type openPair struct {
 	first, second OpenProbe
 }
 
-// CombineProbes returns a probe that invokes a then b at every hook.
-// PerturbResolve threads the decision through both, a first — so if a is a
-// chaos injector and b a telemetry recorder, b sees a's perturbed
-// decision. A nil argument is skipped; two nils yield nil, preserving the
+// CombineProbes returns a probe that invokes a then b at every hook. A nil
+// argument is skipped; two nils yield nil, preserving the
 // hot path's no-probe fast path. The open hooks go only to the halves that
 // implement OpenProbe, and the result is an OpenProbe only if one does.
 func CombineProbes(a, b Probe) Probe {
@@ -147,8 +139,8 @@ func (p probeChain) OnAbort(tx *Tx) {
 	p.second.OnAbort(tx)
 }
 
-// PerturbResolve implements Probe.
-func (p probeChain) PerturbResolve(tx, enemy *Tx, kind Kind, attempt int, dec Decision, wait time.Duration) (Decision, time.Duration) {
-	dec, wait = p.first.PerturbResolve(tx, enemy, kind, attempt, dec, wait)
-	return p.second.PerturbResolve(tx, enemy, kind, attempt, dec, wait)
+// OnResolve implements Probe.
+func (p probeChain) OnResolve(tx, enemy *Tx, kind Kind, dec Decision, wait time.Duration) {
+	p.first.OnResolve(tx, enemy, kind, dec, wait)
+	p.second.OnResolve(tx, enemy, kind, dec, wait)
 }

@@ -5,23 +5,21 @@ import (
 	"time"
 )
 
-// quietProbe records hook invocations and optionally rewrites decisions; it
-// has no open hooks.
+// quietProbe records hook invocations and the last decision it was shown;
+// it has no open hooks.
 type quietProbe struct {
 	log     *[]string
 	name    string
-	rewrite func(Decision, time.Duration) (Decision, time.Duration)
+	sawDec  Decision
+	sawWait time.Duration
 }
 
 func (p *quietProbe) OnBegin(*Tx)  { *p.log = append(*p.log, p.name+".begin") }
 func (p *quietProbe) OnCommit(*Tx) { *p.log = append(*p.log, p.name+".commit") }
 func (p *quietProbe) OnAbort(*Tx)  { *p.log = append(*p.log, p.name+".abort") }
-func (p *quietProbe) PerturbResolve(_, _ *Tx, _ Kind, _ int, dec Decision, wait time.Duration) (Decision, time.Duration) {
+func (p *quietProbe) OnResolve(_, _ *Tx, _ Kind, dec Decision, wait time.Duration) {
 	*p.log = append(*p.log, p.name+".resolve")
-	if p.rewrite != nil {
-		return p.rewrite(dec, wait)
-	}
-	return dec, wait
+	p.sawDec, p.sawWait = dec, wait
 }
 
 // recProbe is a quietProbe that also wants the per-open calls.
@@ -118,32 +116,23 @@ func TestOpenHookFree(t *testing.T) {
 
 func TestCombineProbesOrderAndThreading(t *testing.T) {
 	var log []string
-	injector := newRecProbe(&log, "inj")
-	injector.rewrite = func(Decision, time.Duration) (Decision, time.Duration) {
-		return Wait, 7 * time.Microsecond // perturb whatever the CM said
-	}
-	var sawDec Decision
-	var sawWait time.Duration
-	recorder := newRecProbe(&log, "rec")
-	recorder.rewrite = func(dec Decision, wait time.Duration) (Decision, time.Duration) {
-		sawDec, sawWait = dec, wait
-		return dec, wait
-	}
-	p := CombineProbes(injector, recorder)
+	first := newRecProbe(&log, "a")
+	second := newRecProbe(&log, "b")
+	p := CombineProbes(first, second)
 
 	tx := &Tx{D: &Desc{}}
 	p.(OpenProbe).OnOpen(tx)
 	p.(OpenProbe).OnAcquire(tx)
 	p.OnCommit(tx)
 	p.OnAbort(tx)
-	dec, wait := p.PerturbResolve(tx, tx, WriteWrite, 1, AbortEnemy, 0)
+	p.OnResolve(tx, tx, WriteWrite, Wait, 7*time.Microsecond)
 
 	want := []string{
-		"inj.open", "rec.open",
-		"inj.acquire", "rec.acquire",
-		"inj.commit", "rec.commit",
-		"inj.abort", "rec.abort",
-		"inj.resolve", "rec.resolve",
+		"a.open", "b.open",
+		"a.acquire", "b.acquire",
+		"a.commit", "b.commit",
+		"a.abort", "b.abort",
+		"a.resolve", "b.resolve",
 	}
 	if len(log) != len(want) {
 		t.Fatalf("log = %v", log)
@@ -153,12 +142,10 @@ func TestCombineProbesOrderAndThreading(t *testing.T) {
 			t.Fatalf("log[%d] = %q, want %q (full: %v)", i, log[i], want[i], log)
 		}
 	}
-	// The recorder must observe (and the chain return) the injector's
-	// perturbed decision, not the CM's original.
-	if sawDec != Wait || sawWait != 7*time.Microsecond {
-		t.Errorf("recorder saw %v/%v, want the perturbed Wait/7µs", sawDec, sawWait)
-	}
-	if dec != Wait || wait != 7*time.Microsecond {
-		t.Errorf("chain returned %v/%v", dec, wait)
+	// Both halves are shown the same decision.
+	for _, q := range []*recProbe{first, second} {
+		if q.sawDec != Wait || q.sawWait != 7*time.Microsecond {
+			t.Errorf("%s saw %v/%v, want Wait/7µs", q.name, q.sawDec, q.sawWait)
+		}
 	}
 }

@@ -11,7 +11,7 @@ import (
 )
 
 // TestStalledHolderRemoteAbortLiveness pins down the remote-abort liveness
-// property the chaos layer's stall injection relies on: a thread that
+// property a stalling probe relies on: a thread that
 // freezes mid-transaction *while owning acquired variables* (simulating a
 // preempted or crashed thread) must not block anyone — every other thread
 // commits by aborting the stalled enemy remotely with one CAS, and the

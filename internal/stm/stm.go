@@ -243,7 +243,7 @@ func (tx *Tx) EpochAdvances() int { return tx.epochAdvances }
 // open operation targets — the TVar a conflict discovered during this open
 // is over. It is populated only while a probe with live open hooks is
 // installed (the same gate as OnOpen), and is meaningful only inside probe
-// callbacks that run during an open: PerturbResolve and OnAcquire. The
+// callbacks that run during an open: OnResolve and OnAcquire. The
 // token is stable for the life of the variable and is never dereferenced;
 // probes use it purely as a map key for per-variable attribution.
 func (tx *Tx) OpenedVar() uint64 { return tx.openVar }
@@ -284,13 +284,12 @@ func (tx *Tx) beginAttempt() {
 }
 
 // Abort aborts tx's current attempt if it is still active. It is safe to
-// call from any goroutine; the chaos layer uses it to inject spurious
-// aborts. It reports whether this call performed the transition.
+// call from any goroutine, a probe's hooks included. It reports whether
+// this call performed the transition.
 //
 // Runtime-internal abort decisions do not use Abort: they CAS against a
 // status word captured when the enemy was discovered (abortWord), so they
-// cannot hit a later attempt. Abort targets whatever attempt is current,
-// which is exactly the semantics a fault injector wants.
+// cannot hit a later attempt. Abort targets whatever attempt is current.
 func (tx *Tx) Abort() bool {
 	for {
 		w := tx.status.Load()
@@ -325,7 +324,7 @@ type Runtime struct {
 	// locPooling gates locator recycling (see SetLocatorPooling).
 	locPooling atomic.Bool
 
-	// probe is the optional fault-injection layer (see probe.go).
+	// probe is the optional observer (see probe.go).
 	probe Probe
 	// openProbe is probe when it implements OpenProbe; otherwise it is nil
 	// and the per-open dispatch in Read/Write vanishes.
@@ -684,19 +683,24 @@ func (tx *Tx) checkAlive() {
 	}
 }
 
-// resolve consults the contention manager about the enemy attempt named by
-// the packed status word eword (captured when the conflict was discovered)
-// and carries out the decision. attempt counts consecutive resolutions
-// within one open operation, which Polka-style managers use as their
-// backoff round. An AbortEnemy decision CASes against eword, so it can
-// only kill the attempt that was actually observed — never a later
-// recycled attempt of the same Tx. resolve must be called while holding no
-// speculative invariants that a Wait could violate (it may sleep).
+// resolve decides the conflict with the enemy attempt named by the packed
+// status word eword (captured when the conflict was discovered) and carries
+// out the decision. The serialized-fallback token decides first
+// (fallbackResolve); only a conflict it leaves open reaches the contention
+// manager. attempt counts consecutive resolutions within one open
+// operation, which Polka-style managers use as their backoff round. An
+// AbortEnemy decision CASes against eword, so it can only kill the attempt
+// that was actually observed — never a later recycled attempt of the same
+// Tx. resolve must be called while holding no speculative invariants that a
+// Wait could violate (it may sleep).
 func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 	*attempt++
-	dec, wait := tx.rt.cm.Resolve(tx, enemy, kind, *attempt)
+	dec, wait, ok := fallbackResolve(tx, enemy)
+	if !ok {
+		dec, wait = tx.rt.cm.Resolve(tx, enemy, kind, *attempt)
+	}
 	if p := tx.rt.probe; p != nil {
-		dec, wait = p.PerturbResolve(tx, enemy, kind, *attempt, dec, wait)
+		p.OnResolve(tx, enemy, kind, dec, wait)
 	}
 	switch dec {
 	case AbortEnemy:

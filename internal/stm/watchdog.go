@@ -108,9 +108,8 @@ func (w *Watchdog) Stop() {
 func (w *Watchdog) Trips() int64 { return w.trips.Load() }
 
 // Quiescent reports whether the runtime has fully drained: no thread has a
-// transaction in flight and the fallback token is free. Harness runs call
-// it after joining all workers to prove no transaction is permanently
-// stuck.
+// transaction in flight and the fallback token is free. Call it after
+// joining all workers to prove no transaction is permanently stuck.
 func (w *Watchdog) Quiescent() bool {
 	rt := w.rt
 	for _, t := range rt.threads {

@@ -7,9 +7,8 @@ import (
 )
 
 // Probe instruments the STM hot path through the runtime's existing probe
-// seam (stm.Probe): open/acquire/commit/abort counts and, from
-// PerturbResolve's vantage point after any chaos perturbation, the final
-// contention-manager decision mix and the backoff-wait histogram.
+// seam (stm.Probe): open/acquire/commit/abort counts and, from OnResolve,
+// the conflict decision mix and the backoff-wait histogram.
 //
 // It deliberately does not implement stm.OpenProbe: opens and acquires are
 // tallied by the runtime on the attempt itself (stm.Tx.OpenCalls,
@@ -17,9 +16,6 @@ import (
 // pays nothing per open. Every recording hook is a handful of
 // single-writer sharded updates — no locks, no allocation, no locked bus
 // cycles.
-//
-// Chain it behind a chaos injector with stm.CombineProbes so the recorded
-// decisions are the ones the runtime actually executes.
 type Probe struct {
 	// Opens counts transactional opens (reads + writes); Acquires counts
 	// new write ownerships. Both are folded in at attempt end.
@@ -153,9 +149,9 @@ func (p *Probe) OnAbort(tx *stm.Tx) {
 	}
 }
 
-// PerturbResolve implements stm.Probe. It never changes the decision; it
-// records the decision mix and the wait spans the runtime will honor.
-func (p *Probe) PerturbResolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int, dec stm.Decision, wait time.Duration) (stm.Decision, time.Duration) {
+// OnResolve implements stm.Probe: it records the decision mix and the wait
+// spans the runtime will honor.
+func (p *Probe) OnResolve(tx, enemy *stm.Tx, kind stm.Kind, dec stm.Decision, wait time.Duration) {
 	shard := tx.D.ThreadID
 	switch dec {
 	case stm.AbortEnemy:
@@ -166,5 +162,4 @@ func (p *Probe) PerturbResolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int, de
 		p.ResolveWait.Inc(shard)
 		p.WaitNs.Observe(shard, int64(wait))
 	}
-	return dec, wait
 }

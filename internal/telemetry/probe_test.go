@@ -29,15 +29,9 @@ func TestProbeHooks(t *testing.T) {
 	p.OnAbort(fakeTx(0, 1, 2))  // next attempt of the same transaction
 	p.OnCommit(fakeTx(0, 1, 3)) // and its eventual commit
 
-	dec, wait := p.PerturbResolve(tx, enemy, stm.WriteWrite, 1, stm.AbortEnemy, 0)
-	if dec != stm.AbortEnemy || wait != 0 {
-		t.Errorf("PerturbResolve changed the decision: %v %v", dec, wait)
-	}
-	p.PerturbResolve(tx, enemy, stm.WriteWrite, 2, stm.AbortSelf, 0)
-	dec, wait = p.PerturbResolve(tx, enemy, stm.WriteWrite, 3, stm.Wait, 5*time.Microsecond)
-	if dec != stm.Wait || wait != 5*time.Microsecond {
-		t.Errorf("PerturbResolve changed the wait: %v %v", dec, wait)
-	}
+	p.OnResolve(tx, enemy, stm.WriteWrite, stm.AbortEnemy, 0)
+	p.OnResolve(tx, enemy, stm.WriteWrite, stm.AbortSelf, 0)
+	p.OnResolve(tx, enemy, stm.WriteWrite, stm.Wait, 5*time.Microsecond)
 
 	s := r.Snapshot()
 	want := map[string]int64{
@@ -140,9 +134,7 @@ func (c commitAborter) OnCommit(tx *stm.Tx) {
 		tx.Abort()
 	}
 }
-func (commitAborter) PerturbResolve(_, _ *stm.Tx, _ stm.Kind, _ int, dec stm.Decision, wait time.Duration) (stm.Decision, time.Duration) {
-	return dec, wait
-}
+func (commitAborter) OnResolve(_, _ *stm.Tx, _ stm.Kind, _ stm.Decision, _ time.Duration) {}
 
 // TestProbeCommitThenAbortFoldedOnce exercises the commit-then-abort
 // dedup path: an attempt aborted after its OnCommit fired gets OnAbort

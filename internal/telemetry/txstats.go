@@ -12,7 +12,6 @@ const (
 	nameCommits      = "wincm_commits_total"
 	nameAborts       = "wincm_aborts_total"
 	nameRepeatAborts = "wincm_repeat_aborts_total"
-	nameFallbacks    = "wincm_fallback_commits_total"
 	nameWastedNs     = "wincm_wasted_ns_total"
 	nameResponse     = "wincm_response_ns"
 	nameCommitDur    = "wincm_commit_duration_ns"
@@ -56,8 +55,6 @@ type TxStats struct {
 	// transaction conflicted again after retrying (our countable proxy
 	// for the paper's "repeat conflicts").
 	RepeatAborts *Counter
-	// Fallbacks counts commits made holding the serialized-fallback token.
-	Fallbacks *Counter
 	// WastedNs accumulates the time spent in aborted attempts (see Time
 	// accounting above).
 	WastedNs *Counter
@@ -76,7 +73,6 @@ func NewTxStats(r *Registry, shards int) *TxStats {
 		Commits:      r.NewCounter(nameCommits, "committed transactions", shards),
 		Aborts:       r.NewCounter(nameAborts, "aborted attempts", shards),
 		RepeatAborts: r.NewCounter(nameRepeatAborts, "aborts beyond a transaction's first", shards),
-		Fallbacks:    r.NewCounter(nameFallbacks, "commits holding the serialized-fallback token", shards),
 		WastedNs:     r.NewCounter(nameWastedNs, "time spent in aborted attempts", shards),
 		Response:     r.NewHistogram(nameResponse, "transaction response time (first attempt to commit)", shards),
 		CommitDur:    r.NewHistogram(nameCommitDur, "duration of successful attempts", shards),
@@ -93,9 +89,6 @@ func (s *TxStats) RecordTx(shard int, info stm.TxInfo) {
 		if a > 1 {
 			s.RepeatAborts.Add(shard, a-1)
 		}
-	}
-	if info.Fallback {
-		s.Fallbacks.Inc(shard)
 	}
 	s.WastedNs.Add(shard, int64(info.Wasted))
 	s.Response.Observe(shard, int64(info.Duration))
@@ -118,42 +111,26 @@ type Summary struct {
 	// Wasted is the total time spent in attempts that aborted; Busy the
 	// total time dedicated to transactions (the sum of response times).
 	Wasted, Busy time.Duration
-	// FallbackEntries counts transactions that committed holding the
-	// serialized-fallback token (they exhausted their retry or deadline
-	// budget, or were rescued by the watchdog); MaxAttempts is the largest
-	// attempt count any single transaction needed — the tail the fallback
-	// budgets are meant to bound.
-	FallbackEntries int64
-	MaxAttempts     int
-	// Robustness counters, read from the chaos and watchdog gauges when the
-	// run registered them (zero otherwise): faults injected by the chaos
-	// layer and watchdog no-progress trips.
-	Stalls, SpuriousAborts, Delays, Perturbs int64
-	WatchdogTrips                            int64
-	commitDurSum                             time.Duration
+	// MaxAttempts is the largest attempt count any single transaction
+	// needed.
+	MaxAttempts  int
+	commitDurSum time.Duration
 }
 
-// Summary reads the TxStats instruments — and the chaos and watchdog
-// gauges, where registered — out of a snapshot taken wall into a run of
-// the given thread count. Every field is exact: the histogram shards keep
+// Summary reads the TxStats instruments out of a snapshot taken wall into
+// a run of the given thread count. Every field is exact: the histogram shards keep
 // their own sums and maxima.
 func (snap Snapshot) Summary(threads int, wall time.Duration) Summary {
 	return Summary{
-		Threads:         threads,
-		Wall:            wall,
-		Commits:         snap.Counters[nameCommits],
-		Aborts:          snap.Counters[nameAborts],
-		RepeatAborts:    snap.Counters[nameRepeatAborts],
-		FallbackEntries: snap.Counters[nameFallbacks],
-		Wasted:          time.Duration(snap.Counters[nameWastedNs]),
-		Busy:            time.Duration(snap.Histograms[nameResponse].Sum),
-		MaxAttempts:     int(snap.Histograms[nameAttempts].Max),
-		Stalls:          int64(snap.Gauges["wincm_chaos_stalls"]),
-		SpuriousAborts:  int64(snap.Gauges["wincm_chaos_spurious_aborts"]),
-		Delays:          int64(snap.Gauges["wincm_chaos_delays"]),
-		Perturbs:        int64(snap.Gauges["wincm_chaos_perturbs"]),
-		WatchdogTrips:   int64(snap.Gauges["wincm_watchdog_trips"]),
-		commitDurSum:    time.Duration(snap.Histograms[nameCommitDur].Sum),
+		Threads:      threads,
+		Wall:         wall,
+		Commits:      snap.Counters[nameCommits],
+		Aborts:       snap.Counters[nameAborts],
+		RepeatAborts: snap.Counters[nameRepeatAborts],
+		Wasted:       time.Duration(snap.Counters[nameWastedNs]),
+		Busy:         time.Duration(snap.Histograms[nameResponse].Sum),
+		MaxAttempts:  int(snap.Histograms[nameAttempts].Max),
+		commitDurSum: time.Duration(snap.Histograms[nameCommitDur].Sum),
 	}
 }
 

@@ -30,9 +30,9 @@ func summarize(wall time.Duration, shards ...[]stm.TxInfo) telemetry.Summary {
 // TxStats became the only recorder (internal/metrics.Thread, verbatim); the
 // snapshot view is checked against it field for field.
 type refThread struct {
-	commits, aborts, repeatAborts, fallbackEntries int64
-	wasted, busy, respSum, commitDurSum            time.Duration
-	maxAttempts                                    int
+	commits, aborts, repeatAborts       int64
+	wasted, busy, respSum, commitDurSum time.Duration
+	maxAttempts                         int
 }
 
 func (t *refThread) record(info stm.TxInfo) {
@@ -45,9 +45,6 @@ func (t *refThread) record(info stm.TxInfo) {
 	t.busy += info.Duration
 	t.respSum += info.Duration
 	t.commitDurSum += info.CommitDur
-	if info.Fallback {
-		t.fallbackEntries++
-	}
 	if info.Attempts > t.maxAttempts {
 		t.maxAttempts = info.Attempts
 	}
@@ -55,18 +52,16 @@ func (t *refThread) record(info stm.TxInfo) {
 
 // TestSummaryEqualsPerThreadAggregate: a fixed TxInfo sequence over three
 // shards reads back from the snapshot exactly as the per-thread aggregate
-// computed it — counters, times, fallback entries, the exact worst attempt
-// count (17 sits in the [16,31] bucket; the bucket bound would say 31) and
-// both means — and the chaos counters stay zero with no gauges registered.
+// computed it — counters, times, the exact worst attempt count (17 sits in
+// the [16,31] bucket; the bucket bound would say 31) and both means.
 func TestSummaryEqualsPerThreadAggregate(t *testing.T) {
-	fb := func(in stm.TxInfo) stm.TxInfo { in.Fallback = true; return in }
 	shards := [][]stm.TxInfo{
 		{
-			fb(info(4, 3*time.Millisecond, 5*time.Millisecond, time.Millisecond)),
+			info(4, 3*time.Millisecond, 5*time.Millisecond, time.Millisecond),
 			info(2, time.Millisecond, 3*time.Millisecond, time.Millisecond),
 		},
 		{
-			fb(info(17, 40*time.Millisecond, 45*time.Millisecond, 2*time.Millisecond)),
+			info(17, 40*time.Millisecond, 45*time.Millisecond, 2*time.Millisecond),
 		},
 		{
 			info(1, 0, 700*time.Microsecond, 700*time.Microsecond),
@@ -92,9 +87,6 @@ func TestSummaryEqualsPerThreadAggregate(t *testing.T) {
 	if s.Wasted != want.wasted || s.Busy != want.busy {
 		t.Errorf("times: Wasted=%v Busy=%v, want %v %v", s.Wasted, s.Busy, want.wasted, want.busy)
 	}
-	if s.FallbackEntries != want.fallbackEntries || s.FallbackEntries != 2 {
-		t.Errorf("FallbackEntries = %d, want %d", s.FallbackEntries, want.fallbackEntries)
-	}
 	if s.MaxAttempts != want.maxAttempts || s.MaxAttempts != 17 {
 		t.Errorf("MaxAttempts = %d, want the exact maximum %d", s.MaxAttempts, want.maxAttempts)
 	}
@@ -103,9 +95,6 @@ func TestSummaryEqualsPerThreadAggregate(t *testing.T) {
 	}
 	if got, want := s.MeanCommitDur(), want.commitDurSum/time.Duration(want.commits); got != want {
 		t.Errorf("MeanCommitDur = %v, want %v", got, want)
-	}
-	if s.Stalls != 0 || s.SpuriousAborts != 0 || s.Delays != 0 || s.Perturbs != 0 || s.WatchdogTrips != 0 {
-		t.Errorf("chaos counters should be zero with no gauges registered: %+v", s)
 	}
 }
 
@@ -161,26 +150,6 @@ func TestAggregateAndDerivedMetrics(t *testing.T) {
 	}
 	if got := s.MeanCommitDur(); got != 2*time.Millisecond {
 		t.Errorf("MeanCommitDur = %v", got)
-	}
-}
-
-// TestSummaryReadsRobustnessGauges: the chaos and watchdog gauges, when a
-// run registered them, fill the summary's robustness counters.
-func TestSummaryReadsRobustnessGauges(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	tx := telemetry.NewTxStats(reg, 2)
-	reg.RegisterGauge(telemetry.NewGauge("wincm_chaos_stalls", "", func() float64 { return 3 }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_watchdog_trips", "", func() float64 { return 1 }))
-	tx.RecordTx(0, info(1, 0, 2*time.Millisecond, 2*time.Millisecond))
-	tx.RecordTx(1, info(5, 3*time.Millisecond, 6*time.Millisecond, time.Millisecond))
-
-	s := reg.Snapshot().Summary(2, time.Second)
-	if s.Stalls != 3 || s.WatchdogTrips != 1 || s.Delays != 0 {
-		t.Errorf("robustness: Stalls=%d WatchdogTrips=%d Delays=%d", s.Stalls, s.WatchdogTrips, s.Delays)
-	}
-	// 5 attempts land in the [4,7] bucket; the view reports 5, not 7.
-	if s.MaxAttempts != 5 {
-		t.Errorf("MaxAttempts = %d, want 5", s.MaxAttempts)
 	}
 }
 

@@ -156,12 +156,9 @@ func (r *Recorder) OnAbort(tx *stm.Tx) {
 	}
 }
 
-// PerturbResolve implements stm.Probe: it never perturbs, it records the
-// decision the chain ahead of it produced. Install the recorder LAST in
-// CombineProbes so it sees any chaos-injected perturbation — the decision
-// recorded here is the decision the runtime executes.
-func (r *Recorder) PerturbResolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int, dec stm.Decision, wait time.Duration) (stm.Decision, time.Duration) {
-	_ = attempt // the per-open resolution round; spans key on tx.D.Attempts
+// OnResolve implements stm.Probe: it records the decision the runtime is
+// about to carry out.
+func (r *Recorder) OnResolve(tx, enemy *stm.Tx, kind stm.Kind, dec stm.Decision, wait time.Duration) {
 	if s := r.state(tx); s.sampling {
 		s.ring.Push(Event{
 			TS: stm.Now(), A: enemy.D.ID.Load(), B: tx.OpenedVar(),
@@ -178,7 +175,6 @@ func (r *Recorder) PerturbResolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int,
 			})
 		}
 	}
-	return dec, wait
 }
 
 // FrameAdvanced records a window-manager frame advance on the shared
