@@ -32,7 +32,7 @@ ci: build vet race figures-smoke
 # The figure drivers end to end, outside unit tests. -fig all: one
 # benchmark, two thread counts, 50 ms cells (16 timed cells + Fig. 5's
 # fixed-work ones). -fig btree: every registered manager on the rbtree/btree
-# pair at two thread counts (72 cells). -fig trace: one flight-recorded run
+# pair at two thread counts (40 cells). -fig trace: one flight-recorded run
 # and its timeline (the Chrome trace export is held to what Perfetto loads
 # by TestRunWithTraceRecorder).
 figures-smoke:

@@ -85,6 +85,7 @@ func figureDriver(name string) (driver, bool) {
 type modes struct {
 	fig   string
 	trace bool
+	serve bool // -telemetry-addr is set
 }
 
 // flagConflict reports the first explicitly set flag (set holds their
@@ -102,6 +103,10 @@ func flagConflict(set map[string]bool, m modes) (err error) {
 	requireMode("-fig btree", m.fig == "btree", "btree-threads")
 	requireMode("-trace (or -fig trace)", m.trace || m.fig == "trace", "trace-sample", "trace-out")
 	requireMode("-fig trace", m.fig == "trace", "trace-manager")
+	// A table figure's recorders are read only through /trace/* on the
+	// telemetry endpoint; without it -trace records every cell and prints
+	// nothing of it.
+	requireMode("-telemetry-addr under a table figure (its traces are read from /trace/*)", m.fig == "trace" || m.serve, "trace")
 	// Figure 5 sweeps contention levels at one thread count, -fig5-threads.
 	requireMode("a figure that sweeps M (-fig 5 runs at -fig5-threads)", m.fig != "5", "threads")
 	if err != nil {
@@ -178,7 +183,7 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 	if !ok {
 		return invocation{}, fmt.Errorf("unknown figure %q (want %s)", *fig, figureNames())
 	}
-	if err := flagConflict(set, modes{fig: *fig, trace: *traceOn}); err != nil {
+	if err := flagConflict(set, modes{fig: *fig, trace: *traceOn, serve: *telAddr != ""}); err != nil {
 		return invocation{}, err
 	}
 	if *traceSample < 1 {

@@ -92,6 +92,9 @@ func TestFlagConflict(t *testing.T) {
 		{"telemetry knob without -fig telemetry", flags("fig", "telemetry-manager"), modes{fig: "2"}, "-telemetry-manager has no effect without -fig telemetry"},
 		{"telemetry knob with -fig telemetry", flags("fig", "telemetry-manager"), modes{fig: "telemetry"}, ""},
 		{"trace-out with bare -trace", flags("trace-out"), modes{fig: "trace", trace: true}, ""},
+		// A table figure's traces are read only from /trace/*.
+		{"-trace under a table figure", flags("fig", "trace", "trace-sample"), modes{fig: "4", trace: true}, "-trace has no effect without -telemetry-addr"},
+		{"-trace under a table figure, served", flags("fig", "trace", "trace-sample", "telemetry-addr"), modes{fig: "4", trace: true, serve: true}, ""},
 		{"btree pins its axes", flags("fig", "bench"), modes{fig: "btree"}, "-bench has no effect with -fig btree"},
 		// Figure 5 runs at -fig5-threads; -threads used to be dropped silently.
 		{"-fig 5 -threads", flags("fig", "threads"), modes{fig: "5"}, "-threads has no effect"},

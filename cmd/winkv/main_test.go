@@ -32,7 +32,7 @@ func TestValidateServe(t *testing.T) {
 		{"zero threads", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 0}, "-threads"},
 		{"unknown manager", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2, Manager: "bogus"}, "bogus"},
 		{"window size on classic", "127.0.0.1:0", nil,
-			kv.Options{Shards: 4, ShardThreads: 2, Manager: "karma", WindowN: 10}, "WindowN"},
+			kv.Options{Shards: 4, ShardThreads: 2, Manager: "polka", WindowN: 10}, "WindowN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -8,7 +8,7 @@ import (
 	"wincm/internal/telemetry"
 )
 
-// Backoff timing shared by Polite, Backoff and Polka. The DSTM2 managers
+// Backoff timing shared by Backoff and Polka. The DSTM2 managers
 // used log₂-spaced exponential spans starting in the microsecond range.
 const (
 	// baseWait is the first backoff span.
@@ -30,25 +30,6 @@ func backoffSpan(n int) time.Duration {
 		n = 1
 	}
 	return baseWait << uint(n-1)
-}
-
-// Polite backs off exponentially for a bounded number of rounds, giving the
-// enemy time to finish, then aborts it.
-type Polite struct {
-	stm.NopManager
-	// Rounds is the number of backoff rounds before aborting the enemy.
-	Rounds int
-}
-
-// NewPolite returns a Polite manager with the classic 8 rounds.
-func NewPolite() *Polite { return &Polite{Rounds: 8} }
-
-// Resolve implements stm.ContentionManager.
-func (p *Polite) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	if attempt > p.Rounds {
-		return stm.AbortEnemy, 0
-	}
-	return stm.Wait, backoffSpan(attempt)
 }
 
 // Backoff aborts itself and relies on the restart delay growing

@@ -1,6 +1,6 @@
 // Package cm implements the baseline contention managers the paper compares
-// against — Polka, Greedy, and Priority — plus the classic managers they
-// are built from (Karma, Backoff, Polite, Aggressive, Timid, Timestamp).
+// against — Polka, Greedy and Priority — plus Backoff and Timestamp, and the
+// registry that also holds the window-based managers.
 //
 // All managers implement stm.ContentionManager. Policy descriptions follow
 // Scherer & Scott (PODC'05) and Guerraoui, Herlihy & Pochon (PODC'05),
@@ -15,7 +15,8 @@ package cm
 
 import (
 	"fmt"
-	"time"
+	"maps"
+	"slices"
 
 	"wincm/internal/stm"
 )
@@ -48,40 +49,12 @@ func New(name string, m int) (stm.ContentionManager, error) {
 }
 
 // Names returns the registered manager names (unsorted).
-func Names() []string {
-	out := make([]string, 0, len(factories))
-	for n := range factories {
-		out = append(out, n)
-	}
-	return out
-}
+func Names() []string { return slices.Collect(maps.Keys(factories)) }
 
 func init() {
-	Register("aggressive", func(int) stm.ContentionManager { return Aggressive{} })
-	Register("timid", func(int) stm.ContentionManager { return Timid{} })
-	Register("polite", func(int) stm.ContentionManager { return NewPolite() })
 	Register("backoff", func(int) stm.ContentionManager { return NewBackoff() })
-	Register("karma", func(int) stm.ContentionManager { return NewKarma() })
 	Register("polka", func(int) stm.ContentionManager { return NewPolka() })
 	Register("greedy", func(int) stm.ContentionManager { return NewGreedy() })
 	Register("priority", func(int) stm.ContentionManager { return NewPriority() })
 	Register("timestamp", func(int) stm.ContentionManager { return NewTimestamp() })
-}
-
-// Aggressive always aborts the enemy. It is livelock-prone under
-// contention and serves as the "no policy" baseline.
-type Aggressive struct{ stm.NopManager }
-
-// Resolve implements stm.ContentionManager.
-func (Aggressive) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	return stm.AbortEnemy, 0
-}
-
-// Timid always aborts itself and retries. It never makes an enemy lose
-// work, at the price of potentially starving.
-type Timid struct{ stm.NopManager }
-
-// Resolve implements stm.ContentionManager.
-func (Timid) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	return stm.AbortSelf, 0
 }

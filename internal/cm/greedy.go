@@ -13,21 +13,18 @@ import (
 // attacker waits (and is marked waiting, so the older enemy can kill it if
 // they meet again). The timestamp order is total, so exactly one side of
 // any conflict pair can wait indefinitely — the pending-commit property.
-type Greedy struct {
-	stm.NopManager
-	// WaitSpan is the polling interval while waiting on an older enemy.
-	WaitSpan time.Duration
-}
+// The attacker polls an older enemy every baseWait.
+type Greedy struct{ stm.NopManager }
 
-// NewGreedy returns a Greedy manager with the default polling interval.
-func NewGreedy() *Greedy { return &Greedy{WaitSpan: baseWait} }
+// NewGreedy returns a Greedy manager.
+func NewGreedy() *Greedy { return &Greedy{} }
 
 // Resolve implements stm.ContentionManager.
 func (g *Greedy) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
 	if older(tx, enemy) || enemy.D.Waiting.Load() {
 		return stm.AbortEnemy, 0
 	}
-	return stm.Wait, g.WaitSpan
+	return stm.Wait, baseWait
 }
 
 // Priority is the static priority manager from Scherer & Scott: the
@@ -35,23 +32,19 @@ func (g *Greedy) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Dec
 // transactions are aborted on conflict, and a lower-priority attacker
 // polls until the older enemy finishes (it can neither abort the enemy
 // nor usefully restart — its priority would not change). The timestamp
-// order is total, so waits cannot be mutual.
-type Priority struct {
-	stm.NopManager
-	// WaitSpan is the polling interval while stalled behind an older
-	// transaction.
-	WaitSpan time.Duration
-}
+// order is total, so waits cannot be mutual. The stalled attacker polls
+// every baseWait.
+type Priority struct{ stm.NopManager }
 
-// NewPriority returns a Priority manager with the default poll interval.
-func NewPriority() *Priority { return &Priority{WaitSpan: baseWait} }
+// NewPriority returns a Priority manager.
+func NewPriority() *Priority { return &Priority{} }
 
 // Resolve implements stm.ContentionManager.
 func (p *Priority) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
 	if older(tx, enemy) {
 		return stm.AbortEnemy, 0
 	}
-	return stm.Wait, p.WaitSpan
+	return stm.Wait, baseWait
 }
 
 // Timestamp is Scherer & Scott's timestamp manager: like Priority but the

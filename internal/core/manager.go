@@ -410,7 +410,7 @@ func (m *Manager) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.De
 		return stm.AbortEnemy, 0
 	}
 	if attempt <= loserPatience {
-		// Exponentially growing grace spans, like Polite's backoff,
+		// Exponentially growing grace spans, like Polka's backoff,
 		// capped at ~4ms so patience stays responsive.
 		exp := attempt - 1
 		if exp > 10 {

@@ -25,8 +25,9 @@ func WindowVariantNames() []string {
 	return names
 }
 
-// ManagerNames lists every registered contention manager — the 13 classic
-// policies plus the 5 window-based variants — in sorted order.
+// ManagerNames lists every registered contention manager — the 5 baselines
+// (Backoff, Greedy, Polka, Priority, Timestamp) plus the 5 window-based
+// variants — in sorted order.
 func ManagerNames() []string {
 	names := cm.Names()
 	sort.Strings(names)

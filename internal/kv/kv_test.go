@@ -149,11 +149,11 @@ func TestOptionsValidate(t *testing.T) {
 	}{
 		{"zero value (all defaults)", Options{}, true},
 		{"explicit window manager", Options{Manager: "online-dynamic", WindowN: 25}, true},
-		{"classic manager", Options{Manager: "karma"}, true},
+		{"classic manager", Options{Manager: "polka"}, true},
 		{"negative shards", Options{Shards: -1}, false},
 		{"negative threads", Options{ShardThreads: -2}, false},
 		{"unknown manager", Options{Manager: "nope"}, false},
-		{"WindowN with classic manager", Options{Manager: "karma", WindowN: 10}, false},
+		{"WindowN with classic manager", Options{Manager: "polka", WindowN: 10}, false},
 		{"negative WindowN", Options{WindowN: -5}, false},
 	}
 	for _, tc := range cases {

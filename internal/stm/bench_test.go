@@ -63,7 +63,7 @@ func BenchmarkReadModifyWrite(b *testing.B) {
 // BenchmarkContendedCounter measures a hot counter under each manager
 // family representative with 4 threads.
 func BenchmarkContendedCounter(b *testing.B) {
-	for _, name := range []string{"aggressive", "polka", "greedy", "priority", "online-dynamic"} {
+	for _, name := range []string{"backoff", "polka", "greedy", "priority", "online-dynamic"} {
 		b.Run(name, func(b *testing.B) {
 			mgr, err := cm.New(name, 4)
 			if err != nil {

@@ -40,7 +40,7 @@ func TestEngineConformance(t *testing.T) {
 // conformReadOwnWrite: a transaction observes its own tentative writes,
 // including write-after-write and read-after-write chains.
 func conformReadOwnWrite(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	v := stm.NewTVar(1)
 	u := stm.NewTVar("a")
 	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
@@ -71,7 +71,7 @@ func conformReadOwnWrite(t *testing.T) {
 // conformModify: Modify/ModifyArg reads the current value (tentative or
 // committed) and writes through; lost updates are impossible.
 func conformModify(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	v := stm.NewTVar(10)
 	rt.Thread(0).Atomic(func(tx *stm.Tx) {
 		stm.Modify(tx, v, func(x int) int { return x + 1 })
@@ -88,7 +88,7 @@ func conformModify(t *testing.T) {
 // conformAbortRollsBack: an aborted attempt leaves no trace, and the
 // retry sees the committed state.
 func conformAbortRollsBack(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	v := stm.NewTVar(5)
 	tries := 0
 	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
@@ -145,7 +145,7 @@ func conformNoDirtyReads(t *testing.T) {
 // conformCounterParallel: no lost updates under contention.
 func conformCounterParallel(t *testing.T) {
 	const threads, perThread = 4, 300
-	rt := runtimeWith(t, "karma", threads)
+	rt := runtimeWith(t, "polka", threads)
 	rt.SetYieldEvery(2)
 	rt.SetLocatorPooling(true)
 	v := stm.NewTVar(0)
@@ -173,7 +173,7 @@ func conformCounterParallel(t *testing.T) {
 // to abort, since a torn snapshot would fail the in-callback check.
 func conformSnapshotConsistency(t *testing.T) {
 	const threads, perThread = 4, 250
-	rt := runtimeWith(t, "karma", threads)
+	rt := runtimeWith(t, "polka", threads)
 	rt.SetYieldEvery(2)
 	a, b := stm.NewTVar(0), stm.NewTVar(0)
 	var wg sync.WaitGroup
@@ -209,7 +209,7 @@ func conformSnapshotConsistency(t *testing.T) {
 // conformPeekSet: non-transactional Set between transactions is visible
 // to subsequent transactions.
 func conformPeekSet(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	v := stm.NewTVar(0)
 	for i := 1; i <= 5; i++ {
 		v.Set(i * 10)
@@ -284,7 +284,7 @@ func conformFallback(t *testing.T) {
 // conformWatchdog: the watchdog can start, observe a quiescent runtime
 // and stop.
 func conformWatchdog(t *testing.T) {
-	rt := runtimeWith(t, "karma", 2)
+	rt := runtimeWith(t, "polka", 2)
 	wd := rt.StartWatchdog(5 * time.Millisecond)
 	defer wd.Stop()
 	v := stm.NewTVar(0)

@@ -8,7 +8,8 @@ import (
 // Serialized-fallback token. The obstruction-free STM plus any of the
 // repository's contention managers makes no progress guarantee for an
 // individual transaction: Polka can starve a transaction indefinitely and
-// Aggressive can livelock (the reason the paper's window managers exist).
+// an always-abort-the-enemy policy can livelock (the reason the paper's
+// window managers exist).
 // The fallback token turns that into a hard guarantee: a transaction that
 // exhausts its attempt or deadline budget acquires the runtime-wide token,
 // and the runtime decides every conflict that involves the holder in the

@@ -19,7 +19,7 @@ func TestQuickSerializableHistories(t *testing.T) {
 	f := func(seed uint64, threadsRaw, varsRaw uint8) bool {
 		threads := 2 + int(threadsRaw)%4
 		vars := 1 + int(varsRaw)%5
-		mgr, err := cm.New("karma", threads)
+		mgr, err := cm.New("polka", threads)
 		if err != nil {
 			return false
 		}

@@ -6,12 +6,13 @@ import (
 	"time"
 )
 
-// karmaTied mirrors the Karma manager's decision shape without importing
-// the cm package (import cycle): work invested is priority, ties go to the
-// attacker. Under this policy, transactions whose priorities are locked
-// together mutually satisfy "mine >= theirs" and abort each other on every
-// conflict — the kill cycle that allocator jitter used to break by
-// accident before the write path stopped allocating (see abortBackoff).
+// karmaTied is the classic Karma policy's decision shape, defined here
+// because an in-package test cannot import cm (import cycle): work invested
+// is priority, ties go to the attacker. Under this policy, transactions
+// whose priorities are locked together mutually satisfy "mine >= theirs"
+// and abort each other on every conflict — the kill cycle that allocator
+// jitter used to break by accident before the write path stopped
+// allocating (see abortBackoff).
 type karmaTied struct{}
 
 func (karmaTied) Begin(tx *Tx)     {}

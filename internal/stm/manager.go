@@ -76,7 +76,7 @@ type ContentionManager interface {
 	// Aborted runs after the attempt aborted and released its objects.
 	Aborted(tx *Tx)
 	// Opened runs after a variable newly entered the attempt's read or
-	// write set (Karma-style managers accumulate priority here).
+	// write set (Polka accumulates its karma priority here).
 	Opened(tx *Tx)
 	// Resolve decides the conflict of tx against enemy. attempt counts the
 	// consecutive Resolve calls for the open operation currently blocked

@@ -21,17 +21,15 @@ import (
 // the interesting failure modes here are ownership folds racing the
 // stalled writer's status transitions.
 func TestStalledHolderRemoteAbortLiveness(t *testing.T) {
-	for _, mgr := range []string{"aggressive", "polka", "karma"} {
-		mgr := mgr
-		t.Run(mgr, func(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		manager stm.ContentionManager
+	}{{"abort-enemy", abortEnemy{}}, {"polka", cm.NewPolka()}} {
+		t.Run(tc.name, func(t *testing.T) {
 			t.Parallel()
 			const m = 6 // 1 staller + 5 workers
 			const perWorker = 40
-			manager, err := cm.New(mgr, m)
-			if err != nil {
-				t.Fatal(err)
-			}
-			rt := stm.New(m, manager)
+			rt := stm.New(m, tc.manager)
 			rt.SetYieldEvery(2)
 			shared := stm.NewTVar(0)
 			side := stm.NewTVar(0)
@@ -107,4 +105,12 @@ func TestStalledHolderRemoteAbortLiveness(t *testing.T) {
 			}
 		})
 	}
+}
+
+// abortEnemy is the no-policy manager: every conflict aborts the enemy at
+// once, so a worker meets the stalled holder and aborts it on first sight.
+type abortEnemy struct{ stm.NopManager }
+
+func (abortEnemy) Resolve(_, _ *stm.Tx, _ stm.Kind, _ int) (stm.Decision, time.Duration) {
+	return stm.AbortEnemy, 0
 }

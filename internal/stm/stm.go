@@ -95,7 +95,7 @@ func serialOf(word uint64) uint64 { return word >> statusBits }
 
 // Desc is the persistent descriptor of one logical transaction. It survives
 // across aborted attempts, which is what lets contention managers implement
-// policies based on age (Greedy, Priority), accumulated work (Karma, Polka),
+// policies based on age (Greedy, Priority), accumulated work (Polka),
 // or scheduling state (the window managers).
 //
 // Each Thread owns a single Desc that is recycled across its transactions
@@ -131,7 +131,7 @@ type Desc struct {
 	// Owner-thread-only.
 	Attempts int
 	// Karma accumulates successfully opened objects across attempts and is
-	// reset on commit (Karma/Polka priority).
+	// reset on commit (Polka's priority).
 	Karma atomic.Int64
 	// Waiting is set while the transaction is blocked inside a contention
 	// manager wait decision (Greedy consults the enemy's flag).

@@ -20,7 +20,7 @@ func runtimeWith(t testing.TB, name string, m int, opts ...stm.Option) *stm.Runt
 }
 
 func TestSingleThreadReadWrite(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	v := stm.NewTVar(41)
 	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
 		got := stm.Read(tx, v)
@@ -41,7 +41,7 @@ func TestSingleThreadReadWrite(t *testing.T) {
 }
 
 func TestZeroTVarUsable(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	var v stm.TVar[string]
 	rt.Thread(0).Atomic(func(tx *stm.Tx) {
 		if got := stm.Read(tx, &v); got != "" {
@@ -66,7 +66,7 @@ func TestPeekSet(t *testing.T) {
 }
 
 func TestModify(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	v := stm.NewTVar(10)
 	rt.Thread(0).Atomic(func(tx *stm.Tx) {
 		stm.Modify(tx, v, func(x int) int { return x * 3 })
@@ -77,7 +77,7 @@ func TestModify(t *testing.T) {
 }
 
 func TestAbortedWritesDiscarded(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	v := stm.NewTVar(1)
 	aborted := false
 	rt.Thread(0).Atomic(func(tx *stm.Tx) {
@@ -95,9 +95,7 @@ func TestAbortedWritesDiscarded(t *testing.T) {
 
 // TestAtomicCounter checks that concurrent increments are never lost.
 func TestAtomicCounter(t *testing.T) {
-	// Timid is excluded: always-abort-self livelocks on symmetric
-	// read-modify-write workloads (that is the point of better managers).
-	for _, name := range []string{"aggressive", "polite", "backoff", "karma", "polka", "greedy", "priority", "timestamp"} {
+	for _, name := range []string{"backoff", "polka", "greedy", "priority", "timestamp"} {
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			const m, perThread = 8, 200
@@ -171,7 +169,7 @@ func TestBankInvariant(t *testing.T) {
 // would typically surface as a failed equality inside a committed read).
 func TestSnapshotConsistency(t *testing.T) {
 	const m = 4
-	rt := runtimeWith(t, "karma", m)
+	rt := runtimeWith(t, "polka", m)
 	a, b := stm.NewTVar(0), stm.NewTVar(0)
 	stop := make(chan struct{})
 	var bad atomic.Int64
@@ -233,7 +231,7 @@ func TestSnapshotConsistency(t *testing.T) {
 // non-zero, and strictly increasing along each thread.
 func TestDescIDsUniqueAndIncreasing(t *testing.T) {
 	const m, per = 3, 200
-	rt := runtimeWith(t, "aggressive", m)
+	rt := runtimeWith(t, "polka", m)
 	ids := make([][]uint64, m)
 	var wg sync.WaitGroup
 	for i := 0; i < m; i++ {
@@ -266,7 +264,7 @@ func TestDescIDsUniqueAndIncreasing(t *testing.T) {
 }
 
 func TestTxInfoCountsAborts(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	v := stm.NewTVar(0)
 	tries := 0
 	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
@@ -287,7 +285,7 @@ func TestTxInfoCountsAborts(t *testing.T) {
 }
 
 func TestRemoteAbortOnlyHitsActiveAttempt(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	var captured *stm.Tx
 	rt.Thread(0).Atomic(func(tx *stm.Tx) { captured = tx })
 	if captured.Status() != stm.Committed {
@@ -352,11 +350,11 @@ func TestNewPanicsOnZeroThreads(t *testing.T) {
 			t.Error("New(0, ...) did not panic")
 		}
 	}()
-	stm.New(0, cm.Aggressive{})
+	stm.New(0, cm.NewPolka())
 }
 
 func TestUserPanicPropagates(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 1)
+	rt := runtimeWith(t, "polka", 1)
 	defer func() {
 		if r := recover(); r != "user panic" {
 			t.Errorf("recovered %v, want user panic", r)
@@ -371,7 +369,7 @@ func TestUserPanicPropagates(t *testing.T) {
 // inside each transaction — the per-transaction identity, not the pointer,
 // is what must be stable.
 func TestDescFieldsStable(t *testing.T) {
-	rt := runtimeWith(t, "aggressive", 2)
+	rt := runtimeWith(t, "polka", 2)
 	type snap struct {
 		threadID int
 		seq      int

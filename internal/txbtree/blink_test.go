@@ -605,14 +605,15 @@ func holdLock(th *stm.Thread, tr *Tree[int], key, val int) (holder *stm.Tx, fini
 	return holder, func() stm.TxInfo { close(p.resume); <-done; return info }
 }
 
-// newRTWith returns an m-thread runtime under the named manager.
-func newRTWith(t *testing.T, name string, m int) *stm.Runtime {
-	t.Helper()
-	mgr, err := cm.New(name, m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return stm.New(m, mgr)
+// fixedCM decides every conflict the same way: AbortSelf makes the
+// attacker retry until the enemy is gone, AbortEnemy makes it win at once.
+type fixedCM struct {
+	stm.NopManager
+	dec stm.Decision
+}
+
+func (f fixedCM) Resolve(_, _ *stm.Tx, _ stm.Kind, _ int) (stm.Decision, time.Duration) {
+	return f.dec, 0
 }
 
 // waitConflict waits until the tree has routed at least one key conflict
@@ -635,7 +636,7 @@ func waitConflict(t *testing.T, tr *Tree[int]) {
 // reader of the moved key still meets the holder there. The holder's apply
 // then finds the record by right links and leaves no record behind.
 func TestLockRecordFollowsSplit(t *testing.T) {
-	rt := newRTWith(t, "timid", 3) // a reader that meets the holder aborts itself until it is gone
+	rt := stm.New(3, fixedCM{dec: stm.AbortSelf}) // a reader that meets the holder aborts itself until it is gone
 	tr := New[int]()
 	keys := make([]int, maxKeys)
 	for i := range keys {
@@ -698,7 +699,7 @@ func TestAbsentKeyLockBlocks(t *testing.T) {
 		{"Get", func(tx *stm.Tx, tr *Tree[int]) bool { _, ok := tr.Get(tx, 55); return ok }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			rt := newRTWith(t, "timid", 2)
+			rt := stm.New(2, fixedCM{dec: stm.AbortSelf})
 			tr := New[int]()
 			fill(rt.Thread(0), tr, []int{10, 20, 50, 60, 90}, 5)
 			_, finish := holdLock(rt.Thread(0), tr, 55, -1)
@@ -727,16 +728,16 @@ func TestAbsentKeyLockBlocks(t *testing.T) {
 
 // TestScanRacesInsert: a Scan that misses a pending in-range insert meets
 // the inserter's lock record at its commit-time sweep, so one of the two
-// aborts: under timid the scanner retries until the insert lands and then
-// sees it, under aggressive the inserter is aborted and the scanner commits
-// without it.
+// aborts: when the scanner aborts itself it retries until the insert lands
+// and then sees it, when it aborts the enemy the inserter is aborted and the
+// scanner commits without it.
 func TestScanRacesInsert(t *testing.T) {
 	for _, tc := range []struct {
-		manager  string
+		dec      stm.Decision
 		scanSees bool
-	}{{"timid", true}, {"aggressive", false}} {
-		t.Run(tc.manager, func(t *testing.T) {
-			rt := newRTWith(t, tc.manager, 2)
+	}{{stm.AbortSelf, true}, {stm.AbortEnemy, false}} {
+		t.Run(tc.dec.String(), func(t *testing.T) {
+			rt := stm.New(2, fixedCM{dec: tc.dec})
 			tr := New[int]()
 			fill(rt.Thread(0), tr, []int{10, 20, 50, 60, 90}, 5)
 			_, finish := holdLock(rt.Thread(0), tr, 55, -1)
