@@ -61,9 +61,10 @@ figures:
 	go run ./cmd/wintheory -ratio -m 32 -n 16 -reps 5 > $(RESULTS)/ratio.txt
 
 # KV service smoke: winkv serves Zipfian winload traffic (including
-# cross-shard transactions), /metrics scrapes, commits flow, the watchdog
-# never trips, and once winload has left every shard's thread pool is full
-# again (wincm_kv_pool_idle = -threads: no STM thread leaked).
+# cross-shard transactions), /metrics scrapes, commits flow, the abort
+# series is published, leaves split (winload's keys are inserts), the
+# watchdog never trips, and once winload has left every shard's thread
+# pool is full again (wincm_kv_pool_idle = -threads: no STM thread leaked).
 kv-smoke:
 	go build -o /tmp/winkv-smoke ./cmd/winkv
 	go build -o /tmp/winload-smoke ./cmd/winload
@@ -74,6 +75,8 @@ kv-smoke:
 	curl -fsS http://127.0.0.1:7391/metrics > /tmp/kv_metrics.out || { kill $$KV; exit 1; }; \
 	status=0; \
 	grep -q 'wincm_kv_shard_commits{shard="3"}' /tmp/kv_metrics.out || status=1; \
+	grep -q 'wincm_kv_shard_aborts{shard="0"}' /tmp/kv_metrics.out || status=1; \
+	awk '$$1 == "wincm_btree_structural_ops_total" { s = $$2 } END { exit (s > 0 ? 0 : 1) }' /tmp/kv_metrics.out || status=1; \
 	awk '/^wincm_kv_shard_commits/ { s += $$2 } END { exit (s > 0 ? 0 : 1) }' /tmp/kv_metrics.out || status=1; \
 	grep -q '^wincm_kv_watchdog_trips_total 0$$' /tmp/kv_metrics.out || status=1; \
 	awk '/^wincm_kv_pool_idle\{/ { n++; if ($$2 != 2) bad = 1 } END { exit (n == 4 && !bad ? 0 : 1) }' /tmp/kv_metrics.out || status=1; \

@@ -8,9 +8,12 @@
 //	$ winkv -addr 127.0.0.1:6380 &
 //	$ printf 'SET 1 100\nGET 1\nMSET 2 20 3 30\nSCAN 0 10 10\n' | nc 127.0.0.1 6380
 //
-// With -metrics the per-shard commit/abort/occupancy gauges are served
-// on /metrics in Prometheus text format. On SIGINT/SIGTERM the server
-// drains and prints final per-shard statistics.
+// With -metrics the per-shard commit/abort/occupancy gauges (read from
+// each shard's STM runtime) and the B-link tree series
+// wincm_btree_{semantic_conflicts,structural_ops,false_conflicts_avoided}_total
+// (the shards' Tree.Stats, summed) are served on /metrics in Prometheus
+// text format. On SIGINT/SIGTERM the server drains and prints final
+// per-shard statistics.
 //
 // Serving mode is volatile: a restart starts from an empty store.
 package main

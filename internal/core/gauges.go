@@ -70,8 +70,6 @@ func (m *Manager) TelemetryGauges() []telemetry.Gauge {
 				_, max := m.estimateStats()
 				return float64(alpha(max, m.cfg.M, m.cfg.N))
 			}),
-		telemetry.NewGauge("wincm_window_commits", "transactions committed under this window manager, inside the window or outside it",
-			func() float64 { return float64(m.sum(cellCommits)) }),
 		telemetry.NewGauge("wincm_window_threads_outside", "threads currently outside the window schedule (no conflict since their last clean segment)",
 			func() float64 { return float64(m.threadsOutside()) }),
 		telemetry.NewGauge("wincm_window_entries_total", "times a thread entered the window schedule on a conflict or abort of its own",

@@ -34,7 +34,7 @@ func TestTelemetryGaugesQuiescent(t *testing.T) {
 		"wincm_window_frame", "wincm_window_frame_pending",
 		"wincm_window_registered_pending", "wincm_window_frame_dur_ns",
 		"wincm_window_tau_ns", "wincm_window_c_mean", "wincm_window_c_max",
-		"wincm_window_alpha_max", "wincm_window_commits",
+		"wincm_window_alpha_max",
 		"wincm_window_threads_outside", "wincm_window_entries_total",
 		"wincm_window_clean_exits_total",
 		"wincm_window_bad_events", "wincm_window_fallback_commits",
@@ -49,9 +49,6 @@ func TestTelemetryGaugesQuiescent(t *testing.T) {
 			continue
 		}
 		g.Value() // must not panic on an idle manager
-	}
-	if gs["wincm_window_commits"].Value() != 0 {
-		t.Error("idle manager reports commits")
 	}
 	// Every thread starts outside the window and none has entered yet.
 	if got := gs["wincm_window_threads_outside"].Value(); got != 4 {
@@ -124,8 +121,8 @@ func TestTelemetryGaugesLive(t *testing.T) {
 	if got := ctr.Peek(); got != threads*perThread {
 		t.Fatalf("counter = %d", got)
 	}
-	if got := gs["wincm_window_commits"].Value(); got != threads*perThread {
-		t.Errorf("commit gauge = %v, want %d", got, threads*perThread)
+	if got := rt.Commits(); got != threads*perThread {
+		t.Errorf("rt.Commits() = %d, want %d", got, threads*perThread)
 	}
 	// The conflicts took threads into the window, and a thread is back
 	// outside only through a clean exit.

@@ -67,15 +67,14 @@ type threadState struct {
 
 	// The states are allocated one by one; the pad rounds the struct up to
 	// whole cache lines so two threads' hot fields never share one.
-	_ [56]byte
+	_ [64]byte
 }
 
 // cell names one of a thread's single-writer counters.
 type cell int
 
 const (
-	cellCommits    cell = iota // transactions committed, inside the window or outside
-	cellEntries                // entries into the window schedule
+	cellEntries    cell = iota // entries into the window schedule
 	cellCleanExits             // segments that ended clean and took the thread back outside
 	numCells
 )
@@ -295,13 +294,11 @@ func (m *Manager) drawP2(st *threadState) uint64 {
 // Committed implements stm.ContentionManager. Inside the window: recalibrate
 // τ̂, retire the transaction from its frame, detect bad events, and let the
 // estimator and window bookkeeping advance. Outside it: fold the attempt
-// time into the thread-local τ̂ and count the commit in the thread's own
-// cell — no shared word is written.
+// time into the thread-local τ̂ — no shared word is written.
 func (m *Manager) Committed(tx *stm.Tx) {
 	st := m.threads[tx.D.ThreadID]
 	d := tx.D
 	attempt := d.AttemptEnd - d.AttemptStart
-	st.bump(cellCommits)
 	st.est.sample(false)
 
 	if !st.inWindow.Load() {

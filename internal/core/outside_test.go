@@ -68,7 +68,7 @@ func TestUnconflictedCommitZeroAlloc(t *testing.T) {
 // TestConflictFreeCommitsTouchNothingShared: 10k commits that conflict
 // with nobody, on the default manager with M = 2, never register a frame,
 // never look at the clock and never write τ̂ or a shared counter — and the
-// commit gauge still counts every one of them.
+// runtime still counts every one of them.
 func TestConflictFreeCommitsTouchNothingShared(t *testing.T) {
 	const threads, per = 2, 5000
 	m := New(AdaptiveImprovedDynamic, threads)
@@ -133,8 +133,8 @@ func TestConflictFreeCommitsTouchNothingShared(t *testing.T) {
 			t.Errorf("thread %d folded no attempt time into its local τ̂", i)
 		}
 	}
-	if got := gauge(t, m, "wincm_window_commits"); got != threads*per {
-		t.Errorf("wincm_window_commits = %v, want %d", got, threads*per)
+	if got := rt.Commits(); got != threads*per {
+		t.Errorf("rt.Commits() = %d, want %d", got, threads*per)
 	}
 	if got := gauge(t, m, "wincm_window_threads_outside"); got != threads {
 		t.Errorf("wincm_window_threads_outside = %v, want %d", got, threads)
@@ -261,8 +261,8 @@ func TestCleanSegmentLeavesConflictedChains(t *testing.T) {
 	if !st.inWindow.Load() || st.cells[cellEntries].Load() != 2 {
 		t.Error("the second conflict did not enter again")
 	}
-	if got := m.sum(cellCommits); got != 2*n+2 {
-		t.Errorf("commit cells sum to %d, want %d", got, 2*n+2)
+	if got := th.Runtime().Commits(); got != 2*n+2 {
+		t.Errorf("rt.Commits() = %d, want %d", got, 2*n+2)
 	}
 }
 

@@ -195,11 +195,11 @@ type ShardStats struct {
 	Commits, Aborts int64
 }
 
-// Stats sums the live per-shard counters.
+// Stats sums the shards' runtime counters.
 func (st *Store) Stats() Stats {
 	s := Stats{PerShard: make([]ShardStats, len(st.shards))}
 	for i, sh := range st.shards {
-		c, a := sh.counts()
+		c, a := sh.rt.Commits(), sh.rt.Aborts()
 		s.PerShard[i] = ShardStats{Commits: c, Aborts: a}
 		s.Commits += c
 		s.Aborts += a

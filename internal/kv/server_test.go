@@ -326,9 +326,11 @@ func TestServerConcurrentClients(t *testing.T) {
 }
 
 // TestStoreGauges wires the store into a telemetry registry and checks
-// the labeled per-shard series render and move.
+// the labeled per-shard series render and move, and that every published
+// count is the one its owner keeps: the shard gauges are the runtimes'
+// (Store.Stats), the tree series are the trees' own Stats.
 func TestStoreGauges(t *testing.T) {
-	st := testStore(t, Options{Shards: 2, ShardThreads: 1})
+	st := testStore(t, Options{Shards: 2, ShardThreads: 2})
 	r := telemetry.NewRegistry()
 	RegisterStoreGauges(r, st)
 	se := st.NewSession()
@@ -346,6 +348,58 @@ func TestStoreGauges(t *testing.T) {
 	if snap.Gauges["wincm_kv_shards"] != 2 {
 		t.Fatalf("shard-count gauge = %v", snap.Gauges["wincm_kv_shards"])
 	}
+
+	// Enough keys to split leaves on both shards, then two sessions
+	// racing on one hot key for key-level conflicts and aborts.
+	for k := int64(64); k < 1024; k++ {
+		se.Set(k, k)
+	}
+	yieldEvery(st, 1)
+	var wg sync.WaitGroup
+	for id := 0; id < 2; id++ {
+		wg.Add(1)
+		go func(id int) {
+			defer wg.Done()
+			s := st.NewSession()
+			for i := 0; i < 500; i++ {
+				s.Set(7, int64(id))
+			}
+		}(id)
+	}
+	wg.Wait()
+
+	snap = r.Snapshot()
+	var tree [3]uint64
+	for _, sh := range st.shards {
+		a, b, c := sh.tree.Stats()
+		tree[0], tree[1], tree[2] = tree[0]+a, tree[1]+b, tree[2]+c
+	}
+	if tree[1] == 0 {
+		t.Fatal("1,024 keys over 2 shards split no leaf")
+	}
+	for i, name := range []string{
+		"wincm_btree_semantic_conflicts_total",
+		"wincm_btree_structural_ops_total",
+		"wincm_btree_false_conflicts_avoided_total",
+	} {
+		if got := snap.Gauges[name]; got != float64(tree[i]) {
+			t.Errorf("%s = %v, want the trees' %d", name, got, tree[i])
+		}
+	}
+	stats := st.Stats()
+	for i, ps := range stats.PerShard {
+		shard := `{shard="` + string(rune('0'+i)) + `"}`
+		if got := snap.Gauges["wincm_kv_shard_commits"+shard]; got != float64(ps.Commits) {
+			t.Errorf("wincm_kv_shard_commits%s = %v, want Stats' %d", shard, got, ps.Commits)
+		}
+		if got := snap.Gauges["wincm_kv_shard_aborts"+shard]; got != float64(ps.Aborts) {
+			t.Errorf("wincm_kv_shard_aborts%s = %v, want Stats' %d", shard, got, ps.Aborts)
+		}
+	}
+	if stats.Commits != 64+960+1000 {
+		t.Errorf("Stats().Commits = %d, want %d", stats.Commits, 64+960+1000)
+	}
+
 	var sb strings.Builder
 	if err := r.WritePrometheus(&sb); err != nil {
 		t.Fatal(err)
@@ -356,9 +410,10 @@ func TestStoreGauges(t *testing.T) {
 		`wincm_kv_shard_commits{shard="1"}`,
 		`wincm_kv_shard_aborts{shard="0"}`,
 		`wincm_kv_shard_occupancy{shard="1"}`,
-		`wincm_kv_pool_idle{shard="0"} 1`,
-		`wincm_kv_pool_idle{shard="1"} 1`,
+		`wincm_kv_pool_idle{shard="0"} 2`,
+		`wincm_kv_pool_idle{shard="1"} 2`,
 		"wincm_kv_watchdog_trips_total 0",
+		"wincm_btree_structural_ops_total ",
 	} {
 		if !strings.Contains(out, want) {
 			t.Fatalf("scrape missing %q:\n%s", want, out)

@@ -156,12 +156,11 @@ func (se *Session) exec(tx *stm.Tx) {
 }
 
 // runOn executes the staged operation as one STM transaction on a
-// claimed thread of sh and folds the outcome into the shard's stats.
+// claimed thread of sh (the shard's runtime counts its outcome).
 func (se *Session) runOn(sh *shard) {
 	se.sh = sh
 	th := sh.claim()
-	info := th.Atomic(se.fn)
-	sh.record(th, info)
+	th.Atomic(se.fn)
 	sh.release(th)
 }
 

@@ -2,22 +2,11 @@ package kv
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"wincm/internal/core"
 	"wincm/internal/stm"
 	"wincm/internal/txbtree"
 )
-
-// statSlot is one (shard, thread) outcome cell. A slot is single-writer:
-// only the session currently holding that thread updates it (load+store,
-// no RMW), the same discipline as the telemetry counters. Padded so
-// adjacent threads' slots never share a cache line.
-type statSlot struct {
-	commits atomic.Int64
-	aborts  atomic.Int64
-	_       [112]byte
-}
 
 // shard is one independent slice of the store: its own STM runtime,
 // transactional B-link tree, contention manager (with its own frame
@@ -41,8 +30,6 @@ type shard struct {
 	// pool hands out the runtime's threads. Claiming blocks when every
 	// thread of the shard is mid-transaction — backpressure, not queuing.
 	pool chan *stm.Thread
-	// stats is indexed by thread ID (single-writer while claimed).
-	stats []statSlot
 }
 
 // newShard builds shard idx from the resolved options.
@@ -60,12 +47,11 @@ func newShard(idx int, o Options) (*shard, error) {
 	}
 	rt := stm.New(o.ShardThreads, mgr, opts...)
 	sh := &shard{
-		idx:   idx,
-		rt:    rt,
-		tree:  txbtree.New[int64](),
-		wm:    wm,
-		pool:  make(chan *stm.Thread, o.ShardThreads),
-		stats: make([]statSlot, o.ShardThreads),
+		idx:  idx,
+		rt:   rt,
+		tree: txbtree.New[int64](),
+		wm:   wm,
+		pool: make(chan *stm.Thread, o.ShardThreads),
 	}
 	for i := 0; i < o.ShardThreads; i++ {
 		sh.pool <- rt.Thread(i)
@@ -89,25 +75,6 @@ func (sh *shard) claim() *stm.Thread { return <-sh.pool }
 
 // release returns a claimed thread.
 func (sh *shard) release(t *stm.Thread) { sh.pool <- t }
-
-// record folds one finished operation's outcome into the claimed
-// thread's slot. Must be called before release (single-writer window).
-func (sh *shard) record(t *stm.Thread, info stm.TxInfo) {
-	s := &sh.stats[t.ID()]
-	s.commits.Store(s.commits.Load() + 1)
-	if a := int64(info.Aborts()); a > 0 {
-		s.aborts.Store(s.aborts.Load() + a)
-	}
-}
-
-// counts sums the shard's outcome slots.
-func (sh *shard) counts() (commits, aborts int64) {
-	for i := range sh.stats {
-		commits += sh.stats[i].commits.Load()
-		aborts += sh.stats[i].aborts.Load()
-	}
-	return
-}
 
 // occupancy reports the frame clock's pending registrations (window
 // managers only; zero otherwise).

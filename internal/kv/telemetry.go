@@ -18,19 +18,24 @@ import (
 //	                                      lower at rest is a leaked thread)
 //	wincm_kv_shards                       shard count N
 //	wincm_kv_watchdog_trips_total         summed no-progress intervals
+//	wincm_btree_semantic_conflicts_total  key-level conflicts, summed
+//	wincm_btree_structural_ops_total      splits and root growth, summed
+//	wincm_btree_false_conflicts_avoided_total
+//	                                      leaf-version misses the key-level
+//	                                      recheck proved harmless, summed
 //
-// Gauges sample the shards' single-writer stat slots and the frame
-// clock's own atomics, so scraping is race-free against the workload.
+// Gauges sample the shards' runtime counters, the trees' Stats and the
+// frame clock's own atomics, so scraping is race-free against the
+// workload.
 func RegisterStoreGauges(r *telemetry.Registry, st *Store) {
 	for i, sh := range st.shards {
-		sh := sh
 		labels := `shard="` + strconv.Itoa(i) + `"`
 		r.RegisterGauge(telemetry.NewLabeledGauge("wincm_kv_shard_commits", labels,
 			"transactions committed by this shard (cross-shard sub-transactions count per shard)",
-			func() float64 { c, _ := sh.counts(); return float64(c) }))
+			func() float64 { return float64(sh.rt.Commits()) }))
 		r.RegisterGauge(telemetry.NewLabeledGauge("wincm_kv_shard_aborts", labels,
 			"transaction attempts aborted on this shard",
-			func() float64 { _, a := sh.counts(); return float64(a) }))
+			func() float64 { return float64(sh.rt.Aborts()) }))
 		r.RegisterGauge(telemetry.NewLabeledGauge("wincm_kv_shard_occupancy", labels,
 			"current frame-clock pending registrations on this shard (window managers only)",
 			func() float64 { cur, _ := sh.occupancy(); return float64(cur) }))
@@ -43,4 +48,21 @@ func RegisterStoreGauges(r *telemetry.Registry, st *Store) {
 	r.RegisterGauge(telemetry.NewGauge("wincm_kv_watchdog_trips_total",
 		"no-progress watchdog intervals summed over shards",
 		func() float64 { return float64(st.Stats().WatchdogTrips) }))
+	for i, m := range []struct{ name, help string }{
+		{"wincm_btree_semantic_conflicts_total", "key-level semantic conflicts (CM resolutions and failed semantic validations), summed over shards"},
+		{"wincm_btree_structural_ops_total", "structural modifications (splits, root growth) executed off every conflict set, summed over shards"},
+		{"wincm_btree_false_conflicts_avoided_total", "leaf-version misses the key-level recheck proved harmless, summed over shards"},
+	} {
+		r.RegisterGauge(telemetry.NewGauge(m.name, m.help, func() float64 { return float64(st.treeStats()[i]) }))
+	}
+}
+
+// treeStats sums the shards' Tree.Stats: semantic conflicts, structural
+// ops and false conflicts avoided, in that order.
+func (st *Store) treeStats() (sum [3]uint64) {
+	for _, sh := range st.shards {
+		a, b, c := sh.tree.Stats()
+		sum[0], sum[1], sum[2] = sum[0]+a, sum[1]+b, sum[2]+c
+	}
+	return sum
 }

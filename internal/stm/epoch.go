@@ -78,11 +78,10 @@ func slotBlocks(w, tag uint64) bool {
 
 // tryAdvanceEpoch ticks the global epoch from its current value once.
 // Failure means another sealer ticked it concurrently, which serves the
-// same purpose; callers never loop. It reports whether this call advanced
-// the clock (the telemetry counter counts those).
-func tryAdvanceEpoch() bool {
+// same purpose; callers never loop.
+func tryAdvanceEpoch() {
 	e := poolEpoch.v.Load()
-	return poolEpoch.v.CompareAndSwap(e, e+1)
+	poolEpoch.v.CompareAndSwap(e, e+1)
 }
 
 // pin announces the calling thread's attempt in its epoch slot. It must

@@ -119,7 +119,7 @@ type locatorPool[T any] struct {
 // free list ran dry. It returns nil on a pool miss — the caller
 // allocates. The returned locator's fields are poison; the caller must
 // initialize every field before publishing.
-func (p *locatorPool[T]) get(tx *Tx) *locator[T] {
+func (p *locatorPool[T]) get() *locator[T] {
 	if p == nil { // pooling disabled (Runtime.SetLocatorPooling)
 		return nil
 	}
@@ -129,10 +129,8 @@ func (p *locatorPool[T]) get(tx *Tx) *locator[T] {
 	if l := p.free; l != nil {
 		p.free = l.prev
 		p.freeLen--
-		tx.locPoolHits++
 		return l
 	}
-	tx.locPoolMisses++
 	return nil
 }
 
@@ -151,7 +149,7 @@ func (p *locatorPool[T]) put(l *locator[T]) {
 // retire adds a displaced locator to the open batch. The caller must be
 // the thread whose CAS unlinked l from its variable. l itself is left
 // untouched: stale holders may read it until grace passes.
-func (p *locatorPool[T]) retire(tx *Tx, l *locator[T]) {
+func (p *locatorPool[T]) retire(l *locator[T]) {
 	if p == nil { // pooling disabled: the GC reclaims l
 		return
 	}
@@ -163,17 +161,17 @@ func (p *locatorPool[T]) retire(tx *Tx, l *locator[T]) {
 	p.curLen++
 	p.th.retiredLocs.Add(1)
 	if p.curLen == retireBatchSize {
-		p.seal(tx)
+		p.seal()
 	}
 }
 
 // retireFolded retires an owned locator a CAS displaced together with the
 // quiescent locator its acquisition had displaced in turn, if any: once the
 // owner's write is folded, nothing can reinstate that one either.
-func (p *locatorPool[T]) retireFolded(tx *Tx, l *locator[T]) {
-	p.retire(tx, l)
+func (p *locatorPool[T]) retireFolded(l *locator[T]) {
+	p.retire(l)
 	if l.prev != nil {
-		p.retire(tx, l.prev)
+		p.retire(l.prev)
 	}
 }
 
@@ -181,7 +179,7 @@ func (p *locatorPool[T]) retireFolded(tx *Tx, l *locator[T]) {
 // onto the ring (dropping the oldest batch to the GC if the ring is full),
 // tick the epoch so younger pins unblock the batch, and opportunistically
 // reclaim whatever is already past grace.
-func (p *locatorPool[T]) seal(tx *Tx) {
+func (p *locatorPool[T]) seal() {
 	if p.nSealed == maxSealedBatches {
 		// Grace has stalled (a pinned thread is asleep in a wait or in
 		// a probe). Drop the oldest batch to the GC: safe — dropping
@@ -194,9 +192,7 @@ func (p *locatorPool[T]) seal(tx *Tx) {
 	}
 	p.nSealed++
 	p.curLen = 0
-	if tryAdvanceEpoch() {
-		tx.epochAdvances++
-	}
+	tryAdvanceEpoch()
 	p.reclaim()
 }
 

@@ -10,11 +10,10 @@ import (
 // none of which the public API exposes. The runtime is idle throughout, so
 // the only pins gracePassed can see are the ones each test plants.
 
-// poolHarness builds an idle runtime plus a detached pool and Tx for it.
-func poolHarness(threads int) (*Runtime, *locatorPool[int], *Tx) {
+// poolHarness builds an idle runtime plus a detached pool for it.
+func poolHarness(threads int) (*Runtime, *locatorPool[int]) {
 	rt := New(threads, karmaTied{})
-	th := rt.Thread(0)
-	return rt, &locatorPool[int]{th: th}, &Tx{owner: th}
+	return rt, &locatorPool[int]{th: rt.Thread(0)}
 }
 
 // TestPoolSealReclaimReuse covers the happy path: with no pins anywhere, a
@@ -22,12 +21,12 @@ func poolHarness(threads int) (*Runtime, *locatorPool[int], *Tx) {
 // come back poisoned, and get returns exactly the pointers that were
 // retired — no invention, no loss.
 func TestPoolSealReclaimReuse(t *testing.T) {
-	rt, p, tx := poolHarness(2)
+	rt, p := poolHarness(2)
 	retired := make(map[*locator[int]]bool, retireBatchSize)
 	for i := 0; i < retireBatchSize; i++ {
 		l := &locator[int]{oldVal: i, newVal: i + 1, version: uint64(i) + 10}
 		retired[l] = true
-		p.retire(tx, l)
+		p.retire(l)
 	}
 	if p.pending() != 0 {
 		t.Fatalf("batch did not reclaim with no pins held: %d pending", p.pending())
@@ -39,7 +38,7 @@ func TestPoolSealReclaimReuse(t *testing.T) {
 		t.Fatalf("retired gauge = %d after reclaim, want 0", got)
 	}
 	for i := 0; i < retireBatchSize; i++ {
-		l := p.get(tx)
+		l := p.get()
 		if l == nil {
 			t.Fatalf("get %d missed with %d locators recycled", i, retireBatchSize)
 		}
@@ -51,11 +50,8 @@ func TestPoolSealReclaimReuse(t *testing.T) {
 			t.Fatalf("recycled locator not poisoned: %+v", l)
 		}
 	}
-	if l := p.get(tx); l != nil {
+	if l := p.get(); l != nil {
 		t.Fatalf("get returned %p from an empty pool", l)
-	}
-	if tx.locPoolHits != retireBatchSize || tx.locPoolMisses != 1 {
-		t.Fatalf("tallies hits=%d misses=%d, want %d/1", tx.locPoolHits, tx.locPoolMisses, retireBatchSize)
 	}
 }
 
@@ -63,16 +59,16 @@ func TestPoolSealReclaimReuse(t *testing.T) {
 // an epoch ≤ the batch tag keeps the batch unreclaimable, and clearing the
 // pin releases it.
 func TestPoolPinBlocksReclaim(t *testing.T) {
-	rt, p, tx := poolHarness(2)
+	rt, p := poolHarness(2)
 	slot := &rt.epochSlots[1].v
 	slot.Store(pinWord(poolEpoch.v.Load()))
 	for i := 0; i < retireBatchSize; i++ {
-		p.retire(tx, &locator[int]{version: 3})
+		p.retire(&locator[int]{version: 3})
 	}
 	if p.pending() != retireBatchSize {
 		t.Fatalf("pinned slot did not block reclaim: %d pending", p.pending())
 	}
-	if l := p.get(tx); l != nil {
+	if l := p.get(); l != nil {
 		t.Fatalf("get recycled a locator under an older pin")
 	}
 	slot.Store(slot.Load() &^ pinnedBit)
@@ -80,7 +76,7 @@ func TestPoolPinBlocksReclaim(t *testing.T) {
 	// skips rescans while the epoch is unchanged — in production every
 	// seal ticks it).
 	tryAdvanceEpoch()
-	if l := p.get(tx); l == nil {
+	if l := p.get(); l == nil {
 		t.Fatalf("get missed after the blocking pin cleared")
 	}
 }
@@ -89,11 +85,11 @@ func TestPoolPinBlocksReclaim(t *testing.T) {
 // argument: a pin taken after the batch sealed carries a younger epoch
 // (seal ticks the clock) and must not delay reclamation.
 func TestPoolPinAfterSealDoesNotBlock(t *testing.T) {
-	rt, p, tx := poolHarness(2)
+	rt, p := poolHarness(2)
 	blocker := &rt.epochSlots[1].v
 	blocker.Store(pinWord(poolEpoch.v.Load()))
 	for i := 0; i < retireBatchSize; i++ {
-		p.retire(tx, &locator[int]{version: 3})
+		p.retire(&locator[int]{version: 3})
 	}
 	// The batch is sealed and the epoch has ticked past its tag; a fresh
 	// pin announces the younger epoch.
@@ -101,7 +97,7 @@ func TestPoolPinAfterSealDoesNotBlock(t *testing.T) {
 	young.Store(pinWord(poolEpoch.v.Load()))
 	blocker.Store(blocker.Load() &^ pinnedBit)
 	tryAdvanceEpoch()
-	if l := p.get(tx); l == nil {
+	if l := p.get(); l == nil {
 		t.Fatalf("young pin (epoch after seal) wrongly blocked reclamation")
 	}
 	young.Store(young.Load() &^ pinnedBit)
@@ -111,14 +107,14 @@ func TestPoolPinAfterSealDoesNotBlock(t *testing.T) {
 // and checks the sealed ring stays bounded by leaking its oldest batch to
 // the GC instead of growing.
 func TestPoolRingOverflowDropsOldest(t *testing.T) {
-	rt, p, tx := poolHarness(2)
+	rt, p := poolHarness(2)
 	// One pin held at the starting epoch blocks every batch: tags only
 	// grow, so w>>1 <= tag holds for all of them.
 	slot := &rt.epochSlots[1].v
 	slot.Store(pinWord(poolEpoch.v.Load()))
 	for b := 0; b < maxSealedBatches+3; b++ {
 		for i := 0; i < retireBatchSize; i++ {
-			p.retire(tx, &locator[int]{version: 3})
+			p.retire(&locator[int]{version: 3})
 		}
 	}
 	if p.nSealed != maxSealedBatches {
@@ -134,7 +130,7 @@ func TestPoolRingOverflowDropsOldest(t *testing.T) {
 		t.Fatalf("ring overflow did not arm the retire bypass")
 	}
 	before := p.pending()
-	p.retire(tx, &locator[int]{version: 3})
+	p.retire(&locator[int]{version: 3})
 	if p.pending() != before || rt.RetiredLocators() != want {
 		t.Fatalf("bypassed retire still reached the batching machinery")
 	}
@@ -145,9 +141,9 @@ func TestPoolRingOverflowDropsOldest(t *testing.T) {
 // allocating) cannot hoard: the free list stops growing at its cap and
 // further batches are forgotten.
 func TestPoolFreeListCap(t *testing.T) {
-	_, p, tx := poolHarness(2)
+	_, p := poolHarness(2)
 	for i := 0; i < (maxFreeLocators/retireBatchSize+3)*retireBatchSize; i++ {
-		p.retire(tx, &locator[int]{version: 3})
+		p.retire(&locator[int]{version: 3})
 	}
 	if p.freeLen != maxFreeLocators {
 		t.Fatalf("free list grew to %d, cap is %d", p.freeLen, maxFreeLocators)
@@ -158,13 +154,13 @@ func TestPoolFreeListCap(t *testing.T) {
 // published, so put must return it for immediate reuse even while every
 // slot is pinned.
 func TestPoolPutSkipsGrace(t *testing.T) {
-	rt, p, tx := poolHarness(2)
+	rt, p := poolHarness(2)
 	for i := range rt.epochSlots {
 		rt.epochSlots[i].v.Store(pinWord(poolEpoch.v.Load()))
 	}
 	l := &locator[int]{version: 9}
 	p.put(l)
-	if got := p.get(tx); got != l {
+	if got := p.get(); got != l {
 		t.Fatalf("put locator not immediately reusable: got %p want %p", got, l)
 	}
 	for i := range rt.epochSlots {
@@ -184,7 +180,7 @@ func TestPoolPutSkipsGrace(t *testing.T) {
 // old pointer.
 func TestPoolGraceProperty(t *testing.T) {
 	const slots = 4
-	rt, p, tx := poolHarness(slots)
+	rt, p := poolHarness(slots)
 	rng := rand.New(rand.NewSource(42))
 	type pinRef struct{ slot, gen int }
 	pinned := make([]bool, slots)
@@ -217,9 +213,9 @@ func TestPoolGraceProperty(t *testing.T) {
 				}
 			}
 			blockers[l] = bs
-			p.retire(tx, l)
+			p.retire(l)
 		default: // get — check the property on every recycled pointer
-			l := p.get(tx)
+			l := p.get()
 			if l == nil {
 				continue
 			}

@@ -22,9 +22,9 @@ type Probe interface {
 	// recorders use it to stamp the attempt's start.
 	OnBegin(tx *Tx)
 	// OnCommit runs at the attempt's commit point, before the status CAS
-	// and after semantic validation, so the attempt's validation tallies
-	// are complete when probes fold them. An attempt whose commit-time
-	// validation fails fires OnAbort without OnCommit.
+	// and after semantic validation, so the attempt's open and acquire
+	// tallies are complete when probes fold them. An attempt whose
+	// commit-time validation fails fires OnAbort without OnCommit.
 	OnCommit(tx *Tx)
 	// OnAbort runs after an attempt aborted and released its objects.
 	OnAbort(tx *Tx)

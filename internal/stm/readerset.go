@@ -117,9 +117,6 @@ func (rs *readerSet) register(tx *Tx) (added bool) {
 		return false
 	}
 	s.Store(stamp)
-	if tx.D.ThreadID >= inlineReaders {
-		tx.readerSpills++
-	}
 	return true
 }
 
@@ -131,9 +128,6 @@ func (rs *readerSet) installSpill(tx *Tx) *spillTable {
 	var sp *spillTable
 	if v := spillPool.Get(); v != nil {
 		sp = v.(*spillTable)
-		tx.poolHits++
-	} else {
-		tx.poolMisses++
 	}
 	if sp == nil || len(sp.slots) < need {
 		sp = &spillTable{slots: make([]paddedSlot, need)}
@@ -148,7 +142,6 @@ func (rs *readerSet) installSpill(tx *Tx) *spillTable {
 		// Lost the install race. The winner's table is big enough for any
 		// thread of this runtime, so recycle ours and use theirs.
 		spillPool.Put(sp)
-		tx.casRetries++
 	}
 	return rs.spill.Load()
 }

@@ -114,33 +114,3 @@ func (tx *Tx) SemanticOpen() {
 // same Tx; semantic structures use it to detect attempt boundaries when
 // caching per-attempt state.
 func SerialOf(word uint64) uint64 { return serialOf(word) }
-
-// Semantic telemetry tallies. Unlike the per-attempt tallies above these
-// are cumulative over the thread's lifetime: structural work (splits,
-// root growth) happens while applying buffered writes in Finalize, which
-// on the commit path runs after the telemetry probe has already folded
-// the attempt — a per-attempt counter would lose exactly the events it
-// exists to count. Telemetry folds deltas instead (see
-// internal/telemetry). Owner-thread-only, like every other tally.
-
-// AddSemanticConflicts counts key-level conflicts routed through the
-// contention manager or failed semantic validations.
-func (tx *Tx) AddSemanticConflicts(n int) { tx.semConflicts += int64(n) }
-
-// AddStructuralOps counts structural modifications (splits, root growth)
-// executed outside every conflict set.
-func (tx *Tx) AddStructuralOps(n int) { tx.structuralOps += int64(n) }
-
-// AddFalseConflictsAvoided counts commits whose per-leaf fast-path check
-// failed but whose key-level slow path proved the reads still valid — the
-// aborts a tvar-granularity structure would have taken.
-func (tx *Tx) AddFalseConflictsAvoided(n int) { tx.falseAvoided += int64(n) }
-
-// SemanticConflicts returns the thread-lifetime semantic-conflict tally.
-func (tx *Tx) SemanticConflicts() int64 { return tx.semConflicts }
-
-// StructuralOps returns the thread-lifetime structural-operation tally.
-func (tx *Tx) StructuralOps() int64 { return tx.structuralOps }
-
-// FalseConflictsAvoided returns the thread-lifetime avoided-abort tally.
-func (tx *Tx) FalseConflictsAvoided() int64 { return tx.falseAvoided }

@@ -173,15 +173,6 @@ type Tx struct {
 	// owner is the Thread whose storage this Tx is; the epoch pin slot
 	// and the locator pools hang off it. Set once at construction.
 	owner *Thread
-	// Hot-path introspection tallies, reset per attempt and folded into
-	// telemetry at attempt end (owner-thread-only, like opens).
-	casRetries    int
-	readerSpills  int
-	poolHits      int
-	poolMisses    int
-	locPoolHits   int
-	locPoolMisses int
-	epochAdvances int
 	// poolOn caches the runtime's locator-pooling gate for the attempt
 	// (poolOf reads it on every write-path operation).
 	poolOn bool
@@ -192,13 +183,8 @@ type Tx struct {
 	openVar uint64
 	writes  []container
 	// semOps are the semantic conflict sources registered with this
-	// attempt (semantic.go); the tallies below are cumulative over the
-	// thread's lifetime (Finalize runs after the attempt-end telemetry
-	// fold, so telemetry folds deltas). All owner-thread-only.
-	semOps        []SemanticOps
-	semConflicts  int64
-	structuralOps int64
-	falseAvoided  int64
+	// attempt (semantic.go). Owner-thread-only.
+	semOps []SemanticOps
 }
 
 // OpenCalls reports how many transactional opens (Read and Write calls)
@@ -209,35 +195,6 @@ func (tx *Tx) OpenCalls() int { return tx.opens }
 // AcquireCount reports how many write ownerships this attempt newly
 // acquired. Like OpenCalls it survives cleanup and is owner-thread-only.
 func (tx *Tx) AcquireCount() int { return tx.acquires }
-
-// CASRetries reports how many lock-free hot-path CAS attempts this attempt
-// had to repeat (ownership-record CASes that lost a race, reader-slot
-// claims that lost a race, and stale-ownership reloads). Owner-thread-only;
-// survives cleanup for attempt-end telemetry folding.
-func (tx *Tx) CASRetries() int { return tx.casRetries }
-
-// ReaderSpills reports how many visible-read registrations of this attempt
-// overflowed a variable's inline reader slots into its spill shard table.
-// Owner-thread-only; survives cleanup.
-func (tx *Tx) ReaderSpills() int { return tx.readerSpills }
-
-// SpillPoolHits reports how many reader spill tables this attempt obtained
-// from the shared pool; SpillPoolMisses counts fresh allocations.
-// Owner-thread-only; survive cleanup.
-func (tx *Tx) SpillPoolHits() int   { return tx.poolHits }
-func (tx *Tx) SpillPoolMisses() int { return tx.poolMisses }
-
-// LocatorPoolHits reports how many locators this attempt popped from the
-// thread's recycled free lists; LocatorPoolMisses counts the fresh
-// allocations the pool could not cover (pool.go). Owner-thread-only;
-// survive cleanup.
-func (tx *Tx) LocatorPoolHits() int   { return tx.locPoolHits }
-func (tx *Tx) LocatorPoolMisses() int { return tx.locPoolMisses }
-
-// EpochAdvances reports how many times this attempt ticked the global
-// reclamation epoch while sealing retire batches. Owner-thread-only;
-// survives cleanup.
-func (tx *Tx) EpochAdvances() int { return tx.epochAdvances }
 
 // OpenedVar returns an opaque identity token for the variable the current
 // open operation targets — the TVar a conflict discovered during this open
@@ -270,9 +227,6 @@ func (tx *Tx) beginAttempt() {
 	w := tx.status.Load()
 	tx.status.Store((serialOf(w)+1)<<statusBits | uint64(Active))
 	tx.opens, tx.acquires = 0, 0
-	tx.casRetries, tx.readerSpills = 0, 0
-	tx.poolHits, tx.poolMisses = 0, 0
-	tx.locPoolHits, tx.locPoolMisses, tx.epochAdvances = 0, 0, 0
 	tx.poolOn = tx.rt.locPooling.Load()
 	// Announce the attempt in the reclamation epoch before its first
 	// locator load (epoch.go); cleanup clears the pin. Without pooling
@@ -402,13 +356,24 @@ func (rt *Runtime) SetYieldEvery(k int) { rt.yieldEvery.Store(int64(k)) }
 // mid-run could reclaim a locator out from under an unpinned attempt.
 func (rt *Runtime) SetLocatorPooling(on bool) { rt.locPooling.Store(on) }
 
-// Commits returns the number of transactions committed runtime-wide. The
-// count is sharded per thread (each thread bumps only its own padded
-// counter), so the commit hot path never bounces a shared cache line.
+// Commits returns the number of transactions committed runtime-wide. Each
+// thread counts its own in a single-writer cell (load+store, no locked
+// read-modify-write), so the commit path never bounces a shared cache line.
 func (rt *Runtime) Commits() int64 {
 	var sum int64
 	for _, t := range rt.threads {
 		sum += t.commits.Load()
+	}
+	return sum
+}
+
+// Aborts returns the number of aborted attempts runtime-wide, counted like
+// Commits. Once every transaction has returned it equals the sum of their
+// TxInfo.Aborts.
+func (rt *Runtime) Aborts() int64 {
+	var sum int64
+	for _, t := range rt.threads {
+		sum += t.aborts.Load()
 	}
 	return sum
 }
@@ -438,10 +403,11 @@ type Thread struct {
 	// current is the in-flight transaction's descriptor, nil between
 	// transactions; the watchdog reads it to find starving transactions.
 	current atomic.Pointer[Desc]
-	// commits counts this thread's committed transactions (shard of
-	// Runtime.Commits; the watchdog sums these to detect lack of
-	// progress).
-	commits atomic.Int64
+	// commits and aborts count this thread's committed transactions and
+	// aborted attempts (shards of Runtime.Commits and Runtime.Aborts; the
+	// watchdog sums commits to detect lack of progress). Single-writer:
+	// only the goroutine driving the thread stores them.
+	commits, aborts atomic.Int64
 	// boState is the xorshift state of the retry backoff (abortBackoff).
 	boState uint64
 	// retiredLocs counts this thread's retired-but-unreclaimed locators
@@ -531,7 +497,7 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		d.AttemptEnd = end
 		if committed {
 			cm.Committed(tx)
-			t.commits.Add(1)
+			t.commits.Store(t.commits.Load() + 1)
 			// Release the fallback token if this transaction held it —
 			// whether acquired below or granted by the watchdog.
 			if rt.fallback.Load() == d {
@@ -548,6 +514,7 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		// hold, notify the manager, and go around again.
 		tx.abortWord(tx.status.Load())
 		tx.cleanup()
+		t.aborts.Store(t.aborts.Load() + 1)
 		info.Wasted += time.Duration(end - d.AttemptStart)
 		cm.Aborted(tx)
 		if p := rt.probe; p != nil {
@@ -627,8 +594,7 @@ func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 func (tx *Tx) commit() bool {
 	w := tx.status.Load()
 	// Semantic validation runs before the OnCommit probe: a failure fires
-	// OnAbort only, which folds the attempt's tallies — including the
-	// key-level conflicts the validation just counted — exactly once.
+	// OnAbort only, which folds the attempt's tallies exactly once.
 	if len(tx.semOps) > 0 && !tx.semValidate() {
 		tx.abortWord(w)
 		return false

@@ -284,6 +284,42 @@ func TestTxInfoCountsAborts(t *testing.T) {
 	}
 }
 
+// TestRuntimeCountsOutcomes: the runtime's own counters are exact — two
+// threads racing on one TVar under a manager that always aborts the enemy
+// commit 2N transactions, and every aborted attempt any of them reported in
+// its TxInfo is counted once by Runtime.Aborts.
+func TestRuntimeCountsOutcomes(t *testing.T) {
+	const threads, n = 2, 2000
+	rt := stm.New(threads, abortEnemy{})
+	rt.SetYieldEvery(1)
+	v := stm.NewTVar(0)
+	var aborts [threads]int64
+	var wg sync.WaitGroup
+	for i := 0; i < threads; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			th := rt.Thread(i)
+			for j := 0; j < n; j++ {
+				info := th.Atomic(func(tx *stm.Tx) {
+					stm.Write(tx, v, stm.Read(tx, v)+1)
+				})
+				aborts[i] += int64(info.Aborts())
+			}
+		}(i)
+	}
+	wg.Wait()
+	if got := v.Peek(); got != threads*n {
+		t.Fatalf("counter = %d, want %d", got, threads*n)
+	}
+	if got := rt.Commits(); got != threads*n {
+		t.Errorf("rt.Commits() = %d, want %d", got, threads*n)
+	}
+	if got, want := rt.Aborts(), aborts[0]+aborts[1]; got != want {
+		t.Errorf("rt.Aborts() = %d, want the TxInfo sum %d", got, want)
+	}
+}
+
 func TestRemoteAbortOnlyHitsActiveAttempt(t *testing.T) {
 	rt := runtimeWith(t, "polka", 1)
 	var captured *stm.Tx

@@ -193,7 +193,7 @@ func (v *TVar[T]) release(tx *Tx) {
 		switch tx.Status() {
 		case Committed:
 			committed = true
-			if next = pool.get(tx); next == nil {
+			if next = pool.get(); next == nil {
 				next = new(locator[T])
 			}
 			next.owner, next.serial = nil, 0
@@ -205,7 +205,7 @@ func (v *TVar[T]) release(tx *Tx) {
 				next = loc.prev
 				private = false
 			} else {
-				if next = pool.get(tx); next == nil {
+				if next = pool.get(); next == nil {
 					next = new(locator[T])
 				}
 				next.owner, next.serial = nil, 0
@@ -222,9 +222,9 @@ func (v *TVar[T]) release(tx *Tx) {
 			// (the quiescent locator our acquisition displaced). On abort,
 			// prev (if any) was just reinstated: live, not retired.
 			if committed {
-				pool.retireFolded(tx, loc)
+				pool.retireFolded(loc)
 			} else {
-				pool.retire(tx, loc)
+				pool.retire(loc)
 			}
 			return
 		}
@@ -273,7 +273,6 @@ func Read[T any](tx *Tx, v *TVar[T]) T {
 		} else {
 			word, ok := ownerView(loc)
 			if !ok {
-				tx.casRetries++
 				continue
 			}
 			if StatusOf(word) == Active {
@@ -352,7 +351,6 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 			}
 			word, ok := ownerView(loc)
 			if !ok {
-				tx.casRetries++
 				continue
 			}
 			if StatusOf(word) == Active {
@@ -366,7 +364,7 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 		// ownership held through a sleep would serialize every reader of
 		// the variable behind this writer.
 		v.readers.resolveWriters(tx, &attempt)
-		next := pool.get(tx)
+		next := pool.get()
 		if next == nil {
 			next = new(locator[T])
 		}
@@ -380,7 +378,6 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 			word, ok := ownerView(loc)
 			if !ok {
 				pool.put(next)
-				tx.casRetries++
 				continue
 			}
 			next.oldVal, next.version = settledView(loc, StatusOf(word))
@@ -389,7 +386,6 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 		if !v.loc.CompareAndSwap(loc, next) {
 			// next was never published; no other thread saw it.
 			pool.put(next)
-			tx.casRetries++
 			continue
 		}
 		if loc.owner != nil {
@@ -397,7 +393,7 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 			// unreachable, and so is the quiescent prev it displaced (the
 			// enemy's release, had it won, would have reinstated or folded
 			// it — losing the CAS hands both to us).
-			pool.retireFolded(tx, loc)
+			pool.retireFolded(loc)
 		}
 		tx.writes = append(tx.writes, v)
 		tx.acquires++

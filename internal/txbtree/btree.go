@@ -222,8 +222,8 @@ type Tree[V any] struct {
 	// under growMu and read lock-free (state()).
 	states atomic.Pointer[[]*txState[V]]
 	growMu sync.Mutex
-	// Structure-level stat counters, mirrored into the per-attempt
-	// telemetry tallies; tests read these for exact per-run numbers.
+	// The tree's event counters, read by Stats: it is the only place
+	// these events are counted.
 	statSem, statSmo, statFalse atomic.Uint64
 }
 
@@ -238,9 +238,10 @@ func New[V any]() *Tree[V] {
 	return t
 }
 
-// Stats reports the tree's cumulative semantic-conflict, structural-op
-// and false-conflict-avoided counts (exact; the per-attempt telemetry
-// tallies mirror them modulo fold timing).
+// Stats reports the tree's cumulative counts of key-level conflicts (CM
+// resolutions and failed semantic validations), structural modifications
+// (splits, root growth) and false conflicts avoided (leaf-version misses
+// the key-level recheck proved harmless).
 func (t *Tree[V]) Stats() (semanticConflicts, structuralOps, falseConflictsAvoided uint64) {
 	return t.statSem.Load(), t.statSmo.Load(), t.statFalse.Load()
 }
@@ -346,7 +347,7 @@ func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V], r *lockRec) {
 // compensates with right moves.
 func (t *Tree[V]) splitLeaf(st *txState[V], nd *node[V], key int, val V, r *lockRec) {
 	sep, sibling := nd.split(key, val, r)
-	st.countSMO()
+	t.statSmo.Add(1)
 	st.path = st.path[:0]
 	t.leafOf(sep, &st.path)
 	t.insertParent(st, sep, unsafe.Pointer(sibling))
@@ -443,7 +444,7 @@ func (t *Tree[V]) insertParent(st *txState[V], sep int, kid unsafe.Pointer) {
 			return
 		}
 		psep, s := p.split(r, i, sep, kid)
-		st.countSMO()
+		t.statSmo.Add(1)
 		if n := len(st.path); n > 0 {
 			p, st.path = st.path[n-1], st.path[:n-1]
 		} else if p = t.growRoot(st, p, psep, s); p == nil {
@@ -515,7 +516,7 @@ func (t *Tree[V]) growRoot(st *txState[V], left *inner[V], sep int, sibling *inn
 			r.put(0, sep, unsafe.Pointer(sibling))
 			t.root.Store(newInner(left.level+1, r))
 			t.smoMu.Unlock()
-			st.countSMO()
+			t.statSmo.Add(1)
 			return nil
 		}
 		t.smoMu.Unlock()

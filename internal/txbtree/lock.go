@@ -80,7 +80,7 @@ func (nd *node[V]) unlink(r *lockRec) {
 // attempt counts the resolutions of one blocked operation.
 func (st *txState[V]) wait(b blocker, kind stm.Kind, attempt *int) {
 	if b.st == stm.Active {
-		st.semConflict()
+		st.tree.statSem.Add(1)
 		st.tx.ResolveConflict(b.owner, b.word, kind, attempt)
 		return
 	}

@@ -115,28 +115,14 @@ func (st *txState[V]) revalidate(tx *stm.Tx) {
 			continue
 		}
 		if e.isRange || !st.recheck(e, false) {
-			st.semConflict()
+			st.tree.statSem.Add(1)
 			tx.RetryNow()
 		}
 		// Leaf churned but the key's binding held — a false conflict a
 		// node-granularity structure would have aborted on. The recheck
 		// promoted the entry, so commit-time validation fast-paths.
-		st.falseAvoided()
+		st.tree.statFalse.Add(1)
 	}
-}
-
-// semConflict counts one CM-routed key conflict or failed semantic
-// validation into the attempt and the tree.
-func (st *txState[V]) semConflict() {
-	st.tx.AddSemanticConflicts(1)
-	st.tree.statSem.Add(1)
-}
-
-// falseAvoided counts one read whose leaf changed but whose key's binding
-// held.
-func (st *txState[V]) falseAvoided() {
-	st.tx.AddFalseConflictsAvoided(1)
-	st.tree.statFalse.Add(1)
 }
 
 // bufGet looks key up in the private write set.
@@ -167,13 +153,6 @@ func (st *txState[V]) write(key int, val V, del bool) (present bool) {
 	e.locked = true
 	st.writes = append(st.writes, writeEnt[V]{key: key, val: val, del: del, leaf: e.leaf})
 	return present
-}
-
-// countSMO tallies one structural modification (split or root growth)
-// into the attempt and the tree.
-func (st *txState[V]) countSMO() {
-	st.tx.AddStructuralOps(1)
-	st.tree.statSmo.Add(1)
 }
 
 // read performs the logged read of key in one latched visit of its home
@@ -309,7 +288,7 @@ func (st *txState[V]) Validate(tx *stm.Tx) bool {
 		if e.isRange {
 			st.sweep(e)
 			if e.leaf.ver.Load() != e.leafVer {
-				st.semConflict()
+				st.tree.statSem.Add(1)
 				return false
 			}
 			continue
@@ -327,14 +306,14 @@ func (st *txState[V]) Validate(tx *stm.Tx) bool {
 			continue
 		}
 		if !st.recheck(e, !e.locked) {
-			st.semConflict()
+			st.tree.statSem.Add(1)
 			return false
 		}
 		if moved {
 			// The leaf changed under the read but the key's binding did
 			// not: the abort a node-granularity conflict set would have
 			// taken.
-			st.falseAvoided()
+			st.tree.statFalse.Add(1)
 		}
 	}
 	return true
