@@ -290,7 +290,7 @@ func traceRun(opts harness.Options, manager string, out *os.File) {
 	if len(opts.Threads) > 0 {
 		threads = opts.Threads[len(opts.Threads)-1]
 	}
-	w, err := harness.NewWorkload(benchmark, bench.Mix{UpdatePct: 100, KeyRange: 256}, opts.Seed)
+	w, err := harness.NewWorkload(benchmark, bench.HighContention, opts.Seed)
 	if err != nil {
 		fatalf("trace: %v", err)
 	}

@@ -58,8 +58,6 @@ type Options struct {
 	Fig5Threads int
 	// WindowN is N for window managers. Default 50 (the paper's).
 	WindowN int
-	// KeyRange is the set benchmarks' key universe. Default 256.
-	KeyRange int
 	// Seed makes runs reproducible.
 	Seed uint64
 	// Hub, when non-nil, receives a fresh telemetry registry for every
@@ -133,9 +131,6 @@ func (o Options) withDefaults() Options {
 	if o.WindowN == 0 {
 		o.WindowN = 50
 	}
-	if o.KeyRange == 0 {
-		o.KeyRange = 256
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -160,7 +155,6 @@ func (o Options) Validate() error {
 		{"TotalTxs (-total)", o.TotalTxs, 1},
 		{"Fig5Threads (-fig5-threads)", o.Fig5Threads, 1},
 		{"WindowN (-window-n)", o.WindowN, 0},
-		{"KeyRange", o.KeyRange, 0},
 	} {
 		if c.v < c.min {
 			return fmt.Errorf("harness: %s must be >= %d (got %d)", c.name, c.min, c.v)
@@ -198,7 +192,7 @@ func (o Options) resolve() (Options, error) {
 // throughputMix is the Figs. 2–4 workload: randomly selected insertions
 // and deletions with equal probability, as in the paper.
 func (o Options) throughputMix() bench.Mix {
-	return bench.Mix{UpdatePct: 100, KeyRange: o.KeyRange}
+	return bench.HighContention
 }
 
 // Table is a rendered experiment result: one row per series (contention
@@ -390,10 +384,8 @@ func (g *grid) fig5() ([]Table, error) {
 		for _, mgr := range ComparisonManagerNames() {
 			row := []string{mgr}
 			for _, lvl := range fig5Levels {
-				mix := lvl.mix
-				mix.KeyRange = o.KeyRange
 				rs, err := o.reps(func(seed uint64) (Result, error) {
-					w, err := NewWorkload(b, mix, seed)
+					w, err := NewWorkload(b, lvl.mix, seed)
 					if err != nil {
 						return Result{}, err
 					}
@@ -416,9 +408,9 @@ var fig5Levels = []struct {
 	name string
 	mix  bench.Mix
 }{
-	{"low(20%)", bench.Mix{UpdatePct: 20}},
-	{"medium(60%)", bench.Mix{UpdatePct: 60}},
-	{"high(100%)", bench.Mix{UpdatePct: 100}},
+	{"low(20%)", bench.LowContention},
+	{"medium(60%)", bench.MediumContention},
+	{"high(100%)", bench.HighContention},
 }
 
 // all renders Figures 2–5 and the extended metrics off the one grid, in

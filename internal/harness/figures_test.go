@@ -22,8 +22,8 @@ func TestOptionsDefaults(t *testing.T) {
 	if o.TotalTxs != 20000 || o.Fig5Threads != 32 || o.WindowN != 50 {
 		t.Errorf("paper defaults wrong: %+v", o)
 	}
-	if o.KeyRange != 256 || o.Seed == 0 {
-		t.Errorf("key range/seed defaults wrong: %+v", o)
+	if o.Seed == 0 {
+		t.Errorf("seed default wrong: %+v", o)
 	}
 }
 
@@ -31,12 +31,12 @@ func TestOptionsRespectsOverrides(t *testing.T) {
 	in := Options{
 		Threads: []int{3}, Duration: time.Second, Reps: 7,
 		Benchmarks: []string{"list"}, TotalTxs: 5, Fig5Threads: 2,
-		WindowN: 9, KeyRange: 64, Seed: 99,
+		WindowN: 9, Seed: 99,
 	}
 	o := in.withDefaults()
 	if o.Threads[0] != 3 || o.Duration != time.Second || o.Reps != 7 ||
 		o.Benchmarks[0] != "list" || o.TotalTxs != 5 || o.Fig5Threads != 2 ||
-		o.WindowN != 9 || o.KeyRange != 64 || o.Seed != 99 {
+		o.WindowN != 9 || o.Seed != 99 {
 		t.Errorf("overrides lost: %+v", o)
 	}
 }
@@ -61,7 +61,6 @@ func TestDriversValidateAfterDefaults(t *testing.T) {
 		{Options{TotalTxs: -1}, "TotalTxs"},
 		{Options{Fig5Threads: -1}, "Fig5Threads"},
 		{Options{WindowN: -5}, "WindowN"},
-		{Options{KeyRange: -1}, "KeyRange"},
 		{Options{Threads: []int{2, 0}}, "Threads"},
 		{Options{BTreeThreads: []int{-1}}, "BTreeThreads"},
 		{Options{Benchmarks: []string{"list", "nosuch"}}, "nosuch"},

@@ -62,12 +62,6 @@ type Config struct {
 	Trace *TraceConfig
 }
 
-// interleave makes every k-th transactional open yield the processor so
-// transactions overlap at fine grain even when GOMAXPROCS is smaller than
-// Threads (the paper oversubscribed 4 cores with 32 threads; a single-core
-// machine needs this to exhibit contention at all).
-const interleave = 8
-
 // NewManager builds the configured contention manager (core.NewNamed:
 // WindowN reaches window variants, classic managers ignore it).
 func (c Config) NewManager() (stm.ContentionManager, error) {
@@ -138,7 +132,6 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 		opts = append(opts, stm.WithProbe(probe))
 	}
 	rt := stm.New(c.Threads, mgr, opts...)
-	rt.SetYieldEvery(interleave)
 	reg.RegisterGauge(telemetry.NewGauge("wincm_locator_retired",
 		"locators retired and awaiting a grace period before reuse",
 		func() float64 { return float64(rt.RetiredLocators()) }))

@@ -107,6 +107,11 @@ func TestChaosGracefulDegradation(t *testing.T) {
 	}
 }
 
+// livenessGrain makes every 8th open yield, so the eight threads overlap
+// at fine grain and the adversary's faults land inside live conflicts on
+// any core count, one core included.
+const livenessGrain = 8
+
 func livenessCell(t *testing.T, benchmark, manager string) {
 	const threads = 8
 	o := Options{Seed: 7}.withDefaults()
@@ -121,7 +126,7 @@ func livenessCell(t *testing.T, benchmark, manager string) {
 	adv := newAdversary(threads, o.Seed)
 	rt := stm.New(threads, flipper{mgr, adv},
 		stm.WithFallback(64, 250*time.Millisecond), stm.WithProbe(adv))
-	rt.SetYieldEvery(interleave)
+	rt.SetYieldEvery(livenessGrain)
 	wd := rt.StartWatchdog(0)
 	w.Setup(rt.Thread(0))
 	adv.armed.Store(true)

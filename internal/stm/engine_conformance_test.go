@@ -147,7 +147,7 @@ func conformCounterParallel(t *testing.T) {
 	const threads, perThread = 4, 300
 	rt := runtimeWith(t, "polka", threads)
 	rt.SetYieldEvery(2)
-	rt.SetLocatorPooling(true)
+	stm.ForceLocatorPooling(rt)
 	v := stm.NewTVar(0)
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {

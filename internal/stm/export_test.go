@@ -1,0 +1,7 @@
+package stm
+
+// ForceLocatorPooling turns locator recycling on whatever New decided from
+// GOMAXPROCS, so tests exercise reclamation under deliberate
+// oversubscription. Call it before the runtime executes a transaction:
+// threads maintain their reclamation pins only while the gate is on.
+func ForceLocatorPooling(rt *Runtime) { rt.locPooling = true }

@@ -28,7 +28,7 @@ func TestQuickSerializableHistories(t *testing.T) {
 		// Force recycling on: these runs are oversubscribed on small
 		// machines, and the histories must stay serializable with locators
 		// being reused underneath.
-		rt.SetLocatorPooling(true)
+		stm.ForceLocatorPooling(rt)
 		vs := make([]*stm.TVar[int], vars)
 		for i := range vs {
 			vs[i] = stm.NewTVar(0)

@@ -6,13 +6,14 @@ import (
 	"time"
 )
 
-// karmaTied is the classic Karma policy's decision shape, defined here
+// karmaTied is the tie-goes-to-attacker decision shape, defined here
 // because an in-package test cannot import cm (import cycle): work invested
-// is priority, ties go to the attacker. Under this policy, transactions
-// whose priorities are locked together mutually satisfy "mine >= theirs"
-// and abort each other on every conflict — the kill cycle that allocator
-// jitter used to break by accident before the write path stopped
-// allocating (see abortBackoff).
+// is priority, and equal priorities abort the enemy. Registered Polka has
+// the same shape at a karma gap of 0 (it waits only gap rounds). Under this
+// policy, transactions whose priorities are locked together mutually
+// satisfy "mine >= theirs" and abort each other on every conflict — the
+// kill cycle that allocator jitter used to break by accident before the
+// write path stopped allocating (see abortBackoff).
 type karmaTied struct{}
 
 func (karmaTied) Begin(tx *Tx)     {}
@@ -45,7 +46,7 @@ func TestVisibleKillCycleLiveness(t *testing.T) {
 		// The kill cycle only closes when attempts run jitter-free, which
 		// needs the zero-allocation path — keep pooling on regardless of
 		// the machine's core count.
-		rt.SetLocatorPooling(true)
+		ForceLocatorPooling(rt)
 		vs := make([]*TVar[int], vars)
 		for i := range vs {
 			vs[i] = NewTVar(0)

@@ -57,16 +57,6 @@ const (
 	// maxFreeLocators caps the free list so a thread that mostly retires
 	// (its peers allocate, it displaces) does not hoard unboundedly.
 	maxFreeLocators = 4 * retireBatchSize
-	// graceStallBypass is how many retires skip the batching machinery
-	// entirely after the sealed ring overflows. An overflow means grace
-	// is stalled (typically heavy oversubscription: descheduled attempts
-	// hold old pins for whole scheduler quanta), and while it lasts,
-	// batching buys nothing — locators would only be dropped to the GC
-	// after paying batch slots, counters, and ring churn. Bypassed retires
-	// cost one branch and leave the locator to the GC directly, exactly
-	// the pre-pool behavior; when the countdown drains, batching resumes
-	// and the pool recovers if grace does.
-	graceStallBypass = 4096
 	// poisonVersion is written into reclaimed locators' version fields. A
 	// correct runtime never reads a reclaimed locator, so the sentinel
 	// surfaces reclamation bugs as impossible versions rather than
@@ -100,19 +90,6 @@ type locatorPool[T any] struct {
 	sealed  [maxSealedBatches]sealedBatch[T]
 	head    int
 	nSealed int
-
-	// bypass, while positive, counts down retires that go straight to
-	// the GC instead of the batch (armed by a ring overflow; see
-	// graceStallBypass).
-	bypass int
-
-	// stuckAt is the global epoch observed the last time a grace scan
-	// failed. While the clock still reads that epoch, rescanning is
-	// pointless for the common blocker — a descheduled attempt pinned at
-	// an old epoch — so reclaim returns after one load instead of
-	// scanning every slot on every dry get. A blocker that merely
-	// unpinned is picked up at the next epoch tick (every seal ticks).
-	stuckAt uint64
 }
 
 // get pops a recycled locator, reclaiming a sealed batch first if the
@@ -120,7 +97,7 @@ type locatorPool[T any] struct {
 // allocates. The returned locator's fields are poison; the caller must
 // initialize every field before publishing.
 func (p *locatorPool[T]) get() *locator[T] {
-	if p == nil { // pooling disabled (Runtime.SetLocatorPooling)
+	if p == nil { // pooling disabled (see New)
 		return nil
 	}
 	if p.free == nil {
@@ -153,10 +130,6 @@ func (p *locatorPool[T]) retire(l *locator[T]) {
 	if p == nil { // pooling disabled: the GC reclaims l
 		return
 	}
-	if p.bypass > 0 {
-		p.bypass--
-		return
-	}
 	p.cur[p.curLen] = l
 	p.curLen++
 	p.th.retiredLocs.Add(1)
@@ -185,7 +158,6 @@ func (p *locatorPool[T]) seal() {
 		// a probe). Drop the oldest batch to the GC: safe — dropping
 		// only forgoes recycling — and it bounds pool memory.
 		p.popSealed()
-		p.bypass = graceStallBypass
 	}
 	p.sealed[(p.head+p.nSealed)%maxSealedBatches] = sealedBatch[T]{
 		locs: p.cur, tag: poolEpoch.v.Load(),
@@ -212,10 +184,6 @@ func (p *locatorPool[T]) reclaim() {
 	if p.nSealed == 0 {
 		return
 	}
-	now := poolEpoch.v.Load()
-	if now == p.stuckAt {
-		return
-	}
 	for p.nSealed > 0 {
 		b := &p.sealed[p.head]
 		if p.freeLen >= maxFreeLocators {
@@ -225,7 +193,6 @@ func (p *locatorPool[T]) reclaim() {
 			continue
 		}
 		if !gracePassed(p.th.rt, b.tag) {
-			p.stuckAt = now
 			return
 		}
 		var zero T

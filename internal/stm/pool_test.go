@@ -2,6 +2,7 @@ package stm
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
 )
 
@@ -72,10 +73,6 @@ func TestPoolPinBlocksReclaim(t *testing.T) {
 		t.Fatalf("get recycled a locator under an older pin")
 	}
 	slot.Store(slot.Load() &^ pinnedBit)
-	// Unpinning alone is not observed until the clock ticks (reclaim
-	// skips rescans while the epoch is unchanged — in production every
-	// seal ticks it).
-	tryAdvanceEpoch()
 	if l := p.get(); l == nil {
 		t.Fatalf("get missed after the blocking pin cleared")
 	}
@@ -96,7 +93,6 @@ func TestPoolPinAfterSealDoesNotBlock(t *testing.T) {
 	young := &rt.epochSlots[0].v
 	young.Store(pinWord(poolEpoch.v.Load()))
 	blocker.Store(blocker.Load() &^ pinnedBit)
-	tryAdvanceEpoch()
 	if l := p.get(); l == nil {
 		t.Fatalf("young pin (epoch after seal) wrongly blocked reclamation")
 	}
@@ -124,17 +120,48 @@ func TestPoolRingOverflowDropsOldest(t *testing.T) {
 	if got := rt.RetiredLocators(); got != want {
 		t.Fatalf("retired gauge = %d after overflow, want %d (dropped batches uncounted)", got, want)
 	}
-	// The overflow armed the grace-stall bypass: further retires must go
-	// straight to the GC, costing no batching and no gauge movement.
-	if p.bypass == 0 {
-		t.Fatalf("ring overflow did not arm the retire bypass")
-	}
-	before := p.pending()
+	// A retire after the overflow still lands in the open batch: the ring
+	// bound is the only guard, and batching goes on behind it.
+	before := p.curLen
 	p.retire(&locator[int]{version: 3})
-	if p.pending() != before || rt.RetiredLocators() != want {
-		t.Fatalf("bypassed retire still reached the batching machinery")
+	if p.nSealed != maxSealedBatches {
+		t.Fatalf("ring occupancy = %d after a further retire, want %d", p.nSealed, maxSealedBatches)
+	}
+	if p.curLen != before+1 || rt.RetiredLocators() != want+1 {
+		t.Fatalf("retire after the overflow missed the open batch: curLen %d → %d, gauge %d",
+			before, p.curLen, rt.RetiredLocators())
 	}
 	slot.Store(slot.Load() &^ pinnedBit)
+}
+
+// TestPoolGateFollowsGOMAXPROCS pins the guard New keeps for oversubscribed
+// runtimes: with more threads than GOMAXPROCS, pooling is off, so attempts
+// take no reclamation pin and committed writes retire nothing; with one
+// thread it is on, and the same writes pin and retire.
+func TestPoolGateFollowsGOMAXPROCS(t *testing.T) {
+	for _, c := range []struct {
+		threads int
+		on      bool
+	}{{runtime.GOMAXPROCS(0) + 1, false}, {1, true}} {
+		rt := New(c.threads, karmaTied{})
+		if rt.locPooling != c.on {
+			t.Fatalf("threads=%d: pooling = %v, want %v", c.threads, rt.locPooling, c.on)
+		}
+		th := rt.Thread(0)
+		slot := &rt.epochSlots[0].v
+		v := NewTVar(0)
+		for i := 0; i < 10; i++ {
+			th.Atomic(func(tx *Tx) {
+				if pinned := slot.Load()&pinnedBit != 0; pinned != c.on {
+					t.Errorf("threads=%d: attempt pinned = %v, want %v", c.threads, pinned, c.on)
+				}
+				Write(tx, v, Read(tx, v)+1)
+			})
+		}
+		if got := rt.RetiredLocators(); (got > 0) != c.on {
+			t.Errorf("threads=%d: %d locators retired after 10 committed writes, want retires only with pooling on", c.threads, got)
+		}
+	}
 }
 
 // TestPoolFreeListCap checks a thread that only retires (its peers do the

@@ -16,7 +16,7 @@ import (
 // displaced locators go back through retirement.
 func TestCommittedWriteZeroAlloc(t *testing.T) {
 	rt := runtimeWith(t, "polka", 1)
-	rt.SetLocatorPooling(true) // deterministic regardless of the runner
+	stm.ForceLocatorPooling(rt) // deterministic regardless of the runner
 	th := rt.Thread(0)
 	vs := make([]*stm.TVar[int], 4)
 	for i := range vs {
@@ -64,7 +64,7 @@ func TestRecycledLocatorChurn(t *testing.T) {
 	rt.SetYieldEvery(4)
 	// The churn is deliberately oversubscribed; force pooling on so the
 	// test exercises reclamation rather than the disabled-gate fallback.
-	rt.SetLocatorPooling(true)
+	stm.ForceLocatorPooling(rt)
 	vs := make([]*stm.TVar[int], vars)
 	for i := range vs {
 		vs[i] = stm.NewTVar(7)

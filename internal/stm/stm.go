@@ -227,11 +227,11 @@ func (tx *Tx) beginAttempt() {
 	w := tx.status.Load()
 	tx.status.Store((serialOf(w)+1)<<statusBits | uint64(Active))
 	tx.opens, tx.acquires = 0, 0
-	tx.poolOn = tx.rt.locPooling.Load()
+	tx.poolOn = tx.rt.locPooling
 	// Announce the attempt in the reclamation epoch before its first
 	// locator load (epoch.go); cleanup clears the pin. Without pooling
 	// nothing is ever retired, so the pin pair (two seq-cst stores) is
-	// skipped — the reason SetLocatorPooling is construction-time-only.
+	// skipped — the reason the gate is fixed when New returns.
 	if tx.poolOn {
 		tx.pin()
 	}
@@ -275,8 +275,9 @@ type Runtime struct {
 	// epochSlots holds one padded reclamation pin slot per thread
 	// (epoch.go), the same shape as the reader spill table.
 	epochSlots []paddedUint64
-	// locPooling gates locator recycling (see SetLocatorPooling).
-	locPooling atomic.Bool
+	// locPooling gates locator recycling. New sets it, and it never changes
+	// once a transaction has run.
+	locPooling bool
 
 	// probe is the optional observer (see probe.go).
 	probe Probe
@@ -323,9 +324,9 @@ func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	// Locator recycling pays off only when every thread can stay
 	// scheduled: an oversubscribed box parks attempts mid-flight with
 	// their epoch pins held, grace almost never passes, and the pools
-	// would add bookkeeping without recycling anything. Default the gate
-	// to "threads fit the machine"; SetLocatorPooling overrides it.
-	rt.locPooling.Store(m <= runtime.GOMAXPROCS(0))
+	// would add bookkeeping without recycling anything. So the gate is
+	// "threads fit the machine".
+	rt.locPooling = m <= runtime.GOMAXPROCS(0)
 	return rt
 }
 
@@ -346,15 +347,6 @@ func (rt *Runtime) Manager() ContentionManager { return rt.cm }
 // without it, transactions on a single core only overlap at coarse
 // scheduler preemption quanta and conflicts all but disappear.
 func (rt *Runtime) SetYieldEvery(k int) { rt.yieldEvery.Store(int64(k)) }
-
-// SetLocatorPooling overrides the locator-recycling gate that New derives
-// from the machine (pooling on only when the thread count fits GOMAXPROCS;
-// see pool.go). Tests force it on to exercise reclamation under deliberate
-// oversubscription; an operator can force it off to rule the pools out.
-// It must be called before the runtime executes transactions: threads only
-// maintain their reclamation pins while the gate is on, so flipping it
-// mid-run could reclaim a locator out from under an unpinned attempt.
-func (rt *Runtime) SetLocatorPooling(on bool) { rt.locPooling.Store(on) }
 
 // Commits returns the number of transactions committed runtime-wide. Each
 // thread counts its own in a single-writer cell (load+store, no locked
@@ -629,8 +621,6 @@ func (tx *Tx) cleanup() {
 	tx.writes = tx.writes[:0]
 	// The attempt holds no locator references past this point; drop the
 	// reclamation pin so retired locators can recycle (epoch.go).
-	// tx.poolOn is the value cached at beginAttempt, so the pair always
-	// matches even if the gate were flipped mid-attempt.
 	if tx.poolOn {
 		tx.unpin()
 	}
