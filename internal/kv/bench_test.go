@@ -35,6 +35,23 @@ func BenchmarkKVLocalOp(b *testing.B) {
 			se.Get(int64(i) & 1023)
 		}
 	})
+	// One session per goroutine: with the preference rule each keeps its
+	// own thread on every shard.
+	b.Run("get-parallel", func(b *testing.B) {
+		st := benchStore(b)
+		se := st.NewSession()
+		for k := int64(0); k < 1024; k++ {
+			se.Set(k, k)
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			se := st.NewSession()
+			for i := int64(0); pb.Next(); i++ {
+				se.Get(i & 1023)
+			}
+		})
+	})
 	b.Run("set", func(b *testing.B) {
 		st := benchStore(b)
 		se := st.NewSession()

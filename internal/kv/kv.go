@@ -12,7 +12,9 @@
 //
 //   - Session (session.go): the per-connection operation surface. A
 //     session owns persistent closures and scratch arrays so the
-//     steady-state single-shard request path allocates nothing.
+//     steady-state single-shard request path allocates nothing, and it
+//     claims the same thread of every shard first (shard.go), so a shard
+//     thread mostly runs one session's stream of transactions.
 //   - Cross-shard transactions (txn.go): multi-key operations commit via
 //     an ordered two-phase acquire over shard indices — per-shard
 //     commit locks taken in ascending order (no deadlock), per-shard STM
@@ -27,6 +29,7 @@ package kv
 
 import (
 	"fmt"
+	"sync/atomic"
 	"time"
 
 	"wincm/internal/core"
@@ -43,8 +46,9 @@ type Options struct {
 	Shards int
 	// ShardThreads is the STM thread count per shard, ≥ 1 (default 2):
 	// the maximum number of in-flight transactions one shard executes
-	// concurrently. Sessions claim a thread per operation and block when
-	// the shard is saturated — the service's natural backpressure.
+	// concurrently. Sessions claim a thread per sub-transaction, each its
+	// own preferred one first, and park in arrival order when every thread
+	// of the shard is claimed — the service's natural backpressure.
 	ShardThreads int
 	// Manager names the contention manager every shard installs (window
 	// variants via core, classics via cm; default DefaultManager).
@@ -123,6 +127,8 @@ func (o Options) Validate() error {
 type Store struct {
 	opt    Options
 	shards []*shard
+	// sessions numbers the sessions: NewSession's thread preference.
+	sessions atomic.Uint64
 }
 
 // NewStore validates o and builds the store: Shards independent STM

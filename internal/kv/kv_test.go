@@ -329,6 +329,56 @@ func TestScanLimitsAndErrors(t *testing.T) {
 	}
 }
 
+// TestScanMergesShardRuns: on a 3-shard store with every third key
+// missing, Scan returns exactly the present keys of [lo, hi) in ascending
+// order, cut at limit when limit is below the result count, and a warmed
+// Scan allocates nothing.
+func TestScanMergesShardRuns(t *testing.T) {
+	st := testStore(t, Options{Shards: 3, ShardThreads: 2, Seed: 7})
+	se := st.NewSession()
+	for k := int64(-50); k < 250; k++ {
+		if k%3 != 0 {
+			se.Set(k, k*10)
+		}
+	}
+	for _, tc := range []struct {
+		lo, hi int64
+		limit  int
+	}{
+		{-60, 260, 1000}, // wider than the keys on both sides
+		{-60, 260, 7},
+		{0, 200, 1},
+		{10, 11, 5}, // one present key
+		{9, 10, 5},  // one missing key
+		{251, 300, 5},
+	} {
+		var want []int64
+		for k := tc.lo; k < tc.hi && len(want) < tc.limit; k++ {
+			if k >= -50 && k < 250 && k%3 != 0 {
+				want = append(want, k)
+			}
+		}
+		n, err := se.Scan(tc.lo, tc.hi, tc.limit)
+		if err != nil || n != len(want) {
+			t.Fatalf("Scan(%d, %d, %d) = %d, %v, want %d", tc.lo, tc.hi, tc.limit, n, err, len(want))
+		}
+		for i, k := range se.ScanKeys() {
+			if k != want[i] || se.ScanVals()[i] != k*10 {
+				t.Fatalf("Scan(%d, %d, %d) pair %d = %d:%d, want %d:%d", tc.lo, tc.hi, tc.limit, i, k, se.ScanVals()[i], want[i], want[i]*10)
+			}
+		}
+	}
+	scan := func() {
+		if n, err := se.Scan(0, 200, 50); err != nil || n != 50 {
+			t.Fatalf("Scan = %d, %v", n, err)
+		}
+	}
+	scan()
+	if n := testing.AllocsPerRun(100, scan); n != 0 {
+		t.Errorf("warmed Scan allocates %.1f per run, want 0", n)
+	}
+}
+
 // TestMultiKeyErrors covers the multi-key guard rails.
 func TestMultiKeyErrors(t *testing.T) {
 	st := testStore(t, Options{Shards: 2, ShardThreads: 1})

@@ -189,8 +189,8 @@ func TestAbandonedPipelineLeaksNothing(t *testing.T) {
 			}
 			tc.leave(t, conn.(*net.TCPConn), srv)
 			for i, sh := range st.shards {
-				if idle := len(sh.pool); idle != cap(sh.pool) {
-					t.Errorf("shard %d: %d of %d threads back in the pool", i, idle, cap(sh.pool))
+				if idle := sh.idle(); idle != len(sh.slots) {
+					t.Errorf("shard %d: %d of %d threads back in the pool", i, idle, len(sh.slots))
 				}
 				if !sh.xmu.TryLock() {
 					t.Errorf("shard %d: cross-shard lock still held", i)

@@ -2,7 +2,6 @@ package kv
 
 import (
 	"errors"
-	"sort"
 
 	"wincm/internal/stm"
 )
@@ -63,8 +62,10 @@ const (
 // Store. A session is single-goroutine; it owns one persistent
 // transaction closure and fixed scratch arrays, so the steady-state
 // single-shard request path — claim thread, run the transaction, record,
-// release — allocates nothing. Sessions are cheap; make one per
-// connection.
+// release — allocates nothing. On every shard it prefers the same thread,
+// and consecutive sessions prefer different ones, so a shard thread
+// mostly runs one session's stream of transactions. Sessions are cheap;
+// make one per connection.
 //
 // Keys are int64 on the wire but the tree is keyed by int: every key
 // must satisfy keyFits. The error-returning surfaces (MGet, MSet, Scan)
@@ -74,6 +75,10 @@ const (
 // traffic, and on 64-bit platforms every int64 fits.
 type Session struct {
 	st *Store
+	// pref is the thread index the session claims first on every shard;
+	// wake is where it parks when a shard is saturated.
+	pref int
+	wake chan *threadSlot
 	// sh is the shard of the sub-transaction currently executing; op and
 	// the fields below stage the operation for exec.
 	sh  *shard
@@ -92,14 +97,15 @@ type Session struct {
 	mshard [MaxMultiKeys]int32
 	shlist []int
 
-	// Scan staging: bounds, per-shard append base (retry of one shard's
-	// sub-transaction must reset only that shard's results), and the
-	// merged result pairs.
+	// Scan staging: bounds, the shards' ascending runs back to back, the
+	// head of each shard's run (its start while the shard scans: a retry
+	// resets only that shard's results), and the merged result pairs.
 	lo, hi   int64
-	scanBase int
+	runKeys  []int64
+	runVals  []int64
+	runHead  []int
 	scanKeys []int64
 	scanVals []int64
-	sorter   sort.Interface
 
 	// fn is the persistent transaction body (captures only the session),
 	// scanFn the persistent tree.Scan callback.
@@ -109,14 +115,19 @@ type Session struct {
 
 // NewSession builds an operation surface over the store.
 func (st *Store) NewSession() *Session {
-	se := &Session{st: st, shlist: make([]int, 0, st.Shards())}
+	se := &Session{
+		st:      st,
+		pref:    int((st.sessions.Add(1) - 1) % uint64(st.opt.ShardThreads)),
+		wake:    make(chan *threadSlot, 1),
+		shlist:  make([]int, 0, st.Shards()),
+		runHead: make([]int, st.Shards()),
+	}
 	se.fn = func(tx *stm.Tx) { se.exec(tx) }
 	se.scanFn = func(k int, v int64) bool {
-		se.scanKeys = append(se.scanKeys, int64(k))
-		se.scanVals = append(se.scanVals, v)
+		se.runKeys = append(se.runKeys, int64(k))
+		se.runVals = append(se.runVals, v)
 		return true
 	}
-	se.sorter = scanSorter{se}
 	return se
 }
 
@@ -149,8 +160,8 @@ func (se *Session) exec(tx *stm.Tx) {
 		}
 	case opScan:
 		// Reset to this shard's base: an aborted attempt re-appends.
-		se.scanKeys = se.scanKeys[:se.scanBase]
-		se.scanVals = se.scanVals[:se.scanBase]
+		base := se.runHead[se.sh.idx]
+		se.runKeys, se.runVals = se.runKeys[:base], se.runVals[:base]
 		t.Scan(tx, int(se.lo), int(se.hi), se.scanFn)
 	}
 }
@@ -159,9 +170,9 @@ func (se *Session) exec(tx *stm.Tx) {
 // claimed thread of sh (the shard's runtime counts its outcome).
 func (se *Session) runOn(sh *shard) {
 	se.sh = sh
-	th := sh.claim()
-	th.Atomic(se.fn)
-	sh.release(th)
+	ts := sh.claim(se.pref, se.wake)
+	ts.th.Atomic(se.fn)
+	sh.release(ts)
 }
 
 // runSingle is the single-shard path: the shard's cross-shard lock is
@@ -195,28 +206,14 @@ func (se *Session) Del(key int64) bool {
 	return se.ok
 }
 
-// scanSorter sorts the merged scan pairs by key (sort.Sort on a
-// persistent field: no per-scan allocation).
-type scanSorter struct{ se *Session }
-
-func (s scanSorter) Len() int { return len(s.se.scanKeys) }
-func (s scanSorter) Less(i, j int) bool {
-	return s.se.scanKeys[i] < s.se.scanKeys[j]
-}
-func (s scanSorter) Swap(i, j int) {
-	k, v := s.se.scanKeys, s.se.scanVals
-	k[i], k[j] = k[j], k[i]
-	v[i], v[j] = v[j], v[i]
-}
-
 // Scan collects up to limit key/value pairs with lo ≤ key < hi in
 // ascending key order and returns the count; read the pairs from
 // ScanKeys/ScanVals (valid until the session's next operation). Keys are
 // hash-routed, so the range spans every shard: Scan is a cross-shard
 // read transaction — every shard lock exclusively, ascending (the
 // shared side would not be a consistent snapshot against single-key
-// writers; see txn.go), one sub-scan per shard — then a merge sort of
-// the per-shard results.
+// writers; see txn.go), one sub-scan per shard — then a merge of the
+// shards' ascending runs.
 func (se *Session) Scan(lo, hi int64, limit int) (int, error) {
 	if hi <= lo || limit <= 0 {
 		return 0, ErrScanRange
@@ -230,27 +227,30 @@ func (se *Session) Scan(lo, hi int64, limit int) (int, error) {
 		return 0, ErrKeyRange
 	}
 	se.op, se.lo, se.hi = opScan, lo, hi
-	se.scanKeys = se.scanKeys[:0]
-	se.scanVals = se.scanVals[:0]
+	se.runKeys, se.runVals = se.runKeys[:0], se.runVals[:0]
 	shards := se.st.shards
 	for _, sh := range shards {
 		sh.xmu.Lock()
 	}
-	for _, sh := range shards {
-		se.scanBase = len(se.scanKeys)
+	for i, sh := range shards {
+		se.runHead[i] = len(se.runKeys)
 		se.runOn(sh)
 	}
 	for i := len(shards) - 1; i >= 0; i-- {
 		shards[i].xmu.Unlock()
 	}
-	sort.Sort(se.sorter)
-	n := len(se.scanKeys)
-	if n > limit {
-		n = limit
-		se.scanKeys = se.scanKeys[:n]
-		se.scanVals = se.scanVals[:n]
+	// Key k can only be at the head of shardOf(k)'s run; a head past its
+	// run sits on another shard's key, which never matches.
+	se.scanKeys, se.scanVals = se.scanKeys[:0], se.scanVals[:0]
+	for k := lo; k < hi && len(se.scanKeys) < limit; k++ {
+		s := se.st.shardOf(k)
+		if h := se.runHead[s]; h < len(se.runKeys) && se.runKeys[h] == k {
+			se.scanKeys = append(se.scanKeys, k)
+			se.scanVals = append(se.scanVals, se.runVals[h])
+			se.runHead[s]++
+		}
 	}
-	return n, nil
+	return len(se.scanKeys), nil
 }
 
 // ScanKeys returns the keys of the last Scan, in ascending order.

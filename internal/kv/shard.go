@@ -2,6 +2,7 @@ package kv
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"wincm/internal/core"
 	"wincm/internal/stm"
@@ -10,7 +11,7 @@ import (
 
 // shard is one independent slice of the store: its own STM runtime,
 // transactional B-link tree, contention manager (with its own frame
-// clock, for window variants) and thread pool. Nothing here is shared
+// clock, for window variants) and STM threads. Nothing here is shared
 // with any other shard.
 type shard struct {
 	idx  int
@@ -27,9 +28,20 @@ type shard struct {
 	// span on their shard while staying fully concurrent with each
 	// other. See txn.go for the ordering and strictness arguments.
 	xmu sync.RWMutex
-	// pool hands out the runtime's threads. Claiming blocks when every
-	// thread of the shard is mid-transaction — backpressure, not queuing.
-	pool chan *stm.Thread
+	// slots are the runtime's threads and their claim words. Claimers
+	// that find every thread taken park in waiters (under mu) and are
+	// handed threads oldest first; nwait counts them for release.
+	slots   []threadSlot
+	nwait   atomic.Int32
+	mu      sync.Mutex
+	waiters []chan *threadSlot
+}
+
+// threadSlot is a thread and its claim word, alone on a cache line.
+type threadSlot struct {
+	th      *stm.Thread
+	claimed atomic.Bool
+	_       [64 - 8 - 4]byte
 }
 
 // newShard builds shard idx from the resolved options.
@@ -47,14 +59,14 @@ func newShard(idx int, o Options) (*shard, error) {
 	}
 	rt := stm.New(o.ShardThreads, mgr, opts...)
 	sh := &shard{
-		idx:  idx,
-		rt:   rt,
-		tree: txbtree.New[int64](),
-		wm:   wm,
-		pool: make(chan *stm.Thread, o.ShardThreads),
+		idx:   idx,
+		rt:    rt,
+		tree:  txbtree.New[int64](),
+		wm:    wm,
+		slots: make([]threadSlot, o.ShardThreads),
 	}
-	for i := 0; i < o.ShardThreads; i++ {
-		sh.pool <- rt.Thread(i)
+	for i := range sh.slots {
+		sh.slots[i].th = rt.Thread(i)
 	}
 	if watched {
 		// The stm default interval (5 ms) is tuned for benchmark harnesses;
@@ -70,11 +82,65 @@ func newShard(idx int, o Options) (*shard, error) {
 	return sh, nil
 }
 
-// claim checks a thread out of the pool, blocking until one is free.
-func (sh *shard) claim() *stm.Thread { return <-sh.pool }
+// claim checks out a thread, trying slot pref first. When every thread
+// is claimed it parks on wake (the session's, capacity 1) until release
+// hands it one, oldest claimer first: the shard's backpressure.
+func (sh *shard) claim(pref int, wake chan *threadSlot) *threadSlot {
+	if ts := sh.tryClaim(pref); ts != nil {
+		return ts
+	}
+	sh.mu.Lock()
+	// Counted before the retry, so a release the retry misses sees us.
+	sh.nwait.Add(1)
+	if ts := sh.tryClaim(pref); ts != nil {
+		sh.nwait.Add(-1)
+		sh.mu.Unlock()
+		return ts
+	}
+	sh.waiters = append(sh.waiters, wake)
+	sh.mu.Unlock()
+	return <-wake
+}
 
-// release returns a claimed thread.
-func (sh *shard) release(t *stm.Thread) { sh.pool <- t }
+// tryClaim CASes the claim words from pref on, wrapping around.
+func (sh *shard) tryClaim(pref int) *threadSlot {
+	for i := range sh.slots {
+		if ts := &sh.slots[(pref+i)%len(sh.slots)]; ts.claimed.CompareAndSwap(false, true) {
+			return ts
+		}
+	}
+	return nil
+}
+
+// release hands ts, still claimed, to the oldest parked claimer, or
+// leaves its claim word clear when none is parked.
+func (sh *shard) release(ts *threadSlot) {
+	ts.claimed.Store(false)
+	if sh.nwait.Load() == 0 || !ts.claimed.CompareAndSwap(false, true) {
+		return // nobody parked, or a claim took the thread first
+	}
+	sh.mu.Lock()
+	if len(sh.waiters) == 0 {
+		ts.claimed.Store(false)
+		sh.mu.Unlock()
+		return
+	}
+	wake := sh.waiters[0]
+	sh.waiters = append(sh.waiters[:0], sh.waiters[1:]...)
+	sh.nwait.Add(-1)
+	sh.mu.Unlock()
+	wake <- ts
+}
+
+// idle counts the unclaimed threads; one being handed over is claimed.
+func (sh *shard) idle() (n int) {
+	for i := range sh.slots {
+		if !sh.slots[i].claimed.Load() {
+			n++
+		}
+	}
+	return n
+}
 
 // occupancy reports the frame clock's pending registrations (window
 // managers only; zero otherwise).

@@ -41,7 +41,7 @@ func RegisterStoreGauges(r *telemetry.Registry, st *Store) {
 			func() float64 { cur, _ := sh.occupancy(); return float64(cur) }))
 		r.RegisterGauge(telemetry.NewLabeledGauge("wincm_kv_pool_idle", labels,
 			"STM threads of this shard not claimed by any session",
-			func() float64 { return float64(len(sh.pool)) }))
+			func() float64 { return float64(sh.idle()) }))
 	}
 	r.RegisterGauge(telemetry.NewGauge("wincm_kv_shards",
 		"number of independent shards", func() float64 { return float64(st.Shards()) }))

@@ -22,11 +22,13 @@ package kv
 // operations points from a lower-indexed lock holder to a higher-indexed
 // one — the wait-for graph over locks is acyclic. Single-shard
 // operations hold exactly one read lock and never block on another lock
-// while holding it (thread claims within a shard cannot cycle either:
-// each claim is released before the lock is). STM-level conflicts under
-// the locks are resolved by the shard's contention manager, whose
-// liveness guarantees (kill/wait decisions plus the serialized
-// fallback) are unchanged from the single-runtime case.
+// while holding it. A thread claim is the last thing a session takes: it
+// holds at most one, and releases it before taking any other lock or
+// claim, so a parked claimer waits only on claim holders, and they wait
+// on nothing the claimer holds. STM-level conflicts under the locks are
+// resolved by the shard's contention manager, whose liveness guarantees
+// (kill/wait decisions plus the serialized fallback) are unchanged from
+// the single-runtime case.
 //
 // Strict serializability — two-phase locking at shard granularity:
 //

@@ -462,6 +462,8 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 	d.ID.Store(uint64(t.seq)*uint64(len(rt.threads)) + uint64(t.id) + 1)
 	d.Birth.Store(birth)
 	d.Attempts = 0
+	// The first attempt starts at birth; only retries read the clock.
+	d.AttemptStart = birth
 	d.Karma.Store(0)
 	d.Waiting.Store(false)
 	d.Aux.Store(0)
@@ -477,8 +479,10 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 	for {
 		tx := &t.tx
 		tx.beginAttempt()
+		if d.Attempts > 0 {
+			d.AttemptStart = now()
+		}
 		d.Attempts++
-		d.AttemptStart = now()
 		info.Attempts++
 		cm.Begin(tx)
 		if p := rt.probe; p != nil {

@@ -284,6 +284,20 @@ func TestTxInfoCountsAborts(t *testing.T) {
 	}
 }
 
+// TestFirstAttemptCommitDur: a transaction that commits on its first
+// attempt spends its whole response time in that attempt, so CommitDur and
+// Duration are the same reading and nothing is wasted.
+func TestFirstAttemptCommitDur(t *testing.T) {
+	rt := runtimeWith(t, "polka", 1)
+	v := stm.NewTVar(0)
+	for i := 0; i < 100; i++ {
+		info := rt.Thread(0).Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
+		if info.Attempts != 1 || info.Wasted != 0 || info.CommitDur != info.Duration {
+			t.Fatalf("info = %+v, want 1 attempt, no waste, CommitDur == Duration", info)
+		}
+	}
+}
+
 // TestRuntimeCountsOutcomes: the runtime's own counters are exact — two
 // threads racing on one TVar under a manager that always aborts the enemy
 // commit 2N transactions, and every aborted attempt any of them reported in
