@@ -83,7 +83,8 @@ kv-smoke:
 	kill -INT $$KV; wait $$KV; exit $$status
 
 # Telemetry smoke: a live -fig telemetry run serves Prometheus text with the
-# commit counter, the response histogram and the window gauges, and pprof.
+# commit counter, the response histogram, the runtime's verdict series and
+# the window gauges, and pprof.
 telemetry-smoke:
 	go build -o /tmp/winbench-smoke ./cmd/winbench
 	/tmp/winbench-smoke -fig telemetry -telemetry-addr 127.0.0.1:9180 -dur 2s & \
@@ -92,6 +93,8 @@ telemetry-smoke:
 	status=0; \
 	grep -q '^wincm_commits_total ' /tmp/telemetry_metrics.out || status=1; \
 	grep -q '^wincm_response_ns_bucket{' /tmp/telemetry_metrics.out || status=1; \
+	grep -q '^wincm_resolve_abort_enemy_total ' /tmp/telemetry_metrics.out || status=1; \
+	grep -q '^wincm_cm_wait_ns_total ' /tmp/telemetry_metrics.out || status=1; \
 	grep -q '^wincm_window_' /tmp/telemetry_metrics.out || status=1; \
 	curl -fsS http://127.0.0.1:9180/debug/pprof/ > /dev/null || status=1; \
 	wait $$BENCH || status=1; exit $$status

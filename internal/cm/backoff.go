@@ -38,9 +38,9 @@ func backoffSpan(n int) time.Duration {
 type Backoff struct {
 	stm.NopManager
 	// waits and waitNs count the restart delays paid in Begin. Those
-	// sleeps happen outside the runtime's Resolve path, so the telemetry
-	// probe's wait histogram never sees them; the manager publishes them
-	// itself through TelemetryGauges.
+	// sleeps happen outside the runtime's Resolve path, so the runtime's
+	// wait count (stm.Runtime.Verdicts) never sees them; the manager
+	// publishes them itself through TelemetryGauges.
 	waits  atomic.Int64
 	waitNs atomic.Int64
 }

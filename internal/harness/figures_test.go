@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"fmt"
 	"strings"
+	"sync"
 	"testing"
 	"time"
+
+	"wincm/internal/stm"
+	"wincm/internal/telemetry"
 )
 
 func TestOptionsDefaults(t *testing.T) {
@@ -102,16 +106,44 @@ func TestTableRender(t *testing.T) {
 	}
 }
 
-// TestStmOptions: a cell with no registry and no trace builds its runtime
-// with no probe, so the hot path pays the probe nil check and nothing else.
+// TestStmOptions: a cell with a registry and no trace builds its runtime
+// with no probe — watching a run does not change the program it runs — and
+// the registry's verdict series read the runtime's own counts.
 func TestStmOptions(t *testing.T) {
-	c := Config{Manager: "polka", Threads: 1}
+	const threads = 2
+	reg := telemetry.NewRegistry()
+	c := Config{Manager: "polka", Threads: threads, Telemetry: reg}
 	mgr, err := c.NewManager()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if rt, _ := c.instrument(mgr); rt.Probe() != nil {
-		t.Error("a plain cell installed a probe")
+	rt, _ := c.instrument(mgr)
+	if rt.Probe() != nil {
+		t.Error("a cell with telemetry and no trace installed a probe")
+	}
+	rt.SetYieldEvery(1)
+	v := stm.NewTVar(0)
+	var wg sync.WaitGroup
+	for i := 0; i < threads; i++ {
+		wg.Add(1)
+		go func(th *stm.Thread) {
+			defer wg.Done()
+			for j := 0; j < 500; j++ {
+				th.Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
+			}
+		}(rt.Thread(i))
+	}
+	wg.Wait()
+	verdicts, g := rt.Verdicts(), reg.Snapshot().Gauges
+	for name, want := range map[string]int64{
+		"wincm_resolve_abort_enemy_total": verdicts.AbortEnemy,
+		"wincm_resolve_abort_self_total":  verdicts.AbortSelf,
+		"wincm_resolve_wait_total":        verdicts.Wait,
+		"wincm_cm_wait_ns_total":          verdicts.WaitNs,
+	} {
+		if got, ok := g[name]; !ok || got != float64(want) {
+			t.Errorf("%s = %v (registered %v), want %d", name, got, ok, want)
+		}
 	}
 }
 

@@ -46,12 +46,11 @@ type Config struct {
 	// Seed drives all workload randomness.
 	Seed uint64
 	// Telemetry, when non-nil, receives this run's live instruments: the
-	// transaction counters and histograms, the hot-path probe, the
-	// manager's introspection gauges (for telemetry.GaugeSource
-	// managers). With nil the run registers the same instruments
-	// on a private registry (Result.Summary is read from it either way)
-	// but installs no probe: the hot path pays the existing probe nil
-	// check and nothing else.
+	// transaction counters and histograms, the runtime's verdict counts
+	// and the manager's introspection gauges (for telemetry.GaugeSource
+	// managers). With nil the run registers the same instruments on a
+	// private registry; Result.Summary is read from it either way, and
+	// the runtime runs the same program.
 	Telemetry *telemetry.Registry
 	// TelemetryInterval starts an interval sampler on the run's registry,
 	// producing Result.Series (0 = no sampling).
@@ -94,30 +93,25 @@ type instruments struct {
 	traceStop func() // stops the trace poller (nil when tracing is off)
 }
 
-// instrument builds the runtime plus the run's instruments: the telemetry
-// probe and the flight recorder share the runtime's single probe slot,
-// transaction stats and manager gauges land in the run's registry, and the
-// interval sampler starts last so its first point sees every instrument
-// registered. Every run has a registry — Result.Summary is read from it —
-// and registers the same instruments on it; only the hot-path probe, which
-// costs something while the run executes, waits for a caller who brought a
-// registry to watch.
+// instrument builds the runtime plus the run's instruments: the flight
+// recorder, when armed, is the runtime's probe; transaction stats, the
+// runtime's counts and the manager gauges land in the run's registry; and
+// the interval sampler starts last so its first point sees every
+// instrument registered. Every run has a registry — Result.Summary is read
+// from it — and registers the same instruments on it.
 func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instruments) {
 	reg := c.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	ins := &instruments{reg: reg, tx: telemetry.NewTxStats(reg, c.Threads)}
-	var probe stm.Probe
-	if c.Telemetry != nil {
-		probe = telemetry.NewProbe(reg, c.Threads)
-	}
 	if gs, ok := mgr.(telemetry.GaugeSource); ok {
 		reg.RegisterGauges(gs)
 	}
+	var opts []stm.Option
 	if tc := c.Trace; tc != nil {
 		rec := txtrace.NewRecorder(c.Threads, tc.Sample, txtrace.DefaultRingCap)
-		probe = stm.CombineProbes(probe, rec)
+		opts = append(opts, stm.WithProbe(rec))
 		ins.collector = txtrace.NewCollector(rec, txtrace.DefaultKeep)
 		if wm, ok := mgr.(*core.Manager); ok {
 			wm.AddFrameHook(rec.FrameAdvanced)
@@ -127,14 +121,18 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 		}
 		ins.traceStop = startTracePoller(ins.collector)
 	}
-	var opts []stm.Option
-	if probe != nil {
-		opts = append(opts, stm.WithProbe(probe))
-	}
 	rt := stm.New(c.Threads, mgr, opts...)
 	reg.RegisterGauge(telemetry.NewGauge("wincm_locator_retired",
 		"locators retired and awaiting a grace period before reuse",
 		func() float64 { return float64(rt.RetiredLocators()) }))
+	reg.RegisterGauge(telemetry.NewGauge("wincm_resolve_abort_enemy_total", "conflicts resolved by aborting the enemy",
+		func() float64 { return float64(rt.Verdicts().AbortEnemy) }))
+	reg.RegisterGauge(telemetry.NewGauge("wincm_resolve_abort_self_total", "conflicts resolved by self-abort",
+		func() float64 { return float64(rt.Verdicts().AbortSelf) }))
+	reg.RegisterGauge(telemetry.NewGauge("wincm_resolve_wait_total", "conflicts resolved by waiting",
+		func() float64 { return float64(rt.Verdicts().Wait) }))
+	reg.RegisterGauge(telemetry.NewGauge("wincm_cm_wait_ns_total", "granted contention-manager wait spans (ns)",
+		func() float64 { return float64(rt.Verdicts().WaitNs) }))
 	if c.TelemetryInterval > 0 {
 		ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval, 0)
 	}

@@ -10,8 +10,8 @@ import (
 	"wincm/internal/stm"
 )
 
-// adversary attacks a runtime's progress guarantee from outside. As an
-// OpenProbe it stalls an attempt for up to 2 ms on about 1% of opens and
+// adversary attacks a runtime's progress guarantee from outside. As a
+// probe it stalls an attempt for up to 2 ms on about 1% of opens and
 // acquires (an acquire is the worst moment: enemies must remote-abort the
 // staller to proceed) and spuriously aborts about 0.5% of attempts there,
 // never the fallback-token holder. As the flipper's source it also decides

@@ -19,11 +19,12 @@ const defaultTelemetryManager = "adaptive-improved-dynamic"
 const telemetrySeriesPoints = 16
 
 // TelemetryFig runs one benchmark under one manager with full telemetry —
-// hot-path probe, transaction histograms, window-manager gauges, interval
-// sampler — and renders two tables: the interval time series (live
-// throughput, abort rate, fallback and window-machinery evolution) and
-// the final latency-histogram quantiles. With Options.Hub attached the
-// run is simultaneously scrapeable over HTTP while it executes.
+// transaction histograms, the runtime's verdict counts, window-manager
+// gauges, interval sampler — and renders two tables: the interval time
+// series (live throughput, abort rate, fallback and window-machinery
+// evolution) and the final latency-histogram quantiles. With Options.Hub
+// attached the run is simultaneously scrapeable over HTTP while it
+// executes.
 func TelemetryFig(o Options) ([]Table, error) {
 	o, err := o.resolve()
 	if err != nil {
@@ -90,15 +91,15 @@ func seriesTable(pts []telemetry.Point, benchmark, manager string, threads int) 
 	return t
 }
 
-// quantileTable renders the final histogram quantiles plus the summary
-// view of the same snapshot.
+// quantileTable renders the final histogram quantiles plus the runtime's
+// wait count and the summary view of the same snapshot.
 func quantileTable(snap telemetry.Snapshot, benchmark, manager string, threads int) Table {
 	t := Table{
 		Title:   fmt.Sprintf("Telemetry: final histograms — %s under %s, M=%d", benchmark, manager, threads),
 		Columns: []string{"histogram", "count", "mean", "p50<=", "p99<="},
 	}
 	for _, name := range []string{
-		"wincm_response_ns", "wincm_commit_duration_ns", "wincm_tx_attempts", "wincm_cm_wait_ns",
+		"wincm_response_ns", "wincm_commit_duration_ns", "wincm_tx_attempts",
 	} {
 		h, ok := snap.Histograms[name]
 		if !ok {
@@ -112,6 +113,13 @@ func quantileTable(snap telemetry.Snapshot, benchmark, manager string, threads i
 			fmt.Sprintf("%d", h.Quantile(0.99)),
 		})
 	}
+	waits, meanWait := snap.Gauges["wincm_resolve_wait_total"], 0.0
+	if waits > 0 {
+		meanWait = snap.Gauges["wincm_cm_wait_ns_total"] / waits
+	}
+	t.Rows = append(t.Rows, []string{
+		"wincm_cm_wait_ns_total", fmt.Sprintf("%.0f", waits), fmt.Sprintf("%.0f", meanWait), "-", "-",
+	})
 	s := snap.Summary(threads, 0)
 	t.Rows = append(t.Rows, []string{
 		"(aborts/commit from snapshot)", fmt.Sprintf("%d", s.Commits),

@@ -8,7 +8,7 @@ import (
 )
 
 // TraceConfig arms the transaction flight recorder (wincm/internal/txtrace)
-// for a run: the recorder joins the runtime's probe chain, frame advances
+// for a run: the recorder is the runtime's probe, frame advances
 // land on its auxiliary track, and a background poller drains the rings for
 // the run's Collector.
 type TraceConfig struct {

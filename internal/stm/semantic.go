@@ -99,12 +99,10 @@ func (tx *Tx) ResolveConflict(enemy *Tx, enemyWord uint64, kind Kind, attempt *i
 }
 
 // SemanticOpen marks one semantic operation (a key-level read or write
-// against a registered structure): it counts toward the attempt's open
-// tally (OpenCalls, telemetry's wincm_opens_total) and honors the
-// runtime's SetYieldEvery interleaving knob, so semantic workloads
-// exhibit transactional contention on undersubscribed hardware exactly
-// like TVar workloads do. Structures call it once per operation.
-// Owner-thread-only.
+// against a registered structure): it honors the runtime's SetYieldEvery
+// interleaving knob, so semantic workloads exhibit transactional
+// contention on undersubscribed hardware exactly like TVar workloads do.
+// Structures call it once per operation. Owner-thread-only.
 func (tx *Tx) SemanticOpen() {
 	tx.maybeYield()
 }

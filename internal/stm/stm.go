@@ -163,10 +163,8 @@ type Tx struct {
 
 	// D is the persistent logical-transaction descriptor. Set once at
 	// runtime construction (each thread's Tx points at its own Desc).
-	D        *Desc
-	rt       *Runtime
-	opens    int
-	acquires int
+	D  *Desc
+	rt *Runtime
 	// yieldIn counts down opens until the next SetYieldEvery yield
 	// (owner-thread-only; see maybeYield).
 	yieldIn int64
@@ -178,7 +176,7 @@ type Tx struct {
 	poolOn bool
 	// openVar is the opaque identity of the variable the current open
 	// operation targets, for conflict attribution by probes (see
-	// OpenedVar). Written only when openProbe is installed, so the
+	// OpenedVar). Written only when a probe is installed, so the
 	// no-probe hot path never touches it. Owner-thread-only.
 	openVar uint64
 	writes  []container
@@ -187,22 +185,13 @@ type Tx struct {
 	semOps []SemanticOps
 }
 
-// OpenCalls reports how many transactional opens (Read and Write calls)
-// this attempt has made so far. It survives cleanup, so probes may read
-// it from OnAbort. Only the attempt's own thread may call it.
-func (tx *Tx) OpenCalls() int { return tx.opens }
-
-// AcquireCount reports how many write ownerships this attempt newly
-// acquired. Like OpenCalls it survives cleanup and is owner-thread-only.
-func (tx *Tx) AcquireCount() int { return tx.acquires }
-
 // OpenedVar returns an opaque identity token for the variable the current
 // open operation targets — the TVar a conflict discovered during this open
-// is over. It is populated only while a probe with live open hooks is
-// installed (the same gate as OnOpen), and is meaningful only inside probe
-// callbacks that run during an open: OnResolve and OnAcquire. The
-// token is stable for the life of the variable and is never dereferenced;
-// probes use it purely as a map key for per-variable attribution.
+// is over. It is populated only while a probe is installed (the same gate
+// as OnOpen), and is meaningful only inside probe callbacks that run
+// during an open: OnResolve and OnAcquire. The token is stable for the
+// life of the variable and is never dereferenced; probes use it purely as
+// a map key for per-variable attribution.
 func (tx *Tx) OpenedVar() uint64 { return tx.openVar }
 
 // Status returns the current status of this attempt.
@@ -219,14 +208,13 @@ func (tx *Tx) StatusWord() uint64 { return tx.status.Load() }
 // serial returns the current attempt serial. Owner-thread-use.
 func (tx *Tx) serial() uint64 { return serialOf(tx.status.Load()) }
 
-// beginAttempt advances the serial, marks the attempt Active and clears
-// the per-attempt tallies. Only the owning thread calls it, and only while
+// beginAttempt advances the serial and marks the attempt Active. Only the
+// owning thread calls it, and only while
 // the previous attempt is terminated, so a plain store is safe: any stale
 // enemy CAS targets the previous serial and fails regardless.
 func (tx *Tx) beginAttempt() {
 	w := tx.status.Load()
 	tx.status.Store((serialOf(w)+1)<<statusBits | uint64(Active))
-	tx.opens, tx.acquires = 0, 0
 	tx.poolOn = tx.rt.locPooling
 	// Announce the attempt in the reclamation epoch before its first
 	// locator load (epoch.go); cleanup clears the pin. Without pooling
@@ -281,9 +269,6 @@ type Runtime struct {
 
 	// probe is the optional observer (see probe.go).
 	probe Probe
-	// openProbe is probe when it implements OpenProbe; otherwise it is nil
-	// and the per-open dispatch in Read/Write vanishes.
-	openProbe OpenProbe
 	// fallback holds the serialized-fallback token (see fallback.go).
 	fallback atomic.Pointer[Desc]
 	// maxAttempts and txDeadline are the fallback budgets new transactions
@@ -370,6 +355,28 @@ func (rt *Runtime) Aborts() int64 {
 	return sum
 }
 
+// Verdicts counts the conflict decisions the runtime carried out, whether
+// the fallback token or the contention manager made them.
+type Verdicts struct {
+	// AbortEnemy, AbortSelf and Wait count resolutions by decision.
+	AbortEnemy, AbortSelf, Wait int64
+	// WaitNs is the sum of the granted Wait spans (ns), as the manager
+	// returned them.
+	WaitNs int64
+}
+
+// Verdicts returns the runtime-wide decision counts, counted like Commits.
+func (rt *Runtime) Verdicts() Verdicts {
+	var v Verdicts
+	for _, t := range rt.threads {
+		v.AbortEnemy += t.abortEnemy.Load()
+		v.AbortSelf += t.abortSelf.Load()
+		v.Wait += t.waits.Load()
+		v.WaitNs += t.waitNs.Load()
+	}
+	return v
+}
+
 // RetiredLocators reports how many displaced locators currently await
 // their grace period across all threads' retire lists (the telemetry
 // retire-length gauge reads this; see pool.go).
@@ -400,6 +407,9 @@ type Thread struct {
 	// watchdog sums commits to detect lack of progress). Single-writer:
 	// only the goroutine driving the thread stores them.
 	commits, aborts atomic.Int64
+	// abortEnemy, abortSelf, waits and waitNs are this thread's shards of
+	// Runtime.Verdicts, bumped in resolve. Single-writer like commits.
+	abortEnemy, abortSelf, waits, waitNs atomic.Int64
 	// boState is the xorshift state of the retry backoff (abortBackoff).
 	boState uint64
 	// retiredLocs counts this thread's retired-but-unreclaimed locators
@@ -590,7 +600,7 @@ func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 func (tx *Tx) commit() bool {
 	w := tx.status.Load()
 	// Semantic validation runs before the OnCommit probe: a failure fires
-	// OnAbort only, which folds the attempt's tallies exactly once.
+	// OnAbort only.
 	if len(tx.semOps) > 0 && !tx.semValidate() {
 		tx.abortWord(w)
 		return false
@@ -651,8 +661,9 @@ func (tx *Tx) checkAlive() {
 // operation, which Polka-style managers use as their backoff round. An
 // AbortEnemy decision CASes against eword, so it can only kill the attempt
 // that was actually observed — never a later recycled attempt of the same
-// Tx. resolve must be called while holding no speculative invariants that a
-// Wait could violate (it may sleep).
+// Tx. Each carried-out decision is counted in the thread's verdict cells
+// (Runtime.Verdicts). resolve must be called while holding no speculative
+// invariants that a Wait could violate (it may sleep).
 func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 	*attempt++
 	dec, wait, ok := fallbackResolve(tx, enemy)
@@ -662,12 +673,17 @@ func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 	if p := tx.rt.probe; p != nil {
 		p.OnResolve(tx, enemy, kind, dec, wait)
 	}
+	t := tx.owner
 	switch dec {
 	case AbortEnemy:
+		t.abortEnemy.Store(t.abortEnemy.Load() + 1)
 		enemy.abortWord(eword)
 	case AbortSelf:
+		t.abortSelf.Store(t.abortSelf.Load() + 1)
 		tx.selfAbort()
 	case Wait:
+		t.waits.Store(t.waits.Load() + 1)
+		t.waitNs.Store(t.waitNs.Load() + int64(wait))
 		tx.D.Waiting.Store(true)
 		waitFor(wait)
 		tx.D.Waiting.Store(false)

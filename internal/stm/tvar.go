@@ -247,7 +247,7 @@ func (v *TVar[T]) release(tx *Tx) {
 // acquiring concurrently either sees our slot or we see its ownership.
 func Read[T any](tx *Tx, v *TVar[T]) T {
 	tx.maybeYield()
-	if p := tx.rt.openProbe; p != nil {
+	if p := tx.rt.probe; p != nil {
 		tx.openVar = v.token()
 		p.OnOpen(tx)
 	}
@@ -335,7 +335,7 @@ func ModifyArg[T, A any](tx *Tx, v *TVar[T], arg A, f func(T, A) T) {
 // comment allows; the attempt's epoch pin keeps the locator from recycling.
 func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 	tx.maybeYield()
-	if p := tx.rt.openProbe; p != nil {
+	if p := tx.rt.probe; p != nil {
 		tx.openVar = v.token()
 		p.OnOpen(tx)
 	}
@@ -396,7 +396,6 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 			pool.retireFolded(loc)
 		}
 		tx.writes = append(tx.writes, v)
-		tx.acquires++
 		// Re-scan after the acquisition CAS: a reader that registered
 		// during the race sees our ownership on its post-registration
 		// reload, and one registered before is seen here — either way the
@@ -406,7 +405,7 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 		if tx.Status() != Active {
 			panic(retrySignal{})
 		}
-		if p := tx.rt.openProbe; p != nil {
+		if p := tx.rt.probe; p != nil {
 			p.OnAcquire(tx)
 		}
 		tx.rt.cm.Opened(tx)
@@ -416,12 +415,10 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 
 // maybeYield implements the runtime's interleaving knob (SetYieldEvery):
 // every k-th open yields the processor. It runs before any ownership CAS
-// is attempted. The open count it maintains doubles as the attempt's open
-// tally (OpenCalls), so it is kept even when yielding is off. The cadence
-// is tracked with a countdown rather than opens%k — the modulo's hardware
-// division is measurable at one call per open.
+// is attempted. The cadence is tracked with a countdown rather than an
+// open count mod k — the modulo's hardware division is measurable at one
+// call per open.
 func (tx *Tx) maybeYield() {
-	tx.opens++
 	k := tx.rt.yieldEvery.Load()
 	if k <= 0 {
 		return

@@ -3,7 +3,15 @@ package stm
 import (
 	"sync"
 	"testing"
+	"time"
 )
+
+// aggressiveTestCM always aborts the enemy.
+type aggressiveTestCM struct{ NopManager }
+
+func (aggressiveTestCM) Resolve(_, _ *Tx, _ Kind, _ int) (Decision, time.Duration) {
+	return AbortEnemy, 0
+}
 
 // TestSettledViewAllWriterStatuses pins the fold semantics for every writer
 // status a locator's owner can be observed in. The Aborted case is spelled

@@ -1,8 +1,12 @@
 // Package telemetry is the repository's live observability layer: a
 // low-overhead, always-compiled-in subsystem of sharded atomic counters,
-// log-bucketed histograms and callback gauges that the STM hot path feeds
-// through the stm.Probe seam, and that the winbench HTTP endpoint, the
-// interval sampler and the figure drivers all read from.
+// log-bucketed histograms and callback gauges that the winbench HTTP
+// endpoint, the interval sampler and the figure drivers all read from.
+// Workers record each committed transaction into TxStats; every other
+// series is a gauge over the counter its event's own layer keeps (the STM
+// runtime's commits, aborts and conflict verdicts, the window manager's
+// decisions, the B-link tree's semantic events). Nothing here hooks the
+// STM hot path.
 //
 // The paper's argument rests on measured scheduler behaviour — throughput,
 // aborts per commit, wasted work, and how the window managers' frame and

@@ -19,10 +19,12 @@
 //     hot-variable contention heatmap with per-variable abort attribution,
 //     Chrome trace-event JSON for Perfetto, and an ASCII timeline.
 //
-// The recorder plugs into the runtime as an stm.Probe and into the window
-// manager's frame clock via core.(*Manager).AddFrameHook, so one trace
-// interleaves attempt lifecycles and frame advances on a single monotonic
-// clock (stm.Now).
+// The recorder is the only stm.Probe a run installs, and it plugs into the
+// window manager's frame clock via core.(*Manager).AddFrameHook, so one
+// trace interleaves attempt lifecycles and frame advances on a single
+// monotonic clock (stm.Now). Counts that need no individual events — the
+// runtime's commits, aborts and conflict verdicts — the runtime keeps
+// itself, traced or not.
 package txtrace
 
 import (

@@ -49,12 +49,7 @@ type Recorder struct {
 	aux   *Ring
 }
 
-// The open hooks are optional in the probe contract; a signature drift here
-// would silently drop them, so both halves are asserted.
-var (
-	_ stm.Probe     = (*Recorder)(nil)
-	_ stm.OpenProbe = (*Recorder)(nil)
-)
+var _ stm.Probe = (*Recorder)(nil)
 
 // NewRecorder returns a recorder for up to threads threads, sampling one
 // logical transaction in sample (sample <= 1 records every transaction).
@@ -103,7 +98,7 @@ func (r *Recorder) OnBegin(tx *stm.Tx) {
 	})
 }
 
-// OnOpen implements stm.OpenProbe. Opens are by far the densest event class
+// OnOpen implements stm.Probe. Opens are by far the densest event class
 // (a list traversal opens every node it passes), so they reuse the
 // attempt's start timestamp instead of reading the clock: the analyses
 // consume opens as per-variable counts, and within a thread the stable
@@ -121,7 +116,7 @@ func (r *Recorder) OnOpen(tx *stm.Tx) {
 	}
 }
 
-// OnAcquire implements stm.OpenProbe. Same timestamp economy as OnOpen.
+// OnAcquire implements stm.Probe. Same timestamp economy as OnOpen.
 func (r *Recorder) OnAcquire(tx *stm.Tx) {
 	if s := r.state(tx); s.sampling {
 		s.ring.Push(Event{
