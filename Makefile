@@ -29,16 +29,19 @@ ci: build vet race figures-smoke
 	go run ./cmd/wintheory -m 8 -n 4 -reps 1 -c 2,8 > /dev/null
 	go run ./cmd/wintheory -ratio -m 8 -n 4 -reps 1 -s 2,8 > /dev/null
 
-# The figure drivers end to end, outside unit tests. -fig all: one
-# benchmark, two thread counts, 50 ms cells (16 timed cells + Fig. 5's
-# fixed-work ones). -fig btree: every registered manager on the rbtree/btree
-# pair at two thread counts (40 cells). -fig trace: one flight-recorded run
-# and its timeline (the Chrome trace export is held to what Perfetto loads
-# by TestRunWithTraceRecorder).
+# The figure drivers end to end, outside unit tests, all from the one flag
+# set. -fig all: one benchmark, two thread counts, 50 ms cells (16 timed
+# cells + Fig. 5's fixed-work ones at the largest M). -fig btree: every
+# registered manager on the rbtree/btree pair at two thread counts (40
+# cells). -fig trace: one flight-recorded run and its timeline, under the
+# default window manager and under a classic one, which has no frame clock
+# to hook (the Chrome trace export is held to what Perfetto loads by
+# TestRunWithTraceRecorder).
 figures-smoke:
-	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 -fig5-threads 4 > /dev/null
-	go run ./cmd/winbench -fig btree -btree-threads 2,4 -dur 50ms -reps 1 > /dev/null
+	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 > /dev/null
+	go run ./cmd/winbench -fig btree -threads 2,4 -dur 50ms -reps 1 > /dev/null
 	go run ./cmd/winbench -fig trace -dur 100ms > /dev/null
+	go run ./cmd/winbench -fig trace -manager polka -threads 4 -dur 50ms > /dev/null
 
 # Every Benchmark* cell, for reading while you work. Bounded iterations so
 # the full matrix stays minutes, not hours. Nothing gates on these numbers:
@@ -49,14 +52,13 @@ bench:
 
 # Regenerate every output EXPERIMENTS.md quotes into the git-ignored
 # $(RESULTS)/: Figures 2-5 and the extended metrics off one grid (each
-# distinct cell run once), the kmeans extension, and the theory bounds.
+# distinct cell run once) and the theory bounds.
 # CI-scale by default; `make figures FIGFLAGS=-paper` is the full regime.
 RESULTS ?= results
 FIGFLAGS ?=
 figures:
 	mkdir -p $(RESULTS)
 	go run ./cmd/winbench -fig all $(FIGFLAGS) > $(RESULTS)/figures.txt
-	go run ./cmd/winbench -fig 3 -bench kmeans -threads 1,8,32 $(FIGFLAGS) > $(RESULTS)/kmeans.txt
 	go run ./cmd/wintheory -m 32 -n 16 -reps 5 > $(RESULTS)/theory.txt
 	go run ./cmd/wintheory -ratio -m 32 -n 16 -reps 5 > $(RESULTS)/ratio.txt
 

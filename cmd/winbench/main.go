@@ -10,9 +10,12 @@
 //	winbench -fig telemetry    interval time series + histogram quantiles
 //	winbench -fig btree        key-level (semantic) vs tvar-granularity conflict detection
 //
-// Flags that only make sense for a mode they don't enable (-trace-out
-// without -fig trace, -btree-threads without -fig btree, ...) fail fast, as do
-// values no cell can run with (-reps 0, -dur -1s) and stray arguments.
+// Every figure reads the one flag set: -threads is the M sweep, and the
+// figures that run at one M (5, ext, telemetry, trace) take its largest
+// entry. Flags that only make sense for a mode they don't enable
+// (-trace-out without -fig trace, -manager without -fig telemetry or
+// -fig trace, ...) fail fast, as do values no cell can run with (-reps 0,
+// -dur -1s) and stray arguments.
 //
 // Defaults are CI-friendly; -paper restores the published regime
 // (10-second runs averaged over 6 repetitions, threads up to 32).
@@ -34,8 +37,6 @@ import (
 	"strings"
 	"time"
 
-	"wincm/internal/bench"
-	"wincm/internal/core"
 	"wincm/internal/harness"
 	"wincm/internal/telemetry"
 	"wincm/internal/txtrace"
@@ -99,30 +100,18 @@ func flagConflict(set map[string]bool, m modes) (err error) {
 			}
 		}
 	}
-	requireMode("-fig telemetry", m.fig == "telemetry", "telemetry-manager")
-	requireMode("-fig btree", m.fig == "btree", "btree-threads")
+	requireMode("-fig telemetry or -fig trace", m.fig == "telemetry" || m.fig == "trace", "manager")
 	requireMode("-trace (or -fig trace)", m.trace || m.fig == "trace", "trace-sample", "trace-out")
-	requireMode("-fig trace", m.fig == "trace", "trace-manager")
 	// A table figure's recorders are read only through /trace/* on the
 	// telemetry endpoint; without it -trace records every cell and prints
 	// nothing of it.
 	requireMode("-telemetry-addr under a table figure (its traces are read from /trace/*)", m.fig == "trace" || m.serve, "trace")
-	// Figure 5 sweeps contention levels at one thread count, -fig5-threads.
-	requireMode("a figure that sweeps M (-fig 5 runs at -fig5-threads)", m.fig != "5", "threads")
-	if err != nil {
-		return err
+	// -fig btree pins its benchmark pair (rbtree vs btree), so -bench
+	// would silently be overridden.
+	if err == nil && m.fig == "btree" && set["bench"] {
+		err = fmt.Errorf("-bench has no effect with -fig btree (the btree figure runs the rbtree/btree pair)")
 	}
-	// -fig btree fixes its own axes: it pins the benchmark pair (rbtree vs
-	// btree) and uses -btree-threads for M, so flags that would silently be
-	// overridden fail fast instead.
-	if m.fig == "btree" {
-		for _, n := range []string{"bench", "threads"} {
-			if set[n] {
-				return fmt.Errorf("-%s has no effect with -fig btree (the btree figure runs the rbtree/btree pair; use -btree-threads for M)", n)
-			}
-		}
-	}
-	return nil
+	return err
 }
 
 // invocation is one parsed and checked command line.
@@ -131,7 +120,6 @@ type invocation struct {
 	driver   driver // nil: -fig trace
 	opts     harness.Options
 	telAddr  string // -telemetry-addr; main starts the endpoint and sets opts.Hub
-	traceMgr string
 	traceOut string
 }
 
@@ -147,24 +135,20 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 	var (
 		fig     = fs.String("fig", "all", "figure to reproduce: "+figureNames())
 		benches = fs.String("bench", "", "comma-separated benchmarks (default all: list,rbtree,skiplist,vacation)")
-		threads = fs.String("threads", "", "comma-separated thread counts (default 1,2,4,8,16,32)")
+		threads = fs.String("threads", "", "comma-separated thread counts; figures 5, ext, telemetry and trace run at the largest (default 1,2,4,8,16,32)")
 		dur     = fs.Duration("dur", 300*time.Millisecond, "duration of each timed run")
 		reps    = fs.Int("reps", 2, "repetitions per cell")
 		total   = fs.Int("total", 20000, "transactions for the fig-5 fixed-work runs")
-		fig5M   = fs.Int("fig5-threads", 32, "thread count for fig 5")
 		windowN = fs.Int("window-n", 50, "window size N for window-based managers")
 		seed    = fs.Uint64("seed", 1, "master seed")
 		paper   = fs.Bool("paper", false, "use the paper's full regime (10s runs × 6 reps)")
 
-		telAddr    = fs.String("telemetry-addr", "", "serve live telemetry on this address: Prometheus /metrics, net/http/pprof /debug/pprof/ (empty = off)")
-		telManager = fs.String("telemetry-manager", "", "contention manager the -fig telemetry run watches (default adaptive-improved-dynamic)")
+		manager = fs.String("manager", "", "contention manager the -fig telemetry or -fig trace run watches (default adaptive-improved-dynamic)")
+		telAddr = fs.String("telemetry-addr", "", "serve live telemetry on this address: Prometheus /metrics, net/http/pprof /debug/pprof/ (empty = off)")
 
 		traceOn     = fs.Bool("trace", false, "arm the transaction flight recorder on every run (alone, with no -fig, runs the -fig trace driver)")
 		traceSample = fs.Int("trace-sample", 1, "record one logical transaction in N (1 = every transaction)")
 		traceOut    = fs.String("trace-out", "", "write the trace as Chrome trace-event JSON to this file (open it in ui.perfetto.dev); -fig trace only")
-		traceMgr    = fs.String("trace-manager", "online-dynamic", "contention manager the -fig trace run traces")
-
-		btreeThreads = fs.String("btree-threads", "", "comma-separated thread counts for the -fig btree sweep (default 1,4,8,16)")
 	)
 	if err := fs.Parse(args); err != nil {
 		return invocation{}, err
@@ -195,19 +179,14 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 	if *traceOut != "" && *fig != "trace" {
 		return invocation{}, fmt.Errorf("-trace-out needs -fig trace; with figure sweeps use -telemetry-addr and GET /trace/dump")
 	}
-	if _, _, err := core.NewNamed(*traceMgr, 1, 0, 0); err != nil {
-		return invocation{}, fmt.Errorf("-trace-manager: %v", err)
-	}
 
 	opts := harness.Options{
-		Duration:    *dur,
-		Reps:        *reps,
-		TotalTxs:    *total,
-		Fig5Threads: *fig5M,
-		WindowN:     *windowN,
-		Seed:        *seed,
-
-		TelemetryManager: *telManager,
+		Duration: *dur,
+		Reps:     *reps,
+		TotalTxs: *total,
+		WindowN:  *windowN,
+		Seed:     *seed,
+		Manager:  *manager,
 	}
 	if *traceOn || *fig == "trace" {
 		opts.Trace = &harness.TraceConfig{Sample: *traceSample}
@@ -220,16 +199,13 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		opts.Benchmarks = strings.Split(*benches, ",")
 	}
 	var err error
-	if opts.Threads, err = threadList("threads", *threads); err != nil {
-		return invocation{}, err
-	}
-	if opts.BTreeThreads, err = threadList("btree-threads", *btreeThreads); err != nil {
+	if opts.Threads, err = threadList(*threads); err != nil {
 		return invocation{}, err
 	}
 	if err := opts.Validate(); err != nil {
 		return invocation{}, err
 	}
-	return invocation{fig: *fig, driver: drv, opts: opts, telAddr: *telAddr, traceMgr: *traceMgr, traceOut: *traceOut}, nil
+	return invocation{fig: *fig, driver: drv, opts: opts, telAddr: *telAddr, traceOut: *traceOut}, nil
 }
 
 func main() {
@@ -262,7 +238,7 @@ func main() {
 			}
 			traceFile = f
 		}
-		traceRun(opts, inv.traceMgr, traceFile)
+		traceRun(opts, traceFile)
 		return
 	}
 	tables, err := inv.driver(opts)
@@ -276,37 +252,20 @@ func main() {
 	}
 }
 
-// traceRun executes one short flight-recorded run (first benchmark, last
-// thread count of the options) through the harness and prints the
+// traceRun executes harness.TraceFig's flight-recorded run and prints the
 // execution timeline, the hottest conflicting thread pairs, the
 // hot-variable heatmap and the thread conflict graph. With a trace file it
 // additionally dumps the Chrome trace-event JSON for Perfetto.
-func traceRun(opts harness.Options, manager string, out *os.File) {
-	benchmark := "list"
-	if len(opts.Benchmarks) > 0 {
-		benchmark = opts.Benchmarks[0]
-	}
-	threads := 8
-	if len(opts.Threads) > 0 {
-		threads = opts.Threads[len(opts.Threads)-1]
-	}
-	w, err := harness.NewWorkload(benchmark, bench.HighContention, opts.Seed)
-	if err != nil {
-		fatalf("trace: %v", err)
-	}
-	cfg := opts.Config(manager, threads, opts.Seed)
-	if cfg.Trace == nil {
-		cfg.Trace = &harness.TraceConfig{Hub: opts.Hub}
-	}
-	res, err := harness.RunTimed(cfg, w, opts.Duration)
+func traceRun(opts harness.Options, out *os.File) {
+	res, label, err := harness.TraceFig(opts)
 	if err != nil {
 		fatalf("trace: %v", err)
 	}
 	col := res.Trace
 
 	counts := col.Counts()
-	fmt.Printf("traced %s under %s, M=%d, %v (1-in-%d sampling): %d commits, %d aborts, %d conflicts, %d dropped\n\n",
-		benchmark, manager, threads, opts.Duration, col.Recorder().Sample(),
+	fmt.Printf("traced %s, %v (1-in-%d sampling): %d commits, %d aborts, %d conflicts, %d dropped\n\n",
+		label, opts.Duration, col.Recorder().Sample(),
 		counts[txtrace.EvCommit], counts[txtrace.EvAbort], counts[txtrace.EvConflict], col.Dropped())
 	fmt.Println("timeline (* mostly commits, x mostly aborts, ~ conflicts only):")
 	if err := col.Timeline(os.Stdout, 72); err != nil {
@@ -339,9 +298,9 @@ func traceRun(opts harness.Options, manager string, out *os.File) {
 	}
 }
 
-// threadList parses a comma-separated thread-count flag; empty means unset.
+// threadList parses -threads' comma-separated list; empty means unset.
 // The entries' range is Options.Validate's to check.
-func threadList(name, csv string) ([]int, error) {
+func threadList(csv string) ([]int, error) {
 	if csv == "" {
 		return nil, nil
 	}
@@ -349,7 +308,7 @@ func threadList(name, csv string) ([]int, error) {
 	for _, t := range strings.Split(csv, ",") {
 		m, err := strconv.Atoi(strings.TrimSpace(t))
 		if err != nil {
-			return nil, fmt.Errorf("bad -%s entry %q", name, t)
+			return nil, fmt.Errorf("bad -threads entry %q", t)
 		}
 		ms = append(ms, m)
 	}

@@ -19,13 +19,17 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-reps 0", "-reps"},
 		{"-dur -1s", "-dur"},
 		{"-fig 5 -total 0", "-total"},
-		{"-fig5-threads 0", "-fig5-threads"},
 		{"-window-n -5", "-window-n"},
 		{"-fig 3 -bench list -threads 2 extra", "unexpected arguments: [extra]"},
 		{"-bench nosuch", "nosuch"},
 		{"-bench hashset", "hashset"},
-		{"-fig telemetry -telemetry-manager nosuch", "nosuch"},
-		{"-fig trace -trace-manager nosuch -trace-out t.json", "-trace-manager"},
+		{"-bench kmeans", "kmeans"},
+		{"-fig telemetry -manager nosuch", "-manager"},
+		{"-fig trace -manager nosuch -trace-out t.json", "-manager"},
+		{"-fig5-threads 4", "flag provided but not defined: -fig5-threads"},
+		{"-fig btree -btree-threads 2,4", "flag provided but not defined: -btree-threads"},
+		{"-fig telemetry -telemetry-manager polka", "flag provided but not defined: -telemetry-manager"},
+		{"-fig trace -trace-manager polka", "flag provided but not defined: -trace-manager"},
 		{"-fig telemetry -telemetry-interval 250ms", "flag provided but not defined: -telemetry-interval"},
 		{"-fig telemetry -telemetry-jsonl x", "flag provided but not defined: -telemetry-jsonl"},
 		{"-fig telemetry -telemetry-csv x", "flag provided but not defined: -telemetry-csv"},
@@ -36,7 +40,7 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-durable", "-durable"},
 		{"-fig durable", `unknown figure "durable"`},
 		{"-backend lazy", "-backend"},
-		{"-fig 3 -bench list,kmeans -threads 2,4 -dur 50ms -reps 1", ""},
+		{"-fig 3 -bench list,vacation -threads 2,4 -dur 50ms -reps 1", ""},
 	} {
 		inv, err := parseArgs(strings.Fields(c.args), io.Discard)
 		switch {
@@ -47,7 +51,7 @@ func TestParseArgsFailsFast(t *testing.T) {
 		case c.want == "":
 			o := inv.opts
 			if inv.fig != "3" || o.Reps != 1 || o.Duration != 50*time.Millisecond ||
-				strings.Join(o.Benchmarks, ",") != "list,kmeans" || len(o.Threads) != 2 || o.Threads[1] != 4 {
+				strings.Join(o.Benchmarks, ",") != "list,vacation" || len(o.Threads) != 2 || o.Threads[1] != 4 {
 				t.Errorf("%q parsed as fig %q, %+v", c.args, inv.fig, o)
 			}
 		}
@@ -89,16 +93,17 @@ func TestFlagConflict(t *testing.T) {
 		want string // substring of the error; "" = accepted
 	}{
 		{"defaults", flags(), modes{fig: "all"}, ""},
-		{"telemetry knob without -fig telemetry", flags("fig", "telemetry-manager"), modes{fig: "2"}, "-telemetry-manager has no effect without -fig telemetry"},
-		{"telemetry knob with -fig telemetry", flags("fig", "telemetry-manager"), modes{fig: "telemetry"}, ""},
+		{"-manager under a table figure", flags("fig", "manager"), modes{fig: "2"}, "-manager has no effect without -fig telemetry or -fig trace"},
+		{"-manager with -fig telemetry", flags("fig", "manager"), modes{fig: "telemetry"}, ""},
+		{"-manager with -fig trace", flags("fig", "manager"), modes{fig: "trace"}, ""},
 		{"trace-out with bare -trace", flags("trace-out"), modes{fig: "trace", trace: true}, ""},
 		// A table figure's traces are read only from /trace/*.
 		{"-trace under a table figure", flags("fig", "trace", "trace-sample"), modes{fig: "4", trace: true}, "-trace has no effect without -telemetry-addr"},
 		{"-trace under a table figure, served", flags("fig", "trace", "trace-sample", "telemetry-addr"), modes{fig: "4", trace: true, serve: true}, ""},
-		{"btree pins its axes", flags("fig", "bench"), modes{fig: "btree"}, "-bench has no effect with -fig btree"},
-		// Figure 5 runs at -fig5-threads; -threads used to be dropped silently.
-		{"-fig 5 -threads", flags("fig", "threads"), modes{fig: "5"}, "-threads has no effect"},
-		{"-fig 5 -fig5-threads", flags("fig", "fig5-threads"), modes{fig: "5"}, ""},
+		{"btree pins its benchmarks", flags("fig", "bench"), modes{fig: "btree"}, "-bench has no effect with -fig btree"},
+		{"btree sweeps -threads", flags("fig", "threads"), modes{fig: "btree"}, ""},
+		// Figure 5 runs at the largest -threads entry.
+		{"-fig 5 -threads", flags("fig", "threads"), modes{fig: "5"}, ""},
 		// ext averages over -reps (harness: TestExtendedAveragesOverReps).
 		{"-fig ext -reps", flags("fig", "reps"), modes{fig: "ext"}, ""},
 		{"-fig all -threads", flags("fig", "threads"), modes{fig: "all"}, ""},

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 	"text/tabwriter"
@@ -43,7 +44,9 @@ func ComparisonManagerNames() []string {
 // Options parameterize the figure drivers. The zero value is filled with
 // CI-friendly defaults; PaperScale restores the paper's regime.
 type Options struct {
-	// Threads is the M sweep (Figs. 2–4). Default {1, 2, 4, 8, 16, 32}.
+	// Threads is the M sweep of every figure that sweeps M; Fig. 5, the
+	// extended metrics and the single-run figures (telemetry, trace) run
+	// at its largest entry. Default {1, 2, 4, 8, 16, 32}.
 	Threads []int
 	// Duration is each timed cell's run length. Default 300ms
 	// (paper: 10 s).
@@ -54,8 +57,6 @@ type Options struct {
 	Benchmarks []string
 	// TotalTxs is Fig. 5's fixed work. Default 20000 (the paper's value).
 	TotalTxs int
-	// Fig5Threads is Fig. 5's thread count. Default 32 (the paper's).
-	Fig5Threads int
 	// WindowN is N for window managers. Default 50 (the paper's).
 	WindowN int
 	// Seed makes runs reproducible.
@@ -65,12 +66,10 @@ type Options struct {
 	// winbench -telemetry-addr endpoint always serves the cell currently
 	// running.
 	Hub *telemetry.Hub
-	// TelemetryManager is the manager the TelemetryFig run watches
-	// (default adaptive-improved-dynamic, the variant with the most
-	// internal machinery to observe).
-	TelemetryManager string
-	// BTreeThreads is the BTreeFig M sweep (default {1, 4, 8, 16}).
-	BTreeThreads []int
+	// Manager is the manager the single-run figures (TelemetryFig,
+	// TraceFig) watch. Default adaptive-improved-dynamic, the variant with
+	// the most internal machinery to observe.
+	Manager string
 	// Trace, when non-nil, arms the transaction flight recorder on every
 	// experiment cell. With a Hub attached too, each cell's collector is
 	// installed live, so /trace/snapshot and /trace/dump follow the sweep
@@ -125,14 +124,14 @@ func (o Options) withDefaults() Options {
 	if o.TotalTxs == 0 {
 		o.TotalTxs = 20000
 	}
-	if o.Fig5Threads == 0 {
-		o.Fig5Threads = 32
-	}
 	if o.WindowN == 0 {
 		o.WindowN = 50
 	}
 	if o.Seed == 0 {
 		o.Seed = 1
+	}
+	if o.Manager == "" {
+		o.Manager = "adaptive-improved-dynamic"
 	}
 	return o
 }
@@ -153,21 +152,15 @@ func (o Options) Validate() error {
 	}{
 		{"Reps (-reps)", o.Reps, 1},
 		{"TotalTxs (-total)", o.TotalTxs, 1},
-		{"Fig5Threads (-fig5-threads)", o.Fig5Threads, 1},
 		{"WindowN (-window-n)", o.WindowN, 0},
 	} {
 		if c.v < c.min {
 			return fmt.Errorf("harness: %s must be >= %d (got %d)", c.name, c.min, c.v)
 		}
 	}
-	for _, l := range []struct {
-		name string
-		ms   []int
-	}{{"Threads (-threads)", o.Threads}, {"BTreeThreads (-btree-threads)", o.BTreeThreads}} {
-		for _, m := range l.ms {
-			if m < 1 {
-				return fmt.Errorf("harness: %s entries must be >= 1 (got %d)", l.name, m)
-			}
+	for _, m := range o.Threads {
+		if m < 1 {
+			return fmt.Errorf("harness: Threads (-threads) entries must be >= 1 (got %d)", m)
 		}
 	}
 	for _, b := range o.Benchmarks {
@@ -175,9 +168,9 @@ func (o Options) Validate() error {
 			return fmt.Errorf("harness: Benchmarks (-bench): %v", err)
 		}
 	}
-	if o.TelemetryManager != "" {
-		if _, _, err := core.NewNamed(o.TelemetryManager, 1, 0, 0); err != nil {
-			return fmt.Errorf("harness: TelemetryManager (-telemetry-manager): %v", err)
+	if o.Manager != "" {
+		if _, _, err := core.NewNamed(o.Manager, 1, 0, 0); err != nil {
+			return fmt.Errorf("harness: Manager (-manager): %v", err)
 		}
 	}
 	return nil
@@ -188,6 +181,10 @@ func (o Options) resolve() (Options, error) {
 	o = o.withDefaults()
 	return o, o.Validate()
 }
+
+// largestM is the M of every figure that runs at one thread count: the
+// largest entry of Threads.
+func (o Options) largestM() int { return slices.Max(o.Threads) }
 
 // throughputMix is the Figs. 2–4 workload: randomly selected insertions
 // and deletions with equal probability, as in the paper.
@@ -340,7 +337,7 @@ func (g *grid) fig4() ([]Table, error) {
 
 // extended reads the Section-IV metrics off the grid's largest-M column.
 func (g *grid) extended() ([]Table, error) {
-	m := g.o.Threads[len(g.o.Threads)-1]
+	m := g.o.largestM()
 	var tables []Table
 	for _, b := range g.o.Benchmarks {
 		t := Table{
@@ -373,10 +370,10 @@ func (g *grid) extended() ([]Table, error) {
 // fig5 runs Figure 5's fixed-work cells. They are counted, not timed, and
 // sweep contention levels instead of M, so they are not grid cells.
 func (g *grid) fig5() ([]Table, error) {
-	o := g.o
+	o, m := g.o, g.o.largestM()
 	var tables []Table
 	for _, b := range o.Benchmarks {
-		t := Table{Title: fmt.Sprintf("Fig 5: time to commit %d txs, M=%d — %s (seconds)", o.TotalTxs, o.Fig5Threads, b)}
+		t := Table{Title: fmt.Sprintf("Fig 5: time to commit %d txs, M=%d — %s (seconds)", o.TotalTxs, m, b)}
 		t.Columns = []string{"manager"}
 		for _, lvl := range fig5Levels {
 			t.Columns = append(t.Columns, lvl.name)
@@ -389,7 +386,7 @@ func (g *grid) fig5() ([]Table, error) {
 					if err != nil {
 						return Result{}, err
 					}
-					return RunCount(o.Config(mgr, o.Fig5Threads, seed), w, o.TotalTxs)
+					return RunCount(o.Config(mgr, m, seed), w, o.TotalTxs)
 				})
 				if err != nil {
 					return nil, err
@@ -449,7 +446,7 @@ func Fig3(o Options) ([]Table, error) { return view(o, (*grid).fig3) }
 func Fig4(o Options) ([]Table, error) { return view(o, (*grid).fig4) }
 
 // Fig5 reproduces Figure 5: total time to commit TotalTxs transactions
-// with Fig5Threads threads under low/medium/high contention.
+// at the largest of Threads under low/medium/high contention.
 func Fig5(o Options) ([]Table, error) { return view(o, (*grid).fig5) }
 
 // Extended reports the Section-IV future-work metrics (wasted work,

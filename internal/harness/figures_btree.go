@@ -7,7 +7,7 @@ import "fmt"
 // traversal node lands in the conflict set) against the btree workload
 // (txbtree — a B-link tree with key-level read/write sets, where only
 // the keys touched conflict) under every registered contention manager
-// across the thread sweep. Same operation mix, same key range; the only
+// across the Threads sweep. Same operation mix, same key range; the only
 // variable is the conflict-detection granularity, so a btree column
 // pulling ahead as M grows is the semantic layer paying for itself.
 func BTreeFig(o Options) ([]Table, error) {
@@ -15,19 +15,15 @@ func BTreeFig(o Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	threads := o.BTreeThreads
-	if len(threads) == 0 {
-		threads = []int{1, 4, 8, 16}
-	}
 	g := newGrid(o)
 	t := Table{Title: "Semantic conflict detection: rbtree (TVar nodes) vs btree (key-level) (commits/s)"}
 	t.Columns = append(t.Columns, "manager")
-	for _, m := range threads {
+	for _, m := range o.Threads {
 		t.Columns = append(t.Columns, fmt.Sprintf("rbtree M=%d", m), fmt.Sprintf("btree M=%d", m))
 	}
 	for _, mgr := range ManagerNames() {
 		row := []string{mgr}
-		for _, m := range threads {
+		for _, m := range o.Threads {
 			for _, b := range []string{"rbtree", "btree"} {
 				rs, err := g.cell(b, mgr, m)
 				if err != nil {

@@ -23,24 +23,24 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(o.Benchmarks) != 4 {
 		t.Errorf("Benchmarks = %v", o.Benchmarks)
 	}
-	if o.TotalTxs != 20000 || o.Fig5Threads != 32 || o.WindowN != 50 {
+	if o.TotalTxs != 20000 || o.largestM() != 32 || o.WindowN != 50 {
 		t.Errorf("paper defaults wrong: %+v", o)
 	}
-	if o.Seed == 0 {
-		t.Errorf("seed default wrong: %+v", o)
+	if o.Seed == 0 || o.Manager != "adaptive-improved-dynamic" {
+		t.Errorf("seed or manager default wrong: %+v", o)
 	}
 }
 
 func TestOptionsRespectsOverrides(t *testing.T) {
 	in := Options{
 		Threads: []int{3}, Duration: time.Second, Reps: 7,
-		Benchmarks: []string{"list"}, TotalTxs: 5, Fig5Threads: 2,
-		WindowN: 9, Seed: 99,
+		Benchmarks: []string{"list"}, TotalTxs: 5, WindowN: 9, Seed: 99,
+		Manager: "polka",
 	}
 	o := in.withDefaults()
 	if o.Threads[0] != 3 || o.Duration != time.Second || o.Reps != 7 ||
-		o.Benchmarks[0] != "list" || o.TotalTxs != 5 || o.Fig5Threads != 2 ||
-		o.WindowN != 9 || o.Seed != 99 {
+		o.Benchmarks[0] != "list" || o.TotalTxs != 5 || o.WindowN != 9 ||
+		o.Seed != 99 || o.Manager != "polka" {
 		t.Errorf("overrides lost: %+v", o)
 	}
 }
@@ -63,12 +63,11 @@ func TestDriversValidateAfterDefaults(t *testing.T) {
 		{Options{Duration: -time.Second}, "Duration"},
 		{Options{Reps: -1}, "Reps"},
 		{Options{TotalTxs: -1}, "TotalTxs"},
-		{Options{Fig5Threads: -1}, "Fig5Threads"},
 		{Options{WindowN: -5}, "WindowN"},
 		{Options{Threads: []int{2, 0}}, "Threads"},
-		{Options{BTreeThreads: []int{-1}}, "BTreeThreads"},
+		{Options{Threads: []int{-1}}, "Threads"},
 		{Options{Benchmarks: []string{"list", "nosuch"}}, "nosuch"},
-		{Options{TelemetryManager: "nosuch"}, "nosuch"},
+		{Options{Manager: "nosuch"}, "nosuch"},
 	} {
 		for name, driver := range map[string]func(Options) ([]Table, error){
 			"Fig2": Fig2, "TelemetryFig": TelemetryFig, "BTreeFig": BTreeFig,
@@ -153,7 +152,7 @@ func TestBTreeFigRendersOneTable(t *testing.T) {
 	if testing.Short() {
 		t.Skip("every-manager sweep is not short")
 	}
-	tables, err := BTreeFig(Options{Duration: 20 * time.Millisecond, Reps: 1, BTreeThreads: []int{2, 4}})
+	tables, err := BTreeFig(Options{Duration: 20 * time.Millisecond, Reps: 1, Threads: []int{2, 4}})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,6 +171,18 @@ func TestBTreeFigRendersOneTable(t *testing.T) {
 		if len(row) != len(tbl.Columns) || row[0] != names[i] {
 			t.Errorf("row %d = %v, want %s and %d cells", i, row, names[i], len(tbl.Columns)-1)
 		}
+	}
+}
+
+// TestFig5RunsAtLargestM: Figure 5 has no thread count of its own; it runs
+// at the largest entry of the Threads sweep and says so in its title.
+func TestFig5RunsAtLargestM(t *testing.T) {
+	tables, err := Fig5(Options{Benchmarks: []string{"list"}, Threads: []int{1, 2}, TotalTxs: 40, Reps: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tables) != 1 || !strings.Contains(tables[0].Title, "M=2 ") {
+		t.Errorf("tables = %+v, want one titled at M=2", tables)
 	}
 }
 
@@ -204,9 +215,9 @@ func countingGrid(o Options) (*grid, *[]string) {
 // (benchmark, manager, M, rep) timed cell is built exactly once — 384 of
 // them, the union of the two manager lists, where running each figure's own
 // sweep was 3 × 240 + 20 = 740. Figure 5's fixed-work cells are counted
-// runs outside the grid; they are shrunk here, not faked.
+// runs outside the grid at the largest M; they are shrunk here, not faked.
 func TestAllRunsEachCellOnce(t *testing.T) {
-	g, log := countingGrid(Options{TotalTxs: 8, Fig5Threads: 2})
+	g, log := countingGrid(Options{TotalTxs: 8})
 	tables, err := g.all()
 	if err != nil {
 		t.Fatal(err)

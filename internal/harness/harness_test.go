@@ -12,13 +12,12 @@ import (
 
 func tinyOpts() harness.Options {
 	return harness.Options{
-		Threads:     []int{2},
-		Duration:    30 * time.Millisecond,
-		Reps:        1,
-		TotalTxs:    400,
-		Fig5Threads: 4,
-		WindowN:     10,
-		Seed:        3,
+		Threads:  []int{2},
+		Duration: 30 * time.Millisecond,
+		Reps:     1,
+		TotalTxs: 400,
+		WindowN:  10,
+		Seed:     3,
 	}
 }
 

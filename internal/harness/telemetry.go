@@ -7,22 +7,25 @@ import (
 	"wincm/internal/telemetry"
 )
 
-// defaultTelemetryManager is the TelemetryFig subject when Options leaves
-// it unset: the adaptive variant with dynamic frames has the most
-// internal state worth watching (estimate growth and decay, frame
-// contraction, priority redraws).
-const defaultTelemetryManager = "adaptive-improved-dynamic"
-
 // telemetrySeriesPoints is how many interval samples the TelemetryFig
 // run aims for: it samples every Duration/telemetrySeriesPoints, but no
 // more often than every 5 ms.
 const telemetrySeriesPoints = 16
 
-// TelemetryFig runs one benchmark under one manager with full telemetry —
-// transaction histograms, the runtime's verdict counts, window-manager
-// gauges, interval sampler — and renders two tables: the interval time
-// series (live throughput, abort rate, fallback and window-machinery
-// evolution) and the final latency-histogram quantiles. With Options.Hub
+// watched names the one cell the single-run figures (TelemetryFig,
+// TraceFig) run — the first of Benchmarks under Manager at the largest of
+// Threads — and labels it for their titles. o must be resolved.
+func (o Options) watched() (benchmark string, threads int, label string) {
+	benchmark, threads = o.Benchmarks[0], o.largestM()
+	return benchmark, threads, fmt.Sprintf("%s under %s, M=%d", benchmark, o.Manager, threads)
+}
+
+// TelemetryFig runs one cell (the first of Benchmarks under Manager at the
+// largest of Threads) with full telemetry — transaction histograms, the
+// runtime's verdict counts, window-manager gauges, interval sampler — and
+// renders two tables: the interval time series (live throughput, abort
+// rate, fallback and window-machinery evolution) and the final
+// latency-histogram quantiles. With Options.Hub
 // attached the run is simultaneously scrapeable over HTTP while it
 // executes.
 func TelemetryFig(o Options) ([]Table, error) {
@@ -30,14 +33,8 @@ func TelemetryFig(o Options) ([]Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	benchmark := o.Benchmarks[0]
-	manager := o.TelemetryManager
-	if manager == "" {
-		manager = defaultTelemetryManager
-	}
-	threads := o.Threads[len(o.Threads)-1]
-
-	cfg := o.Config(manager, threads, o.Seed)
+	benchmark, threads, label := o.watched()
+	cfg := o.Config(o.Manager, threads, o.Seed)
 	if cfg.Telemetry == nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 	}
@@ -47,8 +44,8 @@ func TelemetryFig(o Options) ([]Table, error) {
 		return nil, err
 	}
 	return []Table{
-		seriesTable(res.Series, benchmark, manager, threads),
-		quantileTable(cfg.Telemetry.Snapshot(), benchmark, manager, threads),
+		seriesTable(res.Series, label),
+		quantileTable(cfg.Telemetry.Snapshot(), label, threads),
 	}, nil
 }
 
@@ -58,9 +55,9 @@ func seriesCounter(p telemetry.Point, name string) int64 { return p.Counters[nam
 // seriesTable renders the interval series: per-interval commit/abort
 // rates plus the window gauges' trajectory. Rates are deltas between
 // consecutive points over the interval span.
-func seriesTable(pts []telemetry.Point, benchmark, manager string, threads int) Table {
+func seriesTable(pts []telemetry.Point, label string) Table {
 	t := Table{
-		Title: fmt.Sprintf("Telemetry: interval series — %s under %s, M=%d", benchmark, manager, threads),
+		Title: "Telemetry: interval series — " + label,
 		Columns: []string{"t_ms", "commits/s", "aborts/commit",
 			"frame", "frame-pending", "C-max", "alpha-max", "collisions"},
 	}
@@ -93,9 +90,9 @@ func seriesTable(pts []telemetry.Point, benchmark, manager string, threads int) 
 
 // quantileTable renders the final histogram quantiles plus the runtime's
 // wait count and the summary view of the same snapshot.
-func quantileTable(snap telemetry.Snapshot, benchmark, manager string, threads int) Table {
+func quantileTable(snap telemetry.Snapshot, label string, threads int) Table {
 	t := Table{
-		Title:   fmt.Sprintf("Telemetry: final histograms — %s under %s, M=%d", benchmark, manager, threads),
+		Title:   "Telemetry: final histograms — " + label,
 		Columns: []string{"histogram", "count", "mean", "p50<=", "p99<="},
 	}
 	for _, name := range []string{

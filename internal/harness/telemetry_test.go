@@ -74,7 +74,7 @@ func TestTelemetryFigDefaultManager(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !strings.Contains(tables[0].Title, defaultTelemetryManager) {
+	if !strings.Contains(tables[0].Title, "adaptive-improved-dynamic") {
 		t.Errorf("title = %q, want the default manager named", tables[0].Title)
 	}
 }

@@ -21,6 +21,23 @@ type TraceConfig struct {
 	Hub *telemetry.Hub
 }
 
+// TraceFig runs TelemetryFig's cell — the first of Benchmarks under Manager
+// at the largest of Threads — with the flight recorder armed (Options.Trace,
+// or every transaction when that is nil), and returns the run with the
+// cell's label ("list under polka, M=8").
+func TraceFig(o Options) (Result, string, error) {
+	o, err := o.resolve()
+	if err != nil {
+		return Result{}, "", err
+	}
+	if o.Trace == nil {
+		o.Trace = &TraceConfig{}
+	}
+	benchmark, threads, label := o.watched()
+	res, err := o.timed(benchmark, o.Config(o.Manager, threads, o.Seed))
+	return res, label, err
+}
+
 // defaultTracePoll is the collector's ring drain cadence. Rings that fill
 // between polls drop events (counted, never blocking).
 const defaultTracePoll = 25 * time.Millisecond

@@ -148,3 +148,24 @@ func TestFiguresOptionsCarryTrace(t *testing.T) {
 		t.Errorf("cell trace sample = %d, want 8", cfg.Trace.Sample)
 	}
 }
+
+// TestTraceFigRunsTheWatchedCell: -fig trace picks its cell the way
+// TelemetryFig does — the first benchmark under Manager (defaulted) at the
+// largest M — and arms the recorder even when Options.Trace is nil.
+func TestTraceFigRunsTheWatchedCell(t *testing.T) {
+	res, label, err := harness.TraceFig(harness.Options{
+		Benchmarks: []string{"list", "rbtree"}, Threads: []int{1, 2}, Duration: 30 * time.Millisecond,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := "list under adaptive-improved-dynamic, M=2"; label != want {
+		t.Errorf("label = %q, want %q", label, want)
+	}
+	if res.Trace == nil || res.Trace.Counts()[txtrace.EvCommit] == 0 {
+		t.Error("TraceFig recorded no commits")
+	}
+	if _, _, err := harness.TraceFig(harness.Options{Manager: "nosuch"}); err == nil {
+		t.Error("TraceFig accepted an unknown manager")
+	}
+}

@@ -2,39 +2,22 @@ package harness
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"wincm/internal/bench"
-	"wincm/internal/kmeans"
-	"wincm/internal/rng"
 	"wincm/internal/stm"
 	"wincm/internal/vacation"
 )
 
-// BenchmarkNames lists the paper's workloads in presentation order. The
-// "kmeans" extension workload (Section IV future work) is available by
-// name but not part of the default figure sweeps.
+// BenchmarkNames lists the paper's workloads in presentation order.
 func BenchmarkNames() []string {
 	return []string{"list", "rbtree", "skiplist", "vacation"}
 }
 
 // NewWorkload builds the named workload: "vacation" (driven by the
 // scenario for mix's contention level: ≤20% updates → low, ≤60% → medium,
-// else high), the "kmeans" extension (mix's update percentage shrinks the
-// cluster count, concentrating the hot spots), or any of bench.SetNames
-// (driven by mix).
+// else high) or any of bench.SetNames (driven by mix).
 func NewWorkload(name string, mix bench.Mix, seed uint64) (Workload, error) {
 	switch name {
-	case "kmeans":
-		k := 16
-		if mix.UpdatePct > 60 {
-			k = 4 // fewer clusters ⇒ hotter accumulators
-		} else if mix.UpdatePct > 20 {
-			k = 8
-		}
-		return &kmeansWorkload{
-			db: kmeans.New(kmeans.Config{K: k, Points: 4096, Seed: seed}),
-		}, nil
 	case "vacation":
 		level := "high"
 		switch {
@@ -115,34 +98,3 @@ func (w *vacationWorkload) NewRunner(id int, seed uint64) Runner {
 }
 
 func (w *vacationWorkload) Verify() error { return w.db.Verify() }
-
-// kmeansWorkload adapts the kmeans extension benchmark; it checks point
-// conservation (every committed assignment lands in exactly one
-// accumulator) on top of the benchmark's own sanity invariants.
-type kmeansWorkload struct {
-	db       *kmeans.KMeans
-	assigned atomic.Int64
-}
-
-func (w *kmeansWorkload) Name() string { return "kmeans" }
-
-func (w *kmeansWorkload) Setup(th *stm.Thread) {}
-
-func (w *kmeansWorkload) NewRunner(id int, seed uint64) Runner {
-	r := rng.New(seed)
-	return func(th *stm.Thread) stm.TxInfo {
-		_, info := w.db.Assign(th, r.Intn(w.db.Config().Points))
-		w.assigned.Add(1)
-		return info
-	}
-}
-
-func (w *kmeansWorkload) Verify() error {
-	if err := w.db.Verify(); err != nil {
-		return err
-	}
-	if got, want := w.db.Assigned(), w.assigned.Load(); got != want {
-		return fmt.Errorf("harness: kmeans accumulated %d points, %d committed", got, want)
-	}
-	return nil
-}
