@@ -9,6 +9,7 @@ build:
 
 vet:
 	go vet ./...
+	test -z "$$(gofmt -l .)"
 
 test:
 	go test ./...

@@ -118,7 +118,7 @@ func TestDoublingEstimator(t *testing.T) {
 }
 
 func TestDoublingEstimatorCaps(t *testing.T) {
-	e := &doublingEstimator{c: cCap}
+	e := &estimator{kind: EstimatorDoubling, c: cCap}
 	if e.onBadEvent() {
 		t.Error("estimator grew past the cap")
 	}
@@ -128,7 +128,7 @@ func TestDoublingEstimatorCaps(t *testing.T) {
 }
 
 func TestCIEstimatorGrowsWithContention(t *testing.T) {
-	e := &ciEstimator{c: 1}
+	e := &estimator{kind: EstimatorCI, c: 1}
 	// All-abort samples drive CI toward 1.
 	for i := 0; i < 50; i++ {
 		e.sample(true)
@@ -150,7 +150,7 @@ func TestCIEstimatorGrowsWithContention(t *testing.T) {
 }
 
 func TestCIEstimatorDecaysWhenQuiet(t *testing.T) {
-	e := &ciEstimator{c: 64}
+	e := &estimator{kind: EstimatorCI, c: 64}
 	for i := 0; i < 50; i++ {
 		e.sample(false) // all commits: CI → 0
 	}
@@ -167,7 +167,7 @@ func TestCIEstimatorDecaysWhenQuiet(t *testing.T) {
 func TestCIEstimatorMonotoneSamples(t *testing.T) {
 	// CI stays within [0, 1] for any sample sequence.
 	f := func(samples []bool) bool {
-		e := &ciEstimator{c: 1}
+		e := &estimator{kind: EstimatorCI, c: 1}
 		for _, s := range samples {
 			e.sample(s)
 			if e.ci < 0 || e.ci > 1 {

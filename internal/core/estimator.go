@@ -7,62 +7,31 @@ import "math"
 // risk with no behavioural effect.
 const cCap = 1 << 20
 
-// estimator evolves a thread's contention estimate C_i. Implementations
-// are confined to one thread and need no synchronization.
-type estimator interface {
-	// value returns the current estimate C_i ≥ 1.
-	value() float64
-	// sample records the outcome of one attempt (aborted or committed).
-	sample(aborted bool)
-	// onBadEvent reacts to a transaction missing its assigned frame; it
-	// reports whether the estimate changed (⇒ restart the remaining
-	// window schedule under the new estimate).
-	onBadEvent() bool
-	// onWindowEnd runs when a full window segment completes; hadBad says
-	// whether any of its transactions hit a bad event.
-	onWindowEnd(hadBad bool)
+// estimator evolves a thread's contention estimate C_i under one of the
+// three EstimatorKind rules. It is a plain value held inside the thread's
+// padded threadState, so its per-attempt writes stay on the thread's own
+// cache lines; it is confined to that thread and needs no synchronization.
+type estimator struct {
+	kind EstimatorKind
+	// c is the current estimate C_i ≥ 1.
+	c float64
+	// ci is the contention intensity CI (EstimatorCI only).
+	ci float64
 }
 
+// newEstimator builds the estimator of kind. The Fixed rule keeps the
+// configured C_i: the Online variants assume the contention measure is
+// known. The learning rules start at C_i = 1.
 func newEstimator(kind EstimatorKind, initialC float64) estimator {
-	if initialC < 1 {
-		initialC = 1
-	}
 	switch kind {
-	case EstimatorDoubling:
-		return &doublingEstimator{c: 1}
-	case EstimatorCI:
-		return &ciEstimator{c: 1}
-	default:
-		return fixedEstimator{c: initialC}
+	case EstimatorDoubling, EstimatorCI:
+		return estimator{kind: kind, c: 1}
 	}
+	return estimator{kind: EstimatorFixed, c: math.Max(initialC, 1)}
 }
 
-// fixedEstimator keeps the configured C_i: the Online variants assume the
-// contention measure is known.
-type fixedEstimator struct{ c float64 }
-
-func (f fixedEstimator) value() float64 { return f.c }
-func (fixedEstimator) sample(bool)      {}
-func (fixedEstimator) onBadEvent() bool { return false }
-func (fixedEstimator) onWindowEnd(bool) {}
-
-// doublingEstimator is the paper's Adaptive rule: start at C_i = 1 and
-// double on every bad event; the correct C_i is reached within log C_i
-// iterations.
-type doublingEstimator struct{ c float64 }
-
-func (d *doublingEstimator) value() float64 { return d.c }
-func (*doublingEstimator) sample(bool)      {}
-
-func (d *doublingEstimator) onBadEvent() bool {
-	if d.c >= cCap {
-		return false
-	}
-	d.c *= 2
-	return true
-}
-
-func (*doublingEstimator) onWindowEnd(bool) {}
+// value returns the current estimate C_i ≥ 1.
+func (e *estimator) value() float64 { return e.c }
 
 // CI parameters: the EWMA weight follows Adaptive Transaction Scheduling
 // (Yoo & Lee, SPAA'08: CI ← α·CI + (1−α)·CC with α = 0.75); the decay
@@ -72,19 +41,12 @@ const (
 	ciThreshold = 0.5
 )
 
-// ciEstimator is our instantiation of Adaptive-Improved: the new estimate
-// is driven by the contention intensity rather than blind doubling — a bad
-// event multiplies C_i by (1 + CI) (at least +1), and a window that
-// finishes clean while contention is low decays C_i, letting the schedule
-// tighten again. See DESIGN.md §2.
-type ciEstimator struct {
-	c  float64
-	ci float64
-}
-
-func (e *ciEstimator) value() float64 { return e.c }
-
-func (e *ciEstimator) sample(aborted bool) {
+// sample records the outcome of one attempt (aborted or committed); only
+// the CI rule keeps an intensity to fold it into.
+func (e *estimator) sample(aborted bool) {
+	if e.kind != EstimatorCI {
+		return
+	}
 	s := 0.0
 	if aborted {
 		s = 1
@@ -92,17 +54,31 @@ func (e *ciEstimator) sample(aborted bool) {
 	e.ci = ciAlpha*e.ci + (1-ciAlpha)*s
 }
 
-func (e *ciEstimator) onBadEvent() bool {
-	if e.c >= cCap {
+// onBadEvent reacts to a transaction missing its assigned frame; it
+// reports whether the estimate changed (⇒ restart the remaining window
+// schedule under the new estimate). Doubling is the paper's Adaptive rule:
+// the correct C_i is reached within log C_i iterations. CI is our
+// instantiation of Adaptive-Improved: a bad event multiplies C_i by
+// (1 + CI), at least +1 (DESIGN.md §2).
+func (e *estimator) onBadEvent() bool {
+	if e.kind == EstimatorFixed || e.c >= cCap {
 		return false
+	}
+	if e.kind == EstimatorDoubling {
+		e.c *= 2
+		return true
 	}
 	grown := math.Max(e.c+1, math.Ceil(e.c*(1+e.ci)))
 	e.c = math.Min(grown, cCap)
 	return true
 }
 
-func (e *ciEstimator) onWindowEnd(hadBad bool) {
-	if !hadBad && e.ci < ciThreshold && e.c > 1 {
+// onWindowEnd runs when a full window segment completes; hadBad says
+// whether any of its transactions hit a bad event. Under the CI rule a
+// window that finishes clean while contention is low halves C_i, letting
+// the schedule tighten again.
+func (e *estimator) onWindowEnd(hadBad bool) {
+	if e.kind == EstimatorCI && !hadBad && e.ci < ciThreshold && e.c > 1 {
 		e.c = math.Max(1, math.Floor(e.c/2))
 	}
 }

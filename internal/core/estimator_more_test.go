@@ -18,7 +18,7 @@ func TestNewEstimatorKinds(t *testing.T) {
 
 // TestCIEstimatorCap: growth saturates at the overflow cap.
 func TestCIEstimatorCap(t *testing.T) {
-	e := &ciEstimator{c: cCap, ci: 1}
+	e := &estimator{kind: EstimatorCI, c: cCap, ci: 1}
 	if e.onBadEvent() {
 		t.Error("grew past cap")
 	}
@@ -33,7 +33,7 @@ func TestCIEstimatorCap(t *testing.T) {
 
 // TestCIDecayFloor: decay never drops the estimate below 1.
 func TestCIDecayFloor(t *testing.T) {
-	e := &ciEstimator{c: 1, ci: 0}
+	e := &estimator{kind: EstimatorCI, c: 1, ci: 0}
 	e.onWindowEnd(false)
 	if e.c < 1 {
 		t.Errorf("decayed below 1: %v", e.c)

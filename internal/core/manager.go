@@ -28,7 +28,10 @@ func auxP2(aux uint64) uint64   { return aux & (1<<p2Bits - 1) }
 // threadState is the per-thread window bookkeeping. Only the owning thread
 // writes it (Begin/Committed/Aborted/Resolve run on the transaction's
 // thread), so the plain fields need no synchronization; the atomics are
-// single-writer cells (owner stores, gauges load from any goroutine).
+// single-writer cells (owner stores, gauges load from any goroutine). The
+// π⁽²⁾ stream and the contention estimate are held by value, so every word
+// a transaction writes here (drawP2, est.sample, τ̂) is on the padded
+// state's own lines.
 //
 // A thread is either outside the window schedule — the initial state — or
 // inside it. Outside, its transactions carry frame 0 (π⁽¹⁾ high) with a
@@ -38,7 +41,7 @@ func auxP2(aux uint64) uint64   { return aux & (1<<p2Bits - 1) }
 // without either (leave). See DESIGN.md §2.
 type threadState struct {
 	id  int // index of the thread's range word in the frame clock
-	rng *rng.Rand
+	rng rng.Rand
 	est estimator
 
 	inWindow   atomic.Bool // inside the window schedule (false: outside)
@@ -66,8 +69,10 @@ type threadState struct {
 	cells [numCells]atomic.Int64
 
 	// The states are allocated one by one; the pad rounds the struct up to
-	// whole cache lines so two threads' hot fields never share one.
-	_ [64]byte
+	// whole cache lines (a 64-B multiple is its own size class, so the
+	// allocator hands it out line-aligned) and two threads' hot fields never
+	// share one.
+	_ [32]byte
 }
 
 // cell names one of a thread's single-writer counters.
@@ -130,7 +135,7 @@ func NewManager(cfg Config) *Manager {
 	for i := range m.threads {
 		m.threads[i] = &threadState{
 			id:  i,
-			rng: master.Split(),
+			rng: *master.Split(),
 			est: newEstimator(cfg.Estimator, float64(cfg.InitialC)),
 			tau: int64(tauGuess),
 		}

@@ -475,6 +475,30 @@ func TestCrossShardAtomicity(t *testing.T) {
 	}
 }
 
+// TestSpanExcludesEveryShare: a shard keeps one commit-lock share per
+// thread slot, but no more than GOMAXPROCS, and a span excludes a
+// single-shard operation whichever slot its session prefers.
+func TestSpanExcludesEveryShare(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(2))
+	for _, threads := range []int{1, 2, 5} {
+		sh := testStore(t, Options{Shards: 1, ShardThreads: threads}).shards[0]
+		if want := min(threads, 2); sh.shares != want {
+			t.Fatalf("ShardThreads %d: %d shares, want %d", threads, sh.shares, want)
+		}
+		for pref := 0; pref < threads; pref++ {
+			sh.lockSpan()
+			if sh.share(pref).TryRLock() {
+				t.Fatalf("ShardThreads %d: a span does not exclude a session preferring slot %d", threads, pref)
+			}
+			sh.unlockSpan()
+			if !sh.share(pref).TryRLock() {
+				t.Fatalf("ShardThreads %d: slot %d's share still held after the span", threads, pref)
+			}
+			sh.share(pref).RUnlock()
+		}
+	}
+}
+
 // TestCrossShardReadStrictness pins the anomaly that shared-side
 // cross-shard readers admitted: one writer alternates single-key
 // Set(a, i) then Set(b, i) — so at every real-time instant the
@@ -483,7 +507,9 @@ func TestCrossShardAtomicity(t *testing.T) {
 // could read a, lose the processor, and read b after two later
 // independent single-key commits, observing v(b) > v(a): a
 // serialization cycle with the real-time order. The exclusive acquire
-// makes the read span atomic against single-key writers too.
+// makes the read span atomic against single-key writers too — whichever
+// slot's share of the lock they read-lock, so the writer takes every
+// slot preference in turn.
 func TestCrossShardReadStrictness(t *testing.T) {
 	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Seed: 7})
 	// The reader must lose the processor between its two shards for the
@@ -537,53 +563,58 @@ func TestCrossShardReadStrictness(t *testing.T) {
 	// each other and the run livelocks before it can report; a lone
 	// reader surfaces the inversion on nearly every iteration.
 	const iters = 50
-	stop := make(chan struct{})
-	var wwg sync.WaitGroup
-	wwg.Add(1)
-	go func() {
-		defer wwg.Done()
-		se := st.NewSession()
-		for i := int64(1); ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			se.Set(a, i)
-			se.Set(b, i)
-		}
-	}()
 	ia, ib := 0, len(mgetKeys)-1
 	rd := st.NewSession()
 	vals := make([]int64, len(mgetKeys))
 	present := make([]bool, len(mgetKeys))
-	for i := 0; i < iters; i++ {
-		if err := rd.MGet(mgetKeys, vals, present); err != nil {
-			t.Fatal(err)
-		}
-		if vals[ib] > vals[ia] {
-			t.Fatalf("MGet inverted snapshot: a=%d b=%d (b is written after a, so it can only trail)", vals[ia], vals[ib])
-		}
-	}
-	for i := 0; i < iters; i++ {
-		if _, err := rd.Scan(0, maxKey+1, int(maxKey)+1); err != nil {
-			t.Fatal(err)
-		}
-		var va, vb int64
-		for j, k := range rd.ScanKeys() {
-			if k == a {
-				va = rd.ScanVals()[j]
+	var i int64 // the writer's value, rising across the phases
+	for pref := 0; pref < st.opt.ShardThreads; pref++ {
+		se := st.NewSession()
+		se.pref = pref
+		stop := make(chan struct{})
+		var wwg sync.WaitGroup
+		wwg.Add(1)
+		go func() {
+			defer wwg.Done()
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				i++
+				se.Set(a, i)
+				se.Set(b, i)
 			}
-			if k == b {
-				vb = rd.ScanVals()[j]
+		}()
+		for j := 0; j < iters; j++ {
+			if err := rd.MGet(mgetKeys, vals, present); err != nil {
+				t.Fatal(err)
+			}
+			if vals[ib] > vals[ia] {
+				t.Fatalf("writer preferring slot %d: MGet inverted snapshot: a=%d b=%d (b is written after a, so it can only trail)", pref, vals[ia], vals[ib])
 			}
 		}
-		if vb > va {
-			t.Fatalf("Scan inverted snapshot: a=%d b=%d", va, vb)
+		for j := 0; j < iters; j++ {
+			if _, err := rd.Scan(0, maxKey+1, int(maxKey)+1); err != nil {
+				t.Fatal(err)
+			}
+			var va, vb int64
+			for n, k := range rd.ScanKeys() {
+				if k == a {
+					va = rd.ScanVals()[n]
+				}
+				if k == b {
+					vb = rd.ScanVals()[n]
+				}
+			}
+			if vb > va {
+				t.Fatalf("writer preferring slot %d: Scan inverted snapshot: a=%d b=%d", pref, va, vb)
+			}
 		}
+		close(stop)
+		wwg.Wait()
 	}
-	close(stop)
-	wwg.Wait()
 }
 
 // TestCrossShardLiveness mixes single-key traffic, cross-shard writers

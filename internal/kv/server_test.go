@@ -192,11 +192,14 @@ func TestAbandonedPipelineLeaksNothing(t *testing.T) {
 				if idle := sh.idle(); idle != len(sh.slots) {
 					t.Errorf("shard %d: %d of %d threads back in the pool", i, idle, len(sh.slots))
 				}
-				if !sh.xmu.TryLock() {
-					t.Errorf("shard %d: cross-shard lock still held", i)
-					continue
+				for j := range sh.slots {
+					x := &sh.slots[j].xmu
+					if !x.TryLock() {
+						t.Errorf("shard %d: slot %d's share of the cross-shard lock still held", i, j)
+						continue
+					}
+					x.Unlock()
 				}
-				sh.xmu.Unlock()
 			}
 			if _, ok := st.NewSession().Get(5); ok {
 				t.Error("the half-written MSET was executed")

@@ -175,15 +175,17 @@ func (se *Session) runOn(sh *shard) {
 	sh.release(ts)
 }
 
-// runSingle is the single-shard path: the shard's cross-shard lock is
-// taken in read mode, so the operation can never observe (or interleave
-// into) a half-applied multi-shard commit, while single-shard operations
-// on the same shard still run fully concurrently — their isolation is
-// the STM's job, not the lock's.
+// runSingle is the single-shard path: the session's share of the shard's
+// cross-shard lock (shard.share) is taken in read mode, so the
+// operation can never observe (or interleave into) a half-applied
+// multi-shard commit, while single-shard operations on the same shard
+// still run fully concurrently — their isolation is the STM's job, not
+// the lock's. The claim may still fall back to another slot's thread.
 func (se *Session) runSingle(sh *shard) {
-	sh.xmu.RLock()
+	x := sh.share(se.pref)
+	x.RLock()
 	se.runOn(sh)
-	sh.xmu.RUnlock()
+	x.RUnlock()
 }
 
 // Get returns key's committed value.
@@ -210,7 +212,7 @@ func (se *Session) Del(key int64) bool {
 // ascending key order and returns the count; read the pairs from
 // ScanKeys/ScanVals (valid until the session's next operation). Keys are
 // hash-routed, so the range spans every shard: Scan is a cross-shard
-// read transaction — every shard lock exclusively, ascending (the
+// read transaction — every shard's lock exclusively, ascending (the
 // shared side would not be a consistent snapshot against single-key
 // writers; see txn.go), one sub-scan per shard — then a merge of the
 // shards' ascending runs.
@@ -230,14 +232,14 @@ func (se *Session) Scan(lo, hi int64, limit int) (int, error) {
 	se.runKeys, se.runVals = se.runKeys[:0], se.runVals[:0]
 	shards := se.st.shards
 	for _, sh := range shards {
-		sh.xmu.Lock()
+		sh.lockSpan()
 	}
 	for i, sh := range shards {
 		se.runHead[i] = len(se.runKeys)
 		se.runOn(sh)
 	}
 	for i := len(shards) - 1; i >= 0; i-- {
-		shards[i].xmu.Unlock()
+		shards[i].unlockSpan()
 	}
 	// Key k can only be at the head of shardOf(k)'s run; a head past its
 	// run sits on another shard's key, which never matches.

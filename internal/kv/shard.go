@@ -1,8 +1,10 @@
 package kv
 
 import (
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"wincm/internal/core"
 	"wincm/internal/stm"
@@ -21,28 +23,38 @@ type shard struct {
 	// frame hooks); nil for classic managers.
 	wm *core.Manager
 	wd *stm.Watchdog
-	// xmu is the cross-shard commit lock. Multi-shard operations —
-	// readers and writers alike — hold it exclusively for their whole
-	// two-phase span, in ascending shard-index order; single-shard
-	// operations ride the read side, so they never overlap a cross-shard
-	// span on their shard while staying fully concurrent with each
-	// other. See txn.go for the ordering and strictness arguments.
-	xmu sync.RWMutex
-	// slots are the runtime's threads and their claim words. Claimers
-	// that find every thread taken park in waiters (under mu) and are
-	// handed threads oldest first; nwait counts them for release.
+	// slots are the runtime's threads, their claim words and the shard's
+	// cross-shard commit lock: the xmu of the first shares slots, one
+	// share per slot up to GOMAXPROCS — more readers never run at once,
+	// and a span pays for every share (lockSpan).
+	// Claimers that find every thread taken park in waiters (under mu) and
+	// are handed threads oldest first; nwait counts them for release.
 	slots   []threadSlot
+	shares  int
 	nwait   atomic.Int32
 	mu      sync.Mutex
 	waiters []chan *threadSlot
 }
 
-// threadSlot is a thread and its claim word, alone on a cache line.
+// threadSlot is a thread, its claim word and (in the first shares slots)
+// a share of the shard's cross-shard commit lock, alone on a cache line.
+// A single-shard operation read-locks only its session's share (share), so
+// sessions with different preferences write no common line; a span
+// write-locks every share (lockSpan). txn.go has the ordering and
+// strictness arguments.
 type threadSlot struct {
 	th      *stm.Thread
+	xmu     sync.RWMutex
 	claimed atomic.Bool
-	_       [64 - 8 - 4]byte
+	_       [64 - 8 - 24 - 4]byte
 }
+
+// threadSlot is exactly one line: either array length below goes negative,
+// and the build fails, if the pad above no longer fits sync.RWMutex's size.
+var (
+	_ [64 - unsafe.Sizeof(threadSlot{})]byte
+	_ [unsafe.Sizeof(threadSlot{}) - 64]byte
+)
 
 // newShard builds shard idx from the resolved options.
 func newShard(idx int, o Options) (*shard, error) {
@@ -59,11 +71,12 @@ func newShard(idx int, o Options) (*shard, error) {
 	}
 	rt := stm.New(o.ShardThreads, mgr, opts...)
 	sh := &shard{
-		idx:   idx,
-		rt:    rt,
-		tree:  txbtree.New[int64](),
-		wm:    wm,
-		slots: make([]threadSlot, o.ShardThreads),
+		idx:    idx,
+		rt:     rt,
+		tree:   txbtree.New[int64](),
+		wm:     wm,
+		slots:  make([]threadSlot, o.ShardThreads),
+		shares: min(o.ShardThreads, runtime.GOMAXPROCS(0)),
 	}
 	for i := range sh.slots {
 		sh.slots[i].th = rt.Thread(i)
@@ -130,6 +143,29 @@ func (sh *shard) release(ts *threadSlot) {
 	sh.nwait.Add(-1)
 	sh.mu.Unlock()
 	wake <- ts
+}
+
+// share is the commit-lock share a session preferring slot pref
+// read-locks: its own slot's, unless there are fewer shares than slots.
+func (sh *shard) share(pref int) *sync.RWMutex {
+	if pref >= sh.shares {
+		pref %= sh.shares
+	}
+	return &sh.slots[pref].xmu
+}
+
+// lockSpan write-locks every share of the commit lock, ascending.
+func (sh *shard) lockSpan() {
+	for i := range sh.shares {
+		sh.slots[i].xmu.Lock()
+	}
+}
+
+// unlockSpan releases lockSpan's locks in reverse order.
+func (sh *shard) unlockSpan() {
+	for i := sh.shares - 1; i >= 0; i-- {
+		sh.slots[i].xmu.Unlock()
+	}
 }
 
 // idle counts the unclaimed threads; one being handed over is claimed.

@@ -9,7 +9,11 @@ package kv
 //
 //  1. Compute the involved-shard set and sort it ascending.
 //  2. Acquire each involved shard's commit lock in that order —
-//     exclusively (Lock), for readers and writers alike.
+//     exclusively, for readers and writers alike. A shard's commit lock
+//     is one RWMutex per thread slot (threadSlot.xmu), for at most
+//     GOMAXPROCS slots (shard.shares); taking it exclusively write-locks
+//     every share, so the span locks in ascending (shard, slot) order
+//     (shard.lockSpan).
 //  3. While all locks are held, run one STM sub-transaction per involved
 //     shard (ascending), each applying just that shard's slice of the
 //     key set. Conflicts with concurrent single-shard transactions route
@@ -17,27 +21,37 @@ package kv
 //     serializes cross-shard *spans*, not data access.
 //  4. Release in reverse order.
 //
-// Deadlock-freedom: every multi-shard operation acquires commit locks in
-// ascending shard order, so any wait-for edge between two multi-shard
-// operations points from a lower-indexed lock holder to a higher-indexed
-// one — the wait-for graph over locks is acyclic. Single-shard
-// operations hold exactly one read lock and never block on another lock
-// while holding it. A thread claim is the last thing a session takes: it
-// holds at most one, and releases it before taking any other lock or
-// claim, so a parked claimer waits only on claim holders, and they wait
-// on nothing the claimer holds. STM-level conflicts under the locks are
-// resolved by the shard's contention manager, whose liveness guarantees
-// (kill/wait decisions plus the serialized fallback) are unchanged from
-// the single-runtime case.
+// A single-shard operation read-locks one share only, its session's
+// preferred slot's (shard.share; slot pref modulo the share count when
+// there are fewer shares than slots), so sessions preferring different
+// slots write no common lock word; its thread claim may still fall back
+// to another slot.
+//
+// Deadlock-freedom: every multi-shard operation acquires the shares in
+// ascending (shard, slot) order, so any wait-for edge between two
+// multi-shard operations points from a lower-ordered lock holder to a
+// higher-ordered one — the wait-for graph over locks is acyclic.
+// Single-shard operations hold exactly one read lock and never block on
+// another lock while holding it. A thread claim is the last thing a
+// session takes: it holds at most one, and releases it before taking any
+// other lock or claim. So a parked claimer holds one read lock and waits
+// only on claim holders; those are single-shard operations of the same
+// shard, which wait on nothing (a span that holds a shard's write locks
+// excludes every reader there, so it never meets a parked claimer nor
+// waits for a claim on that shard). STM-level conflicts under the locks
+// are resolved by the shard's contention manager, whose liveness
+// guarantees (kill/wait decisions plus the serialized fallback) are
+// unchanged from the single-runtime case.
 //
 // Strict serializability — two-phase locking at shard granularity:
 //
 //   - A cross-shard operation (MSet, MGet, Scan) holds the exclusive
-//     side of every involved shard's lock simultaneously for its whole
-//     span, so any two cross-shard operations with overlapping shard
-//     sets have disjoint spans, and a single-shard operation (shared
-//     side) cannot overlap a cross-shard span on its shard. Serialize
-//     each cross-shard operation at its span.
+//     side of every share of every involved shard's lock
+//     simultaneously for its whole span, so any two cross-shard
+//     operations with overlapping shard sets have disjoint spans, and a
+//     single-shard operation (the shared side of one share) cannot
+//     overlap a cross-shard span on its shard. Serialize each cross-shard
+//     operation at its span.
 //   - Single-shard operations on one shard are serialized by that
 //     shard's STM in commit order, which respects real time, and they
 //     fall entirely before or entirely after any cross-shard span on
@@ -98,13 +112,13 @@ func (se *Session) runMulti() {
 		return
 	}
 	for _, i := range se.shlist {
-		shards[i].xmu.Lock()
+		shards[i].lockSpan()
 	}
 	for _, i := range se.shlist {
 		se.runOn(shards[i])
 	}
 	for j := len(se.shlist) - 1; j >= 0; j-- {
-		shards[se.shlist[j]].xmu.Unlock()
+		shards[se.shlist[j]].unlockSpan()
 	}
 }
 

@@ -11,12 +11,13 @@ import "sync/atomic"
 //   - A package-global epoch counter ticks forward (tryAdvanceEpoch). It
 //     is a clock, not a lock: advancing needs no agreement, it only has to
 //     be monotonic.
-//   - Every runtime thread *pins* the current epoch for the span of one
-//     attempt (beginAttempt stores epoch<<1|1 into the thread's padded
-//     slot; the end-of-attempt cleanup clears the pin bit). All locator
-//     dereferences of the transactional hot path — Read, Write, Modify,
-//     release, read-set validation — happen inside an attempt, so a pin
-//     covers every pointer the attempt may hold.
+//   - Every runtime thread *pins* the current epoch for the rest of an
+//     attempt from just before its first locator load (Read and acquire
+//     store epoch<<1|1 into the thread's padded slot; the end-of-attempt
+//     cleanup clears the pin bit). All locator dereferences of the
+//     transactional hot path — Read, Write, Modify, release — happen
+//     inside an attempt after that first load, so a pin covers every
+//     pointer the attempt may hold.
 //   - Non-transactional accessors (TVar.Peek, TVar.Set) have no runtime
 //     thread; they claim a slot in a package-global external pin array for
 //     the duration of one call.
@@ -32,12 +33,15 @@ import "sync/atomic"
 // greater than the tag, no holder remains and the batch may be recycled
 // (gracePassed).
 //
-// Pins are attempt-long on purpose: one seq-cst store per attempt start
-// and one per attempt end, instead of bracketing every locator access.
-// The price is that a stalled attempt (a contention-manager wait, a
-// probe that sleeps) delays reclamation; the pool bounds the damage by dropping the
-// oldest sealed batch to the GC when its ring fills (pool.go), so memory
-// stays bounded even when grace never comes.
+// Pins are lazy and then attempt-long on purpose: an attempt that opens a
+// TVar pays one seq-cst store at its first open and one plain store at its
+// end, instead of bracketing every locator access; an attempt that opens
+// none — every attempt of a runtime whose transactions only use semantic
+// structures, like kv's and txbtree's — pays nothing. The price is that a
+// stalled attempt (a contention-manager wait, a probe that sleeps) delays
+// reclamation; the pool bounds the damage by dropping the oldest sealed
+// batch to the GC when its ring fills (pool.go), so memory stays bounded
+// even when grace never comes.
 //
 // Scope: epochs protect transactional accessors of the runtime that
 // retired the locator plus all external accessors. Transactional access
@@ -84,11 +88,17 @@ func tryAdvanceEpoch() {
 	poolEpoch.v.CompareAndSwap(e, e+1)
 }
 
-// pin announces the calling thread's attempt in its epoch slot. It must
-// run before the attempt's first locator load; the seq-cst store/load
-// pairing with the retiring side's scan is what makes the grace argument
-// above sound.
+// pin announces the calling thread's attempt in its epoch slot unless it
+// already has, or the runtime does not pool locators (nothing is ever
+// retired then). Read and acquire call it before they load a locator, so
+// it runs before the attempt's first load; the seq-cst store/load pairing
+// with the retiring side's scan is what makes the grace argument above
+// sound.
 func (tx *Tx) pin() {
+	if tx.pinned || !tx.poolOn {
+		return
+	}
+	tx.pinned = true
 	tx.owner.epochSlot().Store(pinWord(poolEpoch.v.Load()))
 }
 
@@ -96,6 +106,7 @@ func (tx *Tx) pin() {
 // end of cleanup). A plain store is enough: only the owning thread writes
 // its slot.
 func (tx *Tx) unpin() {
+	tx.pinned = false
 	s := tx.owner.epochSlot()
 	s.Store(s.Load() &^ pinnedBit)
 }

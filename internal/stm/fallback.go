@@ -21,9 +21,14 @@ import (
 // trips.
 //
 // The token is a pointer to the holder's Desc rather than a flag so that
-// stale grants are detectable: a Desc that is no longer in flight cannot
-// win conflicts (no live attempt carries it), and clearStaleFallback
-// reclaims the token for the next starving transaction.
+// a holder that is no longer in flight is detectable (Thread.inFlight):
+// clearStaleFallback reclaims the token from it for the next starving
+// transaction. That may happen from the holder's commit CAS on, while the
+// holder still runs its cleanup and Committed callback. It is safe: a
+// committed attempt wins no further conflict, and commit records
+// Tx.withToken before the CAS, so the holder's release and its fallback
+// accounting (HoldsFallback, TxInfo.Fallback) never read the reclaimed
+// token.
 
 // fallbackPollSpan is the wait granted to a transaction blocked behind the
 // token holder between re-examinations.
@@ -46,8 +51,15 @@ func WithFallback(maxAttempts int, deadline time.Duration) Option {
 func (rt *Runtime) FallbackHolder() *Desc { return rt.fallback.Load() }
 
 // HoldsFallback reports whether this attempt's transaction holds the
-// serialized-fallback token.
-func (tx *Tx) HoldsFallback() bool { return tx.rt.fallback.Load() == tx.D }
+// serialized-fallback token; once the attempt has committed, whether it
+// committed holding it (the token may already be reclaimed by then).
+// Owner-thread use: managers call it from their callbacks.
+func (tx *Tx) HoldsFallback() bool {
+	if tx.Status() == Committed {
+		return tx.withToken
+	}
+	return tx.rt.fallback.Load() == tx.D
+}
 
 // fallbackResolve returns the decision the serialized-fallback token
 // imposes on a conflict, if any; ok false means no token is involved and
@@ -95,16 +107,17 @@ func (rt *Runtime) releaseFallback(d *Desc) {
 }
 
 // clearStaleFallback reclaims the token if its holder is no longer in
-// flight. A stale grant can only arise from the watchdog racing a commit
-// (it granted the token to a transaction that finished before hearing of
-// it); the stale desc can never win another conflict, so reclaiming is
-// safe.
+// flight: either the holder has passed its commit CAS (commit recorded
+// withToken before it, so the holder's own release is unaffected), or the
+// watchdog granted the token to a transaction that committed before
+// hearing of it. Neither desc can win another conflict in that attempt,
+// so reclaiming is safe.
 func (rt *Runtime) clearStaleFallback() {
 	h := rt.fallback.Load()
 	if h == nil {
 		return
 	}
-	if rt.threads[h.ThreadID].current.Load() != h {
+	if !rt.threads[h.ThreadID].inFlight() {
 		rt.fallback.CompareAndSwap(h, nil)
 	}
 }

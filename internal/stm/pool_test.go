@@ -137,7 +137,8 @@ func TestPoolRingOverflowDropsOldest(t *testing.T) {
 // TestPoolGateFollowsGOMAXPROCS pins the guard New keeps for oversubscribed
 // runtimes: with more threads than GOMAXPROCS, pooling is off, so attempts
 // take no reclamation pin and committed writes retire nothing; with one
-// thread it is on, and the same writes pin and retire.
+// thread it is on, and the same writes pin (from their first Read on) and
+// retire.
 func TestPoolGateFollowsGOMAXPROCS(t *testing.T) {
 	for _, c := range []struct {
 		threads int
@@ -152,10 +153,11 @@ func TestPoolGateFollowsGOMAXPROCS(t *testing.T) {
 		v := NewTVar(0)
 		for i := 0; i < 10; i++ {
 			th.Atomic(func(tx *Tx) {
+				x := Read(tx, v)
 				if pinned := slot.Load()&pinnedBit != 0; pinned != c.on {
-					t.Errorf("threads=%d: attempt pinned = %v, want %v", c.threads, pinned, c.on)
+					t.Errorf("threads=%d: attempt pinned after its first Read = %v, want %v", c.threads, pinned, c.on)
 				}
-				Write(tx, v, Read(tx, v)+1)
+				Write(tx, v, x+1)
 			})
 		}
 		if got := rt.RetiredLocators(); (got > 0) != c.on {

@@ -174,6 +174,12 @@ type Tx struct {
 	// poolOn caches the runtime's locator-pooling gate for the attempt
 	// (poolOf reads it on every write-path operation).
 	poolOn bool
+	// pinned says the attempt holds its epoch pin: taken at its first
+	// locator load (pin), dropped by cleanup (epoch.go).
+	pinned bool
+	// withToken records whether the attempt held the fallback token when
+	// it reached its commit CAS (commit). Owner-thread-only.
+	withToken bool
 	// openVar is the opaque identity of the variable the current open
 	// operation targets, for conflict attribution by probes (see
 	// OpenedVar). Written only when a probe is installed, so the
@@ -209,20 +215,15 @@ func (tx *Tx) StatusWord() uint64 { return tx.status.Load() }
 func (tx *Tx) serial() uint64 { return serialOf(tx.status.Load()) }
 
 // beginAttempt advances the serial and marks the attempt Active. Only the
-// owning thread calls it, and only while
-// the previous attempt is terminated, so a plain store is safe: any stale
-// enemy CAS targets the previous serial and fails regardless.
+// owning thread calls it, and only while the previous attempt is
+// terminated, so a plain store is safe: any stale enemy CAS targets the
+// previous serial and fails regardless. The attempt takes no epoch pin
+// here: the first locator load does (pin, epoch.go), so an attempt that
+// opens no TVar — every kv and txbtree attempt — never pins.
 func (tx *Tx) beginAttempt() {
 	w := tx.status.Load()
 	tx.status.Store((serialOf(w)+1)<<statusBits | uint64(Active))
 	tx.poolOn = tx.rt.locPooling
-	// Announce the attempt in the reclamation epoch before its first
-	// locator load (epoch.go); cleanup clears the pin. Without pooling
-	// nothing is ever retired, so the pin pair (two seq-cst stores) is
-	// skipped — the reason the gate is fixed when New returns.
-	if tx.poolOn {
-		tx.pin()
-	}
 }
 
 // Abort aborts tx's current attempt if it is still active. It is safe to
@@ -394,14 +395,13 @@ func (rt *Runtime) RetiredLocators() int64 {
 // The thread owns the storage of its transactions: one Desc recycled per
 // logical transaction and one Tx recycled per attempt. Together with the
 // variable-side pooling (reader slots, locator prev-links) this makes the
-// committed read-only path allocation-free.
+// committed read-only path allocation-free. Whether a transaction is in
+// flight is read off the Tx's status word (inFlight), so starting and
+// finishing one publishes nothing beyond the thread's own words.
 type Thread struct {
 	rt  *Runtime
 	id  int
 	seq int
-	// current is the in-flight transaction's descriptor, nil between
-	// transactions; the watchdog reads it to find starving transactions.
-	current atomic.Pointer[Desc]
 	// commits and aborts count this thread's committed transactions and
 	// aborted attempts (shards of Runtime.Commits and Runtime.Aborts; the
 	// watchdog sums commits to detect lack of progress). Single-writer:
@@ -427,6 +427,15 @@ type Thread struct {
 
 // ID returns the thread index in [0, M).
 func (t *Thread) ID() int { return t.id }
+
+// inFlight reports whether the thread has a transaction in flight: its
+// first attempt has begun (serial > 0) and it has not committed. The
+// watchdog and the fallback token read it from any goroutine; the
+// in-flight transaction's descriptor is &t.desc.
+func (t *Thread) inFlight() bool {
+	w := t.tx.status.Load()
+	return serialOf(w) > 0 && StatusOf(w) != Committed
+}
 
 // txp returns the thread's reusable attempt storage (the Tx that reader
 // stamps of this thread always denote).
@@ -483,7 +492,6 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		d.Deadline = birth + int64(rt.txDeadline)
 	}
 	t.seq++
-	t.current.Store(d)
 	cm := rt.cm
 	var info TxInfo
 	for {
@@ -504,13 +512,13 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		if committed {
 			cm.Committed(tx)
 			t.commits.Store(t.commits.Load() + 1)
-			// Release the fallback token if this transaction held it —
-			// whether acquired below or granted by the watchdog.
-			if rt.fallback.Load() == d {
+			// Release the fallback token if this transaction committed
+			// holding it — whether acquired below or granted by the
+			// watchdog.
+			if tx.withToken {
 				info.Fallback = true
 				rt.releaseFallback(d)
 			}
-			t.current.Store(nil)
 			info.Duration = time.Duration(end - birth)
 			info.CommitDur = time.Duration(end - d.AttemptStart)
 			return info
@@ -608,6 +616,12 @@ func (tx *Tx) commit() bool {
 	if p := tx.rt.probe; p != nil {
 		p.OnCommit(tx)
 	}
+	// A token this attempt holds stays held up to the status CAS (the
+	// token is reclaimed only from a holder not in flight); after the CAS
+	// a reclaimer may take it at any moment, so record now whether the
+	// commit is made under it. A watchdog grant landing after this load
+	// is left stale, for clearStaleFallback.
+	tx.withToken = tx.rt.fallback.Load() == tx.D
 	if StatusOf(w) != Active ||
 		!tx.status.CompareAndSwap(w, w&^uint64(statusMask)|uint64(Committed)) {
 		return false
@@ -634,8 +648,9 @@ func (tx *Tx) cleanup() {
 	}
 	tx.writes = tx.writes[:0]
 	// The attempt holds no locator references past this point; drop the
-	// reclamation pin so retired locators can recycle (epoch.go).
-	if tx.poolOn {
+	// reclamation pin, if it took one, so retired locators can recycle
+	// (epoch.go).
+	if tx.pinned {
 		tx.unpin()
 	}
 }

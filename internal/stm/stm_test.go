@@ -384,40 +384,47 @@ func (m *rotatingCM) Resolve(_, _ *stm.Tx, _ stm.Kind, _ int) (stm.Decision, tim
 // TestRuntimeCountsVerdicts: Runtime.Verdicts counts every executed
 // decision and the granted wait spans exactly as OnResolve sees them, on a
 // contended two-thread runtime whose manager uses all three decisions.
+// Conflicts are up to the scheduler, so the threads run rounds of n
+// transactions each until every decision has appeared, at most maxRounds.
 func TestRuntimeCountsVerdicts(t *testing.T) {
-	const threads, n = 2, 1000
+	const threads, n, maxRounds = 2, 1000, 20
 	probe := &verdictTally{rows: make([]stm.Verdicts, threads)}
 	rt := stm.New(threads, &rotatingCM{}, stm.WithProbe(probe))
 	rt.SetYieldEvery(1)
 	v := stm.NewTVar(0)
-	var wg sync.WaitGroup
-	for i := 0; i < threads; i++ {
-		wg.Add(1)
-		go func(th *stm.Thread) {
-			defer wg.Done()
-			for j := 0; j < n; j++ {
-				th.Atomic(func(tx *stm.Tx) {
-					stm.Write(tx, v, stm.Read(tx, v)+1)
-				})
-			}
-		}(rt.Thread(i))
-	}
-	wg.Wait()
-	if got := v.Peek(); got != threads*n {
-		t.Fatalf("counter = %d, want %d", got, threads*n)
-	}
 	var want stm.Verdicts
-	for _, r := range probe.rows {
-		want.AbortEnemy += r.AbortEnemy
-		want.AbortSelf += r.AbortSelf
-		want.Wait += r.Wait
-		want.WaitNs += r.WaitNs
+	rounds := 0
+	for want.AbortEnemy == 0 || want.AbortSelf == 0 || want.Wait == 0 {
+		if rounds == maxRounds {
+			t.Fatalf("tally %+v after %d rounds: the runs exercised too few conflicts to check every decision", want, rounds)
+		}
+		rounds++
+		var wg sync.WaitGroup
+		for i := 0; i < threads; i++ {
+			wg.Add(1)
+			go func(th *stm.Thread) {
+				defer wg.Done()
+				for j := 0; j < n; j++ {
+					th.Atomic(func(tx *stm.Tx) {
+						stm.Write(tx, v, stm.Read(tx, v)+1)
+					})
+				}
+			}(rt.Thread(i))
+		}
+		wg.Wait()
+		want = stm.Verdicts{}
+		for _, r := range probe.rows {
+			want.AbortEnemy += r.AbortEnemy
+			want.AbortSelf += r.AbortSelf
+			want.Wait += r.Wait
+			want.WaitNs += r.WaitNs
+		}
+	}
+	if got := v.Peek(); got != rounds*threads*n {
+		t.Fatalf("counter = %d, want %d", got, rounds*threads*n)
 	}
 	if got := rt.Verdicts(); got != want {
 		t.Errorf("rt.Verdicts() = %+v, want the probe's tally %+v", got, want)
-	}
-	if want.AbortEnemy == 0 || want.AbortSelf == 0 || want.Wait == 0 {
-		t.Errorf("tally %+v: the run exercised too few conflicts to check every decision", want)
 	}
 }
 

@@ -259,6 +259,7 @@ func Read[T any](tx *Tx, v *TVar[T]) T {
 	if v.readers.register(tx) {
 		tx.rt.cm.Opened(tx)
 	}
+	tx.pin()
 	attempt := 0
 	for {
 		tx.checkAlive()
@@ -340,6 +341,7 @@ func acquire[T any](tx *Tx, v *TVar[T]) (own *locator[T], cur *T) {
 		p.OnOpen(tx)
 	}
 	pool := poolOf[T](tx, v)
+	tx.pin()
 	attempt := 0
 	for {
 		tx.checkAlive()

@@ -83,10 +83,10 @@ func (w *Watchdog) tick() {
 func (w *Watchdog) oldestInflight() *Desc {
 	var oldest *Desc
 	for _, t := range w.rt.threads {
-		d := t.current.Load()
-		if d == nil {
+		if !t.inFlight() {
 			continue
 		}
+		d := &t.desc
 		if oldest == nil || d.Birth.Load() < oldest.Birth.Load() ||
 			(d.Birth.Load() == oldest.Birth.Load() && d.ID.Load() < oldest.ID.Load()) {
 			oldest = d
@@ -113,7 +113,7 @@ func (w *Watchdog) Trips() int64 { return w.trips.Load() }
 func (w *Watchdog) Quiescent() bool {
 	rt := w.rt
 	for _, t := range rt.threads {
-		if t.current.Load() != nil {
+		if t.inFlight() {
 			return false
 		}
 	}

@@ -22,9 +22,9 @@ func TestHistogramBucketBoundaries(t *testing.T) {
 		{4, 3}, {7, 3},
 		{8, 4}, {15, 4},
 		{1 << 20, 21}, {1<<21 - 1, 21},
-		{1 << 38, telemetry.NumBuckets - 1},        // [2^38, 2^39−1] is the last finite range
-		{1 << 39, telemetry.NumBuckets - 1},        // first overflow value
-		{math.MaxInt64, telemetry.NumBuckets - 1},  // deep overflow
+		{1 << 38, telemetry.NumBuckets - 1},       // [2^38, 2^39−1] is the last finite range
+		{1 << 39, telemetry.NumBuckets - 1},       // first overflow value
+		{math.MaxInt64, telemetry.NumBuckets - 1}, // deep overflow
 	}
 	for _, c := range cases {
 		r := telemetry.NewRegistry()

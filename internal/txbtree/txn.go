@@ -43,7 +43,8 @@ func (a writeEnt[V]) byKey(b writeEnt[V]) int { return cmp.Compare(a.key, b.key)
 // tree: the semantic read and write sets, the lock records held from
 // validation on, and reusable traversal scratch. It is the tree's
 // stm.SemanticOps implementation; enter registers it with each new
-// attempt. Owner-thread-only.
+// attempt. Owner-thread-only, and it ends in a full cache line of padding,
+// so two threads' enter and Finalize writes never share a line.
 type txState[V any] struct {
 	tree *Tree[V]
 	tx   *stm.Tx
@@ -60,6 +61,7 @@ type txState[V any] struct {
 	held    int
 	path    []*inner[V]
 	scratch []writeEnt[V] // range-scan merge buffer
+	_       [64]byte
 }
 
 var _ stm.SemanticOps = (*txState[int])(nil)

@@ -34,10 +34,10 @@ type Ring struct {
 	// cache is a pass against the truth.
 	cachedHead uint64
 	_          [104]byte
-	head atomic.Uint64 // consumer-owned: next slot to read
-	_    [120]byte
-	buf  []Event
-	mask uint64
+	head       atomic.Uint64 // consumer-owned: next slot to read
+	_          [120]byte
+	buf        []Event
+	mask       uint64
 }
 
 // NewRing returns a ring holding capacity events, rounded up to a power of
