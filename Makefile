@@ -35,14 +35,16 @@ ci: build vet race figures-smoke
 # cells + Fig. 5's fixed-work ones at the largest M). -fig btree: every
 # registered manager on the rbtree/btree pair at two thread counts (40
 # cells). -fig trace: one flight-recorded run and its timeline, under the
-# default window manager and under a classic one, which has no frame clock
-# to hook (the Chrome trace export is held to what Perfetto loads by
+# default window manager and under two classic ones, which have no frame
+# clock to hook; backoff's self-aborts carry restart delays the runtime
+# waits out (the Chrome trace export is held to what Perfetto loads by
 # TestRunWithTraceRecorder).
 figures-smoke:
 	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 > /dev/null
 	go run ./cmd/winbench -fig btree -threads 2,4 -dur 50ms -reps 1 > /dev/null
 	go run ./cmd/winbench -fig trace -dur 100ms > /dev/null
 	go run ./cmd/winbench -fig trace -manager polka -threads 4 -dur 50ms > /dev/null
+	go run ./cmd/winbench -fig trace -manager backoff -threads 4 -dur 50ms > /dev/null
 
 # Every Benchmark* cell, for reading while you work. Bounded iterations so
 # the full matrix stays minutes, not hours. Nothing gates on these numbers:
@@ -86,8 +88,8 @@ kv-smoke:
 	kill -INT $$KV; wait $$KV; exit $$status
 
 # Telemetry smoke: a live -fig telemetry run serves Prometheus text with the
-# commit counter, the response histogram, the runtime's verdict series and
-# the window gauges, and pprof.
+# commit counter, the response histogram, the runtime's verdict series
+# (restart delays included) and the window gauges, and pprof.
 telemetry-smoke:
 	go build -o /tmp/winbench-smoke ./cmd/winbench
 	/tmp/winbench-smoke -fig telemetry -telemetry-addr 127.0.0.1:9180 -dur 2s & \
@@ -98,6 +100,7 @@ telemetry-smoke:
 	grep -q '^wincm_response_ns_bucket{' /tmp/telemetry_metrics.out || status=1; \
 	grep -q '^wincm_resolve_abort_enemy_total ' /tmp/telemetry_metrics.out || status=1; \
 	grep -q '^wincm_cm_wait_ns_total ' /tmp/telemetry_metrics.out || status=1; \
+	grep -q '^wincm_restart_delay_ns_total ' /tmp/telemetry_metrics.out || status=1; \
 	grep -q '^wincm_window_' /tmp/telemetry_metrics.out || status=1; \
 	curl -fsS http://127.0.0.1:9180/debug/pprof/ > /dev/null || status=1; \
 	wait $$BENCH || status=1; exit $$status

@@ -1,19 +1,18 @@
 package cm
 
 import (
-	"sync/atomic"
 	"time"
 
 	"wincm/internal/stm"
-	"wincm/internal/telemetry"
 )
 
-// Backoff timing shared by Backoff and Polka. The DSTM2 managers
+// Backoff timing shared by Backoff, Polka and Timestamp. The DSTM2 managers
 // used log₂-spaced exponential spans starting in the microsecond range.
 const (
 	// baseWait is the first backoff span.
 	baseWait = 4 * time.Microsecond
-	// maxExp caps the exponent so spans stay bounded (4µs · 2¹⁰ ≈ 4ms).
+	// maxExp caps the exponent so spans stay bounded: the shift is n−1,
+	// so the longest span is 4µs · 2⁹ ≈ 2ms.
 	maxExp = 10
 )
 
@@ -34,56 +33,15 @@ func backoffSpan(n int) time.Duration {
 
 // Backoff aborts itself and relies on the restart delay growing
 // exponentially with the number of aborts of the logical transaction. It is
-// the STM analogue of test-and-test-and-set spinlock backoff.
-type Backoff struct {
-	stm.NopManager
-	// waits and waitNs count the restart delays paid in Begin. Those
-	// sleeps happen outside the runtime's Resolve path, so the runtime's
-	// wait count (stm.Runtime.Verdicts) never sees them; the manager
-	// publishes them itself through TelemetryGauges.
-	waits  atomic.Int64
-	waitNs atomic.Int64
-}
+// the STM analogue of test-and-test-and-set spinlock backoff. The runtime
+// waits the delay out after rollback (stm.AbortSelf).
+type Backoff struct{ stm.NopManager }
 
 // NewBackoff returns a Backoff manager.
 func NewBackoff() *Backoff { return &Backoff{} }
 
-// Resolve implements stm.ContentionManager.
+// Resolve implements stm.ContentionManager: abort self, restarting after a
+// span exponential in the aborts paid by then (this attempt's included).
 func (b *Backoff) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	return stm.AbortSelf, 0
-}
-
-// Begin implements stm.ContentionManager: delay restarts exponentially in
-// the number of prior aborts.
-func (b *Backoff) Begin(tx *stm.Tx) {
-	if n := tx.D.Attempts - 1; n > 0 {
-		span := backoffSpan(n)
-		b.waits.Add(1)
-		b.waitNs.Add(int64(span))
-		sleepFor(span)
-	}
-}
-
-var _ telemetry.GaugeSource = (*Backoff)(nil)
-
-// TelemetryGauges implements telemetry.GaugeSource.
-func (b *Backoff) TelemetryGauges() []telemetry.Gauge {
-	return []telemetry.Gauge{
-		telemetry.NewGauge("wincm_backoff_restart_waits", "restart delays paid before re-attempts",
-			func() float64 { return float64(b.waits.Load()) }),
-		telemetry.NewGauge("wincm_backoff_restart_wait_ns", "total restart delay time",
-			func() float64 { return float64(b.waitNs.Load()) }),
-	}
-}
-
-// sleepFor busy-waits for short spans and sleeps for long ones; it mirrors
-// the runtime's waiting behaviour for managers that delay in Begin.
-func sleepFor(d time.Duration) {
-	if d < 50*time.Microsecond {
-		deadline := time.Now().Add(d)
-		for time.Now().Before(deadline) {
-		}
-		return
-	}
-	time.Sleep(d)
+	return stm.AbortSelf, backoffSpan(tx.D.Attempts)
 }

@@ -3,6 +3,8 @@ package cm
 import (
 	"testing"
 	"time"
+
+	"wincm/internal/stm"
 )
 
 func TestBackoffSpanGrowsAndCaps(t *testing.T) {
@@ -22,6 +24,24 @@ func TestBackoffSpanGrowsAndCaps(t *testing.T) {
 	}
 	if backoffSpan(1) != baseWait {
 		t.Errorf("span(1) = %v, want %v", backoffSpan(1), baseWait)
+	}
+	// The shift is n−1 with n clamped to maxExp: 4µs · 2⁹.
+	if want := 2048 * time.Microsecond; cap != want {
+		t.Errorf("capped span = %v, want %v", cap, want)
+	}
+}
+
+// TestBackoffResolveCarriesRestartSpan: Backoff aborts itself and hands
+// the runtime the span for the restart after this attempt, exponential in
+// the aborts paid by then (the current attempt's included).
+func TestBackoffResolveCarriesRestartSpan(t *testing.T) {
+	b := NewBackoff()
+	for _, attempts := range []int{1, 2, 5, maxExp, maxExp + 3} {
+		tx := &stm.Tx{D: &stm.Desc{Attempts: attempts}}
+		dec, span := b.Resolve(tx, tx, stm.WriteWrite, 1)
+		if dec != stm.AbortSelf || span != backoffSpan(attempts) {
+			t.Errorf("attempt %d: Resolve = (%v, %v), want (abort-self, %v)", attempts, dec, span, backoffSpan(attempts))
+		}
 	}
 }
 

@@ -95,12 +95,12 @@ func TestTimestampGivesBoundedGrace(t *testing.T) {
 	if d, _ := ts.Resolve(older, younger, stm.WriteWrite, 1); d != stm.AbortEnemy {
 		t.Errorf("older attacker: %v", d)
 	}
-	for attempt := 1; attempt <= ts.Rounds; attempt++ {
+	for attempt := 1; attempt <= cm.TimestampRounds; attempt++ {
 		if d, _ := ts.Resolve(younger, older, stm.WriteWrite, attempt); d != stm.Wait {
 			t.Fatalf("attempt %d: %v, want wait", attempt, d)
 		}
 	}
-	if d, _ := ts.Resolve(younger, older, stm.WriteWrite, ts.Rounds+1); d != stm.AbortEnemy {
+	if d, _ := ts.Resolve(younger, older, stm.WriteWrite, cm.TimestampRounds+1); d != stm.AbortEnemy {
 		t.Errorf("past grace: %v, want abort-enemy", d)
 	}
 }
@@ -127,9 +127,9 @@ func TestPolkaWaitsPriorityGapRounds(t *testing.T) {
 	if d, _ := p.Resolve(a, b, stm.WriteWrite, 1); d != stm.AbortEnemy {
 		t.Errorf("equal karma: %v, want abort-enemy", d)
 	}
-	// Gap capped at MaxRounds.
+	// Gap capped at PolkaMaxRounds.
 	b.D.Karma.Store(1000)
-	if d, _ := p.Resolve(a, b, stm.WriteWrite, p.MaxRounds+1); d != stm.AbortEnemy {
+	if d, _ := p.Resolve(a, b, stm.WriteWrite, cm.PolkaMaxRounds+1); d != stm.AbortEnemy {
 		t.Errorf("huge gap: %v, want abort-enemy after cap", d)
 	}
 	p.Committed(b)

@@ -50,21 +50,21 @@ func (p *Priority) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.D
 // Timestamp is Scherer & Scott's timestamp manager: like Priority but the
 // younger transaction first grants the older one a bounded series of waits,
 // aborting the enemy only if it seems stalled past those rounds.
-type Timestamp struct {
-	stm.NopManager
-	// Rounds is the number of waiting rounds granted to an older enemy.
-	Rounds int
-}
+type Timestamp struct{ stm.NopManager }
 
-// NewTimestamp returns a Timestamp manager with the classic round count.
-func NewTimestamp() *Timestamp { return &Timestamp{Rounds: 8} }
+// timestampRounds is the classic number of waiting rounds granted to an
+// older enemy.
+const timestampRounds = 8
+
+// NewTimestamp returns a Timestamp manager.
+func NewTimestamp() *Timestamp { return &Timestamp{} }
 
 // Resolve implements stm.ContentionManager.
 func (t *Timestamp) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
 	if older(tx, enemy) {
 		return stm.AbortEnemy, 0
 	}
-	if attempt > t.Rounds {
+	if attempt > timestampRounds {
 		return stm.AbortEnemy, 0
 	}
 	return stm.Wait, backoffSpan(attempt)

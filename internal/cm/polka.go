@@ -13,27 +13,19 @@ import (
 // the difference in priorities before aborting it. Scherer & Scott
 // report it as the best overall manager, and the paper uses it as the
 // practical yardstick.
-type Polka struct {
-	stm.NopManager
-	// MaxRounds bounds the total rounds granted regardless of the priority
-	// gap, keeping waits finite against very high-karma enemies.
-	MaxRounds int
-}
+type Polka struct{ stm.NopManager }
 
-// NewPolka returns a Polka manager with the standard round bound.
-func NewPolka() *Polka { return &Polka{MaxRounds: 16} }
+// polkaMaxRounds bounds the total rounds granted regardless of the
+// priority gap, keeping waits finite against very high-karma enemies.
+const polkaMaxRounds = 16
+
+// NewPolka returns a Polka manager.
+func NewPolka() *Polka { return &Polka{} }
 
 // Resolve implements stm.ContentionManager.
 func (p *Polka) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	gap := enemy.D.Karma.Load() - tx.D.Karma.Load()
-	if gap < 0 {
-		gap = 0
-	}
-	rounds := int(gap)
-	if rounds > p.MaxRounds {
-		rounds = p.MaxRounds
-	}
-	if attempt > rounds {
+	rounds := min(max(enemy.D.Karma.Load()-tx.D.Karma.Load(), 0), polkaMaxRounds)
+	if int64(attempt) > rounds {
 		return stm.AbortEnemy, 0
 	}
 	return stm.Wait, backoffSpan(attempt)

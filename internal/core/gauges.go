@@ -41,9 +41,7 @@ func (m *Manager) threadsOutside() int {
 	return n
 }
 
-var _ telemetry.GaugeSource = (*Manager)(nil)
-
-// TelemetryGauges implements telemetry.GaugeSource: the live view of the
+// TelemetryGauges returns the live view of the
 // window machinery the paper's analysis reasons about — the frame clock,
 // frame occupancy (dynamic mode), the calibrated frame/τ̂ durations, the
 // per-thread contention estimates and the window size α they induce, bad

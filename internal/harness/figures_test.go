@@ -139,6 +139,7 @@ func TestStmOptions(t *testing.T) {
 		"wincm_resolve_abort_self_total":  verdicts.AbortSelf,
 		"wincm_resolve_wait_total":        verdicts.Wait,
 		"wincm_cm_wait_ns_total":          verdicts.WaitNs,
+		"wincm_restart_delay_ns_total":    verdicts.RestartNs,
 	} {
 		if got, ok := g[name]; !ok || got != float64(want) {
 			t.Errorf("%s = %v (registered %v), want %d", name, got, ok, want)

@@ -47,10 +47,10 @@ type Config struct {
 	Seed uint64
 	// Telemetry, when non-nil, receives this run's live instruments: the
 	// transaction counters and histograms, the runtime's verdict counts
-	// and the manager's introspection gauges (for telemetry.GaugeSource
-	// managers). With nil the run registers the same instruments on a
-	// private registry; Result.Summary is read from it either way, and
-	// the runtime runs the same program.
+	// and, for window managers, core.Manager's introspection gauges.
+	// With nil the run registers the same instruments on a private
+	// registry; Result.Summary is read from it either way, and the
+	// runtime runs the same program.
 	Telemetry *telemetry.Registry
 	// TelemetryInterval starts an interval sampler on the run's registry,
 	// producing Result.Series (0 = no sampling).
@@ -95,25 +95,28 @@ type instruments struct {
 
 // instrument builds the runtime plus the run's instruments: the flight
 // recorder, when armed, is the runtime's probe; transaction stats, the
-// runtime's counts and the manager gauges land in the run's registry; and
-// the interval sampler starts last so its first point sees every
-// instrument registered. Every run has a registry — Result.Summary is read
-// from it — and registers the same instruments on it.
+// runtime's counts and a window manager's gauges land in the run's
+// registry; and the interval sampler starts last so its first point sees
+// every instrument registered. Every run has a registry — Result.Summary
+// is read from it — and registers the same instruments on it.
 func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instruments) {
 	reg := c.Telemetry
 	if reg == nil {
 		reg = telemetry.NewRegistry()
 	}
 	ins := &instruments{reg: reg, tx: telemetry.NewTxStats(reg, c.Threads)}
-	if gs, ok := mgr.(telemetry.GaugeSource); ok {
-		reg.RegisterGauges(gs)
+	wm, _ := mgr.(*core.Manager)
+	if wm != nil {
+		for _, g := range wm.TelemetryGauges() {
+			reg.RegisterGauge(g)
+		}
 	}
 	var opts []stm.Option
 	if tc := c.Trace; tc != nil {
 		rec := txtrace.NewRecorder(c.Threads, tc.Sample, txtrace.DefaultRingCap)
 		opts = append(opts, stm.WithProbe(rec))
 		ins.collector = txtrace.NewCollector(rec, txtrace.DefaultKeep)
-		if wm, ok := mgr.(*core.Manager); ok {
+		if wm != nil {
 			wm.AddFrameHook(rec.FrameAdvanced)
 		}
 		if tc.Hub != nil {
@@ -133,6 +136,8 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 		func() float64 { return float64(rt.Verdicts().Wait) }))
 	reg.RegisterGauge(telemetry.NewGauge("wincm_cm_wait_ns_total", "granted contention-manager wait spans (ns)",
 		func() float64 { return float64(rt.Verdicts().WaitNs) }))
+	reg.RegisterGauge(telemetry.NewGauge("wincm_restart_delay_ns_total", "restart delays carried by self-abort verdicts (ns)",
+		func() float64 { return float64(rt.Verdicts().RestartNs) }))
 	if c.TelemetryInterval > 0 {
 		ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval, 0)
 	}

@@ -34,7 +34,8 @@ type Decision int
 const (
 	// AbortEnemy kills the enemy attempt; the attacker retries the open.
 	AbortEnemy Decision = iota
-	// AbortSelf abandons the attacker's attempt; it restarts immediately.
+	// AbortSelf abandons the attacker's attempt; after rollback the runtime
+	// waits out the returned duration, then restarts it.
 	AbortSelf
 	// Wait pauses the attacker for the returned duration and re-resolves.
 	Wait
@@ -80,7 +81,8 @@ type ContentionManager interface {
 	Opened(tx *Tx)
 	// Resolve decides the conflict of tx against enemy. attempt counts the
 	// consecutive Resolve calls for the open operation currently blocked
-	// (1 on the first call). The wait duration is honored only for Wait.
+	// (1 on the first call). The duration is the pause for Wait and the
+	// restart delay for AbortSelf; AbortEnemy ignores it.
 	Resolve(tx, enemy *Tx, kind Kind, attempt int) (Decision, time.Duration)
 }
 

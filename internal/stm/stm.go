@@ -364,6 +364,9 @@ type Verdicts struct {
 	// WaitNs is the sum of the granted Wait spans (ns), as the manager
 	// returned them.
 	WaitNs int64
+	// RestartNs is the sum of the restart delays AbortSelf decisions
+	// carried (ns), as the manager returned them.
+	RestartNs int64
 }
 
 // Verdicts returns the runtime-wide decision counts, counted like Commits.
@@ -374,6 +377,7 @@ func (rt *Runtime) Verdicts() Verdicts {
 		v.AbortSelf += t.abortSelf.Load()
 		v.Wait += t.waits.Load()
 		v.WaitNs += t.waitNs.Load()
+		v.RestartNs += t.restartNs.Load()
 	}
 	return v
 }
@@ -407,10 +411,13 @@ type Thread struct {
 	// watchdog sums commits to detect lack of progress). Single-writer:
 	// only the goroutine driving the thread stores them.
 	commits, aborts atomic.Int64
-	// abortEnemy, abortSelf, waits and waitNs are this thread's shards of
+	// abortEnemy … restartNs are this thread's shards of
 	// Runtime.Verdicts, bumped in resolve. Single-writer like commits.
-	abortEnemy, abortSelf, waits, waitNs atomic.Int64
-	// boState is the xorshift state of the retry backoff (abortBackoff).
+	abortEnemy, abortSelf, waits, waitNs, restartNs atomic.Int64
+	// restart is the delay the attempt's AbortSelf carried, taken by
+	// Atomic before the next attempt. Owner-thread-only.
+	restart time.Duration
+	// boState is the xorshift state of the retry jitter (abortBackoff).
 	boState uint64
 	// retiredLocs counts this thread's retired-but-unreclaimed locators
 	// across all its typed pools (shard of Runtime.RetiredLocators).
@@ -534,17 +541,23 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		if p := rt.probe; p != nil {
 			p.OnAbort(tx)
 		}
-		// Symmetric retry cycles need external jitter to break.
-		// Transactions used to be desynchronized for free by the write
-		// path's allocations (and the GC pauses they caused); with the
-		// locator pool (pool.go) the committed path allocates nothing, and
-		// priority-tied transactions really do abort each other in lockstep
-		// indefinitely. A randomized, attempt-scaled pause breaks that
-		// cycle, gated behind an attempt budget so ordinary conflict
-		// handling never pays it.
-		if rt.fallback.Load() != d && d.Attempts > visibleBackoffAfter {
-			t.abortBackoff(d.Attempts - visibleBackoffAfter)
+		// One restart delay, after rollback and outside every attempt's
+		// span: the span AbortSelf carried, plus jitter once the
+		// transaction is in a kill cycle. Without the jitter, priority-tied
+		// transactions abort each other in lockstep indefinitely: the
+		// locator pool (pool.go) removed the allocations and GC pauses that
+		// used to desynchronize them. A token holder skips the delay, since
+		// every starving transaction queues behind it.
+		if rt.fallback.Load() != d {
+			delay := t.restart
+			if d.Attempts > visibleBackoffAfter {
+				delay += t.abortBackoff(d.Attempts - visibleBackoffAfter)
+			}
+			if delay > 0 {
+				waitFor(delay)
+			}
 		}
+		t.restart = 0
 		// Starvation escape hatch: once the budgets are exhausted, take
 		// the serialized-fallback token so the next attempt wins every
 		// conflict (fallback.go). Holding no objects here, so blocking on
@@ -561,12 +574,12 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 // in a kill cycle, not a queue.
 const visibleBackoffAfter = 8
 
-// abortBackoff sleeps for a random span in [0, 1µs << min(attempts-1,
-// 6)) drawn from the thread's private xorshift stream — long enough to
-// break retry lockstep between symmetric transactions that keep aborting
-// each other, short enough to be invisible next to an aborted attempt's
-// wasted work.
-func (t *Thread) abortBackoff(attempts int) {
+// abortBackoff returns a random span in [0, 1µs << min(attempts-1, 6))
+// drawn from the thread's private xorshift stream — long enough to break
+// retry lockstep between symmetric transactions that keep aborting each
+// other, short enough to be invisible next to an aborted attempt's wasted
+// work.
+func (t *Thread) abortBackoff(attempts int) time.Duration {
 	const (
 		base   = time.Microsecond
 		maxExp = 6
@@ -576,14 +589,12 @@ func (t *Thread) abortBackoff(attempts int) {
 		n = maxExp
 	}
 	if n < 1 {
-		return // first retry: the schedule already shifted, don't pay a sleep
+		return 0 // first retry: the schedule already shifted, don't pay a sleep
 	}
 	t.boState ^= t.boState << 13
 	t.boState ^= t.boState >> 7
 	t.boState ^= t.boState << 17
-	if span := time.Duration(t.boState % uint64(base<<uint(n))); span > 0 {
-		waitFor(span)
-	}
+	return time.Duration(t.boState % uint64(base<<uint(n)))
 }
 
 // runAttempt executes fn once and tries to commit, converting the internal
@@ -676,9 +687,11 @@ func (tx *Tx) checkAlive() {
 // operation, which Polka-style managers use as their backoff round. An
 // AbortEnemy decision CASes against eword, so it can only kill the attempt
 // that was actually observed — never a later recycled attempt of the same
-// Tx. Each carried-out decision is counted in the thread's verdict cells
-// (Runtime.Verdicts). resolve must be called while holding no speculative
-// invariants that a Wait could violate (it may sleep).
+// Tx. An AbortSelf decision records its span as the restart delay Atomic
+// takes after rollback. Each carried-out decision is counted in the
+// thread's verdict cells (Runtime.Verdicts). resolve must be called
+// while holding no speculative invariants that a Wait could violate (it
+// may sleep).
 func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 	*attempt++
 	dec, wait, ok := fallbackResolve(tx, enemy)
@@ -695,6 +708,8 @@ func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 		enemy.abortWord(eword)
 	case AbortSelf:
 		t.abortSelf.Store(t.abortSelf.Load() + 1)
+		t.restartNs.Store(t.restartNs.Load() + int64(wait))
+		t.restart = wait
 		tx.selfAbort()
 	case Wait:
 		t.waits.Store(t.waits.Load() + 1)

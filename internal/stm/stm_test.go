@@ -358,14 +358,15 @@ func (p *verdictTally) OnResolve(tx, _ *stm.Tx, _ stm.Kind, dec stm.Decision, wa
 		r.AbortEnemy++
 	case stm.AbortSelf:
 		r.AbortSelf++
+		r.RestartNs += int64(wait)
 	case stm.Wait:
 		r.Wait++
 		r.WaitNs += int64(wait)
 	}
 }
 
-// rotatingCM answers conflicts with Wait, AbortSelf and AbortEnemy in
-// turn, runtime-wide.
+// rotatingCM answers conflicts with Wait, AbortSelf (carrying a restart
+// delay) and AbortEnemy in turn, runtime-wide.
 type rotatingCM struct {
 	stm.NopManager
 	n atomic.Uint64
@@ -376,13 +377,14 @@ func (m *rotatingCM) Resolve(_, _ *stm.Tx, _ stm.Kind, _ int) (stm.Decision, tim
 	case 0:
 		return stm.Wait, 3 * time.Microsecond
 	case 1:
-		return stm.AbortSelf, 0
+		return stm.AbortSelf, 2 * time.Microsecond
 	}
 	return stm.AbortEnemy, 0
 }
 
 // TestRuntimeCountsVerdicts: Runtime.Verdicts counts every executed
-// decision and the granted wait spans exactly as OnResolve sees them, on a
+// decision, the granted wait spans and the carried restart delays exactly
+// as OnResolve sees them, on a
 // contended two-thread runtime whose manager uses all three decisions.
 // Conflicts are up to the scheduler, so the threads run rounds of n
 // transactions each until every decision has appeared, at most maxRounds.
@@ -418,6 +420,7 @@ func TestRuntimeCountsVerdicts(t *testing.T) {
 			want.AbortSelf += r.AbortSelf
 			want.Wait += r.Wait
 			want.WaitNs += r.WaitNs
+			want.RestartNs += r.RestartNs
 		}
 	}
 	if got := v.Peek(); got != rounds*threads*n {
@@ -425,6 +428,64 @@ func TestRuntimeCountsVerdicts(t *testing.T) {
 	}
 	if got := rt.Verdicts(); got != want {
 		t.Errorf("rt.Verdicts() = %+v, want the probe's tally %+v", got, want)
+	}
+}
+
+// restartOnceCM answers the first conflict with AbortSelf carrying span and
+// every later one with a short Wait.
+type restartOnceCM struct {
+	stm.NopManager
+	span    time.Duration
+	first   sync.Once
+	onFirst func()
+}
+
+func (m *restartOnceCM) Resolve(_, _ *stm.Tx, _ stm.Kind, _ int) (stm.Decision, time.Duration) {
+	dec, wait := stm.Wait, time.Microsecond
+	m.first.Do(func() {
+		dec, wait = stm.AbortSelf, m.span
+		m.onFirst()
+	})
+	return dec, wait
+}
+
+// TestAbortSelfDelaysRestart: the span an AbortSelf verdict carries is a
+// restart delay the runtime waits out after rollback, between attempts —
+// outside both the aborted attempt (Wasted) and the committed one
+// (CommitDur) — and Verdicts.RestartNs counts it. Thread A owns v and
+// blocks; B's write meets A, the manager answers AbortSelf once and lets A
+// commit.
+func TestAbortSelfDelaysRestart(t *testing.T) {
+	const span = 200 * time.Microsecond
+	owned, release := make(chan struct{}), make(chan struct{})
+	mgr := &restartOnceCM{span: span, onFirst: func() { close(release) }}
+	rt := stm.New(2, mgr)
+	v := stm.NewTVar(0)
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		rt.Thread(0).Atomic(func(tx *stm.Tx) {
+			stm.Write(tx, v, 1)
+			close(owned)
+			<-release
+		})
+	}()
+	<-owned
+	info := rt.Thread(1).Atomic(func(tx *stm.Tx) {
+		stm.Write(tx, v, stm.Read(tx, v)+10)
+	})
+	<-done
+	if info.Attempts < 2 {
+		t.Fatalf("B committed in %d attempt(s), want a restart", info.Attempts)
+	}
+	if gap := info.Duration - info.Wasted - info.CommitDur; gap < span {
+		t.Errorf("inter-attempt time = %v, want at least the %v restart delay", gap, span)
+	}
+	if got := rt.Verdicts().RestartNs; got != int64(span) {
+		t.Errorf("Verdicts().RestartNs = %v, want %v", time.Duration(got), span)
+	}
+	if got := v.Peek(); got != 11 {
+		t.Errorf("v = %d, want 11", got)
 	}
 }
 

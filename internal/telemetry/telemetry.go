@@ -149,13 +149,6 @@ func baseOf(series string) string {
 	return series
 }
 
-// GaugeSource is implemented by components that publish live gauges —
-// core.Manager exposes its window machinery this way, and any contention
-// manager implementing it is picked up by the harness automatically.
-type GaugeSource interface {
-	TelemetryGauges() []Gauge
-}
-
 // Registry holds one run's instruments. Registration is mutex-guarded;
 // reads (scrapes, snapshots) take the same mutex only to copy the
 // instrument lists, never while summing shards.
@@ -207,13 +200,6 @@ func (r *Registry) RegisterGauge(g Gauge) {
 	defer r.mu.Unlock()
 	r.register(g.Name())
 	r.gauges = append(r.gauges, g)
-}
-
-// RegisterGauges adds every gauge a source publishes.
-func (r *Registry) RegisterGauges(src GaugeSource) {
-	for _, g := range src.TelemetryGauges() {
-		r.RegisterGauge(g)
-	}
 }
 
 // instruments returns stable-order copies of the instrument lists.

@@ -62,18 +62,12 @@ func TestGauge(t *testing.T) {
 	}
 }
 
-type gaugePair struct{ a, b telemetry.Gauge }
-
-func (p gaugePair) TelemetryGauges() []telemetry.Gauge { return []telemetry.Gauge{p.a, p.b} }
-
 func TestRegistrySnapshotAndSources(t *testing.T) {
 	r := telemetry.NewRegistry()
 	c := r.NewCounter("snap_c_total", "", 1)
 	h := r.NewHistogram("snap_h", "", 1)
-	r.RegisterGauges(gaugePair{
-		a: telemetry.NewGauge("snap_g1", "", func() float64 { return 7 }),
-		b: telemetry.NewGauge("snap_g2", "", func() float64 { return 8 }),
-	})
+	r.RegisterGauge(telemetry.NewGauge("snap_g1", "", func() float64 { return 7 }))
+	r.RegisterGauge(telemetry.NewGauge("snap_g2", "", func() float64 { return 8 }))
 	c.Add(0, 42)
 	h.Observe(0, 100)
 	s := r.Snapshot()

@@ -38,11 +38,13 @@ const (
 //     attempt's span and are therefore part of Wasted.
 //   - CommitDur is the span of the successful attempt only, again
 //     including any CM waits taken during it.
-//   - Duration − Wasted − CommitDur is the inter-attempt overhead: restart
-//     backoff a manager pays in Begin (cm.Backoff), the runtime's
-//     randomized retry backoff (retries past the eighth), and time queued
-//     for the serialized-fallback token.
-//     No TxInfo field names it; it is recoverable by subtraction.
+//   - Duration − Wasted − CommitDur is the inter-attempt overhead: the
+//     runtime's one restart delay, taken after rollback and before the
+//     next attempt starts (the span an AbortSelf verdict carried, as
+//     cm.Backoff's does, plus randomized jitter on retries past the
+//     eighth), and time queued for the serialized-fallback token.
+//     No TxInfo field names it; it is recoverable by subtraction, and
+//     stm.Verdicts.RestartNs sums the manager-carried part.
 //
 // Busy, the total time threads dedicated to their transactions, is exactly
 // the sum of Duration — the Response histogram's sum — inter-attempt
