@@ -31,6 +31,15 @@ func (p *Polka) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Deci
 	return stm.Wait, backoffSpan(attempt)
 }
 
+// Begin implements stm.ContentionManager: a transaction starts with no
+// karma. Committed already spent the last one's, so this stores only after
+// a transaction panicked out of Atomic with karma left.
+func (p *Polka) Begin(tx *stm.Tx) {
+	if tx.D.Attempts == 1 && tx.D.Karma.Load() != 0 {
+		tx.D.Karma.Store(0)
+	}
+}
+
 // Opened implements stm.ContentionManager: each opened object is a point
 // of karma.
 func (p *Polka) Opened(tx *stm.Tx) { tx.D.Karma.Add(1) }

@@ -47,11 +47,15 @@ type threadState struct {
 	inWindow   atomic.Bool // inside the window schedule (false: outside)
 	conflicted bool        // the current segment saw a Resolve or Aborted of this thread
 
-	// tau is the thread-local τ̂ an outside thread folds its attempt times
-	// into, seeded from the shared estimate when the thread goes outside;
-	// tauN counts the samples folded since, the weight enter merges it with.
+	// tau is the thread-local τ̂ an outside thread folds its sampled
+	// attempt times into, seeded from the shared estimate when the thread
+	// goes outside; tauN counts the samples folded since, the weight enter
+	// merges it with.
 	tau  int64
 	tauN int
+	// start is the clock reading at the current attempt's Begin, taken
+	// only by the transactions that sample τ̂ (tauSampled).
+	start int64
 
 	startSeq  int   // Seq of the segment's first transaction
 	remaining int   // transactions left in the segment (≤ N)
@@ -72,7 +76,7 @@ type threadState struct {
 	// whole cache lines (a 64-B multiple is its own size class, so the
 	// allocator hands it out line-aligned) and two threads' hot fields never
 	// share one.
-	_ [32]byte
+	_ [24]byte
 }
 
 // cell names one of a thread's single-writer counters.
@@ -201,15 +205,19 @@ func (m *Manager) frameDur() time.Duration {
 // segment) and assigns the frame and initial priority vector; an outside
 // thread stores frame 0 with a fresh π⁽²⁾ — what a thread with C_i = 1 and
 // q = 0 would be given, high priority from the start — and nothing else.
+// A transaction that samples τ̂ reads the clock at every attempt's start.
 func (m *Manager) Begin(tx *stm.Tx) {
-	if tx.D.Attempts != 1 {
-		return
+	d := tx.D
+	st := m.threads[d.ThreadID]
+	if d.Attempts == 1 {
+		if st.inWindow.Load() {
+			m.scheduleNext(st, d)
+		} else {
+			d.Aux.Store(packAux(0, m.drawP2(st)))
+		}
 	}
-	st := m.threads[tx.D.ThreadID]
-	if st.inWindow.Load() {
-		m.scheduleNext(st, tx.D)
-	} else {
-		tx.D.Aux.Store(packAux(0, m.drawP2(st)))
+	if tauSampled(d.Seq) {
+		st.start = stm.Now()
 	}
 }
 
@@ -260,6 +268,21 @@ func (m *Manager) leave(st *threadState) {
 // tauWeight is the weight of one attempt duration in the τ̂ average.
 const tauWeight = 1.0 / 8
 
+// tauSampleEvery is how many of a thread's transactions share one τ̂
+// sample: τ̂ only sizes frames, so timing one commit in this many keeps the
+// estimate and spares the rest both clock reads.
+const tauSampleEvery = 8
+
+// tauSampled reports whether a thread's transaction seq times its
+// attempts for τ̂.
+func tauSampled(seq int) bool { return seq%tauSampleEvery == 0 }
+
+// fold moves the thread-local τ̂ one sample's weight toward attempt.
+func (st *threadState) fold(attempt int64) {
+	st.tau += int64(tauWeight * float64(attempt-st.tau))
+	st.tauN++
+}
+
 // blendTau moves the shared τ̂ the fraction w of the way to sample and
 // recalibrates the frame size. The read-modify-write is a CAS loop: threads
 // commit concurrently, and a plain Load-then-Store would drop every sample
@@ -299,17 +322,20 @@ func (m *Manager) drawP2(st *threadState) uint64 {
 // Committed implements stm.ContentionManager. Inside the window: recalibrate
 // τ̂, retire the transaction from its frame, detect bad events, and let the
 // estimator and window bookkeeping advance. Outside it: fold the attempt
-// time into the thread-local τ̂ — no shared word is written.
+// time into the thread-local τ̂ — no shared word is written. Only a
+// transaction that samples τ̂ (tauSampled) has an attempt time to fold.
 func (m *Manager) Committed(tx *stm.Tx) {
 	st := m.threads[tx.D.ThreadID]
 	d := tx.D
-	attempt := d.AttemptEnd - d.AttemptStart
+	var attempt int64
+	if tauSampled(d.Seq) {
+		attempt = stm.Now() - st.start
+	}
 	st.est.sample(false)
 
 	if !st.inWindow.Load() {
 		if attempt > 0 {
-			st.tau += int64(tauWeight * float64(attempt-st.tau))
-			st.tauN++
+			st.fold(attempt)
 		}
 		if tx.HoldsFallback() {
 			m.fallbacks.Add(1) // a watchdog grant to a transaction that never conflicted

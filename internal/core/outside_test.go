@@ -1,12 +1,14 @@
 package core
 
 import (
+	"math"
 	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
+	"wincm/internal/rng"
 	"wincm/internal/stm"
 )
 
@@ -287,6 +289,48 @@ func TestEnterMergesLocalTau(t *testing.T) {
 	m.enter(st, d)
 	if got, want := m.tauNs.Load(), 10*int64(tauGuess); got < want-1 || got > want {
 		t.Errorf("many local samples: shared τ̂ = %d, want ≈ %d", got, want)
+	}
+}
+
+// TestSampledTauTracksEWMA feeds a synthetic stream of attempt times —
+// three levels, ±25% noise — to the sampling rule and to an EWMA that
+// folds every attempt: at the end of each level, the τ̂ the sampled
+// transactions fold lands within 10% of the unsampled one.
+func TestSampledTauTracksEWMA(t *testing.T) {
+	r := rng.New(17)
+	st := &threadState{tau: int64(tauGuess)}
+	full := int64(tauGuess)
+	seq := 0
+	for _, level := range []float64{20e3, 60e3, 5e3} {
+		for range 4000 {
+			attempt := int64(level * (0.75 + 0.5*r.Float64()))
+			full += int64(tauWeight * float64(attempt-full))
+			if tauSampled(seq) {
+				st.fold(attempt)
+			}
+			seq++
+		}
+		if diff := math.Abs(float64(st.tau-full)) / float64(full); diff > 0.10 {
+			t.Errorf("level %.0f ns: sampled τ̂ %d is %.1f%% off the unsampled %d", level, st.tau, 100*diff, full)
+		}
+	}
+	if want := seq / tauSampleEvery; st.tauN != want {
+		t.Errorf("folded %d samples of %d attempts, want %d", st.tauN, seq, want)
+	}
+}
+
+// TestCommitsSampleOneInEight: through the runtime, an outside thread folds
+// the attempt time of one transaction in tauSampleEvery into its τ̂.
+func TestCommitsSampleOneInEight(t *testing.T) {
+	m := New(AdaptiveImprovedDynamic, 1)
+	th := stm.New(1, m, stm.WithoutTxTiming()).Thread(0)
+	v := stm.NewTVar(0)
+	const n = 10 * tauSampleEvery
+	for range n {
+		th.Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
+	}
+	if st := m.threads[0]; st.tauN != n/tauSampleEvery || st.tau == int64(tauGuess) {
+		t.Errorf("τ̂ %d from %d samples after %d commits, want a moved τ̂ from %d", st.tau, st.tauN, n, n/tauSampleEvery)
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strconv"
 )
 
 // Client speaks the kv wire protocol over one connection. It is
@@ -78,21 +79,21 @@ func (c *Client) QueuePing() { c.wbuf = append(c.wbuf, "PING\n"...) }
 
 func (c *Client) QueueGet(key int64) {
 	c.wbuf = append(c.wbuf, "GET "...)
-	c.wbuf = appendDecimal(c.wbuf, key)
+	c.wbuf = strconv.AppendInt(c.wbuf, key, 10)
 	c.wbuf = append(c.wbuf, '\n')
 }
 
 func (c *Client) QueueSet(key, val int64) {
 	c.wbuf = append(c.wbuf, "SET "...)
-	c.wbuf = appendDecimal(c.wbuf, key)
+	c.wbuf = strconv.AppendInt(c.wbuf, key, 10)
 	c.wbuf = append(c.wbuf, ' ')
-	c.wbuf = appendDecimal(c.wbuf, val)
+	c.wbuf = strconv.AppendInt(c.wbuf, val, 10)
 	c.wbuf = append(c.wbuf, '\n')
 }
 
 func (c *Client) QueueDel(key int64) {
 	c.wbuf = append(c.wbuf, "DEL "...)
-	c.wbuf = appendDecimal(c.wbuf, key)
+	c.wbuf = strconv.AppendInt(c.wbuf, key, 10)
 	c.wbuf = append(c.wbuf, '\n')
 }
 
@@ -100,7 +101,7 @@ func (c *Client) QueueMGet(keys []int64) {
 	c.wbuf = append(c.wbuf, "MGET"...)
 	for _, k := range keys {
 		c.wbuf = append(c.wbuf, ' ')
-		c.wbuf = appendDecimal(c.wbuf, k)
+		c.wbuf = strconv.AppendInt(c.wbuf, k, 10)
 	}
 	c.wbuf = append(c.wbuf, '\n')
 }
@@ -109,20 +110,20 @@ func (c *Client) QueueMSet(keys, vals []int64) {
 	c.wbuf = append(c.wbuf, "MSET"...)
 	for i, k := range keys {
 		c.wbuf = append(c.wbuf, ' ')
-		c.wbuf = appendDecimal(c.wbuf, k)
+		c.wbuf = strconv.AppendInt(c.wbuf, k, 10)
 		c.wbuf = append(c.wbuf, ' ')
-		c.wbuf = appendDecimal(c.wbuf, vals[i])
+		c.wbuf = strconv.AppendInt(c.wbuf, vals[i], 10)
 	}
 	c.wbuf = append(c.wbuf, '\n')
 }
 
 func (c *Client) QueueScan(lo, hi int64, limit int) {
 	c.wbuf = append(c.wbuf, "SCAN "...)
-	c.wbuf = appendDecimal(c.wbuf, lo)
+	c.wbuf = strconv.AppendInt(c.wbuf, lo, 10)
 	c.wbuf = append(c.wbuf, ' ')
-	c.wbuf = appendDecimal(c.wbuf, hi)
+	c.wbuf = strconv.AppendInt(c.wbuf, hi, 10)
 	c.wbuf = append(c.wbuf, ' ')
-	c.wbuf = appendDecimal(c.wbuf, int64(limit))
+	c.wbuf = strconv.AppendInt(c.wbuf, int64(limit), 10)
 	c.wbuf = append(c.wbuf, '\n')
 }
 

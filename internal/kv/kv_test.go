@@ -4,10 +4,12 @@ import (
 	"math"
 	"runtime"
 	"runtime/metrics"
+	"slices"
 	"sync"
 	"testing"
 	"time"
 
+	"wincm/internal/cm"
 	"wincm/internal/rng"
 )
 
@@ -692,6 +694,50 @@ func TestSingleShardContention(t *testing.T) {
 	}
 	if stats.WatchdogTrips != 0 {
 		t.Fatalf("watchdog tripped %d times", stats.WatchdogTrips)
+	}
+}
+
+// TestHotKeyEveryManager runs a one-shard hot-key write mix — SET on one
+// key, MSET over it and a neighbour — under every registered contention
+// manager with the service defaults (untimed runtime, fallback budgets,
+// watchdog): every operation commits, and afterwards the watchdog finds
+// the shard quiescent.
+func TestHotKeyEveryManager(t *testing.T) {
+	names := cm.Names() // the classic managers and, registered by core, the window variants
+	slices.Sort(names)
+	for _, name := range names {
+		t.Run(name, func(t *testing.T) {
+			st := testStore(t, Options{Shards: 1, ShardThreads: 2, Manager: name, Seed: 9})
+			yieldEvery(st, 2)
+			const goroutines, ops = 3, 300
+			var wg sync.WaitGroup
+			for g := 0; g < goroutines; g++ {
+				wg.Add(1)
+				go func(g int) {
+					defer wg.Done()
+					se := st.NewSession()
+					keys := []int64{1, 2}
+					for i := 0; i < ops; i++ {
+						if (g+i)%3 == 0 {
+							if err := se.MSet(keys, []int64{int64(i), int64(-i)}); err != nil {
+								t.Errorf("MSet: %v", err)
+								return
+							}
+						} else {
+							se.Set(1, int64(i))
+						}
+					}
+				}(g)
+			}
+			wg.Wait()
+			stats := st.Stats()
+			if stats.Commits != goroutines*ops {
+				t.Errorf("commits = %d, want %d", stats.Commits, goroutines*ops)
+			}
+			if !st.shards[0].wd.Quiescent() {
+				t.Error("watchdog: shard not quiescent after every session returned")
+			}
+		})
 	}
 }
 

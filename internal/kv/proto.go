@@ -30,7 +30,10 @@ package kv
 // buffer. Pipelining falls out — a client may write any number of
 // request lines before reading; the server answers in order.
 
-import "errors"
+import (
+	"errors"
+	"strconv"
+)
 
 // Parse errors (preallocated; the reply path sends err.Error()).
 var (
@@ -293,7 +296,7 @@ func appendSimple(dst []byte, s string) []byte {
 
 func appendInt(dst []byte, v int64) []byte {
 	dst = append(dst, ':')
-	dst = appendDecimal(dst, v)
+	dst = strconv.AppendInt(dst, v, 10)
 	return append(dst, '\r', '\n')
 }
 
@@ -303,7 +306,7 @@ func appendNil(dst []byte) []byte {
 
 func appendArray(dst []byte, n int) []byte {
 	dst = append(dst, '*')
-	dst = appendDecimal(dst, int64(n))
+	dst = strconv.AppendInt(dst, int64(n), 10)
 	return append(dst, '\r', '\n')
 }
 
@@ -311,27 +314,4 @@ func appendError(dst []byte, msg string) []byte {
 	dst = append(dst, '-', 'E', 'R', 'R', ' ')
 	dst = append(dst, msg...)
 	return append(dst, '\r', '\n')
-}
-
-// appendDecimal renders v in decimal (strconv.AppendInt without the
-// import — and provably allocation-free on our fixed base).
-func appendDecimal(dst []byte, v int64) []byte {
-	if v < 0 {
-		dst = append(dst, '-')
-		if v == -1<<63 {
-			return append(dst, "9223372036854775808"...)
-		}
-		v = -v
-	}
-	var buf [19]byte
-	i := len(buf)
-	for {
-		i--
-		buf[i] = byte('0' + v%10)
-		v /= 10
-		if v == 0 {
-			break
-		}
-	}
-	return append(dst, buf[i:]...)
 }

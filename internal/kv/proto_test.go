@@ -3,7 +3,9 @@ package kv
 import (
 	"bufio"
 	"bytes"
+	"math"
 	"slices"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -134,6 +136,35 @@ func TestReplyEncoders(t *testing.T) {
 	for _, tc := range cases {
 		if string(tc.got) != tc.want {
 			t.Errorf("encoded %q, want %q", tc.got, tc.want)
+		}
+	}
+}
+
+// TestIntegersOnTheWire: every integer the wire carries — reply values,
+// request keys and values — is written exactly as strconv.FormatInt
+// renders it, parses back to itself, and is appended without allocating.
+func TestIntegersOnTheWire(t *testing.T) {
+	vals := []int64{
+		0, 1, -1, 9, 10, -10, 99, 100, 12345, -98765,
+		1e9, -1e18, 1<<62 + 7, math.MaxInt64, math.MinInt64 + 1, math.MinInt64,
+	}
+	c := &Client{wbuf: make([]byte, 0, 128)}
+	for _, v := range vals {
+		s := strconv.FormatInt(v, 10)
+		if got := string(appendInt(nil, v)); got != ":"+s+"\r\n" {
+			t.Errorf("appendInt(%d) = %q", v, got)
+		}
+		c.wbuf = c.wbuf[:0]
+		c.QueueSet(v, v)
+		if got, want := string(c.wbuf), "SET "+s+" "+s+"\n"; got != want {
+			t.Errorf("QueueSet(%d) wrote %q, want %q", v, got, want)
+		}
+		if got, ok := parseInt64([]byte(s)); !ok || got != v {
+			t.Errorf("parseInt64(%q) = %d, %v", s, got, ok)
+		}
+		buf := make([]byte, 0, 32)
+		if n := testing.AllocsPerRun(100, func() { buf = appendInt(buf[:0], v) }); n != 0 {
+			t.Errorf("appendInt(%d) allocates %.1f per run", v, n)
 		}
 	}
 }

@@ -64,7 +64,9 @@ func newShard(idx int, o Options) (*shard, error) {
 	if err != nil {
 		return nil, err
 	}
-	var opts []stm.Option
+	// kv reads no TxInfo duration, so its runtimes are untimed: a
+	// transaction that commits first time reads no clock.
+	opts := []stm.Option{stm.WithoutTxTiming()}
 	watched := o.MaxAttempts > 0 || o.TxDeadline > 0
 	if watched {
 		opts = append(opts, stm.WithFallback(o.MaxAttempts, o.TxDeadline))

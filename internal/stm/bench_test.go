@@ -47,6 +47,17 @@ func BenchmarkEmptyAtomic(b *testing.B) {
 	}
 }
 
+// BenchmarkEmptyAtomicUntimed is BenchmarkEmptyAtomic on an untimed
+// runtime (WithoutTxTiming), the kv shards' mode: no clock read at all.
+func BenchmarkEmptyAtomicUntimed(b *testing.B) {
+	rt := runtimeWith(b, "polka", 1, stm.WithoutTxTiming())
+	th := rt.Thread(0)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		th.Atomic(func(tx *stm.Tx) {})
+	}
+}
+
 // BenchmarkReadModifyWrite measures a minimal useful transaction.
 func BenchmarkReadModifyWrite(b *testing.B) {
 	rt := runtimeWith(b, "polka", 1)

@@ -35,10 +35,11 @@ import (
 const fallbackPollSpan = 10 * time.Microsecond
 
 // WithFallback arms the serialized-fallback escape hatch: a transaction
-// whose attempt count reaches maxAttempts, or whose age exceeds deadline,
-// acquires the runtime's fallback token before its next attempt and then
-// wins every conflict until it commits. Zero disables the corresponding
-// budget; arming neither leaves the runtime's behavior unchanged.
+// whose attempt count reaches maxAttempts, or which is still retrying
+// deadline after its first abort, acquires the runtime's fallback token
+// before its next attempt and then wins every conflict until it commits.
+// Zero disables the corresponding budget; arming neither leaves the
+// runtime's behavior unchanged.
 func WithFallback(maxAttempts int, deadline time.Duration) Option {
 	return func(rt *Runtime) {
 		rt.maxAttempts = maxAttempts

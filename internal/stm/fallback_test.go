@@ -170,39 +170,86 @@ func TestFallbackReleasedOnCommit(t *testing.T) {
 	}
 }
 
+// timings are the two clock modes a runtime can be built in: timed (the
+// default) and untimed (WithoutTxTiming, the kv shards' mode), whose
+// fallback deadline is stamped at the first abort and whose births come
+// from the runtime tick.
+var timings = []struct {
+	name string
+	opts []stm.Option
+}{
+	{"timed", nil},
+	{"untimed", []stm.Option{stm.WithoutTxTiming()}},
+}
+
 // TestFallbackDeadlineBudget: the deadline budget alone (no attempt cap)
 // also arms the escape hatch.
 func TestFallbackDeadlineBudget(t *testing.T) {
-	const deadline = time.Millisecond
-	rt := stm.New(2, starver{}, stm.WithFallback(0, deadline))
-	v := stm.NewTVar(0)
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-				rt.Thread(1).Atomic(func(tx *stm.Tx) {
-					stm.Write(tx, v, stm.Read(tx, v)+1)
-					time.Sleep(50 * time.Microsecond) // hold v: force conflicts
-				})
+	for _, tc := range timings {
+		t.Run(tc.name, func(t *testing.T) {
+			const deadline = time.Millisecond
+			opts := append([]stm.Option{stm.WithFallback(0, deadline)}, tc.opts...)
+			rt := stm.New(2, starver{}, opts...)
+			v := stm.NewTVar(0)
+			stop := make(chan struct{})
+			done := make(chan struct{})
+			go func() {
+				defer close(done)
+				for {
+					select {
+					case <-stop:
+						return
+					default:
+						rt.Thread(1).Atomic(func(tx *stm.Tx) {
+							stm.Write(tx, v, stm.Read(tx, v)+1)
+							time.Sleep(50 * time.Microsecond) // hold v: force conflicts
+						})
+					}
+				}
+			}()
+			start := time.Now()
+			info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
+				stm.Write(tx, v, stm.Read(tx, v)+1)
+			})
+			elapsed := time.Since(start)
+			close(stop)
+			<-done
+			// Returning is the liveness assertion; a long starvation stretch must
+			// have been broken by the deadline budget.
+			if elapsed > 50*deadline && !info.Fallback {
+				t.Errorf("thread 0 starved for %v (deadline %v) without entering fallback (%d attempts)", elapsed, deadline, info.Attempts)
 			}
-		}
-	}()
-	start := time.Now()
-	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
-		stm.Write(tx, v, stm.Read(tx, v)+1)
-	})
-	elapsed := time.Since(start)
-	close(stop)
-	<-done
-	// Returning is the liveness assertion; a long starvation stretch must
-	// have been broken by the deadline budget.
-	if elapsed > 50*deadline && !info.Fallback {
-		t.Errorf("thread 0 starved for %v (deadline %v) without entering fallback (%d attempts)", elapsed, deadline, info.Attempts)
+		})
+	}
+}
+
+// TestDeadlineCountsFromFirstAbort: a transaction that aborts every attempt
+// without the token, on a runtime with only a deadline budget, is still
+// retrying one deadline after its first abort, takes the token, and
+// commits with it.
+func TestDeadlineCountsFromFirstAbort(t *testing.T) {
+	for _, tc := range timings {
+		t.Run(tc.name, func(t *testing.T) {
+			const deadline = 2 * time.Millisecond
+			rt := stm.New(1, starver{}, append(tc.opts, stm.WithFallback(0, deadline))...)
+			v := stm.NewTVar(0)
+			var firstAbort time.Time
+			info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
+				if !tx.HoldsFallback() {
+					if tx.D.Attempts == 1 {
+						firstAbort = time.Now()
+					}
+					tx.Abort()
+				}
+				stm.Write(tx, v, stm.Read(tx, v)+1)
+			})
+			if !info.Fallback {
+				t.Errorf("info = %+v, want a fallback commit", info)
+			}
+			if waited := time.Since(firstAbort); waited < deadline {
+				t.Errorf("took the token %v after the first abort, before the %v deadline", waited, deadline)
+			}
+		})
 	}
 }
 
@@ -210,27 +257,31 @@ func TestFallbackDeadlineBudget(t *testing.T) {
 // longer than the watchdog interval trips the watchdog, is granted the
 // fallback token, and the runtime reports quiescence afterwards.
 func TestWatchdogRescuesStalledRuntime(t *testing.T) {
-	rt := stm.New(1, starver{})
-	wd := rt.StartWatchdog(time.Millisecond)
-	v := stm.NewTVar(0)
-	info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
-		stm.Write(tx, v, stm.Read(tx, v)+1)
-		if tx.D.Attempts == 1 {
-			time.Sleep(20 * time.Millisecond) // no commits while stalled
-		}
-	})
-	wd.Stop()
-	if wd.Trips() == 0 {
-		t.Errorf("watchdog saw a 20ms stall at 1ms interval but never tripped")
-	}
-	if !info.Fallback {
-		t.Errorf("stalled transaction was not granted the fallback token")
-	}
-	if !wd.Quiescent() {
-		t.Errorf("runtime not quiescent after all transactions returned")
-	}
-	if got := v.Peek(); got != 1 {
-		t.Errorf("counter = %d, want 1", got)
+	for _, tc := range timings {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := stm.New(1, starver{}, tc.opts...)
+			wd := rt.StartWatchdog(time.Millisecond)
+			v := stm.NewTVar(0)
+			info := rt.Thread(0).Atomic(func(tx *stm.Tx) {
+				stm.Write(tx, v, stm.Read(tx, v)+1)
+				if tx.D.Attempts == 1 {
+					time.Sleep(20 * time.Millisecond) // no commits while stalled
+				}
+			})
+			wd.Stop()
+			if wd.Trips() == 0 {
+				t.Errorf("watchdog saw a 20ms stall at 1ms interval but never tripped")
+			}
+			if !info.Fallback {
+				t.Errorf("stalled transaction was not granted the fallback token")
+			}
+			if !wd.Quiescent() {
+				t.Errorf("runtime not quiescent after all transactions returned")
+			}
+			if got := v.Peek(); got != 1 {
+				t.Errorf("counter = %d, want 1", got)
+			}
+		})
 	}
 }
 

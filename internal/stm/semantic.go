@@ -37,6 +37,12 @@ type SemanticOps interface {
 	Finalize(tx *Tx, committed bool)
 }
 
+// semOpsCap is the room New gives each thread's Tx for semantic
+// registrations. 4 interfaces are 64 B, a size class the allocator hands
+// out line-aligned, so the two writes per attempt (AddSemantic,
+// semFinalize) land on a line no other thread's state shares.
+const semOpsCap = 4
+
 // AddSemantic registers s with the current attempt. Structures call it on
 // the first operation of each attempt; duplicate registrations of the same
 // value are ignored, so re-registering on every operation is cheap and

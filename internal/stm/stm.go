@@ -47,8 +47,8 @@ var epoch = time.Now()
 func now() int64 { return int64(time.Since(epoch)) }
 
 // Now returns the runtime's monotonic timestamp (ns since an arbitrary
-// epoch), the clock Desc.Birth and Desc.AttemptStart are measured on.
-// Contention managers use it for duration arithmetic against those fields.
+// epoch), the clock Desc.Birth, Desc.AttemptStart and Desc.Deadline are
+// measured on. Contention managers that time attempts read it themselves.
 func Now() int64 { return now() }
 
 // Status of one transaction attempt.
@@ -99,11 +99,13 @@ func serialOf(word uint64) uint64 { return word >> statusBits }
 // or scheduling state (the window managers).
 //
 // Each Thread owns a single Desc that is recycled across its transactions
-// (the zero-allocation attempt loop), so the identity fields rewritten per
-// transaction and read by enemy transactions — ID and Birth — are atomics.
-// The remaining plain fields are either written once (ThreadID) or only
-// ever accessed on the owning thread (Seq, Attempts, AttemptStart,
-// MaxAttempts, Deadline).
+// (the zero-allocation attempt loop). Atomic rewrites only the identity
+// fields enemy transactions read — ID and Birth, which are atomics — and
+// the owner-thread-only budget fields. Every other word has one owner that
+// resets it, named in its comment, so starting a transaction stores no
+// word it does not have to. The remaining plain fields are either written
+// once (ThreadID) or only ever accessed on the owning thread (Seq,
+// Attempts, AttemptStart, MaxAttempts, Deadline).
 type Desc struct {
 	// ThreadID identifies the issuing thread, 0 ≤ ThreadID < M. It is set
 	// once when the runtime is built.
@@ -116,36 +118,45 @@ type Desc struct {
 	// Seq·M + ThreadID + 1: computed from thread-local values, so issuing one
 	// writes no shared word, and strictly increasing along each thread.
 	ID atomic.Uint64
-	// Birth is the time of the transaction's first attempt (ns since the
-	// package epoch). It is the static timestamp of Greedy and Priority.
+	// Birth is the transaction's static timestamp (Greedy, Priority,
+	// Timestamp and the watchdog order by (Birth, ID), which is total and
+	// fixed per transaction). On a timed runtime it is the start of the
+	// first attempt (ns since the package epoch). On an untimed runtime
+	// (WithoutTxTiming) it is the runtime's coarse tick: the same clock,
+	// advanced by aborts at most once per tickGrain and by the watchdog,
+	// so it orders transactions born a tick apart and leaves the rest to ID.
 	Birth atomic.Int64
-	// AttemptStart is the start time of the current attempt.
-	// Owner-thread-only.
+	// AttemptStart is the start time of the current attempt, set only on
+	// timed runtimes (0 on an untimed one). The flight recorder stamps
+	// events with it. Owner-thread-only.
 	AttemptStart int64
-	// AttemptEnd is the end time of the attempt that just finished, set
-	// before the manager's Committed or Aborted callback runs so managers
-	// that track attempt durations need no clock read of their own.
-	// Owner-thread-only.
-	AttemptEnd int64
 	// Attempts counts attempts so far, including the current one.
 	// Owner-thread-only.
 	Attempts int
-	// Karma accumulates successfully opened objects across attempts and is
-	// reset on commit (Polka's priority).
+	// Karma accumulates successfully opened objects across attempts (Polka's
+	// priority). Polka owns it: it spends it at commit, and clears it at a
+	// first attempt that finds some left by a transaction that panicked
+	// out of Atomic.
 	Karma atomic.Int64
 	// Waiting is set while the transaction is blocked inside a contention
-	// manager wait decision (Greedy consults the enemy's flag).
+	// manager wait decision (Greedy consults the enemy's flag). resolve owns
+	// it: it sets it before every wait and clears it after.
 	Waiting atomic.Bool
 	// Aux is a scratch word owned by the installed contention manager; the
-	// window managers pack their two-level priority vector into it.
+	// window managers pack their two-level priority vector into it and
+	// store it at every transaction's first attempt. No other manager
+	// reads it.
 	Aux atomic.Uint64
 	// MaxAttempts is the attempt budget after which the transaction claims
 	// the serialized-fallback token (0 = unbounded). Seeded from the
 	// runtime's WithFallback configuration. Owner-thread-only.
 	MaxAttempts int
 	// Deadline is the absolute time (ns since the package epoch) after
-	// which the transaction claims the fallback token (0 = none).
-	// Owner-thread-only.
+	// which the transaction claims the fallback token (0 = none yet). It
+	// is stamped at the transaction's first abort, one WithFallback
+	// deadline after it: only an aborted transaction can need the
+	// fallback, and the abort path already costs far more than the clock
+	// read. Owner-thread-only.
 	Deadline int64
 }
 
@@ -187,7 +198,8 @@ type Tx struct {
 	openVar uint64
 	writes  []container
 	// semOps are the semantic conflict sources registered with this
-	// attempt (semantic.go). Owner-thread-only.
+	// attempt (semantic.go); its backing array is the thread's own line.
+	// Owner-thread-only.
 	semOps []SemanticOps
 }
 
@@ -276,13 +288,48 @@ type Runtime struct {
 	// inherit (WithFallback); zero disables the respective budget.
 	maxAttempts int
 	txDeadline  time.Duration
+	// untimed drops the per-transaction clock reads (WithoutTxTiming).
+	untimed bool
+
+	// tick is the coarse clock an untimed runtime stamps Desc.Birth from
+	// (advanceTick). It is written at most once per tickGrain, and sits on
+	// a line of its own so that store invalidates nothing else.
+	_    [56]byte
+	tick atomic.Int64
+	_    [56]byte
 }
 
 // Option configures a Runtime.
 type Option func(*Runtime)
 
+// WithoutTxTiming builds an untimed runtime: an attempt that commits first
+// time reads no clock. Desc.Birth is the runtime's coarse tick instead of
+// a timestamp, Desc.AttemptStart stays 0, TxInfo's durations read 0, and
+// the fallback deadline is stamped at a transaction's first abort like on
+// a timed runtime. It is for callers that read no TxInfo duration (the kv
+// shards); the figures keep the default, timed runtime. An untimed runtime
+// takes no probe (WithProbe): the flight recorder stamps its events with
+// AttemptStart.
+func WithoutTxTiming() Option {
+	return func(rt *Runtime) { rt.untimed = true }
+}
+
+// tickGrain is how far the clock must have moved past an untimed runtime's
+// tick before an abort stores it: a hot abort path writes the tick's line
+// at most once per grain.
+const tickGrain = int64(time.Millisecond)
+
+// advanceTick moves the runtime tick to t if it lags t by a grain or more.
+// The CAS keeps it monotone when aborts race.
+func (rt *Runtime) advanceTick(t int64) {
+	if old := rt.tick.Load(); t-old >= tickGrain {
+		rt.tick.CompareAndSwap(old, t)
+	}
+}
+
 // New creates a runtime with m threads sharing the contention manager cm.
-// Options select non-default strategies (see WithFallback, WithProbe).
+// Options select non-default strategies (see WithFallback, WithProbe,
+// WithoutTxTiming).
 func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	if m <= 0 {
 		panic("stm: runtime needs at least one thread")
@@ -294,6 +341,9 @@ func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	for _, opt := range opts {
 		opt(rt)
 	}
+	if rt.untimed && rt.probe != nil {
+		panic("stm: WithProbe needs a timed runtime (probes read Desc.AttemptStart)")
+	}
 	rt.threads = make([]*Thread, m)
 	rt.epochSlots = make([]paddedUint64, m)
 	for i := range rt.threads {
@@ -302,6 +352,7 @@ func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 		t.tx.D = &t.desc
 		t.tx.rt = rt
 		t.tx.owner = t
+		t.tx.semOps = make([]SemanticOps, 0, semOpsCap)
 		// Park the reusable attempt in a terminated state so nothing
 		// mistakes an idle thread for an active enemy.
 		t.tx.status.Store(uint64(Aborted))
@@ -451,7 +502,9 @@ func (t *Thread) txp() *Tx { return &t.tx }
 // Runtime returns the owning runtime.
 func (t *Thread) Runtime() *Runtime { return t.rt }
 
-// TxInfo reports what it took to commit one logical transaction.
+// TxInfo reports what it took to commit one logical transaction. Its three
+// durations are measured on timed runtimes only; an untimed runtime
+// (WithoutTxTiming) reads no clock for them, and they are 0.
 type TxInfo struct {
 	// Attempts is the total number of attempts (aborts = Attempts − 1).
 	Attempts int
@@ -480,31 +533,31 @@ type retrySignal struct{}
 func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 	rt := t.rt
 	d := &t.desc
-	birth := now()
-	// Recycle the thread's descriptor for this logical transaction. The
-	// enemy-visible identity fields (ID, Birth) are atomics; the CM
-	// scratch words are reset to what a fresh descriptor held.
+	timed := !rt.untimed
+	var birth int64
+	if timed {
+		birth = now()
+		// The first attempt starts at birth; only retries read the clock.
+		d.AttemptStart = birth
+	} else {
+		birth = rt.tick.Load()
+	}
+	// Recycle the thread's descriptor for this logical transaction: the
+	// enemy-visible identity (ID, Birth) and the owner's budgets. Karma,
+	// Waiting and Aux are reset by their owners (see Desc).
 	d.Seq = t.seq
 	d.ID.Store(uint64(t.seq)*uint64(len(rt.threads)) + uint64(t.id) + 1)
 	d.Birth.Store(birth)
 	d.Attempts = 0
-	// The first attempt starts at birth; only retries read the clock.
-	d.AttemptStart = birth
-	d.Karma.Store(0)
-	d.Waiting.Store(false)
-	d.Aux.Store(0)
 	d.MaxAttempts = rt.maxAttempts
 	d.Deadline = 0
-	if rt.txDeadline > 0 {
-		d.Deadline = birth + int64(rt.txDeadline)
-	}
 	t.seq++
 	cm := rt.cm
 	var info TxInfo
 	for {
 		tx := &t.tx
 		tx.beginAttempt()
-		if d.Attempts > 0 {
+		if timed && d.Attempts > 0 {
 			d.AttemptStart = now()
 		}
 		d.Attempts++
@@ -514,8 +567,10 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 			p.OnBegin(tx)
 		}
 		committed := runAttempt(tx, fn)
-		end := now()
-		d.AttemptEnd = end
+		var end int64
+		if timed {
+			end = now()
+		}
 		if committed {
 			cm.Committed(tx)
 			t.commits.Store(t.commits.Load() + 1)
@@ -526,8 +581,10 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 				info.Fallback = true
 				rt.releaseFallback(d)
 			}
-			info.Duration = time.Duration(end - birth)
-			info.CommitDur = time.Duration(end - d.AttemptStart)
+			if timed {
+				info.Duration = time.Duration(end - birth)
+				info.CommitDur = time.Duration(end - d.AttemptStart)
+			}
 			return info
 		}
 		// The attempt aborted: either remotely (status already Aborted) or
@@ -536,7 +593,15 @@ func (t *Thread) Atomic(fn func(tx *Tx)) TxInfo {
 		tx.abortWord(tx.status.Load())
 		tx.cleanup()
 		t.aborts.Store(t.aborts.Load() + 1)
-		info.Wasted += time.Duration(end - d.AttemptStart)
+		if timed {
+			info.Wasted += time.Duration(end - d.AttemptStart)
+		} else {
+			end = now()
+			rt.advanceTick(end)
+		}
+		if d.Deadline == 0 && rt.txDeadline > 0 {
+			d.Deadline = end + int64(rt.txDeadline)
+		}
 		cm.Aborted(tx)
 		if p := rt.probe; p != nil {
 			p.OnAbort(tx)

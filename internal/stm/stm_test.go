@@ -298,6 +298,55 @@ func TestFirstAttemptCommitDur(t *testing.T) {
 	}
 }
 
+// TestUntimedRuntime: on an untimed runtime TxInfo's durations and
+// AttemptStart read 0, Birth is the runtime tick — fixed across a
+// transaction's attempts, shared by transactions born within one tick, and
+// moved on by an abort a tick after the last move — and a probe is refused.
+func TestUntimedRuntime(t *testing.T) {
+	rt := stm.New(1, starver{}, stm.WithoutTxTiming())
+	th := rt.Thread(0)
+	v := stm.NewTVar(0)
+	var births []int64
+	run := func(abortFirst bool) stm.TxInfo {
+		return th.Atomic(func(tx *stm.Tx) {
+			births = append(births, tx.D.Birth.Load())
+			if tx.D.AttemptStart != 0 {
+				t.Errorf("AttemptStart = %d on an untimed runtime", tx.D.AttemptStart)
+			}
+			if abortFirst && tx.D.Attempts == 1 {
+				tx.Abort()
+			}
+			stm.Write(tx, v, stm.Read(tx, v)+1)
+		})
+	}
+	for _, abortFirst := range []bool{false, false} {
+		if info := run(abortFirst); info != (stm.TxInfo{Attempts: 1}) {
+			t.Errorf("info = %+v, want one attempt and no durations", info)
+		}
+	}
+	if births[0] != births[1] {
+		t.Errorf("births %d, %d differ with no abort between them", births[0], births[1])
+	}
+	time.Sleep(2 * time.Millisecond)
+	if info := run(true); info != (stm.TxInfo{Attempts: 2}) {
+		t.Errorf("info = %+v, want two attempts and no durations", info)
+	}
+	if births[2] != births[3] {
+		t.Errorf("birth moved from %d to %d across one transaction's attempts", births[2], births[3])
+	}
+	run(false)
+	if births[4] <= births[3] {
+		t.Errorf("birth after an abort a tick later = %d, want > %d", births[4], births[3])
+	}
+
+	defer func() {
+		if recover() == nil {
+			t.Error("New accepted a probe on an untimed runtime")
+		}
+	}()
+	stm.New(1, starver{}, stm.WithoutTxTiming(), stm.WithProbe(nopProbe{}))
+}
+
 // TestRuntimeCountsOutcomes: the runtime's own counters are exact — two
 // threads racing on one TVar under a manager that always aborts the enemy
 // commit 2N transactions, and every aborted attempt any of them reported in

@@ -60,6 +60,8 @@ func (w *Watchdog) tick() {
 	}
 	defer w.timer.Reset(w.interval)
 	rt := w.rt
+	// Keep an untimed runtime's birth tick moving while nothing aborts.
+	rt.advanceTick(now())
 	rt.clearStaleFallback()
 	commits := rt.Commits()
 	progressed := commits != w.lastCommits

@@ -27,8 +27,11 @@ const (
 //
 // # Time accounting
 //
-// All durations derive from stm.TxInfo, whose fields partition a logical
-// transaction's lifetime as follows:
+// All durations derive from stm.TxInfo, which measures them on timed
+// runtimes only (the default, and what the harness builds); an untimed
+// runtime (stm.WithoutTxTiming, the kv shards) reports them as 0, and
+// would record zeros here. On a timed runtime the fields partition a
+// logical transaction's lifetime as follows:
 //
 //   - Duration is the response time: the transaction's first attempt start
 //     (Desc.Birth) to its commit. It contains everything below.

@@ -10,7 +10,9 @@ import (
 // TestTxStatesOwnTheirLines: no two threads' transaction states share a
 // 64-B line — each struct's bytes before its trailing pad sit on lines of
 // their own — so one thread's enter and Finalize writes never invalidate a
-// line another core is writing.
+// line another core is writing. The states table every enter reads fills
+// whole lines of its own too, so no small object another thread writes
+// (a semantic-registration array, say) shares its line.
 func TestTxStatesOwnTheirLines(t *testing.T) {
 	for _, m := range []int{2, 4, 8} {
 		tr := New[int64]()
@@ -20,6 +22,11 @@ func TestTxStatesOwnTheirLines(t *testing.T) {
 				tr.Get(tx, -1)
 				tr.Insert(tx, i, 1)
 			})
+		}
+		table := *tr.states.Load()
+		p := uintptr(unsafe.Pointer(unsafe.SliceData(table)))
+		if n := uintptr(cap(table)) * unsafe.Sizeof(table[0]); n < 64 || p%64 != 0 {
+			t.Errorf("M=%d: states table is %d B at %#x, want ≥ 64 B on a line boundary", m, n, p)
 		}
 		owner := map[uintptr]int{}
 		for i := 0; i < m; i++ {

@@ -86,6 +86,9 @@ func (t *Tree[V]) enter(tx *stm.Tx) *txState[V] {
 	return st
 }
 
+// minStates is the smallest capacity of a tree's states table.
+const minStates = 8
+
 // state returns the per-thread state for thread id, growing the table on
 // demand. The fast path is one atomic load and an index.
 func (t *Tree[V]) state(id int) *txState[V] {
@@ -98,7 +101,9 @@ func (t *Tree[V]) state(id int) *txState[V] {
 	if id < len(cur) {
 		return cur[id]
 	}
-	grown := make([]*txState[V], id+1)
+	// At least minStates slots, 64 B: a line-aligned size class, so the
+	// table every enter reads shares its line with no thread's writes.
+	grown := make([]*txState[V], id+1, max(id+1, minStates))
 	copy(grown, cur)
 	for i := len(cur); i <= id; i++ {
 		grown[i] = &txState[V]{tree: t}
