@@ -139,7 +139,6 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		dur     = fs.Duration("dur", 300*time.Millisecond, "duration of each timed run")
 		reps    = fs.Int("reps", 2, "repetitions per cell")
 		total   = fs.Int("total", 20000, "transactions for the fig-5 fixed-work runs")
-		windowN = fs.Int("window-n", 50, "window size N for window-based managers")
 		seed    = fs.Uint64("seed", 1, "master seed")
 		paper   = fs.Bool("paper", false, "use the paper's full regime (10s runs × 6 reps)")
 
@@ -184,7 +183,6 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		Duration: *dur,
 		Reps:     *reps,
 		TotalTxs: *total,
-		WindowN:  *windowN,
 		Seed:     *seed,
 		Manager:  *manager,
 	}

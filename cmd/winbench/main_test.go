@@ -19,7 +19,7 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-reps 0", "-reps"},
 		{"-dur -1s", "-dur"},
 		{"-fig 5 -total 0", "-total"},
-		{"-window-n -5", "-window-n"},
+		{"-window-n 10", "flag provided but not defined: -window-n"},
 		{"-fig 3 -bench list -threads 2 extra", "unexpected arguments: [extra]"},
 		{"-bench nosuch", "nosuch"},
 		{"-bench hashset", "hashset"},

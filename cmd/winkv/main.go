@@ -64,9 +64,6 @@ func main() {
 		shards  = flag.Int("shards", 4, "number of independent shards (each its own STM runtime + manager)")
 		threads = flag.Int("threads", 2, "STM threads per shard (max in-flight transactions per shard)")
 		manager = flag.String("manager", kv.DefaultManager, "contention manager per shard (window variant or classic)")
-		windowN = flag.Int("window-n", 0, "window size N for window-based managers (0 = paper default)")
-		maxAtt  = flag.Int("max-attempts", 0, "retry budget before the serialized fallback (0 = default 64; negative disables)")
-		deadln  = flag.Duration("tx-deadline", 0, "wall-clock budget before the serialized fallback (0 = default 250ms; negative disables)")
 		seed    = flag.Uint64("seed", 1, "master seed for the shards' managers")
 		metrics = flag.String("metrics", "", "serve Prometheus /metrics (+ pprof) on this address (empty = off)")
 		quiet   = flag.Bool("quiet", false, "suppress the startup and shutdown reports")
@@ -77,9 +74,6 @@ func main() {
 		Shards:       *shards,
 		ShardThreads: *threads,
 		Manager:      *manager,
-		WindowN:      *windowN,
-		MaxAttempts:  *maxAtt,
-		TxDeadline:   *deadln,
 		Seed:         *seed,
 	}
 	// Fail fast at flag-parse time: kv.Options rejects every combination

@@ -21,8 +21,7 @@ func TestValidateServe(t *testing.T) {
 		wantErr string // substring; empty = accept
 	}{
 		{"defaults", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2}, ""},
-		{"window manager with size", "127.0.0.1:0", nil,
-			kv.Options{Shards: 4, ShardThreads: 2, Manager: "adaptive", WindowN: 32}, ""},
+		{"window manager", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2, Manager: "adaptive"}, ""},
 		{"classic manager", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2, Manager: "timestamp"}, ""},
 		{"positional args", "127.0.0.1:0", []string{"junk"}, kv.Options{Shards: 4, ShardThreads: 2}, "unexpected arguments"},
 		{"empty addr", "", nil, kv.Options{Shards: 4, ShardThreads: 2}, "-addr"},
@@ -31,8 +30,6 @@ func TestValidateServe(t *testing.T) {
 		{"zero shards", "127.0.0.1:0", nil, kv.Options{Shards: 0, ShardThreads: 2}, "-shards"},
 		{"zero threads", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 0}, "-threads"},
 		{"unknown manager", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2, Manager: "bogus"}, "bogus"},
-		{"window size on classic", "127.0.0.1:0", nil,
-			kv.Options{Shards: 4, ShardThreads: 2, Manager: "polka", WindowN: 10}, "WindowN"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

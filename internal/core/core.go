@@ -161,20 +161,16 @@ func New(v Variant, m int) *Manager {
 
 // NewNamed builds the contention manager registered under name for m
 // threads — the one constructor from a manager name. A window variant is
-// built from DefaultConfig with the given seed and, when windowN > 0, with
-// N = windowN, and is also returned as wm; any other name goes to the cm
-// registry and wm is nil (classic managers have no window, so a caller
-// that treats windowN as an error for them checks wm).
-func NewNamed(name string, m, windowN int, seed uint64) (mgr stm.ContentionManager, wm *Manager, err error) {
+// built from DefaultConfig (the paper's N = 50) with the given seed and is
+// also returned as wm; any other name goes to the cm registry and wm is
+// nil.
+func NewNamed(name string, m int, seed uint64) (mgr stm.ContentionManager, wm *Manager, err error) {
 	v, err := ParseVariant(name)
 	if err != nil {
 		mgr, err = cm.New(name, m)
 		return mgr, nil, err
 	}
 	cfg := DefaultConfig(v, m)
-	if windowN > 0 {
-		cfg.N = windowN
-	}
 	cfg.Seed = seed
 	wm = NewManager(cfg)
 	return wm, wm, nil

@@ -272,24 +272,22 @@ func TestManagerDefaultsFilledIn(t *testing.T) {
 }
 
 // TestNewNamed: the one constructor from a manager name builds window
-// variants with the given N and seed (and hands them back typed), sends
-// every other name to the cm registry, and rejects unknown names.
+// variants at the paper's N with the given seed (and hands them back
+// typed), sends every other name to the cm registry, and rejects unknown
+// names.
 func TestNewNamed(t *testing.T) {
-	mgr, wm, err := NewNamed("online-dynamic", 4, 25, 7)
+	mgr, wm, err := NewNamed("online-dynamic", 4, 7)
 	if err != nil || wm == nil || mgr != stm.ContentionManager(wm) {
 		t.Fatalf("window variant: mgr=%v wm=%v err=%v", mgr, wm, err)
 	}
-	if c := wm.Config(); c.N != 25 || c.Seed != 7 || c.M != 4 || !c.Dynamic {
-		t.Errorf("window config = %+v, want N=25 Seed=7 M=4 Dynamic", c)
+	if c := wm.Config(); c.N != 50 || c.Seed != 7 || c.M != 4 || !c.Dynamic {
+		t.Errorf("window config = %+v, want N=50 Seed=7 M=4 Dynamic", c)
 	}
-	if _, wm, _ := NewNamed("adaptive", 2, 0, 1); wm == nil || wm.Config().N != 50 {
-		t.Error("windowN 0 must keep the paper default N=50")
-	}
-	mgr, wm, err = NewNamed("polka", 4, 25, 7)
+	mgr, wm, err = NewNamed("polka", 4, 7)
 	if err != nil || mgr == nil || wm != nil {
-		t.Errorf("classic manager: mgr=%v wm=%v err=%v (wm must be nil, windowN ignored)", mgr, wm, err)
+		t.Errorf("classic manager: mgr=%v wm=%v err=%v (wm must be nil)", mgr, wm, err)
 	}
-	if _, _, err := NewNamed("bogus", 4, 0, 1); err == nil {
+	if _, _, err := NewNamed("bogus", 4, 1); err == nil {
 		t.Error("unknown manager name accepted")
 	}
 }

@@ -57,8 +57,6 @@ type Options struct {
 	Benchmarks []string
 	// TotalTxs is Fig. 5's fixed work. Default 20000 (the paper's value).
 	TotalTxs int
-	// WindowN is N for window managers. Default 50 (the paper's).
-	WindowN int
 	// Seed makes runs reproducible.
 	Seed uint64
 	// Hub, when non-nil, receives a fresh telemetry registry for every
@@ -87,7 +85,6 @@ func (o Options) Config(manager string, threads int, seed uint64) Config {
 	cfg := Config{
 		Manager: manager,
 		Threads: threads,
-		WindowN: o.WindowN,
 		Seed:    seed,
 	}
 	if o.Hub != nil {
@@ -124,9 +121,6 @@ func (o Options) withDefaults() Options {
 	if o.TotalTxs == 0 {
 		o.TotalTxs = 20000
 	}
-	if o.WindowN == 0 {
-		o.WindowN = 50
-	}
 	if o.Seed == 0 {
 		o.Seed = 1
 	}
@@ -152,7 +146,6 @@ func (o Options) Validate() error {
 	}{
 		{"Reps (-reps)", o.Reps, 1},
 		{"TotalTxs (-total)", o.TotalTxs, 1},
-		{"WindowN (-window-n)", o.WindowN, 0},
 	} {
 		if c.v < c.min {
 			return fmt.Errorf("harness: %s must be >= %d (got %d)", c.name, c.min, c.v)
@@ -169,7 +162,7 @@ func (o Options) Validate() error {
 		}
 	}
 	if o.Manager != "" {
-		if _, _, err := core.NewNamed(o.Manager, 1, 0, 0); err != nil {
+		if _, _, err := core.NewNamed(o.Manager, 1, 0); err != nil {
 			return fmt.Errorf("harness: Manager (-manager): %v", err)
 		}
 	}

@@ -23,7 +23,7 @@ func TestOptionsDefaults(t *testing.T) {
 	if len(o.Benchmarks) != 4 {
 		t.Errorf("Benchmarks = %v", o.Benchmarks)
 	}
-	if o.TotalTxs != 20000 || o.largestM() != 32 || o.WindowN != 50 {
+	if o.TotalTxs != 20000 || o.largestM() != 32 {
 		t.Errorf("paper defaults wrong: %+v", o)
 	}
 	if o.Seed == 0 || o.Manager != "adaptive-improved-dynamic" {
@@ -34,12 +34,12 @@ func TestOptionsDefaults(t *testing.T) {
 func TestOptionsRespectsOverrides(t *testing.T) {
 	in := Options{
 		Threads: []int{3}, Duration: time.Second, Reps: 7,
-		Benchmarks: []string{"list"}, TotalTxs: 5, WindowN: 9, Seed: 99,
+		Benchmarks: []string{"list"}, TotalTxs: 5, Seed: 99,
 		Manager: "polka",
 	}
 	o := in.withDefaults()
 	if o.Threads[0] != 3 || o.Duration != time.Second || o.Reps != 7 ||
-		o.Benchmarks[0] != "list" || o.TotalTxs != 5 || o.WindowN != 9 ||
+		o.Benchmarks[0] != "list" || o.TotalTxs != 5 ||
 		o.Seed != 99 || o.Manager != "polka" {
 		t.Errorf("overrides lost: %+v", o)
 	}
@@ -63,7 +63,6 @@ func TestDriversValidateAfterDefaults(t *testing.T) {
 		{Options{Duration: -time.Second}, "Duration"},
 		{Options{Reps: -1}, "Reps"},
 		{Options{TotalTxs: -1}, "TotalTxs"},
-		{Options{WindowN: -5}, "WindowN"},
 		{Options{Threads: []int{2, 0}}, "Threads"},
 		{Options{Threads: []int{-1}}, "Threads"},
 		{Options{Benchmarks: []string{"list", "nosuch"}}, "nosuch"},

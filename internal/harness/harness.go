@@ -34,15 +34,13 @@ type Workload interface {
 	Verify() error
 }
 
-// Config describes one experiment cell.
+// Config describes one experiment cell. Window managers run the paper's
+// N = 50 and no fallback budgets, as in every experiment of the paper.
 type Config struct {
 	// Manager names the contention manager (cm registry name).
 	Manager string
 	// Threads is M, the number of worker threads.
 	Threads int
-	// WindowN is N for window-based managers (transactions per window);
-	// ignored for the classic managers. 0 means the paper default of 50.
-	WindowN int
 	// Seed drives all workload randomness.
 	Seed uint64
 	// Telemetry, when non-nil, receives this run's live instruments: the
@@ -62,9 +60,9 @@ type Config struct {
 }
 
 // NewManager builds the configured contention manager (core.NewNamed:
-// WindowN reaches window variants, classic managers ignore it).
+// window variants run the paper's N = 50).
 func (c Config) NewManager() (stm.ContentionManager, error) {
-	mgr, _, err := core.NewNamed(c.Manager, c.Threads, c.WindowN, c.Seed+1)
+	mgr, _, err := core.NewNamed(c.Manager, c.Threads, c.Seed+1)
 	return mgr, err
 }
 

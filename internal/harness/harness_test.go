@@ -16,7 +16,6 @@ func tinyOpts() harness.Options {
 		Duration: 30 * time.Millisecond,
 		Reps:     1,
 		TotalTxs: 400,
-		WindowN:  10,
 		Seed:     3,
 	}
 }
@@ -45,7 +44,7 @@ func TestRunTimedSmoke(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			cfg := harness.Config{Manager: mgr, Threads: 4, WindowN: 10, Seed: 1}
+			cfg := harness.Config{Manager: mgr, Threads: 4, Seed: 1}
 			res, err := harness.RunTimed(cfg, w, 50*time.Millisecond)
 			if err != nil {
 				t.Fatal(err)
@@ -65,7 +64,7 @@ func TestRunCountCommitsExactly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := harness.Config{Manager: "adaptive-improved-dynamic", Threads: 3, WindowN: 10, Seed: 1}
+	cfg := harness.Config{Manager: "adaptive-improved-dynamic", Threads: 3, Seed: 1}
 	const total = 500
 	res, err := harness.RunCount(cfg, w, total)
 	if err != nil {

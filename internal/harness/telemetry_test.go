@@ -87,7 +87,7 @@ func TestRunTimedAttachesSeries(t *testing.T) {
 		t.Fatal(err)
 	}
 	cfg := Config{
-		Manager: "polka", Threads: 2, WindowN: 50, Seed: 1,
+		Manager: "polka", Threads: 2, Seed: 1,
 		Telemetry:         telemetry.NewRegistry(),
 		TelemetryInterval: 5 * time.Millisecond,
 	}

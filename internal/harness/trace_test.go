@@ -21,7 +21,7 @@ func TestRunWithTraceRecorder(t *testing.T) {
 	}
 	hub := telemetry.NewHub()
 	cfg := harness.Config{
-		Manager: "online-dynamic", Threads: 4, WindowN: 10, Seed: 1,
+		Manager: "online-dynamic", Threads: 4, Seed: 1,
 		Trace: &harness.TraceConfig{Sample: 1, Hub: hub},
 	}
 	res, err := harness.RunTimed(cfg, w, 60*time.Millisecond)
@@ -137,7 +137,7 @@ func TestTraceOffLeavesResultNil(t *testing.T) {
 func TestFiguresOptionsCarryTrace(t *testing.T) {
 	o := harness.Options{
 		Threads: []int{2}, Duration: 20 * time.Millisecond, Reps: 1,
-		WindowN: 10, Seed: 3,
+		Seed:  3,
 		Trace: &harness.TraceConfig{Sample: 8},
 	}
 	cfg := o.Config("polka", 2, 3)

@@ -91,16 +91,15 @@ func BenchmarkKVPipelined(b *testing.B) {
 	}
 	srv := Serve(st, ln)
 	b.Cleanup(func() { srv.Close() })
+	se := st.NewSession()
+	for k := int64(0); k < 1024; k++ {
+		se.Set(k, k)
+	}
 	c, err := Dial(srv.Addr().String())
 	if err != nil {
 		b.Fatal(err)
 	}
 	b.Cleanup(func() { c.Close() })
-	for k := int64(0); k < 1024; k++ {
-		if err := c.Set(k, k); err != nil {
-			b.Fatal(err)
-		}
-	}
 	const depth = 64
 	var rep Reply
 	b.ReportAllocs()

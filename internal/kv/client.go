@@ -3,7 +3,6 @@ package kv
 import (
 	"bufio"
 	"errors"
-	"fmt"
 	"net"
 	"strconv"
 )
@@ -11,8 +10,7 @@ import (
 // Client speaks the kv wire protocol over one connection. It is
 // explicitly pipelined: Queue* methods append request lines to a local
 // buffer, Flush writes them in one syscall, ReadReply consumes replies
-// in request order. The convenience methods (Get, Set, ...) are
-// depth-one wrappers. A Client is single-goroutine; the queue and reply
+// in request order. A Client is single-goroutine; the queue and reply
 // scratch are reused, so the steady state allocates nothing.
 type Client struct {
 	conn net.Conn
@@ -42,14 +40,6 @@ type Reply struct {
 	Vals    []int64 // ReplyArray elements (0 for nil elements)
 	Present []bool  // ReplyArray element non-nil flags
 	Msg     string  // ReplyError text (allocates; errors are off the hot path)
-}
-
-// Err returns the reply as an error when it is one.
-func (r *Reply) Err() error {
-	if r.Kind == ReplyError {
-		return errors.New(r.Msg)
-	}
-	return nil
 }
 
 // NewClient wraps an established connection.
@@ -225,139 +215,4 @@ func (c *Client) ReadReply(rep *Reply) error {
 		return nil
 	}
 	return errProto
-}
-
-// Depth-one convenience wrappers.
-
-// Ping round-trips a PING.
-func (c *Client) Ping() error {
-	c.QueuePing()
-	if err := c.Flush(); err != nil {
-		return err
-	}
-	var rep Reply
-	if err := c.ReadReply(&rep); err != nil {
-		return err
-	}
-	if rep.Kind != ReplySimple {
-		return rep.Err()
-	}
-	return nil
-}
-
-// Get reads one key.
-func (c *Client) Get(key int64) (int64, bool, error) {
-	c.QueueGet(key)
-	if err := c.Flush(); err != nil {
-		return 0, false, err
-	}
-	var rep Reply
-	if err := c.ReadReply(&rep); err != nil {
-		return 0, false, err
-	}
-	switch rep.Kind {
-	case ReplyInt:
-		return rep.Int, true, nil
-	case ReplyNil:
-		return 0, false, nil
-	}
-	return 0, false, replyErr(&rep)
-}
-
-// Set writes one key.
-func (c *Client) Set(key, val int64) error {
-	c.QueueSet(key, val)
-	if err := c.Flush(); err != nil {
-		return err
-	}
-	var rep Reply
-	if err := c.ReadReply(&rep); err != nil {
-		return err
-	}
-	if rep.Kind != ReplySimple {
-		return replyErr(&rep)
-	}
-	return nil
-}
-
-// Del deletes one key, reporting whether it existed.
-func (c *Client) Del(key int64) (bool, error) {
-	c.QueueDel(key)
-	if err := c.Flush(); err != nil {
-		return false, err
-	}
-	var rep Reply
-	if err := c.ReadReply(&rep); err != nil {
-		return false, err
-	}
-	if rep.Kind != ReplyInt {
-		return false, replyErr(&rep)
-	}
-	return rep.Int != 0, nil
-}
-
-// MGet reads keys atomically; the returned slices alias client scratch.
-func (c *Client) MGet(keys []int64) (vals []int64, present []bool, err error) {
-	c.QueueMGet(keys)
-	if err := c.Flush(); err != nil {
-		return nil, nil, err
-	}
-	var rep Reply
-	if err := c.ReadReply(&rep); err != nil {
-		return nil, nil, err
-	}
-	if rep.Kind != ReplyArray {
-		return nil, nil, replyErr(&rep)
-	}
-	return rep.Vals, rep.Present, nil
-}
-
-// MSet writes the pairs atomically.
-func (c *Client) MSet(keys, vals []int64) error {
-	c.QueueMSet(keys, vals)
-	if err := c.Flush(); err != nil {
-		return err
-	}
-	var rep Reply
-	if err := c.ReadReply(&rep); err != nil {
-		return err
-	}
-	if rep.Kind != ReplySimple {
-		return replyErr(&rep)
-	}
-	return nil
-}
-
-// Scan returns up to limit ascending key/value pairs in [lo, hi); the
-// slices alias client scratch (keys at even indices stripped out).
-func (c *Client) Scan(lo, hi int64, limit int) (keys, vals []int64, err error) {
-	c.QueueScan(lo, hi, limit)
-	if err := c.Flush(); err != nil {
-		return nil, nil, err
-	}
-	var rep Reply
-	if err := c.ReadReply(&rep); err != nil {
-		return nil, nil, err
-	}
-	if rep.Kind != ReplyArray {
-		return nil, nil, replyErr(&rep)
-	}
-	// Flat alternating key,val: de-interleave in place (keys move into
-	// the first half's even slots' order).
-	n := len(rep.Vals) / 2
-	ks := make([]int64, n)
-	vs := make([]int64, n)
-	for i := 0; i < n; i++ {
-		ks[i] = rep.Vals[2*i]
-		vs[i] = rep.Vals[2*i+1]
-	}
-	return ks, vs, nil
-}
-
-// replyErr converts an unexpected reply into an error.
-func replyErr(rep *Reply) error {
-	if err := rep.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("kv: unexpected reply kind %d", rep.Kind)
 }

@@ -41,6 +41,9 @@ const DefaultManager = "adaptive-improved-dynamic"
 
 // Options configures a Store. The zero value of every field selects a
 // sensible default; Validate reports the combinations that cannot work.
+// What is not here is fixed: window managers run the paper's N = 50, and
+// every shard arms the fallback budgets and its watchdog at
+// DefaultMaxAttempts and DefaultTxDeadline.
 type Options struct {
 	// Shards is the number of independent shards, ≥ 1 (default 4).
 	Shards int
@@ -53,23 +56,14 @@ type Options struct {
 	// Manager names the contention manager every shard installs (window
 	// variants via core, classics via cm; default DefaultManager).
 	Manager string
-	// WindowN is the window size N for window-based managers; 0 keeps
-	// the paper default of 50. Setting it with a classic manager is a
-	// configuration error (it would silently do nothing).
-	WindowN int
-	// MaxAttempts and TxDeadline arm the per-shard serialized-fallback
-	// budgets (stm.WithFallback) and the progress watchdog. Zero selects
-	// the service defaults (64 attempts, 250 ms); negative disables that
-	// budget. Both disabled also disables the watchdog.
-	MaxAttempts int
-	TxDeadline  time.Duration
 	// Seed derives every shard's manager seed.
 	Seed uint64
 }
 
-// Service-default fallback budgets (see Options.MaxAttempts): generous
-// enough that ordinary conflict handling never trips them, tight enough
-// that no request can starve behind a pathological kill cycle.
+// The fallback budgets every shard arms (stm.WithFallback), and the
+// interval of its progress watchdog: generous enough that ordinary
+// conflict handling never trips them, tight enough that no request can
+// starve behind a pathological kill cycle.
 const (
 	DefaultMaxAttempts = 64
 	DefaultTxDeadline  = 250 * time.Millisecond
@@ -86,16 +80,6 @@ func (o Options) withDefaults() Options {
 	if o.Manager == "" {
 		o.Manager = DefaultManager
 	}
-	if o.MaxAttempts == 0 {
-		o.MaxAttempts = DefaultMaxAttempts
-	} else if o.MaxAttempts < 0 {
-		o.MaxAttempts = 0
-	}
-	if o.TxDeadline == 0 {
-		o.TxDeadline = DefaultTxDeadline
-	} else if o.TxDeadline < 0 {
-		o.TxDeadline = 0
-	}
 	return o
 }
 
@@ -110,15 +94,8 @@ func (o Options) Validate() error {
 	if o.ShardThreads < 0 || d.ShardThreads < 1 {
 		return fmt.Errorf("kv: ShardThreads must be >= 1 (got %d)", o.ShardThreads)
 	}
-	_, wm, err := core.NewNamed(d.Manager, d.ShardThreads, 0, 0)
-	if err != nil {
+	if _, _, err := core.NewNamed(d.Manager, d.ShardThreads, 0); err != nil {
 		return fmt.Errorf("kv: %v", err)
-	}
-	if wm == nil && o.WindowN != 0 {
-		return fmt.Errorf("kv: WindowN has no effect with the classic manager %q (window size is a window-manager knob)", d.Manager)
-	}
-	if o.WindowN < 0 {
-		return fmt.Errorf("kv: WindowN must be >= 0 (got %d)", o.WindowN)
 	}
 	return nil
 }
@@ -209,9 +186,7 @@ func (st *Store) Stats() Stats {
 		s.PerShard[i] = ShardStats{Commits: c, Aborts: a}
 		s.Commits += c
 		s.Aborts += a
-		if sh.wd != nil {
-			s.WatchdogTrips += sh.wd.Trips()
-		}
+		s.WatchdogTrips += sh.wd.Trips()
 	}
 	return s
 }

@@ -11,6 +11,7 @@ import (
 
 	"wincm/internal/cm"
 	"wincm/internal/rng"
+	"wincm/internal/stm"
 )
 
 // testStore builds a small store, failing the test on error.
@@ -150,13 +151,11 @@ func TestOptionsValidate(t *testing.T) {
 		ok   bool
 	}{
 		{"zero value (all defaults)", Options{}, true},
-		{"explicit window manager", Options{Manager: "online-dynamic", WindowN: 25}, true},
+		{"explicit window manager", Options{Manager: "online-dynamic"}, true},
 		{"classic manager", Options{Manager: "polka"}, true},
 		{"negative shards", Options{Shards: -1}, false},
 		{"negative threads", Options{ShardThreads: -2}, false},
 		{"unknown manager", Options{Manager: "nope"}, false},
-		{"WindowN with classic manager", Options{Manager: "polka", WindowN: 10}, false},
-		{"negative WindowN", Options{WindowN: -5}, false},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -669,28 +668,87 @@ func TestCrossShardLiveness(t *testing.T) {
 	t.Logf("commits=%d aborts=%d", stats.Commits, stats.Aborts)
 }
 
+// holdGate, registered after the tree on an attempt, holds that attempt at
+// its commit point, active and with the tree's key locks taken, until a
+// conflict has been decided on rt (the fallback token or the manager ruled
+// on one), the attempt is aborted, or 2 s pass. held is closed the first
+// time it holds.
+type holdGate struct {
+	rt   *stm.Runtime
+	held chan struct{}
+	once sync.Once
+}
+
+func (g *holdGate) Validate(tx *stm.Tx) bool {
+	g.once.Do(func() { close(g.held) })
+	for end := time.Now().Add(2 * time.Second); decided(g.rt) == 0 &&
+		tx.Status() == stm.Active && time.Now().Before(end); {
+		runtime.Gosched()
+	}
+	return true
+}
+
+func (*holdGate) Finalize(*stm.Tx, bool) {}
+
+// decided counts the conflicts rt's token or manager ruled on.
+func decided(rt *stm.Runtime) int64 {
+	v := rt.Verdicts()
+	return v.AbortEnemy + v.AbortSelf + v.Wait
+}
+
+// withHeldKey runs mix while one transaction on st's first shard holds
+// key's write lock at its commit point (holdGate), and returns once both
+// are done; the transaction commits once. SET and MSET are blind writes
+// whose key locks the tree takes only at commit, and nothing yields inside
+// a commit, so the mix alone conflicts only when two commits run on two
+// CPUs at once; the held lock makes the mix's first operation on key meet
+// an active holder on any number of Ps.
+func withHeldKey(st *Store, key int64, mix func()) {
+	sh := st.shards[0]
+	ts := sh.claim(0, make(chan *threadSlot, 1))
+	gate := &holdGate{rt: sh.rt, held: make(chan struct{})}
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		ts.th.Atomic(func(tx *stm.Tx) {
+			sh.tree.Insert(tx, int(key), 0)
+			tx.AddSemantic(gate)
+		})
+		sh.release(ts)
+	}()
+	<-gate.held
+	mix()
+	<-done
+}
+
 // TestSingleShardContention hammers one hot key from every thread of a
-// one-shard store: conflicts must resolve through the CM (commits equal
-// the op count; no watchdog trips).
+// one-shard store, beside a transaction holding the key's lock: conflicts
+// must resolve through the CM (at least one is decided, commits equal the
+// op count, no watchdog trips).
 func TestSingleShardContention(t *testing.T) {
 	st := testStore(t, Options{Shards: 1, ShardThreads: 4, Seed: 5})
 	yieldEvery(st, 2)
 	const goroutines, ops = 4, 500
-	var wg sync.WaitGroup
-	for g := 0; g < goroutines; g++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			se := st.NewSession()
-			for i := 0; i < ops; i++ {
-				se.Set(1, int64(i))
-			}
-		}()
+	withHeldKey(st, 1, func() {
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				se := st.NewSession()
+				for i := 0; i < ops; i++ {
+					se.Set(1, int64(i))
+				}
+			}()
+		}
+		wg.Wait()
+	})
+	if decided(st.shards[0].rt) == 0 {
+		t.Fatal("no conflict decided: the manager was never asked")
 	}
-	wg.Wait()
 	stats := st.Stats()
-	if stats.Commits != goroutines*ops {
-		t.Fatalf("commits = %d, want %d", stats.Commits, goroutines*ops)
+	if stats.Commits != goroutines*ops+1 {
+		t.Fatalf("commits = %d, want %d", stats.Commits, goroutines*ops+1)
 	}
 	if stats.WatchdogTrips != 0 {
 		t.Fatalf("watchdog tripped %d times", stats.WatchdogTrips)
@@ -700,8 +758,9 @@ func TestSingleShardContention(t *testing.T) {
 // TestHotKeyEveryManager runs a one-shard hot-key write mix — SET on one
 // key, MSET over it and a neighbour — under every registered contention
 // manager with the service defaults (untimed runtime, fallback budgets,
-// watchdog): every operation commits, and afterwards the watchdog finds
-// the shard quiescent.
+// watchdog), beside a transaction holding the key's lock: at least one
+// conflict is decided, every operation commits, and afterwards the
+// watchdog finds the shard quiescent.
 func TestHotKeyEveryManager(t *testing.T) {
 	names := cm.Names() // the classic managers and, registered by core, the window variants
 	slices.Sort(names)
@@ -710,29 +769,34 @@ func TestHotKeyEveryManager(t *testing.T) {
 			st := testStore(t, Options{Shards: 1, ShardThreads: 2, Manager: name, Seed: 9})
 			yieldEvery(st, 2)
 			const goroutines, ops = 3, 300
-			var wg sync.WaitGroup
-			for g := 0; g < goroutines; g++ {
-				wg.Add(1)
-				go func(g int) {
-					defer wg.Done()
-					se := st.NewSession()
-					keys := []int64{1, 2}
-					for i := 0; i < ops; i++ {
-						if (g+i)%3 == 0 {
-							if err := se.MSet(keys, []int64{int64(i), int64(-i)}); err != nil {
-								t.Errorf("MSet: %v", err)
-								return
+			withHeldKey(st, 1, func() {
+				var wg sync.WaitGroup
+				for g := 0; g < goroutines; g++ {
+					wg.Add(1)
+					go func(g int) {
+						defer wg.Done()
+						se := st.NewSession()
+						keys := []int64{1, 2}
+						for i := 0; i < ops; i++ {
+							if (g+i)%3 == 0 {
+								if err := se.MSet(keys, []int64{int64(i), int64(-i)}); err != nil {
+									t.Errorf("MSet: %v", err)
+									return
+								}
+							} else {
+								se.Set(1, int64(i))
 							}
-						} else {
-							se.Set(1, int64(i))
 						}
-					}
-				}(g)
+					}(g)
+				}
+				wg.Wait()
+			})
+			if decided(st.shards[0].rt) == 0 {
+				t.Error("no conflict decided: the manager was never asked")
 			}
-			wg.Wait()
 			stats := st.Stats()
-			if stats.Commits != goroutines*ops {
-				t.Errorf("commits = %d, want %d", stats.Commits, goroutines*ops)
+			if stats.Commits != goroutines*ops+1 {
+				t.Errorf("commits = %d, want %d", stats.Commits, goroutines*ops+1)
 			}
 			if !st.shards[0].wd.Quiescent() {
 				t.Error("watchdog: shard not quiescent after every session returned")

@@ -60,18 +60,14 @@ var (
 func newShard(idx int, o Options) (*shard, error) {
 	// Distinct per-shard seeds keep the managers' random delays and
 	// priorities decorrelated across shards.
-	mgr, wm, err := core.NewNamed(o.Manager, o.ShardThreads, o.WindowN, o.Seed+uint64(idx)*0x9e3779b9+1)
+	mgr, wm, err := core.NewNamed(o.Manager, o.ShardThreads, o.Seed+uint64(idx)*0x9e3779b9+1)
 	if err != nil {
 		return nil, err
 	}
 	// kv reads no TxInfo duration, so its runtimes are untimed: a
 	// transaction that commits first time reads no clock.
-	opts := []stm.Option{stm.WithoutTxTiming()}
-	watched := o.MaxAttempts > 0 || o.TxDeadline > 0
-	if watched {
-		opts = append(opts, stm.WithFallback(o.MaxAttempts, o.TxDeadline))
-	}
-	rt := stm.New(o.ShardThreads, mgr, opts...)
+	rt := stm.New(o.ShardThreads, mgr, stm.WithoutTxTiming(),
+		stm.WithFallback(DefaultMaxAttempts, DefaultTxDeadline))
 	sh := &shard{
 		idx:    idx,
 		rt:     rt,
@@ -83,17 +79,11 @@ func newShard(idx int, o Options) (*shard, error) {
 	for i := range sh.slots {
 		sh.slots[i].th = rt.Thread(i)
 	}
-	if watched {
-		// The stm default interval (5 ms) is tuned for benchmark harnesses;
-		// on a loaded service a healthy shard's goroutines can legitimately
-		// go unscheduled that long, so a service trip should mean "stuck
-		// for a whole transaction deadline", not scheduler jitter.
-		iv := o.TxDeadline
-		if iv <= 0 {
-			iv = DefaultTxDeadline
-		}
-		sh.wd = rt.StartWatchdog(iv)
-	}
+	// The stm default interval (5 ms) is tuned for benchmark harnesses;
+	// on a loaded service a healthy shard's goroutines can legitimately
+	// go unscheduled that long, so a service trip should mean "stuck for a
+	// whole transaction deadline", not scheduler jitter.
+	sh.wd = rt.StartWatchdog(DefaultTxDeadline)
 	return sh, nil
 }
 
@@ -190,8 +180,4 @@ func (sh *shard) occupancy() (cur, total int64) {
 }
 
 // close stops the watchdog.
-func (sh *shard) close() {
-	if sh.wd != nil {
-		sh.wd.Stop()
-	}
-}
+func (sh *shard) close() { sh.wd.Stop() }

@@ -70,15 +70,6 @@ func (c *Collector) Dropped() uint64 {
 	return c.rec.Dropped() + c.evicted
 }
 
-// Reset discards the retained window (ring-side dropped counters are
-// cumulative and keep counting).
-func (c *Collector) Reset() {
-	c.mu.Lock()
-	c.events = c.events[:0]
-	c.evicted = 0
-	c.mu.Unlock()
-}
-
 // Events drains and returns a copy of the retained window in global time
 // order.
 func (c *Collector) Events() []Event {

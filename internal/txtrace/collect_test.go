@@ -53,28 +53,6 @@ func TestCollectorDroppedMergesRingAndEviction(t *testing.T) {
 	}
 }
 
-func TestCollectorReset(t *testing.T) {
-	rec := NewRecorder(1, 1, 64)
-	col := NewCollector(rec, 0)
-	for i := int64(0); i < 5; i++ {
-		pushThread(rec, 0, Event{TS: i, Thread: 0, Kind: EvBegin})
-	}
-	if n := col.Poll(); n != 5 {
-		t.Fatalf("Poll() = %d, want 5", n)
-	}
-	col.Reset()
-	if got := len(col.Events()); got != 0 {
-		t.Errorf("window holds %d events after Reset", got)
-	}
-	// The hot-side counter is cumulative and survives Reset.
-	for i := int64(0); i < 70; i++ {
-		pushThread(rec, 0, Event{TS: i, Thread: 0, Kind: EvBegin})
-	}
-	if rec.Dropped() != 6 {
-		t.Errorf("ring dropped %d, want 6 (70 pushes into 64 slots)", rec.Dropped())
-	}
-}
-
 func TestEventsSortedAcrossThreads(t *testing.T) {
 	rec := NewRecorder(3, 1, 64)
 	col := NewCollector(rec, 0)

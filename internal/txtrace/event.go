@@ -27,11 +27,7 @@
 // itself, traced or not.
 package txtrace
 
-import (
-	"time"
-
-	"wincm/internal/stm"
-)
+import "wincm/internal/stm"
 
 // Kind labels one recorded event.
 type Kind uint8
@@ -125,6 +121,3 @@ func (e Event) Aborting() bool {
 	d, ok := e.Decision()
 	return ok && e.Kind == EvConflict && d != stm.Wait
 }
-
-// At returns the event time as a duration since the clock's epoch.
-func (e Event) At() time.Duration { return time.Duration(e.TS) }
