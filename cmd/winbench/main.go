@@ -12,10 +12,16 @@
 //
 // Every figure reads the one flag set: -threads is the M sweep, and the
 // figures that run at one M (5, ext, telemetry, trace) take its largest
-// entry. Flags that only make sense for a mode they don't enable
-// (-trace-out without -fig trace, -manager without -fig telemetry or
-// -fig trace, ...) fail fast, as do values no cell can run with (-reps 0,
-// -dur -1s) and stray arguments.
+// entry. Flags that only make sense for a figure they don't select
+// (-trace-sample or -trace-out without -fig trace, -manager without
+// -fig telemetry or -fig trace, ...) fail fast, as do values no cell can
+// run with (-reps 0, -dur -1s) and stray arguments.
+//
+// -fig trace is the one way to read the transaction flight recorder: it
+// runs one recorded cell (-trace-sample sets its 1-in-N sampling), prints
+// the run's totals beside the retained window's counts, the timeline, the
+// hottest conflict pairs and variables and the conflict graph, and with
+// -trace-out writes the window as Chrome trace-event JSON for Perfetto.
 //
 // Defaults are CI-friendly; -paper restores the published regime
 // (10-second runs averaged over 6 repetitions, threads up to 32).
@@ -33,6 +39,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"time"
@@ -82,33 +89,22 @@ func figureDriver(name string) (driver, bool) {
 	return nil, name == "trace"
 }
 
-// modes is what the mode-selecting flags resolved to.
-type modes struct {
-	fig   string
-	trace bool
-	serve bool // -telemetry-addr is set
-}
-
 // flagConflict reports the first explicitly set flag (set holds their
-// names) that would silently do nothing in the modes m selects: every flag
-// below configures a mode another flag enables.
-func flagConflict(set map[string]bool, m modes) (err error) {
-	requireMode := func(mode string, on bool, names ...string) {
+// names) that would silently do nothing under figure fig: every flag below
+// configures a figure -fig selects.
+func flagConflict(set map[string]bool, fig string) (err error) {
+	requireFig := func(figs []string, names ...string) {
 		for _, n := range names {
-			if err == nil && set[n] && !on {
-				err = fmt.Errorf("-%s has no effect without %s", n, mode)
+			if err == nil && set[n] && !slices.Contains(figs, fig) {
+				err = fmt.Errorf("-%s has no effect without -fig %s", n, strings.Join(figs, " or -fig "))
 			}
 		}
 	}
-	requireMode("-fig telemetry or -fig trace", m.fig == "telemetry" || m.fig == "trace", "manager")
-	requireMode("-trace (or -fig trace)", m.trace || m.fig == "trace", "trace-sample", "trace-out")
-	// A table figure's recorders are read only through /trace/* on the
-	// telemetry endpoint; without it -trace records every cell and prints
-	// nothing of it.
-	requireMode("-telemetry-addr under a table figure (its traces are read from /trace/*)", m.fig == "trace" || m.serve, "trace")
+	requireFig([]string{"telemetry", "trace"}, "manager")
+	requireFig([]string{"trace"}, "trace-sample", "trace-out")
 	// -fig btree pins its benchmark pair (rbtree vs btree), so -bench
 	// would silently be overridden.
-	if err == nil && m.fig == "btree" && set["bench"] {
+	if err == nil && fig == "btree" && set["bench"] {
 		err = fmt.Errorf("-bench has no effect with -fig btree (the btree figure runs the rbtree/btree pair)")
 	}
 	return err
@@ -116,11 +112,12 @@ func flagConflict(set map[string]bool, m modes) (err error) {
 
 // invocation is one parsed and checked command line.
 type invocation struct {
-	fig      string
-	driver   driver // nil: -fig trace
-	opts     harness.Options
-	telAddr  string // -telemetry-addr; main starts the endpoint and sets opts.Hub
-	traceOut string
+	fig         string
+	driver      driver // nil: -fig trace
+	opts        harness.Options
+	telAddr     string // -telemetry-addr; main starts the endpoint and sets opts.Hub
+	traceSample int
+	traceOut    string
 }
 
 // parseArgs turns the command line into an invocation and fails fast —
@@ -145,8 +142,7 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		manager = fs.String("manager", "", "contention manager the -fig telemetry or -fig trace run watches (default adaptive-improved-dynamic)")
 		telAddr = fs.String("telemetry-addr", "", "serve live telemetry on this address: Prometheus /metrics, net/http/pprof /debug/pprof/ (empty = off)")
 
-		traceOn     = fs.Bool("trace", false, "arm the transaction flight recorder on every run (alone, with no -fig, runs the -fig trace driver)")
-		traceSample = fs.Int("trace-sample", 1, "record one logical transaction in N (1 = every transaction)")
+		traceSample = fs.Int("trace-sample", 1, "record one logical transaction in N (1 = every transaction); -fig trace only")
 		traceOut    = fs.String("trace-out", "", "write the trace as Chrome trace-event JSON to this file (open it in ui.perfetto.dev); -fig trace only")
 	)
 	if err := fs.Parse(args); err != nil {
@@ -157,26 +153,15 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 	}
 	set := map[string]bool{}
 	fs.Visit(func(f *flag.Flag) { set[f.Name] = true })
-	// Bare -trace is shorthand for the trace driver; with an explicit
-	// figure it layers the recorder onto that figure instead.
-	if *traceOn && !set["fig"] {
-		*fig = "trace"
-	}
 	drv, ok := figureDriver(*fig)
 	if !ok {
 		return invocation{}, fmt.Errorf("unknown figure %q (want %s)", *fig, figureNames())
 	}
-	if err := flagConflict(set, modes{fig: *fig, trace: *traceOn, serve: *telAddr != ""}); err != nil {
+	if err := flagConflict(set, *fig); err != nil {
 		return invocation{}, err
 	}
 	if *traceSample < 1 {
 		return invocation{}, fmt.Errorf("-trace-sample must be >= 1 (got %d)", *traceSample)
-	}
-	// -trace-out holds one run's trace; figure sweeps run many cells, so
-	// there would be no single trace to write (use /trace/dump against
-	// -telemetry-addr to snapshot a live sweep instead).
-	if *traceOut != "" && *fig != "trace" {
-		return invocation{}, fmt.Errorf("-trace-out needs -fig trace; with figure sweeps use -telemetry-addr and GET /trace/dump")
 	}
 
 	opts := harness.Options{
@@ -185,9 +170,6 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 		TotalTxs: *total,
 		Seed:     *seed,
 		Manager:  *manager,
-	}
-	if *traceOn || *fig == "trace" {
-		opts.Trace = &harness.TraceConfig{Sample: *traceSample}
 	}
 	if *paper {
 		opts.Duration = 10 * time.Second
@@ -203,7 +185,7 @@ func parseArgs(args []string, usage io.Writer) (invocation, error) {
 	if err := opts.Validate(); err != nil {
 		return invocation{}, err
 	}
-	return invocation{fig: *fig, driver: drv, opts: opts, telAddr: *telAddr, traceOut: *traceOut}, nil
+	return invocation{fig: *fig, driver: drv, opts: opts, telAddr: *telAddr, traceSample: *traceSample, traceOut: *traceOut}, nil
 }
 
 func main() {
@@ -236,7 +218,7 @@ func main() {
 			}
 			traceFile = f
 		}
-		traceRun(opts, traceFile)
+		traceRun(opts, inv.traceSample, traceFile)
 		return
 	}
 	tables, err := inv.driver(opts)
@@ -250,20 +232,25 @@ func main() {
 	}
 }
 
-// traceRun executes harness.TraceFig's flight-recorded run and prints the
-// execution timeline, the hottest conflicting thread pairs, the
-// hot-variable heatmap and the thread conflict graph. With a trace file it
-// additionally dumps the Chrome trace-event JSON for Perfetto.
-func traceRun(opts harness.Options, out *os.File) {
-	res, label, err := harness.TraceFig(opts)
+// traceRun executes harness.TraceFig's flight-recorded run, recording one
+// transaction in sample, and prints the run's totals beside the retained
+// window's event counts, the execution timeline, the hottest conflicting
+// thread pairs, the hot-variable heatmap and the thread conflict graph.
+// With a trace file it additionally dumps the Chrome trace-event JSON for
+// Perfetto.
+func traceRun(opts harness.Options, sample int, out *os.File) {
+	res, label, err := harness.TraceFig(opts, sample)
 	if err != nil {
 		fatalf("trace: %v", err)
 	}
 	col := res.Trace
 
+	// The run's totals are the workers' counters; the window's are the
+	// sampled events still retained after ring drops and eviction.
 	counts := col.Counts()
-	fmt.Printf("traced %s, %v (1-in-%d sampling): %d commits, %d aborts, %d conflicts, %d dropped\n\n",
-		label, opts.Duration, col.Recorder().Sample(),
+	fmt.Printf("traced %s, %v (1-in-%d sampling)\n", label, opts.Duration, col.Recorder().Sample())
+	fmt.Printf("  run:    %d commits, %d aborts\n", res.Commits, res.Aborts)
+	fmt.Printf("  window: %d commits, %d aborts, %d conflicts; %d events dropped\n\n",
 		counts[txtrace.EvCommit], counts[txtrace.EvAbort], counts[txtrace.EvConflict], col.Dropped())
 	fmt.Println("timeline (* mostly commits, x mostly aborts, ~ conflicts only):")
 	if err := col.Timeline(os.Stdout, 72); err != nil {

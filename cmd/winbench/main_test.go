@@ -40,6 +40,9 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-durable", "-durable"},
 		{"-fig durable", `unknown figure "durable"`},
 		{"-backend lazy", "-backend"},
+		{"-trace", "flag provided but not defined: -trace"},
+		{"-fig 4 -trace-sample 16", "-fig trace"},
+		{"-fig 3 -trace-out t.json", "-fig trace"},
 		{"-fig 3 -bench list,vacation -threads 2,4 -dur 50ms -reps 1", ""},
 	} {
 		inv, err := parseArgs(strings.Fields(c.args), io.Discard)
@@ -76,7 +79,7 @@ func TestFigureNamesCoverTheDriverTable(t *testing.T) {
 	}
 }
 
-// TestFlagConflict: a flag that configures a mode no other flag enabled is
+// TestFlagConflict: a flag that configures a figure -fig did not select is
 // rejected before anything runs; a flag the selected figure honours is not.
 func TestFlagConflict(t *testing.T) {
 	flags := func(names ...string) map[string]bool {
@@ -89,26 +92,25 @@ func TestFlagConflict(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		set  map[string]bool
-		m    modes
+		fig  string
 		want string // substring of the error; "" = accepted
 	}{
-		{"defaults", flags(), modes{fig: "all"}, ""},
-		{"-manager under a table figure", flags("fig", "manager"), modes{fig: "2"}, "-manager has no effect without -fig telemetry or -fig trace"},
-		{"-manager with -fig telemetry", flags("fig", "manager"), modes{fig: "telemetry"}, ""},
-		{"-manager with -fig trace", flags("fig", "manager"), modes{fig: "trace"}, ""},
-		{"trace-out with bare -trace", flags("trace-out"), modes{fig: "trace", trace: true}, ""},
-		// A table figure's traces are read only from /trace/*.
-		{"-trace under a table figure", flags("fig", "trace", "trace-sample"), modes{fig: "4", trace: true}, "-trace has no effect without -telemetry-addr"},
-		{"-trace under a table figure, served", flags("fig", "trace", "trace-sample", "telemetry-addr"), modes{fig: "4", trace: true, serve: true}, ""},
-		{"btree pins its benchmarks", flags("fig", "bench"), modes{fig: "btree"}, "-bench has no effect with -fig btree"},
-		{"btree sweeps -threads", flags("fig", "threads"), modes{fig: "btree"}, ""},
+		{"defaults", flags(), "all", ""},
+		{"-manager under a table figure", flags("fig", "manager"), "2", "-manager has no effect without -fig telemetry or -fig trace"},
+		{"-manager with -fig telemetry", flags("fig", "manager"), "telemetry", ""},
+		{"-manager with -fig trace", flags("fig", "manager"), "trace", ""},
+		{"-trace-sample and -trace-out with -fig trace", flags("fig", "trace-sample", "trace-out"), "trace", ""},
+		{"-trace-sample under a table figure", flags("fig", "trace-sample"), "4", "-trace-sample has no effect without -fig trace"},
+		{"-trace-out under -fig telemetry", flags("fig", "trace-out"), "telemetry", "-trace-out has no effect without -fig trace"},
+		{"btree pins its benchmarks", flags("fig", "bench"), "btree", "-bench has no effect with -fig btree"},
+		{"btree sweeps -threads", flags("fig", "threads"), "btree", ""},
 		// Figure 5 runs at the largest -threads entry.
-		{"-fig 5 -threads", flags("fig", "threads"), modes{fig: "5"}, ""},
+		{"-fig 5 -threads", flags("fig", "threads"), "5", ""},
 		// ext averages over -reps (harness: TestExtendedAveragesOverReps).
-		{"-fig ext -reps", flags("fig", "reps"), modes{fig: "ext"}, ""},
-		{"-fig all -threads", flags("fig", "threads"), modes{fig: "all"}, ""},
+		{"-fig ext -reps", flags("fig", "reps"), "ext", ""},
+		{"-fig all -threads", flags("fig", "threads"), "all", ""},
 	} {
-		err := flagConflict(c.set, c.m)
+		err := flagConflict(c.set, c.fig)
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%s: rejected: %v", c.name, err)

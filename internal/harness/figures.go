@@ -68,18 +68,13 @@ type Options struct {
 	// TraceFig) watch. Default adaptive-improved-dynamic, the variant with
 	// the most internal machinery to observe.
 	Manager string
-	// Trace, when non-nil, arms the transaction flight recorder on every
-	// experiment cell. With a Hub attached too, each cell's collector is
-	// installed live, so /trace/snapshot and /trace/dump follow the sweep
-	// the same way /metrics does.
-	Trace *TraceConfig
 }
 
 // Config builds one experiment cell's Config from the sweep options. With
 // a Hub attached, every cell gets a fresh telemetry registry and installs
-// it as the one live scrapes read. Drivers outside this package
-// (winbench's single-run modes) build their cells through it too, so they
-// inherit the same telemetry/trace wiring the figure sweeps get.
+// it as the one live scrapes read. The single-run figures (TelemetryFig,
+// TraceFig) build their cells through it too, so they inherit the same
+// telemetry wiring the figure sweeps get.
 func (o Options) Config(manager string, threads int, seed uint64) Config {
 	o = o.withDefaults()
 	cfg := Config{
@@ -90,15 +85,6 @@ func (o Options) Config(manager string, threads int, seed uint64) Config {
 	if o.Hub != nil {
 		cfg.Telemetry = telemetry.NewRegistry()
 		o.Hub.Install(cfg.Telemetry)
-	}
-	if o.Trace != nil {
-		// Each cell gets its own recorder (rings size to the cell's
-		// thread count), sharing the sweep-wide sampling/hub settings.
-		tc := *o.Trace
-		if tc.Hub == nil {
-			tc.Hub = o.Hub
-		}
-		cfg.Trace = &tc
 	}
 	return cfg
 }

@@ -53,10 +53,13 @@ type Config struct {
 	// TelemetryInterval starts an interval sampler on the run's registry,
 	// producing Result.Series (0 = no sampling).
 	TelemetryInterval time.Duration
-	// Trace, when non-nil, arms the transaction flight recorder for this
-	// run; Result.Trace then holds the collector with the retained event
-	// window. nil keeps tracing fully off (the hot path pays nothing).
-	Trace *TraceConfig
+	// TraceSample, when n >= 1, arms the transaction flight recorder for
+	// this run, recording one logical transaction in n: the recorder is
+	// the runtime's probe, a window manager's frame advances land on its
+	// auxiliary track, and a background poller drains its rings into
+	// Result.Trace's collector. 0 keeps tracing fully off (the hot path
+	// pays nothing).
+	TraceSample int
 }
 
 // NewManager builds the configured contention manager (core.NewNamed:
@@ -75,7 +78,7 @@ type Result struct {
 	// when Config.TelemetryInterval was set.
 	Series []telemetry.Point
 	// Trace is the flight-recorder collector holding the run's retained
-	// event window, present when Config.Trace was set. The rings are
+	// event window, present when Config.TraceSample was set. The rings are
 	// fully drained by the time the run returns.
 	Trace *txtrace.Collector
 }
@@ -110,15 +113,12 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 		}
 	}
 	var opts []stm.Option
-	if tc := c.Trace; tc != nil {
-		rec := txtrace.NewRecorder(c.Threads, tc.Sample, txtrace.DefaultRingCap)
+	if c.TraceSample > 0 {
+		rec := txtrace.NewRecorder(c.Threads, c.TraceSample, txtrace.DefaultRingCap)
 		opts = append(opts, stm.WithProbe(rec))
 		ins.collector = txtrace.NewCollector(rec, txtrace.DefaultKeep)
 		if wm != nil {
 			wm.AddFrameHook(rec.FrameAdvanced)
-		}
-		if tc.Hub != nil {
-			tc.Hub.InstallTrace(ins.collector)
 		}
 		ins.traceStop = startTracePoller(ins.collector)
 	}

@@ -1,40 +1,28 @@
 package harness
 
 import (
+	"fmt"
 	"time"
 
-	"wincm/internal/telemetry"
 	"wincm/internal/txtrace"
 )
 
-// TraceConfig arms the transaction flight recorder (wincm/internal/txtrace)
-// for a run: the recorder is the runtime's probe, frame advances
-// land on its auxiliary track, and a background poller drains the rings for
-// the run's Collector.
-type TraceConfig struct {
-	// Sample records one logical transaction in Sample (<= 1 records
-	// every transaction). The paper-style debugging runs use 1; overhead
-	// measurements use 64.
-	Sample int
-	// Hub, when non-nil, gets the run's collector installed as its trace
-	// source, so /trace/snapshot and /trace/dump serve this run live.
-	Hub *telemetry.Hub
-}
-
 // TraceFig runs TelemetryFig's cell — the first of Benchmarks under Manager
-// at the largest of Threads — with the flight recorder armed (Options.Trace,
-// or every transaction when that is nil), and returns the run with the
-// cell's label ("list under polka, M=8").
-func TraceFig(o Options) (Result, string, error) {
+// at the largest of Threads — with the flight recorder recording one
+// logical transaction in sample, and returns the run with the cell's label
+// ("list under polka, M=8").
+func TraceFig(o Options, sample int) (Result, string, error) {
+	if sample < 1 {
+		return Result{}, "", fmt.Errorf("harness: trace sample must be >= 1 (got %d)", sample)
+	}
 	o, err := o.resolve()
 	if err != nil {
 		return Result{}, "", err
 	}
-	if o.Trace == nil {
-		o.Trace = &TraceConfig{}
-	}
 	benchmark, threads, label := o.watched()
-	res, err := o.timed(benchmark, o.Config(o.Manager, threads, o.Seed))
+	cfg := o.Config(o.Manager, threads, o.Seed)
+	cfg.TraceSample = sample
+	res, err := o.timed(benchmark, cfg)
 	return res, label, err
 }
 

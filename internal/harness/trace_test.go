@@ -8,28 +8,24 @@ import (
 
 	"wincm/internal/bench"
 	"wincm/internal/harness"
-	"wincm/internal/telemetry"
 	"wincm/internal/txtrace"
 )
 
-// TestRunWithTraceRecorder: Config.Trace arms the flight recorder for a
-// run and Result.Trace carries its collector, fully drained.
+// TestRunWithTraceRecorder: Config.TraceSample arms the flight recorder
+// for a run and Result.Trace carries its collector, fully drained; its
+// Chrome trace export is one Perfetto loads.
 func TestRunWithTraceRecorder(t *testing.T) {
 	w, err := harness.NewWorkload("list", bench.Mix{UpdatePct: 100, KeyRange: 64}, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	hub := telemetry.NewHub()
-	cfg := harness.Config{
-		Manager: "online-dynamic", Threads: 4, Seed: 1,
-		Trace: &harness.TraceConfig{Sample: 1, Hub: hub},
-	}
+	cfg := harness.Config{Manager: "online-dynamic", Threads: 4, Seed: 1, TraceSample: 1}
 	res, err := harness.RunTimed(cfg, w, 60*time.Millisecond)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Trace == nil {
-		t.Fatal("Result.Trace nil despite Config.Trace")
+		t.Fatal("Result.Trace nil despite Config.TraceSample")
 	}
 	counts := res.Trace.Counts()
 	if counts[txtrace.EvBegin] == 0 || counts[txtrace.EvCommit] == 0 {
@@ -47,19 +43,7 @@ func TestRunWithTraceRecorder(t *testing.T) {
 	if counts[txtrace.EvFrame] == 0 {
 		t.Error("no frame events from a window-based manager")
 	}
-	// The hub got the collector installed for /trace endpoints.
-	if hub.TraceSource() == nil {
-		t.Error("hub has no trace source installed")
-	}
-	// The snapshot serializes.
 	var buf bytes.Buffer
-	if err := res.Trace.WriteSnapshot(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !json.Valid(buf.Bytes()) {
-		t.Error("snapshot JSON invalid")
-	}
-	buf.Reset()
 	if err := res.Trace.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +98,7 @@ func checkChromeTrace(t *testing.T, raw []byte) {
 	}
 }
 
-// TestTraceOffLeavesResultNil: without Config.Trace nothing is recorded
+// TestTraceOffLeavesResultNil: with TraceSample 0 nothing is recorded
 // and Result.Trace stays nil (the off state costs nothing and leaks
 // nothing).
 func TestTraceOffLeavesResultNil(t *testing.T) {
@@ -128,34 +112,17 @@ func TestTraceOffLeavesResultNil(t *testing.T) {
 		t.Fatal(err)
 	}
 	if res.Trace != nil {
-		t.Error("Result.Trace set without Config.Trace")
-	}
-}
-
-// TestFiguresOptionsCarryTrace: Options.Trace flows into each cell's
-// Config (with the sweep Hub as the default trace hub).
-func TestFiguresOptionsCarryTrace(t *testing.T) {
-	o := harness.Options{
-		Threads: []int{2}, Duration: 20 * time.Millisecond, Reps: 1,
-		Seed:  3,
-		Trace: &harness.TraceConfig{Sample: 8},
-	}
-	cfg := o.Config("polka", 2, 3)
-	if cfg.Trace == nil {
-		t.Fatal("cell Config lost Options.Trace")
-	}
-	if cfg.Trace.Sample != 8 {
-		t.Errorf("cell trace sample = %d, want 8", cfg.Trace.Sample)
+		t.Error("Result.Trace set with TraceSample 0")
 	}
 }
 
 // TestTraceFigRunsTheWatchedCell: -fig trace picks its cell the way
 // TelemetryFig does — the first benchmark under Manager (defaulted) at the
-// largest M — and arms the recorder even when Options.Trace is nil.
+// largest M — at the sampling it is given, and rejects a sample below 1.
 func TestTraceFigRunsTheWatchedCell(t *testing.T) {
 	res, label, err := harness.TraceFig(harness.Options{
 		Benchmarks: []string{"list", "rbtree"}, Threads: []int{1, 2}, Duration: 30 * time.Millisecond,
-	})
+	}, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,9 +130,15 @@ func TestTraceFigRunsTheWatchedCell(t *testing.T) {
 		t.Errorf("label = %q, want %q", label, want)
 	}
 	if res.Trace == nil || res.Trace.Counts()[txtrace.EvCommit] == 0 {
-		t.Error("TraceFig recorded no commits")
+		t.Fatal("TraceFig recorded no commits")
 	}
-	if _, _, err := harness.TraceFig(harness.Options{Manager: "nosuch"}); err == nil {
+	if s := res.Trace.Recorder().Sample(); s != 2 {
+		t.Errorf("recorder samples 1 in %d, want 1 in 2", s)
+	}
+	if _, _, err := harness.TraceFig(harness.Options{Manager: "nosuch"}, 1); err == nil {
 		t.Error("TraceFig accepted an unknown manager")
+	}
+	if _, _, err := harness.TraceFig(harness.Options{}, 0); err == nil {
+		t.Error("TraceFig accepted sample 0")
 	}
 }

@@ -2,7 +2,6 @@ package telemetry
 
 import (
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -15,21 +14,7 @@ import (
 // A scrape always reads the registry of the run currently in flight (or
 // the last finished one).
 type Hub struct {
-	cur   atomic.Pointer[Registry]
-	trace atomic.Pointer[TraceSource]
-}
-
-// TraceSource is what the hub needs from a flight-recorder collector to
-// serve the /trace endpoints. wincm/internal/txtrace's Collector satisfies
-// it; the indirection keeps telemetry free of a txtrace dependency (and
-// vice versa — txtrace pushes, telemetry pulls).
-type TraceSource interface {
-	// WriteSnapshot writes a human-oriented JSON summary of the retained
-	// trace window (counts, conflict graph, heatmap).
-	WriteSnapshot(w io.Writer) error
-	// WriteChromeTrace writes the retained window as Chrome trace-event
-	// JSON, loadable in Perfetto.
-	WriteChromeTrace(w io.Writer) error
+	cur atomic.Pointer[Registry]
 }
 
 // NewHub returns a hub with an empty registry installed, so scrapes
@@ -52,53 +37,6 @@ func (h *Hub) Install(r *Registry) {
 // Current returns the installed registry.
 func (h *Hub) Current() *Registry { return h.cur.Load() }
 
-// InstallTrace makes src the collector the /trace endpoints read; each
-// traced run installs its own, like Install for registries. Passing nil
-// uninstalls (the endpoints then answer 404).
-func (h *Hub) InstallTrace(src TraceSource) {
-	if src == nil {
-		h.trace.Store(nil)
-		return
-	}
-	h.trace.Store(&src)
-}
-
-// TraceSource returns the installed trace source, or nil.
-func (h *Hub) TraceSource() TraceSource {
-	if p := h.trace.Load(); p != nil {
-		return *p
-	}
-	return nil
-}
-
-// ServeTraceSnapshot is the /trace/snapshot handler: a JSON summary of
-// the live trace window (event counts, thread conflict graph, hot-variable
-// heatmap). 404 when no traced run is installed.
-func (h *Hub) ServeTraceSnapshot(w http.ResponseWriter, _ *http.Request) {
-	src := h.TraceSource()
-	if src == nil {
-		http.Error(w, "no trace source installed (run with tracing enabled)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	_ = src.WriteSnapshot(w)
-}
-
-// ServeTraceDump is the /trace/dump handler: the full retained window as
-// Chrome trace-event JSON — save it and load it in Perfetto
-// (ui.perfetto.dev) or chrome://tracing. 404 when no traced run is
-// installed.
-func (h *Hub) ServeTraceDump(w http.ResponseWriter, _ *http.Request) {
-	src := h.TraceSource()
-	if src == nil {
-		http.Error(w, "no trace source installed (run with tracing enabled)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Content-Disposition", `attachment; filename="wincm-trace.json"`)
-	_ = src.WriteChromeTrace(w)
-}
-
 // ServeMetrics is the /metrics handler: the current registry in
 // Prometheus text exposition format.
 func (h *Hub) ServeMetrics(w http.ResponseWriter, _ *http.Request) {
@@ -111,7 +49,7 @@ func (h *Hub) ServeMetrics(w http.ResponseWriter, _ *http.Request) {
 
 // Handler returns the telemetry mux for h: Prometheus text on /metrics,
 // the full net/http/pprof surface (CPU, heap, block, mutex, goroutine
-// profiles) on /debug/pprof/, and the live trace window on /trace/.
+// profiles) on /debug/pprof/.
 func Handler(h *Hub) http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", h.ServeMetrics)
@@ -120,14 +58,12 @@ func Handler(h *Hub) http.Handler {
 	mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
 	mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
 	mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
-	mux.HandleFunc("/trace/snapshot", h.ServeTraceSnapshot)
-	mux.HandleFunc("/trace/dump", h.ServeTraceDump)
 	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
 		if r.URL.Path != "/" {
 			http.NotFound(w, r)
 			return
 		}
-		fmt.Fprintln(w, "wincm telemetry: /metrics /debug/pprof/ /trace/snapshot /trace/dump")
+		fmt.Fprintln(w, "wincm telemetry: /metrics /debug/pprof/")
 	})
 	return mux
 }

@@ -49,11 +49,15 @@ func TestHandlerEndpoints(t *testing.T) {
 	}
 
 	code, body, _ = get(t, srv, "/")
-	if code != http.StatusOK || !strings.Contains(body, "/metrics") {
+	if code != http.StatusOK || !strings.Contains(body, "/metrics") || strings.Contains(body, "/trace") {
 		t.Errorf("index status=%d body=%q", code, body)
 	}
-	if code, _, _ = get(t, srv, "/nope"); code != http.StatusNotFound {
-		t.Errorf("unknown path status = %d, want 404", code)
+	// The live trace routes are gone: a trace is read through
+	// winbench -fig trace and its -trace-out file.
+	for _, path := range []string{"/nope", "/trace/snapshot", "/trace/dump"} {
+		if code, _, _ = get(t, srv, path); code != http.StatusNotFound {
+			t.Errorf("%s status = %d, want 404", path, code)
+		}
 	}
 }
 

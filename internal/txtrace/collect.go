@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"wincm/internal/conflictgraph"
-	"wincm/internal/stm"
 )
 
 // DefaultKeep is how many drained events a Collector retains by default —
@@ -244,17 +243,6 @@ func (c *Collector) Counts() map[Kind]int {
 	out := map[Kind]int{}
 	for _, e := range c.Events() {
 		out[e.Kind]++
-	}
-	return out
-}
-
-// Verdicts tallies conflict events per contention-manager decision.
-func (c *Collector) Verdicts() map[stm.Decision]int {
-	out := map[stm.Decision]int{}
-	for _, e := range c.Events() {
-		if d, ok := e.Decision(); ok && e.Kind == EvConflict {
-			out[d]++
-		}
 	}
 	return out
 }

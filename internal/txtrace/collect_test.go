@@ -1,7 +1,9 @@
 package txtrace
 
 import (
+	"bytes"
 	"testing"
+	"time"
 )
 
 // pushThread injects an event directly into a thread's hot ring — the
@@ -70,5 +72,51 @@ func TestEventsSortedAcrossThreads(t *testing.T) {
 	}
 	if len(evs) != 4 {
 		t.Fatalf("got %d events, want 4", len(evs))
+	}
+}
+
+// TestConflictsAndHeatmapSummarizeWindow: the views -fig trace prints
+// agree with the golden window — its event tallies, its one aborting T0–T1
+// conflict and 0xab as the hottest variable with the 200 ns wait on it.
+func TestConflictsAndHeatmapSummarizeWindow(t *testing.T) {
+	col := goldenCollector()
+
+	if s := col.Recorder().Sample(); s != 1 {
+		t.Errorf("Sample = %d, want 1", s)
+	}
+	if n := col.Counts(); n[EvBegin] != 5 || n[EvConflict] != 1 || n[EvFrame] != 1 {
+		t.Errorf("event tallies = %v", n)
+	}
+	cs := col.Conflicts(0)
+	if cs.Conflicts != 1 || cs.Aborts != 1 {
+		t.Errorf("conflict totals = %d conflicts, %d aborts, want 1, 1", cs.Conflicts, cs.Aborts)
+	}
+	if len(cs.Edges) != 1 || cs.Edges[0] != (ConflictEdge{From: 0, To: 1, Count: 1, Aborts: 1}) {
+		t.Errorf("edges = %+v, want the single T0–T1 edge", cs.Edges)
+	}
+	var sum int
+	for _, e := range cs.Edges {
+		sum += e.Aborts
+	}
+	if sum != cs.Aborts {
+		t.Errorf("Σ edge aborts = %d != window aborts %d", sum, cs.Aborts)
+	}
+	hot := col.Heatmap(16)
+	if len(hot) == 0 || hot[0].Var != 0xab || hot[0].Aborts != 1 {
+		t.Fatalf("heatmap = %+v, want 0xab hottest with 1 abort", hot)
+	}
+	if hot[0].Waits != 200*time.Nanosecond {
+		t.Errorf("heatmap wait = %v, want 200ns", hot[0].Waits)
+	}
+}
+
+func TestTimelineSmoke(t *testing.T) {
+	col := goldenCollector()
+	var buf bytes.Buffer
+	if err := col.Timeline(&buf, 40); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(buf.Bytes(), []byte("T00 |")) || !bytes.Contains(buf.Bytes(), []byte("T01 |")) {
+		t.Errorf("timeline missing thread rows:\n%s", buf.String())
 	}
 }

@@ -59,7 +59,7 @@ const (
 	EvFrame
 )
 
-// String returns the event kind's name (also its key in Snapshot.Events).
+// String returns the event kind's name.
 func (k Kind) String() string {
 	switch k {
 	case EvBegin:
