@@ -37,8 +37,10 @@ ci: build vet race figures-smoke
 # cells). -fig trace: one flight-recorded run and its timeline, under the
 # default window manager and under two classic ones, which have no frame
 # clock to hook; backoff's self-aborts carry restart delays the runtime
-# waits out. The last run samples 1 in 16 and writes -trace-out, which must
-# parse as JSON (what else Perfetto needs of it is held by
+# waits out. The M=4 run at 1-in-2 sampling must record every sampled
+# transaction within the recorder's budget (its header reads 0
+# unrecorded). The last run samples 1 in 16 and writes -trace-out, which
+# must parse as JSON (what else Perfetto needs of it is held by
 # TestRunWithTraceRecorder).
 figures-smoke:
 	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 > /dev/null
@@ -46,6 +48,7 @@ figures-smoke:
 	go run ./cmd/winbench -fig trace -dur 100ms > /dev/null
 	go run ./cmd/winbench -fig trace -manager polka -threads 4 -dur 50ms > /dev/null
 	go run ./cmd/winbench -fig trace -manager backoff -threads 4 -dur 50ms > /dev/null
+	go run ./cmd/winbench -fig trace -threads 4 -dur 50ms -trace-sample 2 | grep '; 0 transactions unrecorded past' > /dev/null
 	go run ./cmd/winbench -fig trace -threads 4 -dur 50ms -trace-sample 16 -trace-out /tmp/winbench-smoke-trace.json > /dev/null
 	python3 -m json.tool /tmp/winbench-smoke-trace.json > /dev/null
 

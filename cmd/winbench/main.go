@@ -19,9 +19,9 @@
 //
 // -fig trace is the one way to read the transaction flight recorder: it
 // runs one recorded cell (-trace-sample sets its 1-in-N sampling), prints
-// the run's totals beside the retained window's counts, the timeline, the
-// hottest conflict pairs and variables and the conflict graph, and with
-// -trace-out writes the window as Chrome trace-event JSON for Perfetto.
+// the run's totals beside the recorded counts, the timeline, the hottest
+// conflict pairs and variables and the conflict graph, and with -trace-out
+// writes the recording as Chrome trace-event JSON for Perfetto.
 //
 // Defaults are CI-friendly; -paper restores the published regime
 // (10-second runs averaged over 6 repetitions, threads up to 32).
@@ -233,8 +233,8 @@ func main() {
 }
 
 // traceRun executes harness.TraceFig's flight-recorded run, recording one
-// transaction in sample, and prints the run's totals beside the retained
-// window's event counts, the execution timeline, the hottest conflicting
+// transaction in sample, and prints the run's totals beside the recorded
+// event counts, the execution timeline, the hottest conflicting
 // thread pairs, the hot-variable heatmap and the thread conflict graph.
 // With a trace file it additionally dumps the Chrome trace-event JSON for
 // Perfetto.
@@ -243,37 +243,41 @@ func traceRun(opts harness.Options, sample int, out *os.File) {
 	if err != nil {
 		fatalf("trace: %v", err)
 	}
-	col := res.Trace
+	tr := res.Trace
 
-	// The run's totals are the workers' counters; the window's are the
-	// sampled events still retained after ring drops and eviction.
-	counts := col.Counts()
-	fmt.Printf("traced %s, %v (1-in-%d sampling)\n", label, opts.Duration, col.Recorder().Sample())
-	fmt.Printf("  run:    %d commits, %d aborts\n", res.Commits, res.Aborts)
-	fmt.Printf("  window: %d commits, %d aborts, %d conflicts; %d events dropped\n\n",
-		counts[txtrace.EvCommit], counts[txtrace.EvAbort], counts[txtrace.EvConflict], col.Dropped())
+	// The run's totals are the workers' counters; the recorded ones are
+	// the sampled transactions' events that fit in the recorder's budget.
+	counts := tr.Counts()
+	fmt.Printf("traced %s, %v (1-in-%d sampling)\n", label, opts.Duration, tr.Sample)
+	fmt.Printf("  run:      %d commits, %d aborts\n", res.Commits, res.Aborts)
+	fmt.Printf("  recorded: %d commits, %d aborts, %d conflicts; %d transactions unrecorded past the %d MiB budget",
+		counts[txtrace.EvCommit], counts[txtrace.EvAbort], counts[txtrace.EvConflict], tr.Unrecorded, txtrace.Budget>>20)
+	if tr.FramesUnrecorded > 0 {
+		fmt.Printf(", and %d frame advances", tr.FramesUnrecorded)
+	}
+	fmt.Print("\n\n")
 	fmt.Println("timeline (* mostly commits, x mostly aborts, ~ conflicts only):")
-	if err := col.Timeline(os.Stdout, 72); err != nil {
+	if err := tr.Timeline(os.Stdout, 72); err != nil {
 		fatalf("trace: %v", err)
 	}
 	fmt.Println("\nhottest conflict pairs (attacker → enemy):")
-	for i, p := range col.AbortsByPair() {
+	for i, p := range tr.AbortsByPair() {
 		if i >= 8 {
 			break
 		}
 		fmt.Printf("  T%02d → T%02d: %d\n", p.Attacker, p.Enemy, p.Conflicts)
 	}
 	fmt.Println("\nhottest variables (by abort attribution):")
-	for _, v := range col.Heatmap(8) {
+	for _, v := range tr.Heatmap(8) {
 		fmt.Printf("  0x%012x: %4d aborts, %5d conflicts, %6d opens, %v waited\n",
 			v.Var, v.Aborts, v.Conflicts, v.Opens, v.Waits.Round(time.Microsecond))
 	}
-	cs := col.Conflicts(0)
+	cs := tr.Conflicts()
 	fmt.Printf("\nconflict graph: %d threads, %d edges, max degree %d (paper's C), greedy colors %d; %d conflicts, %d aborting\n",
 		cs.Threads, len(cs.Edges), cs.MaxDegree, cs.Colors, cs.Conflicts, cs.Aborts)
 
 	if out != nil {
-		if err := col.WriteChromeTrace(out); err != nil {
+		if err := tr.WriteChromeTrace(out); err != nil {
 			fatalf("trace: writing %s: %v", out.Name(), err)
 		}
 		if err := out.Close(); err != nil {

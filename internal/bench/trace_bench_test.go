@@ -3,7 +3,6 @@ package bench_test
 import (
 	"sync"
 	"testing"
-	"time"
 
 	"wincm/internal/bench"
 	"wincm/internal/cm"
@@ -52,48 +51,26 @@ func runTraceList(b *testing.B, probe stm.Probe) {
 
 // BenchmarkTraceOverhead compares the list workload with the flight
 // recorder fully off (the shipped default: no probe installed, the hot
-// path pays nothing) against 1-in-64 sampling with a live collector
-// draining the rings — the two cells the recorder's overhead budget is
-// stated on.
+// path pays nothing) against 1-in-64 sampling into the recorder's
+// per-thread buffers — the two cells the recorder's overhead budget is
+// stated on. Nothing reads the recording while the run is timed.
 func BenchmarkTraceOverhead(b *testing.B) {
 	b.Run("off", func(b *testing.B) {
 		runTraceList(b, nil)
 	})
 	b.Run("sampled64", func(b *testing.B) {
-		rec := txtrace.NewRecorder(traceThreads, 64, 0)
-		col := txtrace.NewCollector(rec, 0)
-		done := make(chan struct{})
-		var pollWG sync.WaitGroup
-		pollWG.Add(1)
-		go func() {
-			defer pollWG.Done()
-			tick := time.NewTicker(5 * time.Millisecond)
-			defer tick.Stop()
-			for {
-				select {
-				case <-done:
-					return
-				case <-tick.C:
-					col.Poll()
-				}
-			}
-		}()
-		runTraceList(b, rec)
-		b.StopTimer()
-		close(done)
-		pollWG.Wait()
-		col.Poll()
+		runTraceList(b, txtrace.NewRecorder(traceThreads, 64))
 	})
 }
 
 // BenchmarkTraceRecorderUnsampled measures the recorder's armed-but-idle
 // cost: sampling 1-in-2^30 leaves every transaction after the first
 // unsampled, so each attempt pays one counter increment and nothing per
-// open. Run with -benchmem; allocs/op must be 0 — the recorder records
-// into preallocated rings and never allocates on the hot path (txtrace's
+// open. Run with -benchmem; allocs/op must be 0 — an unsampled
+// transaction records nothing, so it never grows a buffer (txtrace's
 // TestRecorderUnsampledZeroAlloc asserts it).
 func BenchmarkTraceRecorderUnsampled(b *testing.B) {
-	rec := txtrace.NewRecorder(1, 1<<30, 0)
+	rec := txtrace.NewRecorder(1, 1<<30)
 	mgr, err := cm.New("polka", 1)
 	if err != nil {
 		b.Fatal(err)

@@ -56,9 +56,8 @@ type Config struct {
 	// TraceSample, when n >= 1, arms the transaction flight recorder for
 	// this run, recording one logical transaction in n: the recorder is
 	// the runtime's probe, a window manager's frame advances land on its
-	// auxiliary track, and a background poller drains its rings into
-	// Result.Trace's collector. 0 keeps tracing fully off (the hot path
-	// pays nothing).
+	// frame track, and the run reads it into Result.Trace once its workers
+	// have joined. 0 keeps tracing fully off (the hot path pays nothing).
 	TraceSample int
 }
 
@@ -77,21 +76,19 @@ type Result struct {
 	// Series is the interval time series sampled during the run, present
 	// when Config.TelemetryInterval was set.
 	Series []telemetry.Point
-	// Trace is the flight-recorder collector holding the run's retained
-	// event window, present when Config.TraceSample was set. The rings are
-	// fully drained by the time the run returns.
-	Trace *txtrace.Collector
+	// Trace is the run's flight recording, present when
+	// Config.TraceSample was set.
+	Trace *txtrace.Trace
 }
 
 // instruments bundles one run's observability plumbing: the registry and
 // transaction stats the worker loop records into, the interval sampler and
-// the flight recorder's collector.
+// the flight recorder.
 type instruments struct {
-	reg       *telemetry.Registry
-	tx        *telemetry.TxStats
-	sampler   *telemetry.Sampler
-	collector *txtrace.Collector
-	traceStop func() // stops the trace poller (nil when tracing is off)
+	reg     *telemetry.Registry
+	tx      *telemetry.TxStats
+	sampler *telemetry.Sampler
+	rec     *txtrace.Recorder // nil when tracing is off
 }
 
 // instrument builds the runtime plus the run's instruments: the flight
@@ -114,13 +111,11 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 	}
 	var opts []stm.Option
 	if c.TraceSample > 0 {
-		rec := txtrace.NewRecorder(c.Threads, c.TraceSample, txtrace.DefaultRingCap)
-		opts = append(opts, stm.WithProbe(rec))
-		ins.collector = txtrace.NewCollector(rec, txtrace.DefaultKeep)
+		ins.rec = txtrace.NewRecorder(c.Threads, c.TraceSample)
+		opts = append(opts, stm.WithProbe(ins.rec))
 		if wm != nil {
-			wm.AddFrameHook(rec.FrameAdvanced)
+			wm.AddFrameHook(ins.rec.FrameAdvanced)
 		}
-		ins.traceStop = startTracePoller(ins.collector)
 	}
 	rt := stm.New(c.Threads, mgr, opts...)
 	reg.RegisterGauge(telemetry.NewGauge("wincm_locator_retired",
@@ -143,18 +138,17 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 }
 
 // finish stops the instrumentation, reads the summary off the final
-// snapshot and runs the workload's invariant check.
+// snapshot and the recording off the recorder, and runs the workload's
+// invariant check. The caller has joined the workers, which orders their
+// recording before the read.
 func (c Config) finish(res *Result, ins *instruments, w Workload, wall time.Duration) error {
 	if ins.sampler != nil {
 		ins.sampler.Stop()
 		res.Series = ins.sampler.Points()
 	}
 	res.Summary = ins.reg.Snapshot().Summary(c.Threads, wall)
-	if ins.traceStop != nil {
-		// Stops the poller and performs the final drain, so the collector
-		// holds every published event once the run returns.
-		ins.traceStop()
-		res.Trace = ins.collector
+	if ins.rec != nil {
+		res.Trace = ins.rec.Read()
 	}
 	if err := w.Verify(); err != nil {
 		return fmt.Errorf("harness: %s under %s failed verification: %w", w.Name(), c.Manager, err)

@@ -1,11 +1,6 @@
 package harness
 
-import (
-	"fmt"
-	"time"
-
-	"wincm/internal/txtrace"
-)
+import "fmt"
 
 // TraceFig runs TelemetryFig's cell — the first of Benchmarks under Manager
 // at the largest of Threads — with the flight recorder recording one
@@ -24,33 +19,4 @@ func TraceFig(o Options, sample int) (Result, string, error) {
 	cfg.TraceSample = sample
 	res, err := o.timed(benchmark, cfg)
 	return res, label, err
-}
-
-// defaultTracePoll is the collector's ring drain cadence. Rings that fill
-// between polls drop events (counted, never blocking).
-const defaultTracePoll = 25 * time.Millisecond
-
-// startTracePoller drains the collector every defaultTracePoll until the
-// returned stop function is called (which performs a final drain).
-func startTracePoller(col *txtrace.Collector) (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
-	go func() {
-		defer close(finished)
-		tick := time.NewTicker(defaultTracePoll)
-		defer tick.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-tick.C:
-				col.Poll()
-			}
-		}
-	}()
-	return func() {
-		close(done)
-		<-finished
-		col.Poll()
-	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // TestRunWithTraceRecorder: Config.TraceSample arms the flight recorder
-// for a run and Result.Trace carries its collector, fully drained; its
-// Chrome trace export is one Perfetto loads.
+// for a run and Result.Trace carries the whole recording; its Chrome trace
+// export is one Perfetto loads.
 func TestRunWithTraceRecorder(t *testing.T) {
 	w, err := harness.NewWorkload("list", bench.Mix{UpdatePct: 100, KeyRange: 64}, 1)
 	if err != nil {
@@ -31,13 +31,14 @@ func TestRunWithTraceRecorder(t *testing.T) {
 	if counts[txtrace.EvBegin] == 0 || counts[txtrace.EvCommit] == 0 {
 		t.Errorf("trace counts = %v, want begins and commits", counts)
 	}
-	// The recorder saw the run the runtime executed: every committed
-	// transaction that was sampled produced a commit event; at 1-in-1
-	// sampling the commit-entry events can't undercount commits by more
-	// than the ring drops.
-	if uint64(counts[txtrace.EvCommit])+res.Trace.Dropped() < uint64(res.Commits) {
-		t.Errorf("commit events %d + dropped %d < run commits %d",
-			counts[txtrace.EvCommit], res.Trace.Dropped(), res.Commits)
+	// The recorder saw the run the runtime executed: at 1-in-1 sampling,
+	// within the budget, every committed transaction produced a commit
+	// event (a commit entry that then aborted adds one more).
+	if res.Trace.Unrecorded != 0 {
+		t.Errorf("%d transactions unrecorded, want 0", res.Trace.Unrecorded)
+	}
+	if counts[txtrace.EvCommit] < int(res.Commits) {
+		t.Errorf("commit events %d < run commits %d", counts[txtrace.EvCommit], res.Commits)
 	}
 	// A window manager's frame clock feeds the trace.
 	if counts[txtrace.EvFrame] == 0 {
@@ -98,6 +99,50 @@ func checkChromeTrace(t *testing.T, raw []byte) {
 	}
 }
 
+// TestTraceRecordsEverySampledCommit: on -fig trace's M = 4 list cell at
+// 1-in-2 sampling for 50 ms, the recording holds every sampled
+// transaction. Thread i samples ⌈c_i/2⌉ of its c_i commits, so the run
+// sampled at least C/2 of its C commits; the recorded committed
+// transactions (thread 0's setup inserts among them) must reach 99% of
+// that.
+func TestTraceRecordsEverySampledCommit(t *testing.T) {
+	res, _, err := harness.TraceFig(harness.Options{
+		Benchmarks: []string{"list"}, Threads: []int{4}, Duration: 50 * time.Millisecond,
+	}, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := res.Trace.Unrecorded; n != 0 {
+		t.Errorf("%d transactions unrecorded past the budget, want 0", n)
+	}
+	if got, sampled := committed(res.Trace), float64(res.Commits)/2; float64(got) < 0.99*sampled {
+		t.Errorf("recorded %d committed transactions of ≥ %.0f sampled commits (%d run commits)", got, sampled, res.Commits)
+	}
+}
+
+// committed counts the trace's committed transactions: attempts whose
+// last outcome is a commit (a commit entry followed by an abort is an
+// abort).
+func committed(tr *txtrace.Trace) int {
+	type attempt struct {
+		thread       int16
+		seq, attempt int32
+	}
+	last := map[attempt]txtrace.Kind{}
+	for _, e := range tr.Events {
+		if e.Kind == txtrace.EvCommit || e.Kind == txtrace.EvAbort {
+			last[attempt{e.Thread, e.Seq, e.Attempt}] = e.Kind
+		}
+	}
+	n := 0
+	for _, k := range last {
+		if k == txtrace.EvCommit {
+			n++
+		}
+	}
+	return n
+}
+
 // TestTraceOffLeavesResultNil: with TraceSample 0 nothing is recorded
 // and Result.Trace stays nil (the off state costs nothing and leaks
 // nothing).
@@ -132,8 +177,11 @@ func TestTraceFigRunsTheWatchedCell(t *testing.T) {
 	if res.Trace == nil || res.Trace.Counts()[txtrace.EvCommit] == 0 {
 		t.Fatal("TraceFig recorded no commits")
 	}
-	if s := res.Trace.Recorder().Sample(); s != 2 {
+	if s := res.Trace.Sample; s != 2 {
 		t.Errorf("recorder samples 1 in %d, want 1 in 2", s)
+	}
+	if n := res.Trace.Unrecorded; n != 0 {
+		t.Errorf("%d transactions unrecorded past the budget, want 0", n)
 	}
 	if _, _, err := harness.TraceFig(harness.Options{Manager: "nosuch"}, 1); err == nil {
 		t.Error("TraceFig accepted an unknown manager")

@@ -634,14 +634,14 @@ func TestCrossShardReadStrictness(t *testing.T) {
 // and cross-shard readers over adversarial key pairs on every shard
 // boundary, and requires the whole mix to finish (deadlock-freedom of
 // the ordered acquire) with aborts routed through the contention
-// managers (the watchdog must never trip). At one P nothing conflicts:
-// over 10 runs at -cpu 1 the shard runtimes counted 0 aborts and 0
-// manager verdicts, since a single-key transaction is one tree operation
-// and the cross-shard ones hold their shards exclusively. The overlap is
-// exercised by CI's -cpu 2,4 runs, where single-key writers to a on
-// different claim slots can meet at the STM; even there it is rare (on a
-// 2-core machine, 0 aborts in 10 runs each at -cpu 2 and 4, and one abort
-// in 2 of 9 runs under -race).
+// managers (the watchdog must never trip). The mix alone rarely
+// conflicts: a single-key transaction is one tree operation, the
+// cross-shard ones hold their shards exclusively, and blind writes lock
+// their keys only inside a commit, where nothing yields — so over 10 runs
+// each at -cpu 1, 2 and 4 the shard runtimes counted 0 aborts and 0
+// manager verdicts. The mix therefore runs beside a transaction holding
+// a's lock at its commit point (withHeldKey), and a's shard must have
+// decided at least one conflict.
 func TestCrossShardLiveness(t *testing.T) {
 	st := testStore(t, Options{Shards: 4, ShardThreads: 2, Seed: 3})
 	yieldEvery(st, 4)
@@ -649,29 +649,34 @@ func TestCrossShardLiveness(t *testing.T) {
 	const n = 8
 	var wg sync.WaitGroup
 	done := make(chan struct{})
-	for g := 0; g < n; g++ {
-		wg.Add(1)
-		go func(id int) {
-			defer wg.Done()
-			se := st.NewSession()
-			keys := []int64{a, b}
-			vals := make([]int64, 2)
-			present := make([]bool, 2)
-			for i := 0; i < 300; i++ {
-				switch (id + i) % 4 {
-				case 0:
-					se.Set(a, int64(i))
-				case 1:
-					se.Get(b)
-				case 2:
-					se.MSet(keys, []int64{int64(i), int64(-i)})
-				case 3:
-					se.MGet(keys, vals, present)
-				}
+	go func() {
+		defer close(done)
+		withHeldKey(st, a, func() {
+			for g := 0; g < n; g++ {
+				wg.Add(1)
+				go func(id int) {
+					defer wg.Done()
+					se := st.NewSession()
+					keys := []int64{a, b}
+					vals := make([]int64, 2)
+					present := make([]bool, 2)
+					for i := 0; i < 300; i++ {
+						switch (id + i) % 4 {
+						case 0:
+							se.Set(a, int64(i))
+						case 1:
+							se.Get(b)
+						case 2:
+							se.MSet(keys, []int64{int64(i), int64(-i)})
+						case 3:
+							se.MGet(keys, vals, present)
+						}
+					}
+				}(g)
 			}
-		}(g)
-	}
-	go func() { wg.Wait(); close(done) }()
+			wg.Wait()
+		})
+	}()
 	select {
 	case <-done:
 	case <-time.After(60 * time.Second):
@@ -683,6 +688,9 @@ func TestCrossShardLiveness(t *testing.T) {
 	}
 	if stats.WatchdogTrips != 0 {
 		t.Fatalf("watchdog tripped %d times — conflicts not resolving through the CM", stats.WatchdogTrips)
+	}
+	if decided(st.shards[st.shardOf(a)].rt) == 0 {
+		t.Fatal("no conflict decided on a's shard: the manager was never asked")
 	}
 	t.Logf("commits=%d aborts=%d", stats.Commits, stats.Aborts)
 }
@@ -715,15 +723,15 @@ func decided(rt *stm.Runtime) int64 {
 	return v.AbortEnemy + v.AbortSelf + v.Wait
 }
 
-// withHeldKey runs mix while one transaction on st's first shard holds
-// key's write lock at its commit point (holdGate), and returns once both
-// are done; the transaction commits once. SET and MSET are blind writes
+// withHeldKey runs mix while one transaction on key's shard holds key's
+// write lock at its commit point (holdGate), and returns once both are
+// done; the transaction commits once. SET and MSET are blind writes
 // whose key locks the tree takes only at commit, and nothing yields inside
 // a commit, so the mix alone conflicts only when two commits run on two
 // CPUs at once; the held lock makes the mix's first operation on key meet
 // an active holder on any number of Ps.
 func withHeldKey(st *Store, key int64, mix func()) {
-	sh := st.shards[0]
+	sh := st.shards[st.shardOf(key)]
 	ts := sh.claim(0, make(chan *threadSlot, 1))
 	gate := &holdGate{rt: sh.rt, held: make(chan struct{})}
 	done := make(chan struct{})

@@ -51,16 +51,15 @@ type attemptKey struct {
 	attempt int32
 }
 
-// WriteChromeTrace drains the collector and writes the retained window as
-// Chrome trace-event JSON. The output loads directly in Perfetto
+// WriteChromeTrace writes the trace as Chrome trace-event JSON. The output loads directly in Perfetto
 // (ui.perfetto.dev) or chrome://tracing.
-func (c *Collector) WriteChromeTrace(w io.Writer) error {
-	evs := c.Events()
+func (t *Trace) WriteChromeTrace(w io.Writer) error {
+	evs := t.Events
 	trace := chromeTrace{DisplayTimeUnit: "ns", TraceEvents: []chromeEvent{}}
 	emit := func(e chromeEvent) { trace.TraceEvents = append(trace.TraceEvents, e) }
 
 	// Track metadata. Collect the thread set from the events themselves so
-	// a partial window still labels every track it references.
+	// every track they reference is labelled, and no other.
 	threads := map[int]bool{}
 	for _, e := range evs {
 		if e.Thread >= 0 {
@@ -68,13 +67,13 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		}
 	}
 	tids := make([]int, 0, len(threads))
-	for t := range threads {
-		tids = append(tids, t)
+	for tid := range threads {
+		tids = append(tids, tid)
 	}
 	sort.Ints(tids)
 	emit(chromeEvent{Name: "process_name", Phase: "M", PID: 1, Args: map[string]any{"name": "wincm"}})
-	for _, t := range tids {
-		emit(chromeEvent{Name: "thread_name", Phase: "M", PID: 1, TID: t, Args: map[string]any{"name": fmt.Sprintf("T%02d", t)}})
+	for _, tid := range tids {
+		emit(chromeEvent{Name: "thread_name", Phase: "M", PID: 1, TID: tid, Args: map[string]any{"name": fmt.Sprintf("T%02d", tid)}})
 	}
 	emit(chromeEvent{Name: "thread_name", Phase: "M", PID: 1, TID: frameTID, Args: map[string]any{"name": "frame clock"}})
 
@@ -122,8 +121,8 @@ func (c *Collector) WriteChromeTrace(w io.Writer) error {
 		s := spans[k]
 		end, outcome := s.end, s.outcome
 		if end < 0 {
-			// Attempt still in flight (or its end fell outside the
-			// window): close the span at the window edge.
+			// Attempt still in flight when the recording was read:
+			// close the span at the trace's last timestamp.
 			end, outcome = lastTS, "open"
 		}
 		emit(chromeEvent{

@@ -12,12 +12,11 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
-// goldenCollector builds a fully deterministic trace: two threads, a
+// goldenTrace builds a fully deterministic trace: two threads, a
 // conflict with a flow arrow, a wait span, a commit-then-abort attempt, an
-// attempt left open at the window edge, and a frame advance.
-func goldenCollector() *Collector {
-	rec := NewRecorder(2, 1, 64)
-	col := NewCollector(rec, 0)
+// attempt still in flight when the recording is read, and a frame advance.
+func goldenTrace() *Trace {
+	rec := NewRecorder(2, 1)
 	const v = uint64(0xAB)
 
 	// T0, tx 0: begin → open → conflict (abort-enemy) → wait → commit.
@@ -39,17 +38,17 @@ func goldenCollector() *Collector {
 	pushThread(rec, 0, Event{TS: 3400, A: 2, Seq: 1, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvCommit})
 	pushThread(rec, 0, Event{TS: 3500, A: 2, Seq: 1, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvAbort})
 
-	// T1, tx 1: still in flight at the window edge.
+	// T1, tx 1: still in flight when the recording is read.
 	pushThread(rec, 1, Event{TS: 4000, A: 6, Seq: 1, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvBegin})
 
 	// Frame track.
-	rec.aux.Push(Event{TS: 1300, A: 2, Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvFrame})
-	return col
+	pushBuffer(&rec.aux, Event{TS: 1300, A: 2, Seq: -1, Attempt: -1, Thread: -1, Enemy: -1, Kind: EvFrame})
+	return rec.Read()
 }
 
 func TestChromeTraceGolden(t *testing.T) {
 	var buf bytes.Buffer
-	if err := goldenCollector().WriteChromeTrace(&buf); err != nil {
+	if err := goldenTrace().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	golden := filepath.Join("testdata", "chrome_golden.json")
@@ -72,8 +71,7 @@ func TestChromeTraceGolden(t *testing.T) {
 
 func TestChromeTraceRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
-	col := goldenCollector()
-	if err := col.WriteChromeTrace(&buf); err != nil {
+	if err := goldenTrace().WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	if !json.Valid(buf.Bytes()) {

@@ -5,19 +5,21 @@
 //
 // The design splits hot and cold:
 //
-//   - Hot side (recorder.go, ring.go): each thread owns a cache-line-padded
-//     single-producer/single-consumer ring of fixed-size binary Events.
-//     Recording is a bounds check, a plain 40-byte store and one atomic
-//     cursor bump — no locks, no allocation, no fences beyond the publish
-//     store. 1-in-N transaction sampling bounds the event rate; an
-//     unsampled transaction pays one counter increment per attempt and
-//     nothing per open.
+//   - Hot side (recorder.go): each thread appends fixed-size binary Events
+//     to a buffer only it writes, grown in chunks so growing never copies
+//     what it holds. Recording is a bounds check and a plain 40-byte store
+//     — no atomics; a lock and an allocation only to claim a new chunk.
+//     All buffers together stay within Budget; once it is spent, sampled
+//     transactions that do not fit are left out whole and counted. 1-in-N
+//     transaction sampling bounds the event rate; an unsampled transaction
+//     pays one counter increment per attempt and nothing per open.
 //
-//   - Cold side (collect.go, chrome.go, export.go): a Collector drains the
-//     rings into a bounded in-memory window and derives views — a
-//     thread-level conflict graph (reusing internal/conflictgraph), a
-//     hot-variable contention heatmap with per-variable abort attribution,
-//     Chrome trace-event JSON for Perfetto, and an ASCII timeline.
+//   - Cold side (trace.go, chrome.go, export.go): after the run has
+//     joined its threads, Recorder.Read merges and sorts the buffers once
+//     into a Trace, whose views are a thread-level conflict graph (reusing
+//     internal/conflictgraph), a hot-variable contention heatmap with
+//     per-variable abort attribution, Chrome trace-event JSON for
+//     Perfetto, and an ASCII timeline.
 //
 // The recorder is the only stm.Probe a run installs, and it plugs into the
 // window manager's frame clock via core.(*Manager).AddFrameHook, so one
@@ -44,7 +46,7 @@ const (
 	// EvOpen marks a transactional open. A = variable token. Open events
 	// carry the attempt's start timestamp, not their own (the recorder
 	// skips the clock read on this hot, dense path); within a thread their
-	// drain order still reflects open order.
+	// record order still reflects open order.
 	EvOpen
 	// EvAcquire marks a newly acquired write ownership. A = variable
 	// token. Timestamped like EvOpen.
@@ -84,7 +86,7 @@ func (k Kind) String() string {
 }
 
 // Event is one fixed-size binary trace record: 40 bytes, no pointers, so a
-// ring of them is a single flat allocation the garbage collector never
+// buffer chunk of them is a flat allocation the garbage collector never
 // scans. A and B carry kind-specific payload (see the Kind constants);
 // Verdict holds stm.Decision+1 for conflict events so the zero value means
 // "no verdict".

@@ -7,19 +7,17 @@ import (
 	"strings"
 )
 
-// This file holds the collector's text views: the thread-by-time ASCII
+// This file holds the trace's text views: the thread-by-time ASCII
 // chart and the (attacker, enemy) conflict leaderboard that winbench -fig
 // trace prints.
 
-// Timeline drains the collector and renders the retained window as an
-// ASCII chart: one row per thread, one column per time bucket; each cell
+// Timeline renders the trace as an ASCII chart: one row per thread, one column per time bucket; each cell
 // shows what dominated the bucket — commits (*), aborts (x), conflicts (~)
 // or nothing (space). Frame events (thread -1) are skipped.
-func (c *Collector) Timeline(w io.Writer, buckets int) error {
-	events := c.Events()
+func (t *Trace) Timeline(w io.Writer, buckets int) error {
 	var minAt, maxAt int64 = -1, 0
 	maxThread := -1
-	for _, e := range events {
+	for _, e := range t.Events {
 		if e.Thread < 0 {
 			continue
 		}
@@ -43,7 +41,7 @@ func (c *Collector) Timeline(w io.Writer, buckets int) error {
 	for i := range grid {
 		grid[i] = make([]cellCount, buckets)
 	}
-	for _, e := range events {
+	for _, e := range t.Events {
 		if e.Thread < 0 {
 			continue
 		}
@@ -89,14 +87,14 @@ type PairCount struct {
 	Attacker, Enemy, Conflicts int
 }
 
-// AbortsByPair drains the collector and aggregates its conflict events by
+// AbortsByPair aggregates the trace's conflict events by
 // (attacker, enemy) thread pair, most frequent first (ties broken by
 // ascending attacker, then enemy) — a quick view of who fights whom. Unlike
 // ConflictSnapshot's edges this is directed: T3 killing T5 and T5 killing
 // T3 are different rows.
-func (c *Collector) AbortsByPair() []PairCount {
+func (t *Trace) AbortsByPair() []PairCount {
 	counts := map[[2]int]int{}
-	for _, e := range c.Events() {
+	for _, e := range t.Events {
 		if e.Kind == EvConflict {
 			counts[[2]int{int(e.Thread), int(e.Enemy)}]++
 		}

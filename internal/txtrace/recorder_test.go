@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"wincm/internal/stm"
 )
@@ -27,8 +28,7 @@ func (waitCM) Resolve(_, _ *stm.Tx, _ stm.Kind, attempt int) (stm.Decision, time
 }
 
 func TestRecorderSamplingSticky(t *testing.T) {
-	rec := NewRecorder(1, 4, 0)
-	col := NewCollector(rec, 0)
+	rec := NewRecorder(1, 4)
 	rt := stm.New(1, abortEnemyCM{}, stm.WithProbe(rec))
 	v := stm.NewTVar(0)
 
@@ -36,7 +36,8 @@ func TestRecorderSamplingSticky(t *testing.T) {
 	for i := 0; i < txs; i++ {
 		rt.Thread(0).Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
 	}
-	counts := col.Counts()
+	tr := rec.Read()
+	counts := tr.Counts()
 	// 1-in-4 sampling draws on transactions 1 and 5 (txSeen%4 == 1): two
 	// sampled transactions, each one attempt (no contention).
 	if counts[EvBegin] != 2 || counts[EvCommit] != 2 {
@@ -48,8 +49,8 @@ func TestRecorderSamplingSticky(t *testing.T) {
 	if counts[EvOpen] == 0 || counts[EvOpen]%2 != 0 {
 		t.Errorf("opens = %d, want a positive multiple of 2 (sampled txs only)", counts[EvOpen])
 	}
-	if rec.Sample() != 4 {
-		t.Errorf("Sample() = %d, want 4", rec.Sample())
+	if tr.Sample != 4 {
+		t.Errorf("Sample = %d, want 4", tr.Sample)
 	}
 }
 
@@ -57,7 +58,7 @@ func TestRecorderSamplingSticky(t *testing.T) {
 // leaves every transaction after the first unsampled; those pay one counter
 // increment per attempt and must allocate nothing.
 func TestRecorderUnsampledZeroAlloc(t *testing.T) {
-	rec := NewRecorder(1, 1<<30, 0)
+	rec := NewRecorder(1, 1<<30)
 	th := stm.New(1, abortEnemyCM{}, stm.WithProbe(rec)).Thread(0)
 	vs := make([]*stm.TVar[int], 16)
 	for i := range vs {
@@ -75,14 +76,13 @@ func TestRecorderUnsampledZeroAlloc(t *testing.T) {
 }
 
 func TestRecorderSampleOneRecordsEverything(t *testing.T) {
-	rec := NewRecorder(1, 1, 0)
-	col := NewCollector(rec, 0)
+	rec := NewRecorder(1, 1)
 	rt := stm.New(1, abortEnemyCM{}, stm.WithProbe(rec))
 	v := stm.NewTVar(0)
 	for i := 0; i < 5; i++ {
 		rt.Thread(0).Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
 	}
-	counts := col.Counts()
+	counts := rec.Read().Counts()
 	if counts[EvBegin] != 5 || counts[EvCommit] != 5 {
 		t.Errorf("counts = %v, want every one of the 5 transactions recorded", counts)
 	}
@@ -91,14 +91,13 @@ func TestRecorderSampleOneRecordsEverything(t *testing.T) {
 // TestRecorderConflictAccounting is the acceptance check: the conflict
 // graph built from a recorded run must account for every recorded
 // aborting conflict — Σ edge.Aborts == snapshot.Aborts == the count of
-// aborting conflict events in the window.
+// aborting conflict events in the trace.
 func TestRecorderConflictAccounting(t *testing.T) {
 	const (
 		threads = 4
 		iters   = 300
 	)
-	rec := NewRecorder(threads, 1, 1<<16)
-	col := NewCollector(rec, 0)
+	rec := NewRecorder(threads, 1)
 	rt := stm.New(threads, abortEnemyCM{}, stm.WithProbe(rec))
 	// Yield at every open so the read-modify-writes interleave and conflict
 	// on any core count; without it the run often finishes conflict-free and
@@ -126,9 +125,9 @@ func TestRecorderConflictAccounting(t *testing.T) {
 		t.Fatalf("read-back transaction took %d attempts on a quiet runtime", got.Attempts)
 	}
 
-	evs := col.Events()
+	tr := rec.Read()
 	var conflicts, aborting int
-	for _, e := range evs {
+	for _, e := range tr.Events {
 		if e.Kind == EvConflict {
 			conflicts++
 			if e.Aborting() {
@@ -150,7 +149,7 @@ func TestRecorderConflictAccounting(t *testing.T) {
 		t.Errorf("aborting = %d, conflicts = %d; abort-enemy CM makes every conflict aborting", aborting, conflicts)
 	}
 
-	snap := col.Conflicts(0)
+	snap := tr.Conflicts()
 	if snap.Conflicts != conflicts || snap.Aborts != aborting {
 		t.Errorf("snapshot (%d conflicts, %d aborts) != event scan (%d, %d)",
 			snap.Conflicts, snap.Aborts, conflicts, aborting)
@@ -173,7 +172,7 @@ func TestRecorderConflictAccounting(t *testing.T) {
 	}
 
 	// Heatmap: the single shared variable must carry the whole attribution.
-	heat := col.Heatmap(1)
+	heat := tr.Heatmap(1)
 	if len(heat) == 0 {
 		t.Fatal("heatmap empty despite recorded opens")
 	}
@@ -188,7 +187,7 @@ func TestRecorderConflictAccounting(t *testing.T) {
 	// begins once and ends in exactly one outcome, so begins can never be
 	// fewer than outcomes (commit-then-abort double-counts an attempt's
 	// commit entry, so use >=).
-	counts := col.Counts()
+	counts := tr.Counts()
 	if counts[EvBegin] < counts[EvAbort] {
 		t.Errorf("begins %d < aborts %d: lifecycle broken", counts[EvBegin], counts[EvAbort])
 	}
@@ -196,8 +195,7 @@ func TestRecorderConflictAccounting(t *testing.T) {
 
 func TestRecorderWaitEvents(t *testing.T) {
 	const threads = 2
-	rec := NewRecorder(threads, 1, 1<<16)
-	col := NewCollector(rec, 0)
+	rec := NewRecorder(threads, 1)
 	rt := stm.New(threads, waitCM{}, stm.WithProbe(rec))
 	rt.SetYieldEvery(1) // interleave the two threads so they overlap on any core count
 	shared := stm.NewTVar(0)
@@ -218,8 +216,9 @@ func TestRecorderWaitEvents(t *testing.T) {
 	}
 	wg.Wait()
 
+	tr := rec.Read()
 	var waits int
-	for _, e := range col.Events() {
+	for _, e := range tr.Events {
 		if e.Kind == EvWait {
 			waits++
 			if e.A == 0 {
@@ -233,18 +232,17 @@ func TestRecorderWaitEvents(t *testing.T) {
 	if waits == 0 {
 		t.Skip("no waits observed (no overlap); nothing to verify")
 	}
-	if col.Heatmap(1)[0].Waits <= 0 {
+	if tr.Heatmap(1)[0].Waits <= 0 {
 		t.Error("heatmap did not attribute wait time to the contended variable")
 	}
 }
 
 func TestRecorderAuxEvents(t *testing.T) {
-	rec := NewRecorder(1, 1, 0)
-	col := NewCollector(rec, 0)
+	rec := NewRecorder(1, 1)
 
 	rec.FrameAdvanced(7)
 
-	evs := col.Events()
+	evs := rec.Read().Events
 	if len(evs) != 1 {
 		t.Fatalf("got %d aux events, want 1", len(evs))
 	}
@@ -255,5 +253,69 @@ func TestRecorderAuxEvents(t *testing.T) {
 	}
 	if evs[0].Kind != EvFrame || evs[0].A != 7 {
 		t.Errorf("frame event = %+v", evs[0])
+	}
+}
+
+// TestRecorderBudgetDropsWholeTransactions plants a budget far too small
+// for the run: 3,000 transactions of 3–8 events each (every third one
+// retried once) into two chunks. Every transaction the recorder left out
+// is counted, and every one it kept is whole — each of its attempts has a
+// begin and an outcome, and the last outcome is its commit.
+func TestRecorderBudgetDropsWholeTransactions(t *testing.T) {
+	const txs, chunks = 3000, 2
+	rec := newRecorder(1, 1, chunks*chunkEvents*int(unsafe.Sizeof(Event{})))
+	th := stm.New(1, abortEnemyCM{}, stm.WithProbe(rec)).Thread(0)
+	vs := make([]*stm.TVar[int], 6)
+	for i := range vs {
+		vs[i] = stm.NewTVar(i)
+	}
+	for i := 0; i < txs; i++ {
+		th.Atomic(func(tx *stm.Tx) {
+			if i%3 == 0 && tx.D.Attempts == 1 {
+				tx.Abort() // the next open sees it and retries the transaction
+			}
+			for _, v := range vs[:i%len(vs)+1] {
+				stm.Read(tx, v)
+			}
+		})
+	}
+	tr := rec.Read()
+	if tr.Unrecorded == 0 {
+		t.Fatal("no transaction left out although the run overflows the budget")
+	}
+	if len(tr.Events) > chunks*chunkEvents {
+		t.Errorf("recorded %d events past the %d-event budget", len(tr.Events), chunks*chunkEvents)
+	}
+	type attempt struct{ begins, outcomes int }
+	attempts := map[[2]int32]*attempt{} // (seq, attempt)
+	last := map[int32]Kind{}            // seq → its last outcome
+	for _, e := range tr.Events {
+		k := [2]int32{e.Seq, e.Attempt}
+		if attempts[k] == nil {
+			attempts[k] = &attempt{}
+		}
+		switch e.Kind {
+		case EvBegin:
+			attempts[k].begins++
+		case EvCommit, EvAbort:
+			attempts[k].outcomes++
+			last[e.Seq] = e.Kind
+		}
+	}
+	for k, a := range attempts {
+		if a.begins != 1 || a.outcomes != 1 {
+			t.Errorf("tx %d attempt %d: %d begins, %d outcomes, want 1 and 1", k[0], k[1], a.begins, a.outcomes)
+		}
+		if k[1] > 1 && attempts[[2]int32{k[0], k[1] - 1}] == nil {
+			t.Errorf("tx %d: attempt %d recorded without attempt %d", k[0], k[1], k[1]-1)
+		}
+	}
+	for seq, kind := range last {
+		if kind != EvCommit {
+			t.Errorf("tx %d: last outcome %v, want commit", seq, kind)
+		}
+	}
+	if got := uint64(len(last)) + tr.Unrecorded; got != txs {
+		t.Errorf("%d recorded + %d unrecorded transactions = %d, want all %d", len(last), tr.Unrecorded, got, txs)
 	}
 }
