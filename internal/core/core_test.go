@@ -118,7 +118,7 @@ func TestDoublingEstimator(t *testing.T) {
 }
 
 func TestDoublingEstimatorCaps(t *testing.T) {
-	e := &estimator{kind: EstimatorDoubling, c: cCap}
+	e := estimatorAt(EstimatorDoubling, cCap, 0)
 	if e.onBadEvent() {
 		t.Error("estimator grew past the cap")
 	}
@@ -128,7 +128,7 @@ func TestDoublingEstimatorCaps(t *testing.T) {
 }
 
 func TestCIEstimatorGrowsWithContention(t *testing.T) {
-	e := &estimator{kind: EstimatorCI, c: 1}
+	e := estimatorAt(EstimatorCI, 1, 0)
 	// All-abort samples drive CI toward 1.
 	for i := 0; i < 50; i++ {
 		e.sample(true)
@@ -142,7 +142,7 @@ func TestCIEstimatorGrowsWithContention(t *testing.T) {
 		t.Errorf("estimate %v did not grow from %v", e.value(), before)
 	}
 	// High-contention growth should exceed +1 once c is large.
-	e.c = 100
+	e.set(100)
 	e.onBadEvent()
 	if e.value() < 190 {
 		t.Errorf("CI growth too small: %v (want ≈ c·(1+ci))", e.value())
@@ -150,7 +150,7 @@ func TestCIEstimatorGrowsWithContention(t *testing.T) {
 }
 
 func TestCIEstimatorDecaysWhenQuiet(t *testing.T) {
-	e := &estimator{kind: EstimatorCI, c: 64}
+	e := estimatorAt(EstimatorCI, 64, 0)
 	for i := 0; i < 50; i++ {
 		e.sample(false) // all commits: CI → 0
 	}
@@ -167,7 +167,7 @@ func TestCIEstimatorDecaysWhenQuiet(t *testing.T) {
 func TestCIEstimatorMonotoneSamples(t *testing.T) {
 	// CI stays within [0, 1] for any sample sequence.
 	f := func(samples []bool) bool {
-		e := &estimator{kind: EstimatorCI, c: 1}
+		e := estimatorAt(EstimatorCI, 1, 0)
 		for _, s := range samples {
 			e.sample(s)
 			if e.ci < 0 || e.ci > 1 {

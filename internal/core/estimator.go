@@ -1,6 +1,9 @@
 package core
 
-import "math"
+import (
+	"math"
+	"sync/atomic"
+)
 
 // cCap bounds contention estimates; beyond it α saturates at N anyway for
 // every realistic configuration, so growth past the cap is pure overflow
@@ -8,30 +11,37 @@ import "math"
 const cCap = 1 << 20
 
 // estimator evolves a thread's contention estimate C_i under one of the
-// three EstimatorKind rules. It is a plain value held inside the thread's
-// padded threadState, so its per-attempt writes stay on the thread's own
-// cache lines; it is confined to that thread and needs no synchronization.
+// three EstimatorKind rules. It is a value held inside the thread's padded
+// threadState, so its per-attempt writes stay on the thread's own cache
+// lines. Only that thread writes it; C_i is a single-writer atomic so the
+// gauges can load it from any goroutine.
 type estimator struct {
 	kind EstimatorKind
-	// c is the current estimate C_i ≥ 1.
-	c float64
+	// c holds the float64 bits of the current estimate C_i ≥ 1.
+	c atomic.Uint64
 	// ci is the contention intensity CI (EstimatorCI only).
 	ci float64
 }
 
-// newEstimator builds the estimator of kind. The Fixed rule keeps the
-// configured C_i: the Online variants assume the contention measure is
-// known. The learning rules start at C_i = 1.
-func newEstimator(kind EstimatorKind, initialC float64) estimator {
+// init makes e an estimator of kind. The Fixed rule keeps the configured
+// C_i: the Online variants assume the contention measure is known. The
+// learning rules start at C_i = 1.
+func (e *estimator) init(kind EstimatorKind, initialC float64) {
 	switch kind {
 	case EstimatorDoubling, EstimatorCI:
-		return estimator{kind: kind, c: 1}
+		e.kind = kind
+		e.set(1)
+	default:
+		e.kind = EstimatorFixed
+		e.set(math.Max(initialC, 1))
 	}
-	return estimator{kind: EstimatorFixed, c: math.Max(initialC, 1)}
 }
 
 // value returns the current estimate C_i ≥ 1.
-func (e *estimator) value() float64 { return e.c }
+func (e *estimator) value() float64 { return math.Float64frombits(e.c.Load()) }
+
+// set stores the estimate C_i.
+func (e *estimator) set(c float64) { e.c.Store(math.Float64bits(c)) }
 
 // CI parameters: the EWMA weight follows Adaptive Transaction Scheduling
 // (Yoo & Lee, SPAA'08: CI ← α·CI + (1−α)·CC with α = 0.75); the decay
@@ -61,15 +71,15 @@ func (e *estimator) sample(aborted bool) {
 // instantiation of Adaptive-Improved: a bad event multiplies C_i by
 // (1 + CI), at least +1 (DESIGN.md §2).
 func (e *estimator) onBadEvent() bool {
-	if e.kind == EstimatorFixed || e.c >= cCap {
+	c := e.value()
+	if e.kind == EstimatorFixed || c >= cCap {
 		return false
 	}
 	if e.kind == EstimatorDoubling {
-		e.c *= 2
+		e.set(2 * c)
 		return true
 	}
-	grown := math.Max(e.c+1, math.Ceil(e.c*(1+e.ci)))
-	e.c = math.Min(grown, cCap)
+	e.set(math.Min(math.Max(c+1, math.Ceil(c*(1+e.ci))), cCap))
 	return true
 }
 
@@ -78,7 +88,7 @@ func (e *estimator) onBadEvent() bool {
 // window that finishes clean while contention is low halves C_i, letting
 // the schedule tighten again.
 func (e *estimator) onWindowEnd(hadBad bool) {
-	if e.kind == EstimatorCI && !hadBad && e.ci < ciThreshold && e.c > 1 {
-		e.c = math.Max(1, math.Floor(e.c/2))
+	if c := e.value(); e.kind == EstimatorCI && !hadBad && e.ci < ciThreshold && c > 1 {
+		e.set(math.Max(1, math.Floor(c/2)))
 	}
 }

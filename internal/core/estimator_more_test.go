@@ -2,6 +2,20 @@ package core
 
 import "testing"
 
+// newEstimator returns an estimator of kind set up as a thread's is.
+func newEstimator(kind EstimatorKind, initialC float64) *estimator {
+	e := new(estimator)
+	e.init(kind, initialC)
+	return e
+}
+
+// estimatorAt returns an estimator of kind at estimate c and intensity ci.
+func estimatorAt(kind EstimatorKind, c, ci float64) *estimator {
+	e := &estimator{kind: kind, ci: ci}
+	e.set(c)
+	return e
+}
+
 // TestNewEstimatorKinds: the factory maps kinds to behaviours, clamping
 // the initial estimate to ≥ 1.
 func TestNewEstimatorKinds(t *testing.T) {
@@ -18,24 +32,24 @@ func TestNewEstimatorKinds(t *testing.T) {
 
 // TestCIEstimatorCap: growth saturates at the overflow cap.
 func TestCIEstimatorCap(t *testing.T) {
-	e := &estimator{kind: EstimatorCI, c: cCap, ci: 1}
+	e := estimatorAt(EstimatorCI, cCap, 1)
 	if e.onBadEvent() {
 		t.Error("grew past cap")
 	}
-	e.c = cCap - 1
+	e.set(cCap - 1)
 	if !e.onBadEvent() {
 		t.Error("no growth below cap")
 	}
-	if e.c > cCap {
-		t.Errorf("c = %v beyond cap", e.c)
+	if e.value() > cCap {
+		t.Errorf("c = %v beyond cap", e.value())
 	}
 }
 
 // TestCIDecayFloor: decay never drops the estimate below 1.
 func TestCIDecayFloor(t *testing.T) {
-	e := &estimator{kind: EstimatorCI, c: 1, ci: 0}
+	e := estimatorAt(EstimatorCI, 1, 0)
 	e.onWindowEnd(false)
-	if e.c < 1 {
-		t.Errorf("decayed below 1: %v", e.c)
+	if e.value() < 1 {
+		t.Errorf("decayed below 1: %v", e.value())
 	}
 }

@@ -1,27 +1,22 @@
 package core
 
-import (
-	"math"
-
-	"wincm/internal/telemetry"
-)
+import "wincm/internal/telemetry"
 
 // PriorityCollisions returns how many Resolve calls found both sides with
 // identical (π⁽¹⁾, π⁽²⁾) priority vectors, so only the ID tie-break
 // decided. RandomizedRounds' O(log n) bound assumes such collisions are
 // rare; the counter lets a run check that live.
-func (m *Manager) PriorityCollisions() int64 { return m.collisions.Load() }
+func (m *Manager) PriorityCollisions() int64 { return m.sum(cellCollisions) }
 
-// estimateStats folds the published per-thread contention estimates into
-// (mean, max). Reads only the atomically published mirrors, so it is safe
-// during a run.
+// estimateStats folds the per-thread contention estimates into (mean, max).
+// Each C_i is a single-writer atomic, so it is safe during a run.
 func (m *Manager) estimateStats() (mean, max float64) {
 	if len(m.threads) == 0 {
 		return 0, 0
 	}
 	var sum float64
 	for _, st := range m.threads {
-		c := math.Float64frombits(st.cPub.Load())
+		c := st.est.value()
 		sum += c
 		if c > max {
 			max = c
@@ -55,10 +50,10 @@ func (m *Manager) TelemetryGauges() []telemetry.Gauge {
 			func() float64 { cur, _ := m.clock.occupancy(); return float64(cur) }),
 		telemetry.NewGauge("wincm_window_registered_pending", "scheduled transactions not yet committed across all frames (dynamic mode)",
 			func() float64 { _, tot := m.clock.occupancy(); return float64(tot) }),
-		telemetry.NewGauge("wincm_window_frame_dur_ns", "calibrated frame duration Φ = scale·τ̂·ln(MN)",
-			func() float64 { return float64(m.frameDur()) }),
-		telemetry.NewGauge("wincm_window_tau_ns", "EWMA of committed-attempt durations (τ̂)",
-			func() float64 { return float64(m.tauNs.Load()) }),
+		telemetry.NewGauge("wincm_window_frame_dur_ns", "frame duration Φ = τ̂·ln(MN) the clock runs on, set at the last segment opening",
+			func() float64 { return float64(m.clock.dur.Load()) }),
+		telemetry.NewGauge("wincm_window_tau_ns", "mean per-thread τ̂ of the threads inside the window (all threads when none is)",
+			func() float64 { return float64(m.tau()) }),
 		telemetry.NewGauge("wincm_window_c_mean", "mean per-thread contention estimate C_i",
 			func() float64 { mean, _ := m.estimateStats(); return mean }),
 		telemetry.NewGauge("wincm_window_c_max", "max per-thread contention estimate C_i",
@@ -75,11 +70,11 @@ func (m *Manager) TelemetryGauges() []telemetry.Gauge {
 		telemetry.NewGauge("wincm_window_clean_exits_total", "segments that ended without a conflict and took their thread back outside",
 			func() float64 { return float64(m.sum(cellCleanExits)) }),
 		telemetry.NewGauge("wincm_window_bad_events", "transactions that missed their assigned frame",
-			func() float64 { return float64(m.bads.Load()) }),
+			func() float64 { return float64(m.sum(cellBadEvents)) }),
 		telemetry.NewGauge("wincm_window_fallback_commits", "commits made holding the serialized-fallback token",
-			func() float64 { return float64(m.fallbacks.Load()) }),
+			func() float64 { return float64(m.sum(cellFallbacks)) }),
 		telemetry.NewGauge("wincm_window_priority_collisions", "conflicts whose priority vectors tied (ID tie-break decided)",
-			func() float64 { return float64(m.collisions.Load()) }),
+			func() float64 { return float64(m.sum(cellCollisions)) }),
 		telemetry.NewGauge("wincm_frameclock_cas_retries_total", "frame-clock CAS retries on the state word",
 			func() float64 { return float64(m.clock.stats.casRetries.Load()) }),
 		telemetry.NewGauge("wincm_frameclock_contractions_total", "drain-driven frame advances (dynamic contraction)",

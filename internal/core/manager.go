@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"sync/atomic"
 	"time"
 
@@ -25,20 +24,22 @@ func packAux(frame int64, p2 uint64) uint64 {
 func auxFrame(aux uint64) int64 { return int64(aux >> p2Bits) }
 func auxP2(aux uint64) uint64   { return aux & (1<<p2Bits - 1) }
 
-// threadState is the per-thread window bookkeeping. Only the owning thread
+// threadState is the per-thread window bookkeeping, and the only state
+// the manager keeps besides its configuration and frame clock: every value
+// is stored once, on the thread that writes it. Only the owning thread
 // writes it (Begin/Committed/Aborted/Resolve run on the transaction's
 // thread), so the plain fields need no synchronization; the atomics are
-// single-writer cells (owner stores, gauges load from any goroutine). The
-// π⁽²⁾ stream and the contention estimate are held by value, so every word
-// a transaction writes here (drawP2, est.sample, τ̂) is on the padded
-// state's own lines.
+// single-writer cells (owner stores, openSegment of other threads and the
+// gauges load). The π⁽²⁾ stream and the contention estimate are held by
+// value, so every word a transaction writes here (drawP2, est.sample, τ̂)
+// is on the padded state's own lines.
 //
 // A thread is either outside the window schedule — the initial state — or
 // inside it. Outside, its transactions carry frame 0 (π⁽¹⁾ high) with a
-// fresh π⁽²⁾ and its commits touch nothing another thread reads or writes:
-// no frame registration, no shared τ̂, no shared counter. It enters on its
-// own first Resolve or Aborted (enter) and leaves again when a segment ends
-// without either (leave). See DESIGN.md §2.
+// fresh π⁽²⁾ and its commits touch nothing another thread writes: no frame
+// registration, no shared counter. It enters on its own first Resolve or
+// Aborted (enter) and leaves again when a segment ends without either
+// (leave). See DESIGN.md §2.
 type threadState struct {
 	id  int // index of the thread's range word in the frame clock
 	rng rng.Rand
@@ -47,12 +48,9 @@ type threadState struct {
 	inWindow   atomic.Bool // inside the window schedule (false: outside)
 	conflicted bool        // the current segment saw a Resolve or Aborted of this thread
 
-	// tau is the thread-local τ̂ an outside thread folds its sampled
-	// attempt times into, seeded from the shared estimate when the thread
-	// goes outside; tauN counts the samples folded since, the weight enter
-	// merges it with.
-	tau  int64
-	tauN int
+	// tau is the thread's τ̂, the average its sampled attempt times are
+	// folded into (fold), inside the window or outside it.
+	tau atomic.Int64
 	// start is the clock reading at the current attempt's Begin, taken
 	// only by the transactions that sample τ̂ (tauSampled).
 	start int64
@@ -62,12 +60,7 @@ type threadState struct {
 	baseFrame int64 // clock frame when the segment started
 	q         int64 // the segment's random initial delay, in frames
 	assigned  int64 // absolute assigned frame of the current transaction
-	badEvents int   // diagnostics: bad events seen by this thread
-
-	// cPub mirrors est.value() as float bits so telemetry gauges can read
-	// the contention estimate from any goroutine; only the owner thread
-	// stores it (publishC), at every point the estimate can change.
-	cPub atomic.Uint64
+	badEvents int   // bad events in the current segment
 
 	// cells are the thread's single-writer counters, summed by the gauges.
 	cells [numCells]atomic.Int64
@@ -76,7 +69,7 @@ type threadState struct {
 	// whole cache lines (a 64-B multiple is its own size class, so the
 	// allocator hands it out line-aligned) and two threads' hot fields never
 	// share one.
-	_ [24]byte
+	_ [16]byte
 }
 
 // cell names one of a thread's single-writer counters.
@@ -85,6 +78,9 @@ type cell int
 const (
 	cellEntries    cell = iota // entries into the window schedule
 	cellCleanExits             // segments that ended clean and took the thread back outside
+	cellBadEvents              // transactions that missed their assigned frame
+	cellFallbacks              // commits made while holding the fallback token
+	cellCollisions             // Resolve calls whose priority vectors tied
 	numCells
 )
 
@@ -100,22 +96,13 @@ func (m *Manager) sum(c cell) int64 {
 	return n
 }
 
-// publishC republishes the thread's contention estimate for gauge readers.
-func (st *threadState) publishC() {
-	st.cPub.Store(math.Float64bits(st.est.value()))
-}
-
 // Manager is the window-based contention manager. It implements
 // stm.ContentionManager for every STM-runnable variant; the Config decides
 // which member of the family it behaves as.
 type Manager struct {
-	cfg        Config
-	clock      *frameClock
-	threads    []*threadState
-	tauNs      atomic.Int64 // EWMA of committed-attempt durations
-	bads       atomic.Int64 // total bad events (transactions missing frames)
-	fallbacks  atomic.Int64 // commits made while holding the fallback token
-	collisions atomic.Int64 // Resolve calls whose priority vectors tied
+	cfg     Config
+	clock   *frameClock
+	threads []*threadState
 }
 
 var _ stm.ContentionManager = (*Manager)(nil)
@@ -128,23 +115,16 @@ func NewManager(cfg Config) *Manager {
 	if cfg.InitialC <= 0 {
 		cfg.InitialC = 1
 	}
-	m := &Manager{
-		cfg:   cfg,
-		clock: newFrameClock(cfg.Dynamic, tauGuess, cfg.M), // recalibrated below
-	}
-	m.tauNs.Store(int64(tauGuess))
-	m.clock.setDur(m.frameDur())
+	m := &Manager{cfg: cfg}
 	master := rng.New(cfg.Seed)
 	m.threads = make([]*threadState, cfg.M)
 	for i := range m.threads {
-		m.threads[i] = &threadState{
-			id:  i,
-			rng: *master.Split(),
-			est: newEstimator(cfg.Estimator, float64(cfg.InitialC)),
-			tau: int64(tauGuess),
-		}
-		m.threads[i].publishC()
+		st := &threadState{id: i, rng: *master.Split()}
+		st.est.init(cfg.Estimator, float64(cfg.InitialC))
+		st.tau.Store(int64(tauGuess))
+		m.threads[i] = st
 	}
+	m.clock = newFrameClock(cfg.Dynamic, m.frameDur(), cfg.M)
 	return m
 }
 
@@ -186,18 +166,35 @@ func (m *Manager) AddFrameHook(fn func(frame int64)) {
 func (m *Manager) EstimateC(i int) float64 { return m.threads[i].est.value() }
 
 // BadEvents returns the total number of bad events observed so far.
-func (m *Manager) BadEvents() int64 { return m.bads.Load() }
+func (m *Manager) BadEvents() int64 { return m.sum(cellBadEvents) }
 
 // FallbackCommits returns the number of commits made under the
 // serialized-fallback token; those retire their frames normally but are
 // exempt from bad-event accounting (see Committed).
-func (m *Manager) FallbackCommits() int64 { return m.fallbacks.Load() }
+func (m *Manager) FallbackCommits() int64 { return m.sum(cellFallbacks) }
+
+// tau returns the τ̂ frames are sized from: the mean of the τ̂ of the
+// threads inside the window, or of every thread's when none is.
+func (m *Manager) tau() int64 {
+	var in, all, n int64
+	for _, st := range m.threads {
+		t := st.tau.Load()
+		all += t
+		if st.inWindow.Load() {
+			in += t
+			n++
+		}
+	}
+	if n == 0 {
+		return all / int64(len(m.threads))
+	}
+	return in / n
+}
 
 // frameDur derives the frame duration Φ = τ̂·ln(MN) from the current
 // transaction-duration estimate.
 func (m *Manager) frameDur() time.Duration {
-	tau := float64(m.tauNs.Load())
-	return time.Duration(tau * lnMN(m.cfg.M, m.cfg.N))
+	return time.Duration(float64(m.tau()) * lnMN(m.cfg.M, m.cfg.N))
 }
 
 // Begin implements stm.ContentionManager. On a transaction's first attempt
@@ -240,33 +237,31 @@ func (m *Manager) assign(st *threadState, d *stm.Desc, p2 uint64) {
 }
 
 // enter takes an outside thread into the window schedule on its first
-// conflict. The thread-local τ̂ is merged into the shared one with the
-// weight its tauN samples would have carried had each been applied there
-// directly, 1 − (7/8)^tauN; a segment of N opens under the current estimate;
-// and the running transaction d takes position 0 of it, keeping the π⁽²⁾ it
-// already holds — so enemies that compared against d before see the same
-// second component after.
+// conflict: a segment of N opens under the current estimate, and the
+// running transaction d takes position 0 of it, keeping the π⁽²⁾ it already
+// holds — so enemies that compared against d before see the same second
+// component after.
 func (m *Manager) enter(st *threadState, d *stm.Desc) {
-	if st.tauN > 0 {
-		m.blendTau(st.tau, 1-math.Pow(1-tauWeight, float64(st.tauN)))
-	}
 	st.inWindow.Store(true)
 	st.bump(cellEntries)
 	m.assign(st, d, auxP2(d.Aux.Load()))
 }
 
 // leave takes the thread back outside after a segment that saw no conflict
-// of its own, dropping whatever the segment still has registered and
-// seeding the local τ̂ from the shared one.
+// of its own, dropping whatever the segment still has registered.
 func (m *Manager) leave(st *threadState) {
 	m.clock.drop(st.id)
-	st.tau, st.tauN = m.tauNs.Load(), 0
 	st.inWindow.Store(false)
 	st.bump(cellCleanExits)
 }
 
 // tauWeight is the weight of one attempt duration in the τ̂ average.
 const tauWeight = 1.0 / 8
+
+// tauClip caps a sample at this multiple of the τ̂ it is folded into, so an
+// attempt stretched by a preemption or a pause moves τ̂ by at most 3/8 of
+// itself, while a real rise is still tracked within a few samples.
+const tauClip = 4
 
 // tauSampleEvery is how many of a thread's transactions share one τ̂
 // sample: τ̂ only sizes frames, so timing one commit in this many keeps the
@@ -277,32 +272,22 @@ const tauSampleEvery = 8
 // attempts for τ̂.
 func tauSampled(seq int) bool { return seq%tauSampleEvery == 0 }
 
-// fold moves the thread-local τ̂ one sample's weight toward attempt.
+// fold moves the thread's τ̂ one sample's weight toward attempt, clipped at
+// tauClip·τ̂.
 func (st *threadState) fold(attempt int64) {
-	st.tau += int64(tauWeight * float64(attempt-st.tau))
-	st.tauN++
-}
-
-// blendTau moves the shared τ̂ the fraction w of the way to sample and
-// recalibrates the frame size. The read-modify-write is a CAS loop: threads
-// commit concurrently, and a plain Load-then-Store would drop every sample
-// that raced with another commit's update.
-func (m *Manager) blendTau(sample int64, w float64) {
-	for {
-		old := m.tauNs.Load()
-		if m.tauNs.CompareAndSwap(old, old+int64(w*float64(sample-old))) {
-			break
-		}
-	}
-	m.clock.setDur(m.frameDur())
+	tau := st.tau.Load()
+	attempt = min(attempt, tauClip*tau)
+	st.tau.Store(tau + int64(tauWeight*float64(attempt-tau)))
 }
 
 // openSegment starts a fresh window segment of n transactions at seq:
-// draws the random delay from the current estimate and registers the
+// resizes frames from the current τ̂ (tau), draws the random delay from the
+// current contention estimate and registers the
 // schedule — the consecutive frames [base+q, base+q+n), which commits
 // retire in order — with the frame clock.
 func (m *Manager) openSegment(st *threadState, seq, n int) {
 	m.clock.drop(st.id) // leftovers of an abandoned segment
+	m.clock.setDur(m.frameDur())
 	st.startSeq = seq
 	st.remaining = n
 	st.baseFrame = m.clock.Current()
@@ -319,26 +304,24 @@ func (m *Manager) drawP2(st *threadState) uint64 {
 	return uint64(1 + st.rng.Intn(n))
 }
 
-// Committed implements stm.ContentionManager. Inside the window: recalibrate
-// τ̂, retire the transaction from its frame, detect bad events, and let the
-// estimator and window bookkeeping advance. Outside it: fold the attempt
-// time into the thread-local τ̂ — no shared word is written. Only a
-// transaction that samples τ̂ (tauSampled) has an attempt time to fold.
+// Committed implements stm.ContentionManager. A transaction that samples
+// τ̂ (tauSampled) folds its attempt time into the thread's τ̂. Inside the
+// window the transaction then retires from its frame, bad events are
+// detected, and the estimator and window bookkeeping advance; outside it
+// nothing another thread writes is touched.
 func (m *Manager) Committed(tx *stm.Tx) {
 	st := m.threads[tx.D.ThreadID]
 	d := tx.D
-	var attempt int64
 	if tauSampled(d.Seq) {
-		attempt = stm.Now() - st.start
+		if attempt := stm.Now() - st.start; attempt > 0 {
+			st.fold(attempt)
+		}
 	}
 	st.est.sample(false)
 
 	if !st.inWindow.Load() {
-		if attempt > 0 {
-			st.fold(attempt)
-		}
 		if tx.HoldsFallback() {
-			m.fallbacks.Add(1) // a watchdog grant to a transaction that never conflicted
+			st.bump(cellFallbacks) // a watchdog grant to a transaction that never conflicted
 		}
 		if m.clock.onAdvance != nil {
 			// Frame consumers (the flight recorder) are driven by
@@ -346,10 +329,6 @@ func (m *Manager) Committed(tx *stm.Tx) {
 			m.clock.Current()
 		}
 		return
-	}
-
-	if attempt > 0 {
-		m.blendTau(attempt, tauWeight)
 	}
 
 	cur := m.clock.Current()
@@ -363,10 +342,10 @@ func (m *Manager) Committed(tx *stm.Tx) {
 		// starvation escape (or the faults that triggered it), not by an
 		// underestimated C_i, and doubling the estimate on it would
 		// inflate every later window.
-		m.fallbacks.Add(1)
+		st.bump(cellFallbacks)
 	} else if bad {
 		st.badEvents++
-		m.bads.Add(1)
+		st.bump(cellBadEvents)
 		if st.est.onBadEvent() && st.remaining > 0 {
 			// Start over with the remaining transactions under the new
 			// estimate (the paper's adaptive restart).
@@ -381,7 +360,6 @@ func (m *Manager) Committed(tx *stm.Tx) {
 		}
 		st.conflicted = false // a conflicted one chains into the next at Begin
 	}
-	st.publishC()
 }
 
 // conflict records that st's thread met a conflict (a Resolve of its own or
@@ -424,7 +402,8 @@ func (m *Manager) Opened(*stm.Tx) {}
 // runtime settles it first), so it does not enter the window; Committed
 // copes with a token holder that is outside.
 func (m *Manager) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.Decision, time.Duration) {
-	m.conflict(m.threads[tx.D.ThreadID], tx.D)
+	st := m.threads[tx.D.ThreadID]
+	m.conflict(st, tx.D)
 	cur := m.clock.Current()
 	mine := m.prio(cur, tx.D)
 	theirs := m.prio(cur, enemy.D)
@@ -432,7 +411,7 @@ func (m *Manager) Resolve(tx, enemy *stm.Tx, kind stm.Kind, attempt int) (stm.De
 		// Both sides drew the same (π⁽¹⁾, π⁽²⁾) vector; only the ID
 		// tie-break decides. RandomizedRounds' analysis assumes these
 		// collisions are rare — telemetry makes the assumption checkable.
-		m.collisions.Add(1)
+		st.bump(cellCollisions)
 	}
 	if mine < theirs || (mine == theirs && tx.D.ID.Load() < enemy.D.ID.Load()) {
 		return stm.AbortEnemy, 0

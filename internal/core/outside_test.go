@@ -117,22 +117,20 @@ func TestConflictFreeCommitsTouchNothingShared(t *testing.T) {
 	if got := c.cur(); got != 0 {
 		t.Errorf("the clock was polled and advanced to frame %d", got)
 	}
-	// No shared word written: τ̂ and the frame length are as built.
-	if got := m.tauNs.Load(); got != int64(tauGuess) {
-		t.Errorf("shared τ̂ = %d, want the initial %d", got, int64(tauGuess))
+	// No shared word written: the frame length is the one built from the
+	// initial τ̂, while each thread's own τ̂ moved.
+	if got, want := c.dur.Load(), int64(float64(tauGuess)*lnMN(threads, m.cfg.N)); got != want {
+		t.Errorf("frame duration = %d, want the initial %d", got, want)
 	}
-	if got, want := c.dur.Load(), int64(m.frameDur()); got != want {
-		t.Errorf("frame duration = %d, want %d", got, want)
-	}
-	if got := m.collisions.Load() + m.fallbacks.Load(); got != 0 {
+	if got := m.PriorityCollisions() + m.FallbackCommits(); got != 0 {
 		t.Errorf("collisions + fallbacks = %d, want 0", got)
 	}
 	for i, st := range m.threads {
 		if st.inWindow.Load() || st.cells[cellEntries].Load() != 0 {
 			t.Errorf("thread %d entered the window without a conflict", i)
 		}
-		if st.tauN == 0 {
-			t.Errorf("thread %d folded no attempt time into its local τ̂", i)
+		if st.tau.Load() == int64(tauGuess) {
+			t.Errorf("thread %d folded no attempt time into its τ̂", i)
 		}
 	}
 	if got := rt.Commits(); got != threads*per {
@@ -245,9 +243,6 @@ func TestCleanSegmentLeavesConflictedChains(t *testing.T) {
 	if cur, total := m.Occupancy(); cur != 0 || total != 0 {
 		t.Errorf("Occupancy() = (%d, %d) after leaving", cur, total)
 	}
-	if st.tau != m.tauNs.Load() || st.tauN != 0 {
-		t.Error("leaving did not seed the local τ̂ from the shared one")
-	}
 
 	// Outside again: frame 0, nothing registered, and the next conflict
 	// enters a second time.
@@ -268,37 +263,14 @@ func TestCleanSegmentLeavesConflictedChains(t *testing.T) {
 	}
 }
 
-// TestEnterMergesLocalTau: the attempt times an outside thread kept to
-// itself reach the shared τ̂ when it enters, weighted by how many there were.
-func TestEnterMergesLocalTau(t *testing.T) {
-	m := New(OnlineDynamic, 1)
-	st := m.threads[0]
-	d := &stm.Desc{}
-	st.tau, st.tauN = 10*int64(tauGuess), 1
-	m.enter(st, d)
-	if got, want := m.tauNs.Load(), int64(tauGuess)+9*int64(tauGuess)/8; got != want {
-		t.Errorf("one local sample: shared τ̂ = %d, want %d (one EWMA step)", got, want)
-	}
-	if got, want := m.clock.dur.Load(), int64(m.frameDur()); got != want {
-		t.Errorf("frame duration %d not recalibrated to %d", got, want)
-	}
-
-	m = New(OnlineDynamic, 1)
-	st = m.threads[0]
-	st.tau, st.tauN = 10*int64(tauGuess), 1000
-	m.enter(st, d)
-	if got, want := m.tauNs.Load(), 10*int64(tauGuess); got < want-1 || got > want {
-		t.Errorf("many local samples: shared τ̂ = %d, want ≈ %d", got, want)
-	}
-}
-
 // TestSampledTauTracksEWMA feeds a synthetic stream of attempt times —
 // three levels, ±25% noise — to the sampling rule and to an EWMA that
 // folds every attempt: at the end of each level, the τ̂ the sampled
 // transactions fold lands within 10% of the unsampled one.
 func TestSampledTauTracksEWMA(t *testing.T) {
 	r := rng.New(17)
-	st := &threadState{tau: int64(tauGuess)}
+	st := &threadState{}
+	st.tau.Store(int64(tauGuess))
 	full := int64(tauGuess)
 	seq := 0
 	for _, level := range []float64{20e3, 60e3, 5e3} {
@@ -310,27 +282,118 @@ func TestSampledTauTracksEWMA(t *testing.T) {
 			}
 			seq++
 		}
-		if diff := math.Abs(float64(st.tau-full)) / float64(full); diff > 0.10 {
-			t.Errorf("level %.0f ns: sampled τ̂ %d is %.1f%% off the unsampled %d", level, st.tau, 100*diff, full)
+		tau := st.tau.Load()
+		if diff := math.Abs(float64(tau-full)) / float64(full); diff > 0.10 {
+			t.Errorf("level %.0f ns: sampled τ̂ %d is %.1f%% off the unsampled %d", level, tau, 100*diff, full)
 		}
 	}
-	if want := seq / tauSampleEvery; st.tauN != want {
-		t.Errorf("folded %d samples of %d attempts, want %d", st.tauN, seq, want)
+}
+
+// TestPlantedOutliersKeepFrames: in a stream of attempt times where one
+// sample in a hundred is 100× the rest — an attempt stretched by a
+// preemption or a pause — the clip keeps each outlier to one bounded step,
+// so Φ stays within 2× of the clean stream's throughout.
+func TestPlantedOutliersKeepFrames(t *testing.T) {
+	clean, planted := New(AdaptiveImprovedDynamic, 1), New(AdaptiveImprovedDynamic, 1)
+	r := rng.New(23)
+	for i := range 5000 {
+		attempt := int64(10e3 * (0.75 + 0.5*r.Float64()))
+		clean.threads[0].fold(attempt)
+		if i%100 == 50 {
+			attempt *= 100
+		}
+		planted.threads[0].fold(attempt)
+		if i < 100 {
+			continue // both still climbing from tauGuess
+		}
+		if c, p := clean.frameDur(), planted.frameDur(); p > 2*c || p < c/2 {
+			t.Fatalf("sample %d: Φ %v under outliers, %v clean", i, p, c)
+		}
 	}
 }
 
 // TestCommitsSampleOneInEight: through the runtime, an outside thread folds
-// the attempt time of one transaction in tauSampleEvery into its τ̂.
+// the attempt time of one transaction in tauSampleEvery into its τ̂ — the
+// sampled ones and no other. τ̂ is set far above any attempt before each
+// transaction, so every fold moves it.
 func TestCommitsSampleOneInEight(t *testing.T) {
 	m := New(AdaptiveImprovedDynamic, 1)
 	th := stm.New(1, m, stm.WithoutTxTiming()).Thread(0)
+	st := m.threads[0]
 	v := stm.NewTVar(0)
-	const n = 10 * tauSampleEvery
+	const n, high = 10 * tauSampleEvery, int64(1) << 40
 	for range n {
-		th.Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
+		st.tau.Store(high)
+		seq := -1
+		th.Atomic(func(tx *stm.Tx) {
+			seq = tx.D.Seq
+			stm.Write(tx, v, stm.Read(tx, v)+1)
+		})
+		if moved := st.tau.Load() != high; moved != tauSampled(seq) {
+			t.Errorf("transaction %d: τ̂ moved %v, sampled %v", seq, moved, tauSampled(seq))
+		}
 	}
-	if st := m.threads[0]; st.tauN != n/tauSampleEvery || st.tau == int64(tauGuess) {
-		t.Errorf("τ̂ %d from %d samples after %d commits, want a moved τ̂ from %d", st.tau, st.tauN, n, n/tauSampleEvery)
+}
+
+// TestCountersLandInTheDecidingThreadsCell: a priority tie is counted on
+// the thread whose Resolve found it, a bad event and a fallback commit on
+// the thread that committed, and the accessors and gauges sum the cells.
+func TestCountersLandInTheDecidingThreadsCell(t *testing.T) {
+	cfg := DefaultConfig(Online, 2)
+	cfg.InitialC = 1 // α = 1: q = 0, so an entering transaction is high at once
+	m := NewManager(cfg)
+	m.clock.nowFn = func() int64 { return 0 } // frames move only by jump
+	rt := stm.New(2, m, stm.WithFallback(2, 0))
+	var a, b *stm.Tx
+	rt.Thread(0).Atomic(func(tx *stm.Tx) { a = tx })
+	rt.Thread(1).Atomic(func(tx *stm.Tx) { b = tx })
+	a.D.Aux.Store(packAux(0, 3))
+	b.D.Aux.Store(packAux(0, 3))
+
+	// Ties: thread 1 resolves twice, thread 0 once; both enter at the
+	// current frame with π⁽²⁾ = 3, so every comparison ties.
+	m.Resolve(b, a, stm.WriteWrite, 1)
+	m.Resolve(b, a, stm.WriteWrite, 1)
+	m.Resolve(a, b, stm.WriteWrite, 1)
+
+	// A bad event on thread 0: its next transaction's frame passes before
+	// it commits.
+	rt.Thread(0).Atomic(func(*stm.Tx) { m.clock.jump(5) })
+
+	// A fallback commit on thread 1: two aborts spend the attempt budget,
+	// and the third attempt commits holding the token (late, too, but a
+	// token holder's miss is not a bad event).
+	v := stm.NewTVar(0)
+	attempts := 0
+	if info := rt.Thread(1).Atomic(func(tx *stm.Tx) {
+		stm.Write(tx, v, 1)
+		if attempts++; attempts <= 2 {
+			tx.Abort()
+			stm.Read(tx, v)
+		}
+	}); !info.Fallback {
+		t.Fatal("the third attempt did not hold the fallback token")
+	}
+
+	for _, c := range []struct {
+		name  string
+		cell  cell
+		per   [2]int64
+		total int64
+		gauge string
+	}{
+		{"PriorityCollisions", cellCollisions, [2]int64{1, 2}, m.PriorityCollisions(), "wincm_window_priority_collisions"},
+		{"BadEvents", cellBadEvents, [2]int64{1, 0}, m.BadEvents(), "wincm_window_bad_events"},
+		{"FallbackCommits", cellFallbacks, [2]int64{0, 1}, m.FallbackCommits(), "wincm_window_fallback_commits"},
+	} {
+		for i, want := range c.per {
+			if got := m.threads[i].cells[c.cell].Load(); got != want {
+				t.Errorf("%s: thread %d's cell = %d, want %d", c.name, i, got, want)
+			}
+		}
+		if want := c.per[0] + c.per[1]; c.total != want || gauge(t, m, c.gauge) != float64(want) {
+			t.Errorf("%s() = %d, %s = %v, want %d", c.name, c.total, c.gauge, gauge(t, m, c.gauge), want)
+		}
 	}
 }
 

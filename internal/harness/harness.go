@@ -88,14 +88,42 @@ type instruments struct {
 	reg     *telemetry.Registry
 	tx      *telemetry.TxStats
 	sampler *telemetry.Sampler
-	rec     *txtrace.Recorder // nil when tracing is off
+	rec     *setupGate // the flight recorder; nil when tracing is off
+}
+
+// setupGate is a traced run's probe: the flight recorder with OnBegin held
+// shut until the timed run starts, so the workload's Setup transactions are
+// never sampled and spend none of the budget. Every other hook records only
+// a transaction OnBegin sampled.
+type setupGate struct {
+	*txtrace.Recorder
+	open bool // set before the workers start; their go statements order it
+}
+
+// OnBegin implements stm.Probe.
+func (g *setupGate) OnBegin(tx *stm.Tx) {
+	if g.open {
+		g.Recorder.OnBegin(tx)
+	}
+}
+
+// startRecording opens the recording, attempts and frame advances alike,
+// once Setup is done and before the workers start.
+func (ins *instruments) startRecording(mgr stm.ContentionManager) {
+	if ins.rec == nil {
+		return
+	}
+	ins.rec.open = true
+	if wm, ok := mgr.(*core.Manager); ok {
+		wm.AddFrameHook(ins.rec.FrameAdvanced)
+	}
 }
 
 // instrument builds the runtime plus the run's instruments: the flight
-// recorder, when armed, is the runtime's probe; transaction stats, the
-// runtime's counts and a window manager's gauges land in the run's
-// registry; and the interval sampler starts last so its first point sees
-// every instrument registered. Every run has a registry — Result.Summary
+// recorder, when armed, is the runtime's probe (recording from
+// startRecording on); transaction stats, the runtime's counts and a window
+// manager's gauges land in the run's registry; and the interval sampler
+// starts last so its first point sees every instrument registered. Every run has a registry — Result.Summary
 // is read from it — and registers the same instruments on it.
 func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instruments) {
 	reg := c.Telemetry
@@ -111,11 +139,8 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 	}
 	var opts []stm.Option
 	if c.TraceSample > 0 {
-		ins.rec = txtrace.NewRecorder(c.Threads, c.TraceSample)
+		ins.rec = &setupGate{Recorder: txtrace.NewRecorder(c.Threads, c.TraceSample)}
 		opts = append(opts, stm.WithProbe(ins.rec))
-		if wm != nil {
-			wm.AddFrameHook(ins.rec.FrameAdvanced)
-		}
 	}
 	rt := stm.New(c.Threads, mgr, opts...)
 	reg.RegisterGauge(telemetry.NewGauge("wincm_locator_retired",
@@ -132,7 +157,7 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 	reg.RegisterGauge(telemetry.NewGauge("wincm_restart_delay_ns_total", "restart delays carried by self-abort verdicts (ns)",
 		func() float64 { return float64(rt.Verdicts().RestartNs) }))
 	if c.TelemetryInterval > 0 {
-		ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval, 0)
+		ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval)
 	}
 	return rt, ins
 }
@@ -184,6 +209,7 @@ func run(cfg Config, w Workload, d time.Duration, total int) (Result, error) {
 	}
 	rt, ins := cfg.instrument(mgr)
 	w.Setup(rt.Thread(0))
+	ins.startRecording(mgr)
 
 	var stop atomic.Bool
 	var wg sync.WaitGroup

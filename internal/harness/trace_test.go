@@ -101,13 +101,15 @@ func checkChromeTrace(t *testing.T, raw []byte) {
 
 // TestTraceRecordsEverySampledCommit: on -fig trace's M = 4 list cell at
 // 1-in-2 sampling for 50 ms, the recording holds every sampled
-// transaction. Thread i samples ⌈c_i/2⌉ of its c_i commits, so the run
-// sampled at least C/2 of its C commits; the recorded committed
-// transactions (thread 0's setup inserts among them) must reach 99% of
-// that.
+// transaction of the timed run and nothing else. Thread i samples
+// ⌈c_i/2⌉ of its c_i commits, so the run sampled between C/2 and
+// C/2 + M/2 of its C commits; the recorded committed transactions must
+// reach 99% of the lower end and stay within C/2 + M, which the workload's
+// Setup inserts, were they recorded, would exceed.
 func TestTraceRecordsEverySampledCommit(t *testing.T) {
+	const threads = 4
 	res, _, err := harness.TraceFig(harness.Options{
-		Benchmarks: []string{"list"}, Threads: []int{4}, Duration: 50 * time.Millisecond,
+		Benchmarks: []string{"list"}, Threads: []int{threads}, Duration: 50 * time.Millisecond,
 	}, 2)
 	if err != nil {
 		t.Fatal(err)
@@ -117,6 +119,8 @@ func TestTraceRecordsEverySampledCommit(t *testing.T) {
 	}
 	if got, sampled := committed(res.Trace), float64(res.Commits)/2; float64(got) < 0.99*sampled {
 		t.Errorf("recorded %d committed transactions of ≥ %.0f sampled commits (%d run commits)", got, sampled, res.Commits)
+	} else if limit := sampled + threads; float64(got) > limit {
+		t.Errorf("recorded %d committed transactions, more than the %.0f the timed run can have sampled (%d run commits)", got, limit, res.Commits)
 	}
 }
 

@@ -35,27 +35,24 @@ type Sampler struct {
 	done  chan struct{}
 }
 
-// defaultSamplerCap bounds the retained time series (~2.7 hours at 100ms).
-const defaultSamplerCap = 100_000
+// samplerCap bounds the retained time series (~2.7 hours at 100ms).
+const samplerCap = 100_000
 
 // StartSampler begins sampling reg every interval (minimum 1ms; a
-// non-positive interval selects 100ms). maxPoints ≤ 0 selects the default
-// cap. Call Stop to end sampling; a final point is always taken at Stop so
+// non-positive interval selects 100ms), keeping at most samplerCap points.
+// Call Stop to end sampling; a final point is always taken at Stop so
 // short runs never produce an empty series.
-func StartSampler(reg *Registry, interval time.Duration, maxPoints int) *Sampler {
+func StartSampler(reg *Registry, interval time.Duration) *Sampler {
 	if interval <= 0 {
 		interval = 100 * time.Millisecond
 	}
 	if interval < time.Millisecond {
 		interval = time.Millisecond
 	}
-	if maxPoints <= 0 {
-		maxPoints = defaultSamplerCap
-	}
 	s := &Sampler{
 		reg:      reg,
 		interval: interval,
-		maxPts:   maxPoints,
+		maxPts:   samplerCap,
 		start:    time.Now(),
 		stop:     make(chan struct{}),
 		done:     make(chan struct{}),

@@ -11,7 +11,7 @@ func TestSamplerSeries(t *testing.T) {
 	r := telemetry.NewRegistry()
 	c := r.NewCounter("s_total", "", 1)
 	r.RegisterGauge(telemetry.NewGauge("s_gauge", "", func() float64 { return float64(c.Value()) }))
-	s := telemetry.StartSampler(r, 2*time.Millisecond, 0)
+	s := telemetry.StartSampler(r, 2*time.Millisecond)
 	for i := 0; i < 10; i++ {
 		c.Inc(0)
 		time.Sleep(2 * time.Millisecond)
@@ -39,19 +39,5 @@ func TestSamplerSeries(t *testing.T) {
 	}
 	if s.Dropped() != 0 {
 		t.Errorf("Dropped = %d", s.Dropped())
-	}
-}
-
-func TestSamplerCap(t *testing.T) {
-	r := telemetry.NewRegistry()
-	r.NewCounter("cap_total", "", 1)
-	s := telemetry.StartSampler(r, time.Millisecond, 3)
-	time.Sleep(25 * time.Millisecond)
-	s.Stop()
-	if got := len(s.Points()); got != 3 {
-		t.Errorf("retained %d points, want cap 3", got)
-	}
-	if s.Dropped() == 0 {
-		t.Error("cap exceeded but nothing dropped")
 	}
 }
