@@ -37,8 +37,10 @@ func BenchmarkFrameClockCommit(b *testing.B) {
 }
 
 // BenchmarkFrameClockCommitParallel hammers one dynamic clock's open/retire
-// bookkeeping from 16 goroutines — the contention shape every committing
-// thread of a -Dynamic manager puts on the clock. Each worker opens an
+// bookkeeping from 16 goroutines — the worst case, in which every thread is
+// inside the window and commits nothing but clock bookkeeping. Conflict-free
+// commits stay outside the window and never reach the clock (DESIGN.md §2),
+// so no workload puts this shape on it. Each worker opens an
 // eight-frame segment at Current() and retires it front to back, mirroring
 // how the manager reads the clock once per segment rather than between
 // every commit; that keeps the cell measuring the shared bookkeeping

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 )
@@ -15,96 +16,63 @@ const expandFactor = 2
 // before the first commit provides a τ̂ sample.
 const minFrameDur = time.Microsecond
 
-// Range word layout: one atomic word per thread packs the first frame of
-// the thread's not-yet-retired registrations and how many consecutive
-// frames follow it, so a reader never sees a range that mixes two segments.
-const (
-	rangeCountBits = 24
-	rangeCountMax  = 1<<rangeCountBits - 1
-	rangeFrameMax  = 1<<(64-rangeCountBits) - 1
-)
-
-func packRange(first, n int64) uint64 {
-	return uint64(first)<<rangeCountBits | uint64(n)
-}
-
-func unpackRange(w uint64) (first, n int64) {
-	return int64(w >> rangeCountBits), int64(w & rangeCountMax)
-}
-
-// rangeCell is one thread's cache-line-padded range word. Only the owning
-// thread stores it; advancers and gauges load it from any goroutine.
-type rangeCell struct {
-	w atomic.Uint64
-	_ [56]byte
-}
-
-// frameClockStats counts the clock's slow and contended events. They are
-// written on the advance path only — never on the per-call fast path — and
-// surface as wincm_frameclock_*_total telemetry gauges.
-type frameClockStats struct {
-	casRetries   atomic.Int64 // failed CASes on the state word
-	contractions atomic.Int64 // drain-driven frame advances (dynamic mode)
-	expansions   atomic.Int64 // time-driven frame advances (dynamic mode)
-}
+// frameRange is the run of consecutive frames [first, first+n) a thread's
+// not-yet-retired registrations occupy.
+type frameRange struct{ first, n int64 }
 
 // frameClock is the shared frame counter of a window manager.
 //
 // Static mode: the current frame advances purely with time, every frame
 // duration (Θ(ln MN) transaction-lengths, auto-calibrated).
 //
-// Dynamic mode: each thread publishes the consecutive frames its scheduled
+// Dynamic mode: each thread registers the consecutive frames its scheduled
 // transactions still occupy. The current frame advances as soon as no range
 // covers it — contraction — skipping over frames nobody occupies, and is
 // forced forward after expandFactor durations — bounded expansion.
 //
-// The clock is lock-free. The current frame and an "advancing" bit share
-// one packed state word (cur<<1 | busy): readers take one atomic load, and
-// an advance is a CAS that sets the bit, a short private computation, and
-// a single store that publishes the new frame and releases the bit at
-// once. At most one caller ever performs an advance; every other caller
-// reads the freshly published frame instead of queuing. The schedule is
-// stored once, as one single-writer range word per thread: opening a
-// segment and retiring a frame are one store each, and how many
-// transactions a frame still waits for is an O(M) scan of those words,
-// paid only by the advancer, by a thread whose retired frame is the current
-// one, and by gauges. Frame starts (started, ns) ride outside the packed
-// word — 64-bit timestamps do not fit next to the frame index — which is
-// safe because started is written only while the busy bit is held and read
-// only for deadline checks, where a stale value at worst sends a caller
-// into an advance attempt that loses its CAS and returns.
+// One mutex guards every change: advances, and in dynamic mode the ranges
+// and the skip bound. Reads take no lock: the current frame, its start
+// and the frame duration are atomics, so Current is a deadline check and a
+// load. A reader that finds the frame's time up advances the clock only if
+// the lock is free at once (TryLock). Otherwise it returns the published
+// frame instead of queuing at the frame boundary: the holder is advancing
+// the clock itself, or is about to release it after a short range update.
+// Since the outside state (DESIGN.md §2) a conflict-free commit never
+// reaches the clock; see DESIGN.md §9.
 type frameClock struct {
 	dynamic bool
 	epoch   time.Time
 	nowFn   func() int64 // test hook; nil → monotonic ns since epoch
 	// onAdvance, when set, is called with the new frame index after every
-	// published advance, outside the advancing bit (never under a lock).
-	// The flight recorder's frame track is its consumer. Installed
-	// before the clock runs (plain field), must be fast and non-blocking,
-	// and may be invoked concurrently and out of frame order when two
-	// advances race — consumers must tolerate both.
+	// published advance, after the lock is released. The flight recorder's
+	// frame track is its consumer. Installed before the clock runs (plain
+	// field), must be fast and non-blocking, and may be invoked
+	// concurrently and out of frame order when two advances race —
+	// consumers must tolerate both.
 	onAdvance func(frame int64)
 
-	dur     atomic.Int64  // frame duration, ns
-	state   atomic.Uint64 // packed: current frame <<1 | advancing bit
-	started atomic.Int64  // ns when the current frame started (advancer-owned)
-	advReq  atomic.Int64  // parked drain request: drained frame + 1, 0 for none
+	dur     atomic.Int64 // frame duration, ns
+	frame   atomic.Int64 // current frame; stored under mu
+	started atomic.Int64 // ns when the current frame started; stored under mu
 
-	maxReg atomic.Int64 // highest frame with a registration ever
-	ranges []rangeCell  // per-thread registered frames (dynamic mode)
+	_ [64]byte // keeps mu, written by in-window commits, off Current's lines
 
-	stats frameClockStats
+	mu     sync.Mutex
+	maxReg int64        // highest frame with a registration ever
+	ranges []frameRange // per-thread registered frames (dynamic mode)
+
+	// Advances by cause (dynamic mode), counted under mu and read by the
+	// wincm_frameclock_*_total gauges.
+	contractions atomic.Int64 // drain-driven
+	expansions   atomic.Int64 // time-driven
 }
 
 // newFrameClock builds a clock for m threads; static clocks track no
-// registrations and allocate no range words.
+// registrations.
 func newFrameClock(dynamic bool, dur time.Duration, m int) *frameClock {
-	c := &frameClock{
-		dynamic: dynamic,
-		epoch:   time.Now(),
-	}
+	c := &frameClock{dynamic: dynamic, epoch: time.Now()}
 	if dynamic {
-		c.ranges = make([]rangeCell, m)
+		c.ranges = make([]frameRange, m)
 	}
 	c.setDur(dur)
 	return c
@@ -136,108 +104,73 @@ func (c *frameClock) effDur() int64 {
 	return d
 }
 
-// cur reads the current frame from the packed state word.
-func (c *frameClock) cur() int64 { return int64(c.state.Load() >> 1) }
+// cur reads the published current frame.
+func (c *frameClock) cur() int64 { return c.frame.Load() }
 
 // Current returns the current frame index, advancing the clock first if
-// the current frame's time allowance has run out. Readers never queue: if
-// another caller is mid-advance, Current returns the latest published
-// frame immediately.
+// the current frame's time allowance has run out and the lock is free.
+// Readers never queue: if the lock is held, its holder is either advancing
+// the clock itself or updating one range, and Current returns the frame
+// published so far; a deadline the holder did not see is caught up by the
+// next reader.
 func (c *frameClock) Current() int64 {
-	if c.now() >= c.started.Load()+c.effDur() {
-		c.advance()
+	if c.now() >= c.started.Load()+c.effDur() && c.mu.TryLock() {
+		c.unlock(c.advance(0, 0))
 	}
 	return c.cur()
 }
 
-// contract asks for the contraction of frame f, which the caller saw with
-// no range left on it. The request must not be lost: it is parked in advReq
-// before the advancing bit is tried, and whoever holds the bit re-checks
-// advReq after releasing it, so one of the two serves it (the Dekker-style
-// store/load pairs are seq-cst, which rules out both sides missing each
-// other). It names its frame because two threads retiring a frame's last
-// two registrations can both see it empty: whichever request is served
-// second finds the clock past f and is ignored. For the same reason a
-// request only ever raises advReq — a late one for a frame already left
-// must not overwrite the request for the frame that followed it.
-func (c *frameClock) contract(f int64) {
-	raise(&c.advReq, f+1)
-	c.advance()
-}
-
-// raise lifts a to at least v.
-func raise(a *atomic.Int64, v int64) {
-	for {
-		old := a.Load()
-		if v <= old || a.CompareAndSwap(old, v) {
-			return
-		}
+// unlock publishes next as the current frame, releases mu, then reports an
+// advance to onAdvance.
+func (c *frameClock) unlock(next int64) {
+	cur := c.cur()
+	if next != cur {
+		c.frame.Store(next)
+	}
+	c.mu.Unlock()
+	if h := c.onAdvance; h != nil && next != cur {
+		h(next)
 	}
 }
 
-// advance moves the clock forward; it is the only mutator of the state
-// word. It is best-effort for the caller — if the advancing bit is already
-// held, the holder is doing the work and the caller just reads the result —
-// but serves every drain request parked before its last look at advReq.
-func (c *frameClock) advance() {
-	for {
-		s := c.state.Load()
-		if s&1 != 0 {
-			return // an advance is in flight; any drain request is parked
-		}
-		if !c.state.CompareAndSwap(s, s|1) {
-			c.stats.casRetries.Add(1)
-			continue
-		}
-		cur := int64(s >> 1)
-		drained := c.advReq.Swap(0)-1 == cur
-		next := c.advanceHeld(cur, drained)
-		c.state.Store(uint64(next) << 1) // publish + release in one store
-		if h := c.onAdvance; h != nil && next != cur {
-			h(next)
-		}
-		if c.advReq.Load() == 0 {
-			return
-		}
+// drained returns the frame the clock moves to under mu once the caller
+// has emptied [lo, hi) of its registrations: it advances only if the
+// current frame is one of them and nothing else is left on it.
+func (c *frameClock) drained(lo, hi int64) int64 {
+	if cur := c.cur(); cur < lo || cur >= hi || c.pendingAt(cur) != 0 {
+		return cur
 	}
+	return c.advance(lo, hi)
 }
 
-// advanceHeld computes the next frame while the advancing bit is held:
-// first the time-driven catch-up (one frame per allowance, computed in one
-// step so an idle clock costs O(1)), then — dynamic mode — the drain-driven
-// contraction step and the skip over registered-empty frames, which never
-// passes the last registered frame (there is nothing to run up ahead, so
-// the clock idles there instead of spinning forward).
-func (c *frameClock) advanceHeld(cur int64, drained bool) int64 {
+// advance computes the next frame under mu: first the time-driven catch-up
+// (one frame per allowance, computed in one step so an idle clock costs
+// O(1)), then — dynamic mode — the skip over registered-empty frames and
+// the contraction through every frame of [lo, hi) the clock reaches with
+// nothing left on it, one step per frame, as retiring them one by one
+// would. The skip never passes the last registered frame (there is nothing
+// to run up ahead, so the clock idles there instead of spinning forward).
+func (c *frameClock) advance(lo, hi int64) int64 {
 	d := c.effDur()
-	start := c.started.Load()
-	t := c.now()
+	start, t := c.started.Load(), c.now()
+	cur := c.cur()
 	next := cur
-	moved := false
 	if el := t - start; el >= d {
 		steps := el / d
 		next += steps
 		start += steps * d
-		moved = true
 		if c.dynamic {
-			c.stats.expansions.Add(steps)
-		}
-	}
-	if c.dynamic {
-		if !moved && drained && c.pendingAt(next) == 0 {
-			next++ // contraction: the drained frame ends now
-			start = t
-			moved = true
-			c.stats.contractions.Add(1)
-		}
-		if moved {
+			c.expansions.Add(steps)
 			if sk := c.skipEmpty(next); sk != next {
-				next = sk
-				start = t
+				next, start = sk, t
 			}
 		}
 	}
-	if moved {
+	for c.dynamic && lo <= next && next < hi && c.pendingAt(next) == 0 {
+		next, start = c.skipEmpty(next+1), t // contraction: the drained frame ends now
+		c.contractions.Add(1)
+	}
+	if next != cur {
 		c.started.Store(start)
 	}
 	return next
@@ -246,13 +179,13 @@ func (c *frameClock) advanceHeld(cur int64, drained bool) int64 {
 // skipEmpty returns the first frame in [from, maxReg] some range covers,
 // or maxReg if none (never beyond the last registered frame).
 func (c *frameClock) skipEmpty(from int64) int64 {
-	to := c.maxReg.Load()
+	to := c.maxReg
 	if to <= from {
 		return from
 	}
-	for i := range c.ranges {
-		if first, n := unpackRange(c.ranges[i].w.Load()); n > 0 && first < to && first+n > from {
-			to = max(first, from)
+	for _, r := range c.ranges {
+		if r.n > 0 && r.first < to && r.first+r.n > from {
+			to = max(r.first, from)
 		}
 	}
 	return to
@@ -261,47 +194,40 @@ func (c *frameClock) skipEmpty(from int64) int64 {
 // pendingAt counts the ranges that cover frame f.
 func (c *frameClock) pendingAt(f int64) int64 {
 	var p int64
-	for i := range c.ranges {
-		if first, n := unpackRange(c.ranges[i].w.Load()); f >= first && f < first+n {
+	for _, r := range c.ranges {
+		if f >= r.first && f < r.first+r.n {
 			p++
 		}
 	}
 	return p
 }
 
-// open publishes [first, first+n) as thread i's range, one store; the
-// caller has dropped what the previous segment left (dynamic bookkeeping; a
-// no-op in static mode). A range the packed word cannot hold is left
-// unpublished: that thread's frames then end by time alone, which bounded
-// expansion guarantees anyway.
+// open registers [first, first+n) as thread i's range; the caller has
+// dropped what the previous segment left (dynamic bookkeeping; a no-op in
+// static mode).
 func (c *frameClock) open(i int, first, n int64) {
-	if !c.dynamic || first < 0 || n > rangeCountMax || first+n > rangeFrameMax {
+	if !c.dynamic {
 		return
 	}
-	// Range before skip bound: an advancer between the two idles at the old
-	// bound; the other order would let it skip past frames about to appear.
-	c.ranges[i].w.Store(packRange(first, n))
-	raise(&c.maxReg, first+n-1)
+	c.mu.Lock()
+	c.ranges[i] = frameRange{first, n}
+	c.maxReg = max(c.maxReg, first+n-1)
+	c.mu.Unlock()
 }
 
 // retire removes the first frame of thread i's range — its transaction
-// committed — and requests the contraction itself if that emptied the
-// current frame. The store comes before the scan, both seq-cst, so of two
-// threads retiring a frame's last two registrations at once at least one
-// sees it empty.
+// committed — and contracts the clock if that emptied the current frame.
 func (c *frameClock) retire(i int) {
 	if !c.dynamic {
 		return
 	}
-	cell := &c.ranges[i].w
-	f, n := unpackRange(cell.Load())
-	if n == 0 {
-		return
+	c.mu.Lock()
+	r := &c.ranges[i]
+	f := r.first
+	if r.n > 0 {
+		r.first, r.n = f+1, r.n-1
 	}
-	cell.Store(packRange(f+1, n-1))
-	if f == c.cur() && c.pendingAt(f) == 0 {
-		c.contract(f)
-	}
+	c.unlock(c.drained(f, r.first))
 }
 
 // drop empties thread i's range without running its transactions (adaptive
@@ -314,31 +240,22 @@ func (c *frameClock) drop(i int) {
 	if !c.dynamic {
 		return
 	}
-	cell := &c.ranges[i].w
-	first, n := unpackRange(cell.Load())
-	if n == 0 {
-		return
-	}
-	cell.Store(packRange(first+n, 0))
-	for f := c.cur(); f >= first && f < first+n && c.pendingAt(f) == 0; {
-		c.contract(f)
-		g := c.cur()
-		if g == f {
-			return // an advance in flight holds the request, or f was taken again
-		}
-		f = g
-	}
+	c.mu.Lock()
+	r := &c.ranges[i]
+	first, end := r.first, r.first+r.n
+	*r = frameRange{end, 0}
+	c.unlock(c.drained(first, end))
 }
 
 // occupancy reports the dynamic clock's live scheduling state: how many
 // not-yet-committed transactions are registered in the current frame and
 // across all frames. Static clocks track no registrations and report
-// zeros. Two passes over the range words; safe from any goroutine —
-// telemetry gauges sample it mid-run without stalling committers.
+// zeros. Safe from any goroutine — telemetry gauges sample it mid-run.
 func (c *frameClock) occupancy() (curPending, totalPending int64) {
-	for i := range c.ranges {
-		_, n := unpackRange(c.ranges[i].w.Load())
-		totalPending += n
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	for _, r := range c.ranges {
+		totalPending += r.n
 	}
 	return c.pendingAt(c.cur()), totalPending
 }

@@ -10,22 +10,16 @@ import (
 // jump force-advances the clock by n frames regardless of pending state
 // (test helper: simulates a clock that ran far ahead of a schedule).
 func (c *frameClock) jump(n int64) {
-	for {
-		s := c.state.Load()
-		if s&1 != 0 {
-			continue // an advance is in flight; retry
-		}
-		if c.state.CompareAndSwap(s, s+uint64(n)<<1) {
-			c.started.Store(c.now())
-			return
-		}
-	}
+	c.mu.Lock()
+	c.frame.Add(n)
+	c.started.Store(c.now())
+	c.mu.Unlock()
 }
 
-// refFrameClock is the pre-ISSUE-4 mutex-era clock, kept verbatim (minus
-// the mutex — the property test drives it single-threaded) as the
-// executable specification the lock-free clock must agree with. It counts
-// registrations frame by frame; the clock under test stores ranges.
+// refFrameClock is the clock's first design, kept verbatim (minus its
+// mutex — the property test drives it single-threaded) as the executable
+// specification the clock must agree with. It counts registrations frame by
+// frame in a map; the clock under test stores one range per thread.
 type refFrameClock struct {
 	dynamic bool
 	nowFn   func() int64
@@ -119,7 +113,7 @@ func (c *refFrameClock) occupancy() (curPending, totalPending int64) {
 }
 
 // TestFrameClockMatchesReferenceModel drives the range clock and the
-// mutex-era reference model in lockstep over randomized schedules on a
+// per-frame reference model in lockstep over randomized schedules on a
 // deterministic fake clock: four threads open, retire and drop ranges
 // (the reference registers and decrements the same frames one by one)
 // between time jumps and recalibrations, and both must show the same current
@@ -201,8 +195,8 @@ func TestFrameClockMatchesReferenceModel(t *testing.T) {
 				ref.setDur(d)
 				check(step, "setDur")
 			}
-			if gf, gn := unpackRange(c.ranges[i].w.Load()); gn != n[i] || (gn > 0 && gf != first[i]) {
-				t.Fatalf("seed %d step %d: thread %d holds [%d,+%d), model [%d,+%d)", seed, step, i, gf, gn, first[i], n[i])
+			if r := c.ranges[i]; r.n != n[i] || (r.n > 0 && r.first != first[i]) {
+				t.Fatalf("seed %d step %d: thread %d holds [%d,+%d), model [%d,+%d)", seed, step, i, r.first, r.n, first[i], n[i])
 			}
 		}
 	}
@@ -232,41 +226,6 @@ func TestFrameClockDropStepsPerEmptiedFrame(t *testing.T) {
 	}
 	if cur, total := c.occupancy(); cur != 1 || total != 1 {
 		t.Fatalf("occupancy = (%d,%d), want (1,1)", cur, total)
-	}
-}
-
-// TestFrameClockUnpackableRange: a segment whose frames or length do not
-// fit the range word registers nothing — occupancy stays exact for
-// everyone else, retiring it is a no-op, and its frames end by time.
-func TestFrameClockUnpackableRange(t *testing.T) {
-	var fake int64
-	c := newFrameClock(true, time.Millisecond, 2)
-	c.nowFn = func() int64 { return fake }
-	c.jump(rangeFrameMax - 3)
-	base := c.cur()
-
-	c.open(0, base, 5)            // runs past the last packable frame
-	c.open(0, 0, rangeCountMax+1) // too long
-	c.open(1, base, 2)            // fits
-	if cur, total := c.occupancy(); cur != 1 || total != 2 {
-		t.Fatalf("occupancy = (%d,%d), want (1,2): only the packable range counts", cur, total)
-	}
-	c.retire(0)
-	c.drop(0)
-	if got := c.ranges[0].w.Load(); got != 0 {
-		t.Fatalf("unpackable segment wrote its range word (%#x)", got)
-	}
-	c.retire(1) // the current frame's only registration: contraction
-	if got := c.Current(); got != base+1 {
-		t.Fatalf("cur = %d, want %d", got, base+1)
-	}
-	c.retire(1)
-	if cur, total := c.occupancy(); cur != 0 || total != 0 {
-		t.Fatalf("occupancy = (%d,%d) after retiring everything", cur, total)
-	}
-	fake += 10 * int64(time.Millisecond)
-	if got := c.Current(); got <= base+2 {
-		t.Fatalf("cur = %d: time no longer advances the clock", got)
 	}
 }
 

@@ -86,12 +86,12 @@ func TestFrameClockContractionExpansionRace(t *testing.T) {
 }
 
 // TestFrameClockConcurrentLastRetirers: two threads hold the current
-// frame's last two registrations and retire them at the same instant. Each
-// stores its range and then scans, so at least one sees the frame empty —
-// and both may. A drain request names its frame, so whichever is served
-// second finds the clock past it: every drained frame is contracted exactly
-// once, although the frame contracted to is empty as well (nothing else is
-// registered, and time is frozen).
+// frame's last two registrations and retire them at the same instant. The
+// retires serialize on the clock's lock, so the second finds the frame
+// empty and contracts it, and a contraction only ever steps the frame its
+// caller emptied: every drained frame is contracted exactly once, although
+// the frame contracted to is empty as well (nothing else is registered, and
+// time is frozen).
 func TestFrameClockConcurrentLastRetirers(t *testing.T) {
 	const rounds = 2000
 	c := newFrameClock(true, time.Hour, 2)
@@ -115,8 +115,42 @@ func TestFrameClockConcurrentLastRetirers(t *testing.T) {
 		if got := c.cur(); got != f+1 {
 			t.Fatalf("round %d: cur = %d, want %d", f, got, f+1)
 		}
-		if got := c.stats.contractions.Load(); got != f+1 {
+		if got := c.contractions.Load(); got != f+1 {
 			t.Fatalf("round %d: %d contractions counted, want %d", f, got, f+1)
+		}
+	}
+}
+
+// TestFrameClockReaderSkipsHeldLock pins down the TryLock rule: a reader
+// past a frame deadline while the clock's lock is held returns the
+// published frame without waiting for the lock; after release the next
+// reader catches up, and the frame hook fires once for that advance.
+func TestFrameClockReaderSkipsHeldLock(t *testing.T) {
+	for _, dynamic := range []bool{false, true} {
+		var fake int64
+		c := newFrameClock(dynamic, time.Millisecond, 1)
+		c.nowFn = func() int64 { return fake }
+		var fired []int64
+		c.onAdvance = func(f int64) { fired = append(fired, f) }
+
+		c.mu.Lock()
+		fake = 3 * c.effDur() // three frames' allowance: the deadline is long past
+		read := make(chan int64)
+		go func() { read <- c.Current() }()
+		select {
+		case got := <-read:
+			if got != 0 {
+				t.Errorf("dynamic=%v: Current() under the held lock = %d, want the published 0", dynamic, got)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("dynamic=%v: Current() blocked on the held lock", dynamic)
+		}
+		c.mu.Unlock()
+		if got := c.Current(); got != 3 {
+			t.Errorf("dynamic=%v: Current() after release = %d, want 3", dynamic, got)
+		}
+		if len(fired) != 1 || fired[0] != 3 {
+			t.Errorf("dynamic=%v: frame hook calls = %v, want [3]", dynamic, fired)
 		}
 	}
 }
@@ -138,7 +172,7 @@ func TestFrameClockMonotonicUnderContraction(t *testing.T) {
 }
 
 // TestFrameClockStaticAdvanceSingleWinner: in static mode the deadline
-// path is the packed-word CAS too — concurrent readers past the deadline
+// path is the TryLock rule too — concurrent readers past the deadline
 // must all observe an advance without queuing or regressing.
 func TestFrameClockStaticAdvanceSingleWinner(t *testing.T) {
 	c := newFrameClock(false, 100*time.Microsecond, 1)

@@ -75,11 +75,9 @@ func (m *Manager) TelemetryGauges() []telemetry.Gauge {
 			func() float64 { return float64(m.sum(cellFallbacks)) }),
 		telemetry.NewGauge("wincm_window_priority_collisions", "conflicts whose priority vectors tied (ID tie-break decided)",
 			func() float64 { return float64(m.sum(cellCollisions)) }),
-		telemetry.NewGauge("wincm_frameclock_cas_retries_total", "frame-clock CAS retries on the state word",
-			func() float64 { return float64(m.clock.stats.casRetries.Load()) }),
 		telemetry.NewGauge("wincm_frameclock_contractions_total", "drain-driven frame advances (dynamic contraction)",
-			func() float64 { return float64(m.clock.stats.contractions.Load()) }),
+			func() float64 { return float64(m.clock.contractions.Load()) }),
 		telemetry.NewGauge("wincm_frameclock_expansions_total", "time-driven frame advances (dynamic expansion)",
-			func() float64 { return float64(m.clock.stats.expansions.Load()) }),
+			func() float64 { return float64(m.clock.expansions.Load()) }),
 	}
 }

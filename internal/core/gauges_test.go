@@ -39,7 +39,6 @@ func TestTelemetryGaugesQuiescent(t *testing.T) {
 		"wincm_window_clean_exits_total",
 		"wincm_window_bad_events", "wincm_window_fallback_commits",
 		"wincm_window_priority_collisions",
-		"wincm_frameclock_cas_retries_total",
 		"wincm_frameclock_contractions_total",
 		"wincm_frameclock_expansions_total",
 	} {

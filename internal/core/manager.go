@@ -41,7 +41,7 @@ func auxP2(aux uint64) uint64   { return aux & (1<<p2Bits - 1) }
 // Aborted (enter) and leaves again when a segment ends without either
 // (leave). See DESIGN.md §2.
 type threadState struct {
-	id  int // index of the thread's range word in the frame clock
+	id  int // index of the thread's range in the frame clock
 	rng rng.Rand
 	est estimator
 

@@ -99,19 +99,16 @@ func TestConflictFreeCommitsTouchNothingShared(t *testing.T) {
 		t.Errorf("BadEvents() = %d, want 0", got)
 	}
 	c := m.clock
-	if r := c.stats.casRetries.Load(); r != 0 {
-		t.Errorf("clock casRetries = %d, want 0", r)
-	}
 	// No registration ever: the skip bound never moved and every thread's
-	// range word still holds its zero value (a range opened and since
+	// range still holds its zero value (a range opened and since
 	// retired or dropped leaves its end frame behind). No clock read either:
 	// nothing advanced it.
-	if got := c.maxReg.Load(); got != 0 {
+	if got := c.maxReg; got != 0 {
 		t.Errorf("a frame was registered (maxReg = %d)", got)
 	}
 	for i := range c.ranges {
-		if w := c.ranges[i].w.Load(); w != 0 {
-			t.Fatalf("thread %d's range word was written (%#x)", i, w)
+		if r := c.ranges[i]; r != (frameRange{}) {
+			t.Fatalf("thread %d's range was written (%+v)", i, r)
 		}
 	}
 	if got := c.cur(); got != 0 {

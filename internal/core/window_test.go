@@ -78,7 +78,7 @@ func TestOpenSegmentReRegisters(t *testing.T) {
 }
 
 // TestCommittedAdvancesRegRange: commits retire the registration range as
-// a prefix — the range word's first frame is the next unretired one, so an
+// a prefix — the range's first frame is the next unretired one, so an
 // adaptive restart drops exactly the not-yet-committed suffix.
 func TestCommittedAdvancesRegRange(t *testing.T) {
 	cfg := DefaultConfig(OnlineDynamic, 1)
@@ -92,8 +92,8 @@ func TestCommittedAdvancesRegRange(t *testing.T) {
 	base := st.baseFrame
 	for j := int64(0); j < 4; j++ {
 		m.clock.retire(st.id)
-		if next, n := unpackRange(m.clock.ranges[st.id].w.Load()); next != base+j+1 || n != 3-j {
-			t.Fatalf("after commit %d: range = [%d,+%d), want [%d,+%d)", j, next, n, base+j+1, 3-j)
+		if r := m.clock.ranges[st.id]; r.first != base+j+1 || r.n != 3-j {
+			t.Fatalf("after commit %d: range = [%d,+%d), want [%d,+%d)", j, r.first, r.n, base+j+1, 3-j)
 		}
 	}
 	if _, total := m.clock.occupancy(); total != 0 {

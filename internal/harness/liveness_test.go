@@ -127,7 +127,7 @@ func livenessCell(t *testing.T, benchmark, manager string) {
 	rt := stm.New(threads, flipper{mgr, adv},
 		stm.WithFallback(64, 250*time.Millisecond), stm.WithProbe(adv))
 	rt.SetYieldEvery(livenessGrain)
-	wd := rt.StartWatchdog(0)
+	wd := rt.StartWatchdog(5 * time.Millisecond)
 	w.Setup(rt.Thread(0))
 	adv.armed.Store(true)
 

@@ -32,13 +32,13 @@ func TestRunWithTraceRecorder(t *testing.T) {
 		t.Errorf("trace counts = %v, want begins and commits", counts)
 	}
 	// The recorder saw the run the runtime executed: at 1-in-1 sampling,
-	// within the budget, every committed transaction produced a commit
-	// event (a commit entry that then aborted adds one more).
+	// within the budget, every committed transaction is one counted commit
+	// (a commit entry that then aborted counts as its abort).
 	if res.Trace.Unrecorded != 0 {
 		t.Errorf("%d transactions unrecorded, want 0", res.Trace.Unrecorded)
 	}
-	if counts[txtrace.EvCommit] < int(res.Commits) {
-		t.Errorf("commit events %d < run commits %d", counts[txtrace.EvCommit], res.Commits)
+	if counts[txtrace.EvCommit] != int(res.Commits) {
+		t.Errorf("recorded commits %d != run commits %d", counts[txtrace.EvCommit], res.Commits)
 	}
 	// A window manager's frame clock feeds the trace.
 	if counts[txtrace.EvFrame] == 0 {
@@ -117,34 +117,11 @@ func TestTraceRecordsEverySampledCommit(t *testing.T) {
 	if n := res.Trace.Unrecorded; n != 0 {
 		t.Errorf("%d transactions unrecorded past the budget, want 0", n)
 	}
-	if got, sampled := committed(res.Trace), float64(res.Commits)/2; float64(got) < 0.99*sampled {
+	if got, sampled := res.Trace.Counts()[txtrace.EvCommit], float64(res.Commits)/2; float64(got) < 0.99*sampled {
 		t.Errorf("recorded %d committed transactions of ≥ %.0f sampled commits (%d run commits)", got, sampled, res.Commits)
 	} else if limit := sampled + threads; float64(got) > limit {
 		t.Errorf("recorded %d committed transactions, more than the %.0f the timed run can have sampled (%d run commits)", got, limit, res.Commits)
 	}
-}
-
-// committed counts the trace's committed transactions: attempts whose
-// last outcome is a commit (a commit entry followed by an abort is an
-// abort).
-func committed(tr *txtrace.Trace) int {
-	type attempt struct {
-		thread       int16
-		seq, attempt int32
-	}
-	last := map[attempt]txtrace.Kind{}
-	for _, e := range tr.Events {
-		if e.Kind == txtrace.EvCommit || e.Kind == txtrace.EvAbort {
-			last[attempt{e.Thread, e.Seq, e.Attempt}] = e.Kind
-		}
-	}
-	n := 0
-	for _, k := range last {
-		if k == txtrace.EvCommit {
-			n++
-		}
-	}
-	return n
 }
 
 // TestTraceOffLeavesResultNil: with TraceSample 0 nothing is recorded

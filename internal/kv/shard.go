@@ -79,10 +79,10 @@ func newShard(idx int, o Options) (*shard, error) {
 	for i := range sh.slots {
 		sh.slots[i].th = rt.Thread(i)
 	}
-	// The stm default interval (5 ms) is tuned for benchmark harnesses;
-	// on a loaded service a healthy shard's goroutines can legitimately
-	// go unscheduled that long, so a service trip should mean "stuck for a
-	// whole transaction deadline", not scheduler jitter.
+	// The watchdog checks once per transaction deadline: on a loaded
+	// service a healthy shard's goroutines can legitimately go unscheduled
+	// for milliseconds, so a service trip should mean "stuck for a whole
+	// transaction deadline", not scheduler jitter.
 	sh.wd = rt.StartWatchdog(DefaultTxDeadline)
 	return sh, nil
 }

@@ -33,16 +33,10 @@ type Watchdog struct {
 	lastCommits int64
 }
 
-// defaultWatchdogInterval is used when StartWatchdog is given a
-// non-positive interval.
-const defaultWatchdogInterval = 5 * time.Millisecond
-
-// StartWatchdog begins monitoring the runtime and returns the watchdog.
-// Call Stop before reading final statistics.
+// StartWatchdog begins monitoring the runtime every interval, which must be
+// positive, and returns the watchdog. Call Stop before reading final
+// statistics.
 func (rt *Runtime) StartWatchdog(interval time.Duration) *Watchdog {
-	if interval <= 0 {
-		interval = defaultWatchdogInterval
-	}
 	w := &Watchdog{rt: rt, interval: interval}
 	w.mu.Lock() // the first tick may fire before timer is set
 	w.timer = time.AfterFunc(interval, w.tick)

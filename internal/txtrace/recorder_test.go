@@ -184,9 +184,8 @@ func TestRecorderConflictAccounting(t *testing.T) {
 	}
 
 	// Attempt-lifecycle identity on the recorded stream: every attempt
-	// begins once and ends in exactly one outcome, so begins can never be
-	// fewer than outcomes (commit-then-abort double-counts an attempt's
-	// commit entry, so use >=).
+	// begins once and Counts takes at most one outcome of it, so begins can
+	// never be fewer than aborts.
 	counts := tr.Counts()
 	if counts[EvBegin] < counts[EvAbort] {
 		t.Errorf("begins %d < aborts %d: lifecycle broken", counts[EvBegin], counts[EvAbort])

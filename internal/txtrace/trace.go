@@ -172,11 +172,30 @@ func (t *Trace) Heatmap(k int) []VarStat {
 	return out
 }
 
-// Counts tallies recorded events per kind.
+// Counts tallies recorded events per kind, counting each attempt's
+// outcome once: an attempt whose commit entry loses its status CAS to a
+// remote abort records EvCommit and then EvAbort, and counts as the abort
+// only. A thread ends its attempts one after another, so the outcome events
+// of one attempt are consecutive among its thread's outcome events.
 func (t *Trace) Counts() map[Kind]int {
+	type outcome struct {
+		seq, attempt int32
+		kind         Kind
+	}
 	out := map[Kind]int{}
+	last := map[int16]outcome{} // each thread's latest outcome, not yet counted
 	for _, e := range t.Events {
-		out[e.Kind]++
+		if e.Kind != EvCommit && e.Kind != EvAbort {
+			out[e.Kind]++
+			continue
+		}
+		if p, ok := last[e.Thread]; ok && (p.seq != e.Seq || p.attempt != e.Attempt) {
+			out[p.kind]++
+		}
+		last[e.Thread] = outcome{e.Seq, e.Attempt, e.Kind}
+	}
+	for _, p := range last {
+		out[p.kind]++
 	}
 	return out
 }

@@ -72,6 +72,28 @@ func TestConflictsAndHeatmapSummarizeWindow(t *testing.T) {
 	}
 }
 
+// TestCountsTakeEachAttemptsLastOutcome: an attempt that records EvCommit
+// and then EvAbort (its status CAS lost to a remote abort) counts as one
+// abort and no commit, also when another thread's outcome falls between
+// its two events; every other attempt's outcome counts as recorded.
+func TestCountsTakeEachAttemptsLastOutcome(t *testing.T) {
+	tr := &Trace{Threads: 2, Sample: 1, Events: []Event{
+		{TS: 10, Seq: 0, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvBegin},
+		{TS: 11, Seq: 0, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvBegin},
+		{TS: 20, Seq: 0, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvCommit},
+		{TS: 21, Seq: 0, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvCommit},
+		{TS: 22, Seq: 0, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvAbort},
+		{TS: 30, Seq: 0, Attempt: 2, Thread: 0, Enemy: -1, Kind: EvBegin},
+		{TS: 40, Seq: 0, Attempt: 2, Thread: 0, Enemy: -1, Kind: EvCommit},
+		{TS: 50, Seq: 1, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvBegin},
+		{TS: 60, Seq: 1, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvAbort},
+	}}
+	n := tr.Counts()
+	if n[EvBegin] != 4 || n[EvCommit] != 2 || n[EvAbort] != 2 {
+		t.Errorf("counts = %v, want 4 begins, 2 commits and 2 aborts", n)
+	}
+}
+
 func TestTimelineSmoke(t *testing.T) {
 	var buf bytes.Buffer
 	if err := goldenTrace().Timeline(&buf, 40); err != nil {
