@@ -46,6 +46,36 @@ func BenchmarkTxBTreeLookup(b *testing.B) {
 	}
 }
 
+// BenchmarkTxBTreeInsertAscending measures the write a preload makes: one
+// Insert per transaction, each key one past the last, continuing a tree
+// preloaded ascending with 1M keys as the repo benchmark loads its kv
+// workloads. The write's own read starts at the thread's write finger, so
+// it does not descend; a leaf split still does, once per run of keys that
+// fills a leaf.
+func BenchmarkTxBTreeInsertAscending(b *testing.B) {
+	const keys = 1 << 20
+	var th *stm.Thread
+	var tr *txbtree.Tree[int]
+	next := 0
+	insert := func() {
+		th.Atomic(func(tx *stm.Tx) { tr.Insert(tx, next, next) })
+		next++
+	}
+	b.Run(fmt.Sprintf("keys%d", keys), func(b *testing.B) {
+		if tr == nil { // built once; each b.N round continues the run
+			th, tr = newRT(b, 1).Thread(0), txbtree.New[int]()
+			for next < keys {
+				insert()
+			}
+		}
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			insert()
+		}
+	})
+}
+
 // BenchmarkTxBTreeParallel is the rbtree benchmark's workload pointed at
 // the B-link tree: the same 100%-update mix, key range and populate as
 // BenchmarkRBTreeParallel, so the two cells differ only in conflict

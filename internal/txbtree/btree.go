@@ -37,6 +37,11 @@
 //   - The same argument covers a remembered leaf (a read entry's, or a
 //     buffered write's apply hint): the key lived there once, so its home
 //     is that leaf or one to its right, however many splits intervened.
+//     It covers a thread's write finger too: a leaf's low bound never
+//     changes, so a key at or above the one the thread last wrote is homed
+//     in the leaf that write found or to its right. A write whose key is
+//     also below the fence that write saw starts there instead of
+//     descending.
 //
 // Transactions interact with the tree through a semantic read/write set
 // instead (txn.go): reads log (key, leaf, leaf-version, slot-version,
@@ -89,6 +94,15 @@ func (s *span) search(key int) (int, bool) {
 		}
 	}
 	return s.n, false
+}
+
+// seek is search for the write path: a key past the last slot, the append
+// an ascending run makes, is answered without a scan.
+func (s *span) seek(key int) (int, bool) {
+	if s.n > 0 && key > s.keys[s.n-1] {
+		return s.n, false
+	}
+	return s.search(key)
 }
 
 // past reports whether key lies beyond the fence, i.e. in a right sibling.
@@ -315,7 +329,7 @@ func (st *txState[V]) recheck(e *readEnt[V], probe bool) bool {
 func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V], r *lockRec) {
 	key := w.key
 	nd := w.leaf.latch(key)
-	i, ok := nd.search(key)
+	i, ok := nd.seek(key)
 	switch {
 	case w.del:
 		if ok {

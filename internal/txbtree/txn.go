@@ -2,6 +2,7 @@ package txbtree
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"wincm/internal/stm"
@@ -41,10 +42,11 @@ func (a writeEnt[V]) byKey(b writeEnt[V]) int { return cmp.Compare(a.key, b.key)
 
 // txState is one thread's per-attempt transaction state against one
 // tree: the semantic read and write sets, the lock records held from
-// validation on, and reusable traversal scratch. It is the tree's
-// stm.SemanticOps implementation; enter registers it with each new
-// attempt. Owner-thread-only, and it ends in a full cache line of padding,
-// so two threads' enter and Finalize writes never share a line.
+// validation on, reusable traversal scratch, and the write finger, which
+// outlives attempts. It is the tree's stm.SemanticOps implementation;
+// enter registers it with each new attempt. Owner-thread-only, and it ends
+// in a full cache line of padding, so two threads' enter and Finalize
+// writes never share a line.
 type txState[V any] struct {
 	tree *Tree[V]
 	tx   *stm.Tx
@@ -61,7 +63,14 @@ type txState[V any] struct {
 	held    int
 	path    []*inner[V]
 	scratch []writeEnt[V] // range-scan merge buffer
-	_       [64]byte
+	// The write finger: the leaf the thread's last write latched, the key
+	// it wrote and that leaf's fence as read under the latch (MaxInt for
+	// none). A write of a key in [fkey, fhi) starts at fleaf instead of
+	// descending; the zero finger matches no key.
+	fleaf *node[V]
+	fkey  int
+	fhi   int
+	_     [64]byte
 }
 
 var _ stm.SemanticOps = (*txState[int])(nil)
@@ -144,9 +153,10 @@ func (st *txState[V]) bufGet(key int) (val V, del, found bool) {
 
 // write buffers an upsert or delete of key, overwriting any earlier
 // buffered operation on it, and reports whether the key was present before.
-// The first write of a key reads it (the logged read is what makes the
-// reported presence part of the commit's validation) and keeps the leaf
-// that read found as the apply hint.
+// The first write of a key reads it, as read does but from the finger's
+// leaf when the key lies in its range (the logged read is what makes the
+// reported presence part of the commit's validation), keeps the leaf that
+// read found as the apply hint and moves the finger there.
 func (st *txState[V]) write(key int, val V, del bool) (present bool) {
 	for i := range st.writes {
 		if w := &st.writes[i]; w.key == key {
@@ -155,11 +165,23 @@ func (st *txState[V]) write(key int, val V, del bool) (present bool) {
 			return present
 		}
 	}
-	_, present = st.read(key)
-	e := &st.reads[len(st.reads)-1]
-	e.locked = true
-	st.writes = append(st.writes, writeEnt[V]{key: key, val: val, del: del, leaf: e.leaf})
-	return present
+	nd := st.fleaf
+	if key < st.fkey || key >= st.fhi {
+		nd = st.tree.leafOf(key, nil)
+	}
+	nd = st.home(nd, key, stm.ReadWrite)
+	e := readEnt[V]{key: key, leaf: nd, leafVer: nd.ver.Load(), locked: true}
+	if i, ok := nd.seek(key); ok {
+		e.slotVer, e.present = nd.slotV[i], true
+	}
+	st.fleaf, st.fkey, st.fhi = nd, key, math.MaxInt
+	if nd.hasHi {
+		st.fhi = nd.hi
+	}
+	nd.mu.Unlock()
+	st.reads = append(st.reads, e)
+	st.writes = append(st.writes, writeEnt[V]{key: key, val: val, del: del, leaf: nd})
+	return e.present
 }
 
 // read performs the logged read of key in one latched visit of its home
