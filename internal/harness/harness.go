@@ -152,7 +152,7 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 		func() float64 { return float64(rt.Verdicts().AbortSelf) }))
 	reg.RegisterGauge(telemetry.NewGauge("wincm_resolve_wait_total", "conflicts resolved by waiting",
 		func() float64 { return float64(rt.Verdicts().Wait) }))
-	reg.RegisterGauge(telemetry.NewGauge("wincm_cm_wait_ns_total", "granted contention-manager wait spans (ns)",
+	reg.RegisterGauge(telemetry.NewGauge("wincm_cm_wait_ns_total", "time contention-manager Wait verdicts blocked their threads (ns)",
 		func() float64 { return float64(rt.Verdicts().WaitNs) }))
 	reg.RegisterGauge(telemetry.NewGauge("wincm_restart_delay_ns_total", "restart delays carried by self-abort verdicts (ns)",
 		func() float64 { return float64(rt.Verdicts().RestartNs) }))

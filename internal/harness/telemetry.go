@@ -110,12 +110,15 @@ func quantileTable(snap telemetry.Snapshot, label string, threads int) Table {
 			fmt.Sprintf("%d", h.Quantile(0.99)),
 		})
 	}
+	// The wait row's mean is the time a Wait verdict actually blocked its
+	// thread, which a parked loser's early wake makes shorter than the
+	// granted span.
 	waits, meanWait := snap.Gauges["wincm_resolve_wait_total"], 0.0
 	if waits > 0 {
 		meanWait = snap.Gauges["wincm_cm_wait_ns_total"] / waits
 	}
 	t.Rows = append(t.Rows, []string{
-		"wincm_cm_wait_ns_total", fmt.Sprintf("%.0f", waits), fmt.Sprintf("%.0f", meanWait), "-", "-",
+		"wincm_cm_wait_ns_total (waited per Wait)", fmt.Sprintf("%.0f", waits), fmt.Sprintf("%.0f", meanWait), "-", "-",
 	})
 	s := snap.Summary(threads, 0)
 	t.Rows = append(t.Rows, []string{

@@ -8,10 +8,12 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"weak"
 
 	"wincm/internal/cm"
 	"wincm/internal/rng"
 	"wincm/internal/stm"
+	"wincm/internal/txbtree"
 )
 
 // testStore builds a small store, failing the test on error.
@@ -144,6 +146,34 @@ func TestClosedStoreLeavesNothing(t *testing.T) {
 	}
 	if grew := liveHeap() - heap; grew > 16<<10 {
 		t.Errorf("live heap grew %d B over 1,000 closed stores, want at most 16 KB", grew)
+	}
+}
+
+// TestClosedStoreReleasesTrees: a closed store that its caller drops
+// keeps none of its shards' trees reachable — not through a stopped
+// watchdog's timer, a runtime's threads or their semantic registrations —
+// so one collection right after Close frees every tree. The benchmark
+// builds and discards a loaded store per timed set-up before it reads the
+// live heap.
+func TestClosedStoreReleasesTrees(t *testing.T) {
+	st, err := NewStore(Options{Shards: 4, ShardThreads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	se := st.NewSession()
+	for k := int64(0); k < 10_000; k++ {
+		se.Set(k, k)
+	}
+	trees := make([]weak.Pointer[txbtree.Tree[int64]], len(st.shards))
+	for i, sh := range st.shards {
+		trees[i] = weak.Make(sh.tree)
+	}
+	st.Close()
+	runtime.GC() // one collection, as the benchmark's live-heap reading takes
+	for i, p := range trees {
+		if p.Value() != nil {
+			t.Errorf("shard %d's tree is still reachable after Close and a collection", i)
+		}
 	}
 }
 

@@ -437,7 +437,9 @@ func (tx *Tx) maybeYield() {
 // and parking every waiter empties the runqueue when conflicts cluster.
 const spinThreshold = 50 * time.Microsecond
 
-// waitFor blocks the calling goroutine for roughly d.
+// waitFor blocks the calling goroutine for roughly d. It serves restart
+// delays (the span an AbortSelf carries, abortBackoff) and the Waits
+// resolve does not park (parkAbove); a longer Wait parks on its enemy.
 func waitFor(d time.Duration) {
 	if d <= 0 {
 		runtime.Gosched()

@@ -258,3 +258,52 @@ func churn(th *stm.Thread, tr *Tree[int], r *rng.Rand, m map[int]int, stride, pe
 		}
 	}
 }
+
+// TestTwoSessionPreloadPacksLeaves: kv-point's preload shape — two
+// sessions, each writing one ascending half of the keyspace one key per
+// transaction, into four shards routed by kv's hash, each shard a tree
+// under its own two-thread runtime with each session on its own thread —
+// leaves every shard at most 5% above keys/maxKeys leaves. Ascending
+// writes cut a full leaf at the write (node.split), so only the leaves
+// where the two halves meet are left part full; a shard packed at half
+// fill would read about twice the bound.
+func TestTwoSessionPreloadPacksLeaves(t *testing.T) {
+	const shards, keys = 4, 200_000
+	// shardOf is kv's routing: the splitmix64 finalizer mod the shards.
+	shardOf := func(k int) int {
+		z := uint64(k) + 0x9e3779b97f4a7c15
+		z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
+		z = (z ^ (z >> 27)) * 0x94d049bb133111eb
+		return int((z ^ (z >> 31)) % shards)
+	}
+	rts, trees := make([]*stm.Runtime, shards), make([]*Tree[int], shards)
+	for i := range trees {
+		rts[i], trees[i] = newTestRT(t, 2), New[int]()
+	}
+	var wg sync.WaitGroup
+	for s := 0; s < 2; s++ {
+		wg.Add(1)
+		go func(s int) {
+			defer wg.Done()
+			for k := s * keys / 2; k < (s+1)*keys/2; k++ {
+				i := shardOf(k)
+				rts[i].Thread(s).Atomic(func(tx *stm.Tx) { trees[i].Insert(tx, k, k) })
+			}
+		}(s)
+	}
+	wg.Wait()
+	for i, tr := range trees {
+		if err := tr.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		leaves := 0
+		for nd := tr.leftmostLeaf(); nd != nil; nd = nd.right {
+			leaves++
+		}
+		n := tr.Len()
+		t.Logf("shard %d: %d keys in %d leaves", i, n, leaves)
+		if limit := 1.05 * float64(n) / maxKeys; float64(leaves) > limit {
+			t.Errorf("shard %d: %d keys in %d leaves, want at most %.0f (%.1f keys per leaf)", i, n, leaves, limit, float64(n)/float64(leaves))
+		}
+	}
+}
