@@ -41,7 +41,8 @@ ci: build vet race figures-smoke
 # transaction within the recorder's budget (its header reads 0
 # unrecorded). The last run samples 1 in 16 and writes -trace-out, which
 # must parse as JSON (what else Perfetto needs of it is held by
-# TestRunWithTraceRecorder).
+# TestRunWithTraceRecorder). -fig telemetry: the timed run loop takes the
+# interval series itself; its table must print.
 figures-smoke:
 	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 > /dev/null
 	go run ./cmd/winbench -fig btree -threads 2,4 -dur 50ms -reps 1 > /dev/null
@@ -51,6 +52,7 @@ figures-smoke:
 	go run ./cmd/winbench -fig trace -threads 4 -dur 50ms -trace-sample 2 | grep '; 0 transactions unrecorded past' > /dev/null
 	go run ./cmd/winbench -fig trace -threads 4 -dur 50ms -trace-sample 16 -trace-out /tmp/winbench-smoke-trace.json > /dev/null
 	python3 -m json.tool /tmp/winbench-smoke-trace.json > /dev/null
+	go run ./cmd/winbench -fig telemetry -threads 4 -dur 200ms | grep -q 'interval series'
 
 # Every Benchmark* cell, for reading while you work. Bounded iterations so
 # the full matrix stays minutes, not hours. Nothing gates on these numbers:

@@ -34,6 +34,7 @@ func TestParseArgsFailsFast(t *testing.T) {
 		{"-fig telemetry -telemetry-jsonl x", "flag provided but not defined: -telemetry-jsonl"},
 		{"-fig telemetry -telemetry-csv x", "flag provided but not defined: -telemetry-csv"},
 		{"-threads 2,0", "-threads"},
+		{"-threads 8,256", "-threads"},
 		{"-chaos", "flag provided but not defined: -chaos"},
 		{"-stall-prob 0.5", "flag provided but not defined: -stall-prob"},
 		{"-fig chaos", `unknown figure "chaos"`},

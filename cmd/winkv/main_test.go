@@ -29,6 +29,7 @@ func TestValidateServe(t *testing.T) {
 		{"bad threads", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: -1}, "ShardThreads"},
 		{"zero shards", "127.0.0.1:0", nil, kv.Options{Shards: 0, ShardThreads: 2}, "-shards"},
 		{"zero threads", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 0}, "-threads"},
+		{"threads past the STM's bound", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 256}, "-threads"},
 		{"unknown manager", "127.0.0.1:0", nil, kv.Options{Shards: 4, ShardThreads: 2, Manager: "bogus"}, "bogus"},
 	}
 	for _, tc := range cases {

@@ -3,6 +3,7 @@ package harness
 import (
 	"fmt"
 	"io"
+	"math"
 	"slices"
 	"sort"
 	"strings"
@@ -13,6 +14,7 @@ import (
 	"wincm/internal/cm"
 	"wincm/internal/core"
 	"wincm/internal/stats"
+	"wincm/internal/stm"
 	"wincm/internal/telemetry"
 )
 
@@ -138,8 +140,8 @@ func (o Options) Validate() error {
 		}
 	}
 	for _, m := range o.Threads {
-		if m < 1 {
-			return fmt.Errorf("harness: Threads (-threads) entries must be >= 1 (got %d)", m)
+		if m < 1 || m > stm.MaxThreads {
+			return fmt.Errorf("harness: Threads (-threads) entries must be in [1, %d] (got %d)", stm.MaxThreads, m)
 		}
 	}
 	for _, b := range o.Benchmarks {
@@ -212,13 +214,14 @@ func (o Options) reps(cell func(seed uint64) (Result, error)) ([]Result, error) 
 }
 
 // timed builds the named benchmark under the throughput mix, seeded like
-// cfg, and runs one timed cell of it.
-func (o Options) timed(benchmark string, cfg Config) (Result, error) {
+// cfg, and runs one timed cell of it, taking points registry snapshots
+// into Result.Series (0 = none).
+func (o Options) timed(benchmark string, cfg Config, points int) (Result, error) {
 	w, err := NewWorkload(benchmark, o.throughputMix(), cfg.Seed)
 	if err != nil {
 		return Result{}, err
 	}
-	return RunTimed(cfg, w, o.Duration)
+	return run(cfg, w, o.Duration, math.MaxInt, points)
 }
 
 // mean averages f over a cell's repetitions.
@@ -251,7 +254,7 @@ func newGrid(o Options) *grid {
 	o = o.withDefaults()
 	g := &grid{o: o, cells: make(map[gridKey][]Result)}
 	g.run = func(benchmark, manager string, threads int, seed uint64) (Result, error) {
-		return o.timed(benchmark, o.Config(manager, threads, seed))
+		return o.timed(benchmark, o.Config(manager, threads, seed), 0)
 	}
 	return g
 }

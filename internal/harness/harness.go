@@ -50,9 +50,6 @@ type Config struct {
 	// registry; Result.Summary is read from it either way, and the
 	// runtime runs the same program.
 	Telemetry *telemetry.Registry
-	// TelemetryInterval starts an interval sampler on the run's registry,
-	// producing Result.Series (0 = no sampling).
-	TelemetryInterval time.Duration
 	// TraceSample, when n >= 1, arms the transaction flight recorder for
 	// this run, recording one logical transaction in n: the recorder is
 	// the runtime's probe, a window manager's frame advances land on its
@@ -73,22 +70,27 @@ type Result struct {
 	// Summary is the view of the run's final telemetry snapshot: the
 	// transaction counters every worker recorded into.
 	telemetry.Summary
-	// Series is the interval time series sampled during the run, present
-	// when Config.TelemetryInterval was set.
-	Series []telemetry.Point
+	// Series is the interval time series TelemetryFig's run takes of its
+	// registry, empty on every other run.
+	Series []Point
 	// Trace is the run's flight recording, present when
 	// Config.TraceSample was set.
 	Trace *txtrace.Trace
 }
 
+// Point is one sample of a run's registry, taken At after its workers
+// started. Rates are deltas between consecutive points.
+type Point struct {
+	At time.Duration
+	telemetry.Snapshot
+}
+
 // instruments bundles one run's observability plumbing: the registry and
-// transaction stats the worker loop records into, the interval sampler and
-// the flight recorder.
+// transaction stats the worker loop records into and the flight recorder.
 type instruments struct {
-	reg     *telemetry.Registry
-	tx      *telemetry.TxStats
-	sampler *telemetry.Sampler
-	rec     *setupGate // the flight recorder; nil when tracing is off
+	reg *telemetry.Registry
+	tx  *telemetry.TxStats
+	rec *setupGate // the flight recorder; nil when tracing is off
 }
 
 // setupGate is a traced run's probe: the flight recorder with OnBegin held
@@ -122,9 +124,8 @@ func (ins *instruments) startRecording(mgr stm.ContentionManager) {
 // instrument builds the runtime plus the run's instruments: the flight
 // recorder, when armed, is the runtime's probe (recording from
 // startRecording on); transaction stats, the runtime's counts and a window
-// manager's gauges land in the run's registry; and the interval sampler
-// starts last so its first point sees every instrument registered. Every run has a registry — Result.Summary
-// is read from it — and registers the same instruments on it.
+// manager's gauges land in the run's registry. Every run has a registry —
+// Result.Summary is read from it — and registers the same instruments on it.
 func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instruments) {
 	reg := c.Telemetry
 	if reg == nil {
@@ -156,21 +157,13 @@ func (c Config) instrument(mgr stm.ContentionManager) (*stm.Runtime, *instrument
 		func() float64 { return float64(rt.Verdicts().WaitNs) }))
 	reg.RegisterGauge(telemetry.NewGauge("wincm_restart_delay_ns_total", "restart delays carried by self-abort verdicts (ns)",
 		func() float64 { return float64(rt.Verdicts().RestartNs) }))
-	if c.TelemetryInterval > 0 {
-		ins.sampler = telemetry.StartSampler(reg, c.TelemetryInterval)
-	}
 	return rt, ins
 }
 
-// finish stops the instrumentation, reads the summary off the final
-// snapshot and the recording off the recorder, and runs the workload's
-// invariant check. The caller has joined the workers, which orders their
-// recording before the read.
+// finish reads the summary off the final snapshot and the recording off
+// the recorder, and runs the workload's invariant check. The caller has
+// joined the workers, which orders their recording before the read.
 func (c Config) finish(res *Result, ins *instruments, w Workload, wall time.Duration) error {
-	if ins.sampler != nil {
-		ins.sampler.Stop()
-		res.Series = ins.sampler.Points()
-	}
 	res.Summary = ins.reg.Snapshot().Summary(c.Threads, wall)
 	if ins.rec != nil {
 		res.Trace = ins.rec.Read()
@@ -184,14 +177,14 @@ func (c Config) finish(res *Result, ins *instruments, w Workload, wall time.Dura
 // RunTimed executes w from cfg.Threads threads for roughly d and returns
 // the run's metrics. The workload is set up fresh by the caller.
 func RunTimed(cfg Config, w Workload, d time.Duration) (Result, error) {
-	return run(cfg, w, d, math.MaxInt)
+	return run(cfg, w, d, math.MaxInt, 0)
 }
 
 // RunCount executes total transactions split evenly across cfg.Threads
 // threads and returns the run's metrics; Result.Wall is the total time
 // needed to commit them all (Fig. 5's measurement).
 func RunCount(cfg Config, w Workload, total int) (Result, error) {
-	res, err := run(cfg, w, -1, total)
+	res, err := run(cfg, w, -1, total, 0)
 	if err == nil && res.Commits != int64(total) {
 		err = fmt.Errorf("harness: committed %d of %d transactions", res.Commits, total)
 	}
@@ -201,8 +194,10 @@ func RunCount(cfg Config, w Workload, total int) (Result, error) {
 // run is the one worker loop behind RunTimed and RunCount. Every thread
 // runs transactions, recording each into the run's TxStats, until its
 // share of total is done or the deadline d has passed (negative = no
-// deadline) — whichever comes first.
-func run(cfg Config, w Workload, d time.Duration, total int) (Result, error) {
+// deadline) — whichever comes first. A timed run with points > 0 takes
+// Result.Series: its main goroutine wakes every d/points to snapshot the
+// registry, and takes the last point once the workers have joined.
+func run(cfg Config, w Workload, d time.Duration, total, points int) (Result, error) {
 	mgr, err := cfg.NewManager()
 	if err != nil {
 		return Result{}, err
@@ -228,14 +223,21 @@ func run(cfg Config, w Workload, d time.Duration, total int) (Result, error) {
 			}
 		}(i, rt.Thread(i))
 	}
+	var res Result
 	if d >= 0 {
-		time.Sleep(d)
+		for i := 1; i < points; i++ {
+			time.Sleep(time.Until(start.Add(d * time.Duration(i) / time.Duration(points))))
+			res.Series = append(res.Series, Point{time.Since(start), ins.reg.Snapshot()})
+		}
+		time.Sleep(time.Until(start.Add(d)))
 		stop.Store(true)
 	}
 	wg.Wait()
 	wall := time.Since(start)
+	if points > 0 {
+		res.Series = append(res.Series, Point{wall, ins.reg.Snapshot()})
+	}
 
-	var res Result
 	if err := cfg.finish(&res, ins, w, wall); err != nil {
 		return Result{}, err
 	}

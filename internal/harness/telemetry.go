@@ -2,14 +2,12 @@ package harness
 
 import (
 	"fmt"
-	"time"
 
 	"wincm/internal/telemetry"
 )
 
-// telemetrySeriesPoints is how many interval samples the TelemetryFig
-// run aims for: it samples every Duration/telemetrySeriesPoints, but no
-// more often than every 5 ms.
+// telemetrySeriesPoints is how many points the TelemetryFig run takes of
+// its registry, one every Duration/telemetrySeriesPoints.
 const telemetrySeriesPoints = 16
 
 // watched names the one cell the single-run figures (TelemetryFig,
@@ -22,12 +20,12 @@ func (o Options) watched() (benchmark string, threads int, label string) {
 
 // TelemetryFig runs one cell (the first of Benchmarks under Manager at the
 // largest of Threads) with full telemetry — transaction histograms, the
-// runtime's verdict counts, window-manager gauges, interval sampler — and
-// renders two tables: the interval time series (live throughput, abort
-// rate, fallback and window-machinery evolution) and the final
-// latency-histogram quantiles. With Options.Hub
-// attached the run is simultaneously scrapeable over HTTP while it
-// executes.
+// runtime's verdict counts, window-manager gauges, and the series of
+// telemetrySeriesPoints registry snapshots the run takes — and renders two
+// tables: the interval time series (live throughput, abort rate, fallback
+// and window-machinery evolution) and the final latency-histogram
+// quantiles, read off the series' last point. With Options.Hub attached the
+// run is simultaneously scrapeable over HTTP while it executes.
 func TelemetryFig(o Options) ([]Table, error) {
 	o, err := o.resolve()
 	if err != nil {
@@ -35,40 +33,33 @@ func TelemetryFig(o Options) ([]Table, error) {
 	}
 	benchmark, threads, label := o.watched()
 	cfg := o.Config(o.Manager, threads, o.Seed)
-	if cfg.Telemetry == nil {
-		cfg.Telemetry = telemetry.NewRegistry()
-	}
-	cfg.TelemetryInterval = max(o.Duration/telemetrySeriesPoints, 5*time.Millisecond)
-	res, err := o.timed(benchmark, cfg)
+	res, err := o.timed(benchmark, cfg, telemetrySeriesPoints)
 	if err != nil {
 		return nil, err
 	}
 	return []Table{
 		seriesTable(res.Series, label),
-		quantileTable(cfg.Telemetry.Snapshot(), label, threads),
+		quantileTable(res.Series[len(res.Series)-1].Snapshot, label, threads),
 	}, nil
 }
-
-// seriesCounter reads a cumulative counter out of a point, 0 if absent.
-func seriesCounter(p telemetry.Point, name string) int64 { return p.Counters[name] }
 
 // seriesTable renders the interval series: per-interval commit/abort
 // rates plus the window gauges' trajectory. Rates are deltas between
 // consecutive points over the interval span.
-func seriesTable(pts []telemetry.Point, label string) Table {
+func seriesTable(pts []Point, label string) Table {
 	t := Table{
 		Title: "Telemetry: interval series — " + label,
 		Columns: []string{"t_ms", "commits/s", "aborts/commit",
 			"frame", "frame-pending", "C-max", "alpha-max", "collisions"},
 	}
-	var prev telemetry.Point
+	var prev Point
 	for i, p := range pts {
 		span := (p.At - prev.At).Seconds()
 		if span <= 0 {
 			continue
 		}
-		dCommits := seriesCounter(p, "wincm_commits_total") - seriesCounter(prev, "wincm_commits_total")
-		dAborts := seriesCounter(p, "wincm_aborts_total") - seriesCounter(prev, "wincm_aborts_total")
+		dCommits := p.Counters["wincm_commits_total"] - prev.Counters["wincm_commits_total"]
+		dAborts := p.Counters["wincm_aborts_total"] - prev.Counters["wincm_aborts_total"]
 		apc := 0.0
 		if dCommits > 0 {
 			apc = float64(dAborts) / float64(dCommits)

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -79,28 +80,40 @@ func TestTelemetryFigDefaultManager(t *testing.T) {
 	}
 }
 
-// TestRunTimedAttachesSeries: any figure run with a registry and interval
-// configured gets the sampled series on its Result.
+// TestRunTimedAttachesSeries: a timed run asked for n points takes its
+// registry's series itself — time-ordered, every counter monotone, at most
+// n + 1 points, gauges present, and a last point taken after the workers
+// joined, which holds every commit the summary counts.
 func TestRunTimedAttachesSeries(t *testing.T) {
 	w, err := NewWorkload("list", Options{}.withDefaults().throughputMix(), 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := Config{
-		Manager: "polka", Threads: 2, Seed: 1,
-		Telemetry:         telemetry.NewRegistry(),
-		TelemetryInterval: 5 * time.Millisecond,
-	}
-	res, err := RunTimed(cfg, w, 40*time.Millisecond)
+	const n = 8
+	res, err := run(Config{Manager: "polka", Threads: 2, Seed: 1}, w, 40*time.Millisecond, math.MaxInt, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res.Series) == 0 {
-		t.Fatal("no series points")
+	if len(res.Series) < 2 || len(res.Series) > n+1 {
+		t.Fatalf("%d series points, want 2 to %d", len(res.Series), n+1)
+	}
+	for i := 1; i < len(res.Series); i++ {
+		prev, p := res.Series[i-1], res.Series[i]
+		if p.At < prev.At {
+			t.Errorf("point %d at %v precedes point %d at %v", i, p.At, i-1, prev.At)
+		}
+		for name, v := range p.Counters {
+			if v < prev.Counters[name] {
+				t.Errorf("counter %s went from %d to %d at point %d", name, prev.Counters[name], v, i)
+			}
+		}
 	}
 	final := res.Series[len(res.Series)-1]
 	if final.Counters["wincm_commits_total"] != res.Summary.Commits {
 		t.Errorf("final series commits %d ≠ summary commits %d",
 			final.Counters["wincm_commits_total"], res.Summary.Commits)
+	}
+	if _, ok := final.Gauges["wincm_resolve_wait_total"]; !ok {
+		t.Errorf("final point has no verdict gauges: %v", final.Gauges)
 	}
 }

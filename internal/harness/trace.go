@@ -17,6 +17,6 @@ func TraceFig(o Options, sample int) (Result, string, error) {
 	benchmark, threads, label := o.watched()
 	cfg := o.Config(o.Manager, threads, o.Seed)
 	cfg.TraceSample = sample
-	res, err := o.timed(benchmark, cfg)
+	res, err := o.timed(benchmark, cfg, 0)
 	return res, label, err
 }

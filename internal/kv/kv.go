@@ -33,6 +33,7 @@ import (
 	"time"
 
 	"wincm/internal/core"
+	"wincm/internal/stm"
 )
 
 // DefaultManager is the contention manager shards run when Options.Manager
@@ -91,8 +92,8 @@ func (o Options) Validate() error {
 	if o.Shards < 0 || d.Shards < 1 {
 		return fmt.Errorf("kv: Shards must be >= 1 (got %d)", o.Shards)
 	}
-	if o.ShardThreads < 0 || d.ShardThreads < 1 {
-		return fmt.Errorf("kv: ShardThreads must be >= 1 (got %d)", o.ShardThreads)
+	if o.ShardThreads < 0 || d.ShardThreads < 1 || d.ShardThreads > stm.MaxThreads {
+		return fmt.Errorf("kv: ShardThreads (-threads) must be in [1, %d] (got %d)", stm.MaxThreads, o.ShardThreads)
 	}
 	if _, _, err := core.NewNamed(d.Manager, d.ShardThreads, 0); err != nil {
 		return fmt.Errorf("kv: %v", err)

@@ -191,6 +191,7 @@ func TestOptionsValidate(t *testing.T) {
 		{"classic manager", Options{Manager: "polka"}, true},
 		{"negative shards", Options{Shards: -1}, false},
 		{"negative threads", Options{ShardThreads: -2}, false},
+		{"threads past the STM's bound", Options{ShardThreads: stm.MaxThreads + 1}, false},
 		{"unknown manager", Options{Manager: "nope"}, false},
 	}
 	for _, tc := range cases {

@@ -37,8 +37,12 @@ type Probe interface {
 	// OnAbort runs after an attempt aborted and released its objects.
 	OnAbort(tx *Tx)
 	// OnResolve runs on the attacker's thread once a conflict is decided
-	// (by the fallback token or the contention manager) and before the
-	// decision is carried out.
+	// (by the fallback token or the contention manager). An AbortEnemy or
+	// AbortSelf verdict is reported before it is carried out, with the
+	// restart delay an AbortSelf carries as wait. A Wait is reported once
+	// it is over, with the time the thread actually waited as wait — less
+	// than the span granted when the enemy's attempt ended first — before
+	// the attempt checks that it is still alive.
 	OnResolve(tx, enemy *Tx, kind Kind, dec Decision, wait time.Duration)
 }
 

@@ -50,8 +50,9 @@ const inlineReaders = 4
 // reused and dead stamps cannot be mistaken for live ones.
 const stampBits = 8
 
-// maxStampThreads is the highest thread count the stamp encoding carries.
-const maxStampThreads = 1<<stampBits - 1
+// MaxThreads is the largest thread count New accepts: the most the reader
+// stamp encoding carries.
+const MaxThreads = 1<<stampBits - 1
 
 // makeStamp builds the slot word for a thread's current attempt.
 func makeStamp(threadID int, serial uint64) uint64 {

@@ -346,7 +346,7 @@ func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	if m <= 0 {
 		panic("stm: runtime needs at least one thread")
 	}
-	if m > maxStampThreads {
+	if m > MaxThreads {
 		panic("stm: thread count exceeds the reader-stamp encoding")
 	}
 	rt := &Runtime{cm: cm}
@@ -783,15 +783,18 @@ func (tx *Tx) checkAlive() {
 // takes after rollback. A Wait of at most parkAbove is spun out; a longer
 // one parks until the enemy's attempt ends or the span passes, whichever
 // comes first. Each carried-out decision is counted in the thread's
-// verdict cells (Runtime.Verdicts). resolve must be called while holding
-// no speculative invariants that a Wait could violate (it may sleep).
+// verdict cells (Runtime.Verdicts). The probe sees an abort before it is
+// carried out and a Wait once it is over, with the time waited. resolve
+// must be called while holding no speculative invariants that a Wait could
+// violate (it may sleep).
 func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 	*attempt++
 	dec, wait, ok := fallbackResolve(tx, enemy)
 	if !ok {
 		dec, wait = tx.rt.cm.Resolve(tx, enemy, kind, *attempt)
 	}
-	if p := tx.rt.probe; p != nil {
+	p := tx.rt.probe
+	if dec != Wait && p != nil {
 		p.OnResolve(tx, enemy, kind, dec, wait)
 	}
 	t := tx.owner
@@ -813,8 +816,12 @@ func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 		} else {
 			tx.park(enemy, eword, wait)
 		}
-		t.waitNs.Store(t.waitNs.Load() + now() - start)
+		waited := now() - start
+		t.waitNs.Store(t.waitNs.Load() + waited)
 		tx.D.Waiting.Store(false)
+		if p != nil {
+			p.OnResolve(tx, enemy, kind, dec, time.Duration(waited))
+		}
 		tx.checkAlive()
 	}
 }

@@ -106,7 +106,7 @@ func TestReleaseRestoresPrevLocator(t *testing.T) {
 // TestStampLayout pins the reader-stamp packing: thread index round-trips,
 // serial round-trips, and the zero word is never a valid stamp.
 func TestStampLayout(t *testing.T) {
-	for _, id := range []int{0, 1, inlineReaders, maxStampThreads - 1} {
+	for _, id := range []int{0, 1, inlineReaders, MaxThreads - 1} {
 		for _, serial := range []uint64{0, 1, 1 << 40} {
 			s := makeStamp(id, serial)
 			if s == 0 {

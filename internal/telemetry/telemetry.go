@@ -1,7 +1,8 @@
 // Package telemetry is the repository's live observability layer: a
 // low-overhead, always-compiled-in subsystem of sharded atomic counters,
 // log-bucketed histograms and callback gauges that the winbench HTTP
-// endpoint, the interval sampler and the figure drivers all read from.
+// endpoint and the figure drivers (the telemetry figure's interval series
+// among them) all read from.
 // Workers record each committed transaction into TxStats; every other
 // series is a gauge over the counter its event's own layer keeps (the STM
 // runtime's commits, aborts and conflict verdicts, the window manager's

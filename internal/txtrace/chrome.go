@@ -164,7 +164,7 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 				TS: usec(e.TS + 1), PID: 1, TID: int(e.Enemy), ID: flowID,
 			})
 		case EvWait:
-			// Recorded at wait entry with the requested span in A.
+			// Stamped at the wait's start with the time waited in A.
 			emit(chromeEvent{
 				Name: "cm-wait", Phase: "X", Cat: "wait",
 				TS: usec(e.TS), Dur: usec(int64(e.A)),

@@ -53,9 +53,12 @@ const (
 	EvAcquire
 	// EvConflict marks one resolved conflict. A = enemy logical transaction
 	// ID, B = variable token, Enemy = enemy thread, Verdict = decision+1.
+	// A Wait's conflict is reported once the wait is over, so its A is the
+	// enemy thread's transaction at that moment: the next one when the
+	// waited-on transaction had ended by then.
 	EvConflict
-	// EvWait marks time spent inside a Wait verdict. A = wait ns,
-	// B = variable token, Enemy = enemy thread.
+	// EvWait marks time spent inside a Wait verdict, stamped at the wait's
+	// start. A = ns waited, B = variable token, Enemy = enemy thread.
 	EvWait
 	// EvFrame marks a window-manager frame advance. A = new frame number.
 	EvFrame

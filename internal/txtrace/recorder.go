@@ -216,12 +216,18 @@ func (r *Recorder) OnAbort(tx *stm.Tx) {
 	}
 }
 
-// OnResolve implements stm.Probe: it records the decision the runtime is
-// about to carry out.
+// OnResolve implements stm.Probe: it records the decision the runtime
+// carries out. A Wait arrives once it is over, with the time waited, so its
+// conflict and its wait are stamped at the wait's start and the wait's
+// event spans the real wait.
 func (r *Recorder) OnResolve(tx, enemy *stm.Tx, kind stm.Kind, dec stm.Decision, wait time.Duration) {
 	if s := r.state(tx); s.sampling {
+		ts := stm.Now()
+		if dec == stm.Wait {
+			ts -= int64(wait)
+		}
 		r.record(s, Event{
-			TS: stm.Now(), A: enemy.D.ID.Load(), B: tx.OpenedVar(),
+			TS: ts, A: enemy.D.ID.Load(), B: tx.OpenedVar(),
 			Seq: int32(tx.D.Seq), Attempt: int32(tx.D.Attempts),
 			Thread: int16(tx.D.ThreadID), Enemy: int16(enemy.D.ThreadID),
 			Kind: EvConflict, Verdict: uint8(dec) + 1,
@@ -229,7 +235,7 @@ func (r *Recorder) OnResolve(tx, enemy *stm.Tx, kind stm.Kind, dec stm.Decision,
 		// Re-checked: a full buffer may have just cut the transaction.
 		if dec == stm.Wait && wait > 0 && s.sampling {
 			r.record(s, Event{
-				TS: stm.Now(), A: uint64(wait), B: tx.OpenedVar(),
+				TS: ts, A: uint64(wait), B: tx.OpenedVar(),
 				Seq: int32(tx.D.Seq), Attempt: int32(tx.D.Attempts),
 				Thread: int16(tx.D.ThreadID), Enemy: int16(enemy.D.ThreadID),
 				Kind: EvWait, Verdict: uint8(dec) + 1,

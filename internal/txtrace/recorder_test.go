@@ -236,6 +236,80 @@ func TestRecorderWaitEvents(t *testing.T) {
 	}
 }
 
+// patientCM grants thread 1 a long Wait on thread 0, and lets thread 0
+// abort thread 1 should they ever meet the other way round.
+type patientCM struct{ stm.NopManager }
+
+const patientSpan = time.Second
+
+func (patientCM) Resolve(tx, enemy *stm.Tx, _ stm.Kind, _ int) (stm.Decision, time.Duration) {
+	if tx.D.ThreadID < enemy.D.ThreadID {
+		return stm.AbortEnemy, 0
+	}
+	return stm.Wait, patientSpan
+}
+
+// TestRecorderWaitCutShortByCommit: thread 1 is granted a 1 s Wait on
+// thread 0's attempt, parks, and is woken when that attempt commits after
+// a 10 ms hold. The recorded EvWait carries the time waited, not the span
+// granted, and is stamped at the wait's start, so its box covers the
+// enemy's commit; its EvConflict carries the same stamp.
+func TestRecorderWaitCutShortByCommit(t *testing.T) {
+	const hold = 10 * time.Millisecond
+	rec := NewRecorder(2, 1)
+	rt := stm.New(2, patientCM{}, stm.WithProbe(rec))
+	v := stm.NewTVar(0)
+	held := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		first := true
+		rt.Thread(0).Atomic(func(tx *stm.Tx) {
+			stm.Write(tx, v, stm.Read(tx, v)+1)
+			if first {
+				first = false
+				close(held)
+				for rt.Verdicts().Wait == 0 {
+					time.Sleep(100 * time.Microsecond)
+				}
+				time.Sleep(hold)
+			}
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		<-held
+		rt.Thread(1).Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
+	}()
+	wg.Wait()
+
+	var conflict, wait, commit *Event
+	tr := rec.Read()
+	for i := range tr.Events {
+		switch e := &tr.Events[i]; {
+		case e.Kind == EvConflict && e.Thread == 1 && conflict == nil:
+			conflict = e
+		case e.Kind == EvWait && e.Thread == 1 && wait == nil:
+			wait = e
+		case e.Kind == EvCommit && e.Thread == 0 && commit == nil:
+			commit = e
+		}
+	}
+	if conflict == nil || wait == nil || commit == nil {
+		t.Fatalf("conflict %v, wait %v, enemy commit %v: want all three recorded", conflict, wait, commit)
+	}
+	if d := time.Duration(wait.A); d <= 0 || d >= patientSpan {
+		t.Errorf("EvWait.A = %v, want the time waited, below the %v span", d, patientSpan)
+	}
+	if wait.TS != conflict.TS {
+		t.Errorf("EvWait at %d, its EvConflict at %d: want both at the wait's start", wait.TS, conflict.TS)
+	}
+	if wait.TS > commit.TS || wait.TS+int64(wait.A) < commit.TS {
+		t.Errorf("wait box [%d, %d] does not cover the enemy's commit at %d", wait.TS, wait.TS+int64(wait.A), commit.TS)
+	}
+}
+
 func TestRecorderAuxEvents(t *testing.T) {
 	rec := NewRecorder(1, 1)
 
