@@ -47,7 +47,7 @@ figures-smoke:
 	go run ./cmd/winbench -fig all -bench list -threads 2,4 -dur 50ms -reps 1 -total 500 > /dev/null
 	go run ./cmd/winbench -fig btree -threads 2,4 -dur 50ms -reps 1 > /dev/null
 	go run ./cmd/winbench -fig trace -dur 100ms > /dev/null
-	go run ./cmd/winbench -fig trace -manager polka -threads 4 -dur 50ms > /dev/null
+	go run ./cmd/winbench -fig trace -manager polka -threads 4 -dur 50ms | grep 'hottest conflict pairs' > /dev/null
 	go run ./cmd/winbench -fig trace -manager backoff -threads 4 -dur 50ms > /dev/null
 	go run ./cmd/winbench -fig trace -threads 4 -dur 50ms -trace-sample 2 | grep '; 0 transactions unrecorded past' > /dev/null
 	go run ./cmd/winbench -fig trace -threads 4 -dur 50ms -trace-sample 16 -trace-out /tmp/winbench-smoke-trace.json > /dev/null

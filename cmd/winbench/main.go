@@ -260,21 +260,18 @@ func traceRun(opts harness.Options, sample int, out *os.File) {
 	if err := tr.Timeline(os.Stdout, 72); err != nil {
 		fatalf("trace: %v", err)
 	}
+	cs := tr.Conflicts()
 	fmt.Println("\nhottest conflict pairs (attacker → enemy):")
-	for i, p := range tr.AbortsByPair() {
-		if i >= 8 {
-			break
-		}
-		fmt.Printf("  T%02d → T%02d: %d\n", p.Attacker, p.Enemy, p.Conflicts)
+	for _, p := range cs.Edges[:min(8, len(cs.Edges))] {
+		fmt.Printf("  T%02d → T%02d: %d\n", p.From, p.To, p.Count)
 	}
 	fmt.Println("\nhottest variables (by abort attribution):")
 	for _, v := range tr.Heatmap(8) {
 		fmt.Printf("  0x%012x: %4d aborts, %5d conflicts, %6d opens, %v waited\n",
 			v.Var, v.Aborts, v.Conflicts, v.Opens, v.Waits.Round(time.Microsecond))
 	}
-	cs := tr.Conflicts()
 	fmt.Printf("\nconflict graph: %d threads, %d edges, max degree %d (paper's C), greedy colors %d; %d conflicts, %d aborting\n",
-		cs.Threads, len(cs.Edges), cs.MaxDegree, cs.Colors, cs.Conflicts, cs.Aborts)
+		cs.Threads, cs.Graph.Edges(), cs.MaxDegree, cs.Colors, cs.Conflicts, cs.Aborts)
 
 	if out != nil {
 		if err := tr.WriteChromeTrace(out); err != nil {

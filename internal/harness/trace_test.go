@@ -32,8 +32,8 @@ func TestRunWithTraceRecorder(t *testing.T) {
 		t.Errorf("trace counts = %v, want begins and commits", counts)
 	}
 	// The recorder saw the run the runtime executed: at 1-in-1 sampling,
-	// within the budget, every committed transaction is one counted commit
-	// (a commit entry that then aborted counts as its abort).
+	// within the budget, every committed transaction is one recorded
+	// commit (the runtime reports one outcome per attempt).
 	if res.Trace.Unrecorded != 0 {
 		t.Errorf("%d transactions unrecorded, want 0", res.Trace.Unrecorded)
 	}

@@ -1,9 +1,6 @@
 package stm
 
-import (
-	"sync"
-	"sync/atomic"
-)
+import "sync/atomic"
 
 // Visible-reader registration (ISSUE 3): the per-variable reader map and
 // its mutex are replaced by a fixed-size sharded slot array. Each slot is
@@ -37,7 +34,7 @@ import (
 //
 // The first inlineReaders threads stamp slots embedded in the TVar; a
 // runtime with more threads lazily installs a spill table with one padded
-// slot per thread, drawn from a pool so churning workloads recycle tables.
+// slot per thread the first time one of those threads reads the variable.
 
 // inlineReaders is the number of reader slots embedded directly in every
 // TVar. Runtimes with at most this many threads never allocate reader
@@ -78,12 +75,6 @@ type spillTable struct {
 	slots []paddedSlot
 }
 
-// spillPool recycles spill tables. New is deliberately nil so Get reports
-// pool misses as nil and the hit/miss split is observable (pool hit-rate
-// telemetry). A pooled table may be stale-stamped; stale stamps are dead
-// by construction, so tables need no cleaning on either side of the pool.
-var spillPool sync.Pool
-
 // readerSet is the sharded visible-reader table embedded in every TVar.
 // The zero value is ready to use and allocation-free for runtimes with at
 // most inlineReaders threads.
@@ -122,28 +113,16 @@ func (rs *readerSet) register(tx *Tx) (added bool) {
 }
 
 // installSpill publishes a spill table sized for the runtime's thread
-// count, preferring a pooled one, and returns the table that won the
-// install race.
+// count and returns the table that won the install race. A table that
+// lost is left to the garbage collector: the winner's is big enough for
+// any thread of this runtime.
 func (rs *readerSet) installSpill(tx *Tx) *spillTable {
 	need := tx.rt.Threads() - inlineReaders
-	var sp *spillTable
-	if v := spillPool.Get(); v != nil {
-		sp = v.(*spillTable)
-	}
-	if sp == nil || len(sp.slots) < need {
-		sp = &spillTable{slots: make([]paddedSlot, need)}
-	}
 	old := rs.spill.Load()
 	if old != nil && len(old.slots) >= need {
-		// Someone else already installed a big-enough table; recycle ours.
-		spillPool.Put(sp)
 		return old
 	}
-	if !rs.spill.CompareAndSwap(old, sp) {
-		// Lost the install race. The winner's table is big enough for any
-		// thread of this runtime, so recycle ours and use theirs.
-		spillPool.Put(sp)
-	}
+	rs.spill.CompareAndSwap(old, &spillTable{slots: make([]paddedSlot, need)})
 	return rs.spill.Load()
 }
 

@@ -697,14 +697,9 @@ func runAttempt(tx *Tx, fn func(tx *Tx)) (committed bool) {
 // time and the status CAS alone is the serialization point.
 func (tx *Tx) commit() bool {
 	w := tx.status.Load()
-	// Semantic validation runs before the OnCommit probe: a failure fires
-	// OnAbort only.
 	if len(tx.semOps) > 0 && !tx.semValidate() {
 		tx.abortWord(w)
 		return false
-	}
-	if p := tx.rt.probe; p != nil {
-		p.OnCommit(tx)
 	}
 	// A token this attempt holds stays held up to the status CAS (the
 	// token is reclaimed only from a holder not in flight); after the CAS
@@ -715,6 +710,12 @@ func (tx *Tx) commit() bool {
 	if StatusOf(w) != Active ||
 		!tx.status.CompareAndSwap(w, w&^uint64(statusMask)|uint64(Committed)) {
 		return false
+	}
+	// After the CAS, so every attempt reports exactly one outcome; before
+	// cleanup, so the commit is reported before the waiters parked on the
+	// attempt wake.
+	if p := tx.rt.probe; p != nil {
+		p.OnCommit(tx)
 	}
 	tx.cleanup()
 	return true
@@ -784,7 +785,8 @@ func (tx *Tx) checkAlive() {
 // one parks until the enemy's attempt ends or the span passes, whichever
 // comes first. Each carried-out decision is counted in the thread's
 // verdict cells (Runtime.Verdicts). The probe sees an abort before it is
-// carried out and a Wait once it is over, with the time waited. resolve
+// carried out and a Wait once it is over, with the time waited, and both
+// with the enemy's transaction ID as it was at the decision. resolve
 // must be called while holding no speculative invariants that a Wait could
 // violate (it may sleep).
 func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
@@ -794,8 +796,14 @@ func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 		dec, wait = tx.rt.cm.Resolve(tx, enemy, kind, *attempt)
 	}
 	p := tx.rt.probe
-	if dec != Wait && p != nil {
-		p.OnResolve(tx, enemy, kind, dec, wait)
+	var enemyID uint64
+	if p != nil {
+		// Read now: a Wait is reported once it is over, when the enemy
+		// thread may have begun its next transaction.
+		enemyID = enemy.D.ID.Load()
+		if dec != Wait {
+			p.OnResolve(tx, enemy, enemyID, kind, dec, wait)
+		}
 	}
 	t := tx.owner
 	switch dec {
@@ -820,7 +828,7 @@ func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 		t.waitNs.Store(t.waitNs.Load() + waited)
 		tx.D.Waiting.Store(false)
 		if p != nil {
-			p.OnResolve(tx, enemy, kind, dec, time.Duration(waited))
+			p.OnResolve(tx, enemy, enemyID, kind, dec, time.Duration(waited))
 		}
 		tx.checkAlive()
 	}

@@ -1,6 +1,7 @@
 package stm_test
 
 import (
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -386,12 +387,12 @@ func TestRuntimeCountsOutcomes(t *testing.T) {
 // nopProbe is a Probe base with empty hooks.
 type nopProbe struct{}
 
-func (nopProbe) OnBegin(*stm.Tx)                                                     {}
-func (nopProbe) OnOpen(*stm.Tx)                                                      {}
-func (nopProbe) OnAcquire(*stm.Tx)                                                   {}
-func (nopProbe) OnCommit(*stm.Tx)                                                    {}
-func (nopProbe) OnAbort(*stm.Tx)                                                     {}
-func (nopProbe) OnResolve(_, _ *stm.Tx, _ stm.Kind, _ stm.Decision, _ time.Duration) {}
+func (nopProbe) OnBegin(*stm.Tx)                                                               {}
+func (nopProbe) OnOpen(*stm.Tx)                                                                {}
+func (nopProbe) OnAcquire(*stm.Tx)                                                             {}
+func (nopProbe) OnCommit(*stm.Tx)                                                              {}
+func (nopProbe) OnAbort(*stm.Tx)                                                               {}
+func (nopProbe) OnResolve(_, _ *stm.Tx, _ uint64, _ stm.Kind, _ stm.Decision, _ time.Duration) {}
 
 // verdictTally counts the decisions OnResolve shows it, per thread (the
 // hook runs on the attacker's thread, so each row has one writer).
@@ -400,7 +401,7 @@ type verdictTally struct {
 	rows []stm.Verdicts
 }
 
-func (p *verdictTally) OnResolve(tx, _ *stm.Tx, _ stm.Kind, dec stm.Decision, wait time.Duration) {
+func (p *verdictTally) OnResolve(tx, _ *stm.Tx, _ uint64, _ stm.Kind, dec stm.Decision, wait time.Duration) {
 	r := &p.rows[tx.D.ThreadID]
 	switch dec {
 	case stm.AbortEnemy:
@@ -538,29 +539,52 @@ func TestAbortSelfDelaysRestart(t *testing.T) {
 	}
 }
 
-// commitAborter aborts the attempt from inside OnCommit for the first
-// doomed attempts of every transaction — what a remote abort landing
-// between OnCommit and the status CAS looks like, made deterministic.
-type commitAborter struct {
-	nopProbe
-	doomed int
-}
+// commitPointAborter is a SemanticOps whose Validate aborts the first
+// doomed attempts of every transaction and returns true, so the attempt
+// goes on to lose its status CAS — what a remote abort landing at the
+// commit point looks like, made deterministic.
+type commitPointAborter struct{ doomed int }
 
-func (c commitAborter) OnCommit(tx *stm.Tx) {
+func (c commitPointAborter) Validate(tx *stm.Tx) bool {
 	if tx.D.Attempts <= c.doomed {
 		tx.Abort()
 	}
+	return true
 }
 
-// TestProbeCommitThenAbortCountedOnce: an attempt aborted after its
-// OnCommit fired is retried and counted as one abort, never as a commit.
-// One thread, so every count is exact.
-func TestProbeCommitThenAbortCountedOnce(t *testing.T) {
+func (commitPointAborter) Finalize(*stm.Tx, bool) {}
+
+// outcomeLog records every outcome hook with its attempt (one thread).
+type outcomeLog struct {
+	nopProbe
+	seen []outcome
+}
+
+type outcome struct {
+	seq, attempt int
+	committed    bool
+}
+
+func (p *outcomeLog) OnCommit(tx *stm.Tx) {
+	p.seen = append(p.seen, outcome{tx.D.Seq, tx.D.Attempts, true})
+}
+
+func (p *outcomeLog) OnAbort(tx *stm.Tx) {
+	p.seen = append(p.seen, outcome{tx.D.Seq, tx.D.Attempts, false})
+}
+
+// TestProbeSeesOneOutcomePerAttempt: an attempt that loses its status CAS
+// to an abort landing at its commit point fires OnAbort and never
+// OnCommit, and is retried and counted as one abort; the attempt that
+// commits fires OnCommit once. One thread, so every count is exact.
+func TestProbeSeesOneOutcomePerAttempt(t *testing.T) {
 	const txs, doomed = 50, 2
-	rt := stm.New(1, abortEnemy{}, stm.WithProbe(commitAborter{doomed: doomed}))
+	probe := &outcomeLog{}
+	rt := stm.New(1, abortEnemy{}, stm.WithProbe(probe))
 	v := stm.NewTVar(0)
 	for i := 0; i < txs; i++ {
 		info := rt.Thread(0).Atomic(func(x *stm.Tx) {
+			x.AddSemantic(commitPointAborter{doomed: doomed})
 			stm.Write(x, v, stm.Read(x, v)+1)
 		})
 		if info.Attempts != doomed+1 {
@@ -575,6 +599,15 @@ func TestProbeCommitThenAbortCountedOnce(t *testing.T) {
 	}
 	if got := rt.Commits(); got != txs {
 		t.Errorf("rt.Commits() = %d, want %d", got, txs)
+	}
+	var want []outcome
+	for seq := 0; seq < txs; seq++ {
+		for a := 1; a <= doomed+1; a++ {
+			want = append(want, outcome{seq, a, a > doomed})
+		}
+	}
+	if !slices.Equal(probe.seen, want) {
+		t.Errorf("outcome hooks = %v, want one per attempt: %v", probe.seen, want)
 	}
 }
 

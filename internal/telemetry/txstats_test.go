@@ -212,35 +212,35 @@ func TestTxStatsOnLiveRuntime(t *testing.T) {
 	}
 }
 
-// commitAborter aborts the attempt from inside OnCommit for the first
-// doomed attempts of every transaction — what a remote abort landing
-// between OnCommit and the status CAS looks like, made deterministic.
-type commitAborter struct{ doomed int }
+// commitPointAborter is a SemanticOps whose Validate aborts the first
+// doomed attempts of every transaction and returns true, so the attempt
+// goes on to lose its status CAS — what a remote abort landing at the
+// commit point looks like, made deterministic.
+type commitPointAborter struct{ doomed int }
 
-func (commitAborter) OnBegin(*stm.Tx)   {}
-func (commitAborter) OnOpen(*stm.Tx)    {}
-func (commitAborter) OnAcquire(*stm.Tx) {}
-func (commitAborter) OnAbort(*stm.Tx)   {}
-func (c commitAborter) OnCommit(tx *stm.Tx) {
+func (c commitPointAborter) Validate(tx *stm.Tx) bool {
 	if tx.D.Attempts <= c.doomed {
 		tx.Abort()
 	}
+	return true
 }
-func (commitAborter) OnResolve(_, _ *stm.Tx, _ stm.Kind, _ stm.Decision, _ time.Duration) {}
 
-// TestProbeCommitThenAbortFoldedOnce: an attempt aborted after its
-// OnCommit fired is folded into TxStats exactly once, as an abort, and
-// the transaction's eventual commit once. One thread, so every count is
-// exact: each transaction makes doomed+1 attempts.
+func (commitPointAborter) Finalize(*stm.Tx, bool) {}
+
+// TestProbeCommitThenAbortFoldedOnce: an attempt aborted at its commit
+// point, after its validation passed, is folded into TxStats exactly once,
+// as an abort, and the transaction's eventual commit once. One thread, so
+// every count is exact: each transaction makes doomed+1 attempts.
 func TestProbeCommitThenAbortFoldedOnce(t *testing.T) {
 	t.Run("eager", func(t *testing.T) {
 		const txs, doomed = 50, 2
 		r := telemetry.NewRegistry()
 		stats := telemetry.NewTxStats(r, 1)
-		rt := stm.New(1, aggressiveCM{}, stm.WithProbe(commitAborter{doomed: doomed}))
+		rt := stm.New(1, aggressiveCM{})
 		v := stm.NewTVar(0)
 		for i := 0; i < txs; i++ {
 			info := rt.Thread(0).Atomic(func(x *stm.Tx) {
+				x.AddSemantic(commitPointAborter{doomed: doomed})
 				stm.Write(x, v, stm.Read(x, v)+1)
 			})
 			if info.Attempts != doomed+1 {

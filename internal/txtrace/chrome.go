@@ -77,9 +77,7 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 	}
 	emit(chromeEvent{Name: "thread_name", Phase: "M", PID: 1, TID: frameTID, Args: map[string]any{"name": "frame clock"}})
 
-	// First pass: pair attempt begins with their outcomes. An EvCommit
-	// followed by an EvAbort on the same attempt means commit-time
-	// validation failed — the abort is the outcome.
+	// First pass: pair attempt begins with their outcomes.
 	type span struct {
 		begin, end int64
 		outcome    string
@@ -102,13 +100,9 @@ func (t *Trace) WriteChromeTrace(w io.Writer) error {
 				order = append(order, k)
 			}
 			spans[k] = &span{begin: e.TS, end: -1}
-		case EvCommit:
+		case EvCommit, EvAbort:
 			if s := spans[key(e)]; s != nil {
-				s.end, s.outcome = e.TS, "commit"
-			}
-		case EvAbort:
-			if s := spans[key(e)]; s != nil {
-				s.end, s.outcome = e.TS, "abort"
+				s.end, s.outcome = e.TS, e.Kind.String()
 			}
 		case EvConflict:
 			if s := spans[key(e)]; s != nil {

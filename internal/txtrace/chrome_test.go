@@ -13,8 +13,9 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // goldenTrace builds a fully deterministic trace: two threads, a
-// conflict with a flow arrow, a wait span, a commit-then-abort attempt, an
-// attempt still in flight when the recording is read, and a frame advance.
+// conflict with a flow arrow, a wait span, aborted and committed attempts,
+// an attempt still in flight when the recording is read, and a frame
+// advance.
 func goldenTrace() *Trace {
 	rec := NewRecorder(2, 1)
 	const v = uint64(0xAB)
@@ -32,10 +33,9 @@ func goldenTrace() *Trace {
 	pushThread(rec, 1, Event{TS: 1700, A: 5, Seq: 0, Attempt: 2, Thread: 1, Enemy: -1, Kind: EvBegin})
 	pushThread(rec, 1, Event{TS: 2500, A: 5, Seq: 0, Attempt: 2, Thread: 1, Enemy: -1, Kind: EvCommit})
 
-	// T0, tx 1: commit entry then abort — commit-time validation failed,
-	// the abort is the outcome.
+	// T0, tx 1: aborted at its commit point (commit-time validation
+	// failed); the runtime reports the abort only.
 	pushThread(rec, 0, Event{TS: 3000, A: 2, Seq: 1, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvBegin})
-	pushThread(rec, 0, Event{TS: 3400, A: 2, Seq: 1, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvCommit})
 	pushThread(rec, 0, Event{TS: 3500, A: 2, Seq: 1, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvAbort})
 
 	// T1, tx 1: still in flight when the recording is read.
@@ -107,10 +107,10 @@ func TestChromeTraceRoundTrip(t *testing.T) {
 	if got := outcomes["commit"] + outcomes["abort"] + outcomes["open"]; got != 5 {
 		t.Errorf("attempt spans = %d (%v), want 5", got, outcomes)
 	}
-	// The commit-then-abort attempt must resolve to abort: 2 commits
-	// (T0.tx0, T1.tx0/2), 2 aborts (T1.tx0/1, T0.tx1), 1 open (T1.tx1).
+	// 2 commits (T0.tx0, T1.tx0/2), 2 aborts (T1.tx0/1, T0.tx1), 1 open
+	// (T1.tx1).
 	if outcomes["commit"] != 2 || outcomes["abort"] != 2 || outcomes["open"] != 1 {
-		t.Errorf("outcomes = %v, want commit:2 abort:2 open:1 (commit-then-abort resolves to abort)", outcomes)
+		t.Errorf("outcomes = %v, want commit:2 abort:2 open:1", outcomes)
 	}
 	// One conflict → one flow start ("s") and one finish ("f") with
 	// matching IDs.

@@ -17,9 +17,12 @@
 //   - Cold side (trace.go, chrome.go, export.go): after the run has
 //     joined its threads, Recorder.Read merges and sorts the buffers once
 //     into a Trace, whose views are a thread-level conflict graph (reusing
-//     internal/conflictgraph), a hot-variable contention heatmap with
-//     per-variable abort attribution, Chrome trace-event JSON for
-//     Perfetto, and an ASCII timeline.
+//     internal/conflictgraph) with its directed (attacker, enemy) tallies,
+//     a hot-variable contention heatmap with per-variable abort
+//     attribution, Chrome trace-event JSON for Perfetto, and an ASCII
+//     timeline. The runtime decides each attempt's outcome and reports it
+//     once (stm.Probe), so every recorded attempt ends in one EvCommit or
+//     one EvAbort and no view re-derives it.
 //
 // The recorder is the only stm.Probe a run installs, and it plugs into the
 // window manager's frame clock via core.(*Manager).AddFrameHook, so one
@@ -37,11 +40,10 @@ type Kind uint8
 const (
 	// EvBegin marks an attempt start. A = logical transaction ID.
 	EvBegin Kind = 1 + iota
-	// EvCommit marks commit entry (validation and the status CAS follow;
-	// if either fails an EvAbort for the same attempt follows it, and the
-	// abort is the attempt's outcome). A = logical transaction ID.
+	// EvCommit marks a committed attempt. A = logical transaction ID.
 	EvCommit
-	// EvAbort marks an aborted attempt. A = logical transaction ID.
+	// EvAbort marks an aborted attempt. A = logical transaction ID. Each
+	// attempt records one of the two: the runtime reports one outcome.
 	EvAbort
 	// EvOpen marks a transactional open. A = variable token. Open events
 	// carry the attempt's start timestamp, not their own (the recorder
@@ -52,10 +54,8 @@ const (
 	// token. Timestamped like EvOpen.
 	EvAcquire
 	// EvConflict marks one resolved conflict. A = enemy logical transaction
-	// ID, B = variable token, Enemy = enemy thread, Verdict = decision+1.
-	// A Wait's conflict is reported once the wait is over, so its A is the
-	// enemy thread's transaction at that moment: the next one when the
-	// waited-on transaction had ended by then.
+	// ID at the decision, B = variable token, Enemy = enemy thread,
+	// Verdict = decision+1.
 	EvConflict
 	// EvWait marks time spent inside a Wait verdict, stamped at the wait's
 	// start. A = ns waited, B = variable token, Enemy = enemy thread.

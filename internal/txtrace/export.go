@@ -3,13 +3,12 @@ package txtrace
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 )
 
-// This file holds the trace's text views: the thread-by-time ASCII
-// chart and the (attacker, enemy) conflict leaderboard that winbench -fig
-// trace prints.
+// This file holds the trace's text view, the thread-by-time ASCII chart
+// that winbench -fig trace prints. It counts outcome events as recorded:
+// the runtime reports one outcome per attempt.
 
 // Timeline renders the trace as an ASCII chart: one row per thread, one column per time bucket; each cell
 // shows what dominated the bucket — commits (*), aborts (x), conflicts (~)
@@ -80,37 +79,4 @@ func (t *Trace) Timeline(w io.Writer, buckets int) error {
 		}
 	}
 	return nil
-}
-
-// PairCount is one (attacker, enemy) conflict tally.
-type PairCount struct {
-	Attacker, Enemy, Conflicts int
-}
-
-// AbortsByPair aggregates the trace's conflict events by
-// (attacker, enemy) thread pair, most frequent first (ties broken by
-// ascending attacker, then enemy) — a quick view of who fights whom. Unlike
-// ConflictSnapshot's edges this is directed: T3 killing T5 and T5 killing
-// T3 are different rows.
-func (t *Trace) AbortsByPair() []PairCount {
-	counts := map[[2]int]int{}
-	for _, e := range t.Events {
-		if e.Kind == EvConflict {
-			counts[[2]int{int(e.Thread), int(e.Enemy)}]++
-		}
-	}
-	out := make([]PairCount, 0, len(counts))
-	for pair, n := range counts {
-		out = append(out, PairCount{Attacker: pair[0], Enemy: pair[1], Conflicts: n})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Conflicts != out[j].Conflicts {
-			return out[i].Conflicts > out[j].Conflicts
-		}
-		if out[i].Attacker != out[j].Attacker {
-			return out[i].Attacker < out[j].Attacker
-		}
-		return out[i].Enemy < out[j].Enemy
-	})
-	return out
 }

@@ -192,9 +192,7 @@ func (r *Recorder) OnAcquire(tx *stm.Tx) {
 	}
 }
 
-// OnCommit implements stm.Probe. It runs at commit entry; when validation
-// or the status CAS subsequently fails, an EvAbort for the same attempt
-// follows, and the views treat the later event as the outcome.
+// OnCommit implements stm.Probe.
 func (r *Recorder) OnCommit(tx *stm.Tx) {
 	if s := r.state(tx); s.sampling {
 		r.record(s, Event{
@@ -220,14 +218,14 @@ func (r *Recorder) OnAbort(tx *stm.Tx) {
 // carries out. A Wait arrives once it is over, with the time waited, so its
 // conflict and its wait are stamped at the wait's start and the wait's
 // event spans the real wait.
-func (r *Recorder) OnResolve(tx, enemy *stm.Tx, kind stm.Kind, dec stm.Decision, wait time.Duration) {
+func (r *Recorder) OnResolve(tx, enemy *stm.Tx, enemyID uint64, kind stm.Kind, dec stm.Decision, wait time.Duration) {
 	if s := r.state(tx); s.sampling {
 		ts := stm.Now()
 		if dec == stm.Wait {
 			ts -= int64(wait)
 		}
 		r.record(s, Event{
-			TS: ts, A: enemy.D.ID.Load(), B: tx.OpenedVar(),
+			TS: ts, A: enemyID, B: tx.OpenedVar(),
 			Seq: int32(tx.D.Seq), Attempt: int32(tx.D.Attempts),
 			Thread: int16(tx.D.ThreadID), Enemy: int16(enemy.D.ThreadID),
 			Kind: EvConflict, Verdict: uint8(dec) + 1,

@@ -184,8 +184,8 @@ func TestRecorderConflictAccounting(t *testing.T) {
 	}
 
 	// Attempt-lifecycle identity on the recorded stream: every attempt
-	// begins once and Counts takes at most one outcome of it, so begins can
-	// never be fewer than aborts.
+	// begins once and records at most one outcome, so begins can never be
+	// fewer than aborts.
 	counts := tr.Counts()
 	if counts[EvBegin] < counts[EvAbort] {
 		t.Errorf("begins %d < aborts %d: lifecycle broken", counts[EvBegin], counts[EvAbort])
@@ -249,15 +249,40 @@ func (patientCM) Resolve(tx, enemy *stm.Tx, _ stm.Kind, _ int) (stm.Decision, ti
 	return stm.Wait, patientSpan
 }
 
+// reportAfterEnemyMovesOn holds every Wait's report until thread 0 has
+// begun its second transaction, so by the time the waiter reports, the
+// transaction it waited on is over and thread 0's Desc.ID names the next.
+type reportAfterEnemyMovesOn struct {
+	*Recorder
+	moved chan struct{}
+}
+
+func (p *reportAfterEnemyMovesOn) OnBegin(tx *stm.Tx) {
+	p.Recorder.OnBegin(tx)
+	if tx.D.ThreadID == 0 && tx.D.Seq == 1 && tx.D.Attempts == 1 {
+		close(p.moved)
+	}
+}
+
+func (p *reportAfterEnemyMovesOn) OnResolve(tx, enemy *stm.Tx, enemyID uint64, kind stm.Kind, dec stm.Decision, wait time.Duration) {
+	if dec == stm.Wait {
+		<-p.moved
+	}
+	p.Recorder.OnResolve(tx, enemy, enemyID, kind, dec, wait)
+}
+
 // TestRecorderWaitCutShortByCommit: thread 1 is granted a 1 s Wait on
 // thread 0's attempt, parks, and is woken when that attempt commits after
 // a 10 ms hold. The recorded EvWait carries the time waited, not the span
 // granted, and is stamped at the wait's start, so its box covers the
-// enemy's commit; its EvConflict carries the same stamp.
+// enemy's commit; its EvConflict carries the same stamp and names the
+// transaction waited on, although thread 0 has begun its next one before
+// thread 1 reports.
 func TestRecorderWaitCutShortByCommit(t *testing.T) {
 	const hold = 10 * time.Millisecond
 	rec := NewRecorder(2, 1)
-	rt := stm.New(2, patientCM{}, stm.WithProbe(rec))
+	probe := &reportAfterEnemyMovesOn{Recorder: rec, moved: make(chan struct{})}
+	rt := stm.New(2, patientCM{}, stm.WithProbe(probe))
 	v := stm.NewTVar(0)
 	held := make(chan struct{})
 	var wg sync.WaitGroup
@@ -265,7 +290,8 @@ func TestRecorderWaitCutShortByCommit(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		first := true
-		rt.Thread(0).Atomic(func(tx *stm.Tx) {
+		th := rt.Thread(0)
+		th.Atomic(func(tx *stm.Tx) {
 			stm.Write(tx, v, stm.Read(tx, v)+1)
 			if first {
 				first = false
@@ -276,6 +302,7 @@ func TestRecorderWaitCutShortByCommit(t *testing.T) {
 				time.Sleep(hold)
 			}
 		})
+		th.Atomic(func(*stm.Tx) {})
 	}()
 	go func() {
 		defer wg.Done()
@@ -292,7 +319,7 @@ func TestRecorderWaitCutShortByCommit(t *testing.T) {
 			conflict = e
 		case e.Kind == EvWait && e.Thread == 1 && wait == nil:
 			wait = e
-		case e.Kind == EvCommit && e.Thread == 0 && commit == nil:
+		case e.Kind == EvCommit && e.Thread == 0 && e.Seq == 0:
 			commit = e
 		}
 	}
@@ -307,6 +334,9 @@ func TestRecorderWaitCutShortByCommit(t *testing.T) {
 	}
 	if wait.TS > commit.TS || wait.TS+int64(wait.A) < commit.TS {
 		t.Errorf("wait box [%d, %d] does not cover the enemy's commit at %d", wait.TS, wait.TS+int64(wait.A), commit.TS)
+	}
+	if conflict.A != commit.A {
+		t.Errorf("EvConflict.A = %d, want %d, the ID of the enemy transaction waited on", conflict.A, commit.A)
 	}
 }
 

@@ -8,9 +8,8 @@ import (
 )
 
 // Trace is a finished run's recording, read once after the run
-// (Recorder.Read). The views — Conflicts, Heatmap, Counts, Timeline,
-// AbortsByPair and WriteChromeTrace — are its methods and share its one
-// sorted event list.
+// (Recorder.Read). The views — Conflicts, Heatmap, Counts, Timeline and
+// WriteChromeTrace — are its methods and share its one sorted event list.
 type Trace struct {
 	// Events is every recorded event in global time order. The sort is
 	// stable, so same-timestamp events keep their thread's record order.
@@ -26,9 +25,10 @@ type Trace struct {
 	FramesUnrecorded uint64
 }
 
-// ConflictEdge is one undirected thread pair's conflict tally.
+// ConflictEdge is one directed thread pair's conflict tally.
 type ConflictEdge struct {
-	// From < To are the two thread IDs.
+	// From is the attacker, the thread whose open met the conflict; To
+	// is its enemy.
 	From, To int
 	// Count is how many conflict events the pair generated; Aborts counts
 	// those whose verdict killed a party (AbortEnemy or AbortSelf).
@@ -39,7 +39,9 @@ type ConflictEdge struct {
 type ConflictSnapshot struct {
 	// Threads is the node count of Graph.
 	Threads int
-	// Edges lists the distinct conflicting pairs, heaviest first.
+	// Edges lists the distinct (attacker, enemy) pairs, most conflicts
+	// first, ties by ascending attacker, then enemy: T3 meeting T5 and T5
+	// meeting T3 are two edges.
 	Edges []ConflictEdge
 	// Graph is the simple undirected graph over the pairs — the same shape
 	// the paper's window model colors, so MaxDegree is the empirical
@@ -57,38 +59,27 @@ type ConflictSnapshot struct {
 // outside any conflict appear as isolated nodes.
 func (t *Trace) Conflicts() ConflictSnapshot {
 	snap := ConflictSnapshot{Threads: t.Threads}
-	type tally struct{ count, aborts int }
-	pairs := map[[2]int]*tally{}
+	pairs := map[[2]int]*ConflictEdge{}
 	for _, e := range t.Events {
 		if e.Kind != EvConflict {
 			continue
 		}
-		a, b := int(e.Thread), int(e.Enemy)
-		if a > b {
-			a, b = b, a
-		}
-		key := [2]int{a, b}
+		key := [2]int{int(e.Thread), int(e.Enemy)}
 		p := pairs[key]
 		if p == nil {
-			p = &tally{}
+			p = &ConflictEdge{From: key[0], To: key[1]}
 			pairs[key] = p
 		}
-		p.count++
+		p.Count++
 		snap.Conflicts++
 		if e.Aborting() {
-			p.aborts++
+			p.Aborts++
 			snap.Aborts++
 		}
-		if n := b + 1; n > snap.Threads {
-			snap.Threads = n
-		}
+		snap.Threads = max(snap.Threads, key[0]+1, key[1]+1)
 	}
-	g := conflictgraph.New(snap.Threads)
-	for key, p := range pairs {
-		snap.Edges = append(snap.Edges, ConflictEdge{From: key[0], To: key[1], Count: p.count, Aborts: p.aborts})
-		if key[0] != key[1] {
-			_ = g.AddEdge(key[0], key[1]) // dup/self-loop impossible: keys are distinct sorted pairs
-		}
+	for _, p := range pairs {
+		snap.Edges = append(snap.Edges, *p)
 	}
 	sort.Slice(snap.Edges, func(i, j int) bool {
 		a, b := snap.Edges[i], snap.Edges[j]
@@ -100,6 +91,10 @@ func (t *Trace) Conflicts() ConflictSnapshot {
 		}
 		return a.To < b.To
 	})
+	g := conflictgraph.New(snap.Threads)
+	for _, p := range snap.Edges {
+		_ = g.AddEdge(p.From, p.To) // refuses a pair's reverse and self-loops, so g stays simple
+	}
 	snap.Graph = g
 	snap.MaxDegree = g.MaxDegree()
 	snap.Colors = conflictgraph.NumColors(g.GreedyColor())
@@ -172,30 +167,13 @@ func (t *Trace) Heatmap(k int) []VarStat {
 	return out
 }
 
-// Counts tallies recorded events per kind, counting each attempt's
-// outcome once: an attempt whose commit entry loses its status CAS to a
-// remote abort records EvCommit and then EvAbort, and counts as the abort
-// only. A thread ends its attempts one after another, so the outcome events
-// of one attempt are consecutive among its thread's outcome events.
+// Counts tallies recorded events per kind. The runtime reports one
+// outcome per attempt, so the EvCommit and EvAbort tallies are the
+// recorded attempts' outcomes.
 func (t *Trace) Counts() map[Kind]int {
-	type outcome struct {
-		seq, attempt int32
-		kind         Kind
-	}
 	out := map[Kind]int{}
-	last := map[int16]outcome{} // each thread's latest outcome, not yet counted
 	for _, e := range t.Events {
-		if e.Kind != EvCommit && e.Kind != EvAbort {
-			out[e.Kind]++
-			continue
-		}
-		if p, ok := last[e.Thread]; ok && (p.seq != e.Seq || p.attempt != e.Attempt) {
-			out[p.kind]++
-		}
-		last[e.Thread] = outcome{e.Seq, e.Attempt, e.Kind}
-	}
-	for _, p := range last {
-		out[p.kind]++
+		out[e.Kind]++
 	}
 	return out
 }

@@ -2,8 +2,11 @@ package txtrace
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 	"time"
+
+	"wincm/internal/stm"
 )
 
 // pushThread appends an event directly to a thread's buffer — the
@@ -72,25 +75,62 @@ func TestConflictsAndHeatmapSummarizeWindow(t *testing.T) {
 	}
 }
 
-// TestCountsTakeEachAttemptsLastOutcome: an attempt that records EvCommit
-// and then EvAbort (its status CAS lost to a remote abort) counts as one
-// abort and no commit, also when another thread's outcome falls between
-// its two events; every other attempt's outcome counts as recorded.
-func TestCountsTakeEachAttemptsLastOutcome(t *testing.T) {
-	tr := &Trace{Threads: 2, Sample: 1, Events: []Event{
-		{TS: 10, Seq: 0, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvBegin},
-		{TS: 11, Seq: 0, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvBegin},
-		{TS: 20, Seq: 0, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvCommit},
-		{TS: 21, Seq: 0, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvCommit},
-		{TS: 22, Seq: 0, Attempt: 1, Thread: 0, Enemy: -1, Kind: EvAbort},
-		{TS: 30, Seq: 0, Attempt: 2, Thread: 0, Enemy: -1, Kind: EvBegin},
-		{TS: 40, Seq: 0, Attempt: 2, Thread: 0, Enemy: -1, Kind: EvCommit},
-		{TS: 50, Seq: 1, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvBegin},
-		{TS: 60, Seq: 1, Attempt: 1, Thread: 1, Enemy: -1, Kind: EvAbort},
-	}}
-	n := tr.Counts()
-	if n[EvBegin] != 4 || n[EvCommit] != 2 || n[EvAbort] != 2 {
-		t.Errorf("counts = %v, want 4 begins, 2 commits and 2 aborts", n)
+// TestConflictsDirectedEdges: Conflicts keeps one edge per (attacker,
+// enemy) pair, so T3→T5 and T5→T3 are two edges over one Graph edge; its
+// edges run most conflicts first, ties by ascending attacker, then enemy
+// (the order -fig trace's top-8 pairs print in); and each edge's aborts
+// sum to the trace's.
+func TestConflictsDirectedEdges(t *testing.T) {
+	want := []ConflictEdge{
+		{From: 6, To: 7, Count: 4, Aborts: 4},
+		{From: 1, To: 2, Count: 3, Aborts: 0},
+		{From: 1, To: 4, Count: 3, Aborts: 1},
+		{From: 3, To: 5, Count: 3, Aborts: 2},
+		{From: 5, To: 3, Count: 3, Aborts: 1},
+		{From: 2, To: 1, Count: 2, Aborts: 2},
+		{From: 0, To: 6, Count: 1, Aborts: 0},
+		{From: 4, To: 1, Count: 1, Aborts: 1},
+		{From: 7, To: 0, Count: 1, Aborts: 0},
+		{From: 8, To: 0, Count: 1, Aborts: 1},
+	}
+	// Record the pairs' conflicts lightest pair first, so the order of
+	// Edges comes from the sort, not from the events.
+	tr := &Trace{Threads: 9, Sample: 1}
+	ts := int64(0)
+	for i := len(want) - 1; i >= 0; i-- {
+		w := want[i]
+		for k := 0; k < w.Count; k++ {
+			verdict := uint8(stm.Wait) + 1
+			if k < w.Aborts {
+				verdict = uint8(stm.AbortEnemy) + 1
+				if k%2 == 1 {
+					verdict = uint8(stm.AbortSelf) + 1
+				}
+			}
+			ts++
+			tr.Events = append(tr.Events, Event{
+				TS: ts, A: 1, B: 0xab, Thread: int16(w.From), Enemy: int16(w.To),
+				Kind: EvConflict, Verdict: verdict,
+			})
+		}
+	}
+	cs := tr.Conflicts()
+	if !slices.Equal(cs.Edges, want) {
+		t.Errorf("edges =\n%+v\nwant\n%+v", cs.Edges, want)
+	}
+	var sum int
+	for _, e := range cs.Edges {
+		sum += e.Aborts
+	}
+	if sum != cs.Aborts || cs.Aborts != 12 || cs.Conflicts != 22 {
+		t.Errorf("Σ edge aborts = %d, totals = %d conflicts, %d aborts; want 12 = 12 of 22", sum, cs.Conflicts, cs.Aborts)
+	}
+	// Undirected: {6,7} {1,2} {1,4} {3,5} {0,6} {0,7} {0,8}.
+	if n := cs.Graph.Edges(); n != 7 || !cs.Graph.HasEdge(3, 5) || !cs.Graph.HasEdge(5, 3) {
+		t.Errorf("graph has %d edges (3–5: %v), want 7 with 3–5", n, cs.Graph.HasEdge(3, 5))
+	}
+	if cs.Threads != 9 || cs.MaxDegree != 3 {
+		t.Errorf("threads %d, max degree %d; want 9 and 3 (T0 meets T6, T7, T8)", cs.Threads, cs.MaxDegree)
 	}
 }
 
