@@ -104,7 +104,8 @@ telemetry-smoke:
 	BENCH=$$!; sleep 1; \
 	curl -fsS http://127.0.0.1:9180/metrics > /tmp/telemetry_metrics.out || { kill $$BENCH; exit 1; }; \
 	status=0; \
-	grep -q '^wincm_commits_total ' /tmp/telemetry_metrics.out || status=1; \
+	grep -q '^wincm_tx_attempts_count ' /tmp/telemetry_metrics.out || status=1; \
+	grep -q '^wincm_wasted_ns_bucket{' /tmp/telemetry_metrics.out || status=1; \
 	grep -q '^wincm_response_ns_bucket{' /tmp/telemetry_metrics.out || status=1; \
 	grep -q '^wincm_resolve_abort_enemy_total ' /tmp/telemetry_metrics.out || status=1; \
 	grep -q '^wincm_cm_wait_ns_total ' /tmp/telemetry_metrics.out || status=1; \

@@ -52,12 +52,13 @@ func (a *adversary) inject(tx *stm.Tx) {
 	}
 }
 
-func (a *adversary) OnOpen(tx *stm.Tx)                                                             { a.inject(tx) }
-func (a *adversary) OnAcquire(tx *stm.Tx)                                                          { a.inject(tx) }
-func (a *adversary) OnBegin(*stm.Tx)                                                               {}
-func (a *adversary) OnCommit(*stm.Tx)                                                              {}
-func (a *adversary) OnAbort(*stm.Tx)                                                               {}
-func (a *adversary) OnResolve(_, _ *stm.Tx, _ uint64, _ stm.Kind, _ stm.Decision, _ time.Duration) {}
+func (a *adversary) OnOpen(tx *stm.Tx)    { a.inject(tx) }
+func (a *adversary) OnAcquire(tx *stm.Tx) { a.inject(tx) }
+func (a *adversary) OnBegin(*stm.Tx)      {}
+func (a *adversary) OnCommit(*stm.Tx)     {}
+func (a *adversary) OnAbort(*stm.Tx)      {}
+func (a *adversary) OnResolve(*stm.Tx, *stm.Tx, uint64, int64, stm.Kind, stm.Decision, time.Duration) {
+}
 
 // flipper wraps a contention manager and flips about 2% of its verdicts:
 // abort-enemy becomes a short wait, a wait becomes abort-self, abort-self

@@ -45,7 +45,9 @@ func TelemetryFig(o Options) ([]Table, error) {
 
 // seriesTable renders the interval series: per-interval commit/abort
 // rates plus the window gauges' trajectory. Rates are deltas between
-// consecutive points over the interval span.
+// consecutive points over the interval span. Commits and aborts come off
+// the attempts histogram (count, and sum − count), so an interval's aborts
+// are those of the transactions that committed in it.
 func seriesTable(pts []Point, label string) Table {
 	t := Table{
 		Title: "Telemetry: interval series — " + label,
@@ -58,8 +60,9 @@ func seriesTable(pts []Point, label string) Table {
 		if span <= 0 {
 			continue
 		}
-		dCommits := p.Counters["wincm_commits_total"] - prev.Counters["wincm_commits_total"]
-		dAborts := p.Counters["wincm_aborts_total"] - prev.Counters["wincm_aborts_total"]
+		a, pa := p.Histograms["wincm_tx_attempts"], prev.Histograms["wincm_tx_attempts"]
+		dCommits := a.Count - pa.Count
+		dAborts := a.Sum - pa.Sum - dCommits
 		apc := 0.0
 		if dCommits > 0 {
 			apc = float64(dAborts) / float64(dCommits)
@@ -87,7 +90,7 @@ func quantileTable(snap telemetry.Snapshot, label string, threads int) Table {
 		Columns: []string{"histogram", "count", "mean", "p50<=", "p99<="},
 	}
 	for _, name := range []string{
-		"wincm_response_ns", "wincm_commit_duration_ns", "wincm_tx_attempts",
+		"wincm_response_ns", "wincm_commit_duration_ns", "wincm_tx_attempts", "wincm_wasted_ns",
 	} {
 		h, ok := snap.Histograms[name]
 		if !ok {

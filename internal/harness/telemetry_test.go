@@ -47,14 +47,14 @@ func TestTelemetryFig(t *testing.T) {
 	}
 
 	// The run installed its registry into the hub; a scrape now must show
-	// counters, histograms, and at least one window-manager gauge.
+	// the transaction histograms and at least one window-manager gauge.
 	var prom bytes.Buffer
 	if err := hub.Current().WritePrometheus(&prom); err != nil {
 		t.Fatal(err)
 	}
 	scrape := prom.String()
 	for _, want := range []string{
-		"wincm_commits_total", "wincm_response_ns_bucket", "wincm_window_frame",
+		"wincm_tx_attempts_count", "wincm_response_ns_bucket", "wincm_wasted_ns_bucket", "wincm_window_frame",
 	} {
 		if !strings.Contains(scrape, want) {
 			t.Errorf("scrape missing %s:\n%s", want, scrape[:min(len(scrape), 2000)])
@@ -81,9 +81,10 @@ func TestTelemetryFigDefaultManager(t *testing.T) {
 }
 
 // TestRunTimedAttachesSeries: a timed run asked for n points takes its
-// registry's series itself — time-ordered, every counter monotone, at most
-// n + 1 points, gauges present, and a last point taken after the workers
-// joined, which holds every commit the summary counts.
+// registry's series itself — time-ordered, every histogram's count and sum
+// monotone, at most n + 1 points, gauges present, and a last point taken
+// after the workers joined, which holds every commit and abort the summary
+// counts.
 func TestRunTimedAttachesSeries(t *testing.T) {
 	w, err := NewWorkload("list", Options{}.withDefaults().throughputMix(), 1)
 	if err != nil {
@@ -102,16 +103,18 @@ func TestRunTimedAttachesSeries(t *testing.T) {
 		if p.At < prev.At {
 			t.Errorf("point %d at %v precedes point %d at %v", i, p.At, i-1, prev.At)
 		}
-		for name, v := range p.Counters {
-			if v < prev.Counters[name] {
-				t.Errorf("counter %s went from %d to %d at point %d", name, prev.Counters[name], v, i)
+		for name, h := range p.Histograms {
+			if ph := prev.Histograms[name]; h.Count < ph.Count || h.Sum < ph.Sum {
+				t.Errorf("histogram %s went from count %d sum %d to count %d sum %d at point %d",
+					name, ph.Count, ph.Sum, h.Count, h.Sum, i)
 			}
 		}
 	}
 	final := res.Series[len(res.Series)-1]
-	if final.Counters["wincm_commits_total"] != res.Summary.Commits {
-		t.Errorf("final series commits %d ≠ summary commits %d",
-			final.Counters["wincm_commits_total"], res.Summary.Commits)
+	a := final.Histograms["wincm_tx_attempts"]
+	if a.Count != res.Summary.Commits || a.Sum-a.Count != res.Summary.Aborts {
+		t.Errorf("final series commits %d, aborts %d ≠ summary commits %d, aborts %d",
+			a.Count, a.Sum-a.Count, res.Summary.Commits, res.Summary.Aborts)
 	}
 	if _, ok := final.Gauges["wincm_resolve_wait_total"]; !ok {
 		t.Errorf("final point has no verdict gauges: %v", final.Gauges)

@@ -41,13 +41,14 @@ type Probe interface {
 	OnAbort(tx *Tx)
 	// OnResolve runs on the attacker's thread once a conflict is decided
 	// (by the fallback token or the contention manager). enemyID is the
-	// enemy's logical transaction ID (Desc.ID), read when the decision was
-	// made. An AbortEnemy or AbortSelf verdict is reported before it is
-	// carried out, with the restart delay an AbortSelf carries as wait. A
-	// Wait is reported once it is over, with the time the thread actually
-	// waited as wait — less than the span granted when the enemy's attempt
-	// ended first — before the attempt checks that it is still alive.
-	OnResolve(tx, enemy *Tx, enemyID uint64, kind Kind, dec Decision, wait time.Duration)
+	// enemy's logical transaction ID (Desc.ID) and at the clock (Now), both
+	// read when the decision was made. An AbortEnemy or AbortSelf verdict
+	// is reported before it is carried out, with the restart delay an
+	// AbortSelf carries as wait. A Wait starts at at and is reported once
+	// it is over, with the time the thread actually waited as wait — less
+	// than the span granted when the enemy's attempt ended first — before
+	// the attempt checks that it is still alive.
+	OnResolve(tx, enemy *Tx, enemyID uint64, at int64, kind Kind, dec Decision, wait time.Duration)
 }
 
 // WithProbe installs a probe on the runtime. The hot paths pay one nil

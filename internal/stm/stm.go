@@ -128,8 +128,7 @@ type Desc struct {
 	// so it orders transactions born a tick apart and leaves the rest to ID.
 	Birth atomic.Int64
 	// AttemptStart is the start time of the current attempt, set only on
-	// timed runtimes (0 on an untimed one). The flight recorder stamps
-	// events with it. Owner-thread-only.
+	// timed runtimes (0 on an untimed one). Owner-thread-only.
 	AttemptStart int64
 	// Attempts counts attempts so far, including the current one.
 	// Owner-thread-only.
@@ -319,9 +318,7 @@ type Option func(*Runtime)
 // a timestamp, Desc.AttemptStart stays 0, TxInfo's durations read 0, and
 // the fallback deadline is stamped at a transaction's first abort like on
 // a timed runtime. It is for callers that read no TxInfo duration (the kv
-// shards); the figures keep the default, timed runtime. An untimed runtime
-// takes no probe (WithProbe): the flight recorder stamps its events with
-// AttemptStart.
+// shards); the figures keep the default, timed runtime.
 func WithoutTxTiming() Option {
 	return func(rt *Runtime) { rt.untimed = true }
 }
@@ -352,9 +349,6 @@ func New(m int, cm ContentionManager, opts ...Option) *Runtime {
 	rt := &Runtime{cm: cm}
 	for _, opt := range opts {
 		opt(rt)
-	}
-	if rt.untimed && rt.probe != nil {
-		panic("stm: WithProbe needs a timed runtime (probes read Desc.AttemptStart)")
 	}
 	rt.threads = make([]*Thread, m)
 	rt.epochSlots = make([]paddedUint64, m)
@@ -786,7 +780,8 @@ func (tx *Tx) checkAlive() {
 // comes first. Each carried-out decision is counted in the thread's
 // verdict cells (Runtime.Verdicts). The probe sees an abort before it is
 // carried out and a Wait once it is over, with the time waited, and both
-// with the enemy's transaction ID as it was at the decision. resolve
+// with the enemy's transaction ID and the clock as they were at the
+// decision (a Wait starts then). resolve
 // must be called while holding no speculative invariants that a Wait could
 // violate (it may sleep).
 func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
@@ -797,12 +792,16 @@ func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 	}
 	p := tx.rt.probe
 	var enemyID uint64
+	var at int64
+	if p != nil || dec == Wait {
+		at = now()
+	}
 	if p != nil {
 		// Read now: a Wait is reported once it is over, when the enemy
 		// thread may have begun its next transaction.
 		enemyID = enemy.D.ID.Load()
 		if dec != Wait {
-			p.OnResolve(tx, enemy, enemyID, kind, dec, wait)
+			p.OnResolve(tx, enemy, enemyID, at, kind, dec, wait)
 		}
 	}
 	t := tx.owner
@@ -817,18 +816,17 @@ func (tx *Tx) resolve(enemy *Tx, eword uint64, kind Kind, attempt *int) {
 		tx.selfAbort()
 	case Wait:
 		t.waits.Store(t.waits.Load() + 1)
-		start := now()
 		tx.D.Waiting.Store(true)
 		if wait <= parkAbove {
 			waitFor(wait)
 		} else {
 			tx.park(enemy, eword, wait)
 		}
-		waited := now() - start
+		waited := now() - at
 		t.waitNs.Store(t.waitNs.Load() + waited)
 		tx.D.Waiting.Store(false)
 		if p != nil {
-			p.OnResolve(tx, enemy, enemyID, kind, dec, time.Duration(waited))
+			p.OnResolve(tx, enemy, enemyID, at, kind, dec, time.Duration(waited))
 		}
 		tx.checkAlive()
 	}

@@ -302,7 +302,7 @@ func TestFirstAttemptCommitDur(t *testing.T) {
 // TestUntimedRuntime: on an untimed runtime TxInfo's durations and
 // AttemptStart read 0, Birth is the runtime tick — fixed across a
 // transaction's attempts, shared by transactions born within one tick, and
-// moved on by an abort a tick after the last move — and a probe is refused.
+// moved on by an abort a tick after the last move.
 func TestUntimedRuntime(t *testing.T) {
 	rt := stm.New(1, starver{}, stm.WithoutTxTiming())
 	th := rt.Thread(0)
@@ -339,13 +339,6 @@ func TestUntimedRuntime(t *testing.T) {
 	if births[4] <= births[3] {
 		t.Errorf("birth after an abort a tick later = %d, want > %d", births[4], births[3])
 	}
-
-	defer func() {
-		if recover() == nil {
-			t.Error("New accepted a probe on an untimed runtime")
-		}
-	}()
-	stm.New(1, starver{}, stm.WithoutTxTiming(), stm.WithProbe(nopProbe{}))
 }
 
 // TestRuntimeCountsOutcomes: the runtime's own counters are exact — two
@@ -387,12 +380,12 @@ func TestRuntimeCountsOutcomes(t *testing.T) {
 // nopProbe is a Probe base with empty hooks.
 type nopProbe struct{}
 
-func (nopProbe) OnBegin(*stm.Tx)                                                               {}
-func (nopProbe) OnOpen(*stm.Tx)                                                                {}
-func (nopProbe) OnAcquire(*stm.Tx)                                                             {}
-func (nopProbe) OnCommit(*stm.Tx)                                                              {}
-func (nopProbe) OnAbort(*stm.Tx)                                                               {}
-func (nopProbe) OnResolve(_, _ *stm.Tx, _ uint64, _ stm.Kind, _ stm.Decision, _ time.Duration) {}
+func (nopProbe) OnBegin(*stm.Tx)                                                                  {}
+func (nopProbe) OnOpen(*stm.Tx)                                                                   {}
+func (nopProbe) OnAcquire(*stm.Tx)                                                                {}
+func (nopProbe) OnCommit(*stm.Tx)                                                                 {}
+func (nopProbe) OnAbort(*stm.Tx)                                                                  {}
+func (nopProbe) OnResolve(*stm.Tx, *stm.Tx, uint64, int64, stm.Kind, stm.Decision, time.Duration) {}
 
 // verdictTally counts the decisions OnResolve shows it, per thread (the
 // hook runs on the attacker's thread, so each row has one writer).
@@ -401,7 +394,7 @@ type verdictTally struct {
 	rows []stm.Verdicts
 }
 
-func (p *verdictTally) OnResolve(tx, _ *stm.Tx, _ uint64, _ stm.Kind, dec stm.Decision, wait time.Duration) {
+func (p *verdictTally) OnResolve(tx, _ *stm.Tx, _ uint64, _ int64, _ stm.Kind, dec stm.Decision, wait time.Duration) {
 	r := &p.rows[tx.D.ThreadID]
 	switch dec {
 	case stm.AbortEnemy:

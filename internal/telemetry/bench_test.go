@@ -112,16 +112,6 @@ func BenchmarkListTelemetry(b *testing.B) {
 	listWorkload(b, rt, func(info stm.TxInfo) { tx.RecordTx(0, info) })
 }
 
-// BenchmarkCounterAdd measures one sharded counter add in isolation.
-func BenchmarkCounterAdd(b *testing.B) {
-	r := telemetry.NewRegistry()
-	c := r.NewCounter("bench_total", "", 8)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		c.Inc(0)
-	}
-}
-
 // BenchmarkHistogramObserve measures one histogram observation.
 func BenchmarkHistogramObserve(b *testing.B) {
 	r := telemetry.NewRegistry()

@@ -26,10 +26,11 @@ type histShard struct {
 }
 
 // Histogram is a sharded, log₂-bucketed histogram of int64 observations
-// (durations in nanoseconds, attempt counts, wait spans). One Observe is
-// two load+store pairs on the writer's own shard, plus a third when the
-// value is a new maximum — shards are single-writer, like Counter's — and
-// merging happens at read time.
+// (durations in nanoseconds, attempt counts). One Observe is two
+// load+store pairs on the writer's own shard (its thread ID, masked), plus
+// a third when the value is a new maximum, and merging happens at read
+// time. Shards are single-writer: two goroutines observing into one shard
+// concurrently can lose observations.
 type Histogram struct {
 	name  string
 	help  string
@@ -125,17 +126,20 @@ func (s HistogramSnapshot) Quantile(q float64) int64 {
 // Snapshot merges all shards. Each shard's fields are read atomically;
 // concurrent writers may land between field reads, so Count/Sum/Buckets
 // are individually exact but need not agree to one observation — the
-// standard scrape guarantee. Count is the bucket total.
+// standard scrape guarantee. Count is the bucket total. A shard's buckets
+// are read before its sum and max, which Observe writes first, so Sum and
+// Max cover at least every observation Count counts: a count derived as
+// Sum − Count (TxStats' aborts) never reads negative mid-run.
 func (h *Histogram) Snapshot() HistogramSnapshot {
 	var out HistogramSnapshot
 	for i := range h.shard {
 		s := &h.shard[i]
+		for b := range s.bucket {
+			out.Buckets[b] += s.bucket[b].Load()
+		}
 		out.Sum += s.sum.Load()
 		if m := s.max.Load(); m > out.Max {
 			out.Max = m
-		}
-		for b := range s.bucket {
-			out.Buckets[b] += s.bucket[b].Load()
 		}
 	}
 	for _, n := range out.Buckets {

@@ -27,7 +27,7 @@ func get(t *testing.T, srv *httptest.Server, path string) (int, string, http.Hea
 func TestHandlerEndpoints(t *testing.T) {
 	hub := telemetry.NewHub()
 	r := telemetry.NewRegistry()
-	r.NewCounter("wincm_commits_total", "committed transactions", 1).Add(0, 9)
+	r.NewHistogram("wincm_tx_attempts", "attempts needed per committed transaction", 1).Observe(0, 9)
 	hub.Install(r)
 	srv := httptest.NewServer(telemetry.Handler(hub))
 	defer srv.Close()
@@ -39,8 +39,8 @@ func TestHandlerEndpoints(t *testing.T) {
 	if ct := hdr.Get("Content-Type"); !strings.HasPrefix(ct, "text/plain; version=0.0.4") {
 		t.Errorf("Content-Type = %q", ct)
 	}
-	if !strings.Contains(body, "wincm_commits_total 9") {
-		t.Errorf("/metrics missing counter:\n%s", body)
+	if !strings.Contains(body, "wincm_tx_attempts_sum 9") {
+		t.Errorf("/metrics missing histogram:\n%s", body)
 	}
 
 	code, body, _ = get(t, srv, "/debug/pprof/")
@@ -72,20 +72,20 @@ func TestHubInstallSwapsRegistry(t *testing.T) {
 		t.Fatalf("empty hub scrape status = %d", code)
 	}
 	r1 := telemetry.NewRegistry()
-	r1.NewCounter("run1_total", "", 1).Add(0, 1)
+	r1.RegisterGauge(telemetry.NewGauge("run1", "", func() float64 { return 1 }))
 	hub.Install(r1)
-	if _, body, _ := get(t, srv, "/metrics"); !strings.Contains(body, "run1_total 1") {
+	if _, body, _ := get(t, srv, "/metrics"); !strings.Contains(body, "run1 1") {
 		t.Error("scrape missed installed registry")
 	}
 	r2 := telemetry.NewRegistry()
-	r2.NewCounter("run2_total", "", 1).Add(0, 2)
+	r2.RegisterGauge(telemetry.NewGauge("run2", "", func() float64 { return 2 }))
 	hub.Install(r2)
 	_, body, _ := get(t, srv, "/metrics")
-	if strings.Contains(body, "run1_total") || !strings.Contains(body, "run2_total 2") {
+	if strings.Contains(body, "run1") || !strings.Contains(body, "run2 2") {
 		t.Errorf("scrape after swap:\n%s", body)
 	}
 	hub.Install(nil)
-	if _, body, _ := get(t, srv, "/metrics"); strings.Contains(body, "run2_total") {
+	if _, body, _ := get(t, srv, "/metrics"); strings.Contains(body, "run2") {
 		t.Errorf("nil Install did not reset:\n%s", body)
 	}
 	if hub.Current() == nil {

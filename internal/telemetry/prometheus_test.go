@@ -19,10 +19,10 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // integer/float sample formatting.
 func TestWritePrometheusGolden(t *testing.T) {
 	r := telemetry.NewRegistry()
-	c := r.NewCounter("wincm_commits_total", "committed transactions", 2)
-	c.Add(0, 40)
-	c.Add(1, 2)
-	r.NewCounter("wincm_aborts_total", "aborted attempts", 2) // stays zero
+	a := r.NewHistogram("wincm_tx_attempts", "attempts needed per committed transaction", 2)
+	a.Observe(0, 1)
+	a.Observe(1, 3)
+	r.NewHistogram("wincm_wasted_ns", "time spent in aborted attempts", 2) // stays empty
 	r.RegisterGauge(telemetry.NewGauge("wincm_window_frame", "current frame index", func() float64 { return 3 }))
 	r.RegisterGauge(telemetry.NewGauge("wincm_window_c_mean", "mean contention estimate", func() float64 { return 2.5 }))
 	r.RegisterGauge(telemetry.NewGauge("wincm_window_threads_outside", "threads outside the window schedule", func() float64 { return 2 }))
@@ -60,7 +60,7 @@ func TestWritePrometheusGolden(t *testing.T) {
 // for any scraper, independent of the exact golden bytes.
 func TestWritePrometheusContract(t *testing.T) {
 	r := telemetry.NewRegistry()
-	r.NewCounter("z_total", "", 1).Add(0, 5)
+	r.RegisterGauge(telemetry.NewGauge("z_total", "", func() float64 { return 5 }))
 	h := r.NewHistogram("a_hist", "", 1)
 	h.Observe(0, 100)
 	var buf bytes.Buffer
@@ -68,7 +68,7 @@ func TestWritePrometheusContract(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	// Sorted by metric name: the histogram block precedes the counter.
+	// Sorted by metric name: the histogram block precedes the gauge.
 	if strings.Index(out, "a_hist") > strings.Index(out, "z_total") {
 		t.Error("metrics not sorted by name")
 	}
@@ -77,7 +77,7 @@ func TestWritePrometheusContract(t *testing.T) {
 		`a_hist_bucket{le="+Inf"} 1`,
 		"a_hist_sum 100",
 		"a_hist_count 1",
-		"# TYPE z_total counter",
+		"# TYPE z_total gauge",
 		"z_total 5",
 	} {
 		if !strings.Contains(out, want) {

@@ -1,11 +1,12 @@
 // Package telemetry is the repository's live observability layer: a
-// low-overhead, always-compiled-in subsystem of sharded atomic counters,
-// log-bucketed histograms and callback gauges that the winbench HTTP
-// endpoint and the figure drivers (the telemetry figure's interval series
-// among them) all read from.
-// Workers record each committed transaction into TxStats; every other
-// series is a gauge over the counter its event's own layer keeps (the STM
-// runtime's commits, aborts and conflict verdicts, the window manager's
+// low-overhead, always-compiled-in subsystem of sharded log-bucketed
+// histograms and callback gauges that the winbench HTTP endpoint and the
+// figure drivers (the telemetry figure's interval series among them) all
+// read from.
+// Workers record each committed transaction into TxStats, four histograms
+// whose counts and sums give every per-run count the figures report; every
+// other series is a gauge over the counter its event's own layer keeps (the
+// STM runtime's commits, aborts and conflict verdicts, the window manager's
 // decisions, the B-link tree's semantic events). Nothing here hooks the
 // STM hot path.
 //
@@ -18,8 +19,7 @@
 //
 // Design constraints, in order:
 //
-//   - No new locks on the hot path. Counters and histograms are sharded by
-//     thread ID into cache-line-padded, single-writer slots; a record is a
+//   - No new locks on the hot path. Histograms are sharded by thread ID into cache-line-padded, single-writer slots; a record is a
 //     plain load + atomic store on the writer's own cache line — no
 //     read-modify-write, so it pipelines behind the surrounding STM work
 //     instead of serializing on a locked bus cycle. Readers merge shards
@@ -39,64 +39,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 )
-
-// shardPad is the byte stride of one counter shard: two cache lines, so
-// adjacent shards never share a line even with the adjacent-line prefetcher
-// pulling pairs.
-const shardPad = 128
-
-// shardSlot is one cache-line-padded atomic cell.
-type shardSlot struct {
-	v atomic.Int64
-	_ [shardPad - 8]byte
-}
-
-// Counter is a monotonically increasing sharded counter. Writers add into
-// their own shard (indexed by thread ID, masked); readers sum all shards.
-//
-// Each shard is single-writer: updates are an unsynchronized read-modify
-// followed by an atomic publish, so two goroutines adding into the same
-// shard index concurrently can lose increments. Shard counts are rounded
-// up to a power of two, so distinct in-range thread IDs never alias.
-type Counter struct {
-	name string
-	help string
-	mask uint32
-	slot []shardSlot
-}
-
-// newCounter builds a counter with at least shards shards (rounded up to a
-// power of two so indexing is a mask, never a modulo).
-func newCounter(name, help string, shards int) *Counter {
-	n := ceilPow2(shards)
-	return &Counter{name: name, help: help, mask: uint32(n - 1), slot: make([]shardSlot, n)}
-}
-
-// Name returns the counter's registered name.
-func (c *Counter) Name() string { return c.name }
-
-// Add adds delta into the shard for the given writer index. Concurrent
-// writers must use distinct shard indices (see the type comment); the
-// load+store pair keeps the hot path free of locked bus cycles.
-func (c *Counter) Add(shard int, delta int64) {
-	s := &c.slot[uint32(shard)&c.mask]
-	s.v.Store(s.v.Load() + delta)
-}
-
-// Inc adds one.
-func (c *Counter) Inc(shard int) { c.Add(shard, 1) }
-
-// Value returns the sum over all shards. It is monotone but not a
-// consistent cut across counters — exactly what a scrape needs.
-func (c *Counter) Value() int64 {
-	var sum int64
-	for i := range c.slot {
-		sum += c.slot[i].v.Load()
-	}
-	return sum
-}
 
 // Gauge is a named instantaneous reading, sampled at scrape time. The
 // window managers publish their internal scheduling state (current frame,
@@ -155,7 +98,6 @@ func baseOf(series string) string {
 // instrument lists, never while summing shards.
 type Registry struct {
 	mu         sync.Mutex
-	counters   []*Counter
 	histograms []*Histogram
 	gauges     []Gauge
 	names      map[string]bool
@@ -173,16 +115,6 @@ func (r *Registry) register(name string) {
 		panic(fmt.Sprintf("telemetry: duplicate metric %q", name))
 	}
 	r.names[name] = true
-}
-
-// NewCounter creates and registers a sharded counter.
-func (r *Registry) NewCounter(name, help string, shards int) *Counter {
-	c := newCounter(name, help, shards)
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.register(name)
-	r.counters = append(r.counters, c)
-	return c
 }
 
 // NewHistogram creates and registers a sharded log-bucketed histogram.
@@ -204,37 +136,31 @@ func (r *Registry) RegisterGauge(g Gauge) {
 }
 
 // instruments returns stable-order copies of the instrument lists.
-func (r *Registry) instruments() (cs []*Counter, hs []*Histogram, gs []Gauge) {
+func (r *Registry) instruments() (hs []*Histogram, gs []Gauge) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	cs = append(cs, r.counters...)
 	hs = append(hs, r.histograms...)
 	gs = append(gs, r.gauges...)
-	return cs, hs, gs
+	return hs, gs
 }
 
-// Snapshot is a point-in-time reading of every instrument in a registry.
+// Snapshot is a point-in-time reading of every instrument in a registry:
+// each gauge sampled once, each histogram merged once.
 type Snapshot struct {
-	// Counters maps counter name to its summed value.
-	Counters map[string]int64
 	// Gauges maps gauge name to its sampled value.
 	Gauges map[string]float64
 	// Histograms maps histogram name to its merged state.
 	Histograms map[string]HistogramSnapshot
 }
 
-// Snapshot reads every instrument once. Counter/histogram reads are
-// monotone per instrument but the set is not a consistent cut — the usual
-// scrape semantics.
+// Snapshot reads every instrument once. A histogram's Count and Sum are
+// each monotone across snapshots, but the set is not a consistent cut —
+// the usual scrape semantics.
 func (r *Registry) Snapshot() Snapshot {
-	cs, hs, gs := r.instruments()
+	hs, gs := r.instruments()
 	s := Snapshot{
-		Counters:   make(map[string]int64, len(cs)),
 		Gauges:     make(map[string]float64, len(gs)),
 		Histograms: make(map[string]HistogramSnapshot, len(hs)),
-	}
-	for _, c := range cs {
-		s.Counters[c.name] = c.Value()
 	}
 	for _, g := range gs {
 		s.Gauges[g.Name()] = g.Value()
@@ -246,28 +172,22 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // WritePrometheus renders every instrument in the Prometheus text
-// exposition format (version 0.0.4): counters as `<name> <value>`,
-// gauges likewise, histograms as cumulative `_bucket{le="..."}` series
-// plus `_sum` and `_count`. Output is sorted by metric name so scrapes
+// exposition format (version 0.0.4): gauges as `<name> <value>`,
+// histograms as cumulative `_bucket{le="..."}` series plus `_sum` and
+// `_count`. Output is sorted by metric name so scrapes
 // are diffable and golden-testable.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	cs, hs, gs := r.instruments()
+	hs, gs := r.instruments()
 	type metric struct {
 		name string
 		base string
 		emit func(w io.Writer, header bool) error
 	}
 	var ms []metric
-	for _, c := range cs {
-		c := c
-		ms = append(ms, metric{c.name, baseOf(c.name), func(w io.Writer, header bool) error {
-			return writeSimple(w, c.name, c.help, "counter", float64(c.Value()), header)
-		}})
-	}
 	for _, g := range gs {
 		g := g
 		ms = append(ms, metric{g.Name(), baseOf(g.Name()), func(w io.Writer, header bool) error {
-			return writeSimple(w, g.Name(), g.Help(), "gauge", g.Value(), header)
+			return writeGauge(w, g.Name(), g.Help(), g.Value(), header)
 		}})
 	}
 	for _, h := range hs {
@@ -297,9 +217,9 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	return nil
 }
 
-// writeSimple emits one single-sample metric, with HELP/TYPE headers for
-// the base name when header is set (the first series of each base).
-func writeSimple(w io.Writer, series, help, typ string, v float64, header bool) error {
+// writeGauge emits one gauge sample, with HELP/TYPE headers for the base
+// name when header is set (the first series of each base).
+func writeGauge(w io.Writer, series, help string, v float64, header bool) error {
 	if header {
 		base := baseOf(series)
 		if help != "" {
@@ -307,7 +227,7 @@ func writeSimple(w io.Writer, series, help, typ string, v float64, header bool) 
 				return err
 			}
 		}
-		if _, err := fmt.Fprintf(w, "# TYPE %s %s\n", base, typ); err != nil {
+		if _, err := fmt.Fprintf(w, "# TYPE %s gauge\n", base); err != nil {
 			return err
 		}
 	}

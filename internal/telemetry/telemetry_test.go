@@ -9,44 +9,6 @@ import (
 	"wincm/internal/telemetry"
 )
 
-func TestCounterShardedSum(t *testing.T) {
-	r := telemetry.NewRegistry()
-	c := r.NewCounter("c_total", "test counter", 4)
-	if c.Name() != "c_total" {
-		t.Errorf("Name = %q", c.Name())
-	}
-	c.Inc(0)
-	c.Add(1, 10)
-	c.Add(2, 100)
-	c.Add(3, 1000)
-	// Out-of-range shard indices mask into range instead of panicking.
-	c.Add(4, 10000)
-	c.Add(-1, 100000)
-	if got := c.Value(); got != 111111 {
-		t.Errorf("Value = %d, want 111111", got)
-	}
-}
-
-func TestCounterConcurrentWriters(t *testing.T) {
-	r := telemetry.NewRegistry()
-	c := r.NewCounter("cc_total", "", 8)
-	const writers, per = 8, 10000
-	var wg sync.WaitGroup
-	for i := 0; i < writers; i++ {
-		wg.Add(1)
-		go func(shard int) {
-			defer wg.Done()
-			for j := 0; j < per; j++ {
-				c.Inc(shard)
-			}
-		}(i)
-	}
-	wg.Wait()
-	if got := c.Value(); got != writers*per {
-		t.Errorf("Value = %d, want %d", got, writers*per)
-	}
-}
-
 func TestGauge(t *testing.T) {
 	v := 1.5
 	g := telemetry.NewGauge("g", "a gauge", func() float64 { return v })
@@ -64,16 +26,11 @@ func TestGauge(t *testing.T) {
 
 func TestRegistrySnapshotAndSources(t *testing.T) {
 	r := telemetry.NewRegistry()
-	c := r.NewCounter("snap_c_total", "", 1)
 	h := r.NewHistogram("snap_h", "", 1)
 	r.RegisterGauge(telemetry.NewGauge("snap_g1", "", func() float64 { return 7 }))
 	r.RegisterGauge(telemetry.NewGauge("snap_g2", "", func() float64 { return 8 }))
-	c.Add(0, 42)
 	h.Observe(0, 100)
 	s := r.Snapshot()
-	if s.Counters["snap_c_total"] != 42 {
-		t.Errorf("counter = %d", s.Counters["snap_c_total"])
-	}
 	if s.Gauges["snap_g1"] != 7 || s.Gauges["snap_g2"] != 8 {
 		t.Errorf("gauges = %v", s.Gauges)
 	}
@@ -84,7 +41,7 @@ func TestRegistrySnapshotAndSources(t *testing.T) {
 
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := telemetry.NewRegistry()
-	r.NewCounter("dup", "", 1)
+	r.NewHistogram("dup", "", 1)
 	defer func() {
 		rec := recover()
 		if rec == nil {
@@ -98,12 +55,13 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 }
 
 // TestSnapshotConcurrentWithWriters: scraping while the workload writes is
-// the telemetry layer's core guarantee; run with -race.
+// the telemetry layer's core guarantee; run with -race. Every observation
+// is at least 1, so a snapshot's Sum covers its Count (the bound that keeps
+// TxStats' derived aborts non-negative mid-run), and both only grow.
 func TestSnapshotConcurrentWithWriters(t *testing.T) {
 	r := telemetry.NewRegistry()
-	c := r.NewCounter("live_total", "", 4)
 	h := r.NewHistogram("live_h", "", 4)
-	r.RegisterGauge(telemetry.NewGauge("live_g", "", func() float64 { return float64(c.Value()) }))
+	r.RegisterGauge(telemetry.NewGauge("live_g", "", func() float64 { return float64(h.Snapshot().Count) }))
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
@@ -115,17 +73,18 @@ func TestSnapshotConcurrentWithWriters(t *testing.T) {
 				case <-stop:
 					return
 				default:
-					c.Inc(shard)
 					h.Observe(shard, int64(shard+1))
 				}
 			}
 		}(i)
 	}
+	var prev telemetry.HistogramSnapshot
 	for i := 0; i < 50; i++ {
-		s := r.Snapshot()
-		if s.Counters["live_total"] < 0 {
-			t.Fatal("negative counter")
+		hs := r.Snapshot().Histograms["live_h"]
+		if hs.Sum < hs.Count || hs.Count < prev.Count || hs.Sum < prev.Sum {
+			t.Fatalf("snapshot count %d sum %d after count %d sum %d", hs.Count, hs.Sum, prev.Count, prev.Sum)
 		}
+		prev = hs
 		var sb strings.Builder
 		if err := r.WritePrometheus(&sb); err != nil {
 			t.Fatal(err)

@@ -9,21 +9,18 @@ import (
 // Names of the transaction instruments: NewTxStats registers them and
 // Snapshot.Summary reads them back, so the two cannot drift apart.
 const (
-	nameCommits      = "wincm_commits_total"
-	nameAborts       = "wincm_aborts_total"
-	nameRepeatAborts = "wincm_repeat_aborts_total"
-	nameWastedNs     = "wincm_wasted_ns_total"
-	nameResponse     = "wincm_response_ns"
-	nameCommitDur    = "wincm_commit_duration_ns"
-	nameAttempts     = "wincm_tx_attempts"
+	nameResponse  = "wincm_response_ns"
+	nameCommitDur = "wincm_commit_duration_ns"
+	nameAttempts  = "wincm_tx_attempts"
+	nameWasted    = "wincm_wasted_ns"
 )
 
-// TxStats is the one recorder of committed transactions: the commit-path
-// counters the paper's figures aggregate, plus the latency and attempt
-// histograms. Each worker thread records into its own shard (its thread
-// ID), so recording never contends. A run's end-of-run numbers are a
-// Summary of the registry's final Snapshot; a scrape mid-run reads the
-// same instruments.
+// TxStats is the one recorder of committed transactions: four histograms,
+// each observed once per commit, whose counts and sums are every number
+// the paper's figures aggregate (see Summary). Each worker thread records
+// into its own shard (its thread ID), so recording never contends. A run's
+// end-of-run numbers are a Summary of the registry's final Snapshot; a
+// scrape mid-run reads the same instruments.
 //
 // # Time accounting
 //
@@ -54,51 +51,37 @@ const (
 // overhead included; summing only Wasted + CommitDur would understate Busy
 // and overstate WastedWork under backoff-heavy managers.
 type TxStats struct {
-	// Commits counts committed transactions; Aborts aborted attempts.
-	Commits, Aborts *Counter
-	// RepeatAborts counts aborts beyond a transaction's first — the
-	// transaction conflicted again after retrying (our countable proxy
-	// for the paper's "repeat conflicts").
-	RepeatAborts *Counter
-	// WastedNs accumulates the time spent in aborted attempts (see Time
-	// accounting above).
-	WastedNs *Counter
 	// Response is the response-time histogram (first attempt → commit), ns.
 	Response *Histogram
 	// CommitDur is the successful-attempt duration histogram, ns.
 	CommitDur *Histogram
-	// Attempts is the attempts-per-transaction histogram.
+	// Attempts is the attempts-per-transaction histogram: its count is the
+	// commits, and the aborts and repeat aborts follow from its sum and its
+	// bucket 1 (see Snapshot.Summary).
 	Attempts *Histogram
+	// WastedNs is the histogram of each transaction's time spent in
+	// aborted attempts (see Time accounting above), ns.
+	WastedNs *Histogram
 }
 
 // NewTxStats registers the transaction instrument set in r, sharded for
 // the given worker count.
 func NewTxStats(r *Registry, shards int) *TxStats {
 	return &TxStats{
-		Commits:      r.NewCounter(nameCommits, "committed transactions", shards),
-		Aborts:       r.NewCounter(nameAborts, "aborted attempts", shards),
-		RepeatAborts: r.NewCounter(nameRepeatAborts, "aborts beyond a transaction's first", shards),
-		WastedNs:     r.NewCounter(nameWastedNs, "time spent in aborted attempts", shards),
-		Response:     r.NewHistogram(nameResponse, "transaction response time (first attempt to commit)", shards),
-		CommitDur:    r.NewHistogram(nameCommitDur, "duration of successful attempts", shards),
-		Attempts:     r.NewHistogram(nameAttempts, "attempts needed per committed transaction", shards),
+		Response:  r.NewHistogram(nameResponse, "transaction response time (first attempt to commit)", shards),
+		CommitDur: r.NewHistogram(nameCommitDur, "duration of successful attempts", shards),
+		Attempts:  r.NewHistogram(nameAttempts, "attempts needed per committed transaction", shards),
+		WastedNs:  r.NewHistogram(nameWasted, "time spent in aborted attempts per committed transaction", shards),
 	}
 }
 
 // RecordTx folds one committed transaction's TxInfo into the instruments.
 // shard is the recording thread's ID.
 func (s *TxStats) RecordTx(shard int, info stm.TxInfo) {
-	s.Commits.Inc(shard)
-	if a := int64(info.Aborts()); a > 0 {
-		s.Aborts.Add(shard, a)
-		if a > 1 {
-			s.RepeatAborts.Add(shard, a-1)
-		}
-	}
-	s.WastedNs.Add(shard, int64(info.Wasted))
 	s.Response.Observe(shard, int64(info.Duration))
 	s.CommitDur.Observe(shard, int64(info.CommitDur))
 	s.Attempts.Observe(shard, int64(info.Attempts))
+	s.WastedNs.Observe(shard, int64(info.Wasted))
 }
 
 // Summary is the transactional statistics the paper reports for one run:
@@ -111,7 +94,10 @@ type Summary struct {
 	Threads int
 	// Wall is the wall-clock duration the snapshot was taken at.
 	Wall time.Duration
-	// Commits, Aborts and RepeatAborts are the TxStats counters.
+	// Commits counts committed transactions, Aborts aborted attempts, and
+	// RepeatAborts the aborts beyond a transaction's first — it conflicted
+	// again after retrying (our countable proxy for the paper's "repeat
+	// conflicts").
 	Commits, Aborts, RepeatAborts int64
 	// Wasted is the total time spent in attempts that aborted; Busy the
 	// total time dedicated to transactions (the sum of response times).
@@ -123,18 +109,23 @@ type Summary struct {
 }
 
 // Summary reads the TxStats instruments out of a snapshot taken wall into
-// a run of the given thread count. Every field is exact: the histogram shards keep
-// their own sums and maxima.
+// a run of the given thread count. Every field is exact: the histogram
+// shards keep their own sums and maxima, and the counts follow from the
+// attempts histogram a. Each commit observes its attempt count n ≥ 1,
+// which took n − 1 aborts, n − 2 of them repeats when n ≥ 2; bucket 1
+// holds exactly the n = 1 commits (NumBuckets), whose −1 the repeat sum
+// must cancel.
 func (snap Snapshot) Summary(threads int, wall time.Duration) Summary {
+	a := snap.Histograms[nameAttempts]
 	return Summary{
 		Threads:      threads,
 		Wall:         wall,
-		Commits:      snap.Counters[nameCommits],
-		Aborts:       snap.Counters[nameAborts],
-		RepeatAborts: snap.Counters[nameRepeatAborts],
-		Wasted:       time.Duration(snap.Counters[nameWastedNs]),
+		Commits:      a.Count,
+		Aborts:       a.Sum - a.Count,
+		RepeatAborts: a.Sum - 2*a.Count + a.Buckets[1],
+		Wasted:       time.Duration(snap.Histograms[nameWasted].Sum),
 		Busy:         time.Duration(snap.Histograms[nameResponse].Sum),
-		MaxAttempts:  int(snap.Histograms[nameAttempts].Max),
+		MaxAttempts:  int(a.Max),
 		commitDurSum: time.Duration(snap.Histograms[nameCommitDur].Sum),
 	}
 }

@@ -53,7 +53,7 @@ func (t *refThread) record(info stm.TxInfo) {
 
 // TestSummaryEqualsPerThreadAggregate: a fixed TxInfo sequence over three
 // shards reads back from the snapshot exactly as the per-thread aggregate
-// computed it — counters, times, the exact worst attempt count (17 sits in
+// computed it — counts, times, the exact worst attempt count (17 sits in
 // the [16,31] bucket; the bucket bound would say 31) and both means.
 func TestSummaryEqualsPerThreadAggregate(t *testing.T) {
 	shards := [][]stm.TxInfo{
@@ -82,7 +82,7 @@ func TestSummaryEqualsPerThreadAggregate(t *testing.T) {
 		t.Errorf("shape = %d threads over %v", s.Threads, s.Wall)
 	}
 	if s.Commits != want.commits || s.Aborts != want.aborts || s.RepeatAborts != want.repeatAborts {
-		t.Errorf("counters = %d/%d/%d, want %d/%d/%d", s.Commits, s.Aborts, s.RepeatAborts,
+		t.Errorf("counts = %d/%d/%d, want %d/%d/%d", s.Commits, s.Aborts, s.RepeatAborts,
 			want.commits, want.aborts, want.repeatAborts)
 	}
 	if s.Wasted != want.wasted || s.Busy != want.busy {
@@ -173,23 +173,35 @@ func (aggressiveCM) Resolve(_, _ *stm.Tx, _ stm.Kind, _ int) (stm.Decision, time
 }
 
 // TestTxStatsOnLiveRuntime records a real contended STM run and checks
-// the recorded counts against the workload and the runtime's own; run with
-// -race this also proves the recording is race-free.
+// the derived counts against the workload and the runtime's own; run with
+// -race this also proves the recording is race-free. Thread 0's first
+// attempt holds its write to v until the runtime has decided a conflict,
+// and the other threads start only once it holds it, so the run contends
+// at any GOMAXPROCS.
 func TestTxStatsOnLiveRuntime(t *testing.T) {
 	r := telemetry.NewRegistry()
 	tx := telemetry.NewTxStats(r, 4)
 	rt := stm.New(4, aggressiveCM{})
-	rt.SetYieldEvery(2)
 	v := stm.NewTVar(0)
 	const threads, per = 4, 200
+	held := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < threads; i++ {
 		wg.Add(1)
 		go func(id int, th *stm.Thread) {
 			defer wg.Done()
+			if id > 0 {
+				<-held
+			}
 			for j := 0; j < per; j++ {
 				info := th.Atomic(func(x *stm.Tx) {
 					stm.Write(x, v, stm.Read(x, v)+1)
+					if id == 0 && j == 0 && x.D.Attempts == 1 {
+						close(held)
+						for rt.Verdicts().AbortEnemy == 0 {
+							time.Sleep(50 * time.Microsecond)
+						}
+					}
 				})
 				tx.RecordTx(id, info)
 			}
@@ -199,16 +211,16 @@ func TestTxStatsOnLiveRuntime(t *testing.T) {
 	if got := v.Peek(); got != threads*per {
 		t.Fatalf("counter = %d", got)
 	}
-	s := r.Snapshot()
-	if s.Counters["wincm_commits_total"] != threads*per {
-		t.Errorf("commits = %d, want %d", s.Counters["wincm_commits_total"], threads*per)
+	s := r.Snapshot().Summary(threads, 0)
+	if s.Commits != threads*per || rt.Commits() != s.Commits {
+		t.Errorf("commits = %d, rt.Commits() = %d, want %d", s.Commits, rt.Commits(), threads*per)
+	}
+	if s.Aborts == 0 {
+		t.Error("no aborted attempt: the run did not contend")
 	}
 	// The runtime and TxStats count the same aborted attempts.
-	if got := rt.Aborts(); got != s.Counters["wincm_aborts_total"] {
-		t.Errorf("rt.Aborts() = %d, txstats aborts %d", got, s.Counters["wincm_aborts_total"])
-	}
-	if h := s.Histograms["wincm_tx_attempts"]; h.Count != threads*per {
-		t.Errorf("attempts histogram count = %d", h.Count)
+	if got := rt.Aborts(); got != s.Aborts {
+		t.Errorf("rt.Aborts() = %d, txstats aborts %d", got, s.Aborts)
 	}
 }
 
@@ -251,15 +263,13 @@ func TestProbeCommitThenAbortFoldedOnce(t *testing.T) {
 		if got := v.Peek(); got != txs {
 			t.Fatalf("counter = %d, want %d", got, txs)
 		}
-		s := r.Snapshot()
-		if got := s.Counters["wincm_commits_total"]; got != txs {
-			t.Errorf("wincm_commits_total = %d, want %d", got, txs)
+		s := r.Snapshot().Summary(1, 0)
+		if s.Commits != txs || s.Aborts != txs*doomed || s.RepeatAborts != txs*(doomed-1) {
+			t.Errorf("commits/aborts/repeats = %d/%d/%d, want %d/%d/%d",
+				s.Commits, s.Aborts, s.RepeatAborts, txs, txs*doomed, txs*(doomed-1))
 		}
-		if got := s.Counters["wincm_aborts_total"]; got != txs*doomed {
-			t.Errorf("wincm_aborts_total = %d, want %d", got, txs*doomed)
-		}
-		if got := rt.Aborts(); got != s.Counters["wincm_aborts_total"] {
-			t.Errorf("rt.Aborts() = %d, txstats aborts %d", got, s.Counters["wincm_aborts_total"])
+		if got := rt.Aborts(); got != s.Aborts {
+			t.Errorf("rt.Aborts() = %d, txstats aborts %d", got, s.Aborts)
 		}
 	})
 }

@@ -59,11 +59,13 @@ type threadState struct {
 	// unrecorded counts sampled transactions left out because the budget
 	// was spent.
 	unrecorded uint64
+	// start is the clock OnBegin read for the sampled attempt in flight.
+	start int64
 	// sampling is the sticky per-logical-transaction sampling verdict:
 	// drawn once at the first attempt, honoured by every later attempt and
 	// open of the same transaction.
 	sampling bool
-	_        [71]byte
+	_        [63]byte
 }
 
 // threadState fills two cache lines exactly.
@@ -145,7 +147,8 @@ func (r *Recorder) record(s *threadState, e Event) {
 func (r *Recorder) state(tx *stm.Tx) *threadState { return &r.threads[tx.D.ThreadID] }
 
 // OnBegin implements stm.Probe: draws the sampling verdict on the first
-// attempt and records the attempt start.
+// attempt and records the attempt start, read off the clock here for
+// sampled attempts only, so a runtime of either timing mode can be traced.
 func (r *Recorder) OnBegin(tx *stm.Tx) {
 	s := r.state(tx)
 	if tx.D.Attempts == 1 {
@@ -156,8 +159,9 @@ func (r *Recorder) OnBegin(tx *stm.Tx) {
 	if !s.sampling {
 		return
 	}
+	s.start = stm.Now()
 	r.record(s, Event{
-		TS: tx.D.AttemptStart, A: tx.D.ID.Load(),
+		TS: s.start, A: tx.D.ID.Load(),
 		Seq: int32(tx.D.Seq), Attempt: int32(tx.D.Attempts),
 		Thread: int16(tx.D.ThreadID), Enemy: -1, Kind: EvBegin,
 	})
@@ -165,7 +169,7 @@ func (r *Recorder) OnBegin(tx *stm.Tx) {
 
 // OnOpen implements stm.Probe. Opens are by far the densest event class
 // (a list traversal opens every node it passes), so they reuse the
-// attempt's start timestamp instead of reading the clock: the analyses
+// attempt's start stamp instead of reading the clock: the analyses
 // consume opens as per-variable counts, and within a thread the stable
 // sort keeps their causal position inside the attempt. Reading
 // nanotime ~130 times per sampled list transaction would double its
@@ -174,7 +178,7 @@ func (r *Recorder) OnBegin(tx *stm.Tx) {
 func (r *Recorder) OnOpen(tx *stm.Tx) {
 	if s := r.state(tx); s.sampling {
 		r.record(s, Event{
-			TS: tx.D.AttemptStart, A: tx.OpenedVar(),
+			TS: s.start, A: tx.OpenedVar(),
 			Seq: int32(tx.D.Seq), Attempt: int32(tx.D.Attempts),
 			Thread: int16(tx.D.ThreadID), Enemy: -1, Kind: EvOpen,
 		})
@@ -185,7 +189,7 @@ func (r *Recorder) OnOpen(tx *stm.Tx) {
 func (r *Recorder) OnAcquire(tx *stm.Tx) {
 	if s := r.state(tx); s.sampling {
 		r.record(s, Event{
-			TS: tx.D.AttemptStart, A: tx.OpenedVar(),
+			TS: s.start, A: tx.OpenedVar(),
 			Seq: int32(tx.D.Seq), Attempt: int32(tx.D.Attempts),
 			Thread: int16(tx.D.ThreadID), Enemy: -1, Kind: EvAcquire,
 		})
@@ -215,17 +219,13 @@ func (r *Recorder) OnAbort(tx *stm.Tx) {
 }
 
 // OnResolve implements stm.Probe: it records the decision the runtime
-// carries out. A Wait arrives once it is over, with the time waited, so its
-// conflict and its wait are stamped at the wait's start and the wait's
-// event spans the real wait.
-func (r *Recorder) OnResolve(tx, enemy *stm.Tx, enemyID uint64, kind stm.Kind, dec stm.Decision, wait time.Duration) {
+// carries out, stamped at the decision. A Wait starts there and arrives
+// once it is over, with the time waited, so its event spans the real wait
+// however late the report runs.
+func (r *Recorder) OnResolve(tx, enemy *stm.Tx, enemyID uint64, at int64, kind stm.Kind, dec stm.Decision, wait time.Duration) {
 	if s := r.state(tx); s.sampling {
-		ts := stm.Now()
-		if dec == stm.Wait {
-			ts -= int64(wait)
-		}
 		r.record(s, Event{
-			TS: ts, A: enemyID, B: tx.OpenedVar(),
+			TS: at, A: enemyID, B: tx.OpenedVar(),
 			Seq: int32(tx.D.Seq), Attempt: int32(tx.D.Attempts),
 			Thread: int16(tx.D.ThreadID), Enemy: int16(enemy.D.ThreadID),
 			Kind: EvConflict, Verdict: uint8(dec) + 1,
@@ -233,7 +233,7 @@ func (r *Recorder) OnResolve(tx, enemy *stm.Tx, enemyID uint64, kind stm.Kind, d
 		// Re-checked: a full buffer may have just cut the transaction.
 		if dec == stm.Wait && wait > 0 && s.sampling {
 			r.record(s, Event{
-				TS: ts, A: uint64(wait), B: tx.OpenedVar(),
+				TS: at, A: uint64(wait), B: tx.OpenedVar(),
 				Seq: int32(tx.D.Seq), Attempt: int32(tx.D.Attempts),
 				Thread: int16(tx.D.ThreadID), Enemy: int16(enemy.D.ThreadID),
 				Kind: EvWait, Verdict: uint8(dec) + 1,

@@ -264,11 +264,11 @@ func (p *reportAfterEnemyMovesOn) OnBegin(tx *stm.Tx) {
 	}
 }
 
-func (p *reportAfterEnemyMovesOn) OnResolve(tx, enemy *stm.Tx, enemyID uint64, kind stm.Kind, dec stm.Decision, wait time.Duration) {
+func (p *reportAfterEnemyMovesOn) OnResolve(tx, enemy *stm.Tx, enemyID uint64, at int64, kind stm.Kind, dec stm.Decision, wait time.Duration) {
 	if dec == stm.Wait {
 		<-p.moved
 	}
-	p.Recorder.OnResolve(tx, enemy, enemyID, kind, dec, wait)
+	p.Recorder.OnResolve(tx, enemy, enemyID, at, kind, dec, wait)
 }
 
 // TestRecorderWaitCutShortByCommit: thread 1 is granted a 1 s Wait on
@@ -337,6 +337,124 @@ func TestRecorderWaitCutShortByCommit(t *testing.T) {
 	}
 	if conflict.A != commit.A {
 		t.Errorf("EvConflict.A = %d, want %d, the ID of the enemy transaction waited on", conflict.A, commit.A)
+	}
+}
+
+// lateWaitReport delays every Wait's report to the recorder by lateReport,
+// noting when the report began and the decision time the runtime passed.
+type lateWaitReport struct {
+	*Recorder
+	reported, at int64
+}
+
+const lateReport = 2 * time.Millisecond
+
+func (p *lateWaitReport) OnResolve(tx, enemy *stm.Tx, enemyID uint64, at int64, kind stm.Kind, dec stm.Decision, wait time.Duration) {
+	if dec == stm.Wait {
+		p.reported, p.at = stm.Now(), at
+		time.Sleep(lateReport)
+	}
+	p.Recorder.OnResolve(tx, enemy, enemyID, at, kind, dec, wait)
+}
+
+// TestRecorderStampsWaitAtItsStart: thread 1 waits on thread 0's held
+// write, and its report reaches the recorder lateReport after the wait
+// ended. Its EvConflict and EvWait are still stamped at the wait's start,
+// so the wait's box ends before the report began.
+func TestRecorderStampsWaitAtItsStart(t *testing.T) {
+	rec := NewRecorder(2, 1)
+	probe := &lateWaitReport{Recorder: rec}
+	rt := stm.New(2, patientCM{}, stm.WithProbe(probe))
+	v := stm.NewTVar(0)
+	held := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(2)
+	go func() {
+		defer wg.Done()
+		first := true
+		rt.Thread(0).Atomic(func(tx *stm.Tx) {
+			stm.Write(tx, v, stm.Read(tx, v)+1)
+			if first {
+				first = false
+				close(held)
+				for rt.Verdicts().Wait == 0 {
+					time.Sleep(100 * time.Microsecond)
+				}
+			}
+		})
+	}()
+	go func() {
+		defer wg.Done()
+		<-held
+		rt.Thread(1).Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
+	}()
+	wg.Wait()
+
+	var conflict, wait *Event
+	tr := rec.Read()
+	for i := range tr.Events {
+		switch e := &tr.Events[i]; {
+		case e.Kind == EvConflict && e.Thread == 1 && conflict == nil:
+			conflict = e
+		case e.Kind == EvWait && e.Thread == 1 && wait == nil:
+			wait = e
+		}
+	}
+	if conflict == nil || wait == nil {
+		t.Fatalf("conflict %v, wait %v: want both recorded", conflict, wait)
+	}
+	if conflict.TS != probe.at || wait.TS != probe.at {
+		t.Errorf("EvConflict at %d, EvWait at %d: want both at the wait's start %d", conflict.TS, wait.TS, probe.at)
+	}
+	if end := wait.TS + int64(wait.A); end > probe.reported {
+		t.Errorf("wait box ends at %d, %v after its report began at %d", end, time.Duration(end-probe.reported), probe.reported)
+	}
+}
+
+// TestRecorderTracesUntimedRuntime: the recorder reads its own clock, so
+// it traces an untimed runtime (the kv shards' kind). Every transaction is
+// recorded, and each thread's EvBegin stamps are non-zero and ordered: in
+// the time-sorted trace a thread's attempts appear in the order it ran
+// them.
+func TestRecorderTracesUntimedRuntime(t *testing.T) {
+	const threads, txs = 2, 100
+	rec := NewRecorder(threads, 1)
+	rt := stm.New(threads, abortEnemyCM{}, stm.WithoutTxTiming(), stm.WithProbe(rec))
+	v := stm.NewTVar(0)
+	var wg sync.WaitGroup
+	for i := 0; i < threads; i++ {
+		wg.Add(1)
+		go func(th *stm.Thread) {
+			defer wg.Done()
+			for j := 0; j < txs; j++ {
+				th.Atomic(func(tx *stm.Tx) { stm.Write(tx, v, stm.Read(tx, v)+1) })
+			}
+		}(rt.Thread(i))
+	}
+	wg.Wait()
+
+	tr := rec.Read()
+	if n := tr.Counts()[EvCommit]; n != threads*txs {
+		t.Errorf("%d commits recorded, want %d", n, threads*txs)
+	}
+	type attempt struct{ seq, n int32 }
+	last := make([]attempt, threads)
+	for i := range last {
+		last[i] = attempt{-1, 0}
+	}
+	for _, e := range tr.Events {
+		if e.Kind != EvBegin {
+			continue
+		}
+		if e.TS == 0 {
+			t.Fatalf("thread %d tx %d attempt %d: EvBegin stamped 0", e.Thread, e.Seq, e.Attempt)
+		}
+		prev, cur := last[e.Thread], attempt{e.Seq, e.Attempt}
+		if cur.seq < prev.seq || cur.seq == prev.seq && cur.n <= prev.n {
+			t.Fatalf("thread %d: EvBegin of tx %d attempt %d at %d sorts after tx %d attempt %d",
+				e.Thread, cur.seq, cur.n, e.TS, prev.seq, prev.n)
+		}
+		last[e.Thread] = cur
 	}
 }
 
