@@ -225,7 +225,7 @@ func run(cfg Config, w Workload, d time.Duration, total, points int) (Result, er
 	}
 	var res Result
 	if d >= 0 {
-		for i := 1; i < points; i++ {
+		for i := nextPoint(0, points, d, 0); i < points; i = nextPoint(i, points, d, time.Since(start)) {
 			time.Sleep(time.Until(start.Add(d * time.Duration(i) / time.Duration(points))))
 			res.Series = append(res.Series, Point{time.Since(start), ins.reg.Snapshot()})
 		}
@@ -242,4 +242,17 @@ func run(cfg Config, w Workload, d time.Duration, total, points int) (Result, er
 		return Result{}, err
 	}
 	return res, nil
+}
+
+// nextPoint returns the index of the series point to take after point
+// prev: the first i > prev whose deadline d·i/points lies past elapsed, the
+// run's age now, or points when none before the run's end does. A main
+// goroutine that woke late thus skips every deadline it slept through
+// instead of taking points microseconds apart.
+func nextPoint(prev, points int, d, elapsed time.Duration) int {
+	i := prev + 1
+	for i < points && d*time.Duration(i)/time.Duration(points) <= elapsed {
+		i++
+	}
+	return i
 }

@@ -80,6 +80,33 @@ func TestTelemetryFigDefaultManager(t *testing.T) {
 	}
 }
 
+// TestNextPointSkipsLateWake: the series loop's next point is the first
+// whose deadline the clock has not passed. On time it is the next index; a
+// wake that overslept one or more deadlines skips them, so two points are
+// never taken microseconds apart, and past the last deadline it is points.
+func TestNextPointSkipsLateWake(t *testing.T) {
+	const d, points = 160 * time.Millisecond, 16 // a deadline every 10 ms
+	for _, c := range []struct {
+		prev    int
+		elapsed time.Duration
+		want    int
+	}{
+		{0, 0, 1},                           // the first point
+		{1, 10*time.Millisecond + 50000, 2}, // woke 50 µs late: next deadline still ahead
+		{1, 20 * time.Millisecond, 3},       // woke on deadline 2: it is passed
+		{1, 35 * time.Millisecond, 4},       // overslept deadlines 2 and 3
+		{14, 155 * time.Millisecond, 16},    // overslept the last one: no more points
+		{15, 150 * time.Millisecond, 16},
+	} {
+		if got := nextPoint(c.prev, points, d, c.elapsed); got != c.want {
+			t.Errorf("nextPoint(%d, %d, %v, %v) = %d, want %d", c.prev, points, d, c.elapsed, got, c.want)
+		}
+	}
+	if got := nextPoint(0, points, 0, 0); got != points {
+		t.Errorf("a zero-length run takes point %d, want none (%d)", got, points)
+	}
+}
+
 // TestRunTimedAttachesSeries: a timed run asked for n points takes its
 // registry's series itself — time-ordered, every histogram's count and sum
 // monotone, at most n + 1 points, gauges present, and a last point taken

@@ -569,6 +569,7 @@ func TestLiveBytesPerKey(t *testing.T) {
 type parkAtCommit struct {
 	parked, resume chan struct{}
 	done           bool
+	fail           bool // the parked attempt fails validation once resumed
 }
 
 func newPark() *parkAtCommit {
@@ -580,6 +581,7 @@ func (p *parkAtCommit) Validate(*stm.Tx) bool {
 		p.done = true
 		close(p.parked)
 		<-p.resume
+		return !p.fail
 	}
 	return true
 }

@@ -48,7 +48,9 @@
 // presence), writes buffer (key, value, delete) privately, and commit-time
 // validation re-checks the reads — per-leaf version fast path, key-level
 // re-locate slow path — while key-level write locks are held: records
-// (lock.go) in the list of the leaf that covers each written key.
+// (lock.go) in the list of the leaf that covers each written key. Commit
+// visits each leaf once per run of sorted writes it covers: one latch takes
+// the run's locks, one applies its writes and releases them.
 // Conflicts discovered there route through the installed contention
 // manager exactly like TVar ownership conflicts, so all managers run
 // unchanged. Structural modifications — leaf and inner splits,
@@ -63,8 +65,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"unsafe"
-
-	"wincm/internal/stm"
 )
 
 // maxKeys is the per-node fan-out. 34 keys are 272 B, a little over four
@@ -300,7 +300,7 @@ func (t *Tree[V]) leafOf(key int, path *[]*inner[V]) *node[V] {
 func (st *txState[V]) recheck(e *readEnt[V], probe bool) bool {
 	var nd *node[V]
 	if probe {
-		nd = st.home(e.leaf, e.key, stm.ReadWrite)
+		nd = st.home(e.leaf, e.key)
 	} else {
 		nd = e.leaf.latch(e.key)
 	}
@@ -314,44 +314,55 @@ func (st *txState[V]) recheck(e *readEnt[V], probe bool) bool {
 	return same
 }
 
-// applyOp applies one committed buffered write to the physical tree:
-// delete-in-place, update-in-place, insert, or insert-with-split. It runs
-// after the owning attempt's commit point and releases the key's lock
-// record r under the same latch, so no concurrent committer races it on
-// the same key and no prober sees the key unlocked but unwritten. It starts
-// at the leaf the lock was taken in and moves right, as recheck does; there
-// is no descent unless the leaf splits. Structural work it triggers is
+// applyRun applies the run of committed buffered writes from writes[i] that
+// share writes[i]'s home leaf, in one latched visit: delete-in-place,
+// update-in-place or insert. It runs after the owning attempt's commit
+// point and releases the run's lock records under the same latch, in one
+// pass, so no concurrent committer races it on the same keys and no prober
+// sees a key unlocked but unwritten. It starts at the leaf the locks were
+// taken in and moves right, as recheck does; there is no descent unless the
+// leaf splits. It returns the run's end. Structural work it triggers is
 // counted but conflicts with nobody.
 //
-// The record leaves only after the write has bumped the leaf's version: a
+// A record leaves only after its write has bumped the leaf's version: a
 // validator that reads the head word without the latch and finds the list
-// empty must then find the version moved.
-func (t *Tree[V]) applyOp(st *txState[V], w *writeEnt[V], r *lockRec) {
-	key := w.key
-	nd := w.leaf.latch(key)
-	i, ok := nd.seek(key)
-	switch {
-	case w.del:
-		if ok {
-			copy(nd.keys[i:], nd.keys[i+1:nd.n])
-			copy(nd.vals[i:], nd.vals[i+1:nd.n])
-			copy(nd.slotV[i:], nd.slotV[i+1:nd.n])
-			nd.n--
-			var zero V
-			nd.vals[nd.n] = zero
-			nd.ver.Add(1)
+// empty must then find the version moved. A write that finds the leaf full
+// ends the run there: the records of the writes already applied leave, and
+// splitLeaf inserts the write and releases its own record.
+func (t *Tree[V]) applyRun(st *txState[V], i int) int {
+	first := &st.writes[i]
+	nd := first.leaf.latch(first.key)
+	j := st.runEnd(nd, i, st.held)
+	for k := i; k < j; k++ {
+		w := &st.writes[k]
+		at, ok := nd.seek(w.key)
+		switch {
+		case w.del:
+			if ok {
+				copy(nd.keys[at:], nd.keys[at+1:nd.n])
+				copy(nd.vals[at:], nd.vals[at+1:nd.n])
+				copy(nd.slotV[at:], nd.slotV[at+1:nd.n])
+				nd.n--
+				var zero V
+				nd.vals[nd.n] = zero
+				nd.ver.Add(1)
+			}
+		case ok:
+			nd.vals[at] = w.val
+			nd.slotV[at] = nd.ver.Add(1)
+		case nd.n < maxKeys:
+			nd.put(at, w.key, w.val)
+		default:
+			if k > i {
+				nd.release(st.tx, first.key, st.writes[k-1].key)
+			}
+			t.splitLeaf(st, nd, w.key, w.val, &st.recs[k])
+			return k + 1
 		}
-	case ok:
-		nd.vals[i] = w.val
-		nd.slotV[i] = nd.ver.Add(1)
-	case nd.n < maxKeys:
-		nd.put(i, key, w.val)
-	default:
-		t.splitLeaf(st, nd, key, w.val, r)
-		return
 	}
-	nd.unlink(r)
+	nd.release(st.tx, first.key, st.writes[j-1].key)
 	nd.mu.Unlock()
+	return j
 }
 
 // splitLeaf splits the full, latched leaf nd around the insertion of
@@ -413,7 +424,7 @@ func (nd *node[V]) split(key int, val V, r *lockRec) (sep int, s *node[V]) {
 	target.put(i, key, val)
 	other.ver.Add(1)
 	// Lock records follow their keys — those of keys ≥ sep move over — and
-	// r leaves; only now that both versions moved (see applyOp).
+	// r leaves; only now that both versions moved (see applyRun).
 	var kept *lockRec
 	for rec := nd.locks.Load(); rec != nil; {
 		next := rec.next

@@ -2,6 +2,7 @@ package txbtree
 
 import (
 	"runtime"
+	"slices"
 
 	"wincm/internal/stm"
 )
@@ -19,7 +20,7 @@ import (
 // flag: the record captures the owner's packed (serial, status) word at
 // acquisition, and a serial mismatch against the owner's current word
 // proves the owning attempt has terminated — the record is dead however
-// far the owner's unlink has gotten.
+// far the owner's release has gotten.
 type lockRec struct {
 	key   int
 	owner *stm.Tx
@@ -37,11 +38,17 @@ type blocker struct {
 
 // holder returns the first live record in the latched leaf nd that is not
 // tx's and whose key lies in [lo, hi] (inclusive, so a point probe of any
-// int is [key, key]).
-func (nd *node[V]) holder(tx *stm.Tx, lo, hi int) (blocker, bool) {
+// int is [key, key]) and, when run is longer than one write, is the key of
+// one of run's sorted writes.
+func (nd *node[V]) holder(tx *stm.Tx, lo, hi int, run []writeEnt[V]) (blocker, bool) {
 	for r := nd.locks.Load(); r != nil; r = r.next {
 		if r.key < lo || r.key > hi || r.owner == tx {
 			continue
+		}
+		if len(run) > 1 {
+			if _, ok := slices.BinarySearchFunc(run, r.key, writeEnt[V].atKey); !ok {
+				continue
+			}
 		}
 		w := r.owner.StatusWord()
 		if st := stm.StatusOf(w); stm.SerialOf(w) == stm.SerialOf(r.word) && st != stm.Aborted {
@@ -57,18 +64,22 @@ func (nd *node[V]) link(r *lockRec) {
 	nd.locks.Store(r)
 }
 
-// unlink removes r from the latched leaf's list.
-func (nd *node[V]) unlink(r *lockRec) {
-	if nd.locks.Load() == r {
-		nd.locks.Store(r.next)
-		return
-	}
-	for p := nd.locks.Load(); p != nil; p = p.next {
-		if p.next == r {
-			p.next = r.next
-			return
+// release removes tx's records of keys in [lo, hi] from the latched leaf's
+// list in one pass.
+func (nd *node[V]) release(tx *stm.Tx, lo, hi int) {
+	head := nd.locks.Load()
+	var prev *lockRec
+	for r := head; r != nil; r = r.next {
+		switch {
+		case r.owner != tx || r.key < lo || r.key > hi:
+			prev = r
+		case prev == nil:
+			head = r.next
+		default:
+			prev.next = r.next
 		}
 	}
+	nd.locks.Store(head)
 }
 
 // wait resolves one blocker the caller met under a latch it has since
@@ -92,19 +103,19 @@ func (st *txState[V]) wait(b blocker, kind stm.Kind, attempt *int) {
 
 // home latches key's home leaf, starting from nd (a leaf that covered key
 // once), and returns it once no live foreign record of key sits there;
-// every holder met on the way is resolved as kind. This one latched visit
-// is a reader's probe, an acquirer's check, and the recheck of a read the
-// attempt holds no lock for.
-func (st *txState[V]) home(nd *node[V], key int, kind stm.Kind) *node[V] {
+// every holder met on the way is resolved as a ReadWrite conflict. This one
+// latched visit is a reader's probe, a writer's own read, and the recheck
+// of a read the attempt holds no lock for.
+func (st *txState[V]) home(nd *node[V], key int) *node[V] {
 	attempt := 0
 	for {
 		nd = nd.latch(key)
-		b, held := nd.holder(st.tx, key, key)
+		b, held := nd.holder(st.tx, key, key, nil)
 		if !held {
 			return nd
 		}
 		nd.mu.Unlock()
-		st.wait(b, kind, &attempt)
+		st.wait(b, stm.ReadWrite, &attempt)
 	}
 }
 
@@ -119,7 +130,7 @@ func (st *txState[V]) sweep(e *readEnt[V]) {
 	nd, attempt := e.leaf, 0
 	for nd.locks.Load() != nil {
 		nd.mu.Lock()
-		b, held := nd.holder(st.tx, e.lo, e.hi-1)
+		b, held := nd.holder(st.tx, e.lo, e.hi-1, nil)
 		nd.mu.Unlock()
 		if !held {
 			return

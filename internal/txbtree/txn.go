@@ -29,7 +29,7 @@ type readEnt[V any] struct {
 // key. The write set holds at most one entry per key (later operations
 // overwrite earlier ones). leaf is the key's home when the write's own read
 // ran, which is where Validate's acquire starts; from then on it is the
-// leaf the lock record was linked in, where applyOp and release start.
+// leaf the lock record was linked in, where applyRun and release start.
 // Scan's merge buffer leaves it nil.
 type writeEnt[V any] struct {
 	key  int
@@ -39,6 +39,8 @@ type writeEnt[V any] struct {
 }
 
 func (a writeEnt[V]) byKey(b writeEnt[V]) int { return cmp.Compare(a.key, b.key) }
+
+func (a writeEnt[V]) atKey(key int) int { return cmp.Compare(a.key, key) }
 
 // txState is one thread's per-attempt transaction state against one
 // tree: the semantic read and write sets, the lock records held from
@@ -169,7 +171,7 @@ func (st *txState[V]) write(key int, val V, del bool) (present bool) {
 	if key < st.fkey || key >= st.fhi {
 		nd = st.tree.leafOf(key, nil)
 	}
-	nd = st.home(nd, key, stm.ReadWrite)
+	nd = st.home(nd, key)
 	e := readEnt[V]{key: key, leaf: nd, leafVer: nd.ver.Load(), locked: true}
 	if i, ok := nd.seek(key); ok {
 		e.slotVer, e.present = nd.slotV[i], true
@@ -189,7 +191,7 @@ func (st *txState[V]) write(key int, val V, del bool) (present bool) {
 // leaf, its version, the slot's value, version and presence — and log the
 // semantic read entry. Allocation-free once the read set is warm.
 func (st *txState[V]) read(key int) (val V, present bool) {
-	nd := st.home(st.tree.leafOf(key, nil), key, stm.ReadWrite)
+	nd := st.home(st.tree.leafOf(key, nil), key)
 	e := readEnt[V]{key: key, leaf: nd, leafVer: nd.ver.Load()}
 	if i, ok := nd.search(key); ok {
 		val, e.slotVer, e.present = nd.vals[i], nd.slotV[i], true
@@ -290,11 +292,49 @@ func (t *Tree[V]) Scan(tx *stm.Tx, lo, hi int, fn func(key int, val V) bool) {
 	}
 }
 
+// runEnd returns the end, at most end, of the run of sorted writes from i
+// that the latched leaf nd covers; nd is writes[i]'s home.
+func (st *txState[V]) runEnd(nd *node[V], i, end int) int {
+	for i++; i < end && !nd.past(st.writes[i].key); i++ {
+	}
+	return i
+}
+
+// lock takes the locks of the run of sorted writes from i that share
+// writes[i]'s home leaf, in one latched visit from the leaf writes[i]'s own
+// read found: once no live foreign record of any of the run's keys sits
+// there, it chains the run's records and publishes them with one store. It
+// returns the run's end. A run is taken whole or not at all, in ascending
+// key order with the runs before it, so the acquisition order stays sorted.
+func (st *txState[V]) lock(i int) int {
+	w, attempt := &st.writes[i], 0
+	for {
+		nd := w.leaf.latch(w.key)
+		j := st.runEnd(nd, i, len(st.writes))
+		if b, held := nd.holder(st.tx, w.key, st.writes[j-1].key, st.writes[i:j]); held {
+			nd.mu.Unlock()
+			st.wait(b, stm.WriteWrite, &attempt)
+			continue
+		}
+		head := nd.locks.Load()
+		for k := j - 1; k >= i; k-- {
+			r := &st.recs[k]
+			r.key, r.owner, r.word, r.next = st.writes[k].key, st.tx, st.word, head
+			head, st.writes[k].leaf = r, nd
+		}
+		nd.locks.Store(head)
+		nd.mu.Unlock()
+		st.held = j
+		return j
+	}
+}
+
 // Validate implements stm.SemanticOps: acquire the key-level write locks
-// in sorted key order, then check every logged read while the locks pin
-// the write set — lock-then-validate, as in TL2: once validation passes, no
-// conflicting commit can slip between it and the status CAS without
-// either hitting our locks or bumping a leaf version we checked.
+// in sorted key order, one latched visit per leaf the writes share (lock),
+// then check every logged read while the locks pin the write set —
+// lock-then-validate, as in TL2: once validation passes, no conflicting
+// commit can slip between it and the status CAS without either hitting our
+// locks or bumping a leaf version we checked.
 func (st *txState[V]) Validate(tx *stm.Tx) bool {
 	if len(st.writes) > 1 {
 		slices.SortFunc(st.writes, writeEnt[V].byKey)
@@ -302,15 +342,8 @@ func (st *txState[V]) Validate(tx *stm.Tx) bool {
 	if len(st.recs) < len(st.writes) {
 		st.recs = make([]lockRec, len(st.writes))
 	}
-	for i := range st.writes {
-		// One latched visit from the leaf the write's own read found: drain
-		// foreign holders of the key, then link our record there.
-		w, r := &st.writes[i], &st.recs[i]
-		nd := st.home(w.leaf, w.key, stm.WriteWrite)
-		r.key, r.owner, r.word = w.key, tx, st.word
-		nd.link(r)
-		nd.mu.Unlock()
-		w.leaf, st.held = nd, i+1
+	for i := 0; i < len(st.writes); {
+		i = st.lock(i)
 	}
 	for i := range st.reads {
 		e := &st.reads[i]
@@ -328,7 +361,7 @@ func (st *txState[V]) Validate(tx *stm.Tx) bool {
 		// probes. It skips the latched probe when its leaf holds no records
 		// and has not changed; the head word is read first because a record
 		// leaves a leaf only after its write has bumped the version
-		// (applyOp).
+		// (applyRun).
 		probe := !e.locked && e.leaf.locks.Load() != nil
 		moved := e.leaf.ver.Load() != e.leafVer
 		if !probe && !moved {
@@ -350,19 +383,22 @@ func (st *txState[V]) Validate(tx *stm.Tx) bool {
 
 // Finalize implements stm.SemanticOps: apply the buffered writes to the
 // physical tree if the attempt committed (splits and root growth happen
-// here, off every conflict set), releasing each lock record under the
-// apply's latch; an aborted attempt releases the records it holds, each
-// from the leaf it was linked in moving right. Then reset.
+// here, off every conflict set), one latched visit per run of writes that
+// share a leaf, releasing the run's lock records under the apply's latch
+// (applyRun); an aborted attempt releases the records it holds the same
+// way, each run from the leaf it was linked in moving right. Then reset.
 func (st *txState[V]) Finalize(tx *stm.Tx, committed bool) {
-	for i := range st.writes[:st.held] {
-		w, r := &st.writes[i], &st.recs[i]
+	for i := 0; i < st.held; {
 		if committed {
-			st.tree.applyOp(st, w, r)
+			i = st.tree.applyRun(st, i)
 			continue
 		}
+		w := &st.writes[i]
 		nd := w.leaf.latch(w.key)
-		nd.unlink(r)
+		j := st.runEnd(nd, i, st.held)
+		nd.release(tx, w.key, st.writes[j-1].key)
 		nd.mu.Unlock()
+		i = j
 	}
 	st.held = 0
 	st.reads = st.reads[:0]
